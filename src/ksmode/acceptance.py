@@ -4,6 +4,10 @@ at a pinned tolerance.
 Each criterion function returns a list of Check records; the CLI
 ``verify-all`` subcommand aggregates them and the test gate asserts them
 one by one.  All tolerances are fixed here, not calibrated at run time.
+
+Every acceptance decision (check tag, tolerance, reference value and
+symmetry-mode target) is defined once in this module: the criteria and the
+CLI subcommands build their checks from the same table and check builders.
 """
 
 from __future__ import annotations
@@ -11,13 +15,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from . import evolution, ggmt, operators, profile, spectra, waveop
 from .radial import RadialFunction, make_grid, weighted_inner
 
-__all__ = ["Check", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["Check", "CRITERIA", "SYMMETRY_MODES", "SymmetryMode",
+           "ggmt_checks", "spectrum_checks", "growth_rate_check",
+           "steady_drift_check", "partial_mass_check", "shooting_setup"]
 
 
 @dataclass
@@ -46,21 +53,127 @@ def _at_least(name, tag, value, bound) -> Check:
     return Check(name, tag, float(value), float(bound), bool(value >= bound))
 
 
+# -- the symmetry modes: the only unstable directions ------------------------
+
+@dataclass(frozen=True)
+class SymmetryMode:
+    """An unstable direction generated by a symmetry of the flow."""
+    name: str
+    eigenvalue: float     # of L_l; the linear flow grows at rate -eigenvalue
+    shape: Callable       # r -> nodal values of the eigenfunction
+
+
+SYMMETRY_MODES = {
+    0: SymmetryMode("scaling", -1.0, profile.lambda_q),
+    1: SymmetryMode("translation", -0.5, lambda r: profile.q_deriv(r, 1)),
+}
+
+
+# -- check builders shared by the criteria and the CLI -----------------------
+
+def ggmt_checks(rep, reference: bool) -> list[Check]:
+    """Certification checks of one l = 2 pipeline report.
+
+    ``reference`` adds the pinned mu and N values, which only hold for the
+    reference parameters and weight (the defaults of ``ggmt.l2_pipeline``).
+    """
+    checks = []
+    if reference:
+        checks += [
+            _within("mu(2, 0.2) for the reference weight", "ggmt.mu",
+                    rep.mu, 1.9137, 5e-3),
+            _within("eigenvalue count bound N(4, l_eff)", "ggmt.bigN",
+                    rep.bigN, 0.8687, 5e-3),
+        ]
+    return checks + [_at_most("N below the certification threshold",
+                              "ggmt.bigN_lt_1", rep.bigN, 1.0 - 1e-12)]
+
+
+def spectrum_checks(l: int, accepted) -> list[Check]:
+    """The accepted set of class l is exactly its symmetry mode, or empty."""
+    mode = SYMMETRY_MODES.get(l)
+    if mode is None:
+        return [Check(f"class {l}: accepted set empty", f"spectra.l{l}_empty",
+                      float(len(accepted)), 0.0, len(accepted) == 0)]
+    checks = [Check(f"class {l}: exactly one accepted mode",
+                    f"spectra.l{l}_count", float(len(accepted)), 1.0,
+                    len(accepted) == 1)]
+    if len(accepted) == 1:
+        rep = accepted[0]
+        w = operators.r2_mass_weights(rep.grid)
+        cos = spectra.cosine_similarity(rep.vector, mode.shape(rep.grid.nodes), w)
+        checks += [
+            _within(f"class {l}: eigenvalue", f"spectra.l{l}_eig",
+                    rep.lam.real, mode.eigenvalue, 5e-3),
+            _at_most(f"class {l}: imaginary part", f"spectra.l{l}_imag",
+                     abs(rep.lam.imag), 5e-3),
+            _at_least(f"class {l}: mode cosine similarity",
+                      f"spectra.l{l}_cosine", cos, 0.999),
+        ]
+    return checks
+
+
+def growth_rate_check(l: int, rate: float) -> Check:
+    """Fitted linear growth rate of class l against its symmetry mode."""
+    mode = SYMMETRY_MODES[l]
+    return _within(f"{mode.name}-mode growth rate", f"evolution.rate_l{l}",
+                   rate, -mode.eigenvalue, 0.02)
+
+
+def steady_drift_check(grid, w, dt: float, horizon: float):
+    """Evolve Q by the nonlinear flow; returns (drift check, trace).
+
+    The drift is the largest L^2(r^2 dr) distance to Q relative to ||Q||,
+    bounded by the scheme order 10 (h^2 + dt^2) with h the largest spacing.
+    ``w`` are the grid's r^2 mass weights, which the callers already hold.
+    """
+    qv = profile.q(grid.nodes)
+    tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt,
+                                           horizon, keep_states=True)
+    qn = np.sqrt(np.sum(w * qv ** 2))
+    drift = max(np.sqrt(np.sum(w * (s - qv) ** 2)) for s in tr.states) / qn
+    h = float(np.max(np.diff(grid.nodes)))
+    return _at_most(f"steady-state drift over tau <= {horizon:g}",
+                    "evolution.steady_drift", drift,
+                    10.0 * (h * h + dt * dt)), tr
+
+
+def partial_mass_check(grid) -> Check:
+    """One-step partial-mass defect of Q within scheme order."""
+    psi = RadialFunction(grid, profile.q(grid.nodes))
+    defect = evolution.partial_mass_crosscheck(psi, 1e-3)
+    m = evolution.partial_mass(psi)
+    h = float(np.max(np.diff(grid.nodes)))
+    bound = 10.0 * (h * h + 1e-6) * float(np.max(np.abs(m)))
+    return _at_most("partial-mass one-step defect", "crossrep.partial_mass",
+                    defect, bound)
+
+
+def shooting_setup(grid, w):
+    """Base point, projection and unit stable bump of the shooting runs.
+
+    The base point is the stepper's discrete steady profile and the
+    projection comes from the stepper's own linearization about it, so the
+    bump exp(-(r - 4)^2), projected onto the stable part, is stable for the
+    discrete dynamics that actually run.  ``w`` are the grid's r^2 mass
+    weights.  Returns (base, projection, bump).
+    """
+    qh = evolution.discrete_steady_profile(grid)
+    opf = evolution.flow_linearization(grid, qh)
+    target = SYMMETRY_MODES[0].eigenvalue
+    projf = spectra.build_projection(0, [spectra.mode_report(opf, target, 0)], opf)
+    bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
+    return qh, projf, bump / np.sqrt(np.sum(w * bump ** 2))
+
+
 # -- 1: the l=2 certification numbers ---------------------------------------
 
 def criterion_ggmt() -> list[Check]:
     t0 = time.perf_counter()
     rep = ggmt.l2_pipeline()
     elapsed = time.perf_counter() - t0
-    return [
-        _within("mu(2, 0.2) for the reference weight", "ggmt.mu",
-                rep.mu, 1.9137, 5e-3),
-        _within("eigenvalue count bound N(4, l_eff)", "ggmt.bigN",
-                rep.bigN, 0.8687, 5e-3),
-        _at_most("N below the certification threshold", "ggmt.bigN_lt_1",
-                 rep.bigN, 1.0 - 1e-12),
-        _at_most("pipeline runtime [s]", "ggmt.runtime", elapsed, 30.0),
-    ]
+    return ggmt_checks(rep, True) + [
+        _at_most("pipeline runtime [s]", "ggmt.runtime", elapsed, 30.0)]
 
 
 # -- 2: interpolation and rational constants --------------------------------
@@ -96,29 +209,8 @@ def criterion_spectra() -> list[Check]:
                                        rmax_factors=(1, 2))
     checks = []
     for l in range(7):
-        accepted = spectra.unstable_scan(l, threshold=0.05, ladder=ladder)
-        if l == 0:
-            target, mode = -1.0, profile.lambda_q
-        elif l == 1:
-            target, mode = -0.5, lambda r: profile.q_deriv(r, 1)
-        else:
-            checks.append(Check(f"class {l}: accepted set empty",
-                                f"spectra.l{l}_empty", float(len(accepted)),
-                                0.0, len(accepted) == 0))
-            continue
-        checks.append(Check(f"class {l}: exactly one accepted mode",
-                            f"spectra.l{l}_count", float(len(accepted)), 1.0,
-                            len(accepted) == 1))
-        if len(accepted) == 1:
-            rep = accepted[0]
-            checks.append(_within(f"class {l}: eigenvalue", f"spectra.l{l}_eig",
-                                  rep.lam.real, target, 5e-3))
-            checks.append(_at_most(f"class {l}: imaginary part",
-                                   f"spectra.l{l}_imag", abs(rep.lam.imag), 5e-3))
-            w = operators.r2_mass_weights(rep.grid)
-            cos = spectra.cosine_similarity(rep.vector, mode(rep.grid.nodes), w)
-            checks.append(_at_least(f"class {l}: mode cosine similarity",
-                                    f"spectra.l{l}_cosine", cos, 0.999))
+        checks += spectrum_checks(
+            l, spectra.unstable_scan(l, threshold=0.05, ladder=ladder))
     checks.append(_at_most("scan runtime [s]", "spectra.runtime",
                            time.perf_counter() - t0, 600.0))
     return checks
@@ -227,14 +319,13 @@ def criterion_profile() -> list[Check]:
                  ids["g_over_g_ode"], 1e-6),
     ]
     ns = (200, 400, 800, 1600)
-    for l, mode, lam in ((0, profile.lambda_q, -1.0),
-                         (1, lambda r: profile.q_deriv(r, 1), -0.5)):
+    for l, mode in SYMMETRY_MODES.items():
         res = []
         for n in ns:
             g = make_grid(n, 40.0, "uniform")
             w = operators.r2_mass_weights(g)
-            v = mode(g.nodes)
-            dev = operators.apply_Ll(l, g, v, tail=True) - lam * v
+            v = mode.shape(g.nodes)
+            dev = operators.apply_Ll(l, g, v, tail=True) - mode.eigenvalue * v
             res.append(np.sqrt(np.sum(w * dev ** 2) / np.sum(w * v ** 2)))
         order = float(np.polyfit(np.log(ns), -np.log(res), 1)[0])
         checks.append(_at_least(f"class {l} eigen-relation grid-halving order",
@@ -250,41 +341,25 @@ def criterion_evolution() -> list[Check]:
     r = grid.nodes
     dt = 0.01
     checks = []
+    ops = {l: operators.assemble_Ll(l, grid) for l in SYMMETRY_MODES}
+    for l, mode in SYMMETRY_MODES.items():
+        tr = evolution.linear_evolve(l, RadialFunction(grid, mode.shape(r)),
+                                     dt, 3.0, op=ops[l])
+        checks.append(growth_rate_check(l, evolution.fit_rate(tr)))
 
-    op0 = operators.assemble_Ll(0, grid)
-    tr = evolution.linear_evolve(0, RadialFunction(grid, profile.lambda_q(r)),
-                                 dt, 3.0, op=op0)
-    checks.append(_within("scaling-mode growth rate", "evolution.rate_l0",
-                          evolution.fit_rate(tr), 1.0, 0.02))
-    op1 = operators.assemble_Ll(1, grid)
-    tr = evolution.linear_evolve(1, RadialFunction(grid, profile.q_deriv(r, 1)),
-                                 dt, 3.0, op=op1)
-    checks.append(_within("translation-mode growth rate", "evolution.rate_l1",
-                          evolution.fit_rate(tr), 0.5, 0.02))
-
-    proj0 = spectra.build_projection(0, [spectra.mode_report(op0, -1.0, 0)], op0)
+    op0 = ops[0]
+    proj0 = spectra.build_projection(
+        0, [spectra.mode_report(op0, SYMMETRY_MODES[0].eigenvalue, 0)], op0)
     stable = np.real(proj0.project_stable(np.exp(-r * r)))
     tr = evolution.linear_evolve(0, RadialFunction(grid, stable), dt, 6.0, op=op0)
     checks.append(Check("stable-projected data decays", "evolution.stable_decay",
                         -evolution.fit_rate(tr, (1.0, 6.0)), 0.0,
                         evolution.fit_rate(tr, (1.0, 6.0)) < 0.0))
 
-    qv = profile.q(r)
     w = operators.r2_mass_weights(grid)
-    qn = np.sqrt(np.sum(w * qv ** 2))
-    tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt, 5.0,
-                                           keep_states=True)
-    drift = max(np.sqrt(np.sum(w * (s - qv) ** 2)) for s in tr.states) / qn
-    h = r[1] - r[0]
-    checks.append(_at_most("steady-state drift over tau <= 5",
-                           "evolution.steady_drift", drift,
-                           10.0 * (h * h + dt * dt)))
+    checks.append(steady_drift_check(grid, w, dt, 5.0)[0])
 
-    qh = evolution.discrete_steady_profile(grid)
-    opf = evolution.flow_linearization(grid, qh)
-    projf = spectra.build_projection(0, [spectra.mode_report(opf, -1.0, 0)], opf)
-    bump = np.real(projf.project_stable(np.exp(-(r - 4.0) ** 2)))
-    bump /= np.sqrt(np.sum(w * bump ** 2))
+    qh, projf, bump = shooting_setup(grid, w)
     a_stars = {}
     for amp in (1e-3, 2e-3):
         res = evolution.shoot_stable_manifold(
@@ -319,17 +394,10 @@ def criterion_cross_representation() -> list[Check]:
             diff = np.max(np.abs((kern - fact) @ x))
             scale = max(1.0, np.max(np.abs(kern @ x)))
             worst = max(worst, diff / scale)
-    g_u = make_grid(400, 40.0, "uniform")
-    qv = profile.q(g_u.nodes)
-    defect = evolution.partial_mass_crosscheck(RadialFunction(g_u, qv), 1e-3)
-    m = evolution.partial_mass(RadialFunction(g_u, qv))
-    h = g_u.nodes[1] - g_u.nodes[0]
-    bound = 10.0 * (h * h + 1e-6) * float(np.max(np.abs(m)))
     return [
         _at_most("kernel vs factorized inverse Laplacian on random data",
                  "crossrep.deltal_inv", worst, 1e-6),
-        _at_most("partial-mass one-step defect", "crossrep.partial_mass",
-                 defect, bound),
+        partial_mass_check(make_grid(400, 40.0, "uniform")),
     ]
 
 
@@ -344,12 +412,3 @@ CRITERIA = {
     "8-evolution": criterion_evolution,
     "9-cross-representation": criterion_cross_representation,
 }
-
-
-def run_criterion(key: str) -> list[Check]:
-    return CRITERIA[key]()
-
-
-def run_all() -> dict:
-    """Run every criterion; returns {key: [Check, ...]}."""
-    return {key: fn() for key, fn in CRITERIA.items()}

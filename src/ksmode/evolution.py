@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _SOLVE_TOL = 1e-10
+_NEGATIVITY_TOL = 1e-8  # relative undershoot below zero that fails a step
+_TUBE_FACTOR = 10.0     # shooting tube radius in units of the initial deviation
+_WIDTH_TOL = 1e-8       # shooting bisection stops at this fraction of the bracket
 
 
 class EvolutionError(RuntimeError):
@@ -166,13 +169,12 @@ def _nl_rhs(values, grid):
 
 def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
                             keep_states: bool = False,
-                            negativity_tol: float = 1e-8,
                             stop_when=None) -> EvolutionTrace:
     """IMEX (Crank-Nicolson + AB2) integration of the radial renormalized flow.
 
     The linear part -Delta_0 + (1/2) Lambda is implicit with one reused LU;
     the quadratic flux is explicit (AB2 after a predictor-corrector start).
-    A step driving min(Psi) below -negativity_tol * ||Psi||_inf or blowing
+    A step driving min(Psi) below -_NEGATIVITY_TOL ||Psi||_inf or blowing
     up the norm raises EvolutionError with the last valid state; the trace
     flags any run whose boundary value exceeds 1e-6 ||Psi||_inf.  An
     optional ``stop_when(state, step_index)`` predicate truncates the run
@@ -200,7 +202,7 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
         new = scipy.linalg.lu_solve(lu, rhs)
         _check_solve(lhs, new, rhs)
         scale = np.max(np.abs(new))
-        if np.min(new) < -negativity_tol * max(scale, scale0):
+        if np.min(new) < -_NEGATIVITY_TOL * max(scale, scale0):
             raise EvolutionError(
                 f"density negativity {np.min(new):.2e} at tau = {k * dt:.3f}",
                 tau=(k - 1) * dt, state=current)
@@ -284,8 +286,7 @@ def flow_linearization(grid: RadialGrid, base: np.ndarray | None = None) -> Oper
     if base is None:
         base = discrete_steady_profile(grid)
     return OperatorMatrix(grid=grid, l=0, tag="Ll",
-                          entries=lin - _flux_jacobian(base, grid),
-                          bc="stepper-consistent linearization")
+                          entries=lin - _flux_jacobian(base, grid))
 
 
 def partial_mass(psi: RadialFunction) -> np.ndarray:
@@ -319,8 +320,7 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     return float(4.0 * np.pi * np.max(np.abs(mbar_step - mbar_psi)))
 
 
-def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon,
-               tube_factor):
+def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon):
     """Evolve and report (sign of the scaling-mode coefficient, exited?).
 
     The deviation is measured against the simultaneously evolved
@@ -329,7 +329,7 @@ def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon,
     the functional isolates the perturbation's own unstable content.
     """
     w = r2_mass_weights(grid)
-    tube = tube_factor * size0
+    tube = _TUBE_FACTOR * size0
 
     def outside(state, k):
         return np.sqrt(np.sum(w * (state - ref_states[k]) ** 2)) > tube
@@ -353,20 +353,19 @@ def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon,
 
 def shoot_stable_manifold(eps_s0: RadialFunction, bracket, projection,
                           dt: float = 0.01, horizon: float = 8.0,
-                          tube_factor: float = 10.0, width_tol: float = 1e-8,
                           base_profile: np.ndarray | None = None) -> ShootingResult:
     """Bisection over the unstable amplitude a in Psi_0 = Q + eps_s0 + a LQ/||LQ||.
 
     The departure functional is the sign of the scaling-mode coefficient at
     the exit time, the first tau at which the deviation from the reference
     flow (started at the unperturbed base profile) leaves the tube of
-    radius ``tube_factor`` times the initial deviation size.  The base
+    radius ``_TUBE_FACTOR`` times the initial deviation size.  The base
     point defaults to the discrete steady profile, about which the
     reference flow is stationary; ``projection`` should then come from
     ``flow_linearization`` so that the prepared data is stable for the
     discrete dynamics that actually run.  The bracket must produce opposite
     departure signs; bisection stops when its width falls below
-    ``width_tol`` times the initial width, and the result is converged when
+    ``_WIDTH_TOL`` times the initial width, and the result is converged when
     the matched amplitude stays in the tube for the whole horizon.
     """
     grid = eps_s0.grid
@@ -379,12 +378,11 @@ def shoot_stable_manifold(eps_s0: RadialFunction, bracket, projection,
                                   keep_states=True).states
     size0 = np.sqrt(np.sum(w * eps_s0.values ** 2))
     if size0 == 0.0:
-        size0 = width_tol * (float(bracket[1]) - float(bracket[0]))
+        size0 = _WIDTH_TOL * (float(bracket[1]) - float(bracket[0]))
 
     def run(a):
         vals = q_vals + eps_s0.values + a * lam_q
-        return _departure(vals, grid, ref, size0, projection, dt, horizon,
-                          tube_factor)
+        return _departure(vals, grid, ref, size0, projection, dt, horizon)
 
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     width0 = a_hi - a_lo
@@ -393,7 +391,7 @@ def shoot_stable_manifold(eps_s0: RadialFunction, bracket, projection,
     if sign_lo == sign_hi:
         raise ValueError(
             f"departure sign {sign_lo} identical at both bracket ends")
-    while a_hi - a_lo > width_tol * width0:
+    while a_hi - a_lo > _WIDTH_TOL * width0:
         mid = 0.5 * (a_lo + a_hi)
         sign_mid, _ = run(mid)
         if sign_mid == sign_lo:

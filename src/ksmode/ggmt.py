@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _S_CUT = 1.0e4  # analytic power-law tails take over beyond this radius
+_FUBINI_RTOL = 1e-4  # agreement required of the two integration orders of mu
 
 
 def alpha_beta(R: float):
@@ -94,6 +95,18 @@ class WeightSpec:
             if p <= -decay_cap:
                 raise ValueError(
                     f"weight {self.label} tail exponent {p:.3g} too weak")
+
+    def check_mu(self, l: float, alpha: float) -> None:
+        """Validate the preconditions of ``mu_functional`` for (l, alpha).
+
+        Besides ``check``, the analytic tail model of mu needs
+        2l + 2 alpha > 3 (with a margin) and a positive limit at infinity.
+        """
+        self.check(l, alpha)
+        if 2.0 * l + 2.0 * alpha <= 3.05:
+            raise ValueError("tail model requires 2l + 2 alpha > 3")
+        if self.w_inf <= 0.0:
+            raise ValueError("mu tail model requires a weight with positive limit")
 
     def scaled(self, c: float) -> "WeightSpec":
         return WeightSpec(fn=lambda r, _f=self.fn: c * np.asarray(_f(r)),
@@ -155,22 +168,17 @@ class _SegmentedSuffix:
         return part + self.suffix[j]
 
 
-def mu_functional(l: float, alpha: float, W: WeightSpec,
-                  fubini_rtol: float = 1e-4) -> float:
+def mu_functional(l: float, alpha: float, W: WeightSpec) -> float:
     """Nonlocality functional
 
         mu = (1/4) int_0^inf W^{-1}(s) s^{-2l-2a} ( int_0^s W1^{-1} V2^2
              r^{2l+2a} dr ) ds,
 
     computed in both orders of integration; the two values must agree to
-    ``fubini_rtol`` or a RuntimeError is raised.  Linear in W^{-1}.
+    relative ``_FUBINI_RTOL`` or a RuntimeError is raised.  Linear in W^{-1}.
     """
-    W.check(l, alpha)
+    W.check_mu(l, alpha)
     beta = 2.0 * l + 2.0 * alpha
-    if beta <= 3.05:
-        raise ValueError("tail model requires 2l + 2 alpha > 3")
-    if W.w_inf <= 0.0:
-        raise ValueError("mu tail model requires a weight with positive limit")
     lma = l - alpha
     k_inner = lambda r: profile.v2(r) ** 2 / w1_potential(lma, r) * r ** beta
     winv = lambda s: 1.0 / float(W.fn(s))
@@ -202,7 +210,7 @@ def mu_functional(l: float, alpha: float, W: WeightSpec,
     tail_a = k_inf / (W.w_inf * (beta - 1.0)) * S ** (-2.0) / 2.0
     mu_a = 0.25 * (total_a + tail_a)
 
-    if abs(mu_a - mu_b) > fubini_rtol * abs(mu_b):
+    if abs(mu_a - mu_b) > _FUBINI_RTOL * abs(mu_b):
         raise RuntimeError(
             f"mu integration orders disagree: {mu_a!r} vs {mu_b!r}")
     return mu_b

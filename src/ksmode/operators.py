@@ -24,7 +24,6 @@ tail use the vector path `apply_Ll(..., tail=True)` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "deriv_deltal_inv_matrix", "kernel_deriv_deltal_inv_matrix",
     "dk_inv_matrix", "lower_cum_matrix",
     "upper_cum_matrix", "deriv1_matrix", "deriv2_matrix", "r2_mass_weights",
-    "dump_matrix",
 ]
 
 
@@ -51,7 +49,6 @@ class OperatorMatrix:
     l: int
     tag: str
     entries: np.ndarray
-    bc: str
 
     @property
     def n(self) -> int:
@@ -270,8 +267,7 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
         a -= 2.0 * np.diag(profile.q(r))
         a -= np.diag(profile.d2inv_q_closed(r)) @ d1
         a -= np.diag(profile.q_deriv(r, 1)) @ deriv_deltal_inv_matrix(grid, l)
-    return OperatorMatrix(grid=grid, l=l, tag="Ll", entries=a,
-                          bc=f"origin r^{l}, outer Dirichlet")
+    return OperatorMatrix(grid=grid, l=l, tag="Ll", entries=a)
 
 
 def apply_Ll(l: int, grid: RadialGrid, values, tail: bool = False,
@@ -315,8 +311,7 @@ def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid,
         up = dk_inv_matrix(grid, -(l + alpha))
         a_mat = a_mat + l * (low @ np.diag(profile.v1(r))
                              + low @ np.diag(profile.v2(r)) @ up)
-    return OperatorMatrix(grid=grid, l=l, tag="TildeLlAlpha", entries=a_mat,
-                          bc="Dirichlet both ends")
+    return OperatorMatrix(grid=grid, l=l, tag="TildeLlAlpha", entries=a_mat)
 
 
 def assemble_tilde_L1(grid: RadialGrid) -> OperatorMatrix:
@@ -325,8 +320,7 @@ def assemble_tilde_L1(grid: RadialGrid) -> OperatorMatrix:
     d1 = deriv1_matrix(grid, "dirichlet")
     d2 = deriv2_matrix(grid, "dirichlet")
     a = -d2 + np.diag(profile.coef_a(r)) @ d1 + np.diag(profile.coef_b(r))
-    return OperatorMatrix(grid=grid, l=1, tag="TildeL1", entries=a,
-                          bc="Dirichlet both ends")
+    return OperatorMatrix(grid=grid, l=1, tag="TildeL1", entries=a)
 
 
 def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarray:
@@ -359,8 +353,7 @@ def assemble_tilde_L1_prime(grid: RadialGrid) -> OperatorMatrix:
     r = grid.nodes
     v = 12.0 / (r * r) + r * r / 16.0 - 8.0 / (2.0 + r * r) - 0.75
     return OperatorMatrix(grid=grid, l=1, tag="TildeL1Prime",
-                          entries=_symmetric_schrodinger(grid, v),
-                          bc="Dirichlet both ends")
+                          entries=_symmetric_schrodinger(grid, v))
 
 
 def assemble_H_l_alpha_W(l: int, alpha: float, theta: float, W, mu: float,
@@ -380,15 +373,5 @@ def assemble_H_l_alpha_W(l: int, alpha: float, theta: float, W, mu: float,
          + profile.half_d_d2inv_q(r, alpha) - profile.q(r)
          - l * mu * W.fn(r))
     return OperatorMatrix(grid=grid, l=l, tag="HlAlphaW",
-                          entries=_symmetric_schrodinger(grid, v),
-                          bc="Dirichlet both ends")
+                          entries=_symmetric_schrodinger(grid, v))
 
-
-def dump_matrix(op: OperatorMatrix, path_prefix: str) -> None:
-    """Write entries to <prefix>.npy with a JSON sidecar {l, n, rmax, tag}."""
-    np.save(path_prefix + ".npy", op.entries)
-    sidecar = {"l": int(op.l), "n": int(op.n), "rmax": op.grid.rmax,
-               "tag": op.tag}
-    with open(path_prefix + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+_TAIL_DECADE = 10.0  # tail fits use the nodes r >= rmax / _TAIL_DECADE
+_TAIL_MARGIN = 0.1   # a tail integral needs q + a < -1 - _TAIL_MARGIN
 
 
 class DivergentTailError(RuntimeError):
@@ -273,7 +275,7 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: float) -> np.nd
     return out
 
 
-def fit_tail_exponent(values, grid: RadialGrid, decade: float = 10.0):
+def fit_tail_exponent(values, grid: RadialGrid):
     """Least-squares power-law fit f ~ c r^q on the last decade of the grid.
 
     Returns (c, q).  If the data in the window is numerically zero, returns
@@ -286,7 +288,7 @@ def fit_tail_exponent(values, grid: RadialGrid, decade: float = 10.0):
     tail_nodes = max(4, vals.size // 20)
     if scale == 0.0 or np.max(np.abs(vals[-tail_nodes:])) <= 1e-13 * scale:
         return 0.0, 0.0  # numerically zero at the edge: no tail
-    mask = (r >= grid.rmax / decade) & (np.abs(vals) > 1e-300)
+    mask = (r >= grid.rmax / _TAIL_DECADE) & (np.abs(vals) > 1e-300)
     if np.count_nonzero(mask) < 4:
         mask = np.zeros_like(mask)
         mask[-4:] = np.abs(vals[-4:]) > 1e-300
@@ -300,11 +302,11 @@ def fit_tail_exponent(values, grid: RadialGrid, decade: float = 10.0):
 
 
 def suffix_power_integral(values, grid: RadialGrid, a: float,
-                          tail: bool = True, tail_margin: float = 0.1) -> np.ndarray:
+                          tail: bool = True) -> np.ndarray:
     """J_i = int_{r_i}^{rmax or inf} f(s) s^a ds, exact on the interpolant.
 
     With ``tail=True`` (default) the integral extends to infinity using the
-    fitted power-law tail; a fitted exponent q with q + a >= -1 - tail_margin
+    fitted power-law tail; a fitted exponent q with q + a >= -1 - _TAIL_MARGIN
     raises DivergentTailError.  With ``tail=False`` the function is treated
     as zero beyond rmax.
     """
@@ -318,7 +320,7 @@ def suffix_power_integral(values, grid: RadialGrid, a: float,
     if tail:
         c, qexp = fit_tail_exponent(values, grid)
         if c != 0.0:
-            if qexp + a >= -1.0 - tail_margin:
+            if qexp + a >= -1.0 - _TAIL_MARGIN:
                 raise DivergentTailError(
                     f"fitted tail exponent {qexp:.3g} too weak for int s^{a} ds")
             out += c * grid.rmax ** (qexp + a + 1.0) / (-(qexp + a + 1.0))

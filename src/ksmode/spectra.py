@@ -30,18 +30,15 @@ __all__ = [
     "EigenReport", "ProjectionPair", "eig_dense", "exponent_fits",
     "refinement_ladder", "unstable_scan", "unstable_scan_detailed",
     "build_projection", "schrodinger_spectrum_check",
-    "transpose_spectrum_defect", "ScanSettings",
+    "transpose_spectrum_defect",
 ]
 
-
-@dataclass
-class ScanSettings:
-    """Tolerances of the spurious-mode filters (defaults per design)."""
-    abs_tol: float = 5e-3
-    decay_cap: float = -1.5
-    origin_slack: float = 0.3
-    decay_slack: float = 0.5
-    residual_tol: float = 1e-8
+# Tolerances of the spurious-mode filters.
+_ABS_TOL = 5e-3        # ladder (Richardson and rmax) agreement of an eigenvalue
+_DECAY_CAP = -1.5      # far-field decay exponent a genuine mode must reach
+_ORIGIN_SLACK = 0.3    # allowed |origin exponent - l|
+_DECAY_SLACK = 0.5     # allowed excess over the resolvent decay bound
+_RESIDUAL_TOL = 1e-8   # eigen residual relative to ||A||_inf
 
 
 @dataclass
@@ -90,7 +87,7 @@ def exponent_fits(values, lam, l, grid: RadialGrid):
     decay window: r in [rmax/20, rmax/2] (clear of the Dirichlet layer);
     origin window: [r_1, min(0.3, 50 r_1)].  Returns (decay_exponent,
     origin_exponent, consistent, reliable); ``consistent`` compares the
-    decay against the resolvent bound -min(2, 2(1 - Re lam)) + 0.5, and an
+    decay against the resolvent bound -min(2, 2(1 - Re lam)) + _DECAY_SLACK, and an
     underflowing vector marks the fit unreliable instead of erroring.
     """
     r = grid.nodes
@@ -111,7 +108,7 @@ def exponent_fits(values, lam, l, grid: RadialGrid):
     else:
         origin = float(np.polyfit(np.log(r[inner]), np.log(v[inner]), 1)[0])
     bound = -min(2.0, 2.0 * (1.0 - np.real(lam)))
-    consistent = bool(decay <= bound + 0.5)
+    consistent = bool(decay <= bound + _DECAY_SLACK)
     return decay, origin, consistent, reliable
 
 
@@ -137,14 +134,12 @@ def _nearest(lams: np.ndarray, target: complex) -> complex:
     return lams[np.argmin(np.abs(lams - target))]
 
 
-def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None,
-                           settings: ScanSettings | None = None):
+def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     """Run the filtered scan for one class; returns (accepted, candidates).
 
     ``candidates`` holds every eigenvalue of the finest grid below the
     threshold with its filter diagnostics; ``accepted`` the survivors.
     """
-    settings = settings or ScanSettings()
     if ladder is None:
         ladder = refinement_ladder()
     ns = sorted({k[0] for k in ladder})
@@ -171,16 +166,16 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None,
         lam_mid = _nearest(spectra[(ns[-2], rmax_hi)], lam)
         lam_coarse = _nearest(spectra[(ns[-3], rmax_hi)], lam)
         h_defect = abs(lam_mid - lam)
-        richardson_ok = abs(lam_coarse - lam_mid) <= 10.0 * h_defect + settings.abs_tol
+        richardson_ok = abs(lam_coarse - lam_mid) <= 10.0 * h_defect + _ABS_TOL
         lam_other = _nearest(spectra[(n_hi, rmaxs[0])], lam)
         rmax_defect = abs(lam - lam_other)
-        rmax_ok = rmax_defect <= settings.abs_tol
+        rmax_ok = rmax_defect <= _ABS_TOL
         residual = float(np.linalg.norm(mat @ v - lam * v) / np.linalg.norm(v))
         decay, origin, consistent, reliable = exponent_fits(v, lam, l, fine_grid)
         converged = bool(richardson_ok and rmax_ok)
-        ok = (converged and residual <= settings.residual_tol * scale
-              and reliable and decay <= settings.decay_cap
-              and abs(origin - l) <= settings.origin_slack and consistent)
+        ok = (converged and residual <= _RESIDUAL_TOL * scale
+              and reliable and decay <= _DECAY_CAP
+              and abs(origin - l) <= _ORIGIN_SLACK and consistent)
         report = EigenReport(l=l, lam=complex(lam), residual=residual,
                              converged=converged, decay_exponent=decay,
                              origin_exponent=origin,
@@ -194,10 +189,9 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None,
     return accepted, candidates
 
 
-def unstable_scan(l: int, threshold: float = 0.05, ladder=None,
-                  settings: ScanSettings | None = None):
+def unstable_scan(l: int, threshold: float = 0.05, ladder=None):
     """Accepted unstable eigenvalues of class l (may legitimately be empty)."""
-    accepted, _ = unstable_scan_detailed(l, threshold, ladder, settings)
+    accepted, _ = unstable_scan_detailed(l, threshold, ladder)
     return accepted
 
 

@@ -29,34 +29,13 @@ from .radial import (RadialGrid, cumulative_power_integral,
                      make_grid)
 
 __all__ = [
-    "WaveOpContext", "make_context", "apply_T", "apply_T_weight_form",
-    "apply_tilde_L1", "apply_tilde_L1_prime", "commutator_residual",
-    "conjugation_residual", "potential_min_tilde_L1_prime",
-    "nonvanishing_check", "NonvanishingResult",
+    "apply_T", "apply_T_weight_form", "apply_tilde_L1", "apply_tilde_L1_prime",
+    "commutator_residual", "conjugation_residual",
+    "potential_min_tilde_L1_prime", "nonvanishing_check", "NonvanishingResult",
     "coefficient_identity_residuals", "tilde_L1_prime_potential",
 ]
 
 OVERFLOW_RADIUS = 60.0  # exp(r^2/8) conjugation tests stay inside this radius
-
-
-@dataclass(frozen=True)
-class WaveOpContext:
-    """Closed-form ingredient functions of T sampled on one grid."""
-    grid: RadialGrid
-    gOverG: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    u1: np.ndarray
-
-
-def make_context(grid: RadialGrid) -> WaveOpContext:
-    r = grid.nodes
-    gg = profile.g_over_g(r)
-    u1 = profile.u1(r)
-    if np.any(gg <= 0.0) or np.any(u1 <= 0.0):
-        raise ValueError("wave-operator weight lost positivity on the grid")
-    return WaveOpContext(grid=grid, gOverG=gg, A=profile.coef_a(r),
-                         B=profile.coef_b(r), u1=u1)
 
 
 def apply_T(values, grid: RadialGrid) -> np.ndarray:

@@ -25,6 +25,9 @@ def test_ggmt_reference_run(tmp_path, capsys):
     assert abs(summary["details"]["bigN"] - 0.8687) < 5e-3
     tags = {c["tag"] for c in summary["checks"]}
     assert "ggmt.mu" in tags and "ggmt.bigN" in tags
+    # the same threshold as verify-all's criterion 1
+    (threshold,) = [c for c in summary["checks"] if c["tag"] == "ggmt.bigN_lt_1"]
+    assert threshold["tolerance"] == 1.0 - 1e-12
     for check in summary["checks"]:
         assert set(check) == {"name", "tag", "value", "tolerance", "pass"}
         assert check["pass"] is True
@@ -56,6 +59,7 @@ def test_spectrum_subcommand_small_ladder(tmp_path):
     assert code == 0
     summary = load_summary(tmp_path, "spectrum")
     assert summary["details"]["accepted"] == []
+    assert [c["tag"] for c in summary["checks"]] == ["spectra.l4_empty"]
     assert (tmp_path / "spectrum_l4.csv").exists()
 
 
@@ -67,6 +71,11 @@ def test_spectrum_l1_finds_translation_mode(tmp_path):
     summary = load_summary(tmp_path, "spectrum")
     (lam,) = [pair[0] for pair in summary["details"]["accepted"]]
     assert abs(lam - (-0.5)) < 5e-3
+    # verify-all's class-1 checks, tag for tag
+    assert [c["tag"] for c in summary["checks"]] == [
+        "spectra.l1_count", "spectra.l1_eig", "spectra.l1_imag",
+        "spectra.l1_cosine"]
+    assert all(c["pass"] for c in summary["checks"])
 
 
 def _small_scan_config(tmp_path):
@@ -96,6 +105,9 @@ def test_bad_config_exits_2(tmp_path):
     path.write_text("[grid]\nn = 4\n")
     assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
                      "profile-check"]) == 2
+    path.write_text("[grid]\nn = many\n")
+    assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
+                     "profile-check"]) == 2
     path.write_text("[nosuch]\nx = 1\n")
     assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
                      "profile-check"]) == 2
@@ -105,6 +117,26 @@ def test_bad_config_exits_2(tmp_path):
 
 def test_ggmt_invalid_alpha_exits_2(tmp_path):
     assert run_cli(["ggmt", "--alpha", "3.0"], tmp_path) == 2
+
+
+def test_ggmt_tail_model_precondition_exits_2(tmp_path, capsys):
+    # alpha is in [-l, l + 1/2), but 2l + 2 alpha = 2.4 breaks mu's tail model
+    assert run_cli(["ggmt", "--l", "1", "--alpha", "0.2"], tmp_path) == 2
+    assert "2l + 2 alpha > 3" in capsys.readouterr().err
+    assert not (tmp_path / "ggmt_summary.json").exists()
+
+
+def test_horizon_shorter_than_dt_exits_2(tmp_path):
+    assert run_cli(["evolve-linear", "--dt", "0.01", "--horizon", "0.005"],
+                   tmp_path) == 2
+
+
+def test_value_error_in_command_exits_3(tmp_path, monkeypatch):
+    def broken(cfg, args):
+        raise ValueError("no bracket")
+    monkeypatch.setitem(cli.COMMANDS, "ggmt", broken)
+    assert run_cli(["ggmt"], tmp_path) == 3
+    assert "no bracket" in (tmp_path / "ggmt_diagnostics.txt").read_text()
 
 
 def test_numerical_error_exits_3(tmp_path):

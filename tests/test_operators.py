@@ -1,7 +1,6 @@
 """Assembled operator matrices: eigen-relations, conjugations, and the
 cross-representation identities of the nonlocal blocks."""
 
-import json
 
 import numpy as np
 import pytest
@@ -230,15 +229,3 @@ class TestCrossRepresentation:
         mat = operators.deriv_deltal_inv_matrix(grid, 2)
         vec = deriv_deltal_inverse(2, f, tail=False)
         assert np.max(np.abs(mat @ f.values - vec.values)) < 1e-12
-
-
-def test_matrix_dump_roundtrip(tmp_path):
-    grid = make_grid(32, 10.0)
-    a = operators.assemble_tilde_L1_prime(grid)
-    prefix = str(tmp_path / "op")
-    operators.dump_matrix(a, prefix)
-    loaded = np.load(prefix + ".npy")
-    with open(prefix + ".json") as fh:
-        sidecar = json.load(fh)
-    assert np.array_equal(loaded, a.entries)
-    assert sidecar == {"l": 1, "n": 32, "rmax": 10.0, "tag": "TildeL1Prime"}

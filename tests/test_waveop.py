@@ -135,8 +135,3 @@ class TestCoefficientIdentities:
         ids = waveop.coefficient_identity_residuals(np.linspace(0.05, 50.0, 3000))
         assert ids["drift"] <= 1e-8
         assert ids["potential"] <= 1e-8
-
-    def test_context_positivity(self):
-        ctx = waveop.make_context(make_grid(500, 50.0))
-        assert np.all(ctx.gOverG > 0.0)
-        assert np.all(ctx.u1 > 0.0)
