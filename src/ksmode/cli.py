@@ -110,6 +110,9 @@ class RunConfig:
         e = self.values["evolve"]
         if e["dt"] <= 0 or e["dt"] > 0.05 or e["horizon"] < e["dt"]:
             raise ConfigError("evolve needs 0 < dt <= 0.05 and horizon >= dt")
+        steps = e["horizon"] / e["dt"]
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError("evolve.horizon must be a whole multiple of evolve.dt")
 
     def weight(self) -> ggmt.WeightSpec:
         gg = self.values["ggmt"]

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import profile
 from .radial import (RadialGrid, panel_coefficients, power_moment,
-                     deriv_stencil, deriv_deltal_inverse, RadialFunction,
-                     fd_deriv1, fd_deriv2)
+                     deriv_deltal_inverse, RadialFunction, fd_deriv1,
+                     fd_deriv2, three_point)
 
 __all__ = [
     "OperatorMatrix", "assemble_Ll", "assemble_tilde_Ll_alpha",
@@ -82,21 +82,13 @@ def _origin_ghost_coeffs(grid: RadialGrid, closure) -> np.ndarray:
 
 def _fd_matrix(grid: RadialGrid, order: int, origin_closure) -> np.ndarray:
     """Derivative matrix of given order with ghost elimination at both ends."""
-    r = grid.nodes
-    n = grid.n
-    a = np.zeros((n, n))
-    for i in range(1, n - 1):
-        w = deriv_stencil(r[i - 1:i + 2], r[i], order)
-        a[i, i - 1:i + 2] = w
+    h = grid.cell_spacings()
+    # three-point weights of every row, ghost rows included; the outer ghost
+    # value is 0 (Dirichlet), the origin ghost's weight goes to its model
+    wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
+    a = np.diag(wl[1:], -1) + np.diag(wc) + np.diag(wr[:-1], 1)
     ghost = _origin_ghost_coeffs(grid, origin_closure)
-    w = deriv_stencil([0.0, r[0], r[1]], r[0], order)
-    a[0, 0] = w[1]
-    a[0, 1] = w[2]
-    a[0, :ghost.size] += w[0] * ghost
-    router = r[-1] + (r[-1] - r[-2])
-    w = deriv_stencil([r[-2], r[-1], router], r[-1], order)
-    a[-1, -2] = w[0]
-    a[-1, -1] = w[1]  # outer ghost value is 0 (Dirichlet)
+    a[0, :ghost.size] += wl[0] * ghost
     return a
 
 
@@ -112,17 +104,23 @@ def deriv2_matrix(grid: RadialGrid, origin_closure="dirichlet") -> np.ndarray:
 # cumulative quadrature matrices (exact on the piecewise-linear interpolant)
 # ---------------------------------------------------------------------------
 
+def _panel_matrix(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """(n-1) x n bidiagonal matrix of the panel integrals cu_j f_j + cv_j f_{j+1}."""
+    m = cu.size
+    panels = np.zeros((m, m + 1))
+    idx = np.arange(m)
+    panels[idx, idx] = cu
+    panels[idx, idx + 1] = cv
+    return panels
+
+
 def lower_cum_matrix(grid: RadialGrid, a: float, origin_power: float) -> np.ndarray:
     """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ f_1 (s/r_1)^p."""
     n = grid.n
     nodes = grid.nodes
     if origin_power + a + 1.0 <= 0.0:
         raise ValueError("origin model makes the cumulative integral divergent")
-    cu, cv = panel_coefficients(a, nodes)
-    panels = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    panels[idx, idx] = cu
-    panels[idx, idx + 1] += cv
+    panels = _panel_matrix(*panel_coefficients(a, nodes))
     mat = np.zeros((n, n))
     mat[1:] = np.cumsum(panels, axis=0)
     mat[:, 0] += nodes[0] ** (a + 1.0) / (origin_power + a + 1.0)
@@ -132,11 +130,7 @@ def lower_cum_matrix(grid: RadialGrid, a: float, origin_power: float) -> np.ndar
 def upper_cum_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
     n = grid.n
-    cu, cv = panel_coefficients(a, grid.nodes)
-    panels = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    panels[idx, idx] = cu
-    panels[idx, idx + 1] += cv
+    panels = _panel_matrix(*panel_coefficients(a, grid.nodes))
     mat = np.zeros((n, n))
     mat[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
     return mat
@@ -146,8 +140,8 @@ def dk_inv_matrix(grid: RadialGrid, k: float, origin_power: float = 0.0) -> np.n
     """Matrix of D_k^{-1} on the grid (zero extension beyond rmax for k <= 0)."""
     r = grid.nodes
     if k > 0:
-        return np.diag(r ** (-k)) @ lower_cum_matrix(grid, k, origin_power)
-    return -np.diag(r ** (-k)) @ upper_cum_matrix(grid, k)
+        return (r ** (-k))[:, None] * lower_cum_matrix(grid, k, origin_power)
+    return -(r ** (-k))[:, None] * upper_cum_matrix(grid, k)
 
 
 def kernel_deltal_inv_matrix(grid: RadialGrid, l: int,
@@ -157,7 +151,7 @@ def kernel_deltal_inv_matrix(grid: RadialGrid, l: int,
     p = float(l if origin_power is None else origin_power)
     low = lower_cum_matrix(grid, l + 2.0, p)
     up = upper_cum_matrix(grid, 1.0 - l)
-    return -(np.diag(r ** (-(l + 1.0))) @ low + np.diag(r ** float(l)) @ up) \
+    return -((r ** (-(l + 1.0)))[:, None] * low + (r ** float(l))[:, None] * up) \
         / (2 * l + 1)
 
 
@@ -182,8 +176,6 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int,
 
     # I(s) on panel j: I_j + c1 s^{l+3} + c2 s^{l+4} + const(f_j, f_{j+1})
     # with f(s) = f_j + d (s - u), d = (f_{j+1} - f_j)/dt.
-    panels = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
     # coefficient arrays in terms of (f_j, f_{j+1})
     la, lb = l + 3.0, l + 4.0
     # d = (f_{j+1} - f_j)/dt; collect each panel integral as
@@ -196,15 +188,14 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int,
     const_fj1 = (u ** lb / la - u ** lb / lb) / dt
     alpha = const_fj * m_out + c1_fj * m1 + c2_fj * m2
     beta = const_fj1 * m_out + c1_fj1 * m1 + c2_fj1 * m2
-    panels[idx, idx] = alpha
-    panels[idx, idx + 1] += beta
+    panels = _panel_matrix(alpha, beta)
     panels += m_out[:, None] * low[:-1, :]
 
     acc = np.zeros((n, n))
     acc[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
     tail = grid.rmax ** (-(2.0 * l + 1.0)) / (2 * l + 1) * low[-1, :]
     acc += tail[None, :]
-    return -np.diag(r ** float(l)) @ acc
+    return -(r ** float(l))[:, None] * acc
 
 
 def deriv_deltal_inv_matrix(grid: RadialGrid, l: int,
@@ -230,9 +221,9 @@ def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int,
     """
     r = grid.nodes
     p = float(l if origin_power is None else origin_power)
-    mat = (l + 1) * np.diag(r ** (-(l + 2.0))) @ lower_cum_matrix(grid, l + 2.0, p)
+    mat = ((l + 1) * r ** (-(l + 2.0)))[:, None] * lower_cum_matrix(grid, l + 2.0, p)
     if l > 0:
-        mat = mat - l * np.diag(r ** (l - 1.0)) @ upper_cum_matrix(grid, 1.0 - l)
+        mat = mat - (l * r ** (l - 1.0))[:, None] * upper_cum_matrix(grid, 1.0 - l)
     return mat / (2 * l + 1)
 
 
@@ -261,12 +252,12 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
     r = grid.nodes
     d1 = deriv1_matrix(grid, ("class", l))
     d2 = deriv2_matrix(grid, ("class", l))
-    lap = d2 + np.diag(2.0 / r) @ d1 - np.diag(l * (l + 1) / (r * r))
-    a = -lap + 0.5 * np.diag(r) @ d1 + np.eye(grid.n)
+    lap = d2 + (2.0 / r)[:, None] * d1 - np.diag(l * (l + 1) / (r * r))
+    a = -lap + (0.5 * r)[:, None] * d1 + np.eye(grid.n)
     if not zero_profile:
         a -= 2.0 * np.diag(profile.q(r))
-        a -= np.diag(profile.d2inv_q_closed(r)) @ d1
-        a -= np.diag(profile.q_deriv(r, 1)) @ deriv_deltal_inv_matrix(grid, l)
+        a -= profile.d2inv_q_closed(r)[:, None] * d1
+        a -= profile.q_deriv(r, 1)[:, None] * deriv_deltal_inv_matrix(grid, l)
     return OperatorMatrix(grid=grid, l=l, tag="Ll", entries=a)
 
 
@@ -301,16 +292,16 @@ def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid,
     r = grid.nodes
     d1 = deriv1_matrix(grid, "dirichlet")
     d2 = deriv2_matrix(grid, "dirichlet")
-    a_mat = (-d2 - np.diag((2.0 - 2.0 * alpha) / r) @ d1
+    a_mat = (-d2 - ((2.0 - 2.0 * alpha) / r)[:, None] * d1
              + np.diag((alpha - alpha ** 2 + (l + 1) * (l + 2)) / (r * r))
-             + 0.5 * (np.diag(r) @ d1 + (1.0 - alpha) * np.eye(grid.n))
-             - np.diag(profile.d2inv_q_closed(r)) @ (d1 + np.diag((2.0 - alpha) / r))
+             + 0.5 * (r[:, None] * d1 + (1.0 - alpha) * np.eye(grid.n))
+             - profile.d2inv_q_closed(r)[:, None] * (d1 + np.diag((2.0 - alpha) / r))
              - np.diag(profile.q(r)))
     if l > 0:
         low = dk_inv_matrix(grid, l + 2.0 - alpha, origin_power)
         up = dk_inv_matrix(grid, -(l + alpha))
-        a_mat = a_mat + l * (low @ np.diag(profile.v1(r))
-                             + low @ np.diag(profile.v2(r)) @ up)
+        a_mat = a_mat + l * (low * profile.v1(r)[None, :]
+                             + (low * profile.v2(r)[None, :]) @ up)
     return OperatorMatrix(grid=grid, l=l, tag="TildeLlAlpha", entries=a_mat)
 
 
@@ -319,7 +310,7 @@ def assemble_tilde_L1(grid: RadialGrid) -> OperatorMatrix:
     r = grid.nodes
     d1 = deriv1_matrix(grid, "dirichlet")
     d2 = deriv2_matrix(grid, "dirichlet")
-    a = -d2 + np.diag(profile.coef_a(r)) @ d1 + np.diag(profile.coef_b(r))
+    a = -d2 + profile.coef_a(r)[:, None] * d1 + np.diag(profile.coef_b(r))
     return OperatorMatrix(grid=grid, l=1, tag="TildeL1", entries=a)
 
 
@@ -331,17 +322,9 @@ def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarra
     the quadratic form, and the matrix is symmetric to round-off on any
     (also stretched) grid.
     """
-    r = grid.nodes
-    n = grid.n
-    h = np.empty(n + 1)
-    h[0] = r[0]
-    h[1:-1] = np.diff(r)
-    h[-1] = r[-1] - r[-2]
-    stiff = np.zeros((n, n))
-    di = np.arange(n)
-    stiff[di, di] = 1.0 / h[:-1] + 1.0 / h[1:]
-    stiff[di[:-1], di[:-1] + 1] = -1.0 / h[1:-1]
-    stiff[di[:-1] + 1, di[:-1]] = -1.0 / h[1:-1]
+    h = grid.cell_spacings()
+    stiff = (np.diag(1.0 / h[:-1] + 1.0 / h[1:])
+             - np.diag(1.0 / h[1:-1], 1) - np.diag(1.0 / h[1:-1], -1))
     w = 0.5 * (h[:-1] + h[1:])
     sqw = np.sqrt(w)
     sym = stiff / sqw[:, None] / sqw[None, :] + np.diag(potential)

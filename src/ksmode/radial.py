@@ -64,8 +64,10 @@ class RadialGrid:
     def n(self) -> int:
         return self.nodes.size
 
-    def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
+    def cell_spacings(self) -> np.ndarray:
+        """The n + 1 spacings from the origin to the outer ghost node."""
+        r = self.nodes
+        return np.concatenate(([r[0]], np.diff(r), [r[-1] - r[-2]]))
 
 
 @dataclass
@@ -331,15 +333,23 @@ def suffix_power_integral(values, grid: RadialGrid, a: float,
 # finite differences
 # ---------------------------------------------------------------------------
 
+def three_point(order: int, f_left, f_mid, f_right, hm, hp):
+    """Three-point derivative (order 1 or 2) at the middle node; hm, hp are
+    the spacings to its neighbours.  On unit data it returns the weights."""
+    if order == 1:
+        return (hm * hm * f_right + (hp * hp - hm * hm) * f_mid
+                - hp * hp * f_left) / (hm * hp * (hm + hp))
+    return 2.0 * (hm * f_right - (hm + hp) * f_mid + hp * f_left) \
+        / (hm * hp * (hm + hp))
+
+
 def fd_deriv1(values, nodes) -> np.ndarray:
     """O(h^2) first derivative on a (possibly nonuniform) grid, one-sided at ends."""
     f = np.asarray(values)
     r = np.asarray(nodes, dtype=float)
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (hm * hm * f[2:] + (hp * hp - hm * hm) * f[1:-1]
-                 - hp * hp * f[:-2]) / (hm * hp * (hm + hp))
+    out[1:-1] = three_point(1, f[:-2], f[1:-1], f[2:],
+                            r[1:-1] - r[:-2], r[2:] - r[1:-1])
     h0, h1 = r[1] - r[0], r[2] - r[1]
     out[0] = (-(2 * h0 + h1) * f[0] / (h0 * (h0 + h1))
               + (h0 + h1) * f[1] / (h0 * h1)
@@ -370,14 +380,10 @@ def fd_deriv2(values, nodes) -> np.ndarray:
     f = np.asarray(values)
     r = np.asarray(nodes, dtype=float)
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) \
-        / (hm * hp * (hm + hp))
-    w0 = deriv_stencil(r[:4], r[0], 2)
-    wn = deriv_stencil(r[-4:], r[-1], 2)
-    out[0] = w0 @ f[:4]
-    out[-1] = wn @ f[-4:]
+    out[1:-1] = three_point(2, f[:-2], f[1:-1], f[2:],
+                            r[1:-1] - r[:-2], r[2:] - r[1:-1])
+    out[0] = deriv_stencil(r[:4], r[0], 2) @ f[:4]
+    out[-1] = deriv_stencil(r[-4:], r[-1], 2) @ f[-4:]
     return out
 
 

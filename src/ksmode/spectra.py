@@ -130,8 +130,16 @@ def refinement_ladder(n0: int = 200, rmax0: float = 40.0, levels: int = 3,
     return grids
 
 
-def _nearest(lams: np.ndarray, target: complex) -> complex:
-    return lams[np.argmin(np.abs(lams - target))]
+def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """One-to-one partners in ``lams`` for ``cands``, nearest pairs first;
+    a candidate left without one gets an infinite partner."""
+    dist = np.abs(cands[:, None] - lams[None, :])
+    partners = np.full(cands.size, np.inf, dtype=complex)
+    for _ in range(min(dist.shape)):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        partners[i] = lams[j]
+        dist[i, :] = dist[:, j] = np.inf
+    return partners
 
 
 def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
@@ -146,28 +154,27 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     rmaxs = sorted({k[1] for k in ladder})
     if len(ns) < 3 or len(rmaxs) < 2:
         raise ValueError("ladder needs >= 3 node counts and >= 2 domain radii")
-    spectra = {}
-    vectors = {}
-    for key, grid in ladder.items():
-        lams, vecs = eig_dense(assemble_Ll(l, grid))
-        spectra[key] = lams
-        vectors[key] = vecs
     n_hi, rmax_hi = ns[-1], rmaxs[-1]
     fine_key = (n_hi, rmax_hi)
-    fine_grid = ladder[fine_key]
+    spectra = {}
+    for key, grid in ladder.items():
+        op = assemble_Ll(l, grid)
+        spectra[key], vecs = eig_dense(op)
+        if key == fine_key:
+            fine_grid, mat, fine_vecs = grid, op.entries, vecs
     lams = spectra[fine_key]
-    mat = assemble_Ll(l, fine_grid).entries
     scale = np.linalg.norm(mat, np.inf)
+    cand_idx = np.nonzero(lams.real < threshold)[0]
+    mids = _match_nearest(lams[cand_idx], spectra[(ns[-2], rmax_hi)])
+    coarses = _match_nearest(lams[cand_idx], spectra[(ns[-3], rmax_hi)])
+    others = _match_nearest(lams[cand_idx], spectra[(n_hi, rmaxs[0])])
     candidates = []
     accepted = []
-    for idx in np.nonzero(lams.real < threshold)[0]:
+    for idx, lam_mid, lam_coarse, lam_other in zip(cand_idx, mids, coarses, others):
         lam = lams[idx]
-        v = vectors[fine_key][:, idx]
-        lam_mid = _nearest(spectra[(ns[-2], rmax_hi)], lam)
-        lam_coarse = _nearest(spectra[(ns[-3], rmax_hi)], lam)
+        v = fine_vecs[:, idx]
         h_defect = abs(lam_mid - lam)
         richardson_ok = abs(lam_coarse - lam_mid) <= 10.0 * h_defect + _ABS_TOL
-        lam_other = _nearest(spectra[(n_hi, rmaxs[0])], lam)
         rmax_defect = abs(lam - lam_other)
         rmax_ok = rmax_defect <= _ABS_TOL
         residual = float(np.linalg.norm(mat @ v - lam * v) / np.linalg.norm(v))

@@ -131,6 +131,12 @@ def test_horizon_shorter_than_dt_exits_2(tmp_path):
                    tmp_path) == 2
 
 
+def test_horizon_not_a_multiple_of_dt_exits_2(tmp_path, capsys):
+    assert run_cli(["evolve-linear", "--dt", "0.01", "--horizon", "0.015"],
+                   tmp_path) == 2
+    assert "whole multiple" in capsys.readouterr().err
+
+
 def test_value_error_in_command_exits_3(tmp_path, monkeypatch):
     def broken(cfg, args):
         raise ValueError("no bracket")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ksmode import ggmt, operators, profile
-from ksmode.radial import RadialFunction, make_grid
+from ksmode.radial import RadialFunction, deriv_stencil, make_grid
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -57,6 +57,40 @@ class TestAssembleLl:
             matrix_form = float(np.sum(w * vals * (a.entries @ vals)))
             quad_form = ggmt.coercivity_form(f, l)
             assert abs(matrix_form - quad_form) < 2e-2 * abs(quad_form)
+
+
+class TestFdMatrices:
+    @staticmethod
+    def vandermonde_matrix(grid, order, closure):
+        """Row-by-row Vandermonde stencils with explicit ghost nodes."""
+        r = grid.nodes
+        n = grid.n
+        ghost = np.zeros(1)
+        if closure == ("class", 0):
+            # f(0) from the even quadratic a + b r^2 + c r^4 through r_1..r_3
+            ghost = deriv_stencil(r[:3] ** 2, 0.0, 0)
+        expected = np.zeros((n, n))
+        for i in range(1, n - 1):
+            expected[i, i - 1:i + 2] = deriv_stencil(r[i - 1:i + 2], r[i], order)
+        w = deriv_stencil([0.0, r[0], r[1]], r[0], order)
+        expected[0, :2] = w[1:]
+        expected[0, :ghost.size] += w[0] * ghost
+        w = deriv_stencil([r[-2], r[-1], 2.0 * r[-1] - r[-2]], r[-1], order)
+        expected[-1, -2:] = w[:2]  # the outer ghost value is 0
+        return expected
+
+    @pytest.mark.parametrize("closure", ["dirichlet", ("class", 0), ("class", 2)])
+    @pytest.mark.parametrize("stretch", ["uniform", "geometric"])
+    def test_every_row_matches_vandermonde_stencil(self, stretch, closure):
+        grid = make_grid(120, 40.0) if stretch == "uniform" else \
+            geometric_grid(120, 40.0)
+        for order, build in ((1, operators.deriv1_matrix),
+                             (2, operators.deriv2_matrix)):
+            got = build(grid, closure)
+            expected = self.vandermonde_matrix(grid, order, closure)
+            row_scale = np.max(np.abs(expected), axis=1)
+            row_err = np.max(np.abs(got - expected), axis=1)
+            assert np.all(row_err <= 1e-13 * row_scale)
 
 
 class TestTildeLlAlpha:
@@ -192,12 +226,7 @@ class TestHlAlphaW:
 
 def _diag_potential(opmat, grid):
     """Recover the diagonal potential by subtracting the stiffness diagonal."""
-    r = grid.nodes
-    n = grid.n
-    h = np.empty(n + 1)
-    h[0] = r[0]
-    h[1:-1] = np.diff(r)
-    h[-1] = r[-1] - r[-2]
+    h = grid.cell_spacings()
     w = 0.5 * (h[:-1] + h[1:])
     stiff_diag = (1.0 / h[:-1] + 1.0 / h[1:]) / w
     return np.diag(opmat.entries) - stiff_diag

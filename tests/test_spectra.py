@@ -106,6 +106,24 @@ class TestScan:
         assert abs(res - rep.residual) < 1e-6
 
 
+class TestMatchNearest:
+    def test_partners_are_distinct_nearest_pair_first(self):
+        cands = np.array([-0.99, -1.0])
+        lams = np.array([-1.001, 5.0, -0.5])
+        partners = spectra._match_nearest(cands, lams)
+        # -1.0 is closer to -1.001 and takes it; -0.99 gets the next nearest
+        assert partners.tolist() == [-0.5, -1.001]
+
+    def test_candidate_without_partner_gets_infinite_defect(self):
+        cands = np.array([-1.0, -0.99 + 0.01j])
+        partners = spectra._match_nearest(cands, np.array([-1.001]))
+        assert partners[0] == -1.001
+        assert np.isinf(abs(partners[1] - cands[1]))
+
+    def test_no_candidates(self):
+        assert spectra._match_nearest(np.array([]), np.array([1.0])).size == 0
+
+
 @pytest.fixture(scope="module")
 def proj():
     grid = make_grid(300, 40.0, ("geometric", 30.0 ** (1.0 / 299.0)))
