@@ -108,11 +108,10 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(f"ggmt: {err}") from None
         e = self.values["evolve"]
-        if e["dt"] <= 0 or e["dt"] > 0.05 or e["horizon"] < e["dt"]:
-            raise ConfigError("evolve needs 0 < dt <= 0.05 and horizon >= dt")
-        steps = e["horizon"] / e["dt"]
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ConfigError("evolve.horizon must be a whole multiple of evolve.dt")
+        try:
+            evolution.step_count(e["dt"], e["horizon"])
+        except ValueError as err:
+            raise ConfigError(f"evolve: {err}") from None
 
     def weight(self) -> ggmt.WeightSpec:
         gg = self.values["ggmt"]
@@ -353,6 +352,25 @@ COMMANDS = {
 }
 
 
+# Each subcommand's flags as (config section, key it overrides, type, help);
+# a flag without a section is read by the command itself and is required.
+_GRID_FLAGS = (("grid", "n", int, "grid nodes"),
+               ("grid", "rmax", float, "outer radius"))
+_STEP_FLAGS = (("evolve", "dt", float, None), ("evolve", "horizon", float, None))
+COMMAND_FLAGS = {
+    "profile-check": _GRID_FLAGS,
+    "ggmt": (("ggmt", "l", int, None), ("ggmt", "alpha", float, None),
+             ("ggmt", "p", float, None), ("ggmt", "theta", float, None)),
+    "spectrum": ((None, "l", int, "spherical class index"),),
+    "waveop-check": (),
+    "coercivity": (),
+    "evolve-linear": _GRID_FLAGS + _STEP_FLAGS,
+    "evolve-nonlinear": _GRID_FLAGS + _STEP_FLAGS,
+    "shoot": _GRID_FLAGS + (("evolve", "amplitude", float, None),),
+    "verify-all": (),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksmode",
@@ -369,37 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
         # value parsed at the top level from being clobbered by the default
         p.add_argument("--config", default=argparse.SUPPRESS)
         p.add_argument("--output-dir", default=argparse.SUPPRESS)
-        if name == "spectrum":
-            p.add_argument("--l", type=int, required=True,
-                           help="spherical class index")
-        if name == "ggmt":
-            p.add_argument("--l", type=int)
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--p", type=float)
-            p.add_argument("--theta", type=float)
-        if name in ("evolve-linear", "evolve-nonlinear", "shoot"):
-            p.add_argument("--dt", type=float)
-            p.add_argument("--horizon", type=float)
-            p.add_argument("--amplitude", type=float)
-        p.add_argument("--n", type=int, help="grid nodes")
-        p.add_argument("--rmax", type=float, help="outer radius")
+        for sec, key, kind, text in COMMAND_FLAGS[name]:
+            p.add_argument(f"--{key}", type=kind, required=sec is None,
+                           help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        ("grid", "n"): getattr(args, "n", None),
-        ("grid", "rmax"): getattr(args, "rmax", None),
-        ("output", "dir"): args.output_dir,
-        ("ggmt", "l"): getattr(args, "l", None) if args.command == "ggmt" else None,
-        ("ggmt", "alpha"): getattr(args, "alpha", None),
-        ("ggmt", "p"): getattr(args, "p", None),
-        ("ggmt", "theta"): getattr(args, "theta", None),
-        ("evolve", "dt"): getattr(args, "dt", None),
-        ("evolve", "horizon"): getattr(args, "horizon", None),
-        ("evolve", "amplitude"): getattr(args, "amplitude", None),
-    }
+    overrides = {(sec, key): getattr(args, key)
+                 for sec, key, _, _ in COMMAND_FLAGS[args.command] if sec}
+    overrides[("output", "dir")] = args.output_dir
     try:
         # ValueError covers ConfigError and unparsable numbers
         cfg = RunConfig.load(args.config, overrides)

@@ -34,7 +34,7 @@ from .radial import RadialFunction, RadialGrid, cumulative_power_integral, \
 
 __all__ = [
     "EvolutionTrace", "ShootingResult", "EvolutionError", "linear_evolve",
-    "nonlinear_radial_evolve", "nonlinear_term", "partial_mass",
+    "nonlinear_radial_evolve", "nonlinear_term", "partial_mass", "step_count",
     "partial_mass_crosscheck", "shoot_stable_manifold", "fit_rate",
 ]
 
@@ -83,11 +83,39 @@ def fit_rate(trace: EvolutionTrace, window=(0.0, None)) -> float:
     return float(np.polyfit(trace.times[mask], np.log(trace.norms[mask]), 1)[0])
 
 
-def _check_solve(a_op, x, rhs):
+def step_count(dt: float, horizon: float) -> int:
+    """Number of steps of size dt to ``horizon``; ValueError on a bad pair."""
+    if not 0.0 < dt <= 0.05:
+        raise ValueError(f"dt = {dt} outside (0, 0.05]")
+    steps = horizon / dt
+    n_steps = round(steps) if np.isfinite(steps) else 0
+    if n_steps < 1:
+        raise ValueError(f"horizon = {horizon} is shorter than one step dt = {dt}")
+    if abs(steps - n_steps) > 1e-9 * steps:
+        raise ValueError(f"horizon = {horizon} is not a whole multiple of dt = {dt}")
+    return n_steps
+
+
+def _check_solve(a_op, x, rhs, a_norm):
     defect = np.linalg.norm(a_op @ x - rhs)
-    denom = np.linalg.norm(a_op, np.inf) * np.linalg.norm(x) + np.linalg.norm(rhs)
+    denom = a_norm * np.linalg.norm(x) + np.linalg.norm(rhs)
     if defect > _SOLVE_TOL * denom:
         raise EvolutionError(f"implicit solve defect {defect:.2e} too large")
+
+
+def _crank_nicolson(a: np.ndarray, dt: float):
+    """Crank-Nicolson for y' = -A y: (I - dt/2 A, checked (I + dt/2 A)^{-1})."""
+    eye = np.eye(a.shape[0])
+    lhs = eye + 0.5 * dt * a
+    lu = scipy.linalg.lu_factor(lhs)
+    lhs_norm = np.linalg.norm(lhs, np.inf)
+
+    def solve(rhs):
+        x = scipy.linalg.lu_solve(lu, rhs)
+        _check_solve(lhs, x, rhs, lhs_norm)
+        return x
+
+    return eye - 0.5 * dt * a, solve
 
 
 def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
@@ -98,24 +126,17 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
     Records the L^2(r^2 dr) norm each step and, when a ProjectionPair is
     supplied, the coefficients against its left modes.
     """
-    if dt > 0.05:
-        raise ValueError("dt must be <= 0.05")
+    n_steps = step_count(dt, horizon)
     grid = eps0.grid
-    a = (op or assemble_Ll(l, grid)).entries
+    rhs_mat, solve = _crank_nicolson((op or assemble_Ll(l, grid)).entries, dt)
     w = r2_mass_weights(grid)
-    n_steps = int(round(horizon / dt))
-    eye = np.eye(grid.n)
-    lhs = eye + 0.5 * dt * a
-    rhs_mat = eye - 0.5 * dt * a
-    lu = scipy.linalg.lu_factor(lhs)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
-    times = np.empty(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     coeffs = [] if projection is not None else None
     states = [] if keep_states else None
 
     def record(k, vec):
-        times[k] = k * dt
         norms[k] = np.sqrt(np.real(np.sum(w * np.abs(vec) ** 2)))
         if coeffs is not None:
             coeffs.append(projection.coefficients(vec))
@@ -124,9 +145,7 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
 
     record(0, eps)
     for k in range(1, n_steps + 1):
-        rhs = rhs_mat @ eps
-        eps = scipy.linalg.lu_solve(lu, rhs)
-        _check_solve(lhs, eps, rhs)
+        eps = solve(rhs_mat @ eps)
         record(k, eps)
     return EvolutionTrace(times=times, norms=norms,
                           mode_coeffs=np.array(coeffs) if coeffs else None,
@@ -180,41 +199,35 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
     optional ``stop_when(state, step_index)`` predicate truncates the run
     (the offending state is kept in the trace).
     """
+    n_steps = step_count(dt, horizon)
     grid = psi0.grid
-    lin = assemble_Ll(0, grid, zero_profile=True).entries
-    eye = np.eye(grid.n)
-    lhs = eye + 0.5 * dt * lin
-    rhs_mat = eye - 0.5 * dt * lin
-    lu = scipy.linalg.lu_factor(lhs)
+    rhs_mat, solve = _crank_nicolson(
+        assemble_Ll(0, grid, zero_profile=True).entries, dt)
     w = r2_mass_weights(grid)
-    n_steps = int(round(horizon / dt))
     psi = psi0.values.astype(float).copy()
     scale0 = np.max(np.abs(psi))
-    times = np.empty(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     states = [psi.copy()] if keep_states else None
     boundary_flag = False
-    times[0] = 0.0
     norms[0] = np.sqrt(np.sum(w * psi ** 2))
 
     def advance(current, explicit, k):
-        rhs = rhs_mat @ current + dt * explicit
-        new = scipy.linalg.lu_solve(lu, rhs)
-        _check_solve(lhs, new, rhs)
+        new = solve(rhs_mat @ current + dt * explicit)
         scale = np.max(np.abs(new))
         if np.min(new) < -_NEGATIVITY_TOL * max(scale, scale0):
             raise EvolutionError(
-                f"density negativity {np.min(new):.2e} at tau = {k * dt:.3f}",
-                tau=(k - 1) * dt, state=current)
+                f"density negativity {np.min(new):.2e} at tau = {times[k]:.3f}",
+                tau=times[k - 1], state=current)
         if not np.isfinite(scale) or scale > 1e6 * max(scale0, 1.0):
             raise EvolutionError(
-                f"norm blowup at tau = {k * dt:.3f}", tau=(k - 1) * dt,
+                f"norm blowup at tau = {times[k]:.3f}", tau=times[k - 1],
                 state=current)
         return new
 
     n_prev = _nl_rhs(psi, grid)
     # predictor-corrector first step keeps the start O(dt^2)
-    pred = scipy.linalg.lu_solve(lu, rhs_mat @ psi + dt * n_prev)
+    pred = solve(rhs_mat @ psi + dt * n_prev)
     psi = advance(psi, 0.5 * (n_prev + _nl_rhs(pred, grid)), 1)
     n_cur = _nl_rhs(psi, grid)
     last = n_steps
@@ -222,7 +235,6 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
         if k > 1:
             psi = advance(psi, 1.5 * n_cur - 0.5 * n_prev, k)
             n_prev, n_cur = n_cur, _nl_rhs(psi, grid)
-        times[k] = k * dt
         norms[k] = np.sqrt(np.sum(w * psi ** 2))
         if abs(psi[-1]) > 1e-6 * np.max(np.abs(psi)):
             boundary_flag = True

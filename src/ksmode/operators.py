@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import profile
+from . import ggmt, profile
 from .radial import (RadialGrid, panel_coefficients, power_moment,
                      deriv_deltal_inverse, RadialFunction, fd_deriv1,
                      fd_deriv2, three_point)
@@ -144,19 +144,16 @@ def dk_inv_matrix(grid: RadialGrid, k: float, origin_power: float = 0.0) -> np.n
     return -(r ** (-k))[:, None] * upper_cum_matrix(grid, k)
 
 
-def kernel_deltal_inv_matrix(grid: RadialGrid, l: int,
-                             origin_power=None) -> np.ndarray:
+def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """Explicit-kernel form of Delta_l^{-1} (zero extension beyond rmax)."""
     r = grid.nodes
-    p = float(l if origin_power is None else origin_power)
-    low = lower_cum_matrix(grid, l + 2.0, p)
+    low = lower_cum_matrix(grid, l + 2.0, float(l))
     up = upper_cum_matrix(grid, 1.0 - l)
     return -((r ** (-(l + 1.0)))[:, None] * low + (r ** float(l))[:, None] * up) \
         / (2 * l + 1)
 
 
-def factorized_deltal_inv_matrix(grid: RadialGrid, l: int,
-                                 origin_power=None) -> np.ndarray:
+def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """Composed form D_{-l}^{-1} D_{l+2}^{-1} of Delta_l^{-1}.
 
     The inner stage I(s) = int_0^s f t^{l+2} dt is exact on the interpolant;
@@ -166,8 +163,7 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int,
     """
     r = grid.nodes
     n = grid.n
-    p = float(l if origin_power is None else origin_power)
-    low = lower_cum_matrix(grid, l + 2.0, p)
+    low = lower_cum_matrix(grid, l + 2.0, float(l))
     u, v = r[:-1], r[1:]
     dt = v - u
     m_out = power_moment(-2.0 * l - 2.0, u, v)
@@ -198,18 +194,15 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int,
     return -(r ** float(l))[:, None] * acc
 
 
-def deriv_deltal_inv_matrix(grid: RadialGrid, l: int,
-                            origin_power=None) -> np.ndarray:
+def deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """Matrix of d_r Delta_l^{-1} from the first-order factorization."""
-    p = float(l if origin_power is None else origin_power)
-    mat = (l + 1) * dk_inv_matrix(grid, l + 2.0, p)
+    mat = (l + 1) * dk_inv_matrix(grid, l + 2.0, float(l))
     if l > 0:
         mat = mat + l * dk_inv_matrix(grid, -(l - 1.0))
     return mat / (2 * l + 1)
 
 
-def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int,
-                                   origin_power=None) -> np.ndarray:
+def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """Matrix of d_r Delta_l^{-1} from the differentiated kernel.
 
     Independent code path for cross-representation checks: differentiates
@@ -220,8 +213,8 @@ def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int,
                                     - l r^{l-1} int_r^rmax s^{1-l} f ds.
     """
     r = grid.nodes
-    p = float(l if origin_power is None else origin_power)
-    mat = ((l + 1) * r ** (-(l + 2.0)))[:, None] * lower_cum_matrix(grid, l + 2.0, p)
+    low = lower_cum_matrix(grid, l + 2.0, float(l))
+    mat = ((l + 1) * r ** (-(l + 2.0)))[:, None] * low
     if l > 0:
         mat = mat - (l * r ** (l - 1.0))[:, None] * upper_cum_matrix(grid, 1.0 - l)
     return mat / (2 * l + 1)
@@ -261,8 +254,7 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
     return OperatorMatrix(grid=grid, l=l, tag="Ll", entries=a)
 
 
-def apply_Ll(l: int, grid: RadialGrid, values, tail: bool = False,
-             origin_power=None) -> np.ndarray:
+def apply_Ll(l: int, grid: RadialGrid, values, tail: bool = False) -> np.ndarray:
     """Apply L_l to nodal data without assembling a matrix.
 
     One-sided O(h^2) stencils at the ends; with ``tail=True`` the nonlocal
@@ -272,15 +264,14 @@ def apply_Ll(l: int, grid: RadialGrid, values, tail: bool = False,
     r = grid.nodes
     f = np.asarray(values)
     rf = RadialFunction(grid, f)
-    ddli = deriv_deltal_inverse(l, rf, origin_power=origin_power, tail=tail).values
+    ddli = deriv_deltal_inverse(l, rf, tail=tail).values
     d1 = fd_deriv1(f, r)
     lap = fd_deriv2(f, r) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
     return (-lap + 0.5 * (r * d1 + 2.0 * f) - 2.0 * profile.q(r) * f
             - profile.d2inv_q_closed(r) * d1 - profile.q_deriv(r, 1) * ddli)
 
 
-def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid,
-                            origin_power: float = 1.0) -> OperatorMatrix:
+def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid) -> OperatorMatrix:
     """Conjugated, partially localized operator r^a D_{l+2}^{-1} L_l D_{l+2} r^{-a}.
 
     Expanded form: local Schroedinger-with-drift part plus the nonlocal piece
@@ -298,7 +289,7 @@ def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid,
              - profile.d2inv_q_closed(r)[:, None] * (d1 + np.diag((2.0 - alpha) / r))
              - np.diag(profile.q(r)))
     if l > 0:
-        low = dk_inv_matrix(grid, l + 2.0 - alpha, origin_power)
+        low = dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
         up = dk_inv_matrix(grid, -(l + alpha))
         a_mat = a_mat + l * (low * profile.v1(r)[None, :]
                              + (low * profile.v2(r)[None, :]) @ up)
@@ -333,28 +324,25 @@ def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarra
 
 def assemble_tilde_L1_prime(grid: RadialGrid) -> OperatorMatrix:
     """Symmetric Schroedinger form -d_r^2 + 12/r^2 + r^2/16 - 8/(2+r^2) - 3/4."""
-    r = grid.nodes
-    v = 12.0 / (r * r) + r * r / 16.0 - 8.0 / (2.0 + r * r) - 0.75
+    v = profile.tilde_L1_prime_potential(grid.nodes)
     return OperatorMatrix(grid=grid, l=1, tag="TildeL1Prime",
                           entries=_symmetric_schrodinger(grid, v))
 
 
-def assemble_H_l_alpha_W(l: int, alpha: float, theta: float, W, mu: float,
+def assemble_H_l_alpha_W(l: int, alpha: float, W, mu: float,
                          grid: RadialGrid) -> OperatorMatrix:
     """Schroedinger comparison operator
 
         H = -d_r^2 + L_{l,a}/r^2 + (1-2a)/4 + (1/2) D_{2a-4} D_2^{-1}Q - Q
             - l mu W(r),
 
-    with L_{l,a} = -(a-1)^2 + (l+1)(l+2).  ``W`` is a weight descriptor
+    with L_{l,a} = -(a-1)^2 + (l+1)(l+2), the potential of
+    ``ggmt.schrodinger_potential`` at theta = 1.  ``W`` is a weight descriptor
     providing ``fn``/``w_inf`` and a ``check(l, alpha)`` validity test.
     """
     W.check(l, alpha)
-    r = grid.nodes
-    big_l = -(alpha - 1.0) ** 2 + (l + 1) * (l + 2)
-    v = (big_l / (r * r) + (1.0 - 2.0 * alpha) / 4.0
-         + profile.half_d_d2inv_q(r, alpha) - profile.q(r)
-         - l * mu * W.fn(r))
+    potential, _ = ggmt.schrodinger_potential(l, alpha, 1.0, mu, W)
+    v = potential(grid.nodes)
     return OperatorMatrix(grid=grid, l=l, tag="HlAlphaW",
                           entries=_symmetric_schrodinger(grid, v))
 

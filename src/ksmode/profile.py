@@ -28,7 +28,7 @@ __all__ = [
     "q", "q_deriv", "lambda_q", "d2inv_q", "d2inv_q_closed",
     "aux_potentials", "AuxPotentials", "v1", "v2", "big_g", "big_g_quad",
     "g_over_g", "g_over_g_deriv", "g_over_g_deriv2",
-    "coef_a", "coef_b", "u1", "half_d_d2inv_q",
+    "coef_a", "coef_b", "u1", "tilde_L1_prime_potential", "half_d_d2inv_q",
     "profile_residual", "identity_residuals",
 ]
 
@@ -154,6 +154,12 @@ def u1(r):
     """Conjugating weight U1(r) = exp(r^2/8) / (r (2+r^2)); satisfies (log U1)' = A/2."""
     r = np.asarray(r, dtype=float)
     return np.exp(r * r / 8.0) / (r * (2.0 + r * r))
+
+
+def tilde_L1_prime_potential(r):
+    """Potential 12/r^2 + r^2/16 - 8/(2+r^2) - 3/4 of the symmetric l=1 form."""
+    r = np.asarray(r, dtype=float)
+    return 12.0 / (r * r) + r * r / 16.0 - 8.0 / (2.0 + r * r) - 0.75
 
 
 def half_d_d2inv_q(r, alpha):

@@ -32,7 +32,7 @@ __all__ = [
     "apply_T", "apply_T_weight_form", "apply_tilde_L1", "apply_tilde_L1_prime",
     "commutator_residual", "conjugation_residual",
     "potential_min_tilde_L1_prime", "nonvanishing_check", "NonvanishingResult",
-    "coefficient_identity_residuals", "tilde_L1_prime_potential",
+    "coefficient_identity_residuals",
 ]
 
 OVERFLOW_RADIUS = 60.0  # exp(r^2/8) conjugation tests stay inside this radius
@@ -75,15 +75,10 @@ def apply_tilde_L1(values, grid: RadialGrid) -> np.ndarray:
             + profile.coef_b(r) * f)
 
 
-def tilde_L1_prime_potential(r):
-    r = np.asarray(r, dtype=float)
-    return 12.0 / (r * r) + r * r / 16.0 - 8.0 / (2.0 + r * r) - 0.75
-
-
 def apply_tilde_L1_prime(values, grid: RadialGrid) -> np.ndarray:
     r = grid.nodes
     f = np.asarray(values)
-    return -fd_deriv2(f, r) + tilde_L1_prime_potential(r) * f
+    return -fd_deriv2(f, r) + profile.tilde_L1_prime_potential(r) * f
 
 
 def commutator_residual(values, grid: RadialGrid, r_min: float = 0.1) -> float:
@@ -135,13 +130,13 @@ def potential_min_tilde_L1_prime(lo: float = 0.1, hi: float = 50.0):
     slightly above the 2/5 bound carried by the spectrum.
     """
     r = np.linspace(lo, hi, 512)
-    v = tilde_L1_prime_potential(r)
+    v = profile.tilde_L1_prime_potential(r)
     falls = np.diff(v) < 0
     flips = np.count_nonzero(np.diff(falls.astype(int)) != 0)
     if flips != 1:
         raise RuntimeError("potential scan is not unimodal on the window")
     i = int(np.argmin(v))
-    res = minimize_scalar(tilde_L1_prime_potential,
+    res = minimize_scalar(profile.tilde_L1_prime_potential,
                           bracket=(r[i - 1], r[i], r[i + 1]), method="golden",
                           options={"xtol": 1e-12})
     return float(res.x), float(res.fun)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ksmode import cli
 
 
@@ -157,3 +159,12 @@ def test_float_serialization_17_digits(tmp_path):
     text = (tmp_path / "ggmt_summary.json").read_text()
     # mu appears with 17 significant digits
     assert format(load_summary(tmp_path, "ggmt")["details"]["mu"], ".17g") in text
+
+
+@pytest.mark.parametrize("argv", [["shoot", "--dt", "0.01"],
+                                  ["verify-all", "--n", "50"],
+                                  ["evolve-linear", "--amplitude", "1"]])
+def test_flag_the_command_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv)
+    assert err.value.code == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ksmode import evolution, operators, profile, spectra
 from ksmode.radial import RadialFunction, make_grid
@@ -78,6 +79,44 @@ class TestLinear:
                 0, RadialFunction(g, profile.lambda_q(g.nodes)), 0.01, 3.0)
             rates.append(evolution.fit_rate(tr))
         assert abs(rates[0] - rates[1]) <= 0.02
+
+
+class TestStepRule:
+    def test_step_count(self):
+        assert evolution.step_count(0.01, 5.0) == 500
+        assert evolution.step_count(0.00125, 0.5) == 400
+
+    @pytest.mark.parametrize("dt, horizon", [(0.01, 0.015), (0.01, 0.005),
+                                             (0.1, 1.0), (0.0, 1.0),
+                                             (0.01, np.inf)])
+    def test_bad_step_rejected(self, dt, horizon):
+        with pytest.raises(ValueError):
+            evolution.step_count(dt, horizon)
+
+    @pytest.mark.parametrize("dt, horizon", [(0.01, 0.015), (0.1, 1.0)])
+    def test_both_flows_apply_the_step_rule(self, grid, op0, dt, horizon):
+        psi = RadialFunction(grid, profile.q(grid.nodes))
+        with pytest.raises(ValueError):
+            evolution.linear_evolve(0, psi, dt, horizon, op=op0)
+        with pytest.raises(ValueError):
+            evolution.nonlinear_radial_evolve(psi, dt, horizon)
+
+    def test_every_implicit_solve_is_checked(self, grid, monkeypatch):
+        calls = {"solve": 0, "check": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve",
+                            counted("solve", scipy.linalg.lu_solve))
+        monkeypatch.setattr(evolution, "_check_solve",
+                            counted("check", evolution._check_solve))
+        evolution.nonlinear_radial_evolve(
+            RadialFunction(grid, profile.q(grid.nodes)), 0.01, 0.05)
+        assert calls["solve"] == calls["check"] == 6
 
 
 class TestNonlinearTerm:

@@ -166,9 +166,8 @@ class TestTildeL1:
 
 class TestTildeL1Prime:
     def test_potential_value(self):
-        from ksmode.waveop import tilde_L1_prime_potential
-        assert np.isclose(float(tilde_L1_prime_potential(2.0)), 7.0 / 6.0,
-                          atol=1e-15)
+        assert np.isclose(float(profile.tilde_L1_prime_potential(2.0)),
+                          7.0 / 6.0, atol=1e-15)
 
     @pytest.mark.parametrize("stretch", ["uniform", "geometric"])
     def test_symmetry(self, stretch):
@@ -202,7 +201,7 @@ class TestHlAlphaW:
         w = ggmt.paper_weight()
         mu = 1.9137
         grid = geometric_grid(200, 400.0, growth=100.0)
-        a = operators.assemble_H_l_alpha_W(2, 0.2, 0.5, w, mu, grid)
+        a = operators.assemble_H_l_alpha_W(2, 0.2, w, mu, grid)
         # far-field potential approaches (1-2a)/4 - l mu W(inf) = 0.15 - 2 mu/50
         u_inf = (1.0 - 0.4) / 4.0 - 2.0 * mu * 0.02
         far = np.argmin(np.abs(grid.nodes - 300.0))
@@ -213,13 +212,13 @@ class TestHlAlphaW:
                               label="too-weak")
         grid = make_grid(64, 20.0)
         with pytest.raises(ValueError):
-            operators.assemble_H_l_alpha_W(2, 0.2, 0.5, bad, 1.9, grid)
+            operators.assemble_H_l_alpha_W(2, 0.2, bad, 1.9, grid)
 
     def test_no_negative_ritz_with_reference_parameters(self):
         from ksmode.spectra import schrodinger_spectrum_check
         w = ggmt.paper_weight()
         mu = ggmt.mu_functional(2, 0.2, w)
-        a = operators.assemble_H_l_alpha_W(2, 0.2, 0.5, w, mu,
+        a = operators.assemble_H_l_alpha_W(2, 0.2, w, mu,
                                            geometric_grid(400, 80.0))
         assert schrodinger_spectrum_check(a) >= 0.0
 

@@ -106,7 +106,7 @@ class TestPotentialMin:
         assert vmin >= 0.4  # the 2/5 spectral floor holds pointwise
 
     def test_spot_value(self):
-        assert np.isclose(float(waveop.tilde_L1_prime_potential(2.0)),
+        assert np.isclose(float(profile.tilde_L1_prime_potential(2.0)),
                           7.0 / 6.0, atol=1e-15)
 
 
