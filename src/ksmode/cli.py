@@ -188,6 +188,8 @@ def _write_summary(cfg, command, checks, extra, t0) -> Path:
         "checks": [c.as_dict() for c in checks],
         "wall_time": time.perf_counter() - t0,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        # the last digits of the eigenvalues depend on the BLAS thread count
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     if extra:
         summary["details"] = extra
@@ -352,6 +354,14 @@ COMMANDS = {
 }
 
 
+def _class_index(text: str) -> int:
+    """A spherical class index: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"class index must be >= 0, got {value}")
+    return value
+
+
 # Each subcommand's flags as (config section, key it overrides, type, help);
 # a flag without a section is read by the command itself and is required.
 _GRID_FLAGS = (("grid", "n", int, "grid nodes"),
@@ -361,7 +371,7 @@ COMMAND_FLAGS = {
     "profile-check": _GRID_FLAGS,
     "ggmt": (("ggmt", "l", int, None), ("ggmt", "alpha", float, None),
              ("ggmt", "p", float, None), ("ggmt", "theta", float, None)),
-    "spectrum": ((None, "l", int, "spherical class index"),),
+    "spectrum": ((None, "l", _class_index, "spherical class index"),),
     "waveop-check": (),
     "coercivity": (),
     "evolve-linear": _GRID_FLAGS + _STEP_FLAGS,

@@ -147,6 +147,10 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
 
     ``candidates`` holds every eigenvalue of the finest grid below the
     threshold with its filter diagnostics; ``accepted`` the survivors.
+    The finest grid is solved first.  Only when it has a candidate are the
+    grids the filters compare against solved: the two coarser levels at
+    the largest radius and the finest level at the smallest radius.  No
+    other ladder grid is assembled.
     """
     if ladder is None:
         ladder = refinement_ladder()
@@ -156,28 +160,35 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         raise ValueError("ladder needs >= 3 node counts and >= 2 domain radii")
     n_hi, rmax_hi = ns[-1], rmaxs[-1]
     fine_key = (n_hi, rmax_hi)
-    spectra = {}
-    for key, grid in ladder.items():
-        op = assemble_Ll(l, grid)
-        spectra[key], vecs = eig_dense(op)
-        if key == fine_key:
-            fine_grid, mat, fine_vecs = grid, op.entries, vecs
-    lams = spectra[fine_key]
-    scale = np.linalg.norm(mat, np.inf)
+    partner_keys = [(ns[-2], rmax_hi), (ns[-3], rmax_hi), (n_hi, rmaxs[0])]
+    missing = [key for key in [fine_key] + partner_keys if key not in ladder]
+    if missing:
+        raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
+    fine_grid = ladder[fine_key]
+    op = assemble_Ll(l, fine_grid)
+    lams, vecs = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
-    mids = _match_nearest(lams[cand_idx], spectra[(ns[-2], rmax_hi)])
-    coarses = _match_nearest(lams[cand_idx], spectra[(ns[-3], rmax_hi)])
-    others = _match_nearest(lams[cand_idx], spectra[(n_hi, rmaxs[0])])
+    if cand_idx.size == 0:
+        return [], []
+    # free the full eigenvector matrix and the operator before the partner
+    # solves, which would otherwise set the peak memory
+    lams, vecs = lams[cand_idx], vecs[:, cand_idx]
+    mat = op.entries
+    scale = np.linalg.norm(mat, np.inf)
+    residuals = [float(np.linalg.norm(mat @ v - lam * v) / np.linalg.norm(v))
+                 for lam, v in zip(lams, vecs.T)]
+    del op, mat
+    mids, coarses, others = (
+        _match_nearest(lams, eig_dense(assemble_Ll(l, ladder[key]))[0])
+        for key in partner_keys)
     candidates = []
     accepted = []
-    for idx, lam_mid, lam_coarse, lam_other in zip(cand_idx, mids, coarses, others):
-        lam = lams[idx]
-        v = fine_vecs[:, idx]
+    for lam, v, residual, lam_mid, lam_coarse, lam_other in zip(
+            lams, vecs.T, residuals, mids, coarses, others):
         h_defect = abs(lam_mid - lam)
         richardson_ok = abs(lam_coarse - lam_mid) <= 10.0 * h_defect + _ABS_TOL
         rmax_defect = abs(lam - lam_other)
         rmax_ok = rmax_defect <= _ABS_TOL
-        residual = float(np.linalg.norm(mat @ v - lam * v) / np.linalg.norm(v))
         decay, origin, consistent, reliable = exponent_fits(v, lam, l, fine_grid)
         converged = bool(richardson_ok and rmax_ok)
         ok = (converged and residual <= _RESIDUAL_TOL * scale

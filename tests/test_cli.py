@@ -42,7 +42,7 @@ def test_summary_schema_and_determinism(tmp_path):
     assert run_cli(["ggmt"], tmp_path / "b") == 0
     first = load_summary(tmp_path / "a", "ggmt")
     assert set(first) == {"command", "config_hash", "checks", "wall_time",
-                          "timestamp", "details"}
+                          "timestamp", "blas_threads", "details"}
 
     def stable_lines(path):
         return [line for line in path.read_text().splitlines()
@@ -52,6 +52,16 @@ def test_summary_schema_and_determinism(tmp_path):
     # not depend on where the report lands
     assert stable_lines(tmp_path / "a" / "ggmt_summary.json") \
         == stable_lines(tmp_path / "b" / "ggmt_summary.json")
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_summary_records_blas_threads(tmp_path, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    assert run_cli(["ggmt"], tmp_path) == 0
+    assert load_summary(tmp_path, "ggmt")["blas_threads"] == threads
 
 
 def test_spectrum_subcommand_small_ladder(tmp_path):
@@ -168,3 +178,12 @@ def test_flag_the_command_does_not_read_exits_2(argv):
     with pytest.raises(SystemExit) as err:
         cli.build_parser().parse_args(argv)
     assert err.value.code == 2
+
+
+def test_negative_class_index_exits_2(tmp_path, capsys):
+    # rejected while parsing, before any work or diagnostics file
+    with pytest.raises(SystemExit) as err:
+        run_cli(["spectrum", "--l", "-1"], tmp_path)
+    assert err.value.code == 2
+    assert "class index must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

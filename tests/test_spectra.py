@@ -64,9 +64,31 @@ class TestExponentFits:
         assert not reliable
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The grids (n, rmax) the scan assembles and its number of eig_dense calls."""
+    log = {"grids": [], "eig": 0}
+    assemble, eig = spectra.assemble_Ll, spectra.eig_dense
+
+    def counted_assemble(l, grid):
+        log["grids"].append((grid.n, grid.rmax))
+        return assemble(l, grid)
+
+    def counted_eig(a):
+        log["eig"] += 1
+        return eig(a)
+
+    monkeypatch.setattr(spectra, "assemble_Ll", counted_assemble)
+    monkeypatch.setattr(spectra, "eig_dense", counted_eig)
+    return log
+
+
 class TestScan:
-    def test_l0_accepts_scaling_mode_only(self):
+    def test_l0_accepts_scaling_mode_only(self, solves):
         accepted, cands = spectra.unstable_scan_detailed(0, ladder=small_ladder())
+        # the fine grid, then the partners of its candidates
+        assert solves == {"eig": 4, "grids": [(400, 40.0), (200, 40.0),
+                                              (100, 40.0), (400, 20.0)]}
         assert len(accepted) == 1
         rep = accepted[0]
         assert abs(rep.lam - (-1.0)) < 5e-3
@@ -75,9 +97,18 @@ class TestScan:
                                         profile.lambda_q(rep.grid.nodes), w)
         assert cos >= 0.999
 
-    def test_l2_empty(self):
+    def test_l2_empty(self, solves):
         accepted = spectra.unstable_scan(2, ladder=small_ladder())
         assert accepted == []
+        # no candidate on the fine grid, so no other grid is assembled
+        assert solves == {"eig": 1, "grids": [(400, 40.0)]}
+
+    def test_larger_ladder_solves_only_the_grids_read(self, solves):
+        ladder = spectra.refinement_ladder(n0=50, rmax0=20.0, levels=4,
+                                           rmax_factors=(1, 2, 3))
+        spectra.unstable_scan_detailed(0, ladder=ladder)
+        assert solves == {"eig": 4, "grids": [(400, 60.0), (200, 60.0),
+                                              (100, 60.0), (400, 20.0)]}
 
     def test_off_ladder_reproducibility(self):
         # node count +7 off the ladder reproduces the eigenvalue
@@ -90,6 +121,13 @@ class TestScan:
                  (200, 20.0): make_grid(200, 20.0)}
         with pytest.raises(ValueError):
             spectra.unstable_scan(0, ladder=grids)
+
+    def test_missing_scanned_grid_raises_before_any_solve(self, solves):
+        ladder = small_ladder()
+        del ladder[(200, 40.0)]
+        with pytest.raises(ValueError, match=r"\(200, 40\.0\)"):
+            spectra.unstable_scan(0, ladder=ladder)
+        assert solves == {"eig": 0, "grids": []}
 
     def test_kernel_form_residual_cross_check(self):
         # recompute the accepted residual with the differentiated-kernel
