@@ -98,6 +98,8 @@ class RunConfig:
         s = self.values["scan"]
         if not (s["levels"] >= 3 and s["n0"] >= 16):
             raise ConfigError("scan needs levels >= 3 and n0 >= 16")
+        if not (s["rmax0"] > 0 and s["growth"] > 0):
+            raise ConfigError("scan needs rmax0 > 0 and growth > 0")
         gg = self.values["ggmt"]
         if not (-gg["l"] <= gg["alpha"] < gg["l"] + 0.5):
             raise ConfigError("ggmt.alpha outside [-l, l + 1/2)")
@@ -273,6 +275,7 @@ def cmd_evolve_linear(cfg, args):
     horizon = cfg["evolve", "horizon"]
     checks = []
     rows = []
+    worst_defect = 0.0
     for l, mode in acceptance.SYMMETRY_MODES.items():
         op = operators.assemble_Ll(l, grid)
         proj = spectra.build_projection(
@@ -280,11 +283,12 @@ def cmd_evolve_linear(cfg, args):
         tr = evolution.linear_evolve(l, RadialFunction(grid, mode.shape(r)), dt,
                                      horizon, op=op, projection=proj)
         checks.append(acceptance.growth_rate_check(l, evolution.fit_rate(tr)))
+        worst_defect = max(worst_defect, tr.max_solve_defect)
         rows += [{"l": l, "tau": t, "norm": n, "mode_coeff": float(np.real(c[0]))}
                  for t, n, c in zip(tr.times, tr.norms, tr.mode_coeffs)]
     out = _out_dir(cfg) / "evolve_linear_trace.csv"
     _write_csv(out, rows, ["l", "tau", "norm", "mode_coeff"])
-    return checks, {"csv": out.name}
+    return checks, {"csv": out.name, "max_solve_defect": worst_defect}
 
 
 def cmd_evolve_nonlinear(cfg, args):
@@ -296,7 +300,8 @@ def cmd_evolve_nonlinear(cfg, args):
     rows = [{"tau": t, "norm": n} for t, n in zip(tr.times, tr.norms)]
     out = _out_dir(cfg) / "evolve_nonlinear_trace.csv"
     _write_csv(out, rows, ["tau", "norm"])
-    return checks, {"boundary_flag": bool(tr.boundary_flag), "csv": out.name}
+    return checks, {"boundary_flag": bool(tr.boundary_flag), "csv": out.name,
+                    "max_solve_defect": tr.max_solve_defect}
 
 
 def cmd_shoot(cfg, args):

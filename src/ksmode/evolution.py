@@ -1,7 +1,7 @@
 """Time integration of the renormalized flow, linear and nonlinear.
 
-Linear runs integrate d_tau eps = -L_l eps with Crank-Nicolson (one LU
-factorization, reused every step) and record L^2(r^2 dr) norms plus the
+Linear runs integrate d_tau eps = -L_l eps with Crank-Nicolson (one dense
+LU factorization, reused every step) and record L^2(r^2 dr) norms plus the
 coefficients against supplied left modes; the fitted growth rates reproduce
 the eigenvalues +1 and +1/2 of the scaling and translation modes.
 
@@ -9,12 +9,12 @@ Nonlinear runs integrate the radial renormalized equation
 
     d_tau Psi = Delta_0 Psi - (1/2) Lambda Psi + (1/r^2) d_r(r^2 Psi D_2^{-1} Psi)
 
-with an IMEX scheme: the stiff linear part is Crank-Nicolson (same reused
-LU), the flux term second-order Adams-Bashforth after a predictor-corrector
-first step.  The blowup profile is the steady state; a shooting experiment
-tunes the amplitude of the unstable direction so that stably-perturbed data
-relaxes back to the profile, the desk-scale analog of the stable-manifold
-matching.
+with an IMEX scheme: the stiff linear part is Crank-Nicolson (its matrix is
+banded, so one banded LU, reused every step, makes a step O(n)), the flux
+term second-order Adams-Bashforth after a predictor-corrector first step.
+The blowup profile is the steady state; a shooting experiment tunes the
+amplitude of the unstable direction so that stably-perturbed data relaxes
+back to the profile, the desk-scale analog of the stable-manifold matching.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -29,12 +29,12 @@ import scipy.linalg
 
 from . import profile
 from .operators import assemble_Ll, r2_mass_weights, OperatorMatrix
-from .radial import RadialFunction, RadialGrid, cumulative_power_integral, \
-    fd_deriv1
+from .radial import EvenPrefixIntegral, RadialFunction, RadialGrid, \
+    cumulative_power_integral, fd_deriv1
 
 __all__ = [
     "EvolutionTrace", "ShootingResult", "EvolutionError", "linear_evolve",
-    "nonlinear_radial_evolve", "nonlinear_term", "partial_mass", "step_count",
+    "nonlinear_radial_evolve", "FluxGeometry", "partial_mass", "step_count",
     "partial_mass_crosscheck", "shoot_stable_manifold", "fit_rate",
 ]
 
@@ -64,6 +64,7 @@ class EvolutionTrace:
     l: int | None
     states: np.ndarray | None = field(default=None, repr=False)
     boundary_flag: bool = False
+    max_solve_defect: float = 0.0   # largest relative defect of an implicit solve
 
 
 @dataclass
@@ -96,26 +97,98 @@ def step_count(dt: float, horizon: float) -> int:
     return n_steps
 
 
-def _check_solve(a_op, x, rhs, a_norm):
-    defect = np.linalg.norm(a_op @ x - rhs)
-    denom = a_norm * np.linalg.norm(x) + np.linalg.norm(rhs)
+def _check_solve(lhs, x, rhs, lhs_norm) -> float:
+    """Relative defect of the solve x of lhs x = rhs; raises past _SOLVE_TOL."""
+    defect = np.linalg.norm(lhs @ x - rhs)
+    denom = lhs_norm * np.linalg.norm(x) + np.linalg.norm(rhs)
     if defect > _SOLVE_TOL * denom:
         raise EvolutionError(f"implicit solve defect {defect:.2e} too large")
+    return defect / denom if defect else 0.0
+
+
+class _BandMatrix:
+    """A matrix with kl subdiagonals and ku superdiagonals, kept as diagonals.
+
+    ``@`` applies it in O(n); after ``factor()`` (LAPACK gbtrf), ``solve``
+    runs gbtrs.  The diagonals sit in LAPACK band layout: row ku + i - j of
+    ``band`` holds m[i, j].
+    """
+
+    def __init__(self, m: np.ndarray, kl: int, ku: int):
+        n = m.shape[0]
+        self.kl, self.ku = kl, ku
+        self.band = np.zeros((kl + ku + 1, n), dtype=m.dtype)
+        self._offdiag = []   # (rows, diagonal, columns) of each off-diagonal
+        for k in range(-kl, ku + 1):
+            lo, hi = max(-k, 0), n - max(k, 0)
+            self.band[ku - k, lo + k:hi + k] = np.diagonal(m, k)
+            if k:
+                cols = slice(lo + k, hi + k)
+                self._offdiag.append((slice(lo, hi), self.band[ku - k, cols], cols))
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        out = self.band[self.ku] * y
+        for rows, diagonal, cols in self._offdiag:
+            out[rows] += diagonal * y[cols]
+        return out
+
+    def factor(self) -> None:
+        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
+                                                           (self.band,))
+        # gbtrf keeps the fill-in of its row pivoting in kl extra top rows
+        fill = np.zeros((self.kl, self.band.shape[1]), dtype=self.band.dtype)
+        self._lu, self._piv, info = gbtrf(np.vstack((fill, self.band)),
+                                          self.kl, self.ku)
+        if info != 0:
+            raise EvolutionError("banded LU of the implicit matrix failed "
+                                 f"(LAPACK info {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
+            # gbtrs is typed: solve the real and imaginary parts together
+            x = self.solve(np.column_stack((rhs.real, rhs.imag)))
+            return x[:, 0] + 1j * x[:, 1]
+        return self._gbtrs(self._lu, self.kl, self.ku, rhs, self._piv)[0]
 
 
 def _crank_nicolson(a: np.ndarray, dt: float):
-    """Crank-Nicolson for y' = -A y: (I - dt/2 A, checked (I + dt/2 A)^{-1})."""
-    eye = np.eye(a.shape[0])
+    """Crank-Nicolson for y' = -A y.
+
+    Returns ``(explicit, solve, worst)``: ``explicit @ y`` is
+    (I - dt/2 A) y, ``solve(rhs)`` is (I + dt/2 A)^{-1} rhs with every
+    solve checked by _check_solve, and ``worst()`` is the largest relative
+    defect of the solves so far.  When the band storage of A is smaller than
+    the dense matrix (the local IMEX operator has one subdiagonal and, from
+    the origin ghost, two superdiagonals) the left side is factored once by
+    LAPACK gbtrf and both sides are applied from their diagonals, so a step
+    is O(n); a dense A such as L_l gets one dense LU.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
     lhs = eye + 0.5 * dt * a
-    lu = scipy.linalg.lu_factor(lhs)
+    explicit = eye - 0.5 * dt * a
     lhs_norm = np.linalg.norm(lhs, np.inf)
+    kl, ku = scipy.linalg.bandwidth(a)
+    if 2 * kl + ku + 1 < n:   # gbtrf's band storage is (2 kl + ku + 1) x n
+        lhs = _BandMatrix(lhs, kl, ku)
+        explicit = _BandMatrix(explicit, kl, ku)
+        lhs.factor()
+        backsolve = lhs.solve
+    else:
+        lu = scipy.linalg.lu_factor(lhs)
+
+        def backsolve(rhs):
+            return scipy.linalg.lu_solve(lu, rhs)
+
+    worst = 0.0
 
     def solve(rhs):
-        x = scipy.linalg.lu_solve(lu, rhs)
-        _check_solve(lhs, x, rhs, lhs_norm)
+        nonlocal worst
+        x = backsolve(rhs)
+        worst = max(worst, _check_solve(lhs, x, rhs, lhs_norm))
         return x
 
-    return eye - 0.5 * dt * a, solve
+    return explicit, solve, lambda: worst
 
 
 def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
@@ -128,7 +201,8 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
     """
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
-    rhs_mat, solve = _crank_nicolson((op or assemble_Ll(l, grid)).entries, dt)
+    explicit, solve, worst_defect = _crank_nicolson(
+        (op or assemble_Ll(l, grid)).entries, dt)
     w = r2_mass_weights(grid)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
     times = dt * np.arange(n_steps + 1)
@@ -145,45 +219,52 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
 
     record(0, eps)
     for k in range(1, n_steps + 1):
-        eps = solve(rhs_mat @ eps)
+        eps = solve(explicit @ eps)
         record(k, eps)
     return EvolutionTrace(times=times, norms=norms,
                           mode_coeffs=np.array(coeffs) if coeffs else None,
                           scheme="crank-nicolson", dt=dt, l=l,
-                          states=np.array(states) if states else None)
+                          states=np.array(states) if states else None,
+                          max_solve_defect=worst_defect())
 
 
-def nonlinear_term(psi: RadialFunction) -> RadialFunction:
-    """Flux term N(psi) = (1/r^2) d_r ( r^2 psi D_2^{-1} psi ), divergence form."""
-    return RadialFunction(psi.grid, _nl_rhs(psi.values, psi.grid))
+class FluxGeometry:
+    """Grid-only part of the flux term N(psi) = (1/r^2) d_r (r^2 psi D_2^{-1} psi).
 
-
-def _nl_rhs(values, grid):
-    """Finite-volume divergence form of the flux term.
-
-    Writes r^2 psi D_2^{-1} psi = psi(r) int_0^r psi s^2 ds =: phi and
-    evaluates N_j = 3 (phi_R - phi_L) / (r_R^3 - r_L^3) over the cell
-    around node j.  A plain stencil for (1/r^2) d_r phi loses all accuracy
-    at the first nodes (the 1/r^2 amplifies its truncation error to O(1));
-    the exact cell volumes make the scheme exact for constant psi and
-    uniformly O(h^2).  Cell faces at midpoints, [0, .] for the first cell,
-    Dirichlet ghost past rmax for the last.
+    _nl_rhs evaluates the term in finite-volume divergence form: it writes
+    r^2 psi D_2^{-1} psi = psi(r) int_0^r psi s^2 ds =: phi and takes
+    N_j = 3 (phi_R - phi_L) / (r_R^3 - r_L^3) over the cell around node j.
+    A plain stencil for (1/r^2) d_r phi loses all accuracy at the first
+    nodes (the 1/r^2 amplifies its truncation error to O(1)); the exact cell
+    volumes make the scheme exact for constant psi and uniformly O(h^2).
+    Cell faces at midpoints, [0, .] for the first cell, Dirichlet ghost past
+    rmax for the last.  Build one per grid and pass it to every evaluation:
+    the half-panel moments, the cell volumes and the panel coefficients of
+    the mass integral depend only on the nodes.
     """
+
+    def __init__(self, grid: RadialGrid):
+        r = grid.nodes
+        self.mass = EvenPrefixIntegral(r, 2.0)   # int_0^r psi s^2 ds
+        mids = 0.5 * (r[:-1] + r[1:])
+        u, v = r[:-1], r[1:]
+        # int_u^mid psi s^2 ds = cu psi_u + cv psi_v on the interpolant
+        m0 = (mids ** 3 - u ** 3) / 3.0
+        m1 = (mids ** 4 - u ** 4) / 4.0
+        self.cv = (m1 - u * m0) / (v - u)
+        self.cu = m0 - self.cv
+        r_out = r[-1] + 0.5 * (r[-1] - r[-2])
+        self.cell_cubes = np.diff(np.concatenate(([0.0], mids ** 3, [r_out ** 3])))
+
+
+def _nl_rhs(values, flux: FluxGeometry) -> np.ndarray:
+    """The flux term N(psi) at nodal data, in the form FluxGeometry describes."""
     psi = np.asarray(values)
-    r = grid.nodes
-    cum = cumulative_power_integral(psi, grid, 2.0, 0.0)
-    mids = 0.5 * (r[:-1] + r[1:])
-    u, v = r[:-1], r[1:]
-    m0 = (mids ** 3 - u ** 3) / 3.0
-    m1 = (mids ** 4 - u ** 4) / 4.0
-    cv = (m1 - u * m0) / (v - u)
-    cu = m0 - cv
-    cum_mid = cum[:-1] + cu * psi[:-1] + cv * psi[1:]
+    cum = flux.mass(psi)
+    cum_mid = cum[:-1] + flux.cu * psi[:-1] + flux.cv * psi[1:]
     phi_mid = 0.5 * (psi[:-1] + psi[1:]) * cum_mid
-    r_out = r[-1] + 0.5 * (r[-1] - r[-2])
     phi = np.concatenate(([0.0], phi_mid, [0.5 * psi[-1] * cum[-1]]))
-    faces3 = np.concatenate(([0.0], mids ** 3, [r_out ** 3]))
-    return 3.0 * np.diff(phi) / np.diff(faces3)
+    return 3.0 * np.diff(phi) / flux.cell_cubes
 
 
 def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
@@ -191,8 +272,9 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
                             stop_when=None) -> EvolutionTrace:
     """IMEX (Crank-Nicolson + AB2) integration of the radial renormalized flow.
 
-    The linear part -Delta_0 + (1/2) Lambda is implicit with one reused LU;
-    the quadratic flux is explicit (AB2 after a predictor-corrector start).
+    The linear part -Delta_0 + (1/2) Lambda is implicit with one reused
+    banded LU; the quadratic flux is explicit (AB2 after a
+    predictor-corrector start).
     A step driving min(Psi) below -_NEGATIVITY_TOL ||Psi||_inf or blowing
     up the norm raises EvolutionError with the last valid state; the trace
     flags any run whose boundary value exceeds 1e-6 ||Psi||_inf.  An
@@ -201,8 +283,9 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
     """
     n_steps = step_count(dt, horizon)
     grid = psi0.grid
-    rhs_mat, solve = _crank_nicolson(
+    explicit, solve, worst_defect = _crank_nicolson(
         assemble_Ll(0, grid, zero_profile=True).entries, dt)
+    flux = FluxGeometry(grid)
     w = r2_mass_weights(grid)
     psi = psi0.values.astype(float).copy()
     scale0 = np.max(np.abs(psi))
@@ -212,8 +295,8 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
     boundary_flag = False
     norms[0] = np.sqrt(np.sum(w * psi ** 2))
 
-    def advance(current, explicit, k):
-        new = solve(rhs_mat @ current + dt * explicit)
+    def advance(current, flux_term, k):
+        new = solve(explicit @ current + dt * flux_term)
         scale = np.max(np.abs(new))
         if np.min(new) < -_NEGATIVITY_TOL * max(scale, scale0):
             raise EvolutionError(
@@ -225,16 +308,16 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
                 state=current)
         return new
 
-    n_prev = _nl_rhs(psi, grid)
+    n_prev = _nl_rhs(psi, flux)
     # predictor-corrector first step keeps the start O(dt^2)
-    pred = solve(rhs_mat @ psi + dt * n_prev)
-    psi = advance(psi, 0.5 * (n_prev + _nl_rhs(pred, grid)), 1)
-    n_cur = _nl_rhs(psi, grid)
+    pred = solve(explicit @ psi + dt * n_prev)
+    psi = advance(psi, 0.5 * (n_prev + _nl_rhs(pred, flux)), 1)
+    n_cur = _nl_rhs(psi, flux)
     last = n_steps
     for k in range(1, n_steps + 1):
         if k > 1:
             psi = advance(psi, 1.5 * n_cur - 0.5 * n_prev, k)
-            n_prev, n_cur = n_cur, _nl_rhs(psi, grid)
+            n_prev, n_cur = n_cur, _nl_rhs(psi, flux)
         norms[k] = np.sqrt(np.sum(w * psi ** 2))
         if abs(psi[-1]) > 1e-6 * np.max(np.abs(psi)):
             boundary_flag = True
@@ -246,17 +329,18 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
     return EvolutionTrace(times=times[:last + 1], norms=norms[:last + 1],
                           mode_coeffs=None, scheme="imex-cnab2", dt=dt, l=None,
                           states=np.array(states) if states is not None else None,
-                          boundary_flag=boundary_flag)
+                          boundary_flag=boundary_flag,
+                          max_solve_defect=worst_defect())
 
 
-def _flux_jacobian(base: np.ndarray, grid: RadialGrid) -> np.ndarray:
+def _flux_jacobian(base: np.ndarray, flux: FluxGeometry) -> np.ndarray:
     """Exact Jacobian of the (quadratic) finite-volume flux at ``base``."""
-    n = grid.n
+    n = base.size
     jac = np.empty((n, n))
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
-        jac[:, j] = 0.5 * (_nl_rhs(base + e, grid) - _nl_rhs(base - e, grid))
+        jac[:, j] = 0.5 * (_nl_rhs(base + e, flux) - _nl_rhs(base - e, flux))
         e[j] = 0.0
     return jac
 
@@ -272,13 +356,14 @@ def discrete_steady_profile(grid: RadialGrid, tol: float = 1e-12,
     flow sits still instead of drifting along the scaling instability.
     """
     lin = assemble_Ll(0, grid, zero_profile=True).entries
+    flux = FluxGeometry(grid)
     psi = profile.q(grid.nodes)
     scale = np.max(np.abs(psi))
     for _ in range(max_iter):
-        res = -lin @ psi + _nl_rhs(psi, grid)
+        res = -lin @ psi + _nl_rhs(psi, flux)
         if np.max(np.abs(res)) < tol * scale:
             return psi
-        delta = scipy.linalg.solve(lin - _flux_jacobian(psi, grid), res)
+        delta = scipy.linalg.solve(lin - _flux_jacobian(psi, flux), res)
         psi = psi + delta
     raise EvolutionError("Newton iteration for the discrete steady state "
                          f"stalled at residual {np.max(np.abs(res)):.2e}")
@@ -298,7 +383,7 @@ def flow_linearization(grid: RadialGrid, base: np.ndarray | None = None) -> Oper
     if base is None:
         base = discrete_steady_profile(grid)
     return OperatorMatrix(grid=grid, l=0, tag="Ll",
-                          entries=lin - _flux_jacobian(base, grid))
+                          entries=lin - _flux_jacobian(base, FluxGeometry(grid)))
 
 
 def partial_mass(psi: RadialFunction) -> np.ndarray:
@@ -321,14 +406,15 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     """
     grid = psi.grid
     r = grid.nodes
-    mbar = cumulative_power_integral(psi.values, grid, 2.0, 0.0)
+    mass = EvenPrefixIntegral(r, 2.0)
+    mbar = mass(psi.values)
     dm = fd_deriv1(mbar, r)
     d2m = fd_deriv1(dm, r)
     rhs = d2m - (2.0 / r + 0.5 * r) * dm + 0.5 * mbar + mbar * dm / (r * r)
     mbar_step = mbar + dt * rhs
     trace = nonlinear_radial_evolve(psi, dt, dt, keep_states=True)
     psi1 = RadialFunction(grid, trace.states[-1])
-    mbar_psi = cumulative_power_integral(psi1.values, grid, 2.0, 0.0)
+    mbar_psi = mass(psi1.values)
     return float(4.0 * np.pi * np.max(np.abs(mbar_step - mbar_psi)))
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "dk_apply", "dk_inverse", "delta_l_apply", "delta_l_inverse",
     "deriv_deltal_inverse", "weighted_inner", "refined_weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
+    "EvenPrefixIntegral",
     "suffix_power_integral", "fit_tail_exponent", "fd_deriv1", "fd_deriv2",
 ]
 
@@ -179,18 +180,44 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
     if p + a + 1.0 <= 0.0:
         raise DivergentTailError(
             f"origin model exponent p={p:.3g} makes int_0 s^{a} divergent")
-    r1, r2 = nodes[0], nodes[1]
     if p == 0.0:
-        b = (values[1] - values[0]) / (r2 * r2 - r1 * r1)
-        a0 = values[0] - b * r1 * r1
-        origin = a0 * r1 ** (a + 1.0) / (a + 1.0) + b * r1 ** (a + 3.0) / (a + 3.0)
-    else:
-        origin = values[0] * r1 ** (a + 1.0) / (p + a + 1.0)
-    cu, cv = panel_coefficients(a, nodes)
-    out = np.empty(grid.n, dtype=values.dtype)
+        return EvenPrefixIntegral(nodes, a)(values)
+    origin = values[0] * nodes[0] ** (a + 1.0) / (p + a + 1.0)
+    return _prefix_sums(origin, *panel_coefficients(a, nodes), values)
+
+
+def _prefix_sums(origin, cu, cv, values) -> np.ndarray:
+    """Origin-panel integral followed by the running sum of the panels."""
+    out = np.empty(values.size, dtype=values.dtype)
     out[0] = origin
     out[1:] = origin + np.cumsum(cu * values[:-1] + cv * values[1:])
     return out
+
+
+class EvenPrefixIntegral:
+    """I_i = int_0^{r_i} f(s) s^a ds with the even-quadratic origin model.
+
+    The ``origin_power = 0`` case of cumulative_power_integral, which calls
+    it: the origin panel integrates the fit c0 + c2 s^2 through the first
+    two nodes.  Everything that depends only on the nodes (the panel
+    coefficients and the origin powers) is computed once, so a caller that
+    integrates many data sets on one grid builds one instance.
+    """
+
+    def __init__(self, nodes: np.ndarray, a: float):
+        self.a = a
+        self.r1, r2 = nodes[0], nodes[1]
+        self.span = r2 * r2 - self.r1 * self.r1
+        self.pow1 = self.r1 ** (a + 1.0)
+        self.pow3 = self.r1 ** (a + 3.0)
+        self.cu, self.cv = panel_coefficients(a, nodes)
+
+    def __call__(self, values) -> np.ndarray:
+        values = np.asarray(values)
+        b = (values[1] - values[0]) / self.span
+        c0 = values[0] - b * self.r1 * self.r1
+        origin = c0 * self.pow1 / (self.a + 1.0) + b * self.pow3 / (self.a + 3.0)
+        return _prefix_sums(origin, self.cu, self.cv, values)
 
 
 def _binom_series_coeffs(a: float, terms: int) -> np.ndarray:

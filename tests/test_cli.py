@@ -127,6 +127,23 @@ def test_bad_config_exits_2(tmp_path):
                      "--output-dir", str(tmp_path), "profile-check"]) == 2
 
 
+@pytest.mark.parametrize("line", ["rmax0 = -1.0", "growth = 0.0"])
+def test_bad_scan_radius_or_growth_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "scan.ini"
+    path.write_text(f"[scan]\n{line}\n")
+    assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
+                     "spectrum", "--l", "4"]) == 2
+    assert "rmax0 > 0 and growth > 0" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum_diagnostics.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve-linear", "evolve-nonlinear"])
+def test_evolution_summary_records_largest_solve_defect(tmp_path, command):
+    assert run_cli([command, "--n", "200", "--horizon", "3.0"], tmp_path) == 0
+    defect = load_summary(tmp_path, command)["details"]["max_solve_defect"]
+    assert 0.0 < defect <= 1e-10
+
+
 def test_ggmt_invalid_alpha_exits_2(tmp_path):
     assert run_cli(["ggmt", "--alpha", "3.0"], tmp_path) == 2
 

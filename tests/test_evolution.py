@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from ksmode import evolution, operators, profile, spectra
-from ksmode.radial import RadialFunction, make_grid
+from ksmode.radial import RadialFunction, make_grid, panel_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -101,45 +101,182 @@ class TestStepRule:
         with pytest.raises(ValueError):
             evolution.nonlinear_radial_evolve(psi, dt, horizon)
 
-    def test_every_implicit_solve_is_checked(self, grid, monkeypatch):
-        calls = {"solve": 0, "check": 0}
+    def test_every_implicit_solve_is_checked(self, grid, op0, monkeypatch):
+        # the nonlinear flow steps the banded IMEX matrix, never a dense LU
+        calls = _count_solves(monkeypatch)
+        _five_steps("nonlinear", grid, op0)
+        assert calls == {"banded": 6, "dense": 0, "check": 6}
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+    def test_every_dense_solve_is_checked(self, grid, op0, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        _five_steps("linear", grid, op0)
+        assert calls == {"banded": 0, "dense": 5, "check": 5}
 
-        monkeypatch.setattr(scipy.linalg, "lu_solve",
-                            counted("solve", scipy.linalg.lu_solve))
-        monkeypatch.setattr(evolution, "_check_solve",
-                            counted("check", evolution._check_solve))
-        evolution.nonlinear_radial_evolve(
-            RadialFunction(grid, profile.q(grid.nodes)), 0.01, 0.05)
-        assert calls["solve"] == calls["check"] == 6
+    @pytest.mark.parametrize("flow, owner, name", [
+        ("nonlinear", evolution._BandMatrix, "solve"),
+        ("linear", scipy.linalg, "lu_solve")], ids=["banded", "dense"])
+    def test_corrupted_solve_fails_the_defect_guard(self, grid, op0,
+                                                    monkeypatch, flow, owner,
+                                                    name):
+        solver = getattr(owner, name)
+
+        def off(*args, **kwargs):
+            return (1.0 + 1e-6) * solver(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, off)
+        with pytest.raises(evolution.EvolutionError, match="solve defect"):
+            _five_steps(flow, grid, op0)
+
+    @pytest.mark.parametrize("flow", ["nonlinear", "linear"])
+    def test_trace_records_the_largest_solve_defect(self, grid, op0,
+                                                    monkeypatch, flow):
+        seen = []
+        check = evolution._check_solve
+
+        def recorded(*args):
+            seen.append(check(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(evolution, "_check_solve", recorded)
+        tr = _five_steps(flow, grid, op0)
+        assert tr.max_solve_defect == max(seen)
+        assert 0.0 < tr.max_solve_defect <= evolution._SOLVE_TOL
+
+
+def _count_solves(monkeypatch) -> dict:
+    """Count banded solves, dense LU solves and solve checks from now on."""
+    calls = {"banded": 0, "dense": 0, "check": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evolution._BandMatrix, "solve",
+                        counted("banded", evolution._BandMatrix.solve))
+    monkeypatch.setattr(scipy.linalg, "lu_solve",
+                        counted("dense", scipy.linalg.lu_solve))
+    monkeypatch.setattr(evolution, "_check_solve",
+                        counted("check", evolution._check_solve))
+    return calls
+
+
+def _five_steps(flow, grid, op0):
+    """Five steps of dt = 0.01 from Q, nonlinear (banded) or linear (dense)."""
+    psi = RadialFunction(grid, profile.q(grid.nodes))
+    if flow == "nonlinear":
+        return evolution.nonlinear_radial_evolve(psi, 0.01, 0.05)
+    return evolution.linear_evolve(0, psi, 0.01, 0.05, op=op0)
+
+
+class TestBandedStepper:
+    @pytest.fixture(scope="class")
+    def imex(self, grid):
+        return operators.assemble_Ll(0, grid, zero_profile=True)
+
+    def test_imex_operator_is_banded_and_l0_is_dense(self, grid, imex, op0):
+        assert scipy.linalg.bandwidth(imex.entries) == (1, 2)
+        assert isinstance(evolution._crank_nicolson(imex.entries, 0.01)[0],
+                          evolution._BandMatrix)
+        assert isinstance(evolution._crank_nicolson(op0.entries, 0.01)[0],
+                          np.ndarray)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_step_matches_dense_solve(self, grid, imex, complex_data):
+        dt = 0.01
+        a = imex.entries
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal(grid.n)
+        if complex_data:
+            y = y + 1j * rng.standard_normal(grid.n)
+        explicit, solve, _ = evolution._crank_nicolson(a, dt)
+        step = solve(explicit @ y)
+        eye = np.eye(grid.n)
+        dense = np.linalg.solve(eye + 0.5 * dt * a, (eye - 0.5 * dt * a) @ y)
+        assert step.dtype == dense.dtype
+        assert np.max(np.abs(step - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_linear_flow_takes_complex_data_on_the_band(self, grid, imex):
+        qv = profile.q(grid.nodes)
+        real = evolution.linear_evolve(0, RadialFunction(grid, qv), 0.01, 0.1,
+                                       op=imex, keep_states=True)
+        cplx = evolution.linear_evolve(0, RadialFunction(grid, (1 + 2j) * qv),
+                                       0.01, 0.1, op=imex, keep_states=True)
+        assert np.iscomplexobj(cplx.states)
+        err = np.max(np.abs(cplx.states - (1 + 2j) * real.states))
+        assert err <= 1e-13 * np.max(np.abs(real.states))
+
+
+def _flux_term(values, grid):
+    return evolution._nl_rhs(values, evolution.FluxGeometry(grid))
+
+
+def _mass_oracle(psi, grid):
+    """int_0^r psi s^2 ds with every grid quantity recomputed per call."""
+    r1, r2 = grid.nodes[0], grid.nodes[1]
+    b = (psi[1] - psi[0]) / (r2 * r2 - r1 * r1)
+    a0 = psi[0] - b * r1 * r1
+    origin = a0 * r1 ** 3.0 / 3.0 + b * r1 ** 5.0 / 5.0
+    cu, cv = panel_coefficients(2.0, grid.nodes)
+    out = np.empty(grid.n)
+    out[0] = origin
+    out[1:] = origin + np.cumsum(cu * psi[:-1] + cv * psi[1:])
+    return out
+
+
+def _flux_oracle(values, grid):
+    """The flux term with every grid quantity recomputed per call."""
+    psi = np.asarray(values)
+    r = grid.nodes
+    cum = _mass_oracle(psi, grid)
+    mids = 0.5 * (r[:-1] + r[1:])
+    u, v = r[:-1], r[1:]
+    m0 = (mids ** 3 - u ** 3) / 3.0
+    m1 = (mids ** 4 - u ** 4) / 4.0
+    cv = (m1 - u * m0) / (v - u)
+    cu = m0 - cv
+    cum_mid = cum[:-1] + cu * psi[:-1] + cv * psi[1:]
+    phi_mid = 0.5 * (psi[:-1] + psi[1:]) * cum_mid
+    r_out = r[-1] + 0.5 * (r[-1] - r[-2])
+    phi = np.concatenate(([0.0], phi_mid, [0.5 * psi[-1] * cum[-1]]))
+    faces3 = np.concatenate(([0.0], mids ** 3, [r_out ** 3]))
+    return 3.0 * np.diff(phi) / np.diff(faces3)
 
 
 class TestNonlinearTerm:
+    @pytest.mark.parametrize("stretch", ["uniform", ("geometric", 1.01)],
+                             ids=["uniform", "geometric"])
+    def test_matches_per_call_formula_bit_for_bit(self, stretch):
+        g = make_grid(300, 40.0, stretch)
+        r = g.nodes
+        flux = evolution.FluxGeometry(g)
+        rng = np.random.default_rng(1)
+        for vals in (profile.q(r), rng.standard_normal(g.n), np.exp(-r)):
+            assert np.array_equal(flux.mass(vals), _mass_oracle(vals, g))
+            assert np.array_equal(evolution._nl_rhs(vals, flux),
+                                  _flux_oracle(vals, g))
+
     def test_zero(self, grid):
-        out = evolution.nonlinear_term(RadialFunction(grid, np.zeros(grid.n)))
-        assert np.max(np.abs(out.values)) == 0.0
+        out = _flux_term(np.zeros(grid.n), grid)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_expanded_form_oracle(self):
         errs = []
         for n in (300, 600):
             g = make_grid(n, 40.0, "uniform")
             r = g.nodes
-            out = evolution.nonlinear_term(RadialFunction(g, profile.q(r)))
+            out = _flux_term(profile.q(r), g)
             expanded = profile.q(r) ** 2 \
                 + profile.q_deriv(r, 1) * profile.d2inv_q_closed(r)
-            errs.append(np.max(np.abs(out.values - expanded)[:-1]))
+            errs.append(np.max(np.abs(out - expanded)[:-1]))
         assert errs[1] < 0.35 * errs[0]
 
     def test_quadratic_homogeneity(self, grid):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(grid.n)
-        once = evolution.nonlinear_term(RadialFunction(grid, vals)).values
-        scaled = evolution.nonlinear_term(RadialFunction(grid, 2.0 * vals)).values
+        once = _flux_term(vals, grid)
+        scaled = _flux_term(2.0 * vals, grid)
         assert np.max(np.abs(scaled - 4.0 * once)) < 1e-12 * np.max(np.abs(scaled))
 
 
