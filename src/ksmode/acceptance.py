@@ -209,8 +209,9 @@ def criterion_spectra() -> list[Check]:
                                        rmax_factors=(1, 2))
     checks = []
     for l in range(7):
-        checks += spectrum_checks(
-            l, spectra.unstable_scan(l, threshold=0.05, ladder=ladder))
+        accepted, _ = spectra.unstable_scan_detailed(l, threshold=0.05,
+                                                     ladder=ladder)
+        checks += spectrum_checks(l, accepted)
     checks.append(_at_most("scan runtime [s]", "spectra.runtime",
                            time.perf_counter() - t0, 600.0))
     return checks
@@ -325,7 +326,7 @@ def criterion_profile() -> list[Check]:
             g = make_grid(n, 40.0, "uniform")
             w = operators.r2_mass_weights(g)
             v = mode.shape(g.nodes)
-            dev = operators.apply_Ll(l, g, v, tail=True) - mode.eigenvalue * v
+            dev = operators.apply_Ll(l, g, v) - mode.eigenvalue * v
             res.append(np.sqrt(np.sum(w * dev ** 2) / np.sum(w * v ** 2)))
         order = float(np.polyfit(np.log(ns), -np.log(res), 1)[0])
         checks.append(_at_least(f"class {l} eigen-relation grid-halving order",
@@ -363,8 +364,8 @@ def criterion_evolution() -> list[Check]:
     a_stars = {}
     for amp in (1e-3, 2e-3):
         res = evolution.shoot_stable_manifold(
-            RadialFunction(grid, amp * bump), (-4e-3, 4e-3), projf, dt=0.02,
-            horizon=8.0, base_profile=qh)
+            RadialFunction(grid, amp * bump), (-4e-3, 4e-3), projf, qh,
+            dt=0.02, horizon=8.0)
         a_stars[amp] = res
         checks.append(Check(f"shooting converged (amplitude {amp})",
                             f"evolution.shoot_conv_{amp}", res.a_star, 0.0,

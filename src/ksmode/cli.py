@@ -86,6 +86,10 @@ class RunConfig:
         return self.values[sec][key]
 
     def validate(self) -> None:
+        for sec, kv in self.values.items():
+            for key, val in kv.items():
+                if isinstance(val, float) and not np.isfinite(val):
+                    raise ConfigError(f"{sec}.{key} must be finite, got {val}")
         g = self.values["grid"]
         if g["n"] < 16:
             raise ConfigError("grid.n must be at least 16")
@@ -311,7 +315,7 @@ def cmd_shoot(cfg, args):
         grid, operators.r2_mass_weights(grid))
     res = evolution.shoot_stable_manifold(
         RadialFunction(grid, amp * bump), (-4.0 * max(amp, 1e-3), 4.0 * max(amp, 1e-3)),
-        projf, dt=0.02, horizon=8.0, base_profile=qh)
+        projf, qh, dt=0.02, horizon=8.0)
     checks = [
         Check("shooting bisection converged", "evolution.shoot_conv",
               res.a_star, 0.0, res.converged),

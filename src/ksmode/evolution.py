@@ -42,6 +42,8 @@ _SOLVE_TOL = 1e-10
 _NEGATIVITY_TOL = 1e-8  # relative undershoot below zero that fails a step
 _TUBE_FACTOR = 10.0     # shooting tube radius in units of the initial deviation
 _WIDTH_TOL = 1e-8       # shooting bisection stops at this fraction of the bracket
+_NEWTON_TOL = 1e-12     # steady-state Newton residual, relative to max |Q|
+_NEWTON_MAX_ITER = 12
 
 
 class EvolutionError(RuntimeError):
@@ -345,8 +347,7 @@ def _flux_jacobian(base: np.ndarray, flux: FluxGeometry) -> np.ndarray:
     return jac
 
 
-def discrete_steady_profile(grid: RadialGrid, tol: float = 1e-12,
-                            max_iter: int = 12) -> np.ndarray:
+def discrete_steady_profile(grid: RadialGrid) -> np.ndarray:
     """Newton solve for the stepper's own steady state near the profile.
 
     The IMEX scheme's fixed points are exactly the solutions of
@@ -359,9 +360,9 @@ def discrete_steady_profile(grid: RadialGrid, tol: float = 1e-12,
     flux = FluxGeometry(grid)
     psi = profile.q(grid.nodes)
     scale = np.max(np.abs(psi))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         res = -lin @ psi + _nl_rhs(psi, flux)
-        if np.max(np.abs(res)) < tol * scale:
+        if np.max(np.abs(res)) < _NEWTON_TOL * scale:
             return psi
         delta = scipy.linalg.solve(lin - _flux_jacobian(psi, flux), res)
         psi = psi + delta
@@ -369,19 +370,17 @@ def discrete_steady_profile(grid: RadialGrid, tol: float = 1e-12,
                          f"stalled at residual {np.max(np.abs(res)):.2e}")
 
 
-def flow_linearization(grid: RadialGrid, base: np.ndarray | None = None) -> OperatorMatrix:
+def flow_linearization(grid: RadialGrid, base: np.ndarray) -> OperatorMatrix:
     """The nonlinear stepper's own discrete linearization about ``base``.
 
     Returns the matrix of L = (-Delta_0 + Lambda/2) - N'(base) built from
     the same implicit matrix and finite-volume flux the stepper uses; the
     flux is exactly quadratic, so symmetric differencing with unit
-    increments gives its Jacobian without truncation error.  ``base``
-    defaults to the discrete steady profile.  Agrees with the assembled
-    class-0 operator to O(h^2).
+    increments gives its Jacobian without truncation error.  About the
+    discrete steady profile it agrees with the assembled class-0 operator
+    to O(h^2).
     """
     lin = assemble_Ll(0, grid, zero_profile=True).entries
-    if base is None:
-        base = discrete_steady_profile(grid)
     return OperatorMatrix(grid=grid, l=0, tag="Ll",
                           entries=lin - _flux_jacobian(base, FluxGeometry(grid)))
 
@@ -450,36 +449,35 @@ def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon):
 
 
 def shoot_stable_manifold(eps_s0: RadialFunction, bracket, projection,
-                          dt: float = 0.01, horizon: float = 8.0,
-                          base_profile: np.ndarray | None = None) -> ShootingResult:
+                          base_profile: np.ndarray, dt: float = 0.01,
+                          horizon: float = 8.0) -> ShootingResult:
     """Bisection over the unstable amplitude a in Psi_0 = Q + eps_s0 + a LQ/||LQ||.
 
     The departure functional is the sign of the scaling-mode coefficient at
     the exit time, the first tau at which the deviation from the reference
     flow (started at the unperturbed base profile) leaves the tube of
     radius ``_TUBE_FACTOR`` times the initial deviation size.  The base
-    point defaults to the discrete steady profile, about which the
+    point is normally the discrete steady profile, about which the
     reference flow is stationary; ``projection`` should then come from
-    ``flow_linearization`` so that the prepared data is stable for the
-    discrete dynamics that actually run.  The bracket must produce opposite
+    ``flow_linearization`` about it so that the prepared data is stable for
+    the discrete dynamics that actually run.  The bracket must produce opposite
     departure signs; bisection stops when its width falls below
     ``_WIDTH_TOL`` times the initial width, and the result is converged when
     the matched amplitude stays in the tube for the whole horizon.
     """
     grid = eps_s0.grid
     r = grid.nodes
-    q_vals = discrete_steady_profile(grid) if base_profile is None else base_profile
     w = r2_mass_weights(grid)
     lam_q = profile.lambda_q(r)
     lam_q = lam_q / np.sqrt(np.sum(w * lam_q ** 2))
-    ref = nonlinear_radial_evolve(RadialFunction(grid, q_vals), dt, horizon,
-                                  keep_states=True).states
+    ref = nonlinear_radial_evolve(RadialFunction(grid, base_profile), dt,
+                                  horizon, keep_states=True).states
     size0 = np.sqrt(np.sum(w * eps_s0.values ** 2))
     if size0 == 0.0:
         size0 = _WIDTH_TOL * (float(bracket[1]) - float(bracket[0]))
 
     def run(a):
-        vals = q_vals + eps_s0.values + a * lam_q
+        vals = base_profile + eps_s0.values + a * lam_q
         return _departure(vals, grid, ref, size0, projection, dt, horizon)
 
     a_lo, a_hi = float(bracket[0]), float(bracket[1])

@@ -16,7 +16,7 @@ check at relative 1e-4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +29,7 @@ from .radial import RadialFunction, weighted_inner, fd_deriv1, \
 
 __all__ = [
     "alpha_beta", "w1_potential", "WeightSpec", "paper_weight",
-    "constant_weight", "mu_functional", "ggmt_prefactor", "ggmt_count",
+    "mu_functional", "ggmt_prefactor", "ggmt_count",
     "l2_pipeline", "GgmtReport", "coercivity_form", "interpolation_check",
     "l3_rational_constants", "L3Constants", "pointwise_q_bounds",
 ]
@@ -78,13 +78,13 @@ class WeightSpec:
     fn: object
     w_inf: float
     label: str
-    params: dict = field(default_factory=dict)
 
     def check(self, l: float, alpha: float) -> None:
         """Validate the positivity/decay condition on W for given (l, alpha)."""
         r = np.logspace(-3, 4, 200)
-        w = np.asarray(self.fn(r), dtype=float)
-        if np.any(w <= 0.0):
+        with np.errstate(invalid="ignore"):   # a NaN weight fails below
+            w = np.asarray(self.fn(r), dtype=float)
+        if not np.all(w > 0.0):
             raise ValueError(f"weight {self.label} is not strictly positive")
         decay_cap = min(2.0 * l + 2.0 * alpha - 1.0, 2.0)
         if decay_cap <= 0.0:
@@ -108,24 +108,12 @@ class WeightSpec:
         if self.w_inf <= 0.0:
             raise ValueError("mu tail model requires a weight with positive limit")
 
-    def scaled(self, c: float) -> "WeightSpec":
-        return WeightSpec(fn=lambda r, _f=self.fn: c * np.asarray(_f(r)),
-                          w_inf=c * self.w_inf,
-                          label=f"{c}*{self.label}",
-                          params={**self.params, "scale": c})
-
 
 def paper_weight(eps: float = 0.01, power: float = -1.2,
                  floor: float = 0.02) -> WeightSpec:
     """The reference weight W(r) = (0.01 + r^2)^{-1.2} + 0.02 used for l = 2."""
     return WeightSpec(fn=lambda r: (eps + np.asarray(r, dtype=float) ** 2) ** power + floor,
-                      w_inf=floor, label="shifted-power",
-                      params={"eps": eps, "power": power, "floor": floor})
-
-
-def constant_weight(c: float = 1.0) -> WeightSpec:
-    return WeightSpec(fn=lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                      w_inf=c, label=f"const({c})", params={"c": c})
+                      w_inf=floor, label="shifted-power")
 
 
 class _SegmentedCumulative:
@@ -224,14 +212,14 @@ def ggmt_prefactor(p: float, l: float) -> float:
             / (p ** p * math.gamma(p) ** 2) * (2.0 * l + 1.0) ** (-(2.0 * p - 1.0)))
 
 
-def negative_part_bracket(V, lo: float = 1e-3, hi: float = 1e3,
-                          scan_points: int = 512):
-    """Bracket the support of V_- by a log-spaced scan plus bisection.
+def negative_part_bracket(V):
+    """Bracket the support of V_- by a scan of 512 log-spaced radii in
+    [1e-3, 1e3] plus bisection.
 
     Returns a list of (r_down, r_up) intervals on which V < 0.  Raises if V
     is negative at either end of the scan (non-compact negative part).
     """
-    r = np.logspace(math.log10(lo), math.log10(hi), scan_points)
+    r = np.logspace(-3.0, 3.0, 512)
     v = np.array([float(V(x)) for x in r])
     if v[0] < 0.0 or v[-1] < 0.0:
         raise ValueError("negative part of the potential is not compactly "

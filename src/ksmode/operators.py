@@ -18,7 +18,7 @@ Nonlocal terms never differentiate the kernel:
 
 All cumulative quadratures treat the input as zero beyond rmax (consistent
 with the Dirichlet truncation); residual oracles that need the analytic
-tail use the vector path `apply_Ll(..., tail=True)` instead.
+tail use the vector path `apply_Ll` instead.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .radial import (RadialGrid, panel_coefficients, power_moment,
 
 __all__ = [
     "OperatorMatrix", "assemble_Ll", "assemble_tilde_Ll_alpha",
-    "assemble_tilde_L1", "assemble_tilde_L1_prime", "assemble_H_l_alpha_W",
+    "assemble_tilde_L1_prime", "assemble_H_l_alpha_W",
     "apply_Ll", "kernel_deltal_inv_matrix", "factorized_deltal_inv_matrix",
     "deriv_deltal_inv_matrix", "kernel_deriv_deltal_inv_matrix",
     "dk_inv_matrix", "lower_cum_matrix",
@@ -254,17 +254,16 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
     return OperatorMatrix(grid=grid, l=l, tag="Ll", entries=a)
 
 
-def apply_Ll(l: int, grid: RadialGrid, values, tail: bool = False) -> np.ndarray:
+def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
     """Apply L_l to nodal data without assembling a matrix.
 
-    One-sided O(h^2) stencils at the ends; with ``tail=True`` the nonlocal
-    term extends the integrals past rmax with the fitted power-law tail
-    (used by residual oracles on functions that do not vanish at rmax).
+    One-sided O(h^2) stencils at the ends; the nonlocal term extends the
+    integrals past rmax with the fitted power-law tail, so residual oracles
+    can use functions that do not vanish at rmax.
     """
     r = grid.nodes
     f = np.asarray(values)
-    rf = RadialFunction(grid, f)
-    ddli = deriv_deltal_inverse(l, rf, tail=tail).values
+    ddli = deriv_deltal_inverse(l, RadialFunction(grid, f)).values
     d1 = fd_deriv1(f, r)
     lap = fd_deriv2(f, r) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
     return (-lap + 0.5 * (r * d1 + 2.0 * f) - 2.0 * profile.q(r) * f
@@ -294,15 +293,6 @@ def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid) -> OperatorM
         a_mat = a_mat + l * (low * profile.v1(r)[None, :]
                              + (low * profile.v2(r)[None, :]) @ up)
     return OperatorMatrix(grid=grid, l=l, tag="TildeLlAlpha", entries=a_mat)
-
-
-def assemble_tilde_L1(grid: RadialGrid) -> OperatorMatrix:
-    """Localized l=1 operator -d_r^2 + A(r) d_r + B(r), coefficients in closed form."""
-    r = grid.nodes
-    d1 = deriv1_matrix(grid, "dirichlet")
-    d2 = deriv2_matrix(grid, "dirichlet")
-    a = -d2 + profile.coef_a(r)[:, None] * d1 + np.diag(profile.coef_b(r))
-    return OperatorMatrix(grid=grid, l=1, tag="TildeL1", entries=a)
 
 
 def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarray:

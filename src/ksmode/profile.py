@@ -19,14 +19,12 @@ All functions accept scalars or numpy arrays and are vectorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
     "q", "q_deriv", "lambda_q", "d2inv_q", "d2inv_q_closed",
-    "aux_potentials", "AuxPotentials", "v1", "v2", "big_g", "big_g_quad",
+    "v1", "v2", "big_g", "big_g_quad",
     "g_over_g", "g_over_g_deriv", "g_over_g_deriv2",
     "coef_a", "coef_b", "u1", "tilde_L1_prime_potential", "half_d_d2inv_q",
     "profile_residual", "identity_residuals",
@@ -169,24 +167,6 @@ def half_d_d2inv_q(r, alpha):
     return 2.0 * (2.0 - r2) / (2.0 + r2) ** 2 + 2.0 * (2.0 * alpha - 4.0) / (2.0 + r2)
 
 
-@dataclass(frozen=True)
-class AuxPotentials:
-    """Auxiliary potentials at one radius: V1, V2, G and D_2^{-1}Q."""
-    v1: float
-    v2: float
-    bigG: float
-    d2invQ: float
-
-
-def aux_potentials(r):
-    """Evaluate the auxiliary potentials (V1, V2, G, D_2^{-1}Q) at r > 0."""
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError("aux_potentials requires r > 0")
-    return AuxPotentials(v1=float(v1(r)), v2=float(v2(r)),
-                         bigG=float(big_g(r)), d2invQ=float(d2inv_q_closed(r)))
-
-
 def profile_residual(grid):
     """Max-norm residual of the elliptic profile equation on the grid nodes.
 
@@ -217,33 +197,21 @@ def g_over_g_ode_residual(r):
             + (coef_b(r) + 1.0 + 8.0 / (2.0 + r * r)) * u)
 
 
-def identity_residuals(grid, window=(0.1, 20.0)):
-    """Residuals of the three structural identities of the profile.
+def identity_residuals(grid):
+    """Residuals of the two closed-form structural identities of the profile.
 
     Returns a dict with keys:
-      ``eigen_l1``        - discrete residual of (L_1 + 1/2) Q' = 0 computed
-                            with the class-1 operator application, measured
-                            relative in L^2(r^2 dr) (the pointwise residual
-                            at the first nodes is amplified by the singular
-                            coefficients and would hide the O(h^2) rate);
       ``first_integral``  - max-norm pointwise residual of the once-
                             integrated profile equation
                             -Q' + (r/2)Q - (1/2+Q) D_2^{-1}Q = 0;
       ``g_over_g_ode``    - max-norm pointwise residual of the second-order
                             ODE satisfied by Q'/G, restricted to nodes in
-                            ``window`` (cancellation of 1/r^6 poles limits
+                            [0.1, 20] (cancellation of 1/r^6 poles limits
                             double precision below r ~ 0.1).
     """
-    from . import operators  # deferred import; operators depends on profile
-
     r = np.asarray(grid.nodes, dtype=float)
-    g = q_deriv(r, 1)
-    lg = operators.apply_Ll(1, grid, g, tail=True)
-    w = grid.quad_weights * r * r
-    rel = np.sqrt(np.sum(w * (lg + 0.5 * g) ** 2) / np.sum(w * g * g))
-    mask = (r >= window[0]) & (r <= window[1])
+    mask = (r >= 0.1) & (r <= 20.0)
     return {
-        "eigen_l1": float(rel),
         "first_integral": float(np.max(np.abs(first_integral_residual(r)))),
         "g_over_g_ode": float(np.max(np.abs(g_over_g_ode_residual(r[mask])))),
     }

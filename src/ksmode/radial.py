@@ -1,4 +1,4 @@
-"""Radial grids, quadrature and the first-order operators D_k, D_k^{-1}.
+"""Radial grids, quadrature and the inverse first-order operators D_k^{-1}.
 
 The package discretizes the half line (0, rmax] with n nodes (uniform or
 geometrically stretched).  Cumulative integrals of the form
@@ -28,8 +28,7 @@ import numpy as np
 
 __all__ = [
     "RadialGrid", "RadialFunction", "make_grid", "DivergentTailError",
-    "dk_apply", "dk_inverse", "delta_l_apply", "delta_l_inverse",
-    "deriv_deltal_inverse", "weighted_inner", "refined_weighted_inner",
+    "dk_inverse", "delta_l_inverse", "deriv_deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
     "EvenPrefixIntegral",
     "suffix_power_integral", "fit_tail_exponent", "fd_deriv1", "fd_deriv2",
@@ -56,6 +55,8 @@ class RadialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < MIN_NODES:
             raise ValueError(f"grid needs at least {MIN_NODES} nodes")
+        if not (np.all(np.isfinite(nodes)) and math.isfinite(self.rmax)):
+            raise ValueError("nodes and rmax must be finite")
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing and positive")
         object.__setattr__(self, "nodes", nodes)
@@ -85,10 +86,6 @@ class RadialFunction:
             raise ValueError("values must be finite (no NaN/Inf)")
         self.values = values
 
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, fn) -> "RadialFunction":
-        return cls(grid, np.asarray(fn(grid.nodes)))
-
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     w = np.zeros_like(nodes)
@@ -107,8 +104,8 @@ def make_grid(n: int, rmax: float, stretch="uniform") -> RadialGrid:
     """
     if n < MIN_NODES:
         raise ValueError(f"n = {n} is below the minimum node count {MIN_NODES}")
-    if rmax <= 0.0:
-        raise ValueError("rmax must be positive")
+    if not 0.0 < rmax < math.inf:
+        raise ValueError("rmax must be positive and finite")
     if stretch == "uniform" or stretch == ("uniform",):
         nodes = rmax / n * np.arange(1, n + 1)
         desc = ("uniform",)
@@ -188,7 +185,7 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
 
 def _prefix_sums(origin, cu, cv, values) -> np.ndarray:
     """Origin-panel integral followed by the running sum of the panels."""
-    out = np.empty(values.size, dtype=values.dtype)
+    out = np.empty(values.size, dtype=np.result_type(values, float))
     out[0] = origin
     out[1:] = origin + np.cumsum(cu * values[:-1] + cv * values[1:])
     return out
@@ -343,7 +340,7 @@ def suffix_power_integral(values, grid: RadialGrid, a: float,
     nodes = grid.nodes
     cu, cv = panel_coefficients(a, nodes)
     panel = cu * values[:-1] + cv * values[1:]
-    out = np.empty(grid.n, dtype=values.dtype)
+    out = np.empty(grid.n, dtype=np.result_type(values, float))
     out[-1] = 0.0
     out[:-1] = np.cumsum(panel[::-1])[::-1]
     if tail:
@@ -418,64 +415,39 @@ def fd_deriv2(values, nodes) -> np.ndarray:
 # the spec operators
 # ---------------------------------------------------------------------------
 
-def dk_apply(k: int, f: RadialFunction) -> RadialFunction:
-    """D_k f = f' + (k/r) f by O(h^2) finite differences."""
-    r = f.grid.nodes
-    return RadialFunction(f.grid, fd_deriv1(f.values, r) + k / r * f.values)
-
-
 def dk_inverse(k: int, f: RadialFunction, origin_power=None,
-               tail: bool = True, order: int = 1) -> RadialFunction:
-    """D_k^{-1} f: r^{-k} int_0^r f s^k ds for k > 0, else -r^{-k} int_r^inf f s^k ds.
-
-    ``order=3`` switches the prefix integral (k > 0 branch) to piecewise-
-    cubic product integration for oracle-grade pointwise targets.
-    """
+               tail: bool = True) -> RadialFunction:
+    """D_k^{-1} f: r^{-k} int_0^r f s^k ds for k > 0, else -r^{-k} int_r^inf f s^k ds."""
     r = f.grid.nodes
     if k > 0:
-        if order == 3:
-            vals = cumulative_power_integral_cubic(f.values, f.grid, float(k))
-        else:
-            vals = cumulative_power_integral(f.values, f.grid, float(k),
-                                             origin_power)
+        vals = cumulative_power_integral(f.values, f.grid, float(k), origin_power)
         return RadialFunction(f.grid, r ** (-float(k)) * vals)
     vals = suffix_power_integral(f.values, f.grid, float(k), tail=tail)
     return RadialFunction(f.grid, -r ** (-float(k)) * vals)
 
 
-def delta_l_apply(l: int, f: RadialFunction) -> RadialFunction:
-    """Class-l Laplacian: f'' + (2/r) f' - l(l+1) f / r^2."""
-    r = f.grid.nodes
-    vals = (fd_deriv2(f.values, r) + 2.0 / r * fd_deriv1(f.values, r)
-            - l * (l + 1) / (r * r) * f.values)
-    return RadialFunction(f.grid, vals)
-
-
-def delta_l_inverse(l: int, f: RadialFunction, origin_power=None,
-                    tail: bool = True) -> RadialFunction:
+def delta_l_inverse(l: int, f: RadialFunction, tail: bool = True) -> RadialFunction:
     """Kernel form of the class-l inverse Laplacian.
 
     Delta_l^{-1} f (r) = -(2l+1)^{-1} [ r^{-(l+1)} int_0^r s^{l+2} f ds
                                         + r^l int_r^inf s^{1-l} f ds ].
     """
     r = f.grid.nodes
-    p = l if origin_power is None else origin_power
-    inner = cumulative_power_integral(f.values, f.grid, l + 2.0, p)
+    inner = cumulative_power_integral(f.values, f.grid, l + 2.0, l)
     outer = suffix_power_integral(f.values, f.grid, 1.0 - l, tail=tail)
     vals = -(r ** (-(l + 1.0)) * inner + r ** float(l) * outer) / (2 * l + 1)
     return RadialFunction(f.grid, vals)
 
 
-def deriv_deltal_inverse(l: int, f: RadialFunction, origin_power=None,
-                         tail: bool = True, order: int = 1) -> RadialFunction:
+def deriv_deltal_inverse(l: int, f: RadialFunction,
+                         tail: bool = True) -> RadialFunction:
     """d/dr of Delta_l^{-1} f via the first-order factorization.
 
     Uses (2l+1) d_r Delta_l^{-1} = (l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1};
     the kernel is never differentiated numerically.  The l = 0 case reduces
     to D_2^{-1} alone.
     """
-    p = l if origin_power is None else origin_power
-    first = dk_inverse(l + 2, f, origin_power=p, order=order)
+    first = dk_inverse(l + 2, f, origin_power=l)
     vals = (l + 1) * first.values
     if l > 0:
         second = dk_inverse(-(l - 1), f, tail=tail)
@@ -507,26 +479,3 @@ def weighted_inner(f: RadialFunction, g: RadialFunction, weight="r2"):
     if weight != "flat":
         total = total + 0.5 * r[0] * integrand[0]
     return total if np.iscomplexobj(integrand) else float(total)
-
-
-def refined_weighted_inner(fn_f, fn_g, weight, rmax, n0: int = 2000,
-                           levels: int = 3):
-    """Richardson-extrapolated trapezoid value of int_0^rmax f conj(g) w dr.
-
-    For callables only; each level halves the spacing (node r = 0 included,
-    so smooth integrands converge at O(h^2) and the extrapolation removes
-    the h^2 and h^4 terms).  Used for oracle-grade (~1e-8) inner products.
-    """
-    wfun = _WEIGHTS.get(weight, weight if callable(weight) else None)
-    vals = []
-    for lev in range(levels):
-        n = n0 * 2 ** lev
-        r = np.linspace(0.0, rmax, n + 1)
-        y = fn_f(r) * np.conj(fn_g(r)) * wfun(r)
-        vals.append(np.trapezoid(y, r))
-    for order in range(1, levels):
-        fac = 4.0 ** order
-        vals = [(fac * vals[i + 1] - vals[i]) / (fac - 1.0)
-                for i in range(len(vals) - 1)]
-    v = vals[0]
-    return v if np.iscomplexobj(v) else float(v)

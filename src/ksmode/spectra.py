@@ -28,9 +28,8 @@ from .radial import RadialGrid, make_grid
 
 __all__ = [
     "EigenReport", "ProjectionPair", "eig_dense", "exponent_fits",
-    "refinement_ladder", "unstable_scan", "unstable_scan_detailed",
-    "build_projection", "schrodinger_spectrum_check",
-    "transpose_spectrum_defect",
+    "refinement_ladder", "unstable_scan_detailed", "build_projection",
+    "schrodinger_spectrum_check",
 ]
 
 # Tolerances of the spurious-mode filters.
@@ -207,12 +206,6 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     return accepted, candidates
 
 
-def unstable_scan(l: int, threshold: float = 0.05, ladder=None):
-    """Accepted unstable eigenvalues of class l (may legitimately be empty)."""
-    accepted, _ = unstable_scan_detailed(l, threshold, ladder)
-    return accepted
-
-
 @dataclass
 class ProjectionPair:
     """Bi-orthonormal right/left modes defining the discrete Riesz projection."""
@@ -271,19 +264,14 @@ def build_projection(l: int, reports, a: OperatorMatrix) -> ProjectionPair:
     return pair
 
 
-def nearest_eigenpair(a: OperatorMatrix, target: complex):
-    """(eigenvalue, eigenvector) of the pair closest to ``target``."""
-    lams, vecs = eig_dense(a)
-    k = int(np.argmin(np.abs(lams - target)))
-    return lams[k], vecs[:, k]
-
-
 def mode_report(a: OperatorMatrix, target: complex, l: int) -> EigenReport:
     """Minimal accepted-mode report for the eigenpair nearest ``target``.
 
     Convenience for building projections outside a full filtered scan.
     """
-    lam, v = nearest_eigenpair(a, target)
+    lams, vecs = eig_dense(a)
+    k = int(np.argmin(np.abs(lams - target)))
+    lam, v = lams[k], vecs[:, k]
     res = float(np.linalg.norm(a.entries @ v - lam * v) / np.linalg.norm(v))
     decay, origin, consistent, _ = exponent_fits(v, lam, l, a.grid)
     return EigenReport(l=l, lam=complex(lam), residual=res, converged=True,
@@ -310,21 +298,3 @@ def schrodinger_spectrum_check(a: OperatorMatrix) -> float:
     if sym_defect > 1e-10 * max(1.0, np.max(np.abs(a.entries))):
         raise ValueError(f"matrix is not symmetric (defect {sym_defect:.2e})")
     return float(scipy.linalg.eigvalsh(a.entries)[0])
-
-
-def transpose_spectrum_defect(mat: np.ndarray, real_cap: float = 1.0) -> float:
-    """Hausdorff-style mismatch between the spectra of A and A^T.
-
-    Restricted to eigenvalues with real part below ``real_cap``: the extreme
-    upper eigenvalues of the stiff differentiation block are ill conditioned
-    and float around at eps * ||A|| * cond, which says nothing about the
-    spectral window the scans use.
-    """
-    la = scipy.linalg.eigvals(mat)
-    lt = scipy.linalg.eigvals(mat.T)
-    la_w = la[la.real < real_cap]
-    lt_w = lt[lt.real < real_cap]
-    if la_w.size == 0 or lt_w.size == 0:
-        return 0.0
-    return float(max(np.min(np.abs(lt[None, :] - la_w[:, None]), axis=1).max(),
-                     np.min(np.abs(la[None, :] - lt_w[:, None]), axis=1).max()))

@@ -81,20 +81,20 @@ def apply_tilde_L1_prime(values, grid: RadialGrid) -> np.ndarray:
     return -fd_deriv2(f, r) + profile.tilde_L1_prime_potential(r) * f
 
 
-def commutator_residual(values, grid: RadialGrid, r_min: float = 0.1) -> float:
-    """Max-norm of T(L_1 f) - tilde L_1 (T f) over interior nodes with r >= r_min.
+def commutator_residual(values, grid: RadialGrid) -> float:
+    """Max-norm of T(L_1 f) - tilde L_1 (T f) over interior nodes with r >= 0.1.
 
     Exact in the continuum for class-1 data; the discrete residual decays at
     O(h^2) under refinement.  Pointwise residuals at r -> 0 pick up an extra
     1/r from the singular drift coefficient, so the fixed inner cutoff keeps
     the max-norm measurement h^2-clean (the identity is still checked from
-    r_min on down to the origin scale of the coefficients).
+    r = 0.1 on down to the origin scale of the coefficients).
     """
     f = np.asarray(values)
-    lhs = apply_T(operators.apply_Ll(1, grid, f, tail=True), grid)
+    lhs = apply_T(operators.apply_Ll(1, grid, f), grid)
     rhs = apply_tilde_L1(apply_T(f, grid), grid)
     res = np.abs(lhs - rhs)[2:-2]
-    mask = grid.nodes[2:-2] >= r_min
+    mask = grid.nodes[2:-2] >= 0.1
     return float(np.max(res[mask]))
 
 
@@ -123,13 +123,14 @@ def conjugation_residual(values, grid: RadialGrid) -> float:
     return float(np.max(np.abs((lhs[2:-2] - rhs[2:-2])[window])))
 
 
-def potential_min_tilde_L1_prime(lo: float = 0.1, hi: float = 50.0):
-    """Golden-section minimum of the tilde L_1' potential, scan-checked unimodal.
+def potential_min_tilde_L1_prime():
+    """Golden-section minimum of the tilde L_1' potential, scan-checked
+    unimodal on [0.1, 50].
 
     Returns (argmin, min value); the minimum sits near r = 3.18 at ~0.408,
     slightly above the 2/5 bound carried by the spectrum.
     """
-    r = np.linspace(lo, hi, 512)
+    r = np.linspace(0.1, 50.0, 512)
     v = profile.tilde_L1_prime_potential(r)
     falls = np.diff(v) < 0
     flips = np.count_nonzero(np.diff(falls.astype(int)) != 0)
@@ -150,15 +151,16 @@ class NonvanishingResult:
     bracket: tuple | None
 
 
-def nonvanishing_check(sampler, rmax: float = 50.0, n: int = 4000) -> NonvanishingResult:
-    """Check that D_3^{-1}(sampler) keeps one sign on (0, rmax].
+def nonvanishing_check(sampler) -> NonvanishingResult:
+    """Check that D_3^{-1}(sampler) keeps one sign on (0, 50], sampled on a
+    uniform 4000-node grid.
 
     This is the well-definedness condition for the intertwining map built
     from a profile-gradient-like function.  ``origin_margin`` is the minimum
     of |D_3^{-1} s| / r^2 over r <= 1 (the local behaviour near the origin
     is quadratic); on failure the first sign-change bracket is returned.
     """
-    grid = make_grid(n, rmax, "uniform")
+    grid = make_grid(4000, 50.0, "uniform")
     r = grid.nodes
     f = np.asarray(sampler(r), dtype=float)
     cum = cumulative_power_integral(f, grid, 3.0, None)

@@ -137,6 +137,23 @@ def test_bad_scan_radius_or_growth_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "spectrum_diagnostics.txt").exists()
 
 
+@pytest.mark.parametrize("ini,argv", [
+    ("[scan]\nthreshold = nan\n", ["spectrum", "--l", "3"]),
+    ("[grid]\nrmax = nan\n", ["profile-check"]),
+    ("[grid]\nrmax = inf\n", ["profile-check"]),
+    ("", ["profile-check", "--rmax", "nan"]),
+    ("[ggmt]\nw_eps = -1\n", ["ggmt"]),
+])
+def test_nonfinite_config_exits_2(tmp_path, capsys, ini, argv):
+    # NaN passes every "<= 0" guard; rejected before any work is done
+    path = tmp_path / "conf.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--output-dir", str(out)] + argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve-linear", "evolve-nonlinear"])
 def test_evolution_summary_records_largest_solve_defect(tmp_path, command):
     assert run_cli([command, "--n", "200", "--horizon", "3.0"], tmp_path) == 0

@@ -63,13 +63,23 @@ class TestMu:
 
     def test_linearity_in_inverse_weight(self):
         w = ggmt.paper_weight()
+        doubled = ggmt.WeightSpec(fn=lambda r: 2.0 * w.fn(r),
+                                  w_inf=2.0 * w.w_inf, label="2*paper")
         mu1 = ggmt.mu_functional(2, 0.2, w)
-        mu2 = ggmt.mu_functional(2, 0.2, w.scaled(2.0))
+        mu2 = ggmt.mu_functional(2, 0.2, doubled)
         assert abs(mu1 - 2.0 * mu2) < 1e-8 * mu1
 
     def test_constant_weight_finite(self):
-        mu = ggmt.mu_functional(2, 0.2, ggmt.constant_weight(1.0))
+        const = ggmt.WeightSpec(
+            fn=lambda r: np.ones_like(np.asarray(r, dtype=float)), w_inf=1.0,
+            label="const(1)")
+        mu = ggmt.mu_functional(2, 0.2, const)
         assert 0.0 < mu < np.inf
+
+    def test_nan_weight_rejected(self):
+        # (-1 + r^2)^{-1.2} is NaN for r < 1
+        with pytest.raises(ValueError, match="strictly positive"):
+            ggmt.paper_weight(eps=-1.0).check(2, 0.2)
 
     def test_weak_tail_rejected(self):
         bad = ggmt.WeightSpec(fn=lambda r: np.asarray(r, dtype=float) ** -3.0,

@@ -113,7 +113,7 @@ class TestTildeLlAlpha:
             from ksmode.radial import cumulative_power_integral
             lift = r ** alpha * cumulative_power_integral(f, grid, l + 2.0, 4.0) \
                 / r ** (l + 2.0)
-            llf = operators.apply_Ll(l, grid, f, tail=True)
+            llf = operators.apply_Ll(l, grid, f)
             lift_llf = r ** alpha * cumulative_power_integral(
                 llf, grid, l + 2.0, 4.0) / r ** (l + 2.0)
             res = tilde.entries @ lift - lift_llf
@@ -149,19 +149,6 @@ class TestTildeLlAlpha:
             nx = np.sqrt(np.sum(w * x ** 2))
             nbx = np.sqrt(np.sum(w * (block @ x) ** 2))
             assert nbx <= bound * nx * (1.0 + 1e-12)
-
-
-class TestTildeL1:
-    def test_coefficients(self):
-        grid = make_grid(64, 20.0)
-        a = operators.assemble_tilde_L1(grid)
-        r = grid.nodes
-        d1 = operators.deriv1_matrix(grid, "dirichlet")
-        d2 = operators.deriv2_matrix(grid, "dirichlet")
-        expected = -d2 + np.diag(profile.coef_a(r)) @ d1 \
-            + np.diag(profile.coef_b(r))
-        assert np.max(np.abs(a.entries - expected)) == 0.0
-        assert np.all(np.isfinite(a.entries))
 
 
 class TestTildeL1Prime:

@@ -68,14 +68,11 @@ def test_d2inv_q_closed_form_agreement(r):
 
 
 def test_aux_potentials_values():
-    aux = profile.aux_potentials(1.0)
-    assert np.isclose(aux.v1, 8.0 / 9.0, atol=1e-15)
-    assert np.isclose(aux.v2, 88.0 / 27.0, atol=1e-15)
-    assert np.isclose(aux.bigG, -8.0 / 9.0, atol=1e-14)
-    assert np.isclose(aux.d2invQ, 4.0 / 3.0, atol=1e-15)
+    assert np.isclose(profile.v1(1.0), 8.0 / 9.0, atol=1e-15)
+    assert np.isclose(profile.v2(1.0), 88.0 / 27.0, atol=1e-15)
+    assert np.isclose(profile.big_g(1.0), -8.0 / 9.0, atol=1e-14)
+    assert np.isclose(profile.d2inv_q_closed(1.0), 4.0 / 3.0, atol=1e-15)
     assert np.isclose(profile.v2(1e-8), 10.0, atol=1e-6)
-    with pytest.raises(ValueError):
-        profile.aux_potentials(0.0)
 
 
 def test_big_g_quadrature_and_simplified_form():
@@ -119,14 +116,6 @@ def test_identity_residuals():
     # once-integrated identity across the whole stated window
     r = np.linspace(0.01, 50.0, 5000)
     assert np.max(np.abs(profile.first_integral_residual(r))) <= 1e-9
-
-
-def test_eigen_identity_two_grid_order():
-    res = []
-    for n in (500, 1000):
-        grid = make_grid(n, 50.0, "uniform")
-        res.append(profile.identity_residuals(grid)["eigen_l1"])
-    assert np.log2(res[0] / res[1]) >= 1.5
 
 
 def test_g_over_g_derivatives_match_finite_differences():

@@ -5,17 +5,60 @@ import pytest
 from scipy.integrate import quad
 
 from ksmode import profile
-from ksmode.radial import (DivergentTailError, RadialFunction,
+from ksmode.radial import (DivergentTailError, RadialFunction, RadialGrid,
                            cumulative_power_integral,
-                           cumulative_power_integral_cubic, delta_l_apply,
-                           delta_l_inverse, deriv_deltal_inverse, dk_apply,
-                           dk_inverse, fit_tail_exponent, make_grid,
-                           refined_weighted_inner, suffix_power_integral,
-                           weighted_inner)
+                           cumulative_power_integral_cubic, delta_l_inverse,
+                           deriv_deltal_inverse, dk_inverse, fd_deriv1,
+                           fd_deriv2, fit_tail_exponent, make_grid,
+                           suffix_power_integral, weighted_inner)
 
 
 def gaussian_bump(r, center=5.0, width=1.5):
     return np.exp(-((r - center) / width) ** 2)
+
+
+# -- oracles: finite-difference D_k and Delta_l, a refined trapezoid rule and
+# -- the piecewise-cubic d_r Delta_1^{-1}
+
+def dk_apply(k: int, f: RadialFunction) -> RadialFunction:
+    """D_k f = f' + (k/r) f by O(h^2) finite differences."""
+    r = f.grid.nodes
+    return RadialFunction(f.grid, fd_deriv1(f.values, r) + k / r * f.values)
+
+
+def delta_l_apply(l: int, f: RadialFunction) -> RadialFunction:
+    """Class-l Laplacian: f'' + (2/r) f' - l(l+1) f / r^2."""
+    r = f.grid.nodes
+    vals = (fd_deriv2(f.values, r) + 2.0 / r * fd_deriv1(f.values, r)
+            - l * (l + 1) / (r * r) * f.values)
+    return RadialFunction(f.grid, vals)
+
+
+def refined_weighted_inner(fn_f, fn_g, weight, rmax, n0=2000, levels=3):
+    """Richardson-extrapolated trapezoid value of int_0^rmax f g w dr.
+
+    Each level halves the spacing (node r = 0 included), so smooth
+    integrands converge at O(h^2) and the extrapolation removes the h^2 and
+    h^4 terms: an oracle-grade (~1e-8) inner product of callables.
+    """
+    vals = []
+    for lev in range(levels):
+        r = np.linspace(0.0, rmax, n0 * 2 ** lev + 1)
+        vals.append(np.trapezoid(fn_f(r) * fn_g(r) * weight(r), r))
+    for order in range(1, levels):
+        fac = 4.0 ** order
+        vals = [(fac * vals[i + 1] - vals[i]) / (fac - 1.0)
+                for i in range(len(vals) - 1)]
+    return float(vals[0])
+
+
+def cubic_deriv_delta1_inverse(f: RadialFunction) -> np.ndarray:
+    """d_r Delta_1^{-1} f = (2 D_3^{-1} f + D_0^{-1} f) / 3 with the
+    piecewise-cubic prefix integral that apply_T uses."""
+    r = f.grid.nodes
+    d3inv = cumulative_power_integral_cubic(f.values, f.grid, 3.0) / r ** 3
+    d0inv = -suffix_power_integral(f.values, f.grid, 0.0)
+    return (2.0 * d3inv + d0inv) / 3.0
 
 
 class TestMakeGrid:
@@ -40,6 +83,20 @@ class TestMakeGrid:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             make_grid(100, 50.0, ("geometric", -1.0))
+
+    @pytest.mark.parametrize("rmax", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_rmax(self, rmax):
+        with pytest.raises(ValueError):
+            make_grid(100, rmax)
+
+    def test_nonfinite_nodes_or_rmax_rejected(self):
+        good = make_grid(32, 10.0)
+        nodes = good.nodes.copy()
+        nodes[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            RadialGrid(nodes, good.quad_weights, 10.0, good.stretch)
+        with pytest.raises(ValueError, match="finite"):
+            RadialGrid(good.nodes, good.quad_weights, np.nan, good.stretch)
 
     def test_weights_integrate_one_exactly(self):
         for stretch in ("uniform", ("geometric", 1.01)):
@@ -94,11 +151,12 @@ class TestDkInverse:
         assert np.max(np.abs(out.values - closed) / closed) < 1e-6
 
     def test_k3_profile_gradient_at_one(self):
+        # the piecewise-cubic D_3^{-1} of apply_T
         g = make_grid(8000, 40.0)
-        out = dk_inverse(3, RadialFunction(g, profile.q_deriv(g.nodes, 1)),
-                         origin_power=1, order=3)
+        out = cumulative_power_integral_cubic(profile.q_deriv(g.nodes, 1), g,
+                                              3.0) / g.nodes ** 3
         i = np.argmin(np.abs(g.nodes - 1.0))
-        assert abs(out.values[i] - (-8.0 / 9.0)) < 1e-8
+        assert abs(out[i] - (-8.0 / 9.0)) < 1e-8
 
     @pytest.mark.parametrize("k", range(-4, 7))
     def test_apply_inverse_identity(self, k):
@@ -180,16 +238,16 @@ class TestDeltaL:
         # node sits on the origin-model panel and is excluded
         g = make_grid(160000, 200.0)
         f = RadialFunction(g, profile.q_deriv(g.nodes, 1))
-        out = deriv_deltal_inverse(1, f, tail=True, order=3)
+        out = cubic_deriv_delta1_inverse(f)
         target = profile.q(g.nodes) - 2.0 / g.nodes * profile.d2inv_q_closed(g.nodes)
-        assert np.max(np.abs(out.values - target)[1:]) < 1e-6
+        assert np.max(np.abs(out - target)[1:]) < 1e-6
 
     def test_deriv_inverse_value_at_one(self):
         g = make_grid(160000, 200.0)
         f = RadialFunction(g, profile.q_deriv(g.nodes, 1))
-        out = deriv_deltal_inverse(1, f, tail=True, order=3)
+        out = cubic_deriv_delta1_inverse(f)
         i = np.argmin(np.abs(g.nodes - 1.0))
-        assert abs(out.values[i] - 4.0 / 9.0) < 1e-6
+        assert abs(out[i] - 4.0 / 9.0) < 1e-6
         # independent oracle: difference the kernel-form inverse directly
         w = delta_l_inverse(1, f, tail=True)
         h = g.nodes[1] - g.nodes[0]
@@ -223,8 +281,12 @@ class TestWeightedInner:
     def test_gaussian_moment_oracle(self):
         val = refined_weighted_inner(lambda r: np.exp(-r * r / 2.0),
                                      lambda r: np.exp(-r * r / 2.0),
-                                     "r2", 40.0)
+                                     lambda r: r * r, 40.0)
         assert abs(val - np.sqrt(np.pi) / 4.0) < 1e-8
+        # the grid quadrature (origin panel closed at zero) meets the oracle
+        g = make_grid(400, 40.0)
+        f = RadialFunction(g, np.exp(-g.nodes ** 2 / 2.0))
+        assert abs(weighted_inner(f, f, "r2") - val) < 1e-8
 
     def test_pythagoras_for_disjoint_supports(self):
         g = make_grid(2000, 40.0)
@@ -288,3 +350,17 @@ class TestCumulative:
         g = make_grid(1000, 100.0)
         with pytest.raises(DivergentTailError):
             fit_tail_exponent(np.sin(g.nodes), g)
+
+    @pytest.mark.parametrize("origin_power", [None, 1.0])
+    def test_integer_data_integrates_like_float_data(self, origin_power):
+        g = make_grid(20, 1.0)
+        ints = np.arange(1, 21)
+        floats = ints.astype(float)
+        assert np.array_equal(
+            cumulative_power_integral(ints, g, 2.0, origin_power),
+            cumulative_power_integral(floats, g, 2.0, origin_power))
+        for a, tail in ((0.0, False), (-4.0, True)):
+            assert np.array_equal(suffix_power_integral(ints, g, a, tail),
+                                  suffix_power_integral(floats, g, a, tail))
+        ones = cumulative_power_integral(np.ones(20, dtype=int), g, 0.0)
+        assert np.allclose(ones, g.nodes, rtol=1e-12)

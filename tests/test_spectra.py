@@ -98,7 +98,7 @@ class TestScan:
         assert cos >= 0.999
 
     def test_l2_empty(self, solves):
-        accepted = spectra.unstable_scan(2, ladder=small_ladder())
+        accepted = spectra.unstable_scan_detailed(2, ladder=small_ladder())[0]
         assert accepted == []
         # no candidate on the fine grid, so no other grid is assembled
         assert solves == {"eig": 1, "grids": [(400, 40.0)]}
@@ -112,27 +112,28 @@ class TestScan:
 
     def test_off_ladder_reproducibility(self):
         # node count +7 off the ladder reproduces the eigenvalue
-        base = spectra.unstable_scan(0, ladder=small_ladder())[0]
-        shifted = spectra.unstable_scan(0, ladder=small_ladder(n0=107))[0]
+        base = spectra.unstable_scan_detailed(0, ladder=small_ladder())[0][0]
+        shifted = spectra.unstable_scan_detailed(
+            0, ladder=small_ladder(n0=107))[0][0]
         assert abs(base.lam - shifted.lam) < 2.0 * 5e-3
 
     def test_ladder_shape_enforced(self):
         grids = {(100, 20.0): make_grid(100, 20.0),
                  (200, 20.0): make_grid(200, 20.0)}
         with pytest.raises(ValueError):
-            spectra.unstable_scan(0, ladder=grids)
+            spectra.unstable_scan_detailed(0, ladder=grids)
 
     def test_missing_scanned_grid_raises_before_any_solve(self, solves):
         ladder = small_ladder()
         del ladder[(200, 40.0)]
         with pytest.raises(ValueError, match=r"\(200, 40\.0\)"):
-            spectra.unstable_scan(0, ladder=ladder)
+            spectra.unstable_scan_detailed(0, ladder=ladder)
         assert solves == {"eig": 0, "grids": []}
 
     def test_kernel_form_residual_cross_check(self):
         # recompute the accepted residual with the differentiated-kernel
         # nonlocal block: representations agree far below the filter scale
-        accepted = spectra.unstable_scan(0, ladder=small_ladder())
+        accepted, _ = spectra.unstable_scan_detailed(0, ladder=small_ladder())
         rep = accepted[0]
         grid = rep.grid
         a = operators.assemble_Ll(0, grid).entries
@@ -195,12 +196,6 @@ class TestProjection:
             once = pair.project_unstable(x)
             twice = pair.project_unstable(once)
             assert np.max(np.abs(twice - once)) <= 1e-8 * max(1.0, np.max(np.abs(once)))
-
-
-def test_transpose_spectrum_equality():
-    grid = make_grid(200, 40.0, ("geometric", 30.0 ** (1.0 / 199.0)))
-    a = operators.assemble_Ll(1, grid).entries
-    assert spectra.transpose_spectrum_defect(a) < 1e-8 * np.linalg.norm(a, np.inf)
 
 
 def test_schrodinger_check_requires_symmetric_tag():
