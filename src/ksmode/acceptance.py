@@ -23,7 +23,7 @@ from . import evolution, ggmt, operators, profile, spectra, waveop
 from .radial import RadialFunction, make_grid, weighted_inner
 
 __all__ = ["Check", "CRITERIA", "SYMMETRY_MODES", "SymmetryMode",
-           "ggmt_checks", "spectrum_checks", "growth_rate_check",
+           "ggmt_checks", "spectrum_checks", "floor_check", "growth_rate_check",
            "steady_drift_check", "partial_mass_check", "shooting_setup"]
 
 
@@ -89,12 +89,14 @@ def ggmt_checks(rep, reference: bool) -> list[Check]:
                               "ggmt.bigN_lt_1", rep.bigN, 1.0 - 1e-12)]
 
 
-def spectrum_checks(l: int, accepted) -> list[Check]:
-    """The accepted set of class l is exactly its symmetry mode, or empty."""
+def spectrum_checks(l: int, accepted, floor) -> list[Check]:
+    """The accepted set of class l is exactly its symmetry mode, or empty;
+    an empty class is also certified by its numerical-range ``floor``."""
     mode = SYMMETRY_MODES.get(l)
     if mode is None:
         return [Check(f"class {l}: accepted set empty", f"spectra.l{l}_empty",
-                      float(len(accepted)), 0.0, len(accepted) == 0)]
+                      float(len(accepted)), 0.0, len(accepted) == 0),
+                floor_check(l, floor)]
     checks = [Check(f"class {l}: exactly one accepted mode",
                     f"spectra.l{l}_count", float(len(accepted)), 1.0,
                     len(accepted) == 1)]
@@ -111,6 +113,14 @@ def spectrum_checks(l: int, accepted) -> list[Check]:
                       f"spectra.l{l}_cosine", cos, 0.999),
         ]
     return checks
+
+
+def floor_check(l: int, floor) -> Check:
+    """No eigenvalue of class l lies below 0.05: the floor of its numerical
+    range (``spectra.RangeFloor``), less the rounding margin, lies above."""
+    return Check(f"class {l}: numerical-range floor above the threshold",
+                 f"spectra.l{l}_floor", floor.nu - floor.margin, 0.05,
+                 floor.certifies(0.05))
 
 
 def growth_rate_check(l: int, rate: float) -> Check:
@@ -209,9 +219,9 @@ def criterion_spectra() -> list[Check]:
                                        rmax_factors=(1, 2))
     checks = []
     for l in range(7):
-        accepted, _ = spectra.unstable_scan_detailed(l, threshold=0.05,
-                                                     ladder=ladder)
-        checks += spectrum_checks(l, accepted)
+        accepted, _, floor = spectra.unstable_scan_detailed(
+            l, threshold=0.05, ladder=ladder)
+        checks += spectrum_checks(l, accepted, floor)
     checks.append(_at_most("scan runtime [s]", "spectra.runtime",
                            time.perf_counter() - t0, 600.0))
     return checks

@@ -238,9 +238,9 @@ def cmd_spectrum(cfg, args):
     s = cfg.values["scan"]
     ladder = spectra.refinement_ladder(n0=s["n0"], rmax0=s["rmax0"],
                                        levels=s["levels"], growth=s["growth"])
-    accepted, candidates = spectra.unstable_scan_detailed(
+    accepted, candidates, floor = spectra.unstable_scan_detailed(
         args.l, threshold=s["threshold"], ladder=ladder)
-    checks = acceptance.spectrum_checks(args.l, accepted)
+    checks = acceptance.spectrum_checks(args.l, accepted, floor)
     rows = [{"l": c.l, "re_lambda": c.lam.real, "im_lambda": c.lam.imag,
              "residual": c.residual, "decay_exp": c.decay_exponent,
              "origin_exp": c.origin_exponent, "converged": c.converged,
@@ -249,7 +249,9 @@ def cmd_spectrum(cfg, args):
     _write_csv(out, rows, ["l", "re_lambda", "im_lambda", "residual",
                            "decay_exp", "origin_exp", "converged", "accepted"])
     detail = {"accepted": [[r.lam.real, r.lam.imag] for r in accepted],
-              "csv": out.name}
+              "csv": out.name, "numerical_range_floor": floor.nu,
+              "numerical_range_margin": floor.margin,
+              "dense_solve": not floor.certifies(s["threshold"])}
     return checks, detail
 
 

@@ -14,6 +14,13 @@ filter:
 The expected outcome per class: one mode (the scaling mode, eigenvalue -1)
 for l = 0, one mode (the translation mode, eigenvalue -1/2) for l = 1, and
 an empty set for every l >= 2.
+
+Before any eigensolve the scan bounds the spectrum from the left by the
+numerical range in L^2(r^2 dr): every eigenvalue of the discrete operator
+has real part at least the bottom eigenvalue of its M-Hermitian part
+(Bendixson; Trefethen and Embree, Spectra and Pseudospectra, 2005, ch. 17).
+A class whose floor lies above the threshold has no candidate, and the
+dense eigensolve is skipped.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from .operators import OperatorMatrix, assemble_Ll, r2_mass_weights
 from .radial import RadialGrid, make_grid
 
 __all__ = [
-    "EigenReport", "ProjectionPair", "eig_dense", "exponent_fits",
-    "refinement_ladder", "unstable_scan_detailed", "build_projection",
+    "EigenReport", "ProjectionPair", "RangeFloor", "eig_dense",
+    "exponent_fits", "numerical_range_floor", "refinement_ladder",
+    "unstable_scan_detailed", "build_projection",
     "schrodinger_spectrum_check",
 ]
 
@@ -78,6 +86,37 @@ def eig_dense(a) -> tuple[np.ndarray, np.ndarray]:
             f"for eigenvalue {lams[bad]!r}")
     order = np.argsort(lams.real)
     return lams[order], vecs[:, order]
+
+
+@dataclass(frozen=True)
+class RangeFloor:
+    """Bottom ``nu`` of the numerical range of L_l in L^2(r^2 dr), with the
+    rounding ``margin`` of its computation."""
+    nu: float
+    margin: float
+
+    def certifies(self, threshold: float) -> bool:
+        """Whether no eigenvalue can have real part below ``threshold``."""
+        return self.nu - self.margin > threshold
+
+
+def numerical_range_floor(a: OperatorMatrix) -> RangeFloor:
+    """Smallest eigenvalue of the M-Hermitian part of a real class operator.
+
+    With M = diag(r2_mass_weights) of the operator's grid and
+    S = (M A + A^T M)/2, every eigenpair A v = lam v has
+    Re lam = v^H S v / v^H M v >= nu, the bottom eigenvalue of the pencil
+    (S, M).  M is diagonal, so the pencil is reduced exactly to the standard
+    symmetric matrix M^{-1/2} S M^{-1/2}, whose bottom eigenvalue alone is
+    computed.  ``margin`` = n eps ||M^{-1/2} S M^{-1/2}||_1 covers the
+    rounding of that solve.
+    """
+    root = np.sqrt(r2_mass_weights(a.grid))
+    c = root[:, None] * a.entries / root[None, :]
+    s = 0.5 * (c + c.T)
+    nu = scipy.linalg.eigh(s, subset_by_index=[0, 0], eigvals_only=True)[0]
+    margin = s.shape[0] * np.finfo(float).eps * np.linalg.norm(s, 1)
+    return RangeFloor(float(nu), float(margin))
 
 
 def exponent_fits(values, lam, l, grid: RadialGrid):
@@ -142,11 +181,15 @@ def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 
 def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
-    """Run the filtered scan for one class; returns (accepted, candidates).
+    """Run the filtered scan for one class; returns (accepted, candidates,
+    floor).
 
     ``candidates`` holds every eigenvalue of the finest grid below the
-    threshold with its filter diagnostics; ``accepted`` the survivors.
-    The finest grid is solved first.  Only when it has a candidate are the
+    threshold with its filter diagnostics; ``accepted`` the survivors;
+    ``floor`` the numerical-range floor of the finest grid's operator.
+    When the floor certifies the threshold no eigenvalue can be a
+    candidate, and the scan returns without an eigensolve.  Otherwise the
+    finest grid is solved first.  Only when it has a candidate are the
     grids the filters compare against solved: the two coarser levels at
     the largest radius and the finest level at the smallest radius.  No
     other ladder grid is assembled.
@@ -165,10 +208,13 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
     fine_grid = ladder[fine_key]
     op = assemble_Ll(l, fine_grid)
+    floor = numerical_range_floor(op)
+    if floor.certifies(threshold):
+        return [], [], floor
     lams, vecs = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
     if cand_idx.size == 0:
-        return [], []
+        return [], [], floor
     # free the full eigenvector matrix and the operator before the partner
     # solves, which would otherwise set the peak memory
     lams, vecs = lams[cand_idx], vecs[:, cand_idx]
@@ -203,7 +249,7 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         candidates.append(report)
         if ok:
             accepted.append(report)
-    return accepted, candidates
+    return accepted, candidates, floor
 
 
 @dataclass

@@ -70,9 +70,16 @@ def test_spectrum_subcommand_small_ladder(tmp_path):
                      "--config", str(_small_scan_config(tmp_path))] + args)
     assert code == 0
     summary = load_summary(tmp_path, "spectrum")
-    assert summary["details"]["accepted"] == []
-    assert [c["tag"] for c in summary["checks"]] == ["spectra.l4_empty"]
-    assert (tmp_path / "spectrum_l4.csv").exists()
+    details = summary["details"]
+    assert details["accepted"] == []
+    assert [c["tag"] for c in summary["checks"]] == ["spectra.l4_empty",
+                                                    "spectra.l4_floor"]
+    # the floor certifies the class, so no dense eigensolve ran
+    assert details["numerical_range_floor"] > 0.05
+    assert 0.0 < details["numerical_range_margin"] < 6e-8
+    assert details["dense_solve"] is False
+    assert (tmp_path / "spectrum_l4.csv").read_text().strip() == \
+        "l,re_lambda,im_lambda,residual,decay_exp,origin_exp,converged,accepted"
 
 
 def test_spectrum_l1_finds_translation_mode(tmp_path):
@@ -83,6 +90,8 @@ def test_spectrum_l1_finds_translation_mode(tmp_path):
     summary = load_summary(tmp_path, "spectrum")
     (lam,) = [pair[0] for pair in summary["details"]["accepted"]]
     assert abs(lam - (-0.5)) < 5e-3
+    assert summary["details"]["numerical_range_floor"] < -0.5
+    assert summary["details"]["dense_solve"] is True
     # verify-all's class-1 checks, tag for tag
     assert [c["tag"] for c in summary["checks"]] == [
         "spectra.l1_count", "spectra.l1_eig", "spectra.l1_imag",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ksmode import operators, profile, spectra
+from ksmode import acceptance, operators, profile, spectra
 from ksmode.radial import make_grid
 
 
@@ -85,8 +85,11 @@ def solves(monkeypatch):
 
 class TestScan:
     def test_l0_accepts_scaling_mode_only(self, solves):
-        accepted, cands = spectra.unstable_scan_detailed(0, ladder=small_ladder())
-        # the fine grid, then the partners of its candidates
+        accepted, _, floor = spectra.unstable_scan_detailed(
+            0, ladder=small_ladder())
+        # the floor leaves room for the scaling mode, so the fine grid is
+        # solved, then the partners of its candidates
+        assert floor.nu < -1.0
         assert solves == {"eig": 4, "grids": [(400, 40.0), (200, 40.0),
                                               (100, 40.0), (400, 20.0)]}
         assert len(accepted) == 1
@@ -98,10 +101,31 @@ class TestScan:
         assert cos >= 0.999
 
     def test_l2_empty(self, solves):
-        accepted = spectra.unstable_scan_detailed(2, ladder=small_ladder())[0]
+        accepted, cands, floor = spectra.unstable_scan_detailed(
+            2, ladder=small_ladder())
+        assert accepted == [] and cands == []
+        # the floor certifies the threshold: no eigensolve, no other grid
+        assert floor.certifies(0.05)
+        assert solves == {"eig": 0, "grids": [(400, 40.0)]}
+
+    def test_floor_below_threshold_runs_the_dense_path(self, solves):
+        accepted, cands, floor = spectra.unstable_scan_detailed(
+            2, threshold=0.5, ladder=small_ladder())
+        assert abs(floor.nu - 0.1887) < 1e-3 and not floor.certifies(0.5)
+        # the fine grid's eigenvalue 0.378 is a candidate; the filters reject it
+        (cand,) = cands
+        assert abs(cand.lam - 0.378) < 1e-3
         assert accepted == []
-        # no candidate on the fine grid, so no other grid is assembled
-        assert solves == {"eig": 1, "grids": [(400, 40.0)]}
+        assert solves == {"eig": 4, "grids": [(400, 40.0), (200, 40.0),
+                                              (100, 40.0), (400, 20.0)]}
+
+    def test_coarse_outer_spacing_falls_back_to_the_dense_path(self, solves):
+        # on (400, 80) the Dirichlet row at rmax pulls the floor to -2.5
+        accepted, cands, floor = spectra.unstable_scan_detailed(
+            2, ladder=small_ladder(rmax0=40.0))
+        assert abs(floor.nu + 2.5) < 0.05 and not floor.certifies(0.05)
+        assert accepted == [] and cands == []
+        assert solves == {"eig": 1, "grids": [(400, 80.0)]}
 
     def test_larger_ladder_solves_only_the_grids_read(self, solves):
         ladder = spectra.refinement_ladder(n0=50, rmax0=20.0, levels=4,
@@ -133,7 +157,7 @@ class TestScan:
     def test_kernel_form_residual_cross_check(self):
         # recompute the accepted residual with the differentiated-kernel
         # nonlocal block: representations agree far below the filter scale
-        accepted, _ = spectra.unstable_scan_detailed(0, ladder=small_ladder())
+        accepted, _, _ = spectra.unstable_scan_detailed(0, ladder=small_ladder())
         rep = accepted[0]
         grid = rep.grid
         a = operators.assemble_Ll(0, grid).entries
@@ -143,6 +167,32 @@ class TestScan:
         res = np.linalg.norm(a_kernel @ rep.vector - rep.lam * rep.vector) \
             / np.linalg.norm(rep.vector)
         assert abs(res - rep.residual) < 1e-6
+
+
+class TestRangeFloor:
+    @pytest.mark.parametrize("l", range(7))
+    def test_bounds_every_eigenvalue(self, l):
+        grid = small_ladder()[(400, 40.0)]
+        a = operators.assemble_Ll(l, grid)
+        floor = spectra.numerical_range_floor(a)
+        lams, _ = spectra.eig_dense(a)
+        assert lams.real.min() >= floor.nu - floor.margin
+        assert floor.margin < 6e-8
+
+    def test_coercivity_samples_stay_above_the_floor(self):
+        # criterion 6's 200 seeded bumps, in its draw order: the discrete
+        # Rayleigh quotient of each lies above its class floor
+        grid = make_grid(400, 40.0, ("geometric", 30.0 ** (1.0 / 399.0)))
+        w = operators.r2_mass_weights(grid)
+        rng = np.random.default_rng(20250809)
+        for l in (3, 4, 5, 6):
+            a = operators.assemble_Ll(l, grid)
+            floor = spectra.numerical_range_floor(a)
+            quotients = []
+            for _ in range(50):
+                x = acceptance.random_class_function(rng, grid, l).values
+                quotients.append(x @ (w * (a.entries @ x)) / (x @ (w * x)))
+            assert min(quotients) >= floor.nu
 
 
 class TestMatchNearest:
