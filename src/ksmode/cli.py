@@ -244,14 +244,19 @@ def cmd_spectrum(cfg, args):
     rows = [{"l": c.l, "re_lambda": c.lam.real, "im_lambda": c.lam.imag,
              "residual": c.residual, "decay_exp": c.decay_exponent,
              "origin_exp": c.origin_exponent, "converged": c.converged,
-             "accepted": c.accepted} for c in candidates]
+             "accepted": c.accepted, "rejected_by": c.rejected_by}
+            for c in candidates]
     out = _out_dir(cfg) / f"spectrum_l{args.l}.csv"
     _write_csv(out, rows, ["l", "re_lambda", "im_lambda", "residual",
-                           "decay_exp", "origin_exp", "converged", "accepted"])
+                           "decay_exp", "origin_exp", "converged", "accepted",
+                           "rejected_by"])
     detail = {"accepted": [[r.lam.real, r.lam.imag] for r in accepted],
               "csv": out.name, "numerical_range_floor": floor.nu,
               "numerical_range_margin": floor.margin,
-              "dense_solve": not floor.certifies(s["threshold"])}
+              "dense_solve": not floor.certifies(s["threshold"]),
+              "partner_solves": sum(c.partner_solves for c in candidates),
+              "max_partner_residual": max(
+                  (c.partner_residual for c in candidates), default=0.0)}
     return checks, detail
 
 
@@ -315,14 +320,17 @@ def cmd_shoot(cfg, args):
     amp = cfg["evolve", "amplitude"]
     qh, projf, bump = acceptance.shooting_setup(
         grid, operators.r2_mass_weights(grid))
+    # the bracket and the bound scale with the size of the amplitude, not its sign
+    size = abs(amp)
+    half = 4.0 * max(size, 1e-3)
     res = evolution.shoot_stable_manifold(
-        RadialFunction(grid, amp * bump), (-4.0 * max(amp, 1e-3), 4.0 * max(amp, 1e-3)),
-        projf, qh, dt=0.02, horizon=8.0)
+        RadialFunction(grid, amp * bump), (-half, half), projf, qh, dt=0.02,
+        horizon=8.0)
     checks = [
         Check("shooting bisection converged", "evolution.shoot_conv",
               res.a_star, 0.0, res.converged),
         acceptance._at_most("matched amplitude", "evolution.shoot_astar",
-                            abs(res.a_star), 0.1 * max(amp, 1e-12)),
+                            abs(res.a_star), 0.1 * max(size, 1e-12)),
     ]
     detail = {"a_star": res.a_star, "bracket_width": res.bracket_width,
               "converged": res.converged,

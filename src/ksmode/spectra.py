@@ -21,6 +21,12 @@ has real part at least the bottom eigenvalue of its M-Hermitian part
 (Bendixson; Trefethen and Embree, Spectra and Pseudospectra, 2005, ch. 17).
 A class whose floor lies above the threshold has no candidate, and the
 dense eigensolve is skipped.
+
+Only the finest grid is solved in full.  The filters compare each of its
+candidates with the nearest eigenvalue of the coarser and smaller grids,
+and those grids are solved by shift-invert Arnoldi at the candidates
+(Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998), each pair under
+the same residual guard as the full solve.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .operators import OperatorMatrix, assemble_Ll, r2_mass_weights
 from .radial import RadialGrid, make_grid
@@ -46,6 +53,10 @@ _DECAY_CAP = -1.5      # far-field decay exponent a genuine mode must reach
 _ORIGIN_SLACK = 0.3    # allowed |origin exponent - l|
 _DECAY_SLACK = 0.5     # allowed excess over the resolvent decay bound
 _RESIDUAL_TOL = 1e-8   # eigen residual relative to ||A||_inf
+# Relative gap below which two partner eigenvalues found from different
+# shifts are one eigenvalue: two solves of one eigenvalue agree to 3e-11 on
+# the pinned ladder, and the filters resolve gaps of _ABS_TOL.
+_SAME_EIGENVALUE = 1e-8
 
 
 @dataclass
@@ -63,6 +74,13 @@ class EigenReport:
     rmax_defect: float
     vector: np.ndarray = field(repr=False)
     grid: RadialGrid = field(repr=False)
+    # first filter the candidate fails, in the order residual, richardson,
+    # rmax, unreliable, decay, origin, consistency; "" if accepted
+    rejected_by: str = ""
+    # partner grids solved by shift-invert at this eigenvalue, and the largest
+    # relative residual ||A v - mu v|| / (||v|| ||A||_inf) of those pairs
+    partner_solves: int = 0
+    partner_residual: float = 0.0
 
 
 def eig_dense(a) -> tuple[np.ndarray, np.ndarray]:
@@ -76,16 +94,23 @@ def eig_dense(a) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     lams, vecs = scipy.linalg.eig(mat)
+    _guard_residuals(mat, lams, vecs)
+    order = np.argsort(lams.real)
+    return lams[order], vecs[:, order]
+
+
+def _guard_residuals(mat, lams, vecs) -> np.ndarray:
+    """Residuals ||A v - lam v|| / ||v|| of the eigenpairs (columns of
+    ``vecs``); raises when one exceeds _RESIDUAL_TOL ||A||_inf."""
     scale = np.linalg.norm(mat, np.inf)
     res = np.linalg.norm(mat @ vecs - vecs * lams[None, :], axis=0) \
         / np.linalg.norm(vecs, axis=0)
-    if np.any(res > 1e-8 * scale):
+    if np.any(res > _RESIDUAL_TOL * scale):
         bad = int(np.argmax(res))
         raise RuntimeError(
-            f"eigen residual {res[bad]:.3e} exceeds 1e-8*||A|| = {1e-8 * scale:.3e} "
-            f"for eigenvalue {lams[bad]!r}")
-    order = np.argsort(lams.real)
-    return lams[order], vecs[:, order]
+            f"eigen residual {res[bad]:.3e} exceeds 1e-8*||A|| = "
+            f"{_RESIDUAL_TOL * scale:.3e} for eigenvalue {lams[bad]!r}")
+    return res
 
 
 @dataclass(frozen=True)
@@ -180,6 +205,41 @@ def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return partners
 
 
+def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
+    """The m = ``cands.size`` eigenvalues of ``a`` nearest each candidate.
+
+    Returns the union over the candidates, with an eigenvalue found from two
+    shifts kept once, and per candidate the largest relative residual
+    ||A v - mu v|| / (||v|| ||A||_inf) of the pairs found at its shift.
+    Nearest-first matching pairs a candidate only with one of its m nearest
+    eigenvalues, so matching against the union equals matching against the
+    whole spectrum.  Each candidate costs one shift-invert Arnoldi solve
+    (one LU of A - lam I) from a fixed start vector, and every pair passes
+    the residual guard of ``eig_dense``.  ARPACK needs m < n - 1; otherwise
+    the whole spectrum is computed by ``eig_dense`` and the residuals are
+    None.
+    """
+    mat = a.entries
+    n, m = mat.shape[0], cands.size
+    if m >= n - 1:
+        return eig_dense(a)[0], None
+    found, worst = [], np.empty(m)
+    for i, lam in enumerate(cands):
+        # a real shift keeps A real; a complex shift needs complex arithmetic
+        shifted = mat if lam.imag == 0.0 else mat.astype(complex)
+        sigma = lam.real if lam.imag == 0.0 else lam
+        mus, vecs = scipy.sparse.linalg.eigs(shifted, k=m, sigma=sigma,
+                                             v0=np.ones(n, shifted.dtype))
+        worst[i] = _guard_residuals(mat, mus, vecs).max() \
+            / np.linalg.norm(mat, np.inf)
+        found.extend(mus)
+    merged = []
+    for mu in found:
+        if all(abs(mu - k) > _SAME_EIGENVALUE * max(1.0, abs(k)) for k in merged):
+            merged.append(mu)
+    return np.array(merged), worst
+
+
 def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     """Run the filtered scan for one class; returns (accepted, candidates,
     floor).
@@ -189,10 +249,11 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     ``floor`` the numerical-range floor of the finest grid's operator.
     When the floor certifies the threshold no eigenvalue can be a
     candidate, and the scan returns without an eigensolve.  Otherwise the
-    finest grid is solved first.  Only when it has a candidate are the
-    grids the filters compare against solved: the two coarser levels at
-    the largest radius and the finest level at the smallest radius.  No
-    other ladder grid is assembled.
+    finest grid is solved in full first.  Only when it has a candidate are
+    the grids the filters compare against solved, for the eigenvalues
+    nearest the candidates alone: the two coarser levels at the largest
+    radius and the finest level at the smallest radius.  No other ladder
+    grid is assembled.
     """
     if ladder is None:
         ladder = refinement_ladder()
@@ -223,31 +284,40 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     residuals = [float(np.linalg.norm(mat @ v - lam * v) / np.linalg.norm(v))
                  for lam, v in zip(lams, vecs.T)]
     del op, mat
-    mids, coarses, others = (
-        _match_nearest(lams, eig_dense(assemble_Ll(l, ladder[key]))[0])
-        for key in partner_keys)
+    partners = []
+    solves, worst = np.zeros(lams.size, dtype=int), np.zeros(lams.size)
+    for key in partner_keys:
+        found, res = _nearest_eigenvalues(assemble_Ll(l, ladder[key]), lams)
+        partners.append(_match_nearest(lams, found))
+        if res is not None:
+            solves += 1
+            worst = np.maximum(worst, res)
     candidates = []
     accepted = []
-    for lam, v, residual, lam_mid, lam_coarse, lam_other in zip(
-            lams, vecs.T, residuals, mids, coarses, others):
+    for lam, v, residual, lam_mid, lam_coarse, lam_other, n_solves, \
+            partner_res in zip(lams, vecs.T, residuals, *partners, solves, worst):
         h_defect = abs(lam_mid - lam)
         richardson_ok = abs(lam_coarse - lam_mid) <= 10.0 * h_defect + _ABS_TOL
         rmax_defect = abs(lam - lam_other)
         rmax_ok = rmax_defect <= _ABS_TOL
         decay, origin, consistent, reliable = exponent_fits(v, lam, l, fine_grid)
-        converged = bool(richardson_ok and rmax_ok)
-        ok = (converged and residual <= _RESIDUAL_TOL * scale
-              and reliable and decay <= _DECAY_CAP
-              and abs(origin - l) <= _ORIGIN_SLACK and consistent)
+        filters = {"residual": residual <= _RESIDUAL_TOL * scale,
+                   "richardson": richardson_ok, "rmax": rmax_ok,
+                   "unreliable": reliable, "decay": decay <= _DECAY_CAP,
+                   "origin": abs(origin - l) <= _ORIGIN_SLACK,
+                   "consistency": consistent}
+        rejected_by = next((name for name, ok in filters.items() if not ok), "")
         report = EigenReport(l=l, lam=complex(lam), residual=residual,
-                             converged=converged, decay_exponent=decay,
-                             origin_exponent=origin,
+                             converged=bool(richardson_ok and rmax_ok),
+                             decay_exponent=decay, origin_exponent=origin,
                              exponent_consistent=consistent,
-                             accepted=bool(ok), h_defect=float(h_defect),
+                             accepted=not rejected_by, h_defect=float(h_defect),
                              rmax_defect=float(rmax_defect), vector=v,
-                             grid=fine_grid)
+                             grid=fine_grid, rejected_by=rejected_by,
+                             partner_solves=int(n_solves),
+                             partner_residual=float(partner_res))
         candidates.append(report)
-        if ok:
+        if report.accepted:
             accepted.append(report)
     return accepted, candidates, floor
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ksmode import cli
+from ksmode import cli, evolution
 
 
 def run_cli(args, tmp_path):
@@ -78,8 +78,11 @@ def test_spectrum_subcommand_small_ladder(tmp_path):
     assert details["numerical_range_floor"] > 0.05
     assert 0.0 < details["numerical_range_margin"] < 6e-8
     assert details["dense_solve"] is False
+    assert details["partner_solves"] == 0
+    assert details["max_partner_residual"] == 0.0
     assert (tmp_path / "spectrum_l4.csv").read_text().strip() == \
-        "l,re_lambda,im_lambda,residual,decay_exp,origin_exp,converged,accepted"
+        "l,re_lambda,im_lambda,residual,decay_exp,origin_exp,converged," \
+        "accepted,rejected_by"
 
 
 def test_spectrum_l1_finds_translation_mode(tmp_path):
@@ -92,11 +95,27 @@ def test_spectrum_l1_finds_translation_mode(tmp_path):
     assert abs(lam - (-0.5)) < 5e-3
     assert summary["details"]["numerical_range_floor"] < -0.5
     assert summary["details"]["dense_solve"] is True
+    # one candidate: one shift-invert solve on each of the three partner grids
+    assert summary["details"]["partner_solves"] == 3
+    assert 0.0 < summary["details"]["max_partner_residual"] <= 1e-8
     # verify-all's class-1 checks, tag for tag
     assert [c["tag"] for c in summary["checks"]] == [
         "spectra.l1_count", "spectra.l1_eig", "spectra.l1_imag",
         "spectra.l1_cosine"]
     assert all(c["pass"] for c in summary["checks"])
+
+
+def test_spectrum_csv_names_the_rejecting_filter(tmp_path):
+    path = _small_scan_config(tmp_path)
+    path.write_text(path.read_text() + "threshold = 1.5\n")
+    assert cli.main(["--output-dir", str(tmp_path), "--config", str(path),
+                     "spectrum", "--l", "1"]) == 0
+    lines = (tmp_path / "spectrum_l1.csv").read_text().splitlines()
+    assert lines[0].endswith(",accepted,rejected_by")
+    # the translation mode is accepted; the eigenvalue 0.966 fails the decay fit
+    assert [line.split(",")[-2:] for line in lines[1:]] == [
+        ["True", ""], ["False", "decay"]]
+    assert load_summary(tmp_path, "spectrum")["details"]["partner_solves"] == 6
 
 
 def _small_scan_config(tmp_path):
@@ -230,3 +249,25 @@ def test_negative_class_index_exits_2(tmp_path, capsys):
     assert err.value.code == 2
     assert "class index must be >= 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("amp", [1e-3, -1e-3, 0.02, -0.02])
+def test_shoot_bracket_and_bound_scale_with_the_amplitude_size(
+        tmp_path, monkeypatch, amp):
+    seen = {}
+
+    def fake_shoot(eps_s0, bracket, projection, base_profile, dt, horizon):
+        seen["bracket"] = bracket
+        return evolution.ShootingResult(a_star=0.05 * abs(amp),
+                                        bracket_width=1e-9, converged=True,
+                                        departure_sign_low=-1,
+                                        departure_sign_high=1)
+
+    monkeypatch.setattr(evolution, "shoot_stable_manifold", fake_shoot)
+    assert run_cli(["shoot", "--n", "100", "--amplitude", str(amp)],
+                   tmp_path) == 0
+    size = max(abs(amp), 1e-3)
+    assert seen["bracket"] == (-4.0 * size, 4.0 * size)
+    (bound,) = [c for c in load_summary(tmp_path, "shoot")["checks"]
+                if c["tag"] == "evolution.shoot_astar"]
+    assert bound["tolerance"] == 0.1 * abs(amp)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from ksmode import acceptance, operators, profile, spectra
 from ksmode.radial import make_grid
@@ -66,9 +67,11 @@ class TestExponentFits:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The grids (n, rmax) the scan assembles and its number of eig_dense calls."""
-    log = {"grids": [], "eig": 0}
+    """The grids (n, rmax) the scan assembles, its number of eig_dense calls
+    and its number of targeted (shift-invert) solves."""
+    log = {"grids": [], "eig": 0, "targeted": 0}
     assemble, eig = spectra.assemble_Ll, spectra.eig_dense
+    eigs = scipy.sparse.linalg.eigs
 
     def counted_assemble(l, grid):
         log["grids"].append((grid.n, grid.rmax))
@@ -78,8 +81,13 @@ def solves(monkeypatch):
         log["eig"] += 1
         return eig(a)
 
+    def counted_eigs(*args, **kwargs):
+        log["targeted"] += 1
+        return eigs(*args, **kwargs)
+
     monkeypatch.setattr(spectra, "assemble_Ll", counted_assemble)
     monkeypatch.setattr(spectra, "eig_dense", counted_eig)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted_eigs)
     return log
 
 
@@ -88,10 +96,12 @@ class TestScan:
         accepted, _, floor = spectra.unstable_scan_detailed(
             0, ladder=small_ladder())
         # the floor leaves room for the scaling mode, so the fine grid is
-        # solved, then the partners of its candidates
+        # solved in full, then each partner grid by one shift-invert solve
+        # at the one candidate
         assert floor.nu < -1.0
-        assert solves == {"eig": 4, "grids": [(400, 40.0), (200, 40.0),
-                                              (100, 40.0), (400, 20.0)]}
+        assert solves == {"eig": 1, "targeted": 3,
+                          "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
+                                    (400, 20.0)]}
         assert len(accepted) == 1
         rep = accepted[0]
         assert abs(rep.lam - (-1.0)) < 5e-3
@@ -106,7 +116,7 @@ class TestScan:
         assert accepted == [] and cands == []
         # the floor certifies the threshold: no eigensolve, no other grid
         assert floor.certifies(0.05)
-        assert solves == {"eig": 0, "grids": [(400, 40.0)]}
+        assert solves == {"eig": 0, "targeted": 0, "grids": [(400, 40.0)]}
 
     def test_floor_below_threshold_runs_the_dense_path(self, solves):
         accepted, cands, floor = spectra.unstable_scan_detailed(
@@ -115,9 +125,10 @@ class TestScan:
         # the fine grid's eigenvalue 0.378 is a candidate; the filters reject it
         (cand,) = cands
         assert abs(cand.lam - 0.378) < 1e-3
-        assert accepted == []
-        assert solves == {"eig": 4, "grids": [(400, 40.0), (200, 40.0),
-                                              (100, 40.0), (400, 20.0)]}
+        assert accepted == [] and cand.rejected_by == "rmax"
+        assert solves == {"eig": 1, "targeted": 3,
+                          "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
+                                    (400, 20.0)]}
 
     def test_coarse_outer_spacing_falls_back_to_the_dense_path(self, solves):
         # on (400, 80) the Dirichlet row at rmax pulls the floor to -2.5
@@ -125,14 +136,15 @@ class TestScan:
             2, ladder=small_ladder(rmax0=40.0))
         assert abs(floor.nu + 2.5) < 0.05 and not floor.certifies(0.05)
         assert accepted == [] and cands == []
-        assert solves == {"eig": 1, "grids": [(400, 80.0)]}
+        assert solves == {"eig": 1, "targeted": 0, "grids": [(400, 80.0)]}
 
     def test_larger_ladder_solves_only_the_grids_read(self, solves):
         ladder = spectra.refinement_ladder(n0=50, rmax0=20.0, levels=4,
                                            rmax_factors=(1, 2, 3))
         spectra.unstable_scan_detailed(0, ladder=ladder)
-        assert solves == {"eig": 4, "grids": [(400, 60.0), (200, 60.0),
-                                              (100, 60.0), (400, 20.0)]}
+        assert solves == {"eig": 1, "targeted": 3,
+                          "grids": [(400, 60.0), (200, 60.0), (100, 60.0),
+                                    (400, 20.0)]}
 
     def test_off_ladder_reproducibility(self):
         # node count +7 off the ladder reproduces the eigenvalue
@@ -152,7 +164,7 @@ class TestScan:
         del ladder[(200, 40.0)]
         with pytest.raises(ValueError, match=r"\(200, 40\.0\)"):
             spectra.unstable_scan_detailed(0, ladder=ladder)
-        assert solves == {"eig": 0, "grids": []}
+        assert solves == {"eig": 0, "targeted": 0, "grids": []}
 
     def test_kernel_form_residual_cross_check(self):
         # recompute the accepted residual with the differentiated-kernel
@@ -167,6 +179,67 @@ class TestScan:
         res = np.linalg.norm(a_kernel @ rep.vector - rep.lam * rep.vector) \
             / np.linalg.norm(rep.vector)
         assert abs(res - rep.residual) < 1e-6
+
+
+def dense_partners(a, cands):
+    """The whole partner spectrum from eig_dense: the reference that the
+    targeted solves must reproduce."""
+    return spectra.eig_dense(a)[0], None
+
+
+class TestTargetedPartners:
+    @pytest.mark.parametrize("l, threshold, count", [
+        (0, 0.05, 1), (0, 1.5, 3), (2, 0.5, 1), (2, 2.0, 3)])
+    def test_match_the_dense_partners(self, monkeypatch, l, threshold, count):
+        # (2, 2.0) has the complex pair 1.508 +- 0.650i among its candidates
+        ladder = small_ladder()
+        _, targeted, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
+        monkeypatch.setattr(spectra, "_nearest_eigenvalues", dense_partners)
+        _, dense, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
+        assert len(targeted) == len(dense) == count
+        for got, want in zip(targeted, dense):
+            assert got.lam == want.lam
+            assert abs(got.h_defect - want.h_defect) <= 1e-9
+            assert abs(got.rmax_defect - want.rmax_defect) <= 1e-9
+            assert (got.accepted, got.converged, got.rejected_by) == \
+                (want.accepted, want.converged, want.rejected_by)
+            assert got.partner_solves == 3 and want.partner_solves == 0
+            assert 0.0 < got.partner_residual <= 1e-8
+
+    def test_union_holds_each_candidates_nearest_once(self):
+        # conjugate shifts find overlapping sets; every eigenvalue stays once
+        ladder = small_ladder()
+        fine = operators.assemble_Ll(2, ladder[(400, 40.0)])
+        lams, _ = spectra.eig_dense(fine)
+        cands = lams[lams.real < 2.0]
+        partner = operators.assemble_Ll(2, ladder[(200, 40.0)])
+        found, res = spectra._nearest_eigenvalues(partner, cands)
+        full, _ = spectra.eig_dense(partner)
+        nearest = {int(j) for lam in cands
+                   for j in np.argsort(np.abs(full - lam))[:cands.size]}
+        assert found.size == len(nearest)
+        for j in nearest:
+            assert np.min(np.abs(found - full[j])) <= 1e-9
+        assert res.shape == cands.shape and np.all(res <= 1e-8)
+
+    def test_perturbed_eigenvalue_trips_the_residual_guard(self, monkeypatch):
+        eigs = scipy.sparse.linalg.eigs
+
+        def perturbed(*args, **kwargs):
+            mus, vecs = eigs(*args, **kwargs)
+            return mus + 1e-3, vecs
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", perturbed)
+        with pytest.raises(RuntimeError, match="eigen residual .* exceeds"):
+            spectra.unstable_scan_detailed(0, ladder=small_ladder())
+
+    def test_too_many_candidates_for_arnoldi_solve_densely(self, solves):
+        # k = n - 1 does not fit ARPACK: the whole spectrum is computed
+        a = operators.assemble_Ll(0, make_grid(20, 10.0))
+        lams, _ = spectra.eig_dense(a)
+        found, res = spectra._nearest_eigenvalues(a, lams[:19])
+        assert res is None and np.array_equal(found, lams)
+        assert solves["eig"] == 2 and solves["targeted"] == 0
 
 
 class TestRangeFloor:
