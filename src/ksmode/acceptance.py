@@ -170,8 +170,7 @@ def shooting_setup(grid, w):
     """
     qh = evolution.discrete_steady_profile(grid)
     opf = evolution.flow_linearization(grid, qh)
-    target = SYMMETRY_MODES[0].eigenvalue
-    projf = spectra.build_projection(0, [spectra.mode_report(opf, target, 0)], opf)
+    projf = spectra.build_projection(opf, SYMMETRY_MODES[0].eigenvalue)
     bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
     return qh, projf, bump / np.sqrt(np.sum(w * bump ** 2))
 
@@ -359,8 +358,7 @@ def criterion_evolution() -> list[Check]:
         checks.append(growth_rate_check(l, evolution.fit_rate(tr)))
 
     op0 = ops[0]
-    proj0 = spectra.build_projection(
-        0, [spectra.mode_report(op0, SYMMETRY_MODES[0].eigenvalue, 0)], op0)
+    proj0 = spectra.build_projection(op0, SYMMETRY_MODES[0].eigenvalue)
     stable = np.real(proj0.project_stable(np.exp(-r * r)))
     tr = evolution.linear_evolve(0, RadialFunction(grid, stable), dt, 6.0, op=op0)
     rate = evolution.fit_rate(tr, (1.0, 6.0))

@@ -28,6 +28,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -118,6 +119,9 @@ class RunConfig:
             evolution.step_count(e["dt"], e["horizon"])
         except ValueError as err:
             raise ConfigError(f"evolve: {err}") from None
+        # the shooting bracket and bound scale with |amplitude|
+        if e["amplitude"] == 0:
+            raise ConfigError("evolve.amplitude must be nonzero")
 
     def weight(self) -> ggmt.WeightSpec:
         gg = self.values["ggmt"]
@@ -289,13 +293,12 @@ def cmd_evolve_linear(cfg, args):
     worst_defect = 0.0
     for l, mode in acceptance.SYMMETRY_MODES.items():
         op = operators.assemble_Ll(l, grid)
-        proj = spectra.build_projection(
-            l, [spectra.mode_report(op, mode.eigenvalue, l)], op)
+        proj = spectra.build_projection(op, mode.eigenvalue)
         tr = evolution.linear_evolve(l, RadialFunction(grid, mode.shape(r)), dt,
                                      horizon, op=op, projection=proj)
         checks.append(acceptance.growth_rate_check(l, evolution.fit_rate(tr)))
         worst_defect = max(worst_defect, tr.max_solve_defect)
-        rows += [{"l": l, "tau": t, "norm": n, "mode_coeff": float(np.real(c[0]))}
+        rows += [{"l": l, "tau": t, "norm": n, "mode_coeff": float(np.real(c))}
                  for t, n, c in zip(tr.times, tr.norms, tr.mode_coeffs)]
     out = _out_dir(cfg) / "evolve_linear_trace.csv"
     _write_csv(out, rows, ["l", "tau", "norm", "mode_coeff"])
@@ -400,6 +403,11 @@ COMMAND_FLAGS = {
 }
 
 
+# argparse before Python 3.13 reads a negative number with an exponent
+# ("--amplitude -1e-3") as an unknown option; this pattern also takes it
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksmode",
@@ -409,9 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--output-dir", help="report directory "
                         "(default $KSMODE_OUTDIR or ./reports)")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         # accepted both before and after the subcommand; SUPPRESS keeps a
         # value parsed at the top level from being clobbered by the default
         p.add_argument("--config", default=argparse.SUPPRESS)

@@ -60,7 +60,7 @@ class EvolutionTrace:
     """Recorded time series of one run."""
     times: np.ndarray
     norms: np.ndarray
-    mode_coeffs: np.ndarray | None
+    mode_coeffs: np.ndarray | None   # projection coefficient per step
     scheme: str
     dt: float
     l: int | None
@@ -199,7 +199,7 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
     """Crank-Nicolson integration of d_tau eps = -L_l eps.
 
     Records the L^2(r^2 dr) norm each step and, when a ProjectionPair is
-    supplied, the coefficients against its left modes.
+    supplied, the coefficient against its left mode.
     """
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
@@ -215,7 +215,7 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
     def record(k, vec):
         norms[k] = np.sqrt(np.real(np.sum(w * np.abs(vec) ** 2)))
         if coeffs is not None:
-            coeffs.append(projection.coefficients(vec))
+            coeffs.append(projection.coefficient(vec))
         if states is not None:
             states.append(vec.copy())
 
@@ -444,7 +444,7 @@ def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon):
         k = int(round(err.tau / dt))
         exited = True
     dev = state - ref_states[k]
-    coef = float(np.real(projection.coefficients(dev)[0]))
+    coef = float(np.real(projection.coefficient(dev)))
     return (1 if coef >= 0.0 else -1), exited
 
 

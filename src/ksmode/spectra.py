@@ -144,7 +144,7 @@ def numerical_range_floor(a: OperatorMatrix) -> RangeFloor:
     return RangeFloor(float(nu), float(margin))
 
 
-def exponent_fits(values, lam, l, grid: RadialGrid):
+def exponent_fits(values, lam, grid: RadialGrid):
     """Least-squares far-field and near-origin exponents of |v|.
 
     decay window: r in [rmax/20, rmax/2] (clear of the Dirichlet layer);
@@ -300,7 +300,7 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         richardson_ok = abs(lam_coarse - lam_mid) <= 10.0 * h_defect + _ABS_TOL
         rmax_defect = abs(lam - lam_other)
         rmax_ok = rmax_defect <= _ABS_TOL
-        decay, origin, consistent, reliable = exponent_fits(v, lam, l, fine_grid)
+        decay, origin, consistent, reliable = exponent_fits(v, lam, fine_grid)
         filters = {"residual": residual <= _RESIDUAL_TOL * scale,
                    "richardson": richardson_ok, "rmax": rmax_ok,
                    "unreliable": reliable, "decay": decay <= _DECAY_CAP,
@@ -324,76 +324,60 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
 
 @dataclass
 class ProjectionPair:
-    """Bi-orthonormal right/left modes defining the discrete Riesz projection."""
-    grid: RadialGrid
-    right_modes: np.ndarray   # columns
-    left_modes: np.ndarray    # columns, L^2(r^2 dr)-paired
+    """Right/left eigenvectors of one eigenvalue, paired in L^2(r^2 dr): the
+    discrete Riesz projection onto that mode."""
+    lam: complex
+    right: np.ndarray   # unit in L^2(r^2 dr)
+    left: np.ndarray    # sum(conj(left) w right) = 1
     weights: np.ndarray
+    grid: RadialGrid
     biorthogonality_defect: float
 
+    def coefficient(self, values):
+        return (self.left.conj() * self.weights) @ np.asarray(values)
+
     def project_unstable(self, values) -> np.ndarray:
-        coeffs = self.coefficients(values)
-        return self.right_modes @ coeffs
+        return self.right * self.coefficient(values)
 
     def project_stable(self, values) -> np.ndarray:
         return np.asarray(values) - self.project_unstable(values)
 
-    def coefficients(self, values) -> np.ndarray:
-        f = np.asarray(values)
-        return (self.left_modes.conj() * self.weights[:, None]).T @ f
 
+def build_projection(a: OperatorMatrix, target: complex) -> ProjectionPair:
+    """Riesz projection onto the eigenvalue of ``a`` nearest ``target``.
 
-def build_projection(l: int, reports, a: OperatorMatrix) -> ProjectionPair:
-    """Left/right eigenvectors of the operator under the r^2-weighted pairing.
-
-    Left modes are eigenvectors of M^{-1} A^T M (M the lumped L^2(r^2 dr)
-    mass), bi-orthonormalized against the right modes; a near-defective
-    pairing raises.
+    The left eigenvector y (y^H A = lam y^H) gives the coefficient
+    f -> y^H f / y^H v of the right eigenvector v; in the r^2-weighted
+    pairing the left mode is y / (w conj(y^H v)).  A near-defective pairing
+    raises.
     """
-    if not reports:
-        raise ValueError("no accepted modes to project onto")
-    grid = a.grid
-    w = r2_mass_weights(grid)
-    targets = [rep.lam for rep in reports]
-    phi = np.column_stack([rep.vector for rep in reports])
-    for j in range(phi.shape[1]):
-        phi[:, j] = phi[:, j] / np.sqrt(np.sum(w * np.abs(phi[:, j]) ** 2))
-    lams_t, vecs_t = scipy.linalg.eig(a.entries.T)
-    psi = np.empty_like(phi)
-    for j, lam in enumerate(targets):
-        k = int(np.argmin(np.abs(lams_t - lam)))
-        if abs(lams_t[k] - lam) > 1e-6 * max(1.0, abs(lam)):
-            raise RuntimeError(
-                f"transpose spectrum misses eigenvalue {lam!r} "
-                f"(nearest {lams_t[k]!r})")
-        psi[:, j] = vecs_t[:, k] / w
-    gram = (phi.conj() * w[:, None]).T @ psi
-    if abs(np.linalg.det(gram)) < 1e-8:
+    lam, right, left = mode_report(a, target)
+    w = r2_mass_weights(a.grid)
+    right = right / np.sqrt(np.sum(w * np.abs(right) ** 2))
+    pairing = np.vdot(left, right)
+    if abs(pairing) < 1e-8:
         raise RuntimeError("near-defective left/right pairing")
-    psi = psi @ np.linalg.inv(gram).conj().T
-    gram2 = (psi.conj() * w[:, None]).T @ phi
-    defect = float(np.max(np.abs(gram2 - np.eye(len(targets)))))
-    pair = ProjectionPair(grid=grid, right_modes=phi, left_modes=psi,
-                          weights=w, biorthogonality_defect=defect)
+    left = left / (w * np.conj(pairing))
+    defect = float(abs(np.sum(left.conj() * w * right) - 1.0))
     if defect > 1e-8:
         raise RuntimeError(f"bi-orthogonality defect {defect:.2e} > 1e-8")
-    return pair
+    return ProjectionPair(lam=lam, right=right, left=left, weights=w,
+                          grid=a.grid, biorthogonality_defect=defect)
 
 
-def mode_report(a: OperatorMatrix, target: complex, l: int) -> EigenReport:
-    """Minimal accepted-mode report for the eigenpair nearest ``target``.
+def mode_report(a: OperatorMatrix, target: complex):
+    """The eigenvalue of ``a`` nearest ``target`` with its right and left
+    eigenvectors, ``(lam, v, y)`` with A v = lam v and y^H A = lam y^H.
 
-    Convenience for building projections outside a full filtered scan.
+    Both sides come from one two-sided eigensolve, and every pair of both
+    passes the residual guard of ``eig_dense``.
     """
-    lams, vecs = eig_dense(a)
+    mat = a.entries
+    lams, lefts, rights = scipy.linalg.eig(mat, left=True, right=True)
+    _guard_residuals(mat, lams, rights)
+    _guard_residuals(mat.conj().T, lams.conj(), lefts)
     k = int(np.argmin(np.abs(lams - target)))
-    lam, v = lams[k], vecs[:, k]
-    res = float(np.linalg.norm(a.entries @ v - lam * v) / np.linalg.norm(v))
-    decay, origin, consistent, _ = exponent_fits(v, lam, l, a.grid)
-    return EigenReport(l=l, lam=complex(lam), residual=res, converged=True,
-                       decay_exponent=decay, origin_exponent=origin,
-                       exponent_consistent=consistent, accepted=True,
-                       h_defect=0.0, rmax_defect=0.0, vector=v, grid=a.grid)
+    return complex(lams[k]), rights[:, k], lefts[:, k]
 
 
 def cosine_similarity(values_a, values_b, weights) -> float:

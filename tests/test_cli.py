@@ -242,6 +242,29 @@ def test_flag_the_command_does_not_read_exits_2(argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv,key,value", [
+    (["shoot", "--amplitude", "-1e-3"], "amplitude", -1e-3),
+    (["ggmt", "--alpha", "-2E-1"], "alpha", -0.2),
+    (["shoot", "--rmax", "-.5"], "rmax", -0.5),
+])
+def test_negative_number_in_scientific_notation_is_a_value(argv, key, value):
+    assert getattr(cli.build_parser().parse_args(argv), key) == value
+
+
+@pytest.mark.parametrize("ini,argv", [
+    ("", ["shoot", "--amplitude", "0"]),
+    ("[evolve]\namplitude = 0.0\n", ["shoot"]),
+])
+def test_zero_amplitude_exits_2(tmp_path, capsys, ini, argv):
+    # the shooting bracket and bound scale with |amplitude|, so 0 has none
+    path = tmp_path / "conf.ini"
+    path.write_text(ini)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--output-dir", str(out)] + argv) == 2
+    assert "amplitude must be nonzero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_class_index_exits_2(tmp_path, capsys):
     # rejected while parsing, before any work or diagnostics file
     with pytest.raises(SystemExit) as err:

@@ -20,7 +20,7 @@ def op0(grid):
 
 @pytest.fixture(scope="module")
 def proj0(grid, op0):
-    return spectra.build_projection(0, [spectra.mode_report(op0, -1.0, 0)], op0)
+    return spectra.build_projection(op0, -1.0)
 
 
 class TestLinear:
@@ -46,22 +46,23 @@ class TestLinear:
     def test_step_amplification_matches_eigenvalue(self, grid, op0, proj0):
         # Crank-Nicolson amplifies each discrete eigenpair coefficient by
         # (1 - dt lam/2)/(1 + dt lam/2) per step
-        lam = spectra.mode_report(op0, -1.0, 0).lam.real
+        lam = proj0.lam.real
         dt = 0.01
-        mode = np.real(proj0.right_modes[:, 0])
+        mode = np.real(proj0.right)
         tr = evolution.linear_evolve(0, RadialFunction(grid, mode), dt, 0.5,
                                      op=op0, projection=proj0)
-        coeffs = np.real(tr.mode_coeffs[:, 0])
+        assert tr.mode_coeffs.shape == tr.times.shape
+        coeffs = np.real(tr.mode_coeffs)
         expected = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
         ratios = coeffs[1:] / coeffs[:-1]
         assert np.max(np.abs(ratios - expected)) < 1e-6
 
     def test_coefficient_evolution_commutes_with_flow(self, grid, op0, proj0):
-        lam = spectra.mode_report(op0, -1.0, 0).lam.real
-        mode = np.real(proj0.right_modes[:, 0])
+        lam = proj0.lam.real
+        mode = np.real(proj0.right)
         tr = evolution.linear_evolve(0, RadialFunction(grid, mode), 0.01, 2.0,
                                      op=op0, projection=proj0)
-        coeffs = np.real(tr.mode_coeffs[:, 0])
+        coeffs = np.real(tr.mode_coeffs)
         target = coeffs[0] * np.exp(-lam * tr.times)
         assert np.max(np.abs(coeffs - target) / target) < 1e-4
 
@@ -322,13 +323,12 @@ class TestNonlinearFlow:
         # the fitted rate cross-checks the linearized prediction
         qh = evolution.discrete_steady_profile(grid)
         opf = evolution.flow_linearization(grid, qh)
-        projf = spectra.build_projection(
-            0, [spectra.mode_report(opf, -1.0, 0)], opf)
+        projf = spectra.build_projection(opf, -1.0)
         amp = 1e-3
-        mode = np.real(projf.right_modes[:, 0])
+        mode = np.real(projf.right)
         psi0 = RadialFunction(grid, qh + amp * mode)
         tr = evolution.nonlinear_radial_evolve(psi0, 0.01, 2.0, keep_states=True)
-        coeffs = np.array([np.real(projf.coefficients(s - qh)[0])
+        coeffs = np.array([np.real(projf.coefficient(s - qh))
                            for s in tr.states])
         rate = np.polyfit(tr.times, np.log(np.abs(coeffs)), 1)[0]
         assert abs(rate - 1.0) <= 0.05
@@ -369,8 +369,7 @@ class TestPartialMass:
 def shooting_setup(grid):
     qh = evolution.discrete_steady_profile(grid)
     opf = evolution.flow_linearization(grid, qh)
-    projf = spectra.build_projection(
-        0, [spectra.mode_report(opf, -1.0, 0)], opf)
+    projf = spectra.build_projection(opf, -1.0)
     return qh, projf
 
 

@@ -108,6 +108,26 @@ class TestCount:
                   for l in (rep.l_eff - 0.5, rep.l_eff, rep.l_eff + 0.5)]
         assert values[0] > values[1] > values[2]
 
+    def test_reference_value_matches_mpmath_oracle(self):
+        # independent reference for N(4, l_eff): the prefactor from
+        # mpmath.gamma and r^{2p-1}|U_-|^p integrated over the well by
+        # tanh-sinh quadrature at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        rep = ggmt.l2_pipeline()
+        u, _ = ggmt.schrodinger_potential(rep.l, rep.alpha, rep.theta, rep.mu,
+                                          ggmt.paper_weight())
+        with mpmath.workdps(30):
+            p = mpmath.mpf(rep.p)
+            l = mpmath.mpf(rep.l_eff)
+            pref = ((p - 1) ** (p - 1) * mpmath.gamma(2 * p)
+                    / (p ** p * mpmath.gamma(p) ** 2) * (2 * l + 1) ** (1 - 2 * p))
+            well = mpmath.quad(
+                lambda r: r ** (2 * p - 1)
+                * mpmath.mpf(max(-float(u(float(r))), 0.0)) ** p,
+                [mpmath.mpf(rep.well[0]), mpmath.mpf(rep.well[1])])
+            big_n = float(pref * well)
+        assert abs(big_n - rep.bigN) <= 1e-12 * rep.bigN
+
     def test_non_compact_negative_part_rejected(self):
         with pytest.raises(ValueError):
             ggmt.ggmt_count(4.0, 1.0, lambda r: -1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from ksmode import acceptance, operators, profile, spectra
@@ -38,7 +39,7 @@ class TestExponentFits:
     def test_scaling_mode(self):
         grid = make_grid(800, 80.0, ("geometric", 30.0 ** (1.0 / 799.0)))
         decay, origin, consistent, reliable = spectra.exponent_fits(
-            profile.lambda_q(grid.nodes), -1.0, 0, grid)
+            profile.lambda_q(grid.nodes), -1.0, grid)
         assert reliable and consistent
         assert abs(decay + 4.0) < 0.4
         assert abs(origin) < 0.15
@@ -46,7 +47,7 @@ class TestExponentFits:
     def test_translation_mode(self):
         grid = make_grid(800, 80.0, ("geometric", 30.0 ** (1.0 / 799.0)))
         decay, origin, consistent, reliable = spectra.exponent_fits(
-            profile.q_deriv(grid.nodes, 1), -0.5, 1, grid)
+            profile.q_deriv(grid.nodes, 1), -0.5, grid)
         assert reliable and consistent
         assert abs(decay + 3.0) < 0.3
         assert abs(origin - 1.0) < 0.1
@@ -54,14 +55,14 @@ class TestExponentFits:
     def test_gaussian_superpolynomial(self):
         grid = make_grid(800, 80.0, ("geometric", 30.0 ** (1.0 / 799.0)))
         decay, _, consistent, _ = spectra.exponent_fits(
-            np.exp(-grid.nodes ** 2), 0.0, 0, grid)
+            np.exp(-grid.nodes ** 2), 0.0, grid)
         assert decay <= -10.0 and consistent
 
     def test_underflow_marks_unreliable(self):
         grid = make_grid(100, 80.0)
         v = np.zeros(100)
         v[:3] = 1.0
-        _, _, _, reliable = spectra.exponent_fits(v, 0.0, 0, grid)
+        _, _, _, reliable = spectra.exponent_fits(v, 0.0, grid)
         assert not reliable
 
 
@@ -290,35 +291,75 @@ class TestMatchNearest:
 def proj():
     grid = make_grid(300, 40.0, ("geometric", 30.0 ** (1.0 / 299.0)))
     a = operators.assemble_Ll(0, grid)
-    rep = spectra.mode_report(a, -1.0, 0)
-    return spectra.build_projection(0, [rep], a), rep, a
+    return spectra.build_projection(a, -1.0), a
 
 
 class TestProjection:
     def test_biorthogonality(self, proj):
-        pair, _, _ = proj
+        pair, _ = proj
         assert pair.biorthogonality_defect <= 1e-8
 
     def test_projection_fixes_its_range(self, proj):
-        pair, rep, _ = proj
-        out = pair.project_unstable(rep.vector)
-        assert np.max(np.abs(out - rep.vector)) < 1e-6 * np.max(np.abs(rep.vector))
+        pair, _ = proj
+        out = pair.project_unstable(pair.right)
+        assert np.max(np.abs(out - pair.right)) < 1e-6 * np.max(np.abs(pair.right))
 
     def test_complementary_projection_annihilates(self, proj):
-        pair, _, _ = proj
+        pair, _ = proj
         g = np.exp(-pair.grid.nodes ** 2)
         stable = pair.project_stable(g)
         out = pair.project_unstable(stable)
         assert np.max(np.abs(out)) < 1e-6 * np.max(np.abs(g))
 
     def test_idempotent(self, proj):
-        pair, _, _ = proj
+        pair, _ = proj
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.standard_normal(pair.grid.n)
             once = pair.project_unstable(x)
             twice = pair.project_unstable(once)
             assert np.max(np.abs(twice - once)) <= 1e-8 * max(1.0, np.max(np.abs(once)))
+
+    def test_coefficient_is_a_scalar(self, proj):
+        pair, _ = proj
+        assert np.ndim(pair.coefficient(pair.right)) == 0
+        assert abs(pair.coefficient(pair.right) - 1.0) <= 1e-8
+
+    def test_one_two_sided_eigensolve(self, proj, monkeypatch):
+        calls = []
+        eig = scipy.linalg.eig
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", counted)
+        spectra.build_projection(proj[1], -1.0)
+        assert calls == [{"left": True, "right": True}]
+
+    def test_left_vector_is_a_left_eigenvector(self, proj):
+        # y^H A = lam y^H to the residual guard's tolerance
+        _, a = proj
+        lam, right, left = spectra.mode_report(a, -1.0)
+        mat = a.entries
+        tol = 1e-8 * np.linalg.norm(mat.conj().T, np.inf) * np.linalg.norm(left)
+        assert np.linalg.norm(left.conj() @ mat - lam * left.conj()) <= tol
+        assert np.linalg.norm(mat @ right - lam * right) \
+            <= 1e-8 * np.linalg.norm(mat, np.inf) * np.linalg.norm(right)
+        assert abs(lam + 1.0) < 5e-3
+
+    def test_perturbed_left_vector_trips_the_left_guard(self, proj, monkeypatch):
+        eig = scipy.linalg.eig
+
+        def perturbed(*args, **kwargs):
+            lams, lefts, rights = eig(*args, **kwargs)
+            lefts = lefts.copy()
+            lefts[:, np.argmin(np.abs(lams + 1.0))] += 1e-3
+            return lams, lefts, rights
+
+        monkeypatch.setattr(scipy.linalg, "eig", perturbed)
+        with pytest.raises(RuntimeError, match="eigen residual .* exceeds"):
+            spectra.build_projection(proj[1], -1.0)
 
 
 def test_schrodinger_check_requires_symmetric_tag():
