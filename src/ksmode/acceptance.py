@@ -369,12 +369,12 @@ def criterion_evolution() -> list[Check]:
     checks.append(steady_drift_check(grid, w, dt, 5.0)[0])
 
     qh, projf, bump = shooting_setup(grid, w)
-    a_stars = {}
-    for amp in (1e-3, 2e-3):
-        res = evolution.shoot_stable_manifold(
-            RadialFunction(grid, amp * bump), (-4e-3, 4e-3), projf, qh,
-            dt=0.02, horizon=8.0)
-        a_stars[amp] = res
+    amps = (1e-3, 2e-3)
+    results = evolution.shoot_stable_manifold(
+        [RadialFunction(grid, amp * bump) for amp in amps], (-4e-3, 4e-3),
+        projf, qh, dt=0.02, horizon=8.0)
+    a_stars = dict(zip(amps, results))
+    for amp, res in a_stars.items():
         checks.append(Check(f"shooting converged (amplitude {amp})",
                             f"evolution.shoot_conv_{amp}", res.a_star, 0.0,
                             res.converged))

@@ -64,7 +64,8 @@ class RunConfig:
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
         values = {sec: dict(kv) for sec, kv in DEFAULTS.items()}
         if path:
-            parser = configparser.ConfigParser()
+            # "key = value ; note" lines, as in README's example
+            parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
             read = parser.read(path)
             if not read:
                 raise ConfigError(f"config file not found: {path}")
@@ -326,8 +327,8 @@ def cmd_shoot(cfg, args):
     # the bracket and the bound scale with the size of the amplitude, not its sign
     size = abs(amp)
     half = 4.0 * max(size, 1e-3)
-    res = evolution.shoot_stable_manifold(
-        RadialFunction(grid, amp * bump), (-half, half), projf, qh, dt=0.02,
+    (res,) = evolution.shoot_stable_manifold(
+        [RadialFunction(grid, amp * bump)], (-half, half), projf, qh, dt=0.02,
         horizon=8.0)
     checks = [
         Check("shooting bisection converged", "evolution.shoot_conv",
@@ -338,7 +339,9 @@ def cmd_shoot(cfg, args):
     detail = {"a_star": res.a_star, "bracket_width": res.bracket_width,
               "converged": res.converged,
               "departure_sign_low": res.departure_sign_low,
-              "departure_sign_high": res.departure_sign_high}
+              "departure_sign_high": res.departure_sign_high,
+              "trail": [list(entry) for entry in res.trail],
+              "max_solve_defect": res.max_solve_defect}
     return checks, detail
 
 

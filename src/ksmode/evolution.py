@@ -12,9 +12,13 @@ Nonlinear runs integrate the radial renormalized equation
 with an IMEX scheme: the stiff linear part is Crank-Nicolson (its matrix is
 banded, so one banded LU, reused every step, makes a step O(n)), the flux
 term second-order Adams-Bashforth after a predictor-corrector first step.
+One stepper advances a stack of independent states, one per row, with
+row-wise arithmetic only, so a row gets the same bits in a batch as alone.
 The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
+Its bisections run in lockstep, each round integrating the next bisection
+levels of every bracket as one batch.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -44,6 +48,8 @@ _TUBE_FACTOR = 10.0     # shooting tube radius in units of the initial deviation
 _WIDTH_TOL = 1e-8       # shooting bisection stops at this fraction of the bracket
 _NEWTON_TOL = 1e-12     # steady-state Newton residual, relative to max |Q|
 _NEWTON_MAX_ITER = 12
+_LOOKAHEAD = 2          # bisection levels each shooting round integrates
+_JACOBIAN_ROWS = 32     # flux-Jacobian columns per row-batched flux call
 
 
 class EvolutionError(RuntimeError):
@@ -76,6 +82,10 @@ class ShootingResult:
     converged: bool
     departure_sign_low: int
     departure_sign_high: int
+    # (a, departure sign, exit tau or None) of every run the bisection used,
+    # in order: the bracket ends, each midpoint, and a_star last
+    trail: list
+    max_solve_defect: float   # largest relative implicit-solve defect
 
 
 def fit_rate(trace: EvolutionTrace, window=(0.0, None)) -> float:
@@ -99,20 +109,32 @@ def step_count(dt: float, horizon: float) -> int:
     return n_steps
 
 
-def _check_solve(lhs, x, rhs, lhs_norm) -> float:
-    """Relative defect of the solve x of lhs x = rhs; raises past _SOLVE_TOL."""
-    defect = np.linalg.norm(lhs @ x - rhs)
-    denom = lhs_norm * np.linalg.norm(x) + np.linalg.norm(rhs)
-    if defect > _SOLVE_TOL * denom:
-        raise EvolutionError(f"implicit solve defect {defect:.2e} too large")
-    return defect / denom if defect else 0.0
+def _check_solve(lhs, x, rhs, lhs_norm):
+    """Relative defect of the solve x of lhs x = rhs, per row of a stack.
+
+    Raises EvolutionError when the defect of any row passes _SOLVE_TOL
+    relative to that row's own scale.
+    """
+    defect = np.linalg.norm(lhs @ x - rhs, axis=-1)
+    denom = lhs_norm * np.linalg.norm(x, axis=-1) + np.linalg.norm(rhs, axis=-1)
+    bad = defect > _SOLVE_TOL * denom
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        row = f" in row {i}" if np.ndim(x) > 1 else ""
+        raise EvolutionError(f"implicit solve defect "
+                             f"{np.ravel(defect)[i]:.2e} too large{row}")
+    return np.divide(defect, denom, out=np.zeros_like(defect), where=defect > 0)
 
 
 class _BandMatrix:
     """A matrix with kl subdiagonals and ku superdiagonals, kept as diagonals.
 
     ``@`` applies it in O(n); after ``factor()`` (LAPACK gbtrf), ``solve``
-    runs gbtrs.  The diagonals sit in LAPACK band layout: row ku + i - j of
+    runs gbtrs.  Both take one vector or a stack of them as the rows of a
+    C-contiguous (m, n) array, and act on each row alone: the product is
+    elementwise along the last axis and the solve is one gbtrs call with
+    m right-hand sides, the columns of the transposed (Fortran-order)
+    view.  The diagonals sit in LAPACK band layout: row ku + i - j of
     ``band`` holds m[i, j].
     """
 
@@ -131,7 +153,7 @@ class _BandMatrix:
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         out = self.band[self.ku] * y
         for rows, diagonal, cols in self._offdiag:
-            out[rows] += diagonal * y[cols]
+            out[..., rows] += diagonal * y[..., cols]
         return out
 
     def factor(self) -> None:
@@ -148,22 +170,27 @@ class _BandMatrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
             # gbtrs is typed: solve the real and imaginary parts together
-            x = self.solve(np.column_stack((rhs.real, rhs.imag)))
-            return x[:, 0] + 1j * x[:, 1]
-        return self._gbtrs(self._lu, self.kl, self.ku, rhs, self._piv)[0]
+            x = self.solve(np.concatenate((np.atleast_2d(rhs.real),
+                                           np.atleast_2d(rhs.imag))))
+            half = len(x) // 2
+            return (x[:half] + 1j * x[half:]).reshape(rhs.shape)
+        x = self._gbtrs(self._lu, self.kl, self.ku, np.atleast_2d(rhs).T,
+                        self._piv)[0]
+        return x.T.reshape(rhs.shape)
 
 
 def _crank_nicolson(a: np.ndarray, dt: float):
     """Crank-Nicolson for y' = -A y.
 
-    Returns ``(explicit, solve, worst)``: ``explicit @ y`` is
-    (I - dt/2 A) y, ``solve(rhs)`` is (I + dt/2 A)^{-1} rhs with every
-    solve checked by _check_solve, and ``worst()`` is the largest relative
-    defect of the solves so far.  When the band storage of A is smaller than
-    the dense matrix (the local IMEX operator has one subdiagonal and, from
-    the origin ghost, two superdiagonals) the left side is factored once by
-    LAPACK gbtrf and both sides are applied from their diagonals, so a step
-    is O(n); a dense A such as L_l gets one dense LU.
+    Returns ``(explicit, solve)``: ``explicit @ y`` is (I - dt/2 A) y and
+    ``solve(rhs)`` returns (I + dt/2 A)^{-1} rhs together with its relative
+    defect from _check_solve, which checks every solve.  When the band
+    storage of A is smaller than the dense matrix (the local IMEX operator
+    has one subdiagonal and, from the origin ghost, two superdiagonals, so
+    every grid of at least MIN_NODES nodes qualifies) the left side is
+    factored once by LAPACK gbtrf and both sides are applied from their
+    diagonals, so a step is O(n) and both take a stack of rows (see
+    _BandMatrix); a dense A such as L_l gets one dense LU and one vector.
     """
     n = a.shape[0]
     eye = np.eye(n)
@@ -182,15 +209,11 @@ def _crank_nicolson(a: np.ndarray, dt: float):
         def backsolve(rhs):
             return scipy.linalg.lu_solve(lu, rhs)
 
-    worst = 0.0
-
     def solve(rhs):
-        nonlocal worst
         x = backsolve(rhs)
-        worst = max(worst, _check_solve(lhs, x, rhs, lhs_norm))
-        return x
+        return x, _check_solve(lhs, x, rhs, lhs_norm)
 
-    return explicit, solve, lambda: worst
+    return explicit, solve
 
 
 def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
@@ -203,8 +226,7 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
     """
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
-    explicit, solve, worst_defect = _crank_nicolson(
-        (op or assemble_Ll(l, grid)).entries, dt)
+    explicit, solve = _crank_nicolson((op or assemble_Ll(l, grid)).entries, dt)
     w = r2_mass_weights(grid)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
     times = dt * np.arange(n_steps + 1)
@@ -220,14 +242,16 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
             states.append(vec.copy())
 
     record(0, eps)
+    worst = 0.0
     for k in range(1, n_steps + 1):
-        eps = solve(explicit @ eps)
+        eps, defect = solve(explicit @ eps)
+        worst = max(worst, float(defect))
         record(k, eps)
     return EvolutionTrace(times=times, norms=norms,
                           mode_coeffs=np.array(coeffs) if coeffs else None,
                           scheme="crank-nicolson", dt=dt, l=l,
                           states=np.array(states) if states else None,
-                          max_solve_defect=worst_defect())
+                          max_solve_defect=worst)
 
 
 class FluxGeometry:
@@ -260,90 +284,139 @@ class FluxGeometry:
 
 
 def _nl_rhs(values, flux: FluxGeometry) -> np.ndarray:
-    """The flux term N(psi) at nodal data, in the form FluxGeometry describes."""
+    """The flux term N(psi) at nodal data, in the form FluxGeometry describes.
+
+    ``values`` is one data set or a stack of them as rows; every reduction
+    runs along the last axis, so each row is evaluated alone.
+    """
     psi = np.asarray(values)
     cum = flux.mass(psi)
-    cum_mid = cum[:-1] + flux.cu * psi[:-1] + flux.cv * psi[1:]
-    phi_mid = 0.5 * (psi[:-1] + psi[1:]) * cum_mid
-    phi = np.concatenate(([0.0], phi_mid, [0.5 * psi[-1] * cum[-1]]))
-    return 3.0 * np.diff(phi) / flux.cell_cubes
+    cum_mid = cum[..., :-1] + flux.cu * psi[..., :-1] + flux.cv * psi[..., 1:]
+    phi_mid = 0.5 * (psi[..., :-1] + psi[..., 1:]) * cum_mid
+    phi = np.concatenate((np.zeros(psi.shape[:-1] + (1,)), phi_mid,
+                          0.5 * psi[..., -1:] * cum[..., -1:]), axis=-1)
+    return 3.0 * np.diff(phi, axis=-1) / flux.cell_cubes
+
+
+class _ImexRows:
+    """IMEX (Crank-Nicolson + AB2) stepper for a stack of independent runs.
+
+    Built once per grid and dt; ``start(psi0)`` then (re)starts it on a
+    stack of initial states, reusing the set-up.  ``psi`` is a
+    C-contiguous (m, n) array whose rows are the current states of the m
+    runs.  The linear part -Delta_0 + (1/2) Lambda is implicit with one
+    banded LU, reused by every row and step; the quadratic flux is explicit
+    (AB2 after a predictor-corrector first step).  All arithmetic is
+    row-wise, so a row gets the same bits in any batch as alone.
+    ``step()`` advances every row and returns
+    ``{row: message}`` for the rows whose new state fails the negativity
+    guard (min below -_NEGATIVITY_TOL ||Psi||_inf) or the blowup guard;
+    ``last`` holds the states before that step, so a failing row keeps its
+    last valid state.  ``keep(mask)`` retires rows between steps, and
+    ``defect`` is each row's largest relative solve defect.
+    """
+
+    def __init__(self, grid: RadialGrid, dt: float):
+        self.explicit, self._solve = _crank_nicolson(
+            assemble_Ll(0, grid, zero_profile=True).entries, dt)
+        self.flux = FluxGeometry(grid)
+        self.grid, self.dt = grid, dt
+
+    def start(self, psi0: np.ndarray) -> "_ImexRows":
+        self.psi = np.array(psi0, dtype=float, ndmin=2)
+        self.last = self.psi
+        self.scale0 = np.max(np.abs(self.psi), axis=-1)
+        self.defect = np.zeros(len(self.psi))
+        self.k = 0
+        self._n_prev = None   # flux term of the state one step back
+        return self
+
+    def _checked_solve(self, rhs):
+        x, defect = self._solve(rhs)
+        np.maximum(self.defect, defect, out=self.defect)
+        return x
+
+    def step(self) -> dict:
+        psi, dt = self.psi, self.dt
+        n_cur = _nl_rhs(psi, self.flux)
+        if self.k == 0:
+            # predictor-corrector first step keeps the start O(dt^2)
+            pred = self._checked_solve(self.explicit @ psi + dt * n_cur)
+            term = 0.5 * (n_cur + _nl_rhs(pred, self.flux))
+        else:
+            term = 1.5 * n_cur - 0.5 * self._n_prev
+        new = self._checked_solve(self.explicit @ psi + dt * term)
+        self.k += 1
+        self.last, self.psi, self._n_prev = psi, new, n_cur
+        tau = self.dt * self.k
+        scale = np.max(np.abs(new), axis=-1)
+        low = np.min(new, axis=-1)
+        negative = low < -_NEGATIVITY_TOL * np.maximum(scale, self.scale0)
+        blowup = ~np.isfinite(scale) | (scale > 1e6 * np.maximum(self.scale0, 1.0))
+        if not np.any(negative | blowup):
+            return {}
+        failures = {int(i): f"norm blowup at tau = {tau:.3f}"
+                    for i in np.flatnonzero(blowup)}
+        failures.update({int(i): f"density negativity {low[i]:.2e} at tau = {tau:.3f}"
+                         for i in np.flatnonzero(negative)})
+        return failures
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.psi, self._n_prev = self.psi[mask], self._n_prev[mask]
+        self.scale0, self.defect = self.scale0[mask], self.defect[mask]
 
 
 def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
-                            keep_states: bool = False,
-                            stop_when=None) -> EvolutionTrace:
+                            keep_states: bool = False) -> EvolutionTrace:
     """IMEX (Crank-Nicolson + AB2) integration of the radial renormalized flow.
 
-    The linear part -Delta_0 + (1/2) Lambda is implicit with one reused
-    banded LU; the quadratic flux is explicit (AB2 after a
-    predictor-corrector start).
-    A step driving min(Psi) below -_NEGATIVITY_TOL ||Psi||_inf or blowing
-    up the norm raises EvolutionError with the last valid state; the trace
-    flags any run whose boundary value exceeds 1e-6 ||Psi||_inf.  An
-    optional ``stop_when(state, step_index)`` predicate truncates the run
-    (the offending state is kept in the trace).
+    The one-row case of _ImexRows.  A step driving min(Psi) below
+    -_NEGATIVITY_TOL ||Psi||_inf or blowing up the norm raises
+    EvolutionError with the last valid state; the trace flags any run whose
+    boundary value exceeds 1e-6 ||Psi||_inf.
     """
     n_steps = step_count(dt, horizon)
     grid = psi0.grid
-    explicit, solve, worst_defect = _crank_nicolson(
-        assemble_Ll(0, grid, zero_profile=True).entries, dt)
-    flux = FluxGeometry(grid)
+    run = _ImexRows(grid, dt).start(psi0.values)
     w = r2_mass_weights(grid)
-    psi = psi0.values.astype(float).copy()
-    scale0 = np.max(np.abs(psi))
+    psi = run.psi[0]
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     states = [psi.copy()] if keep_states else None
     boundary_flag = False
     norms[0] = np.sqrt(np.sum(w * psi ** 2))
-
-    def advance(current, flux_term, k):
-        new = solve(explicit @ current + dt * flux_term)
-        scale = np.max(np.abs(new))
-        if np.min(new) < -_NEGATIVITY_TOL * max(scale, scale0):
-            raise EvolutionError(
-                f"density negativity {np.min(new):.2e} at tau = {times[k]:.3f}",
-                tau=times[k - 1], state=current)
-        if not np.isfinite(scale) or scale > 1e6 * max(scale0, 1.0):
-            raise EvolutionError(
-                f"norm blowup at tau = {times[k]:.3f}", tau=times[k - 1],
-                state=current)
-        return new
-
-    n_prev = _nl_rhs(psi, flux)
-    # predictor-corrector first step keeps the start O(dt^2)
-    pred = solve(explicit @ psi + dt * n_prev)
-    psi = advance(psi, 0.5 * (n_prev + _nl_rhs(pred, flux)), 1)
-    n_cur = _nl_rhs(psi, flux)
-    last = n_steps
     for k in range(1, n_steps + 1):
-        if k > 1:
-            psi = advance(psi, 1.5 * n_cur - 0.5 * n_prev, k)
-            n_prev, n_cur = n_cur, _nl_rhs(psi, flux)
+        failures = run.step()
+        if failures:
+            raise EvolutionError(failures[0], tau=times[k - 1],
+                                 state=run.last[0])
+        psi = run.psi[0]
         norms[k] = np.sqrt(np.sum(w * psi ** 2))
         if abs(psi[-1]) > 1e-6 * np.max(np.abs(psi)):
             boundary_flag = True
         if states is not None:
             states.append(psi.copy())
-        if stop_when is not None and stop_when(psi, k):
-            last = k
-            break
-    return EvolutionTrace(times=times[:last + 1], norms=norms[:last + 1],
-                          mode_coeffs=None, scheme="imex-cnab2", dt=dt, l=None,
+    return EvolutionTrace(times=times, norms=norms, mode_coeffs=None,
+                          scheme="imex-cnab2", dt=dt, l=None,
                           states=np.array(states) if states is not None else None,
                           boundary_flag=boundary_flag,
-                          max_solve_defect=worst_defect())
+                          max_solve_defect=float(run.defect[0]))
 
 
 def _flux_jacobian(base: np.ndarray, flux: FluxGeometry) -> np.ndarray:
-    """Exact Jacobian of the (quadratic) finite-volume flux at ``base``."""
+    """Exact Jacobian of the (quadratic) finite-volume flux at ``base``.
+
+    Row i of the stacks base +- e_{j+i} (i < _JACOBIAN_ROWS) is one
+    perturbed data set, so one row-batched flux call per sign gives the
+    symmetric differences of that many columns.  Blocks of rows rather
+    than all n keep the stacks in cache and their memory O(n).
+    """
     n = base.size
     jac = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        jac[:, j] = 0.5 * (_nl_rhs(base + e, flux) - _nl_rhs(base - e, flux))
-        e[j] = 0.0
+    for j in range(0, n, _JACOBIAN_ROWS):
+        e = np.eye(min(_JACOBIAN_ROWS, n - j), n, j)
+        jac[:, j:j + len(e)] = 0.5 * (_nl_rhs(base + e, flux)
+                                      - _nl_rhs(base - e, flux)).T
     return jac
 
 
@@ -417,86 +490,168 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     return float(4.0 * np.pi * np.max(np.abs(mbar_step - mbar_psi)))
 
 
-def _departure(psi0_vals, grid, ref_states, size0, projection, dt, horizon):
-    """Evolve and report (sign of the scaling-mode coefficient, exited?).
+def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
+                ref_states: np.ndarray, projection) -> list:
+    """Evolve a stack of initial states; per row (sign, exit tau, defect).
 
-    The deviation is measured against the simultaneously evolved
-    unperturbed trajectory, so the O(h^2) steady-state residual (which
-    seeds the scaling instability identically in both runs) cancels and
-    the functional isolates the perturbation's own unstable content.
+    ``run`` is restarted on ``rows``, and ``ref_states`` holds the reference
+    trajectory at each of its steps.  The sign is that of the scaling-mode
+    coefficient of a row's deviation from the reference when the row
+    retires, and the defect is its largest relative solve defect.  A row
+    retires when its deviation leaves its tube (radius ``tubes[i]``; the
+    exit tau is that step's time), when it reaches the horizon (exit tau
+    None unless it leaves the tube on the last step), or when its step
+    fails the negativity or blowup guard; that counts as a departure at
+    the time of its last valid state, which it is classified from.  The
+    deviation is measured against the simultaneously evolved unperturbed
+    trajectory, so the O(h^2) steady-state residual (which seeds the
+    scaling instability identically in both runs) cancels and the
+    functional isolates the perturbation's own unstable content.
     """
-    w = r2_mass_weights(grid)
-    tube = _TUBE_FACTOR * size0
+    w = r2_mass_weights(run.grid)
+    dt = run.dt
+    run.start(rows)
+    live = np.arange(len(rows))   # input index of each row still running
+    out = [None] * len(rows)
 
-    def outside(state, k):
-        return np.sqrt(np.sum(w * (state - ref_states[k]) ** 2)) > tube
+    def retire(i, state, k, exited):
+        coef = float(np.real(projection.coefficient(state - ref_states[k])))
+        out[live[i]] = ((1 if coef >= 0.0 else -1), dt * k if exited else None,
+                        float(run.defect[i]))
 
-    try:
-        trace = nonlinear_radial_evolve(RadialFunction(grid, psi0_vals), dt,
-                                        horizon, keep_states=True,
-                                        stop_when=outside)
-        state = trace.states[-1]
-        k = len(trace.states) - 1
-        exited = bool(outside(state, k))
-    except EvolutionError as err:
-        # negativity/blowup counts as departure; classify the last valid state
-        state = err.state
-        k = int(round(err.tau / dt))
-        exited = True
-    dev = state - ref_states[k]
-    coef = float(np.real(projection.coefficient(dev)))
-    return (1 if coef >= 0.0 else -1), exited
+    n_steps = len(ref_states) - 1
+    for k in range(1, n_steps + 1):
+        failed = run.step()
+        if failed:
+            for i in failed:
+                retire(i, run.last[i], k - 1, True)
+            stay = np.ones(len(live), dtype=bool)
+            stay[list(failed)] = False
+            run.keep(stay)
+            live = live[stay]
+        dist = np.sqrt(np.sum(w * (run.psi - ref_states[k]) ** 2, axis=-1))
+        outside = dist > tubes[live]
+        done = outside | (k == n_steps)
+        if np.any(done):
+            for i in np.flatnonzero(done):
+                retire(i, run.psi[i], k, bool(outside[i]))
+            run.keep(~done)
+            live = live[~done]
+        if not live.size:
+            break
+    return out
 
 
-def shoot_stable_manifold(eps_s0: RadialFunction, bracket, projection,
+def _lookahead(lo: float, hi: float, depth: int) -> list:
+    """Every midpoint the next ``depth`` bisection levels of [lo, hi] can use."""
+    if depth == 0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _lookahead(lo, mid, depth - 1) + _lookahead(mid, hi, depth - 1)
+
+
+class _Bisection:
+    """One shooting bisection, advanced a round of _LOOKAHEAD levels at a time.
+
+    ``wanted()`` lists the amplitudes the next round must integrate (the
+    bracket ends in the first round, then the look-ahead midpoints);
+    ``walk(runs)`` takes the departures of those runs, keyed by amplitude,
+    and bisects through them exactly as a one-run-at-a-time bisection
+    would, setting ``result`` once the width falls below ``_WIDTH_TOL``
+    times the initial width and a_star has been run.
+    """
+
+    def __init__(self, eps: np.ndarray, tube: float, bracket, ref_defect: float):
+        self.eps, self.tube = eps, tube
+        self.lo, self.hi = float(bracket[0]), float(bracket[1])
+        self.width0 = self.hi - self.lo
+        self.sign_lo = self.sign_hi = None   # set by the first walk
+        self.trail = []
+        self.defect = ref_defect
+        self.result = None
+
+    def wanted(self) -> list:
+        ends = [] if self.trail else [self.lo, self.hi]
+        return ends + _lookahead(self.lo, self.hi, _LOOKAHEAD)
+
+    def walk(self, runs: dict) -> None:
+        self.defect = max(self.defect, *(run[2] for run in runs.values()))
+
+        def use(a):
+            sign, tau, _ = runs[a]
+            self.trail.append((a, sign, tau))
+            return sign, tau
+
+        if not self.trail:
+            self.sign_lo, _ = use(self.lo)
+            self.sign_hi, _ = use(self.hi)
+            if self.sign_lo == self.sign_hi:
+                raise ValueError(f"departure sign {self.sign_lo} identical "
+                                 "at both bracket ends")
+        for _ in range(_LOOKAHEAD):
+            mid = 0.5 * (self.lo + self.hi)
+            sign, tau = use(mid)
+            if self.hi - self.lo <= _WIDTH_TOL * self.width0:
+                self.result = ShootingResult(
+                    a_star=mid, bracket_width=self.hi - self.lo,
+                    converged=tau is None, departure_sign_low=self.sign_lo,
+                    departure_sign_high=self.sign_hi, trail=self.trail,
+                    max_solve_defect=self.defect)
+                return
+            if sign == self.sign_lo:
+                self.lo = mid
+            else:
+                self.hi = mid
+
+
+def shoot_stable_manifold(stable_perturbations, bracket, projection,
                           base_profile: np.ndarray, dt: float = 0.01,
-                          horizon: float = 8.0) -> ShootingResult:
+                          horizon: float = 8.0) -> list[ShootingResult]:
     """Bisection over the unstable amplitude a in Psi_0 = Q + eps_s0 + a LQ/||LQ||.
 
-    The departure functional is the sign of the scaling-mode coefficient at
-    the exit time, the first tau at which the deviation from the reference
-    flow (started at the unperturbed base profile) leaves the tube of
-    radius ``_TUBE_FACTOR`` times the initial deviation size.  The base
-    point is normally the discrete steady profile, about which the
-    reference flow is stationary; ``projection`` should then come from
-    ``flow_linearization`` about it so that the prepared data is stable for
-    the discrete dynamics that actually run.  The bracket must produce opposite
-    departure signs; bisection stops when its width falls below
+    Runs one bisection per stable perturbation eps_s0 (RadialFunctions on
+    one grid) over the same bracket and returns one ShootingResult for each,
+    in order.  The departure functional is the sign of the scaling-mode
+    coefficient at the exit time, the first tau at which the deviation
+    from the reference flow (started at the unperturbed base profile)
+    leaves the tube of radius ``_TUBE_FACTOR`` times the initial deviation
+    size.  The base point is normally the discrete steady profile, about
+    which the reference flow is stationary; ``projection`` should then come
+    from ``flow_linearization`` about it so that the prepared data is stable
+    for the discrete dynamics that actually run.  The bracket must produce
+    opposite departure signs; bisection stops when its width falls below
     ``_WIDTH_TOL`` times the initial width, and the result is converged when
     the matched amplitude stays in the tube for the whole horizon.
+
+    The bisections run in lockstep against one reference trajectory: each
+    round integrates, as one batch, the next ``_LOOKAHEAD`` levels of every
+    unfinished bisection (the bracket ends too in the first round).  Every
+    row of a batch is computed as it would be alone, and the bisection
+    walks the same midpoints as one run at a time, so each result equals
+    that of its own one-perturbation shooting.
     """
-    grid = eps_s0.grid
-    r = grid.nodes
+    grid = stable_perturbations[0].grid
     w = r2_mass_weights(grid)
-    lam_q = profile.lambda_q(r)
+    lam_q = profile.lambda_q(grid.nodes)
     lam_q = lam_q / np.sqrt(np.sum(w * lam_q ** 2))
     ref = nonlinear_radial_evolve(RadialFunction(grid, base_profile), dt,
-                                  horizon, keep_states=True).states
-    size0 = np.sqrt(np.sum(w * eps_s0.values ** 2))
-    if size0 == 0.0:
-        size0 = _WIDTH_TOL * (float(bracket[1]) - float(bracket[0]))
-
-    def run(a):
-        vals = base_profile + eps_s0.values + a * lam_q
-        return _departure(vals, grid, ref, size0, projection, dt, horizon)
-
-    a_lo, a_hi = float(bracket[0]), float(bracket[1])
-    width0 = a_hi - a_lo
-    sign_lo, _ = run(a_lo)
-    sign_hi, _ = run(a_hi)
-    if sign_lo == sign_hi:
-        raise ValueError(
-            f"departure sign {sign_lo} identical at both bracket ends")
-    while a_hi - a_lo > _WIDTH_TOL * width0:
-        mid = 0.5 * (a_lo + a_hi)
-        sign_mid, _ = run(mid)
-        if sign_mid == sign_lo:
-            a_lo = mid
-        else:
-            a_hi = mid
-    a_star = 0.5 * (a_lo + a_hi)
-    _, exited = run(a_star)
-    return ShootingResult(a_star=a_star, bracket_width=a_hi - a_lo,
-                          converged=not exited,
-                          departure_sign_low=sign_lo,
-                          departure_sign_high=sign_hi)
+                                  horizon, keep_states=True)
+    run = _ImexRows(grid, dt)
+    searches = []
+    for eps_s0 in stable_perturbations:
+        size0 = np.sqrt(np.sum(w * eps_s0.values ** 2))
+        if size0 == 0.0:
+            size0 = _WIDTH_TOL * (float(bracket[1]) - float(bracket[0]))
+        searches.append(_Bisection(eps_s0.values, _TUBE_FACTOR * size0,
+                                   bracket, ref.max_solve_defect))
+    pending = searches
+    while pending:
+        batch = [(s, a) for s in pending for a in s.wanted()]
+        found = _departures(
+            run, np.array([base_profile + s.eps + a * lam_q for s, a in batch]),
+            np.array([s.tube for s, _ in batch]), ref.states, projection)
+        for s in pending:
+            s.walk({a: departure for (owner, a), departure in zip(batch, found)
+                    if owner is s})
+        pending = [s for s in pending if s.result is None]
+    return [s.result for s in searches]

@@ -184,10 +184,15 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
 
 
 def _prefix_sums(origin, cu, cv, values) -> np.ndarray:
-    """Origin-panel integral followed by the running sum of the panels."""
-    out = np.empty(values.size, dtype=np.result_type(values, float))
-    out[0] = origin
-    out[1:] = origin + np.cumsum(cu * values[:-1] + cv * values[1:])
+    """Origin-panel integral followed by the running sum of the panels.
+
+    ``values`` may be a stack of data sets along the leading axes (one
+    ``origin`` each); the sums run along the last axis.
+    """
+    out = np.empty(values.shape, dtype=np.result_type(values, float))
+    out[..., 0] = origin
+    out[..., 1:] = np.expand_dims(origin, -1) + np.cumsum(
+        cu * values[..., :-1] + cv * values[..., 1:], axis=-1)
     return out
 
 
@@ -198,7 +203,8 @@ class EvenPrefixIntegral:
     it: the origin panel integrates the fit c0 + c2 s^2 through the first
     two nodes.  Everything that depends only on the nodes (the panel
     coefficients and the origin powers) is computed once, so a caller that
-    integrates many data sets on one grid builds one instance.
+    integrates many data sets on one grid builds one instance.  A call
+    takes one data set or a stack of them along the leading axes.
     """
 
     def __init__(self, nodes: np.ndarray, a: float):
@@ -211,8 +217,8 @@ class EvenPrefixIntegral:
 
     def __call__(self, values) -> np.ndarray:
         values = np.asarray(values)
-        b = (values[1] - values[0]) / self.span
-        c0 = values[0] - b * self.r1 * self.r1
+        b = (values[..., 1] - values[..., 0]) / self.span
+        c0 = values[..., 0] - b * self.r1 * self.r1
         origin = c0 * self.pow1 / (self.a + 1.0) + b * self.pow3 / (self.a + 3.0)
         return _prefix_sums(origin, self.cu, self.cv, values)
 

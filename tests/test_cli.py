@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report schema, determinism, config."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -279,18 +281,44 @@ def test_shoot_bracket_and_bound_scale_with_the_amplitude_size(
         tmp_path, monkeypatch, amp):
     seen = {}
 
-    def fake_shoot(eps_s0, bracket, projection, base_profile, dt, horizon):
+    def fake_shoot(stable_perturbations, bracket, projection, base_profile,
+                   dt, horizon):
         seen["bracket"] = bracket
-        return evolution.ShootingResult(a_star=0.05 * abs(amp),
-                                        bracket_width=1e-9, converged=True,
-                                        departure_sign_low=-1,
-                                        departure_sign_high=1)
+        seen["count"] = len(stable_perturbations)
+        trail = [(bracket[0], -1, 0.5), (bracket[1], 1, 0.75),
+                 (0.05 * abs(amp), 1, None)]
+        return [evolution.ShootingResult(a_star=0.05 * abs(amp),
+                                         bracket_width=1e-9, converged=True,
+                                         departure_sign_low=-1,
+                                         departure_sign_high=1, trail=trail,
+                                         max_solve_defect=1e-17)]
 
     monkeypatch.setattr(evolution, "shoot_stable_manifold", fake_shoot)
     assert run_cli(["shoot", "--n", "100", "--amplitude", str(amp)],
                    tmp_path) == 0
     size = max(abs(amp), 1e-3)
     assert seen["bracket"] == (-4.0 * size, 4.0 * size)
-    (bound,) = [c for c in load_summary(tmp_path, "shoot")["checks"]
+    assert seen["count"] == 1
+    summary = load_summary(tmp_path, "shoot")
+    (bound,) = [c for c in summary["checks"]
                 if c["tag"] == "evolution.shoot_astar"]
     assert bound["tolerance"] == 0.1 * abs(amp)
+    # the bisection trail and the solve guard reach the report
+    assert summary["details"]["trail"] == [
+        [-4.0 * size, -1, 0.5], [4.0 * size, 1, 0.75],
+        [0.05 * abs(amp), 1, None]]
+    assert summary["details"]["max_solve_defect"] == 1e-17
+
+
+def test_readme_config_example_loads(tmp_path, monkeypatch):
+    # the ```ini block of README.md, as written, inline comments included
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"^```ini\n(.*?)^```", readme.read_text(),
+                          re.MULTILINE | re.DOTALL)
+    (tmp_path / "example.ini").write_text(block)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--config", "example.ini", "profile-check"]) == 0
+    cfg = cli.RunConfig.load("example.ini", {})
+    assert cfg["grid", "n"] == 400 and cfg["grid", "stretch"] == "uniform"
+    assert cfg["evolve", "amplitude"] == 1e-3
+    assert (tmp_path / cfg["output", "dir"] / "profile_check_summary.json").exists()

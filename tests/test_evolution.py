@@ -135,8 +135,9 @@ class TestStepRule:
         check = evolution._check_solve
 
         def recorded(*args):
-            seen.append(check(*args))
-            return seen[-1]
+            defect = check(*args)
+            seen.append(float(np.max(defect)))
+            return defect
 
         monkeypatch.setattr(evolution, "_check_solve", recorded)
         tr = _five_steps(flow, grid, op0)
@@ -191,8 +192,8 @@ class TestBandedStepper:
         y = rng.standard_normal(grid.n)
         if complex_data:
             y = y + 1j * rng.standard_normal(grid.n)
-        explicit, solve, _ = evolution._crank_nicolson(a, dt)
-        step = solve(explicit @ y)
+        explicit, solve = evolution._crank_nicolson(a, dt)
+        step, _ = solve(explicit @ y)
         eye = np.eye(grid.n)
         dense = np.linalg.solve(eye + 0.5 * dt * a, (eye - 0.5 * dt * a) @ y)
         assert step.dtype == dense.dtype
@@ -207,6 +208,102 @@ class TestBandedStepper:
         assert np.iscomplexobj(cplx.states)
         err = np.max(np.abs(cplx.states - (1 + 2j) * real.states))
         assert err <= 1e-13 * np.max(np.abs(real.states))
+
+
+class TestRowBatch:
+    """A stack of states steps row by row: each row gets its lone bits."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, grid):
+        rng = np.random.default_rng(3)
+        return profile.q(grid.nodes) * (1.0 + 0.1 * rng.standard_normal((4, grid.n)))
+
+    def test_each_kernel_acts_row_by_row(self, grid, stack):
+        a = operators.assemble_Ll(0, grid, zero_profile=True).entries
+        explicit, solve = evolution._crank_nicolson(a, 0.01)
+        flux = evolution.FluxGeometry(grid)
+        w = operators.r2_mass_weights(grid)
+        batched = {"solve": solve(stack)[0], "matvec": explicit @ stack,
+                   "flux": evolution._nl_rhs(stack, flux),
+                   "mass": flux.mass(stack),
+                   "norm": np.sqrt(np.sum(w * stack ** 2, axis=-1))}
+        for i, row in enumerate(stack):
+            alone = {"solve": solve(row)[0], "matvec": explicit @ row,
+                     "flux": evolution._nl_rhs(row, flux),
+                     "mass": flux.mass(row),
+                     "norm": np.sqrt(np.sum(w * row ** 2))}
+            for key, value in alone.items():
+                assert np.array_equal(batched[key][i], value), key
+
+    def test_rows_retire_and_match_their_single_runs(self, grid):
+        # row 0 sits at the steady state to the horizon, row 1 (2 Q) fails
+        # the negativity guard mid-run, rows 2 and 3 leave their tubes early
+        # on opposite sides of the scaling direction
+        qh = evolution.discrete_steady_profile(grid)
+        projf = spectra.build_projection(
+            evolution.flow_linearization(grid, qh), -1.0)
+        w = operators.r2_mass_weights(grid)
+        lam_q = profile.lambda_q(grid.nodes)
+        lam_q /= np.sqrt(np.sum(w * lam_q ** 2))
+        rows = np.array([qh, 2.0 * profile.q(grid.nodes), qh + 1e-3 * lam_q,
+                         qh - 1e-3 * lam_q])
+        tubes = np.array([1e-3, 1e3, 2e-3, 2e-3])
+        dt = 0.02
+        ref = evolution.nonlinear_radial_evolve(
+            RadialFunction(grid, qh), dt, 1.0, keep_states=True).states
+        run = evolution._ImexRows(grid, dt)
+        batch = evolution._departures(run, rows, tubes, ref, projf)
+        for i in range(4):
+            assert batch[i] == evolution._departures(run, rows[i:i + 1],
+                                                     tubes[i:i + 1], ref,
+                                                     projf)[0]
+        (_, tau_stay, _), (_, tau_neg, _), (sign_up, tau_exit, _), \
+            (sign_down, _, _) = batch
+        assert tau_stay is None
+        with pytest.raises(evolution.EvolutionError) as err:
+            evolution.nonlinear_radial_evolve(RadialFunction(grid, rows[1]),
+                                              dt, 1.0)
+        assert "negativity" in str(err.value)
+        assert 0.0 < tau_neg == err.value.tau < tau_exit < 1.0
+        assert sign_up == -sign_down
+
+    def test_batched_states_equal_single_runs_bit_for_bit(self, grid):
+        qv = profile.q(grid.nodes)
+        rows = np.array([qv, 2.0 * qv, qv + 0.05 * np.exp(-grid.nodes)])
+        batch = evolution._ImexRows(grid, 0.02).start(rows)
+        alone = [evolution._ImexRows(grid, 0.02).start(row) for row in rows]
+        live = [0, 1, 2]
+        for _ in range(30):
+            failed = batch.step()
+            for i, j in enumerate(live):
+                assert (i in failed) == bool(alone[j].step())
+                assert np.array_equal(batch.psi[i], alone[j].psi[0])
+                assert np.array_equal(batch.last[i], alone[j].last[0])
+                assert batch.defect[i] == alone[j].defect[0]
+            if failed:
+                keep = np.array([i not in failed for i in range(len(live))])
+                batch.keep(keep)
+                live = [j for j, k in zip(live, keep) if k]
+        assert live == [0, 2]   # 2 Q failed the negativity guard
+
+    def test_corrupted_row_trips_its_own_solve_guard(self, grid,
+                                                     monkeypatch):
+        # row 1 is a million times smaller than the others, so its defect
+        # would vanish in a norm taken over the whole stack
+        solver = evolution._BandMatrix.solve
+
+        def off(self, rhs):
+            x = solver(self, rhs)
+            x[1] *= 1.0 + 1e-6
+            return x
+
+        monkeypatch.setattr(evolution._BandMatrix, "solve", off)
+        qv = profile.q(grid.nodes)
+        batch = evolution._ImexRows(grid, 0.01).start(
+            np.array([qv, 1e-6 * qv, qv]))
+        with pytest.raises(evolution.EvolutionError,
+                           match="solve defect .* in row 1"):
+            batch.step()
 
 
 def _flux_term(values, grid):
@@ -245,6 +342,19 @@ def _flux_oracle(values, grid):
     return 3.0 * np.diff(phi) / np.diff(faces3)
 
 
+def _jacobian_oracle(base, flux):
+    """The flux Jacobian one symmetric difference (two flux calls) a column."""
+    n = base.size
+    jac = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        jac[:, j] = 0.5 * (evolution._nl_rhs(base + e, flux)
+                           - evolution._nl_rhs(base - e, flux))
+        e[j] = 0.0
+    return jac
+
+
 class TestNonlinearTerm:
     @pytest.mark.parametrize("stretch", ["uniform", ("geometric", 1.01)],
                              ids=["uniform", "geometric"])
@@ -257,6 +367,15 @@ class TestNonlinearTerm:
             assert np.array_equal(flux.mass(vals), _mass_oracle(vals, g))
             assert np.array_equal(evolution._nl_rhs(vals, flux),
                                   _flux_oracle(vals, g))
+
+    @pytest.mark.parametrize("stretch", ["uniform", ("geometric", 1.005)],
+                             ids=["uniform", "geometric"])
+    def test_batched_jacobian_equals_column_loop(self, stretch):
+        g = make_grid(400, 40.0, stretch)
+        flux = evolution.FluxGeometry(g)
+        base = profile.q(g.nodes)
+        assert np.array_equal(evolution._flux_jacobian(base, flux),
+                              _jacobian_oracle(base, flux))
 
     def test_zero(self, grid):
         out = _flux_term(np.zeros(grid.n), grid)
@@ -376,8 +495,8 @@ def shooting_setup(grid):
 class TestShooting:
     def test_zero_perturbation_matches_zero_amplitude(self, grid, shooting_setup):
         qh, projf = shooting_setup
-        res = evolution.shoot_stable_manifold(
-            RadialFunction(grid, np.zeros(grid.n)), (-2e-3, 2e-3), projf,
+        (res,) = evolution.shoot_stable_manifold(
+            [RadialFunction(grid, np.zeros(grid.n))], (-2e-3, 2e-3), projf,
             dt=0.02, horizon=4.0, base_profile=qh)
         assert abs(res.a_star) <= 1e-8 * 4e-3 * 10.0
         assert res.departure_sign_low != res.departure_sign_high
@@ -386,7 +505,7 @@ class TestShooting:
         qh, projf = shooting_setup
         with pytest.raises(ValueError):
             evolution.shoot_stable_manifold(
-                RadialFunction(grid, np.zeros(grid.n)), (1e-3, 2e-3), projf,
+                [RadialFunction(grid, np.zeros(grid.n))], (1e-3, 2e-3), projf,
                 dt=0.02, horizon=4.0, base_profile=qh)
 
     def test_matched_run_relaxes_to_profile(self, grid, shooting_setup):
@@ -396,8 +515,8 @@ class TestShooting:
         bump = np.real(projf.project_stable(
             np.exp(-(grid.nodes - 4.0) ** 2)))
         bump *= 1e-3 / np.sqrt(np.sum(w * bump ** 2))
-        res = evolution.shoot_stable_manifold(
-            RadialFunction(grid, bump), (-4e-3, 4e-3), projf, dt=0.02,
+        (res,) = evolution.shoot_stable_manifold(
+            [RadialFunction(grid, bump)], (-4e-3, 4e-3), projf, dt=0.02,
             horizon=6.0, base_profile=qh)
         assert res.converged
         lam_q = profile.lambda_q(grid.nodes)
@@ -410,3 +529,40 @@ class TestShooting:
         window = (tr.times >= 1.0) & (tr.times <= 6.0)
         assert devs[window][-1] < devs[window][0]
         assert np.polyfit(tr.times[window], np.log(devs[window]), 1)[0] < 0.0
+
+    def test_lockstep_equals_one_bisection_at_a_time(self, grid,
+                                                     shooting_setup):
+        qh, projf = shooting_setup
+        bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
+        bumps = [RadialFunction(grid, amp * bump) for amp in (1e-3, 3e-3)]
+
+        def shoot(perturbations):
+            return evolution.shoot_stable_manifold(
+                perturbations, (-4e-3, 4e-3), projf, dt=0.02, horizon=2.0,
+                base_profile=qh)
+
+        together = shoot(bumps)
+        assert together == [shoot([b])[0] for b in bumps]
+        assert together[0] != together[1]
+
+    def test_trail_walks_the_bisection(self, grid, shooting_setup):
+        qh, projf = shooting_setup
+        lo, hi = -2e-3, 2e-3
+        (res,) = evolution.shoot_stable_manifold(
+            [RadialFunction(grid, np.zeros(grid.n))], (lo, hi), projf,
+            dt=0.02, horizon=2.0, base_profile=qh)
+        ends, mids, last = res.trail[:2], res.trail[2:-1], res.trail[-1]
+        assert ends == [(lo, res.departure_sign_low, ends[0][2]),
+                        (hi, res.departure_sign_high, ends[1][2])]
+        # each midpoint halves the bracket, keeping the end of its own sign
+        for a, sign, _ in mids:
+            assert a == 0.5 * (lo + hi)
+            if sign == res.departure_sign_low:
+                lo = a
+            else:
+                hi = a
+        assert hi - lo == res.bracket_width
+        assert last[0] == res.a_star == 0.5 * (lo + hi)
+        assert (last[2] is None) == res.converged
+        assert len(mids) == 27   # 2^-27 of the width is below 1e-8
+        assert 0.0 < res.max_solve_defect <= evolution._SOLVE_TOL

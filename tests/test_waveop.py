@@ -6,6 +6,20 @@ import pytest
 from ksmode import profile, waveop
 from ksmode.radial import make_grid
 
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def t_grids(draw):
+    """A uniform or geometric grid of 200-3000 nodes out to rmax in 15-60."""
+    n = draw(st.integers(200, 3000))
+    rmax = draw(st.floats(15.0, 60.0))
+    stretch = draw(st.one_of(
+        st.just("uniform"),
+        st.tuples(st.just("geometric"), st.floats(1.0001, 1.01))))
+    return make_grid(n, rmax, stretch)
+
 
 class TestApplyT:
     def test_annihilates_translation_mode(self):
@@ -16,6 +30,19 @@ class TestApplyT:
         w = g.quad_weights * r * r
         ratio = np.sqrt(np.sum(w * t * t) / np.sum(w * dq * dq))
         assert ratio <= 1e-6
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(t_grids())
+    def test_annihilates_translation_mode_on_random_grids(self, g):
+        # second order in the largest spacing: 150 random grids of this
+        # kind gave at most 0.022 h_max^2 in L^2(r^2 dr)
+        r = g.nodes
+        dq = profile.q_deriv(r, 1)
+        t = waveop.apply_T(dq, g)
+        w = g.quad_weights * r * r
+        ratio = np.sqrt(np.sum(w * t * t) / np.sum(w * dq * dq))
+        h_max = np.max(np.diff(r, prepend=0.0))
+        assert ratio <= 0.1 * h_max ** 2
 
     def test_identity_on_linear_data(self):
         g = make_grid(4000, 60.0, "uniform")
