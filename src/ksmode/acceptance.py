@@ -22,9 +22,10 @@ import numpy as np
 from . import evolution, ggmt, operators, profile, spectra, waveop
 from .radial import RadialFunction, make_grid, weighted_inner
 
-__all__ = ["Check", "CRITERIA", "SYMMETRY_MODES", "SymmetryMode",
-           "ggmt_checks", "spectrum_checks", "floor_check", "growth_rate_check",
-           "steady_drift_check", "partial_mass_check", "shooting_setup"]
+__all__ = ["Check", "CRITERIA", "SYMMETRY_MODES", "SymmetryMode", "ggmt_checks",
+           "u_inf_check", "spectrum_checks", "floor_check", "profile_bounds_check",
+           "waveop_identity_checks", "growth_rate_check", "steady_drift_check",
+           "partial_mass_check", "shooting_setup", "shooting_checks"]
 
 
 @dataclass
@@ -87,6 +88,28 @@ def ggmt_checks(rep, reference: bool) -> list[Check]:
         ]
     return checks + [_at_most("N below the certification threshold",
                               "ggmt.bigN_lt_1", rep.bigN, 1.0 - 1e-12)]
+
+
+def u_inf_check(rep) -> Check:
+    """The potential of one l = 2 pipeline report is positive at infinity."""
+    return Check("potential limit at infinity positive", "ggmt.u_inf",
+                 rep.u_infinity, 0.0, rep.u_infinity > 0.0)
+
+
+def profile_bounds_check(grid) -> Check:
+    """The pointwise profile bounds of the l >= 3 estimate hold on ``grid``."""
+    ok = ggmt.pointwise_q_bounds(grid)
+    return Check("pointwise profile bounds", "profile.bounds", float(ok), 0.0, ok)
+
+
+def waveop_identity_checks() -> list[Check]:
+    """The intertwined operator's coefficient identities and weight sign."""
+    ids = waveop.coefficient_identity_residuals(np.linspace(0.05, 50.0, 2000))
+    nv = waveop.nonvanishing_check(lambda r: profile.q_deriv(r, 1))
+    return [_at_most(f"{key} coefficient identity", f"waveop.coef_{key}",
+                     ids[key], 1e-8) for key in ("drift", "potential")] + [
+        Check("weight non-vanishing on the half line", "waveop.nonvanishing",
+              nv.origin_margin, 0.0, nv.passed)]
 
 
 def spectrum_checks(l: int, accepted, floor) -> list[Check]:
@@ -173,6 +196,16 @@ def shooting_setup(grid, w):
     projf = spectra.build_projection(opf, SYMMETRY_MODES[0].eigenvalue)
     bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
     return qh, projf, bump / np.sqrt(np.sum(w * bump ** 2))
+
+
+def shooting_checks(res, size: float) -> list[Check]:
+    """A shooting run from data of size ``size`` converged to a small a_star."""
+    return [
+        Check("shooting bisection converged", "evolution.shoot_conv",
+              res.a_star, 0.0, res.converged),
+        _at_most("matched amplitude", "evolution.shoot_astar",
+                 abs(res.a_star), 0.1 * max(size, 1e-12)),
+    ]
 
 
 # -- 1: the l=2 certification numbers ---------------------------------------

@@ -38,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, evolution, ggmt, operators, profile, spectra, waveop
-from .acceptance import Check
+from . import acceptance, evolution, ggmt, operators, spectra
 from .radial import RadialFunction, make_grid
 
 DEFAULTS = {
@@ -92,15 +91,13 @@ class RunConfig:
             for key, val in kv.items():
                 if isinstance(val, float) and not np.isfinite(val):
                     raise ConfigError(f"{sec}.{key} must be finite, got {val}")
-        g = self.values["grid"]
-        if g["n"] < 16:
-            raise ConfigError("grid.n must be at least 16")
-        if g["rmax"] <= 0:
-            raise ConfigError("grid.rmax must be positive")
-        if g["stretch"] not in ("uniform", "geometric"):
+        if self.values["grid"]["stretch"] not in ("uniform", "geometric"):
             raise ConfigError("grid.stretch must be uniform or geometric")
-        if g["stretch"] == "geometric" and g["ratio"] <= 0:
-            raise ConfigError("grid.ratio must be positive")
+        # n, rmax and ratio are valid exactly when the grid builds
+        try:
+            self.grid()
+        except ValueError as err:
+            raise ConfigError(f"grid: {err}") from None
         s = self.values["scan"]
         if not (s["levels"] >= 3 and s["n0"] >= 16):
             raise ConfigError("scan needs levels >= 3 and n0 >= 16")
@@ -221,11 +218,8 @@ def _print_checks(checks) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_profile_check(cfg, args):
-    checks = acceptance.criterion_profile()
-    bounds_ok = ggmt.pointwise_q_bounds(cfg.grid())
-    checks.append(Check("pointwise profile bounds", "profile.bounds",
-                        float(bounds_ok), 0.0, bounds_ok))
-    return checks, None
+    return acceptance.criterion_profile() + [
+        acceptance.profile_bounds_check(cfg.grid())], None
 
 
 def cmd_ggmt(cfg, args):
@@ -234,9 +228,7 @@ def cmd_ggmt(cfg, args):
                            theta=gc["theta"], W=cfg.weight())
     # the default configuration is the reference one the pinned values hold for
     checks = acceptance.ggmt_checks(rep, gc == DEFAULTS["ggmt"])
-    checks.append(Check("potential limit at infinity positive", "ggmt.u_inf",
-                        rep.u_infinity, 0.0, rep.u_infinity > 0.0))
-    return checks, rep.to_dict()
+    return checks + [acceptance.u_inf_check(rep)], rep.to_dict()
 
 
 def cmd_spectrum(cfg, args):
@@ -266,18 +258,8 @@ def cmd_spectrum(cfg, args):
 
 
 def cmd_waveop_check(cfg, args):
-    checks = acceptance.criterion_waveop()
-    ids = waveop.coefficient_identity_residuals(np.linspace(0.05, 50.0, 2000))
-    checks.append(acceptance._at_most("drift coefficient identity",
-                                      "waveop.coef_drift", ids["drift"], 1e-8))
-    checks.append(acceptance._at_most("potential coefficient identity",
-                                      "waveop.coef_potential",
-                                      ids["potential"], 1e-8))
-    nv = waveop.nonvanishing_check(lambda r: profile.q_deriv(r, 1))
-    checks.append(Check("weight non-vanishing on the half line",
-                        "waveop.nonvanishing", nv.origin_margin, 0.0, nv.passed))
-    checks += acceptance.criterion_schrodinger()
-    return checks, None
+    return (acceptance.criterion_waveop() + acceptance.waveop_identity_checks()
+            + acceptance.criterion_schrodinger()), None
 
 
 def cmd_coercivity(cfg, args):
@@ -330,12 +312,7 @@ def cmd_shoot(cfg, args):
     (res,) = evolution.shoot_stable_manifold(
         [RadialFunction(grid, amp * bump)], (-half, half), projf, qh, dt=0.02,
         horizon=8.0)
-    checks = [
-        Check("shooting bisection converged", "evolution.shoot_conv",
-              res.a_star, 0.0, res.converged),
-        acceptance._at_most("matched amplitude", "evolution.shoot_astar",
-                            abs(res.a_star), 0.1 * max(size, 1e-12)),
-    ]
+    checks = acceptance.shooting_checks(res, size)
     detail = {"a_star": res.a_star, "bracket_width": res.bracket_width,
               "converged": res.converged,
               "departure_sign_low": res.departure_sign_low,

@@ -67,9 +67,6 @@ class EvolutionTrace:
     times: np.ndarray
     norms: np.ndarray
     mode_coeffs: np.ndarray | None   # projection coefficient per step
-    scheme: str
-    dt: float
-    l: int | None
     states: np.ndarray | None = field(default=None, repr=False)
     boundary_flag: bool = False
     max_solve_defect: float = 0.0   # largest relative defect of an implicit solve
@@ -249,7 +246,6 @@ def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
         record(k, eps)
     return EvolutionTrace(times=times, norms=norms,
                           mode_coeffs=np.array(coeffs) if coeffs else None,
-                          scheme="crank-nicolson", dt=dt, l=l,
                           states=np.array(states) if states else None,
                           max_solve_defect=worst)
 
@@ -397,7 +393,6 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
         if states is not None:
             states.append(psi.copy())
     return EvolutionTrace(times=times, norms=norms, mode_coeffs=None,
-                          scheme="imex-cnab2", dt=dt, l=None,
                           states=np.array(states) if states is not None else None,
                           boundary_flag=boundary_flag,
                           max_solve_defect=float(run.defect[0]))

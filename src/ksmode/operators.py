@@ -28,17 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ggmt, profile
-from .radial import (RadialGrid, panel_coefficients, power_moment,
-                     deriv_deltal_inverse, RadialFunction, fd_deriv1,
-                     fd_deriv2, three_point)
+from .radial import (RadialGrid, power_moment, power_prefix_integral,
+                     suffix_power_integral, deriv_deltal_inverse,
+                     RadialFunction, fd_deriv1, fd_deriv2, three_point)
 
 __all__ = [
     "OperatorMatrix", "assemble_Ll", "assemble_tilde_Ll_alpha",
     "assemble_tilde_L1_prime", "assemble_H_l_alpha_W",
     "apply_Ll", "kernel_deltal_inv_matrix", "factorized_deltal_inv_matrix",
     "deriv_deltal_inv_matrix", "kernel_deriv_deltal_inv_matrix",
-    "dk_inv_matrix", "lower_cum_matrix",
-    "upper_cum_matrix", "deriv1_matrix", "deriv2_matrix", "r2_mass_weights",
+    "dk_inv_matrix", "deriv1_matrix", "deriv2_matrix", "r2_mass_weights",
 ]
 
 
@@ -72,10 +71,9 @@ def _origin_ghost_coeffs(grid: RadialGrid, closure) -> np.ndarray:
         l = closure[1]
         if l == 0:
             x = grid.nodes[:3] ** 2
-            c = np.array([x[1] * x[2] / ((x[1] - x[0]) * (x[2] - x[0])),
-                          x[0] * x[2] / ((x[0] - x[1]) * (x[2] - x[1])),
-                          x[0] * x[1] / ((x[0] - x[2]) * (x[1] - x[2]))])
-            return c
+            return np.array([x[1] * x[2] / ((x[1] - x[0]) * (x[2] - x[0])),
+                             x[0] * x[2] / ((x[0] - x[1]) * (x[2] - x[1])),
+                             x[0] * x[1] / ((x[0] - x[2]) * (x[1] - x[2]))])
         return np.zeros(1)
     raise ValueError(f"unknown origin closure {closure!r}")
 
@@ -101,55 +99,39 @@ def deriv2_matrix(grid: RadialGrid, origin_closure="dirichlet") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cumulative quadrature matrices (exact on the piecewise-linear interpolant)
+# cumulative quadrature matrices: row j of radial's integral of np.eye(n)
+# integrates e_j, so its transpose is the matrix of the integral
 # ---------------------------------------------------------------------------
 
-def _panel_matrix(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """(n-1) x n bidiagonal matrix of the panel integrals cu_j f_j + cv_j f_{j+1}."""
-    m = cu.size
-    panels = np.zeros((m, m + 1))
-    idx = np.arange(m)
-    panels[idx, idx] = cu
-    panels[idx, idx + 1] = cv
-    return panels
+def _prefix_matrix(grid: RadialGrid, a: float, p: float) -> np.ndarray:
+    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p."""
+    return power_prefix_integral(np.eye(grid.n), grid.nodes, a, p).T
 
 
-def lower_cum_matrix(grid: RadialGrid, a: float, origin_power: float) -> np.ndarray:
-    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ f_1 (s/r_1)^p."""
-    n = grid.n
-    nodes = grid.nodes
-    if origin_power + a + 1.0 <= 0.0:
-        raise ValueError("origin model makes the cumulative integral divergent")
-    panels = _panel_matrix(*panel_coefficients(a, nodes))
-    mat = np.zeros((n, n))
-    mat[1:] = np.cumsum(panels, axis=0)
-    mat[:, 0] += nodes[0] ** (a + 1.0) / (origin_power + a + 1.0)
-    return mat
-
-
-def upper_cum_matrix(grid: RadialGrid, a: float) -> np.ndarray:
+def _suffix_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
-    n = grid.n
-    panels = _panel_matrix(*panel_coefficients(a, grid.nodes))
-    mat = np.zeros((n, n))
-    mat[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
-    return mat
+    return suffix_power_integral(np.eye(grid.n), grid, a, tail=False).T
+
+
+def _row_scaled(scale: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """diag(scale) @ mat, C-ordered: the layout sets later BLAS rounding."""
+    return np.multiply(scale[:, None], mat, order="C")
 
 
 def dk_inv_matrix(grid: RadialGrid, k: float, origin_power: float = 0.0) -> np.ndarray:
     """Matrix of D_k^{-1} on the grid (zero extension beyond rmax for k <= 0)."""
     r = grid.nodes
     if k > 0:
-        return (r ** (-k))[:, None] * lower_cum_matrix(grid, k, origin_power)
-    return -(r ** (-k))[:, None] * upper_cum_matrix(grid, k)
+        return _row_scaled(r ** (-k), _prefix_matrix(grid, k, origin_power))
+    return _row_scaled(-(r ** (-k)), _suffix_matrix(grid, k))
 
 
 def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """Explicit-kernel form of Delta_l^{-1} (zero extension beyond rmax)."""
     r = grid.nodes
-    low = lower_cum_matrix(grid, l + 2.0, float(l))
-    up = upper_cum_matrix(grid, 1.0 - l)
-    return -((r ** (-(l + 1.0)))[:, None] * low + (r ** float(l))[:, None] * up) \
+    low = _prefix_matrix(grid, l + 2.0, float(l))
+    up = _suffix_matrix(grid, 1.0 - l)
+    return -(_row_scaled(r ** (-(l + 1.0)), low) + _row_scaled(r ** float(l), up)) \
         / (2 * l + 1)
 
 
@@ -163,7 +145,7 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """
     r = grid.nodes
     n = grid.n
-    low = lower_cum_matrix(grid, l + 2.0, float(l))
+    low = _prefix_matrix(grid, l + 2.0, float(l))
     u, v = r[:-1], r[1:]
     dt = v - u
     m_out = power_moment(-2.0 * l - 2.0, u, v)
@@ -171,11 +153,9 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     m2 = power_moment(2.0 - l, u, v)
 
     # I(s) on panel j: I_j + c1 s^{l+3} + c2 s^{l+4} + const(f_j, f_{j+1})
-    # with f(s) = f_j + d (s - u), d = (f_{j+1} - f_j)/dt.
-    # coefficient arrays in terms of (f_j, f_{j+1})
+    # with f(s) = f_j + d (s - u), d = (f_{j+1} - f_j)/dt; collect each
+    # panel integral as I_j * m_out + alpha_j f_j + beta_j f_{j+1}
     la, lb = l + 3.0, l + 4.0
-    # d = (f_{j+1} - f_j)/dt; collect each panel integral as
-    #   I_j * m_out + alpha_j f_j + beta_j f_{j+1}
     c1_fj = (1.0 / la) + u / (la * dt)          # s^{l+3} coeff of f_j
     c1_fj1 = -u / (la * dt)                     # ... of f_{j+1}
     c2_fj = -1.0 / (lb * dt)
@@ -184,13 +164,14 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     const_fj1 = (u ** lb / la - u ** lb / lb) / dt
     alpha = const_fj * m_out + c1_fj * m1 + c2_fj * m2
     beta = const_fj1 * m_out + c1_fj1 * m1 + c2_fj1 * m2
-    panels = _panel_matrix(alpha, beta)
-    panels += m_out[:, None] * low[:-1, :]
+    panels = _row_scaled(m_out, low[:-1, :])
+    idx = np.arange(n - 1)
+    panels[idx, idx] += alpha
+    panels[idx, idx + 1] += beta
 
     acc = np.zeros((n, n))
     acc[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
-    tail = grid.rmax ** (-(2.0 * l + 1.0)) / (2 * l + 1) * low[-1, :]
-    acc += tail[None, :]
+    acc += grid.rmax ** (-(2.0 * l + 1.0)) / (2 * l + 1) * low[-1, :]  # exact tail
     return -(r ** float(l))[:, None] * acc
 
 
@@ -213,17 +194,16 @@ def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
                                     - l r^{l-1} int_r^rmax s^{1-l} f ds.
     """
     r = grid.nodes
-    low = lower_cum_matrix(grid, l + 2.0, float(l))
-    mat = ((l + 1) * r ** (-(l + 2.0)))[:, None] * low
+    low = _prefix_matrix(grid, l + 2.0, float(l))
+    mat = _row_scaled((l + 1) * r ** (-(l + 2.0)), low)
     if l > 0:
-        mat = mat - (l * r ** (l - 1.0))[:, None] * upper_cum_matrix(grid, 1.0 - l)
+        mat = mat - _row_scaled(l * r ** (l - 1.0), _suffix_matrix(grid, 1.0 - l))
     return mat / (2 * l + 1)
 
 
 def r2_mass_weights(grid: RadialGrid) -> np.ndarray:
     """Lumped L^2(r^2 dr) quadrature weights, origin panel included."""
     w = grid.quad_weights * grid.nodes ** 2
-    w = w.copy()
     w[0] += 0.5 * grid.nodes[0] ** 3  # trapezoid on [0, r_1] with zero limit
     return w
 

@@ -10,9 +10,12 @@ interpolant*: on every panel the interpolant is integrated against s^a in
 closed form.  This keeps the kernel form and the factorized form of the
 class-l inverse Laplacian consistent to round-off (see operators.py) and
 makes T[r]-type identities exact for data that is genuinely piecewise
-linear.  The first panel [0, r_1] uses a power-law origin model
-f ~ f_1 (s/r_1)^p, with p either supplied by the caller (p = l for class-l
-data) or fitted from the first two nodes.
+linear.  The first panel [0, r_1] has three origin models: the power model
+f ~ f_1 (s/r_1)^p (power_prefix_integral; p = l for class-l data, or fitted
+from the first two nodes), the even quadratic through the first two nodes
+(EvenPrefixIntegral, which cumulative_power_integral uses at p = 0) and the
+cubic through four (cumulative_power_integral_cubic).  The dense matrices
+of operators.py use the power model at every p: a constant class-0 panel.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
@@ -30,7 +33,7 @@ __all__ = [
     "RadialGrid", "RadialFunction", "make_grid", "DivergentTailError",
     "dk_inverse", "delta_l_inverse", "deriv_deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
-    "EvenPrefixIntegral",
+    "EvenPrefixIntegral", "power_prefix_integral",
     "suffix_power_integral", "fit_tail_exponent", "fd_deriv1", "fd_deriv2",
 ]
 
@@ -118,7 +121,10 @@ def make_grid(n: int, rmax: float, stretch="uniform") -> RadialGrid:
             raise ValueError("geometric ratio must be positive")
         if ratio == 1.0:
             return make_grid(n, rmax, "uniform")
-        h0 = rmax * (ratio - 1.0) / (ratio ** n - 1.0)
+        try:
+            h0 = rmax * (ratio - 1.0) / (ratio ** n - 1.0)
+        except OverflowError:
+            raise ValueError(f"geometric ratio {ratio} overflows at n = {n}") from None
         nodes = h0 * (ratio ** np.arange(1, n + 1) - 1.0) / (ratio - 1.0)
         nodes[-1] = rmax
         desc = ("geometric", ratio)
@@ -168,7 +174,8 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
     for p = 0 where an even-quadratic fit a + b s^2 through the first two
     nodes is used (smooth radial data is even in r, and the constant model
     would leave an O(h^2) origin error with a large profile-curvature
-    constant).  p + a + 1 must be positive for the model to integrate.
+    constant).  p + a + 1 must be positive for the model to integrate.  A
+    given ``origin_power`` also takes a stack of data sets (leading axes).
     """
     values = np.asarray(values)
     nodes = grid.nodes
@@ -179,7 +186,15 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
             f"origin model exponent p={p:.3g} makes int_0 s^{a} divergent")
     if p == 0.0:
         return EvenPrefixIntegral(nodes, a)(values)
-    origin = values[0] * nodes[0] ** (a + 1.0) / (p + a + 1.0)
+    return power_prefix_integral(values, nodes, a, p)
+
+
+def power_prefix_integral(values, nodes: np.ndarray, a: float,
+                          p: float) -> np.ndarray:
+    """I_i = int_0^{r_i} f(s) s^a ds, origin model f_1 (s/r_1)^p, p + a + 1 > 0;
+    one data set or a stack of them along the leading axes."""
+    values = np.asarray(values)
+    origin = values[..., 0] * nodes[0] ** (a + 1.0) / (p + a + 1.0)
     return _prefix_sums(origin, *panel_coefficients(a, nodes), values)
 
 
@@ -187,12 +202,15 @@ def _prefix_sums(origin, cu, cv, values) -> np.ndarray:
     """Origin-panel integral followed by the running sum of the panels.
 
     ``values`` may be a stack of data sets along the leading axes (one
-    ``origin`` each); the sums run along the last axis.
+    ``origin`` each); the sums run along the last axis, in the output array.
     """
     out = np.empty(values.shape, dtype=np.result_type(values, float))
     out[..., 0] = origin
-    out[..., 1:] = np.expand_dims(origin, -1) + np.cumsum(
-        cu * values[..., :-1] + cv * values[..., 1:], axis=-1)
+    sums = out[..., 1:]
+    np.multiply(cu, values[..., :-1], out=sums)
+    sums += cv * values[..., 1:]
+    np.cumsum(sums, axis=-1, out=sums)
+    sums += np.expand_dims(origin, -1)
     return out
 
 
@@ -260,11 +278,11 @@ def _shifted_power_integrals(a: float, u: np.ndarray, delta: np.ndarray,
     if np.any(wide):
         uw = u[wide]
         vw = uw + delta[wide]
-        from math import comb
         for m in range(mmax + 1):
             acc = np.zeros_like(uw)
             for k in range(m + 1):
-                acc += comb(m, k) * (-uw) ** (m - k) * power_moment(a + k, uw, vw)
+                acc += (math.comb(m, k) * (-uw) ** (m - k)
+                        * power_moment(a + k, uw, vw))
             out[m, wide] = acc
     return out
 
@@ -279,8 +297,6 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: float) -> np.nd
     downstream 1/r^4-type factor would amplify piecewise-linear error, e.g.
     by the intertwining map.
     """
-    from math import comb
-
     f = np.asarray(values)
     r = grid.nodes
     n = grid.n
@@ -298,13 +314,10 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: float) -> np.nd
     c0 = np.linalg.solve(x0[:, None] ** np.arange(4)[None, :], f[:4])
     m_origin = np.array([
         r[0] ** (a + m + 1.0)
-        * sum(comb(m, k) * (-1.0) ** (m - k) / (a + k + 1.0) for k in range(m + 1))
+        * sum(math.comb(m, k) * (-1.0) ** (m - k) / (a + k + 1.0) for k in range(m + 1))
         for m in range(4)])
     origin = c0 @ m_origin
-    out = np.empty(n, dtype=np.result_type(f, float))
-    out[0] = origin
-    out[1:] = origin + np.cumsum(panel)
-    return out
+    return np.concatenate(([origin], origin + np.cumsum(panel)))
 
 
 def fit_tail_exponent(values, grid: RadialGrid):
@@ -338,17 +351,20 @@ def suffix_power_integral(values, grid: RadialGrid, a: float,
     """J_i = int_{r_i}^{rmax or inf} f(s) s^a ds, exact on the interpolant.
 
     With ``tail=True`` (default) the integral extends to infinity using the
-    fitted power-law tail; a fitted exponent q with q + a >= -1 - _TAIL_MARGIN
-    raises DivergentTailError.  With ``tail=False`` the function is treated
-    as zero beyond rmax.
+    fitted power-law tail of one data set; a fitted exponent q with
+    q + a >= -1 - _TAIL_MARGIN raises DivergentTailError.  With ``tail=False``
+    f is zero beyond rmax and may be a stack of data sets (leading axes).
     """
     values = np.asarray(values)
-    nodes = grid.nodes
-    cu, cv = panel_coefficients(a, nodes)
-    panel = cu * values[:-1] + cv * values[1:]
-    out = np.empty(grid.n, dtype=np.result_type(values, float))
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(panel[::-1])[::-1]
+    if tail and values.ndim != 1:
+        raise ValueError("the fitted tail takes one data set")
+    cu, cv = panel_coefficients(a, grid.nodes)
+    out = np.empty(values.shape, dtype=np.result_type(values, float))
+    out[..., -1] = 0.0
+    sums = out[..., -2::-1]   # running sums from rmax inwards, in place
+    np.multiply(cu, values[..., :-1], out=out[..., :-1])
+    out[..., :-1] += cv * values[..., 1:]
+    np.cumsum(sums, axis=-1, out=sums)
     if tail:
         c, qexp = fit_tail_exponent(values, grid)
         if c != 0.0:

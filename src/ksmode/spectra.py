@@ -68,7 +68,6 @@ class EigenReport:
     converged: bool
     decay_exponent: float
     origin_exponent: float
-    exponent_consistent: bool
     accepted: bool
     h_defect: float
     rmax_defect: float
@@ -310,7 +309,6 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         report = EigenReport(l=l, lam=complex(lam), residual=residual,
                              converged=bool(richardson_ok and rmax_ok),
                              decay_exponent=decay, origin_exponent=origin,
-                             exponent_consistent=consistent,
                              accepted=not rejected_by, h_defect=float(h_defect),
                              rmax_defect=float(rmax_defect), vector=v,
                              grid=fine_grid, rejected_by=rejected_by,

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, determinism, config."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -155,6 +156,31 @@ def test_bad_config_exits_2(tmp_path):
                      "profile-check"]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.ini"),
                      "--output-dir", str(tmp_path), "profile-check"]) == 2
+
+
+@pytest.mark.parametrize("ratio", ["6", "0.5"])
+def test_grid_ratio_the_grid_cannot_hold_exits_2(tmp_path, capsys, ratio):
+    # 6^400 overflows a float; ratio 0.5 shrinks the spacings to round-off
+    path = tmp_path / "grid.ini"
+    path.write_text(f"[grid]\nstretch = geometric\nratio = {ratio}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--output-dir", str(out),
+                     "profile-check"]) == 2
+    assert "config error: grid:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reaches_no_private_name_of_acceptance():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "acceptance"):
+            private.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "acceptance":
+            private.update(a.name for a in node.names if a.name.startswith("_"))
+    assert private == set()
 
 
 @pytest.mark.parametrize("line", ["rmax0 = -1.0", "growth = 0.0"])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ksmode import ggmt, operators, profile
-from ksmode.radial import RadialFunction, deriv_stencil, make_grid
+from ksmode.radial import (RadialFunction, deriv_stencil, make_grid,
+                           panel_coefficients)
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -244,3 +245,87 @@ class TestCrossRepresentation:
         mat = operators.deriv_deltal_inv_matrix(grid, 2)
         vec = deriv_deltal_inverse(2, f, tail=False)
         assert np.max(np.abs(mat @ f.values - vec.values)) < 1e-12
+
+
+# -- the dense cumulative matrices as they were assembled before radial's
+# -- prefix and suffix integrals built them: the oracles of the blocks
+
+def _panel_matrix(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """(n-1) x n bidiagonal matrix of the panel integrals cu_j f_j + cv_j f_{j+1}."""
+    m = cu.size
+    panels = np.zeros((m, m + 1))
+    idx = np.arange(m)
+    panels[idx, idx] = cu
+    panels[idx, idx + 1] = cv
+    return panels
+
+
+def lower_cum_matrix(grid, a: float, origin_power: float) -> np.ndarray:
+    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ f_1 (s/r_1)^p."""
+    n = grid.n
+    nodes = grid.nodes
+    if origin_power + a + 1.0 <= 0.0:
+        raise ValueError("origin model makes the cumulative integral divergent")
+    panels = _panel_matrix(*panel_coefficients(a, nodes))
+    mat = np.zeros((n, n))
+    mat[1:] = np.cumsum(panels, axis=0)
+    mat[:, 0] += nodes[0] ** (a + 1.0) / (origin_power + a + 1.0)
+    return mat
+
+
+def upper_cum_matrix(grid, a: float) -> np.ndarray:
+    """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
+    n = grid.n
+    panels = _panel_matrix(*panel_coefficients(a, grid.nodes))
+    mat = np.zeros((n, n))
+    mat[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
+    return mat
+
+
+ORACLE_GRIDS = {"ladder": geometric_grid(800, 80.0),
+                "uniform": make_grid(400, 40.0, "uniform")}
+
+
+class TestCumulativeBlocks:
+    """The blocks are bit-identical to the explicit cumsum matrices, for the
+    exponents the class operators and the partial localization use."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("l", range(7))
+    def test_prefix_block_matches_oracle(self, name, l):
+        grid = ORACLE_GRIDS[name]
+        # (a, p): the class-l kernel, and the partial localization at alpha
+        for a, p in ((l + 2.0, float(l)), (l + 2.0 - 0.2, 1.0)):
+            assert np.array_equal(operators._prefix_matrix(grid, a, p),
+                                  lower_cum_matrix(grid, a, p))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("l", range(7))
+    def test_suffix_block_matches_oracle(self, name, l):
+        grid = ORACLE_GRIDS[name]
+        for a in (1.0 - l, -(l + 0.2)):
+            assert np.array_equal(operators._suffix_matrix(grid, a),
+                                  upper_cum_matrix(grid, a))
+
+    @pytest.mark.parametrize("l", range(7))
+    def test_assembled_matrices_are_c_ordered(self, l):
+        # a transposed layout would change the rounding of BLAS products
+        grid = ORACLE_GRIDS["uniform"]
+        for mat in (operators.dk_inv_matrix(grid, l + 2.0, float(l)),
+                    operators.dk_inv_matrix(grid, -(l + 0.2)),
+                    operators.kernel_deltal_inv_matrix(grid, l),
+                    operators.factorized_deltal_inv_matrix(grid, l),
+                    operators.kernel_deriv_deltal_inv_matrix(grid, l)):
+            assert mat.flags.c_contiguous
+
+    @pytest.mark.parametrize("l", range(7))
+    def test_factors_match_oracle_assembly(self, l):
+        grid = ORACLE_GRIDS["uniform"]
+        r = grid.nodes
+        low = (r ** (-(l + 2.0)))[:, None] * lower_cum_matrix(grid, l + 2.0, l)
+        assert np.array_equal(operators.dk_inv_matrix(grid, l + 2.0, float(l)),
+                              low)
+        for k in (1.0 - l, -(l + 0.2)):
+            if k <= 0.0:   # D_k^{-1} integrates from rmax inwards
+                up = -(r ** (-k))[:, None] * upper_cum_matrix(grid, k)
+                assert np.array_equal(operators.dk_inv_matrix(grid, k), up)

@@ -10,7 +10,8 @@ from ksmode.radial import (DivergentTailError, RadialFunction, RadialGrid,
                            cumulative_power_integral_cubic, delta_l_inverse,
                            deriv_deltal_inverse, dk_inverse, fd_deriv1,
                            fd_deriv2, fit_tail_exponent, make_grid,
-                           suffix_power_integral, weighted_inner)
+                           power_prefix_integral, suffix_power_integral,
+                           weighted_inner)
 
 
 def gaussian_bump(r, center=5.0, width=1.5):
@@ -83,6 +84,12 @@ class TestMakeGrid:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             make_grid(100, 50.0, ("geometric", -1.0))
+
+    @pytest.mark.parametrize("ratio", [6.0, 0.5])
+    def test_ratio_the_grid_cannot_hold_is_a_value_error(self, ratio):
+        # 6^400 overflows a float; 0.5 shrinks the spacings below round-off
+        with pytest.raises(ValueError):
+            make_grid(400, 40.0, ("geometric", ratio))
 
     @pytest.mark.parametrize("rmax", [0.0, -1.0, np.nan, np.inf])
     def test_invalid_rmax(self, rmax):
@@ -364,3 +371,56 @@ class TestCumulative:
                                   suffix_power_integral(floats, g, a, tail))
         ones = cumulative_power_integral(np.ones(20, dtype=int), g, 0.0)
         assert np.allclose(ones, g.nodes, rtol=1e-12)
+
+
+class TestStackedIntegrals:
+    """A stack of data sets along the leading axes integrates row by row,
+    bit for bit like one call per row."""
+
+    @staticmethod
+    def stack(grid, shape, dtype=float):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal(shape + (grid.n,))
+        if dtype is complex:
+            data = data + 1j * rng.standard_normal(data.shape)
+        return data
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_suffix_rows(self, shape, dtype):
+        g = make_grid(64, 10.0, ("geometric", 1.05))
+        data = self.stack(g, shape, dtype)
+        for a in (1.0, -2.2, 0.0):
+            got = suffix_power_integral(data, g, a, tail=False)
+            for idx in np.ndindex(shape):
+                assert np.array_equal(
+                    got[idx], suffix_power_integral(data[idx], g, a, tail=False))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_power_prefix_rows(self, shape, dtype):
+        g = make_grid(64, 10.0)
+        data = self.stack(g, shape, dtype)
+        for a, p in ((2.0, 0.0), (4.0, 2.0), (2.8, 1.0)):
+            got = power_prefix_integral(data, g.nodes, a, p)
+            for idx in np.ndindex(shape):
+                assert np.array_equal(
+                    got[idx], power_prefix_integral(data[idx], g.nodes, a, p))
+            if p != 0.0:   # the explicit-power branch is this model
+                assert np.array_equal(got, cumulative_power_integral(data, g, a, p))
+
+    def test_power_model_integrates_its_origin_power(self):
+        # data s^p on the grid: the origin panel is exact, every other panel
+        # integrates the interpolant
+        g = make_grid(400, 4.0)
+        for a, p in ((2.0, 1.0), (4.0, 2.0)):
+            got = power_prefix_integral(g.nodes ** p, g.nodes, a, p)
+            assert got[0] == pytest.approx(g.nodes[0] ** (a + p + 1) / (a + p + 1),
+                                           rel=1e-14)
+            exact = g.nodes ** (a + p + 1) / (a + p + 1)
+            assert np.max(np.abs(got - exact)) < 1e-4 * exact[-1]
+
+    def test_fitted_tail_takes_one_data_set(self):
+        g = make_grid(64, 10.0)
+        with pytest.raises(ValueError, match="one data set"):
+            suffix_power_integral(np.ones((2, g.n)), g, -4.0, tail=True)
