@@ -386,14 +386,14 @@ def criterion_evolution() -> list[Check]:
     checks = []
     ops = {l: operators.assemble_Ll(l, grid) for l in SYMMETRY_MODES}
     for l, mode in SYMMETRY_MODES.items():
-        tr = evolution.linear_evolve(l, RadialFunction(grid, mode.shape(r)),
-                                     dt, 3.0, op=ops[l])
+        tr = evolution.linear_evolve(
+            ops[l], RadialFunction(grid, mode.shape(r)), dt, 3.0)
         checks.append(growth_rate_check(l, evolution.fit_rate(tr)))
 
     op0 = ops[0]
     proj0 = spectra.build_projection(op0, SYMMETRY_MODES[0].eigenvalue)
     stable = np.real(proj0.project_stable(np.exp(-r * r)))
-    tr = evolution.linear_evolve(0, RadialFunction(grid, stable), dt, 6.0, op=op0)
+    tr = evolution.linear_evolve(op0, RadialFunction(grid, stable), dt, 6.0)
     rate = evolution.fit_rate(tr, (1.0, 6.0))
     checks.append(Check("stable-projected data decays", "evolution.stable_decay",
                         -rate, 0.0, rate < 0.0))

@@ -80,6 +80,11 @@ class RunConfig:
                 values[sec][key] = val
         cfg = cls(values)
         cfg.validate()
+        # every command writes its report there: fail before any work
+        try:
+            _out_dir(cfg).mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"output dir: {err}") from None
         return cfg
 
     def __getitem__(self, seckey):
@@ -183,10 +188,8 @@ def _json_text(obj, indent=0) -> str:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    out = cfg["output", "dir"] or os.environ.get("KSMODE_OUTDIR", "reports")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The report directory; RunConfig.load creates it."""
+    return Path(cfg["output", "dir"] or os.environ.get("KSMODE_OUTDIR", "reports"))
 
 
 def _write_summary(cfg, command, checks, extra, t0) -> Path:
@@ -277,8 +280,8 @@ def cmd_evolve_linear(cfg, args):
     for l, mode in acceptance.SYMMETRY_MODES.items():
         op = operators.assemble_Ll(l, grid)
         proj = spectra.build_projection(op, mode.eigenvalue)
-        tr = evolution.linear_evolve(l, RadialFunction(grid, mode.shape(r)), dt,
-                                     horizon, op=op, projection=proj)
+        tr = evolution.linear_evolve(op, RadialFunction(grid, mode.shape(r)), dt,
+                                     horizon, projection=proj)
         checks.append(acceptance.growth_rate_check(l, evolution.fit_rate(tr)))
         worst_defect = max(worst_defect, tr.max_solve_defect)
         rows += [{"l": l, "tau": t, "norm": n, "mode_coeff": float(np.real(c))}

@@ -34,7 +34,7 @@ import scipy.linalg
 from . import profile
 from .operators import assemble_Ll, r2_mass_weights, OperatorMatrix
 from .radial import EvenPrefixIntegral, RadialFunction, RadialGrid, \
-    cumulative_power_integral, fd_deriv1
+    cumulative_power_integral, fd_deriv
 
 __all__ = [
     "EvolutionTrace", "ShootingResult", "EvolutionError", "linear_evolve",
@@ -213,17 +213,17 @@ def _crank_nicolson(a: np.ndarray, dt: float):
     return explicit, solve
 
 
-def linear_evolve(l: int, eps0: RadialFunction, dt: float, horizon: float,
-                  op: OperatorMatrix | None = None, projection=None,
+def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
+                  horizon: float, projection=None,
                   keep_states: bool = False) -> EvolutionTrace:
-    """Crank-Nicolson integration of d_tau eps = -L_l eps.
+    """Crank-Nicolson integration of d_tau eps = -A eps for the operator ``op``.
 
     Records the L^2(r^2 dr) norm each step and, when a ProjectionPair is
     supplied, the coefficient against its left mode.
     """
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
-    explicit, solve = _crank_nicolson((op or assemble_Ll(l, grid)).entries, dt)
+    explicit, solve = _crank_nicolson(op.entries, dt)
     w = r2_mass_weights(grid)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
     times = dt * np.arange(n_steps + 1)
@@ -475,8 +475,8 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     r = grid.nodes
     mass = EvenPrefixIntegral(r, 2.0)
     mbar = mass(psi.values)
-    dm = fd_deriv1(mbar, r)
-    d2m = fd_deriv1(dm, r)
+    dm = fd_deriv(mbar, r, 1)
+    d2m = fd_deriv(dm, r, 1)
     rhs = d2m - (2.0 / r + 0.5 * r) * dm + 0.5 * mbar + mbar * dm / (r * r)
     mbar_step = mbar + dt * rhs
     trace = nonlinear_radial_evolve(psi, dt, dt, keep_states=True)

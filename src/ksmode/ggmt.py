@@ -24,7 +24,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import profile
-from .radial import RadialFunction, weighted_inner, fd_deriv1, \
+from .radial import RadialFunction, weighted_inner, fd_deriv, \
     delta_l_inverse, deriv_deltal_inverse
 
 __all__ = [
@@ -329,7 +329,7 @@ def coercivity_form(f: RadialFunction, l: int) -> float:
     """
     grid = f.grid
     r = grid.nodes
-    df = RadialFunction(grid, fd_deriv1(f.values, r))
+    df = RadialFunction(grid, fd_deriv(f.values, r, 1))
     w = delta_l_inverse(l, f)
     dw = deriv_deltal_inverse(l, f)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import ggmt, profile
 from .radial import (RadialGrid, power_moment, power_prefix_integral,
                      suffix_power_integral, deriv_deltal_inverse,
-                     RadialFunction, fd_deriv1, fd_deriv2, three_point)
+                     RadialFunction, fd_deriv, three_point)
 
 __all__ = [
     "OperatorMatrix", "assemble_Ll", "assemble_tilde_Ll_alpha",
@@ -244,8 +244,8 @@ def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
     r = grid.nodes
     f = np.asarray(values)
     ddli = deriv_deltal_inverse(l, RadialFunction(grid, f)).values
-    d1 = fd_deriv1(f, r)
-    lap = fd_deriv2(f, r) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
+    d1 = fd_deriv(f, r, 1)
+    lap = fd_deriv(f, r, 2) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
     return (-lap + 0.5 * (r * d1 + 2.0 * f) - 2.0 * profile.q(r) * f
             - profile.d2inv_q_closed(r) * d1 - profile.q_deriv(r, 1) * ddli)
 

@@ -10,12 +10,19 @@ interpolant*: on every panel the interpolant is integrated against s^a in
 closed form.  This keeps the kernel form and the factorized form of the
 class-l inverse Laplacian consistent to round-off (see operators.py) and
 makes T[r]-type identities exact for data that is genuinely piecewise
-linear.  The first panel [0, r_1] has three origin models: the power model
-f ~ f_1 (s/r_1)^p (power_prefix_integral; p = l for class-l data, or fitted
-from the first two nodes), the even quadratic through the first two nodes
-(EvenPrefixIntegral, which cumulative_power_integral uses at p = 0) and the
-cubic through four (cumulative_power_integral_cubic).  The dense matrices
-of operators.py use the power model at every p: a constant class-0 panel.
+linear.  The first panel [0, r_1] has three origin models, and the caller
+names the one its data obeys; none is fitted to the data:
+
+* the power model f ~ f_1 (s/r_1)^p (power_prefix_integral; p = l for
+  class-l data), which cumulative_power_integral uses for p != 0;
+* the even quadratic through the first two nodes (EvenPrefixIntegral),
+  which cumulative_power_integral uses for p = 0;
+* the cubic through the first four nodes, the origin panel of the
+  piecewise-cubic rule cumulative_power_integral_cubic, which takes
+  integer exponents a >= 0 only.
+
+The dense matrices of operators.py use the power model at every p: a
+constant class-0 panel.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
@@ -34,7 +41,7 @@ __all__ = [
     "dk_inverse", "delta_l_inverse", "deriv_deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
     "EvenPrefixIntegral", "power_prefix_integral",
-    "suffix_power_integral", "fit_tail_exponent", "fd_deriv1", "fd_deriv2",
+    "suffix_power_integral", "fit_tail_exponent", "fd_deriv",
 ]
 
 MIN_NODES = 16
@@ -52,7 +59,6 @@ class RadialGrid:
     nodes: np.ndarray
     quad_weights: np.ndarray
     rmax: float
-    stretch: tuple
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -109,9 +115,8 @@ def make_grid(n: int, rmax: float, stretch="uniform") -> RadialGrid:
         raise ValueError(f"n = {n} is below the minimum node count {MIN_NODES}")
     if not 0.0 < rmax < math.inf:
         raise ValueError("rmax must be positive and finite")
-    if stretch == "uniform" or stretch == ("uniform",):
+    if stretch == "uniform":
         nodes = rmax / n * np.arange(1, n + 1)
-        desc = ("uniform",)
     else:
         kind, ratio = stretch
         if kind != "geometric":
@@ -127,9 +132,8 @@ def make_grid(n: int, rmax: float, stretch="uniform") -> RadialGrid:
             raise ValueError(f"geometric ratio {ratio} overflows at n = {n}") from None
         nodes = h0 * (ratio ** np.arange(1, n + 1) - 1.0) / (ratio - 1.0)
         nodes[-1] = rmax
-        desc = ("geometric", ratio)
     return RadialGrid(nodes=nodes, quad_weights=_trapezoid_weights(nodes),
-                      rmax=float(rmax), stretch=desc)
+                      rmax=float(rmax))
 
 
 # ---------------------------------------------------------------------------
@@ -155,38 +159,25 @@ def panel_coefficients(a: float, nodes: np.ndarray):
     return cu, cv
 
 
-def _origin_exponent(values: np.ndarray, nodes: np.ndarray, origin_power):
-    """Origin-model exponent p in f ~ f_1 (s/r_1)^p on [0, r_1]."""
-    if origin_power is not None:
-        return float(origin_power)
-    f1, f2 = values[0], values[1]
-    if f1 == 0.0 or f2 == 0.0 or np.sign(f1) != np.sign(f2):
-        return 0.0
-    p = np.log(abs(f2) / abs(f1)) / np.log(nodes[1] / nodes[0])
-    return float(np.clip(p, 0.0, 8.0))
-
-
 def cumulative_power_integral(values, grid: RadialGrid, a: float,
-                              origin_power=None) -> np.ndarray:
+                              origin_power: float) -> np.ndarray:
     """I_i = int_0^{r_i} f(s) s^a ds for nodal data f, exact on the interpolant.
 
-    The origin panel [0, r_1] uses the power model f = f_1 (s/r_1)^p, except
-    for p = 0 where an even-quadratic fit a + b s^2 through the first two
-    nodes is used (smooth radial data is even in r, and the constant model
-    would leave an O(h^2) origin error with a large profile-curvature
-    constant).  p + a + 1 must be positive for the model to integrate.  A
-    given ``origin_power`` also takes a stack of data sets (leading axes).
+    The origin panel [0, r_1] uses the power model f = f_1 (s/r_1)^p with
+    p = ``origin_power``, except for p = 0 where an even-quadratic fit
+    a + b s^2 through the first two nodes is used (smooth radial data is
+    even in r, and the constant model would leave an O(h^2) origin error
+    with a large profile-curvature constant).  p + a + 1 must be positive
+    for the model to integrate.  Takes one data set or a stack of them
+    along the leading axes.
     """
-    values = np.asarray(values)
-    nodes = grid.nodes
-    p = _origin_exponent(np.abs(values) if np.iscomplexobj(values) else values,
-                         nodes, origin_power)
+    p = float(origin_power)
     if p + a + 1.0 <= 0.0:
         raise DivergentTailError(
             f"origin model exponent p={p:.3g} makes int_0 s^{a} divergent")
     if p == 0.0:
-        return EvenPrefixIntegral(nodes, a)(values)
-    return power_prefix_integral(values, nodes, a, p)
+        return EvenPrefixIntegral(grid.nodes, a)(values)
+    return power_prefix_integral(values, grid.nodes, a, p)
 
 
 def power_prefix_integral(values, nodes: np.ndarray, a: float,
@@ -241,62 +232,34 @@ class EvenPrefixIntegral:
         return _prefix_sums(origin, self.cu, self.cv, values)
 
 
-def _binom_series_coeffs(a: float, terms: int) -> np.ndarray:
-    """Generalized binomial coefficients binom(a, i) for i = 0..terms-1."""
-    c = np.empty(terms)
-    c[0] = 1.0
-    for i in range(1, terms):
-        c[i] = c[i - 1] * (a - (i - 1)) / i
-    return c
+def _panel_moments(a: int, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """I_m = int_0^delta t^m (t + u)^a dt for m = 0..3, per panel [u, u + delta].
 
-
-def _shifted_power_integrals(a: float, u: np.ndarray, delta: np.ndarray,
-                             mmax: int = 3) -> np.ndarray:
-    """Stable I_m = int_0^delta t^m (t + u)^a dt for m = 0..mmax, per panel.
-
-    Direct expansion of (t+u)^a in powers of t cancels catastrophically when
-    delta << u, so panels with delta/u < 1/2 use the binomial series in
-    t/u instead; wide panels (early nodes) expand (s-u)^m directly, where
-    the cancellation factor (u/delta)^m stays O(1).
+    Expanding (t + u)^a for integer a >= 0 gives the finite sum
+    I_m = sum_j C(a, j) u^(a-j) delta^(m+j+1) / (m+j+1).  Every term is
+    positive, so the sum cannot cancel, whatever the ratio delta/u.
     """
-    npan = u.size
-    out = np.empty((mmax + 1, npan))
-    ratio = delta / u
-    series = ratio < 0.5
-    if np.any(series):
-        us, ds = u[series], ratio[series]
-        nterms = 64
-        bc = _binom_series_coeffs(a, nterms)
-        for m in range(mmax + 1):
-            acc = np.zeros_like(us)
-            dpow = ds ** (m + 1)
-            for i in range(nterms):
-                acc += bc[i] * dpow / (m + i + 1)
-                dpow = dpow * ds
-            out[m, series] = us ** (a + m + 1.0) * acc
-    wide = ~series
-    if np.any(wide):
-        uw = u[wide]
-        vw = uw + delta[wide]
-        for m in range(mmax + 1):
-            acc = np.zeros_like(uw)
-            for k in range(m + 1):
-                acc += (math.comb(m, k) * (-uw) ** (m - k)
-                        * power_moment(a + k, uw, vw))
-            out[m, wide] = acc
+    out = np.zeros((4, u.size))
+    for m in range(4):
+        for j in range(a + 1):
+            out[m] += (math.comb(a, j) / (m + j + 1)) * u ** (a - j) \
+                * delta ** (m + j + 1)
     return out
 
 
-def cumulative_power_integral_cubic(values, grid: RadialGrid, a: float) -> np.ndarray:
+def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndarray:
     """I_i = int_0^{r_i} f(s) s^a ds, exact on the piecewise-cubic interpolant.
 
     Each panel integrates the cubic through its four nearest nodes against
     s^a in closed form (panel-local coordinates keep the Vandermonde solves
     well conditioned).  The origin panel [0, r_1] uses the first four nodes'
-    cubic, whose extrapolation error below r_1 is O(h^4).  Used where a
-    downstream 1/r^4-type factor would amplify piecewise-linear error, e.g.
-    by the intertwining map.
+    cubic, whose extrapolation error below r_1 is O(h^4).  The exponent a
+    must be an integer >= 0.  Used where a downstream 1/r^4-type factor
+    would amplify piecewise-linear error, e.g. by the intertwining map.
     """
+    if not (float(a).is_integer() and a >= 0):
+        raise ValueError(f"the cubic rule takes integer a >= 0, got {a}")
+    a = int(a)
     f = np.asarray(values)
     r = grid.nodes
     n = grid.n
@@ -305,8 +268,7 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: float) -> np.nd
     x = r[support] - r[:-1][:, None]
     vander = x[..., None] ** np.arange(4)[None, None, :]
     coeffs = np.linalg.solve(vander, f[support][..., None])[..., 0]
-    ints = _shifted_power_integrals(a, r[:-1], np.diff(r))
-    panel = np.einsum("jm,mj->j", coeffs, ints)
+    panel = np.einsum("jm,mj->j", coeffs, _panel_moments(a, r[:-1], np.diff(r)))
 
     # origin panel: cubic through the first four nodes in coords t = s - r_1;
     # int_0^{r1} (s-r1)^m s^a ds = r1^{a+m+1} sum_k C(m,k)(-1)^{m-k}/(a+k+1)
@@ -389,24 +351,6 @@ def three_point(order: int, f_left, f_mid, f_right, hm, hp):
         / (hm * hp * (hm + hp))
 
 
-def fd_deriv1(values, nodes) -> np.ndarray:
-    """O(h^2) first derivative on a (possibly nonuniform) grid, one-sided at ends."""
-    f = np.asarray(values)
-    r = np.asarray(nodes, dtype=float)
-    out = np.empty_like(f, dtype=np.result_type(f, float))
-    out[1:-1] = three_point(1, f[:-2], f[1:-1], f[2:],
-                            r[1:-1] - r[:-2], r[2:] - r[1:-1])
-    h0, h1 = r[1] - r[0], r[2] - r[1]
-    out[0] = (-(2 * h0 + h1) * f[0] / (h0 * (h0 + h1))
-              + (h0 + h1) * f[1] / (h0 * h1)
-              - h0 * f[2] / (h1 * (h0 + h1)))
-    hn, hm1 = r[-1] - r[-2], r[-2] - r[-3]
-    out[-1] = ((2 * hn + hm1) * f[-1] / (hn * (hn + hm1))
-               - (hn + hm1) * f[-2] / (hn * hm1)
-               + hn * f[-3] / (hm1 * (hn + hm1)))
-    return out
-
-
 def deriv_stencil(positions, x0: float, order: int) -> np.ndarray:
     """Finite-difference weights for d^order/dx^order at x0 from given positions.
 
@@ -421,15 +365,20 @@ def deriv_stencil(positions, x0: float, order: int) -> np.ndarray:
     return np.linalg.solve(vander, rhs)
 
 
-def fd_deriv2(values, nodes) -> np.ndarray:
-    """Second derivative: 3-point interior stencils, 4-point one-sided at ends."""
+def fd_deriv(values, nodes, order: int) -> np.ndarray:
+    """O(h^2) derivative of order 1 or 2 on a (possibly nonuniform) grid.
+
+    Interior nodes use three_point; each end uses deriv_stencil on its
+    order + 2 nearest nodes (one-sided).
+    """
     f = np.asarray(values)
     r = np.asarray(nodes, dtype=float)
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    out[1:-1] = three_point(2, f[:-2], f[1:-1], f[2:],
+    out[1:-1] = three_point(order, f[:-2], f[1:-1], f[2:],
                             r[1:-1] - r[:-2], r[2:] - r[1:-1])
-    out[0] = deriv_stencil(r[:4], r[0], 2) @ f[:4]
-    out[-1] = deriv_stencil(r[-4:], r[-1], 2) @ f[-4:]
+    m = order + 2
+    out[0] = deriv_stencil(r[:m], r[0], order) @ f[:m]
+    out[-1] = deriv_stencil(r[-m:], r[-1], order) @ f[-m:]
     return out
 
 
@@ -437,18 +386,23 @@ def fd_deriv2(values, nodes) -> np.ndarray:
 # the spec operators
 # ---------------------------------------------------------------------------
 
-def dk_inverse(k: int, f: RadialFunction, origin_power=None,
-               tail: bool = True) -> RadialFunction:
-    """D_k^{-1} f: r^{-k} int_0^r f s^k ds for k > 0, else -r^{-k} int_r^inf f s^k ds."""
+def dk_inverse(k: int, f: RadialFunction, origin_power=None) -> RadialFunction:
+    """D_k^{-1} f: r^{-k} int_0^r f s^k ds for k > 0, else -r^{-k} int_r^inf f s^k ds.
+
+    For k > 0 the caller names the origin model f ~ r^origin_power of its
+    data (see cumulative_power_integral); k <= 0 takes none.
+    """
     r = f.grid.nodes
     if k > 0:
+        if origin_power is None:
+            raise ValueError(f"D_{k}^{{-1}} needs the origin power of its data")
         vals = cumulative_power_integral(f.values, f.grid, float(k), origin_power)
         return RadialFunction(f.grid, r ** (-float(k)) * vals)
-    vals = suffix_power_integral(f.values, f.grid, float(k), tail=tail)
+    vals = suffix_power_integral(f.values, f.grid, float(k))
     return RadialFunction(f.grid, -r ** (-float(k)) * vals)
 
 
-def delta_l_inverse(l: int, f: RadialFunction, tail: bool = True) -> RadialFunction:
+def delta_l_inverse(l: int, f: RadialFunction) -> RadialFunction:
     """Kernel form of the class-l inverse Laplacian.
 
     Delta_l^{-1} f (r) = -(2l+1)^{-1} [ r^{-(l+1)} int_0^r s^{l+2} f ds
@@ -456,13 +410,12 @@ def delta_l_inverse(l: int, f: RadialFunction, tail: bool = True) -> RadialFunct
     """
     r = f.grid.nodes
     inner = cumulative_power_integral(f.values, f.grid, l + 2.0, l)
-    outer = suffix_power_integral(f.values, f.grid, 1.0 - l, tail=tail)
+    outer = suffix_power_integral(f.values, f.grid, 1.0 - l)
     vals = -(r ** (-(l + 1.0)) * inner + r ** float(l) * outer) / (2 * l + 1)
     return RadialFunction(f.grid, vals)
 
 
-def deriv_deltal_inverse(l: int, f: RadialFunction,
-                         tail: bool = True) -> RadialFunction:
+def deriv_deltal_inverse(l: int, f: RadialFunction) -> RadialFunction:
     """d/dr of Delta_l^{-1} f via the first-order factorization.
 
     Uses (2l+1) d_r Delta_l^{-1} = (l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1};
@@ -472,7 +425,7 @@ def deriv_deltal_inverse(l: int, f: RadialFunction,
     first = dk_inverse(l + 2, f, origin_power=l)
     vals = (l + 1) * first.values
     if l > 0:
-        second = dk_inverse(-(l - 1), f, tail=tail)
+        second = dk_inverse(-(l - 1), f)
         vals = vals + l * second.values
     return RadialFunction(f.grid, vals / (2 * l + 1))
 

@@ -25,8 +25,7 @@ from scipy.optimize import minimize_scalar
 
 from . import operators, profile
 from .radial import (RadialGrid, cumulative_power_integral,
-                     cumulative_power_integral_cubic, fd_deriv1, fd_deriv2,
-                     make_grid)
+                     cumulative_power_integral_cubic, fd_deriv, make_grid)
 
 __all__ = [
     "apply_T", "apply_T_weight_form", "apply_tilde_L1", "apply_tilde_L1_prime",
@@ -46,7 +45,7 @@ def apply_T(values, grid: RadialGrid) -> np.ndarray:
     error there to first order.
     """
     f = np.asarray(values)
-    cum = cumulative_power_integral_cubic(f, grid, 3.0)
+    cum = cumulative_power_integral_cubic(f, grid, 3)
     return f - profile.g_over_g(grid.nodes) * cum
 
 
@@ -62,8 +61,8 @@ def apply_T_weight_form(values, grid: RadialGrid) -> np.ndarray:
     f = np.asarray(values)
     g = profile.q_deriv(r, 1)
     w = -r ** 3 / g
-    numer = cumulative_power_integral_cubic(f * g * w, grid, 0.0)
-    denom = cumulative_power_integral_cubic(g * g * w, grid, 0.0)
+    numer = cumulative_power_integral_cubic(f * g * w, grid, 0)
+    denom = cumulative_power_integral_cubic(g * g * w, grid, 0)
     return f - g * numer / denom
 
 
@@ -71,14 +70,14 @@ def apply_tilde_L1(values, grid: RadialGrid) -> np.ndarray:
     """Pointwise application of tilde L_1 = -d_r^2 + A d_r + B."""
     r = grid.nodes
     f = np.asarray(values)
-    return (-fd_deriv2(f, r) + profile.coef_a(r) * fd_deriv1(f, r)
+    return (-fd_deriv(f, r, 2) + profile.coef_a(r) * fd_deriv(f, r, 1)
             + profile.coef_b(r) * f)
 
 
 def apply_tilde_L1_prime(values, grid: RadialGrid) -> np.ndarray:
     r = grid.nodes
     f = np.asarray(values)
-    return -fd_deriv2(f, r) + profile.tilde_L1_prime_potential(r) * f
+    return -fd_deriv(f, r, 2) + profile.tilde_L1_prime_potential(r) * f
 
 
 def commutator_residual(values, grid: RadialGrid) -> float:
@@ -156,14 +155,15 @@ def nonvanishing_check(sampler) -> NonvanishingResult:
     uniform 4000-node grid.
 
     This is the well-definedness condition for the intertwining map built
-    from a profile-gradient-like function.  ``origin_margin`` is the minimum
+    from a profile-gradient-like function, class-1 data: the origin panel
+    uses the power model f ~ c r.  ``origin_margin`` is the minimum
     of |D_3^{-1} s| / r^2 over r <= 1 (the local behaviour near the origin
     is quadratic); on failure the first sign-change bracket is returned.
     """
     grid = make_grid(4000, 50.0, "uniform")
     r = grid.nodes
     f = np.asarray(sampler(r), dtype=float)
-    cum = cumulative_power_integral(f, grid, 3.0, None)
+    cum = cumulative_power_integral(f, grid, 3.0, 1.0)
     v = cum / r ** 3
     signs = np.sign(v)
     lead = signs[np.nonzero(signs)[0][0]]

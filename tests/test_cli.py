@@ -247,6 +247,21 @@ def test_value_error_in_command_exits_3(tmp_path, monkeypatch):
     assert "no bracket" in (tmp_path / "ggmt_diagnostics.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["waveop-check", "verify-all"])
+def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys,
+                                                   monkeypatch, command):
+    # a path below a regular file: the check happens before any command runs
+    ran = []
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg, args: ran.append(1))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["--output-dir", str(blocker / "sub"), command]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert ran == []
+    assert cli.main(["--output-dir", str(blocker), command]) == 2
+    assert ran == []
+
+
 def test_numerical_error_exits_3(tmp_path):
     # theta = 1 destroys the effective-index self-adjointness margin
     code = run_cli(["ggmt", "--theta", "1.0"], tmp_path)

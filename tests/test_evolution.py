@@ -26,21 +26,19 @@ def proj0(grid, op0):
 class TestLinear:
     def test_scaling_mode_growth_rate(self, grid, op0):
         tr = evolution.linear_evolve(
-            0, RadialFunction(grid, profile.lambda_q(grid.nodes)), 0.01, 3.0,
-            op=op0)
+            op0, RadialFunction(grid, profile.lambda_q(grid.nodes)), 0.01, 3.0)
         assert abs(evolution.fit_rate(tr) - 1.0) <= 0.02
 
     def test_translation_mode_growth_rate(self, grid):
         op1 = operators.assemble_Ll(1, grid)
         tr = evolution.linear_evolve(
-            1, RadialFunction(grid, profile.q_deriv(grid.nodes, 1)), 0.01,
-            3.0, op=op1)
+            op1, RadialFunction(grid, profile.q_deriv(grid.nodes, 1)), 0.01, 3.0)
         assert abs(evolution.fit_rate(tr) - 0.5) <= 0.02
 
     def test_stable_projected_data_decays(self, grid, op0, proj0):
         eps0 = np.real(proj0.project_stable(np.exp(-grid.nodes ** 2)))
-        tr = evolution.linear_evolve(0, RadialFunction(grid, eps0), 0.01, 6.0,
-                                     op=op0, projection=proj0)
+        tr = evolution.linear_evolve(op0, RadialFunction(grid, eps0), 0.01, 6.0,
+                                     projection=proj0)
         assert evolution.fit_rate(tr, (1.0, 6.0)) < 0.0
 
     def test_step_amplification_matches_eigenvalue(self, grid, op0, proj0):
@@ -49,8 +47,8 @@ class TestLinear:
         lam = proj0.lam.real
         dt = 0.01
         mode = np.real(proj0.right)
-        tr = evolution.linear_evolve(0, RadialFunction(grid, mode), dt, 0.5,
-                                     op=op0, projection=proj0)
+        tr = evolution.linear_evolve(op0, RadialFunction(grid, mode), dt, 0.5,
+                                     projection=proj0)
         assert tr.mode_coeffs.shape == tr.times.shape
         coeffs = np.real(tr.mode_coeffs)
         expected = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
@@ -60,8 +58,8 @@ class TestLinear:
     def test_coefficient_evolution_commutes_with_flow(self, grid, op0, proj0):
         lam = proj0.lam.real
         mode = np.real(proj0.right)
-        tr = evolution.linear_evolve(0, RadialFunction(grid, mode), 0.01, 2.0,
-                                     op=op0, projection=proj0)
+        tr = evolution.linear_evolve(op0, RadialFunction(grid, mode), 0.01, 2.0,
+                                     projection=proj0)
         coeffs = np.real(tr.mode_coeffs)
         target = coeffs[0] * np.exp(-lam * tr.times)
         assert np.max(np.abs(coeffs - target) / target) < 1e-4
@@ -69,15 +67,15 @@ class TestLinear:
     def test_large_step_rejected(self, grid, op0):
         with pytest.raises(ValueError):
             evolution.linear_evolve(
-                0, RadialFunction(grid, profile.lambda_q(grid.nodes)), 0.1,
-                1.0, op=op0)
+                op0, RadialFunction(grid, profile.lambda_q(grid.nodes)), 0.1, 1.0)
 
     def test_rate_refinement_consistency(self, grid, op0):
         # doubling n moves the fitted rate by less than its tolerance
         rates = []
         for g in (grid, make_grid(600, 40.0, "uniform")):
             tr = evolution.linear_evolve(
-                0, RadialFunction(g, profile.lambda_q(g.nodes)), 0.01, 3.0)
+                operators.assemble_Ll(0, g),
+                RadialFunction(g, profile.lambda_q(g.nodes)), 0.01, 3.0)
             rates.append(evolution.fit_rate(tr))
         assert abs(rates[0] - rates[1]) <= 0.02
 
@@ -98,7 +96,7 @@ class TestStepRule:
     def test_both_flows_apply_the_step_rule(self, grid, op0, dt, horizon):
         psi = RadialFunction(grid, profile.q(grid.nodes))
         with pytest.raises(ValueError):
-            evolution.linear_evolve(0, psi, dt, horizon, op=op0)
+            evolution.linear_evolve(op0, psi, dt, horizon)
         with pytest.raises(ValueError):
             evolution.nonlinear_radial_evolve(psi, dt, horizon)
 
@@ -169,7 +167,7 @@ def _five_steps(flow, grid, op0):
     psi = RadialFunction(grid, profile.q(grid.nodes))
     if flow == "nonlinear":
         return evolution.nonlinear_radial_evolve(psi, 0.01, 0.05)
-    return evolution.linear_evolve(0, psi, 0.01, 0.05, op=op0)
+    return evolution.linear_evolve(op0, psi, 0.01, 0.05)
 
 
 class TestBandedStepper:
@@ -201,10 +199,10 @@ class TestBandedStepper:
 
     def test_linear_flow_takes_complex_data_on_the_band(self, grid, imex):
         qv = profile.q(grid.nodes)
-        real = evolution.linear_evolve(0, RadialFunction(grid, qv), 0.01, 0.1,
-                                       op=imex, keep_states=True)
-        cplx = evolution.linear_evolve(0, RadialFunction(grid, (1 + 2j) * qv),
-                                       0.01, 0.1, op=imex, keep_states=True)
+        real = evolution.linear_evolve(imex, RadialFunction(grid, qv), 0.01, 0.1,
+                                       keep_states=True)
+        cplx = evolution.linear_evolve(imex, RadialFunction(grid, (1 + 2j) * qv),
+                                       0.01, 0.1, keep_states=True)
         assert np.iscomplexobj(cplx.states)
         err = np.max(np.abs(cplx.states - (1 + 2j) * real.states))
         assert err <= 1e-13 * np.max(np.abs(real.states))

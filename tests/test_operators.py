@@ -243,7 +243,8 @@ class TestCrossRepresentation:
         from ksmode.radial import deriv_deltal_inverse
         f = RadialFunction(grid, np.exp(-((grid.nodes - 8.0) / 2.0) ** 2))
         mat = operators.deriv_deltal_inv_matrix(grid, 2)
-        vec = deriv_deltal_inverse(2, f, tail=False)
+        # the bump is round-off zero on the last decade: no fitted tail
+        vec = deriv_deltal_inverse(2, f)
         assert np.max(np.abs(mat @ f.values - vec.values)) < 1e-12
 
 

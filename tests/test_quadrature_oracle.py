@@ -3,14 +3,17 @@
 The prefix integral (with a power-law origin model) and the suffix integral
 (zero beyond rmax) integrate the piecewise-linear interpolant of nodal data
 against s^a in closed form.  mpmath.quad of the same interpolant, panel by
-panel at 30 digits, must agree to round-off on random grids and data.
+panel at 30 digits, must agree to round-off on random grids and data.  The
+piecewise-cubic rule's panel moments int_0^delta t^m (t + u)^a dt must
+agree to round-off with mpmath.quad at 40 digits, on narrow panels far from
+the origin and on the wide panels next to it.
 """
 
 import numpy as np
 import pytest
 
-from ksmode.radial import (cumulative_power_integral, make_grid,
-                           suffix_power_integral)
+from ksmode.radial import (_panel_moments, cumulative_power_integral,
+                           make_grid, suffix_power_integral)
 
 mpmath = pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
@@ -64,3 +67,21 @@ class TestQuadratureOracle:
         got_suffix = suffix_power_integral(values, grid, a, tail=False)
         for got, want in ((got_prefix, prefix), (got_suffix, suffix)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestCubicMomentOracle:
+    @pytest.mark.parametrize("a", [0, 2, 3])
+    @pytest.mark.parametrize("u, delta", [
+        (1.0, 1e-6), (37.5, 3.75e-5),   # narrow: delta/u = 1e-6
+        (0.1, 0.1),                      # first panel past r_1, uniform grid
+        (2e-3, 6e-2),                    # wider than its distance to 0
+    ])
+    def test_moments_match_mpmath(self, a, u, delta):
+        # every term of the finite binomial sum is positive: no cancellation,
+        # so each moment is right to a few ulps whatever delta/u
+        got = _panel_moments(a, np.array([u]), np.array([delta]))[:, 0]
+        with mpmath.workdps(40):
+            mu, md = mpmath.mpf(u), mpmath.mpf(delta)
+            for m in range(4):
+                want = mpmath.quad(lambda t: t ** m * (t + mu) ** a, [0, md])
+                assert abs(got[m] - float(want)) <= 1e-15 * float(want)

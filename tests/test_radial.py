@@ -8,10 +8,10 @@ from ksmode import profile
 from ksmode.radial import (DivergentTailError, RadialFunction, RadialGrid,
                            cumulative_power_integral,
                            cumulative_power_integral_cubic, delta_l_inverse,
-                           deriv_deltal_inverse, dk_inverse, fd_deriv1,
-                           fd_deriv2, fit_tail_exponent, make_grid,
-                           power_prefix_integral, suffix_power_integral,
-                           weighted_inner)
+                           EvenPrefixIntegral, deriv_deltal_inverse,
+                           deriv_stencil, dk_inverse, fd_deriv,
+                           fit_tail_exponent, make_grid, power_prefix_integral,
+                           suffix_power_integral, weighted_inner)
 
 
 def gaussian_bump(r, center=5.0, width=1.5):
@@ -24,13 +24,13 @@ def gaussian_bump(r, center=5.0, width=1.5):
 def dk_apply(k: int, f: RadialFunction) -> RadialFunction:
     """D_k f = f' + (k/r) f by O(h^2) finite differences."""
     r = f.grid.nodes
-    return RadialFunction(f.grid, fd_deriv1(f.values, r) + k / r * f.values)
+    return RadialFunction(f.grid, fd_deriv(f.values, r, 1) + k / r * f.values)
 
 
 def delta_l_apply(l: int, f: RadialFunction) -> RadialFunction:
     """Class-l Laplacian: f'' + (2/r) f' - l(l+1) f / r^2."""
     r = f.grid.nodes
-    vals = (fd_deriv2(f.values, r) + 2.0 / r * fd_deriv1(f.values, r)
+    vals = (fd_deriv(f.values, r, 2) + 2.0 / r * fd_deriv(f.values, r, 1)
             - l * (l + 1) / (r * r) * f.values)
     return RadialFunction(f.grid, vals)
 
@@ -101,9 +101,9 @@ class TestMakeGrid:
         nodes = good.nodes.copy()
         nodes[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            RadialGrid(nodes, good.quad_weights, 10.0, good.stretch)
+            RadialGrid(nodes, good.quad_weights, 10.0)
         with pytest.raises(ValueError, match="finite"):
-            RadialGrid(good.nodes, good.quad_weights, np.nan, good.stretch)
+            RadialGrid(good.nodes, good.quad_weights, np.nan)
 
     def test_weights_integrate_one_exactly(self):
         for stretch in ("uniform", ("geometric", 1.01)):
@@ -150,10 +150,33 @@ class TestDkApply:
         assert np.log2(errs[0] / errs[1]) > 1.7
 
 
+class TestFdDeriv:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_end_rows_are_deriv_stencil_weights(self, order):
+        # unit data picks one weight per node out of each one-sided end row
+        g = make_grid(40, 10.0, ("geometric", 1.08))
+        r = g.nodes
+        m = order + 2
+        rows = np.array([fd_deriv(e, r, order) for e in np.eye(g.n)]).T
+        assert np.array_equal(rows[0, :m], deriv_stencil(r[:m], r[0], order))
+        assert np.array_equal(rows[-1, -m:], deriv_stencil(r[-m:], r[-1], order))
+        assert not rows[0, m:].any() and not rows[-1, :-m].any()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_exact_on_quadratics(self, order):
+        # three-point interiors and (order + 2)-point ends are exact on
+        # polynomials of degree 2, on any grid
+        g = make_grid(40, 10.0, ("geometric", 1.08))
+        r = g.nodes
+        f = 3.0 * r * r - 2.0 * r + 1.0
+        want = 6.0 * r - 2.0 if order == 1 else np.full(g.n, 6.0)
+        assert np.max(np.abs(fd_deriv(f, r, order) - want)) < 1e-9
+
+
 class TestDkInverse:
     def test_k2_profile_oracle(self):
         g = make_grid(40000, 50.0)
-        out = dk_inverse(2, RadialFunction(g, profile.q(g.nodes)))
+        out = dk_inverse(2, RadialFunction(g, profile.q(g.nodes)), origin_power=0.0)
         closed = profile.d2inv_q_closed(g.nodes)
         assert np.max(np.abs(out.values - closed) / closed) < 1e-6
 
@@ -171,7 +194,7 @@ class TestDkInverse:
         for n in (800, 1600):
             g = make_grid(n, 30.0)
             f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
-            back = dk_apply(k, dk_inverse(k, f))
+            back = dk_apply(k, dk_inverse(k, f, origin_power=0.0))
             mask = (g.nodes > 1.0) & (g.nodes < 25.0)
             errs.append(np.max(np.abs(back.values - f.values)[mask]))
         assert errs[1] < max(0.35 * errs[0], 1e-12)
@@ -185,9 +208,17 @@ class TestDkInverse:
             c2, w2 = rng.uniform(5, 12), rng.uniform(1, 2)
             f = RadialFunction(g, gaussian_bump(g.nodes, c1, w1))
             h = RadialFunction(g, gaussian_bump(g.nodes, c2, w2))
-            lhs = weighted_inner(dk_inverse(k, f), h, "flat")
+            lhs = weighted_inner(dk_inverse(k, f, origin_power=0.0), h, "flat")
             rhs = -weighted_inner(f, dk_inverse(-k, h), "flat")
             assert abs(lhs - rhs) < 1e-6 * max(abs(lhs), 1e-3)
+
+    def test_positive_k_needs_an_origin_power(self):
+        g = make_grid(200, 50.0)
+        f = RadialFunction(g, gaussian_bump(g.nodes))
+        with pytest.raises(ValueError, match="origin power"):
+            dk_inverse(2, f)
+        assert np.array_equal(dk_inverse(-1, f).values,
+                              dk_inverse(-1, f, origin_power=3.0).values)
 
     def test_divergent_tail_rejected(self):
         g = make_grid(200, 50.0)
@@ -256,7 +287,7 @@ class TestDeltaL:
         i = np.argmin(np.abs(g.nodes - 1.0))
         assert abs(out[i] - 4.0 / 9.0) < 1e-6
         # independent oracle: difference the kernel-form inverse directly
-        w = delta_l_inverse(1, f, tail=True)
+        w = delta_l_inverse(1, f)
         h = g.nodes[1] - g.nodes[0]
         fd = (w.values[i + 1] - w.values[i - 1]) / (2.0 * h)
         assert abs(fd - 4.0 / 9.0) < 1e-5
@@ -330,6 +361,18 @@ class TestCumulative:
         exact = g.nodes ** 6 / 6.0 - 2.0 * g.nodes ** 4 / 4.0
         assert np.max(np.abs(out - exact)) < 1e-10 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("a", [2.5, -1, -1.0, np.inf])
+    def test_cubic_takes_only_integer_exponents_at_least_zero(self, a):
+        g = make_grid(60, 10.0)
+        with pytest.raises(ValueError, match="integer a >= 0"):
+            cumulative_power_integral_cubic(g.nodes, g, a)
+
+    def test_cubic_accepts_integral_floats(self):
+        g = make_grid(60, 10.0)
+        vals = profile.q_deriv(g.nodes, 1)
+        assert np.array_equal(cumulative_power_integral_cubic(vals, g, 3.0),
+                              cumulative_power_integral_cubic(vals, g, 3))
+
     def test_cubic_against_adaptive_quadrature(self):
         g = make_grid(2000, 20.0)
         vals = profile.q_deriv(g.nodes, 1)
@@ -358,7 +401,7 @@ class TestCumulative:
         with pytest.raises(DivergentTailError):
             fit_tail_exponent(np.sin(g.nodes), g)
 
-    @pytest.mark.parametrize("origin_power", [None, 1.0])
+    @pytest.mark.parametrize("origin_power", [0.0, 1.0])
     def test_integer_data_integrates_like_float_data(self, origin_power):
         g = make_grid(20, 1.0)
         ints = np.arange(1, 21)
@@ -369,8 +412,47 @@ class TestCumulative:
         for a, tail in ((0.0, False), (-4.0, True)):
             assert np.array_equal(suffix_power_integral(ints, g, a, tail),
                                   suffix_power_integral(floats, g, a, tail))
-        ones = cumulative_power_integral(np.ones(20, dtype=int), g, 0.0)
+        ones = cumulative_power_integral(np.ones(20, dtype=int), g, 0.0, 0.0)
         assert np.allclose(ones, g.nodes, rtol=1e-12)
+
+
+class TestClass0OriginModels:
+    """Which class-0 origin model is the more accurate first panel.
+
+    The scaling mode has int_0^r (Lambda Q) s^2 ds = r^3 (Q - 4/(2+r^2)) in
+    closed form.  Under refinement the power model at p = 0 (a constant
+    first panel, the dense matrices' model) converges at second order on
+    the first node, the even-quadratic model (the vector path's) at fourth
+    order and below it at every n.  Over the whole grid both errors are the
+    interior panels' and agree.
+    """
+
+    GRIDS = {
+        "uniform": lambda n: make_grid(n, 40.0),
+        "ladder": lambda n: make_grid(n, 40.0, ("geometric", 30.0 ** (1.0 / (n - 1)))),
+    }
+
+    @staticmethod
+    def errors(grid):
+        r = grid.nodes
+        f = profile.lambda_q(r)
+        exact = r ** 3 * (profile.q(r) - 4.0 / (2.0 + r * r))
+        power = power_prefix_integral(f, r, 2.0, 0.0)
+        even = EvenPrefixIntegral(r, 2.0)(f)
+        first = [abs(m[0] - exact[0]) / abs(exact[0]) for m in (power, even)]
+        whole = [np.max(np.abs(m - exact)) for m in (power, even)]
+        return first, whole
+
+    @pytest.mark.parametrize("kind", ["uniform", "ladder"])
+    def test_even_model_is_the_more_accurate_first_panel(self, kind):
+        ns = (200, 400, 800, 1600)
+        first, whole = zip(*(self.errors(self.GRIDS[kind](n)) for n in ns))
+        power, even = np.array(first).T
+        assert np.all(even < power)
+        assert np.all(np.abs(np.log2(power[:-1] / power[1:]) - 2.0) < 0.1)
+        assert np.all(np.log2(even[:-1] / even[1:]) > 3.7)
+        for w_power, w_even in whole:
+            assert w_even == pytest.approx(w_power, rel=0.02)
 
 
 class TestStackedIntegrals:
