@@ -112,9 +112,11 @@ def waveop_identity_checks() -> list[Check]:
               nv.origin_margin, 0.0, nv.passed)]
 
 
-def spectrum_checks(l: int, accepted, floor) -> list[Check]:
+def spectrum_checks(l: int, accepted, floor, deflated) -> list[Check]:
     """The accepted set of class l is exactly its symmetry mode, or empty;
-    an empty class is also certified by its numerical-range ``floor``."""
+    an empty class is also certified by its numerical-range ``floor``, and
+    a symmetry class by the floor left after deflating its mode
+    (``spectra.DeflatedFloor``; the plain floor when nothing was deflated)."""
     mode = SYMMETRY_MODES.get(l)
     if mode is None:
         return [Check(f"class {l}: accepted set empty", f"spectra.l{l}_empty",
@@ -135,6 +137,10 @@ def spectrum_checks(l: int, accepted, floor) -> list[Check]:
             _at_least(f"class {l}: mode cosine similarity",
                       f"spectra.l{l}_cosine", cos, 0.999),
         ]
+    cert = floor if deflated is None else deflated
+    checks.append(Check(f"class {l}: deflated numerical-range floor above the "
+                        "threshold", f"spectra.l{l}_deflated_floor",
+                        cert.nu - cert.margin, 0.05, cert.certifies(0.05)))
     return checks
 
 
@@ -251,9 +257,9 @@ def criterion_spectra() -> list[Check]:
                                        rmax_factors=(1, 2))
     checks = []
     for l in range(7):
-        accepted, _, floor = spectra.unstable_scan_detailed(
+        accepted, _, floor, deflated = spectra.unstable_scan_detailed(
             l, threshold=0.05, ladder=ladder)
-        checks += spectrum_checks(l, accepted, floor)
+        checks += spectrum_checks(l, accepted, floor, deflated)
     checks.append(_at_most("scan runtime [s]", "spectra.runtime",
                            time.perf_counter() - t0, 600.0))
     return checks

@@ -108,6 +108,10 @@ class RunConfig:
             raise ConfigError("scan needs levels >= 3 and n0 >= 16")
         if not (s["rmax0"] > 0 and s["growth"] > 0):
             raise ConfigError("scan needs rmax0 > 0 and growth > 0")
+        try:
+            spectra.check_ladder_spacing(s["n0"], s["levels"], s["growth"])
+        except ValueError as err:
+            raise ConfigError(f"scan: {err}") from None
         gg = self.values["ggmt"]
         if not (-gg["l"] <= gg["alpha"] < gg["l"] + 0.5):
             raise ConfigError("ggmt.alpha outside [-l, l + 1/2)")
@@ -238,9 +242,9 @@ def cmd_spectrum(cfg, args):
     s = cfg.values["scan"]
     ladder = spectra.refinement_ladder(n0=s["n0"], rmax0=s["rmax0"],
                                        levels=s["levels"], growth=s["growth"])
-    accepted, candidates, floor = spectra.unstable_scan_detailed(
+    accepted, candidates, floor, deflated = spectra.unstable_scan_detailed(
         args.l, threshold=s["threshold"], ladder=ladder)
-    checks = acceptance.spectrum_checks(args.l, accepted, floor)
+    checks = acceptance.spectrum_checks(args.l, accepted, floor, deflated)
     rows = [{"l": c.l, "re_lambda": c.lam.real, "im_lambda": c.lam.imag,
              "residual": c.residual, "decay_exp": c.decay_exponent,
              "origin_exp": c.origin_exponent, "converged": c.converged,
@@ -250,10 +254,19 @@ def cmd_spectrum(cfg, args):
     _write_csv(out, rows, ["l", "re_lambda", "im_lambda", "residual",
                            "decay_exp", "origin_exp", "converged", "accepted",
                            "rejected_by"])
+    if floor.certifies(s["threshold"]):
+        path = "floor"
+    elif deflated is not None and deflated.certifies(s["threshold"]):
+        path = "deflation"
+    else:
+        path = "dense"
     detail = {"accepted": [[r.lam.real, r.lam.imag] for r in accepted],
               "csv": out.name, "numerical_range_floor": floor.nu,
-              "numerical_range_margin": floor.margin,
-              "dense_solve": not floor.certifies(s["threshold"]),
+              "numerical_range_margin": floor.margin, "scan_path": path,
+              "deflated_floor": deflated and deflated.nu,
+              "deflated_margin": deflated and deflated.margin,
+              "deflated_count": deflated and deflated.count,
+              "invariance_residual": deflated and deflated.residual,
               "partner_solves": sum(c.partner_solves for c in candidates),
               "max_partner_residual": max(
                   (c.partner_residual for c in candidates), default=0.0)}

@@ -1,4 +1,4 @@
-"""Dense eigenanalysis of the class-l operators with spurious-mode filtering.
+"""Eigenanalysis of the class-l operators with spurious-mode filtering.
 
 Truncating and discretizing a half-line operator pollutes the finite
 spectrum with artifacts of the mesh and of the artificial outer boundary.
@@ -19,18 +19,28 @@ Before any eigensolve the scan bounds the spectrum from the left by the
 numerical range in L^2(r^2 dr): every eigenvalue of the discrete operator
 has real part at least the bottom eigenvalue of its M-Hermitian part
 (Bendixson; Trefethen and Embree, Spectra and Pseudospectra, 2005, ch. 17).
-A class whose floor lies above the threshold has no candidate, and the
-dense eigensolve is skipped.
+A class whose floor lies above the threshold has no candidate, and no
+eigensolve runs.
 
-Only the finest grid is solved in full.  The filters compare each of its
-candidates with the nearest eigenvalue of the coarser and smaller grids,
-and those grids are solved by shift-invert Arnoldi at the candidates
-(Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998), each pair under
-the same residual guard as the full solve.
+Otherwise the scan deflates the eigenvectors nearest the floor, found by
+one shift-invert Arnoldi solve, and bounds the rest of the spectrum by the
+floor of the Hermitian part compressed onto the complement of their span
+(Schur deflation; Stewart and Sun, Matrix Perturbation Theory, 1990,
+ch. V).  When that floor certifies the threshold, the deflated eigenpairs
+below it are all the candidates, with the backward-error guarantee of a
+dense eigensolve; one vector certifies l = 0 and l = 1 on the pinned
+ladder.  Only when no deflation certifies is the finest grid solved in
+full.
+
+The filters compare each candidate with the nearest eigenvalue of the
+coarser and smaller grids, and those grids are solved by shift-invert
+Arnoldi at the candidates (Lehoucq, Sorensen and Yang, ARPACK Users'
+Guide, 1998), each pair under the same residual guard as the full solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +51,9 @@ from .operators import OperatorMatrix, assemble_Ll, r2_mass_weights
 from .radial import RadialGrid, make_grid
 
 __all__ = [
-    "EigenReport", "ProjectionPair", "RangeFloor", "eig_dense",
-    "exponent_fits", "numerical_range_floor", "refinement_ladder",
+    "DeflatedFloor", "EigenReport", "ProjectionPair", "RangeFloor",
+    "check_ladder_spacing", "eig_dense",
+    "exponent_fits", "refinement_ladder",
     "unstable_scan_detailed", "build_projection",
     "schrodinger_spectrum_check",
 ]
@@ -57,6 +68,9 @@ _RESIDUAL_TOL = 1e-8   # eigen residual relative to ||A||_inf
 # shifts are one eigenvalue: two solves of one eigenvalue agree to 3e-11 on
 # the pinned ladder, and the filters resolve gaps of _ABS_TOL.
 _SAME_EIGENVALUE = 1e-8
+# Subspace sizes the scan tries to deflate, one Arnoldi solve each, before it
+# falls back to the full eigensolve.
+_DEFLATION_SIZES = (1, 2, 4)
 
 
 @dataclass
@@ -124,23 +138,91 @@ class RangeFloor:
         return self.nu - self.margin > threshold
 
 
-def numerical_range_floor(a: OperatorMatrix) -> RangeFloor:
-    """Smallest eigenvalue of the M-Hermitian part of a real class operator.
+@dataclass(frozen=True)
+class DeflatedFloor:
+    """Numerical-range floor of L_l on the complement of ``count`` deflated
+    eigenvectors: ``nu`` and its rounding ``margin``, and the ``residual``
+    ||B X0 - X0 (X0^H B X0)||_2 / ||A||_inf of the orthonormal basis X0 of
+    their span in the M-scaled frame of ``_m_frame``."""
+    nu: float
+    margin: float
+    count: int
+    residual: float
 
-    With M = diag(r2_mass_weights) of the operator's grid and
-    S = (M A + A^T M)/2, every eigenpair A v = lam v has
-    Re lam = v^H S v / v^H M v >= nu, the bottom eigenvalue of the pencil
-    (S, M).  M is diagonal, so the pencil is reduced exactly to the standard
-    symmetric matrix M^{-1/2} S M^{-1/2}, whose bottom eigenvalue alone is
-    computed.  ``margin`` = n eps ||M^{-1/2} S M^{-1/2}||_1 covers the
-    rounding of that solve.
+    def certifies(self, threshold: float) -> bool:
+        """Whether the deflated eigenvalues are, up to a backward error of
+        ``residual`` ||A||_inf, all eigenvalues with real part below
+        ``threshold``."""
+        return self.residual <= _RESIDUAL_TOL and self.nu - self.margin > threshold
+
+
+def _m_frame(a: OperatorMatrix):
+    """The diagonal of M^{1/2}, B = M^{1/2} A M^{-1/2} and its Hermitian part
+    S = (B + B^T)/2, with M = diag(r2_mass_weights) of the operator's grid.
+
+    Every eigenpair A v = lam v has Re lam = x^H S x / x^H x with
+    x = M^{1/2} v, so the bottom eigenvalue of S, the floor of the numerical
+    range of A in L^2(r^2 dr), bounds every eigenvalue from the left.
     """
     root = np.sqrt(r2_mass_weights(a.grid))
-    c = root[:, None] * a.entries / root[None, :]
-    s = 0.5 * (c + c.T)
+    b = root[:, None] * a.entries / root[None, :]
+    return root, b, 0.5 * (b + b.T)
+
+
+def _range_floor(s) -> RangeFloor:
+    """Bottom eigenvalue of the Hermitian matrix ``s``, computed alone, with
+    the margin n eps ||s||_1 that covers the rounding of the solve."""
     nu = scipy.linalg.eigh(s, subset_by_index=[0, 0], eigvals_only=True)[0]
     margin = s.shape[0] * np.finfo(float).eps * np.linalg.norm(s, 1)
     return RangeFloor(float(nu), float(margin))
+
+
+def _deflate(a: OperatorMatrix, frame, sigma: float, k: int):
+    """Deflate the k eigenvectors of ``a`` nearest ``sigma`` and bound the
+    rest of its spectrum; returns (DeflatedFloor, lams, vectors).
+
+    ``frame`` is ``_m_frame(a)``.  One shift-invert Arnoldi solve finds the
+    vectors V; the Householder QR of X = M^{1/2} V gives an orthonormal
+    basis X0 of their span and X1 of its complement.  With
+    Lambda = X0^H B X0 and R = B X0 - X0 Lambda, the matrix B - R X0^H
+    leaves span X0 invariant and is block upper triangular in [X0, X1], so
+    its spectrum is that of Lambda together with that of X1^H B X1, whose
+    eigenvalues all have real part at least nu, the bottom eigenvalue of
+    X1^H S X1.  When the floor certifies a threshold, the eigenpairs of
+    Lambda below it are therefore all eigenpairs of A below it up to a
+    backward error ||R||_2, the guarantee a dense eigensolve gives
+    (Stewart and Sun, Matrix Perturbation Theory, 1990, ch. V).  A missed
+    eigenvalue stays in X1^H B X1 and pulls nu below it.  The k reflectors
+    are applied to S from both sides, O(n^2 k), without forming Q.
+    ``lams`` are the eigenvalues of Lambda and ``vectors`` the unit
+    eigenvectors M^{-1/2} X0 W of A, sorted by real part; every pair passes
+    the residual guard of ``eig_dense``.
+    """
+    root, b, s = frame
+    mat = a.entries
+    n = mat.shape[0]
+    _, vecs = scipy.sparse.linalg.eigs(mat, k=k, sigma=sigma, v0=np.ones(n))
+    # a real eigenvector keeps the whole deflation in real arithmetic
+    x = root[:, None] * (vecs if np.any(vecs.imag) else vecs.real)
+    (h, tau), _ = scipy.linalg.qr(x, mode="raw")
+    ormqr, = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
+    lwork = 64 * n   # n times LAPACK's largest block size, for either side
+    x0 = ormqr("L", "N", h, tau, np.eye(n, k, dtype=h.dtype), lwork)[0]
+    bx0 = b @ x0
+    lam = x0.conj().T @ bx0
+    residual = np.linalg.norm(bx0 - x0 @ lam, 2) / np.linalg.norm(mat, np.inf)
+    adjoint = "C" if np.iscomplexobj(h) else "T"
+    d = ormqr("L", adjoint, h, tau, s.astype(h.dtype), lwork)[0]
+    d = ormqr("R", "N", h, tau, d, lwork)[0][k:, k:]
+    rest = _range_floor(d)
+    # a 1 x 1 block is its own eigendecomposition
+    lams, w = (np.diag(lam), np.eye(1)) if k == 1 else scipy.linalg.eig(lam)
+    vectors = (x0 @ w) / root[:, None]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    _guard_residuals(mat, lams, vectors)
+    order = np.argsort(lams.real)
+    return (DeflatedFloor(rest.nu, rest.margin, k, float(residual)),
+            lams[order].astype(complex), vectors[:, order])
 
 
 def exponent_fits(values, lam, grid: RadialGrid):
@@ -180,8 +262,9 @@ def refinement_ladder(n0: int = 200, rmax0: float = 40.0, levels: int = 3,
 
     Node counts double per level; all grids share the same total geometric
     growth h_last/h_first, so refining n halves every spacing and two-grid
-    Richardson logic applies cleanly.
+    Richardson logic applies cleanly.  ``check_ladder_spacing`` runs first.
     """
+    check_ladder_spacing(n0, levels, growth)
     grids = {}
     for fac in rmax_factors:
         rmax = rmax0 * fac
@@ -190,6 +273,41 @@ def refinement_ladder(n0: int = 200, rmax0: float = 40.0, levels: int = 3,
             ratio = growth ** (1.0 / (n - 1))
             grids[(n, rmax)] = make_grid(n, rmax, ("geometric", ratio))
     return grids
+
+
+def _log_abs_expm1(y: float) -> float:
+    """log |e^y - 1| for y != 0, without overflow."""
+    return y + math.log(-math.expm1(-y)) if y > 0 else math.log(-math.expm1(y))
+
+
+def check_ladder_spacing(n0: int, levels: int, growth: float) -> float:
+    """The smallest spacing of the grids of ``refinement_ladder`` relative to
+    their rmax; raises ValueError when it is below sqrt(eps).
+
+    Such a cell cannot be resolved at rmax (growth < 1), or puts the first
+    node so near the origin that the class operators overflow (growth > 1).
+    The n-node grid's spacings are h_1 r^(j-1) with r = growth^(1/(n-1))
+    and h_1 = rmax (r - 1)/(r^n - 1), so the smallest is
+    min(h_1, h_1 growth); it is evaluated in log space relative to rmax,
+    which makes it independent of rmax, and no grid is built.
+    """
+    if not growth > 0:
+        raise ValueError(f"growth must be positive, got {growth}")
+    floor = 0.5 * math.log(np.finfo(float).eps)
+    log_growth = math.log(growth)
+    smallest = math.inf
+    for lev in range(levels):
+        n = n0 * 2 ** lev
+        x = log_growth / (n - 1)
+        log_first = -math.log(n) if x == 0.0 else \
+            _log_abs_expm1(x) - _log_abs_expm1(n * x)
+        log_min = log_first + min(0.0, log_growth)
+        if log_min < floor:
+            raise ValueError(
+                f"growth {growth:g} gives the {n}-node ladder grid a spacing "
+                f"of {math.exp(log_min):.3g} rmax, below sqrt(eps) rmax")
+        smallest = min(smallest, math.exp(log_min))
+    return smallest
 
 
 def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -241,15 +359,19 @@ def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
 
 def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
     """Run the filtered scan for one class; returns (accepted, candidates,
-    floor).
+    floor, deflated).
 
     ``candidates`` holds every eigenvalue of the finest grid below the
     threshold with its filter diagnostics; ``accepted`` the survivors;
     ``floor`` the numerical-range floor of the finest grid's operator.
-    When the floor certifies the threshold no eigenvalue can be a
-    candidate, and the scan returns without an eigensolve.  Otherwise the
-    finest grid is solved in full first.  Only when it has a candidate are
-    the grids the filters compare against solved, for the eigenvalues
+    The fine grid's candidates come from the first of three paths that
+    decides: when the floor certifies the threshold there is none, and no
+    eigensolve runs; otherwise ``_deflate`` deflates 1, 2, then 4
+    eigenvectors nearest the floor, and the first ``deflated`` record
+    that certifies gives the candidates; only when none does is the
+    finest grid solved in full, and ``deflated`` is the last record
+    tried (None when no deflation ran).  Only when there is a candidate
+    are the grids the filters compare against solved, for the eigenvalues
     nearest the candidates alone: the two coarser levels at the largest
     radius and the finest level at the smallest radius.  No other ladder
     grid is assembled.
@@ -268,13 +390,23 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
     fine_grid = ladder[fine_key]
     op = assemble_Ll(l, fine_grid)
-    floor = numerical_range_floor(op)
+    frame = _m_frame(op)
+    floor = _range_floor(frame[2])
     if floor.certifies(threshold):
-        return [], [], floor
-    lams, vecs = eig_dense(op)
+        return [], [], floor, None
+    deflated = None
+    for k in _DEFLATION_SIZES:
+        if k >= fine_grid.n - 1:   # ARPACK needs k < n - 1
+            break
+        deflated, lams, vecs = _deflate(op, frame, floor.nu, k)
+        if deflated.certifies(threshold):
+            break
+    del frame   # before the full eigensolve, which would set the peak memory
+    if deflated is None or not deflated.certifies(threshold):
+        lams, vecs = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
     if cand_idx.size == 0:
-        return [], [], floor
+        return [], [], floor, deflated
     # free the full eigenvector matrix and the operator before the partner
     # solves, which would otherwise set the peak memory
     lams, vecs = lams[cand_idx], vecs[:, cand_idx]
@@ -317,7 +449,7 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         candidates.append(report)
         if report.accepted:
             accepted.append(report)
-    return accepted, candidates, floor
+    return accepted, candidates, floor, deflated
 
 
 @dataclass

@@ -77,10 +77,13 @@ def test_spectrum_subcommand_small_ladder(tmp_path):
     assert details["accepted"] == []
     assert [c["tag"] for c in summary["checks"]] == ["spectra.l4_empty",
                                                     "spectra.l4_floor"]
-    # the floor certifies the class, so no dense eigensolve ran
+    # the floor certifies the class, so no eigensolve ran
     assert details["numerical_range_floor"] > 0.05
     assert 0.0 < details["numerical_range_margin"] < 6e-8
-    assert details["dense_solve"] is False
+    assert details["scan_path"] == "floor"
+    assert [details[key] for key in ("deflated_floor", "deflated_margin",
+                                     "deflated_count",
+                                     "invariance_residual")] == [None] * 4
     assert details["partner_solves"] == 0
     assert details["max_partner_residual"] == 0.0
     assert (tmp_path / "spectrum_l4.csv").read_text().strip() == \
@@ -96,15 +99,20 @@ def test_spectrum_l1_finds_translation_mode(tmp_path):
     summary = load_summary(tmp_path, "spectrum")
     (lam,) = [pair[0] for pair in summary["details"]["accepted"]]
     assert abs(lam - (-0.5)) < 5e-3
-    assert summary["details"]["numerical_range_floor"] < -0.5
-    assert summary["details"]["dense_solve"] is True
+    details = summary["details"]
+    assert details["numerical_range_floor"] < -0.5
+    # deflating the translation mode certifies the rest of the fine grid
+    assert details["scan_path"] == "deflation"
+    assert details["deflated_count"] == 1
+    assert details["deflated_floor"] - details["deflated_margin"] > 0.05
+    assert 0.0 < details["invariance_residual"] <= 1e-8
     # one candidate: one shift-invert solve on each of the three partner grids
-    assert summary["details"]["partner_solves"] == 3
-    assert 0.0 < summary["details"]["max_partner_residual"] <= 1e-8
+    assert details["partner_solves"] == 3
+    assert 0.0 < details["max_partner_residual"] <= 1e-8
     # verify-all's class-1 checks, tag for tag
     assert [c["tag"] for c in summary["checks"]] == [
         "spectra.l1_count", "spectra.l1_eig", "spectra.l1_imag",
-        "spectra.l1_cosine"]
+        "spectra.l1_cosine", "spectra.l1_deflated_floor"]
     assert all(c["pass"] for c in summary["checks"])
 
 
@@ -119,6 +127,24 @@ def test_spectrum_csv_names_the_rejecting_filter(tmp_path):
     assert [line.split(",")[-2:] for line in lines[1:]] == [
         ["True", ""], ["False", "decay"]]
     assert load_summary(tmp_path, "spectrum")["details"]["partner_solves"] == 6
+
+
+def test_spectrum_reports_the_dense_fallback(tmp_path):
+    # on the (400, 80) fine grid the coarse outer spacing keeps every
+    # deflated floor near -2.5: the scaling mode comes from the full
+    # eigensolve, and its deflated-floor check fails
+    path = tmp_path / "coarse.ini"
+    path.write_text("[scan]\nn0 = 100\nrmax0 = 40.0\n")
+    code = cli.main(["--output-dir", str(tmp_path), "--config", str(path),
+                     "spectrum", "--l", "0"])
+    assert code == 1
+    summary = load_summary(tmp_path, "spectrum")
+    details = summary["details"]
+    assert details["scan_path"] == "dense"
+    assert details["deflated_count"] == 4 and details["deflated_floor"] < -2.0
+    assert 0.0 < details["invariance_residual"] <= 1e-8
+    failed = [c["tag"] for c in summary["checks"] if not c["pass"]]
+    assert failed == ["spectra.l0_deflated_floor"]
 
 
 def _small_scan_config(tmp_path):
@@ -191,6 +217,23 @@ def test_bad_scan_radius_or_growth_exits_2(tmp_path, capsys, line):
                      "spectrum", "--l", "4"]) == 2
     assert "rmax0 > 0 and growth > 0" in capsys.readouterr().err
     assert not (tmp_path / "spectrum_diagnostics.txt").exists()
+
+
+@pytest.mark.parametrize("growth", ["1e-300", "1e306"])
+def test_scan_growth_the_ladder_cannot_hold_exits_2(tmp_path, capsys, growth):
+    # 1e-300 shrinks the outer spacings below round-off; 1e306 puts the
+    # first node so near the origin that the class operators overflow
+    path = tmp_path / "scan.ini"
+    path.write_text(f"[scan]\ngrowth = {growth}\n")
+    assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
+                     "spectrum", "--l", "4"]) == 2
+    assert "config error: scan:" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum_diagnostics.txt").exists()
+
+
+def test_default_scan_ladder_loads(tmp_path):
+    cfg = cli.RunConfig.load(None, {("output", "dir"): str(tmp_path)})
+    assert cfg["scan", "growth"] == 30.0
 
 
 @pytest.mark.parametrize("ini,argv", [

@@ -9,6 +9,11 @@ from ksmode import acceptance, operators, profile, spectra
 from ksmode.radial import make_grid
 
 
+def range_floor(a):
+    """Numerical-range floor of a class operator in L^2(r^2 dr)."""
+    return spectra._range_floor(spectra._m_frame(a)[2])
+
+
 def small_ladder(n0=100, rmax0=20.0):
     return spectra.refinement_ladder(n0=n0, rmax0=rmax0, levels=3,
                                      rmax_factors=(1, 2))
@@ -94,13 +99,15 @@ def solves(monkeypatch):
 
 class TestScan:
     def test_l0_accepts_scaling_mode_only(self, solves):
-        accepted, _, floor = spectra.unstable_scan_detailed(
+        accepted, _, floor, deflated = spectra.unstable_scan_detailed(
             0, ladder=small_ladder())
-        # the floor leaves room for the scaling mode, so the fine grid is
-        # solved in full, then each partner grid by one shift-invert solve
-        # at the one candidate
+        # the floor leaves room for the scaling mode; deflating the one
+        # eigenvector nearest the floor certifies the rest of the fine grid,
+        # then each partner grid takes one shift-invert solve at the one
+        # candidate, and no full eigensolve runs
         assert floor.nu < -1.0
-        assert solves == {"eig": 1, "targeted": 3,
+        assert deflated.count == 1 and deflated.certifies(0.05)
+        assert solves == {"eig": 0, "targeted": 4,
                           "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
                                     (400, 20.0)]}
         assert len(accepted) == 1
@@ -112,38 +119,43 @@ class TestScan:
         assert cos >= 0.999
 
     def test_l2_empty(self, solves):
-        accepted, cands, floor = spectra.unstable_scan_detailed(
+        accepted, cands, floor, deflated = spectra.unstable_scan_detailed(
             2, ladder=small_ladder())
         assert accepted == [] and cands == []
         # the floor certifies the threshold: no eigensolve, no other grid
-        assert floor.certifies(0.05)
+        assert floor.certifies(0.05) and deflated is None
         assert solves == {"eig": 0, "targeted": 0, "grids": [(400, 40.0)]}
 
     def test_floor_below_threshold_runs_the_dense_path(self, solves):
-        accepted, cands, floor = spectra.unstable_scan_detailed(
+        accepted, cands, floor, deflated = spectra.unstable_scan_detailed(
             2, threshold=0.5, ladder=small_ladder())
         assert abs(floor.nu - 0.1887) < 1e-3 and not floor.certifies(0.5)
         # the fine grid's eigenvalue 0.378 is a candidate; the filters reject it
         (cand,) = cands
         assert abs(cand.lam - 0.378) < 1e-3
         assert accepted == [] and cand.rejected_by == "rmax"
-        assert solves == {"eig": 1, "targeted": 3,
+        # deflating 1, 2 and 4 eigenvectors leaves floors below 0.5: three
+        # Arnoldi solves before the full eigensolve
+        assert deflated.count == 4 and not deflated.certifies(0.5)
+        assert solves == {"eig": 1, "targeted": 6,
                           "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
                                     (400, 20.0)]}
 
     def test_coarse_outer_spacing_falls_back_to_the_dense_path(self, solves):
         # on (400, 80) the Dirichlet row at rmax pulls the floor to -2.5
-        accepted, cands, floor = spectra.unstable_scan_detailed(
+        accepted, cands, floor, deflated = spectra.unstable_scan_detailed(
             2, ladder=small_ladder(rmax0=40.0))
         assert abs(floor.nu + 2.5) < 0.05 and not floor.certifies(0.05)
+        # and that row stays after any deflation
+        assert deflated.count == 4 and deflated.nu < -2.0
         assert accepted == [] and cands == []
-        assert solves == {"eig": 1, "targeted": 0, "grids": [(400, 80.0)]}
+        assert solves == {"eig": 1, "targeted": 3, "grids": [(400, 80.0)]}
 
     def test_larger_ladder_solves_only_the_grids_read(self, solves):
         ladder = spectra.refinement_ladder(n0=50, rmax0=20.0, levels=4,
                                            rmax_factors=(1, 2, 3))
         spectra.unstable_scan_detailed(0, ladder=ladder)
-        assert solves == {"eig": 1, "targeted": 3,
+        assert solves == {"eig": 0, "targeted": 4,
                           "grids": [(400, 60.0), (200, 60.0), (100, 60.0),
                                     (400, 20.0)]}
 
@@ -170,7 +182,7 @@ class TestScan:
     def test_kernel_form_residual_cross_check(self):
         # recompute the accepted residual with the differentiated-kernel
         # nonlocal block: representations agree far below the filter scale
-        accepted, _, _ = spectra.unstable_scan_detailed(0, ladder=small_ladder())
+        accepted, _, _, _ = spectra.unstable_scan_detailed(0, ladder=small_ladder())
         rep = accepted[0]
         grid = rep.grid
         a = operators.assemble_Ll(0, grid).entries
@@ -194,9 +206,9 @@ class TestTargetedPartners:
     def test_match_the_dense_partners(self, monkeypatch, l, threshold, count):
         # (2, 2.0) has the complex pair 1.508 +- 0.650i among its candidates
         ladder = small_ladder()
-        _, targeted, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
+        _, targeted, _, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
         monkeypatch.setattr(spectra, "_nearest_eigenvalues", dense_partners)
-        _, dense, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
+        _, dense, _, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
         assert len(targeted) == len(dense) == count
         for got, want in zip(targeted, dense):
             assert got.lam == want.lam
@@ -248,7 +260,7 @@ class TestRangeFloor:
     def test_bounds_every_eigenvalue(self, l):
         grid = small_ladder()[(400, 40.0)]
         a = operators.assemble_Ll(l, grid)
-        floor = spectra.numerical_range_floor(a)
+        floor = range_floor(a)
         lams, _ = spectra.eig_dense(a)
         assert lams.real.min() >= floor.nu - floor.margin
         assert floor.margin < 6e-8
@@ -261,12 +273,95 @@ class TestRangeFloor:
         rng = np.random.default_rng(20250809)
         for l in (3, 4, 5, 6):
             a = operators.assemble_Ll(l, grid)
-            floor = spectra.numerical_range_floor(a)
+            floor = range_floor(a)
             quotients = []
             for _ in range(50):
                 x = acceptance.random_class_function(rng, grid, l).values
                 quotients.append(x @ (w * (a.entries @ x)) / (x @ (w * x)))
             assert min(quotients) >= floor.nu
+
+
+class TestLadderSpacing:
+    @pytest.mark.parametrize("growth", [1e-6, 0.5, 1.0, 30.0, 1e6])
+    def test_closed_form_matches_the_built_grids(self, growth):
+        built = min(np.diff(grid.nodes, prepend=0.0).min() / grid.rmax
+                    for grid in spectra.refinement_ladder(
+                        n0=100, rmax0=20.0, levels=3, growth=growth).values())
+        assert spectra.check_ladder_spacing(100, 3, growth) == \
+            pytest.approx(built, rel=1e-8)
+
+    @pytest.mark.parametrize("growth", [1e-300, 1e-20, 1e7, 1e306])
+    def test_unresolvable_spacing_raises_before_any_grid(self, growth,
+                                                          monkeypatch):
+        monkeypatch.setattr(spectra, "make_grid", None)
+        with pytest.raises(ValueError, match="below sqrt\\(eps\\) rmax"):
+            spectra.refinement_ladder(n0=100, rmax0=20.0, growth=growth)
+
+
+class TestDeflation:
+    """The Schur-deflation certificate of the scan's fine grid against the
+    full eigensolve it replaces."""
+
+    @pytest.mark.parametrize("l, threshold", [
+        (0, 0.05), (1, 0.05), (0, 1.5), (2, 0.5), (2, 2.0)])
+    def test_certificate_is_sound(self, l, threshold):
+        ladder = small_ladder()
+        certified = 0
+        for grid in ladder.values():
+            a = operators.assemble_Ll(l, grid)
+            frame = spectra._m_frame(a)
+            nu = spectra._range_floor(frame[2]).nu
+            full, full_vecs = spectra.eig_dense(a)
+            w = operators.r2_mass_weights(grid)
+            for k in spectra._DEFLATION_SIZES:
+                deflated, lams, vecs = spectra._deflate(a, frame, nu, k)
+                if not deflated.certifies(threshold):
+                    continue
+                certified += 1
+                # every eigenvalue left after removing the deflated ones lies
+                # above the deflated floor
+                rest = np.ones(full.size, dtype=bool)
+                for lam in lams:
+                    rest[np.argmin(np.where(rest, np.abs(full - lam), np.inf))] = False
+                assert full[rest].real.min() >= deflated.nu - deflated.margin
+                # and the candidates are the full solve's, value and vector
+                want = np.nonzero(full.real < threshold)[0]
+                got = np.nonzero(lams.real < threshold)[0]
+                assert got.size == want.size
+                for i, j in zip(got, want):
+                    assert abs(lams[i] - full[j]) <= 1e-9 * abs(full[j])
+                    cos = spectra.cosine_similarity(vecs[:, i], full_vecs[:, j], w)
+                    assert cos >= 1.0 - 1e-9
+        # the symmetry classes are certified on every grid of the ladder
+        if threshold == 0.05:
+            assert certified >= len(ladder)
+
+    def test_complex_deflation_matches_the_full_solve(self):
+        # a real shift next to the pair 1.508 +- 0.650i of class 2 finds one
+        # member of the pair: the deflation runs in complex arithmetic, and
+        # the conjugate left behind keeps the floor below it
+        a = operators.assemble_Ll(2, small_ladder()[(400, 40.0)])
+        frame = spectra._m_frame(a)
+        deflated, lams, vecs = spectra._deflate(a, frame, 1.508, 1)
+        full, _ = spectra.eig_dense(a)
+        assert abs(lams[0].imag) > 0.6 and np.iscomplexobj(vecs)
+        assert np.min(np.abs(full - lams[0])) <= 1e-9
+        assert deflated.residual <= 1e-8
+        assert deflated.nu - deflated.margin <= lams[0].real
+
+    def test_failed_certificate_falls_back_to_the_dense_path(self, monkeypatch):
+        # on (400, 80) the Dirichlet row keeps the deflated floor near -2.5:
+        # the scan's candidates are exactly those of the full solve
+        ladder = small_ladder(rmax0=40.0)
+        _, got, _, deflated = spectra.unstable_scan_detailed(0, ladder=ladder)
+        assert not deflated.certifies(0.05)
+        monkeypatch.setattr(spectra, "_DEFLATION_SIZES", ())
+        _, want, _, none = spectra.unstable_scan_detailed(0, ladder=ladder)
+        assert none is None and len(got) == len(want) == 1
+        assert got[0].lam == want[0].lam
+        assert np.array_equal(got[0].vector, want[0].vector)
+        assert (got[0].residual, got[0].rejected_by) == \
+            (want[0].residual, want[0].rejected_by)
 
 
 class TestMatchNearest:
