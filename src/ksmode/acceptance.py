@@ -23,7 +23,7 @@ from . import evolution, ggmt, operators, profile, spectra, waveop
 from .radial import RadialFunction, make_grid, weighted_inner
 
 __all__ = ["Check", "CRITERIA", "SYMMETRY_MODES", "SymmetryMode", "ggmt_checks",
-           "u_inf_check", "spectrum_checks", "floor_check", "profile_bounds_check",
+           "u_inf_check", "spectrum_checks", "profile_bounds_check",
            "waveop_identity_checks", "growth_rate_check", "steady_drift_check",
            "partial_mass_check", "shooting_setup", "shooting_checks"]
 
@@ -112,16 +112,18 @@ def waveop_identity_checks() -> list[Check]:
               nv.origin_margin, 0.0, nv.passed)]
 
 
-def spectrum_checks(l: int, accepted, floor, deflated) -> list[Check]:
-    """The accepted set of class l is exactly its symmetry mode, or empty;
-    an empty class is also certified by its numerical-range ``floor``, and
-    a symmetry class by the floor left after deflating its mode
-    (``spectra.DeflatedFloor``; the plain floor when nothing was deflated)."""
+def spectrum_checks(l: int, scan) -> list[Check]:
+    """Checks of one class from its ``spectra.Scan``: the accepted set is
+    exactly its symmetry mode, or empty.  An empty class is also certified
+    by its numerical-range floor, and a symmetry class by the scan's
+    certificate, the floor left after deflating its mode (the plain floor
+    when nothing was deflated)."""
+    accepted = scan.accepted
     mode = SYMMETRY_MODES.get(l)
     if mode is None:
         return [Check(f"class {l}: accepted set empty", f"spectra.l{l}_empty",
                       float(len(accepted)), 0.0, len(accepted) == 0),
-                floor_check(l, floor)]
+                _floor_check(l, scan.floor, deflated=False)]
     checks = [Check(f"class {l}: exactly one accepted mode",
                     f"spectra.l{l}_count", float(len(accepted)), 1.0,
                     len(accepted) == 1)]
@@ -137,19 +139,16 @@ def spectrum_checks(l: int, accepted, floor, deflated) -> list[Check]:
             _at_least(f"class {l}: mode cosine similarity",
                       f"spectra.l{l}_cosine", cos, 0.999),
         ]
-    cert = floor if deflated is None else deflated
-    checks.append(Check(f"class {l}: deflated numerical-range floor above the "
-                        "threshold", f"spectra.l{l}_deflated_floor",
-                        cert.nu - cert.margin, 0.05, cert.certifies(0.05)))
-    return checks
+    return checks + [_floor_check(l, scan.certificate, deflated=True)]
 
 
-def floor_check(l: int, floor) -> Check:
-    """No eigenvalue of class l lies below 0.05: the floor of its numerical
-    range (``spectra.RangeFloor``), less the rounding margin, lies above."""
-    return Check(f"class {l}: numerical-range floor above the threshold",
-                 f"spectra.l{l}_floor", floor.nu - floor.margin, 0.05,
-                 floor.certifies(0.05))
+def _floor_check(l: int, floor, deflated: bool) -> Check:
+    """No eigenvalue of class l but the deflated ones lies below 0.05: the
+    ``spectra.RangeFloor``, less its rounding margin, lies above."""
+    kind, tag = ("deflated numerical-range floor", "deflated_floor") \
+        if deflated else ("numerical-range floor", "floor")
+    return Check(f"class {l}: {kind} above the threshold", f"spectra.l{l}_{tag}",
+                 floor.nu - floor.margin, 0.05, floor.certifies(0.05))
 
 
 def growth_rate_check(l: int, rate: float) -> Check:
@@ -257,9 +256,8 @@ def criterion_spectra() -> list[Check]:
                                        rmax_factors=(1, 2))
     checks = []
     for l in range(7):
-        accepted, _, floor, deflated = spectra.unstable_scan_detailed(
-            l, threshold=0.05, ladder=ladder)
-        checks += spectrum_checks(l, accepted, floor, deflated)
+        checks += spectrum_checks(l, spectra.unstable_scan_detailed(
+            l, threshold=0.05, ladder=ladder))
     checks.append(_at_most("scan runtime [s]", "spectra.runtime",
                            time.perf_counter() - t0, 600.0))
     return checks

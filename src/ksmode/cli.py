@@ -42,16 +42,15 @@ from . import acceptance, evolution, ggmt, operators, spectra
 from .radial import RadialFunction, make_grid
 
 DEFAULTS = {
-    "grid": {"n": 400, "rmax": 40.0, "stretch": "uniform", "ratio": 1.0},
-    "scan": {"threshold": 0.05, "n0": 200, "rmax0": 40.0, "levels": 3,
-             "growth": 30.0},
+    "grid": {"n": 400, "rmax": 40.0, "ratio": 1.0},
+    "scan": {"threshold": 0.05, "n0": 200, "rmax0": 40.0, "growth": 30.0},
     "ggmt": {"l": 2, "alpha": 0.2, "p": 4.0, "theta": 0.5, "w_eps": 0.01,
              "w_power": -1.2, "w_floor": 0.02},
     "evolve": {"dt": 0.01, "horizon": 5.0, "amplitude": 1e-3},
     "output": {"dir": ""},
 }
 
-_INT_KEYS = {("grid", "n"), ("scan", "n0"), ("scan", "levels"), ("ggmt", "l")}
+_INT_KEYS = {("grid", "n"), ("scan", "n0"), ("ggmt", "l")}
 
 
 @dataclass
@@ -96,22 +95,13 @@ class RunConfig:
             for key, val in kv.items():
                 if isinstance(val, float) and not np.isfinite(val):
                     raise ConfigError(f"{sec}.{key} must be finite, got {val}")
-        if self.values["grid"]["stretch"] not in ("uniform", "geometric"):
-            raise ConfigError("grid.stretch must be uniform or geometric")
         # n, rmax and ratio are valid exactly when the grid builds
         try:
             self.grid()
         except ValueError as err:
             raise ConfigError(f"grid: {err}") from None
-        s = self.values["scan"]
-        if not (s["levels"] >= 3 and s["n0"] >= 16):
-            raise ConfigError("scan needs levels >= 3 and n0 >= 16")
-        if not (s["rmax0"] > 0 and s["growth"] > 0):
-            raise ConfigError("scan needs rmax0 > 0 and growth > 0")
-        try:
-            spectra.check_ladder_spacing(s["n0"], s["levels"], s["growth"])
-        except ValueError as err:
-            raise ConfigError(f"scan: {err}") from None
+        # and the [scan] section exactly when its ladder builds
+        self.ladder()
         gg = self.values["ggmt"]
         if not (-gg["l"] <= gg["alpha"] < gg["l"] + 0.5):
             raise ConfigError("ggmt.alpha outside [-l, l + 1/2)")
@@ -136,9 +126,22 @@ class RunConfig:
 
     def grid(self):
         g = self.values["grid"]
-        stretch = "uniform" if g["stretch"] == "uniform" else \
-            ("geometric", g["ratio"])
-        return make_grid(g["n"], g["rmax"], stretch)
+        # ratio 1 is the uniform grid
+        return make_grid(g["n"], g["rmax"], ("geometric", g["ratio"]))
+
+    def ladder(self, l: int | None = None) -> dict:
+        """The scan's refinement ladder; with a class ``l``, also checks
+        that the scan can assemble L_l on the grids it reads.  Either
+        failure raises ConfigError."""
+        s = self.values["scan"]
+        try:
+            ladder = spectra.refinement_ladder(n0=s["n0"], rmax0=s["rmax0"],
+                                               growth=s["growth"])
+            if l is not None:
+                spectra.check_scan_grids(l, ladder)
+        except ValueError as err:
+            raise ConfigError(f"scan: {err}") from None
+        return ladder
 
     def canonical(self) -> str:
         # the output location is not part of the computation's identity
@@ -161,7 +164,7 @@ class ConfigError(ValueError):
 def _parse_value(sec, key, raw):
     if (sec, key) in _INT_KEYS:
         return int(raw)
-    if key in ("stretch", "dir"):
+    if key == "dir":
         return raw.strip()
     return float(raw)
 
@@ -239,37 +242,31 @@ def cmd_ggmt(cfg, args):
 
 
 def cmd_spectrum(cfg, args):
-    s = cfg.values["scan"]
-    ladder = spectra.refinement_ladder(n0=s["n0"], rmax0=s["rmax0"],
-                                       levels=s["levels"], growth=s["growth"])
-    accepted, candidates, floor, deflated = spectra.unstable_scan_detailed(
-        args.l, threshold=s["threshold"], ladder=ladder)
-    checks = acceptance.spectrum_checks(args.l, accepted, floor, deflated)
+    scan = spectra.unstable_scan_detailed(
+        args.l, threshold=cfg["scan", "threshold"], ladder=cfg.ladder())
+    checks = acceptance.spectrum_checks(args.l, scan)
     rows = [{"l": c.l, "re_lambda": c.lam.real, "im_lambda": c.lam.imag,
              "residual": c.residual, "decay_exp": c.decay_exponent,
              "origin_exp": c.origin_exponent, "converged": c.converged,
              "accepted": c.accepted, "rejected_by": c.rejected_by}
-            for c in candidates]
+            for c in scan.candidates]
     out = _out_dir(cfg) / f"spectrum_l{args.l}.csv"
     _write_csv(out, rows, ["l", "re_lambda", "im_lambda", "residual",
                            "decay_exp", "origin_exp", "converged", "accepted",
                            "rejected_by"])
-    if floor.certifies(s["threshold"]):
-        path = "floor"
-    elif deflated is not None and deflated.certifies(s["threshold"]):
-        path = "deflation"
-    else:
-        path = "dense"
-    detail = {"accepted": [[r.lam.real, r.lam.imag] for r in accepted],
-              "csv": out.name, "numerical_range_floor": floor.nu,
-              "numerical_range_margin": floor.margin, "scan_path": path,
+    # the deflation fields are null when nothing was deflated
+    deflated = scan.certificate if scan.certificate.count else None
+    detail = {"accepted": [[r.lam.real, r.lam.imag] for r in scan.accepted],
+              "csv": out.name, "numerical_range_floor": scan.floor.nu,
+              "numerical_range_margin": scan.floor.margin,
+              "scan_path": scan.path,
               "deflated_floor": deflated and deflated.nu,
               "deflated_margin": deflated and deflated.margin,
               "deflated_count": deflated and deflated.count,
               "invariance_residual": deflated and deflated.residual,
-              "partner_solves": sum(c.partner_solves for c in candidates),
+              "partner_solves": sum(c.partner_solves for c in scan.candidates),
               "max_partner_residual": max(
-                  (c.partner_residual for c in candidates), default=0.0)}
+                  (c.partner_residual for c in scan.candidates), default=0.0)}
     return checks, detail
 
 
@@ -436,6 +433,8 @@ def main(argv=None) -> int:
     try:
         # ValueError covers ConfigError and unparsable numbers
         cfg = RunConfig.load(args.config, overrides)
+        if args.command == "spectrum":
+            cfg.ladder(args.l)   # the class must fit the ladder too
     except (ValueError, configparser.Error) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

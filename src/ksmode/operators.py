@@ -49,10 +49,6 @@ class OperatorMatrix:
     tag: str
     entries: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
 
 # ---------------------------------------------------------------------------
 # finite-difference matrices with ghost elimination

@@ -41,7 +41,8 @@ Guide, 1998), each pair under the same residual guard as the full solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -51,8 +52,8 @@ from .operators import OperatorMatrix, assemble_Ll, r2_mass_weights
 from .radial import RadialGrid, make_grid
 
 __all__ = [
-    "DeflatedFloor", "EigenReport", "ProjectionPair", "RangeFloor",
-    "check_ladder_spacing", "eig_dense",
+    "EigenReport", "ProjectionPair", "RangeFloor", "Scan",
+    "check_scan_grids", "eig_dense",
     "exponent_fits", "refinement_ladder",
     "unstable_scan_detailed", "build_projection",
     "schrodinger_spectrum_check",
@@ -71,6 +72,10 @@ _SAME_EIGENVALUE = 1e-8
 # Subspace sizes the scan tries to deflate, one Arnoldi solve each, before it
 # falls back to the full eigensolve.
 _DEFLATION_SIZES = (1, 2, 4)
+# Node limit of a ladder grid.  One n x n float matrix takes 8 n^2 bytes,
+# 328 MB at n = 6400, and the scan of the finest grid holds four at once:
+# the operator, B, S and the LU factorization of a shift-invert solve.
+_MAX_LADDER_NODES = 6400
 
 
 @dataclass
@@ -129,30 +134,20 @@ def _guard_residuals(mat, lams, vecs) -> np.ndarray:
 @dataclass(frozen=True)
 class RangeFloor:
     """Bottom ``nu`` of the numerical range of L_l in L^2(r^2 dr), with the
-    rounding ``margin`` of its computation."""
-    nu: float
-    margin: float
-
-    def certifies(self, threshold: float) -> bool:
-        """Whether no eigenvalue can have real part below ``threshold``."""
-        return self.nu - self.margin > threshold
-
-
-@dataclass(frozen=True)
-class DeflatedFloor:
-    """Numerical-range floor of L_l on the complement of ``count`` deflated
-    eigenvectors: ``nu`` and its rounding ``margin``, and the ``residual``
+    rounding ``margin`` of its computation, on the complement of ``count``
+    deflated eigenvectors (0: on the whole space).  ``residual`` is
     ||B X0 - X0 (X0^H B X0)||_2 / ||A||_inf of the orthonormal basis X0 of
-    their span in the M-scaled frame of ``_m_frame``."""
+    their span in the M-scaled frame of ``_m_frame``, 0 with nothing
+    deflated."""
     nu: float
     margin: float
-    count: int
-    residual: float
+    count: int = 0
+    residual: float = 0.0
 
     def certifies(self, threshold: float) -> bool:
         """Whether the deflated eigenvalues are, up to a backward error of
         ``residual`` ||A||_inf, all eigenvalues with real part below
-        ``threshold``."""
+        ``threshold``; with nothing deflated, whether there is none."""
         return self.residual <= _RESIDUAL_TOL and self.nu - self.margin > threshold
 
 
@@ -179,7 +174,7 @@ def _range_floor(s) -> RangeFloor:
 
 def _deflate(a: OperatorMatrix, frame, sigma: float, k: int):
     """Deflate the k eigenvectors of ``a`` nearest ``sigma`` and bound the
-    rest of its spectrum; returns (DeflatedFloor, lams, vectors).
+    rest of its spectrum; returns (RangeFloor, lams, vectors).
 
     ``frame`` is ``_m_frame(a)``.  One shift-invert Arnoldi solve finds the
     vectors V; the Householder QR of X = M^{1/2} V gives an orthonormal
@@ -221,7 +216,7 @@ def _deflate(a: OperatorMatrix, frame, sigma: float, k: int):
     vectors /= np.linalg.norm(vectors, axis=0)
     _guard_residuals(mat, lams, vectors)
     order = np.argsort(lams.real)
-    return (DeflatedFloor(rest.nu, rest.margin, k, float(residual)),
+    return (replace(rest, count=k, residual=float(residual)),
             lams[order].astype(complex), vectors[:, order])
 
 
@@ -262,52 +257,61 @@ def refinement_ladder(n0: int = 200, rmax0: float = 40.0, levels: int = 3,
 
     Node counts double per level; all grids share the same total geometric
     growth h_last/h_first, so refining n halves every spacing and two-grid
-    Richardson logic applies cleanly.  ``check_ladder_spacing`` runs first.
+    Richardson logic applies cleanly.  Raises ValueError for fewer than 3
+    levels or 2 radii, a growth that is not positive or a finest grid of
+    more than ``_MAX_LADDER_NODES`` nodes, all before building any grid,
+    and for a grid that does not build or has a spacing below sqrt(eps)
+    rmax.
     """
-    check_ladder_spacing(n0, levels, growth)
+    if levels < 3 or len(set(rmax_factors)) < 2:
+        raise ValueError("the ladder needs >= 3 levels and >= 2 radii")
+    if not growth > 0:
+        raise ValueError(f"growth must be positive, got {growth}")
+    n_fine = n0 * 2 ** (levels - 1)
+    if n_fine > _MAX_LADDER_NODES:
+        raise ValueError(f"the finest ladder grid has {n_fine} nodes, more "
+                         f"than {_MAX_LADDER_NODES}")
     grids = {}
     for fac in rmax_factors:
         rmax = rmax0 * fac
         for lev in range(levels):
             n = n0 * 2 ** lev
             ratio = growth ** (1.0 / (n - 1))
-            grids[(n, rmax)] = make_grid(n, rmax, ("geometric", ratio))
+            grid = make_grid(n, rmax, ("geometric", ratio))
+            smallest = np.diff(grid.nodes, prepend=0.0).min() / rmax
+            if smallest < math.sqrt(np.finfo(float).eps):
+                raise ValueError(
+                    f"growth {growth:g} gives the {n}-node ladder grid a "
+                    f"spacing of {smallest:.3g} rmax, below sqrt(eps) rmax")
+            grids[(n, rmax)] = grid
     return grids
 
 
-def _log_abs_expm1(y: float) -> float:
-    """log |e^y - 1| for y != 0, without overflow."""
-    return y + math.log(-math.expm1(-y)) if y > 0 else math.log(-math.expm1(y))
-
-
-def check_ladder_spacing(n0: int, levels: int, growth: float) -> float:
-    """The smallest spacing of the grids of ``refinement_ladder`` relative to
-    their rmax; raises ValueError when it is below sqrt(eps).
-
-    Such a cell cannot be resolved at rmax (growth < 1), or puts the first
-    node so near the origin that the class operators overflow (growth > 1).
-    The n-node grid's spacings are h_1 r^(j-1) with r = growth^(1/(n-1))
-    and h_1 = rmax (r - 1)/(r^n - 1), so the smallest is
-    min(h_1, h_1 growth); it is evaluated in log space relative to rmax,
-    which makes it independent of rmax, and no grid is built.
+def check_scan_grids(l: int, ladder: dict) -> list:
+    """Keys (n, rmax) of the four ladder grids the scan of class l reads:
+    the finest level at the largest radius, then its partners, the two
+    coarser levels there and the finest level at the smallest radius.
+    Raises ValueError when the ladder lacks one, or when L_l overflows on
+    one: it forms r_1^{-(l+2)} and rmax^{l+3} apart, so neither
+    (l+2) ln(1/r_1) nor (l+3) ln(rmax) may exceed ln(float max).
     """
-    if not growth > 0:
-        raise ValueError(f"growth must be positive, got {growth}")
-    floor = 0.5 * math.log(np.finfo(float).eps)
-    log_growth = math.log(growth)
-    smallest = math.inf
-    for lev in range(levels):
-        n = n0 * 2 ** lev
-        x = log_growth / (n - 1)
-        log_first = -math.log(n) if x == 0.0 else \
-            _log_abs_expm1(x) - _log_abs_expm1(n * x)
-        log_min = log_first + min(0.0, log_growth)
-        if log_min < floor:
-            raise ValueError(
-                f"growth {growth:g} gives the {n}-node ladder grid a spacing "
-                f"of {math.exp(log_min):.3g} rmax, below sqrt(eps) rmax")
-        smallest = min(smallest, math.exp(log_min))
-    return smallest
+    ns = sorted({k[0] for k in ladder})
+    rmaxs = sorted({k[1] for k in ladder})
+    if len(ns) < 3 or len(rmaxs) < 2:
+        raise ValueError("ladder needs >= 3 node counts and >= 2 domain radii")
+    keys = [(ns[-1], rmaxs[-1]), (ns[-2], rmaxs[-1]), (ns[-3], rmaxs[-1]),
+            (ns[-1], rmaxs[0])]
+    missing = [key for key in keys if key not in ladder]
+    if missing:
+        raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
+    log_max = math.log(np.finfo(float).max)
+    for key in keys:
+        grid = ladder[key]
+        if (l + 2) * -math.log(grid.nodes[0]) > log_max \
+                or (l + 3) * math.log(grid.rmax) > log_max:
+            raise ValueError(f"class {l} overflows a float on the ladder "
+                             f"grid (n, rmax) {key}")
+    return keys
 
 
 def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -357,56 +361,56 @@ def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
     return np.array(merged), worst
 
 
-def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
-    """Run the filtered scan for one class; returns (accepted, candidates,
-    floor, deflated).
+class Scan(NamedTuple):
+    """Result of the filtered scan of one class.
 
     ``candidates`` holds every eigenvalue of the finest grid below the
-    threshold with its filter diagnostics; ``accepted`` the survivors;
-    ``floor`` the numerical-range floor of the finest grid's operator.
-    The fine grid's candidates come from the first of three paths that
-    decides: when the floor certifies the threshold there is none, and no
-    eigensolve runs; otherwise ``_deflate`` deflates 1, 2, then 4
-    eigenvectors nearest the floor, and the first ``deflated`` record
-    that certifies gives the candidates; only when none does is the
-    finest grid solved in full, and ``deflated`` is the last record
-    tried (None when no deflation ran).  Only when there is a candidate
-    are the grids the filters compare against solved, for the eigenvalues
-    nearest the candidates alone: the two coarser levels at the largest
-    radius and the finest level at the smallest radius.  No other ladder
-    grid is assembled.
+    threshold with its filter diagnostics, and ``accepted`` the survivors.
+    ``floor`` is the numerical-range floor of the finest grid's operator.
+    ``path`` names what found the candidates: ``"floor"`` (it certifies
+    that there is none), ``"deflation"`` (a deflated floor certifies the
+    deflated eigenpairs) or ``"dense"`` (the full eigensolve).
+    ``certificate`` is the floor that decided, or the last one tried.
+    """
+    accepted: list
+    candidates: list
+    floor: RangeFloor
+    certificate: RangeFloor
+    path: str
+
+
+def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan:
+    """Run the filtered scan for one class.
+
+    When the floor does not certify the threshold, ``_deflate`` deflates
+    1, 2, then 4 eigenvectors nearest it, and only when no deflated floor
+    certifies is the finest grid solved in full.  Only when there is a
+    candidate are the partner grids of ``check_scan_grids`` solved, for
+    the eigenvalues nearest the candidates alone; no other grid is built.
     """
     if ladder is None:
         ladder = refinement_ladder()
-    ns = sorted({k[0] for k in ladder})
-    rmaxs = sorted({k[1] for k in ladder})
-    if len(ns) < 3 or len(rmaxs) < 2:
-        raise ValueError("ladder needs >= 3 node counts and >= 2 domain radii")
-    n_hi, rmax_hi = ns[-1], rmaxs[-1]
-    fine_key = (n_hi, rmax_hi)
-    partner_keys = [(ns[-2], rmax_hi), (ns[-3], rmax_hi), (n_hi, rmaxs[0])]
-    missing = [key for key in [fine_key] + partner_keys if key not in ladder]
-    if missing:
-        raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
+    fine_key, *partner_keys = check_scan_grids(l, ladder)
     fine_grid = ladder[fine_key]
     op = assemble_Ll(l, fine_grid)
     frame = _m_frame(op)
     floor = _range_floor(frame[2])
     if floor.certifies(threshold):
-        return [], [], floor, None
-    deflated = None
+        return Scan([], [], floor, floor, "floor")
+    certificate, path = floor, "dense"
     for k in _DEFLATION_SIZES:
         if k >= fine_grid.n - 1:   # ARPACK needs k < n - 1
             break
-        deflated, lams, vecs = _deflate(op, frame, floor.nu, k)
-        if deflated.certifies(threshold):
+        certificate, lams, vecs = _deflate(op, frame, floor.nu, k)
+        if certificate.certifies(threshold):
+            path = "deflation"
             break
     del frame   # before the full eigensolve, which would set the peak memory
-    if deflated is None or not deflated.certifies(threshold):
+    if path == "dense":
         lams, vecs = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
     if cand_idx.size == 0:
-        return [], [], floor, deflated
+        return Scan([], [], floor, certificate, path)
     # free the full eigenvector matrix and the operator before the partner
     # solves, which would otherwise set the peak memory
     lams, vecs = lams[cand_idx], vecs[:, cand_idx]
@@ -449,7 +453,7 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None):
         candidates.append(report)
         if report.accepted:
             accepted.append(report)
-    return accepted, candidates, floor, deflated
+    return Scan(accepted, candidates, floor, certificate, path)
 
 
 @dataclass

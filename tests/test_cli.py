@@ -180,6 +180,11 @@ def test_bad_config_exits_2(tmp_path):
     path.write_text("[nosuch]\nx = 1\n")
     assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
                      "profile-check"]) == 2
+    # dropped keys: levels only re-expressed n0, and ratio 1.0 is uniform
+    for dropped in ("[scan]\nlevels = 3\n", "[grid]\nstretch = uniform\n"):
+        path.write_text(dropped)
+        assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
+                         "profile-check"]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.ini"),
                      "--output-dir", str(tmp_path), "profile-check"]) == 2
 
@@ -188,7 +193,7 @@ def test_bad_config_exits_2(tmp_path):
 def test_grid_ratio_the_grid_cannot_hold_exits_2(tmp_path, capsys, ratio):
     # 6^400 overflows a float; ratio 0.5 shrinks the spacings to round-off
     path = tmp_path / "grid.ini"
-    path.write_text(f"[grid]\nstretch = geometric\nratio = {ratio}\n")
+    path.write_text(f"[grid]\nratio = {ratio}\n")
     out = tmp_path / "out"
     assert cli.main(["--config", str(path), "--output-dir", str(out),
                      "profile-check"]) == 2
@@ -211,18 +216,20 @@ def test_cli_reaches_no_private_name_of_acceptance():
 
 @pytest.mark.parametrize("line", ["rmax0 = -1.0", "growth = 0.0"])
 def test_bad_scan_radius_or_growth_exits_2(tmp_path, capsys, line):
+    # the ladder does not build: make_grid or refinement_ladder refuses it
     path = tmp_path / "scan.ini"
     path.write_text(f"[scan]\n{line}\n")
     assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
                      "spectrum", "--l", "4"]) == 2
-    assert "rmax0 > 0 and growth > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: scan:" in err and "must be positive" in err
     assert not (tmp_path / "spectrum_diagnostics.txt").exists()
 
 
-@pytest.mark.parametrize("growth", ["1e-300", "1e306"])
+@pytest.mark.parametrize("growth", ["1e-300", "1e-20", "1e7", "1e306"])
 def test_scan_growth_the_ladder_cannot_hold_exits_2(tmp_path, capsys, growth):
-    # 1e-300 shrinks the outer spacings below round-off; 1e306 puts the
-    # first node so near the origin that the class operators overflow
+    # 1e-300 and 1e-20 shrink the outer spacings below round-off; 1e7 and
+    # 1e306 shrink the first spacing below sqrt(eps) rmax
     path = tmp_path / "scan.ini"
     path.write_text(f"[scan]\ngrowth = {growth}\n")
     assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
@@ -234,6 +241,42 @@ def test_scan_growth_the_ladder_cannot_hold_exits_2(tmp_path, capsys, growth):
 def test_default_scan_ladder_loads(tmp_path):
     cfg = cli.RunConfig.load(None, {("output", "dir"): str(tmp_path)})
     assert cfg["scan", "growth"] == 30.0
+    assert max(cfg.ladder()) == (800, 80.0)
+
+
+@pytest.mark.parametrize("n0,message", [("8", "minimum node count"),
+                                        ("100000", "more than 6400")])
+def test_scan_ladder_that_does_not_build_exits_2(tmp_path, capsys, n0,
+                                                 message):
+    # n0 = 100000 would need a 400000-node fine grid, 1.2 TiB per matrix
+    path = tmp_path / "scan.ini"
+    path.write_text(f"[scan]\nn0 = {n0}\n")
+    assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
+                     "spectrum", "--l", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scan:" in err and message in err
+    assert not (tmp_path / "spectrum_diagnostics.txt").exists()
+
+
+@pytest.mark.parametrize("ini,l", [("[scan]\nrmax0 = 1e-300\n", "4"),
+                                   ("[scan]\nrmax0 = 1e300\n", "4"),
+                                   ("", "160")],
+                         ids=["rmax0=1e-300", "rmax0=1e300", "l=160"])
+def test_class_the_scan_cannot_assemble_exits_2(tmp_path, capsys, ini, l):
+    # r_1^-(l+2) or rmax^(l+3) overflows a float on a scanned grid
+    path = tmp_path / "scan.ini"
+    path.write_text(ini)
+    assert cli.main(["--config", str(path), "--output-dir", str(tmp_path),
+                     "spectrum", "--l", l]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scan:" in err and "overflows a float" in err
+    assert not (tmp_path / "spectrum_diagnostics.txt").exists()
+
+
+def test_default_scan_runs_a_high_class(tmp_path):
+    assert run_cli(["spectrum", "--l", "6"], tmp_path) == 0
+    assert load_summary(tmp_path, "spectrum")["details"]["scan_path"] == "floor"
+
 
 
 @pytest.mark.parametrize("ini,argv", [
@@ -403,6 +446,6 @@ def test_readme_config_example_loads(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["--config", "example.ini", "profile-check"]) == 0
     cfg = cli.RunConfig.load("example.ini", {})
-    assert cfg["grid", "n"] == 400 and cfg["grid", "stretch"] == "uniform"
+    assert cfg["grid", "n"] == 400 and cfg["grid", "ratio"] == 1.0
     assert cfg["evolve", "amplitude"] == 1e-3
     assert (tmp_path / cfg["output", "dir"] / "profile_check_summary.json").exists()

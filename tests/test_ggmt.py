@@ -87,6 +87,41 @@ class TestMu:
         with pytest.raises(ValueError):
             ggmt.mu_functional(2, 0.2, bad)
 
+    def test_reference_value_matches_mpmath_oracle(self):
+        # independent reference for mu(2, 0.2) in order A,
+        # (1/4) int_0^inf K(r) J(r) dr with J(r) = int_r^inf W^-1 s^-beta ds,
+        # from the closed forms of V2, W1 and W: J's suffix sums on the
+        # breakpoints 0, 1/4, 1/2, 1, 2, ..., 256, inf, then one short inner
+        # tanh-sinh quadrature per outer node, at 15 digits.  Measured gap:
+        # 1.6e-15 relative; the bar is the benchmark's round-off bar.
+        mpmath = pytest.importorskip("mpmath")
+        mu = ggmt.mu_functional(2, 0.2, ggmt.paper_weight())
+        with mpmath.workdps(15):
+            beta, lma = mpmath.mpf("4.4"), mpmath.mpf("1.8")
+
+            def k_outer(s):
+                w = (mpmath.mpf("0.01") + s * s) ** mpmath.mpf("-1.2") \
+                    + mpmath.mpf("0.02")
+                return s ** -beta / w
+
+            def k_inner(r):
+                x = r * r + 2
+                v2 = 8 * (x + 8) / x ** 3
+                w1 = (8 * lma + 4) / x ** 2 + 32 / x ** 3
+                return v2 ** 2 / w1 * r ** beta
+
+            breaks = [mpmath.mpf(0), mpmath.mpf(1) / 4, mpmath.mpf(1) / 2] \
+                + [mpmath.mpf(2) ** j for j in range(9)] + [mpmath.inf]
+            suffix = [mpmath.mpf(0)] * len(breaks)
+            for j in range(len(breaks) - 2, 0, -1):
+                suffix[j] = mpmath.quad(k_outer, breaks[j:j + 2]) + suffix[j + 1]
+            total = sum(
+                mpmath.quad(lambda r: k_inner(r) * (
+                    mpmath.quad(k_outer, [r, hi]) + tail), [lo, hi])
+                for lo, hi, tail in zip(breaks, breaks[1:], suffix[1:]))
+            oracle = float(total / 4)
+        assert abs(oracle - mu) <= 1e-10 * mu
+
 
 class TestCount:
     def test_prefactor(self):

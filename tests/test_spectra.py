@@ -99,19 +99,19 @@ def solves(monkeypatch):
 
 class TestScan:
     def test_l0_accepts_scaling_mode_only(self, solves):
-        accepted, _, floor, deflated = spectra.unstable_scan_detailed(
-            0, ladder=small_ladder())
+        scan = spectra.unstable_scan_detailed(0, ladder=small_ladder())
         # the floor leaves room for the scaling mode; deflating the one
         # eigenvector nearest the floor certifies the rest of the fine grid,
         # then each partner grid takes one shift-invert solve at the one
         # candidate, and no full eigensolve runs
-        assert floor.nu < -1.0
-        assert deflated.count == 1 and deflated.certifies(0.05)
+        assert scan.floor.nu < -1.0
+        assert scan.path == "deflation"
+        assert scan.certificate.count == 1 and scan.certificate.certifies(0.05)
         assert solves == {"eig": 0, "targeted": 4,
                           "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
                                     (400, 20.0)]}
-        assert len(accepted) == 1
-        rep = accepted[0]
+        assert len(scan.accepted) == 1
+        rep = scan.accepted[0]
         assert abs(rep.lam - (-1.0)) < 5e-3
         w = operators.r2_mass_weights(rep.grid)
         cos = spectra.cosine_similarity(rep.vector,
@@ -119,15 +119,15 @@ class TestScan:
         assert cos >= 0.999
 
     def test_l2_empty(self, solves):
-        accepted, cands, floor, deflated = spectra.unstable_scan_detailed(
-            2, ladder=small_ladder())
-        assert accepted == [] and cands == []
+        scan = spectra.unstable_scan_detailed(2, ladder=small_ladder())
+        assert scan.accepted == [] and scan.candidates == []
         # the floor certifies the threshold: no eigensolve, no other grid
-        assert floor.certifies(0.05) and deflated is None
+        assert scan.floor.certifies(0.05) and scan.floor.count == 0
+        assert scan.path == "floor" and scan.certificate is scan.floor
         assert solves == {"eig": 0, "targeted": 0, "grids": [(400, 40.0)]}
 
     def test_floor_below_threshold_runs_the_dense_path(self, solves):
-        accepted, cands, floor, deflated = spectra.unstable_scan_detailed(
+        accepted, cands, floor, cert, path = spectra.unstable_scan_detailed(
             2, threshold=0.5, ladder=small_ladder())
         assert abs(floor.nu - 0.1887) < 1e-3 and not floor.certifies(0.5)
         # the fine grid's eigenvalue 0.378 is a candidate; the filters reject it
@@ -136,18 +136,19 @@ class TestScan:
         assert accepted == [] and cand.rejected_by == "rmax"
         # deflating 1, 2 and 4 eigenvectors leaves floors below 0.5: three
         # Arnoldi solves before the full eigensolve
-        assert deflated.count == 4 and not deflated.certifies(0.5)
+        assert path == "dense"
+        assert cert.count == 4 and not cert.certifies(0.5)
         assert solves == {"eig": 1, "targeted": 6,
                           "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
                                     (400, 20.0)]}
 
     def test_coarse_outer_spacing_falls_back_to_the_dense_path(self, solves):
         # on (400, 80) the Dirichlet row at rmax pulls the floor to -2.5
-        accepted, cands, floor, deflated = spectra.unstable_scan_detailed(
+        accepted, cands, floor, cert, path = spectra.unstable_scan_detailed(
             2, ladder=small_ladder(rmax0=40.0))
         assert abs(floor.nu + 2.5) < 0.05 and not floor.certifies(0.05)
         # and that row stays after any deflation
-        assert deflated.count == 4 and deflated.nu < -2.0
+        assert path == "dense" and cert.count == 4 and cert.nu < -2.0
         assert accepted == [] and cands == []
         assert solves == {"eig": 1, "targeted": 3, "grids": [(400, 80.0)]}
 
@@ -182,8 +183,7 @@ class TestScan:
     def test_kernel_form_residual_cross_check(self):
         # recompute the accepted residual with the differentiated-kernel
         # nonlocal block: representations agree far below the filter scale
-        accepted, _, _, _ = spectra.unstable_scan_detailed(0, ladder=small_ladder())
-        rep = accepted[0]
+        rep = spectra.unstable_scan_detailed(0, ladder=small_ladder()).accepted[0]
         grid = rep.grid
         a = operators.assemble_Ll(0, grid).entries
         swap = operators.kernel_deriv_deltal_inv_matrix(grid, 0) \
@@ -206,9 +206,9 @@ class TestTargetedPartners:
     def test_match_the_dense_partners(self, monkeypatch, l, threshold, count):
         # (2, 2.0) has the complex pair 1.508 +- 0.650i among its candidates
         ladder = small_ladder()
-        _, targeted, _, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
+        targeted = spectra.unstable_scan_detailed(l, threshold, ladder).candidates
         monkeypatch.setattr(spectra, "_nearest_eigenvalues", dense_partners)
-        _, dense, _, _ = spectra.unstable_scan_detailed(l, threshold, ladder)
+        dense = spectra.unstable_scan_detailed(l, threshold, ladder).candidates
         assert len(targeted) == len(dense) == count
         for got, want in zip(targeted, dense):
             assert got.lam == want.lam
@@ -281,21 +281,75 @@ class TestRangeFloor:
             assert min(quotients) >= floor.nu
 
 
-class TestLadderSpacing:
-    @pytest.mark.parametrize("growth", [1e-6, 0.5, 1.0, 30.0, 1e6])
-    def test_closed_form_matches_the_built_grids(self, growth):
-        built = min(np.diff(grid.nodes, prepend=0.0).min() / grid.rmax
-                    for grid in spectra.refinement_ladder(
-                        n0=100, rmax0=20.0, levels=3, growth=growth).values())
-        assert spectra.check_ladder_spacing(100, 3, growth) == \
-            pytest.approx(built, rel=1e-8)
+class TestLadder:
+    """A ladder is valid exactly when it builds."""
 
-    @pytest.mark.parametrize("growth", [1e-300, 1e-20, 1e7, 1e306])
-    def test_unresolvable_spacing_raises_before_any_grid(self, growth,
-                                                          monkeypatch):
-        monkeypatch.setattr(spectra, "make_grid", None)
-        with pytest.raises(ValueError, match="below sqrt\\(eps\\) rmax"):
+    @pytest.mark.parametrize("growth", [1e-6, 0.5, 1.0, 30.0, 1e6])
+    def test_resolvable_growth_builds(self, growth):
+        ladder = spectra.refinement_ladder(n0=100, rmax0=20.0, growth=growth)
+        assert sorted(ladder) == [(n, rmax) for n in (100, 200, 400)
+                                  for rmax in (20.0, 40.0)]
+        for grid in ladder.values():
+            assert np.diff(grid.nodes, prepend=0.0).min() \
+                >= np.sqrt(np.finfo(float).eps) * grid.rmax
+
+    @pytest.mark.parametrize("growth, message", [
+        (1e-300, "strictly increasing"), (1e-20, "strictly increasing"),
+        (1e7, "below sqrt"), (1e306, "overflows")],
+        ids=["1e-300", "1e-20", "1e7", "1e306"])
+    def test_unresolvable_spacing_raises(self, growth, message):
+        # growth < 1 shrinks the outer spacings until the nodes collide;
+        # growth > 1 shrinks the first spacing below sqrt(eps) rmax, or the
+        # per-step ratio's n-th power overflows
+        with pytest.raises(ValueError, match=message):
             spectra.refinement_ladder(n0=100, rmax0=20.0, growth=growth)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n0": 100000}, {"n0": 3201}, {"n0": 100, "levels": 8}],
+        ids=["n0=100000", "n0=3201", "levels=8"])
+    def test_node_limit_raises_before_any_grid(self, kwargs, monkeypatch):
+        # the scan would hold four dense matrices of the finest grid
+        monkeypatch.setattr(spectra, "make_grid", None)
+        with pytest.raises(ValueError, match="more than 6400"):
+            spectra.refinement_ladder(**kwargs)
+
+    def test_node_limit_is_inclusive(self):
+        assert max(spectra.refinement_ladder(n0=1600)) == (6400, 80.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"levels": 2}, {"rmax_factors": (1,)}, {"rmax_factors": (2, 2)},
+        {"growth": 0.0}, {"growth": -2.0}],
+        ids=["levels=2", "one-radius", "repeated-radius", "growth=0",
+             "growth=-2"])
+    def test_degenerate_ladder_raises_before_any_grid(self, kwargs,
+                                                       monkeypatch):
+        monkeypatch.setattr(spectra, "make_grid", None)
+        with pytest.raises(ValueError):
+            spectra.refinement_ladder(**kwargs)
+
+
+class TestScanGrids:
+    def test_keys_fine_grid_first(self):
+        assert spectra.check_scan_grids(0, small_ladder()) == [
+            (400, 40.0), (200, 40.0), (100, 40.0), (400, 20.0)]
+
+    def test_overflow_boundary_on_the_pinned_ladder(self):
+        # the (800, 40) grid has the smallest first node: r_1^-(l+2)
+        # overflows there from l = 137 on, and the check stops exactly there
+        ladder = spectra.refinement_ladder()
+        assert spectra.check_scan_grids(136, ladder)[-1] == (800, 40.0)
+        op = operators.assemble_Ll(136, ladder[(800, 40.0)])
+        assert np.all(np.isfinite(op.entries))
+        with pytest.raises(ValueError, match=r"class 137 .*\(800, 40\.0\)"):
+            spectra.check_scan_grids(137, ladder)
+
+    @pytest.mark.parametrize("rmax0", [1e-300, 1e300])
+    def test_scan_refuses_an_overflowing_class_before_assembly(self, rmax0,
+                                                               solves):
+        ladder = spectra.refinement_ladder(n0=100, rmax0=rmax0)
+        with pytest.raises(ValueError, match="overflows a float"):
+            spectra.unstable_scan_detailed(4, ladder=ladder)
+        assert solves["grids"] == []
 
 
 class TestDeflation:
@@ -353,11 +407,14 @@ class TestDeflation:
         # on (400, 80) the Dirichlet row keeps the deflated floor near -2.5:
         # the scan's candidates are exactly those of the full solve
         ladder = small_ladder(rmax0=40.0)
-        _, got, _, deflated = spectra.unstable_scan_detailed(0, ladder=ladder)
-        assert not deflated.certifies(0.05)
+        scan = spectra.unstable_scan_detailed(0, ladder=ladder)
+        assert scan.path == "dense" and not scan.certificate.certifies(0.05)
         monkeypatch.setattr(spectra, "_DEFLATION_SIZES", ())
-        _, want, _, none = spectra.unstable_scan_detailed(0, ladder=ladder)
-        assert none is None and len(got) == len(want) == 1
+        plain = spectra.unstable_scan_detailed(0, ladder=ladder)
+        # with nothing deflated the certificate is the plain floor
+        assert plain.path == "dense" and plain.certificate is plain.floor
+        got, want = scan.candidates, plain.candidates
+        assert len(got) == len(want) == 1
         assert got[0].lam == want[0].lam
         assert np.array_equal(got[0].vector, want[0].vector)
         assert (got[0].residual, got[0].rejected_by) == \
