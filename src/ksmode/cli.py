@@ -287,6 +287,7 @@ def cmd_evolve_linear(cfg, args):
     checks = []
     rows = []
     worst_defect = 0.0
+    projections = {}
     for l, mode in acceptance.SYMMETRY_MODES.items():
         op = operators.assemble_Ll(l, grid)
         proj = spectra.build_projection(op, mode.eigenvalue)
@@ -294,11 +295,22 @@ def cmd_evolve_linear(cfg, args):
                                      horizon, projection=proj)
         checks.append(acceptance.growth_rate_check(l, evolution.fit_rate(tr)))
         worst_defect = max(worst_defect, tr.max_solve_defect)
+        projections[str(l)] = _projection_detail(proj)
         rows += [{"l": l, "tau": t, "norm": n, "mode_coeff": float(np.real(c))}
                  for t, n, c in zip(tr.times, tr.norms, tr.mode_coeffs)]
     out = _out_dir(cfg) / "evolve_linear_trace.csv"
     _write_csv(out, rows, ["l", "tau", "norm", "mode_coeff"])
-    return checks, {"csv": out.name, "max_solve_defect": worst_defect}
+    return checks, {"csv": out.name, "max_solve_defect": worst_defect,
+                    "projections": projections}
+
+
+def _projection_detail(proj) -> dict:
+    """The evidence behind one Riesz projection (see spectra.ProjectionPair)."""
+    return {"eigenvalue": [proj.lam.real, proj.lam.imag],
+            "isolation_floor": proj.floor.nu,
+            "isolation_margin": proj.floor.margin,
+            "invariance_residual": proj.floor.residual,
+            "projection_path": proj.path, "condition": proj.condition}
 
 
 def cmd_evolve_nonlinear(cfg, args):
@@ -331,7 +343,8 @@ def cmd_shoot(cfg, args):
               "departure_sign_low": res.departure_sign_low,
               "departure_sign_high": res.departure_sign_high,
               "trail": [list(entry) for entry in res.trail],
-              "max_solve_defect": res.max_solve_defect}
+              "max_solve_defect": res.max_solve_defect,
+              "projection": _projection_detail(projf)}
     return checks, detail
 
 

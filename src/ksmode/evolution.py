@@ -106,16 +106,26 @@ def step_count(dt: float, horizon: float) -> int:
     return n_steps
 
 
-def _check_solve(lhs, x, rhs, lhs_norm):
-    """Relative defect of the solve x of lhs x = rhs, per row of a stack.
+def _check_solve(x, product, rhs, lhs_norm):
+    """Relative defect of the Crank-Nicolson solve x of (I + dt/2 A) x = rhs,
+    per row of a stack, from ``product`` = (I - dt/2 A) x.
 
-    Raises EvolutionError when the defect of any row passes _SOLVE_TOL
-    relative to that row's own scale.
+    The two sides sum to 2I, so (I + dt/2 A) x is 2x - product: exact off
+    the diagonal and one rounding on it.  Raises EvolutionError when the
+    defect of any row passes _SOLVE_TOL relative to that row's own scale.
     """
-    defect = np.linalg.norm(lhs @ x - rhs, axis=-1)
-    denom = lhs_norm * np.linalg.norm(x, axis=-1) + np.linalg.norm(rhs, axis=-1)
+    # the residual, x and rhs side by side, so one reduction gives the
+    # norms of all three, row by row
+    rows = np.empty((3,) + np.shape(x), dtype=np.result_type(x, product, rhs))
+    np.multiply(x, 2.0, out=rows[0])
+    rows[0] -= product
+    rows[0] -= rhs
+    rows[1], rows[2] = x, rhs
+    defect, x_norm, rhs_norm = np.sqrt(
+        np.einsum("k...i,k...i->k...", rows, rows.conj()).real)
+    denom = lhs_norm * x_norm + rhs_norm
     bad = defect > _SOLVE_TOL * denom
-    if np.any(bad):
+    if bad.any():
         i = np.flatnonzero(bad)[0]
         row = f" in row {i}" if np.ndim(x) > 1 else ""
         raise EvolutionError(f"implicit solve defect "
@@ -123,34 +133,64 @@ def _check_solve(lhs, x, rhs, lhs_norm):
     return np.divide(defect, denom, out=np.zeros_like(defect), where=defect > 0)
 
 
+def _padded(values, width: int) -> np.ndarray:
+    """One data set or a stack of them as the rows of a C-contiguous
+    (m, width) array, each row's n values followed by zeros."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    out = np.zeros((values.size // n, width), dtype=np.result_type(values, float))
+    out[:, :n] = values.reshape(-1, n)
+    return out
+
+
 class _BandMatrix:
     """A matrix with kl subdiagonals and ku superdiagonals, kept as diagonals.
 
     ``@`` applies it in O(n); after ``factor()`` (LAPACK gbtrf), ``solve``
     runs gbtrs.  Both take one vector or a stack of them as the rows of a
-    C-contiguous (m, n) array, and act on each row alone: the product is
-    elementwise along the last axis and the solve is one gbtrs call with
-    m right-hand sides, the columns of the transposed (Fortran-order)
-    view.  The diagonals sit in LAPACK band layout: row ku + i - j of
-    ``band`` holds m[i, j].
+    C-contiguous array, and act on each row alone.  A padded stack has rows
+    of ``width`` = n + kl + ku entries, the n values followed by zeros; the
+    product works on padded rows (plain data is padded first, and comes
+    back plain), so each diagonal term is one contiguous product and one
+    contiguous shifted sum over the whole stack, and the gap keeps every
+    term inside its row: an entry reads only its own row and the zeros
+    after it.  The gap entries of the product are zero.  The solve is one
+    gbtrs call with m right-hand sides, the columns of the transposed
+    (Fortran-order) view; on padded rows gbtrs solves the first n entries
+    of each column and leaves the zeros.  The diagonals sit in LAPACK band
+    layout: row ku + i - j of ``band`` holds m[i, j].
     """
 
     def __init__(self, m: np.ndarray, kl: int, ku: int):
         n = m.shape[0]
         self.kl, self.ku = kl, ku
+        self.width = n + kl + ku
         self.band = np.zeros((kl + ku + 1, n), dtype=m.dtype)
-        self._offdiag = []   # (rows, diagonal, columns) of each off-diagonal
         for k in range(-kl, ku + 1):
             lo, hi = max(-k, 0), n - max(k, 0)
             self.band[ku - k, lo + k:hi + k] = np.diagonal(m, k)
-            if k:
-                cols = slice(lo + k, hi + k)
-                self._offdiag.append((slice(lo, hi), self.band[ku - k, cols], cols))
+        # column j of band row ku - k multiplies y_j into entry j - k; the
+        # padded band rows, repeated over a stack, are built for the
+        # largest stack yet and sliced for smaller ones
+        self._tiled = np.pad(self.band, ((0, 0), (0, kl + ku)))
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        out = self.band[self.ku] * y
-        for rows, diagonal, cols in self._offdiag:
-            out[..., rows] += diagonal * y[..., cols]
+        n = self.band.shape[1]
+        if y.shape[-1] == n:
+            return (self @ _padded(y, self.width))[:, :n].reshape(y.shape)
+        if self._tiled.shape[1] < y.size:
+            self._tiled = np.tile(self._tiled[:, :self.width],
+                                  y.size // self.width)
+        columns = self._tiled[:, :y.size]
+        flat = y.reshape(-1)
+        out = columns[self.ku] * flat
+        for k in range(-self.kl, self.ku + 1):
+            if k > 0:
+                out[:-k] += columns[self.ku - k, k:] * flat[k:]
+            elif k < 0:
+                out[-k:] += columns[self.ku - k, :k] * flat[:k]
+        out = out.reshape(y.shape)
+        out[:, n:] = 0.0
         return out
 
     def factor(self) -> None:
@@ -180,8 +220,10 @@ def _crank_nicolson(a: np.ndarray, dt: float):
     """Crank-Nicolson for y' = -A y.
 
     Returns ``(explicit, solve)``: ``explicit @ y`` is (I - dt/2 A) y and
-    ``solve(rhs)`` returns (I + dt/2 A)^{-1} rhs together with its relative
-    defect from _check_solve, which checks every solve.  When the band
+    ``solve(rhs)`` returns x = (I + dt/2 A)^{-1} rhs, ``explicit @ x``
+    (the next step's explicit half) and the relative defect from
+    _check_solve, which checks every solve with that product, so a step
+    makes one product with the operator.  When the band
     storage of A is smaller than the dense matrix (the local IMEX operator
     has one subdiagonal and, from the origin ghost, two superdiagonals, so
     every grid of at least MIN_NODES nodes qualifies) the left side is
@@ -208,7 +250,8 @@ def _crank_nicolson(a: np.ndarray, dt: float):
 
     def solve(rhs):
         x = backsolve(rhs)
-        return x, _check_solve(lhs, x, rhs, lhs_norm)
+        product = explicit @ x
+        return x, product, _check_solve(x, product, rhs, lhs_norm)
 
     return explicit, solve
 
@@ -240,8 +283,9 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
 
     record(0, eps)
     worst = 0.0
+    product = explicit @ eps
     for k in range(1, n_steps + 1):
-        eps, defect = solve(explicit @ eps)
+        eps, product, defect = solve(product)
         worst = max(worst, float(defect))
         record(k, eps)
     return EvolutionTrace(times=times, norms=norms,
@@ -262,48 +306,78 @@ class FluxGeometry:
     Cell faces at midpoints, [0, .] for the first cell, Dirichlet ghost past
     rmax for the last.  Build one per grid and pass it to every evaluation:
     the half-panel moments, the cell volumes and the panel coefficients of
-    the mass integral depend only on the nodes.
+    the mass integral depend only on the nodes.  They are kept as rows of
+    ``width`` (at least n + 1) for padded stacks of that width (see
+    _nl_rhs); entries past the data are zero, or one for the volumes.
     """
 
-    def __init__(self, grid: RadialGrid):
+    def __init__(self, grid: RadialGrid, width: int | None = None):
         r = grid.nodes
+        n = grid.n
+        self.n, self.width = n, n + 1 if width is None else width
         self.mass = EvenPrefixIntegral(r, 2.0)   # int_0^r psi s^2 ds
         mids = 0.5 * (r[:-1] + r[1:])
         u, v = r[:-1], r[1:]
         # int_u^mid psi s^2 ds = cu psi_u + cv psi_v on the interpolant
         m0 = (mids ** 3 - u ** 3) / 3.0
         m1 = (mids ** 4 - u ** 4) / 4.0
-        self.cv = (m1 - u * m0) / (v - u)
-        self.cu = m0 - self.cv
+        cv = (m1 - u * m0) / (v - u)
+        self.cu = np.zeros(self.width)
+        self.cu[:n - 1] = m0 - cv
+        # cv of the panel left of each node: it multiplies psi at that node
+        self.cv_left = np.zeros(self.width)
+        self.cv_left[1:n] = cv
         r_out = r[-1] + 0.5 * (r[-1] - r[-2])
-        self.cell_cubes = np.diff(np.concatenate(([0.0], mids ** 3, [r_out ** 3])))
+        self.cell_cubes = np.ones(self.width)
+        self.cell_cubes[:n] = np.diff(np.concatenate(([0.0], mids ** 3,
+                                                      [r_out ** 3])))
 
 
 def _nl_rhs(values, flux: FluxGeometry) -> np.ndarray:
     """The flux term N(psi) at nodal data, in the form FluxGeometry describes.
 
-    ``values`` is one data set or a stack of them as rows; every reduction
-    runs along the last axis, so each row is evaluated alone.
+    ``values`` is one data set or a stack of them as rows, or a padded
+    stack of rows of ``flux.width`` (n values, then zeros), whose layout
+    the result keeps, with zeros past the data.  Plain data is padded
+    first.  Every neighbour term is one contiguous shifted operation over
+    the whole stack, and the zeros after each row keep it inside the row;
+    the prefix sums run along each row.  So each row is evaluated alone,
+    with the operations of the one-row formula.
     """
     psi = np.asarray(values)
-    cum = flux.mass(psi)
-    cum_mid = cum[..., :-1] + flux.cu * psi[..., :-1] + flux.cv * psi[..., 1:]
-    phi_mid = 0.5 * (psi[..., :-1] + psi[..., 1:]) * cum_mid
-    phi = np.concatenate((np.zeros(psi.shape[:-1] + (1,)), phi_mid,
-                          0.5 * psi[..., -1:] * cum[..., -1:]), axis=-1)
-    return 3.0 * np.diff(phi, axis=-1) / flux.cell_cubes
+    n = flux.n
+    rows = psi if psi.shape[-1] == flux.width else _padded(psi, flux.width)
+    # (cum + cu psi_j) + cv psi_{j+1} and 0.5 (psi_j + psi_{j+1}) at the
+    # midpoints; past the last node they give the outer face's 0.5 psi cum
+    cum_mid = flux.cu * rows
+    cum_mid[:, :n] += flux.mass(rows[:, :n])
+    cum_mid.reshape(-1)[:-1] += (flux.cv_left * rows).reshape(-1)[1:]
+    phi = rows.copy()
+    phi.reshape(-1)[:-1] += rows.reshape(-1)[1:]
+    phi *= 0.5
+    phi *= cum_mid
+    phi[:, n:] = 0.0   # the inner face of every row's first cell
+    out = phi.copy()
+    out.reshape(-1)[1:] -= phi.reshape(-1)[:-1]
+    out *= 3.0
+    out /= flux.cell_cubes
+    out[:, n:] = 0.0
+    return out if rows is psi else out[:, :n].reshape(psi.shape)
 
 
 class _ImexRows:
     """IMEX (Crank-Nicolson + AB2) stepper for a stack of independent runs.
 
     Built once per grid and dt; ``start(psi0)`` then (re)starts it on a
-    stack of initial states, reusing the set-up.  ``psi`` is a
-    C-contiguous (m, n) array whose rows are the current states of the m
-    runs.  The linear part -Delta_0 + (1/2) Lambda is implicit with one
-    banded LU, reused by every row and step; the quadratic flux is explicit
-    (AB2 after a predictor-corrector first step).  All arithmetic is
-    row-wise, so a row gets the same bits in any batch as alone.
+    stack of initial states, reusing the set-up.  ``psi`` is an (m, n) view
+    whose rows are the current states of the m runs; they live in a padded
+    stack (see _BandMatrix), on which the flux term and the band product
+    run as contiguous operations.  The linear part -Delta_0 + (1/2) Lambda
+    is implicit with one banded LU, reused by every row and step; the
+    quadratic flux is explicit (AB2 after a predictor-corrector first
+    step).  Each solve also returns the explicit half of the next step,
+    so a step makes one band product.  All arithmetic is row-wise, so a
+    row gets the same bits in any batch as alone.
     ``step()`` advances every row and returns
     ``{row: message}`` for the rows whose new state fails the negativity
     guard (min below -_NEGATIVITY_TOL ||Psi||_inf) or the blowup guard;
@@ -315,36 +389,47 @@ class _ImexRows:
     def __init__(self, grid: RadialGrid, dt: float):
         self.explicit, self._solve = _crank_nicolson(
             assemble_Ll(0, grid, zero_profile=True).entries, dt)
-        self.flux = FluxGeometry(grid)
+        self.flux = FluxGeometry(grid, self.explicit.width)
         self.grid, self.dt = grid, dt
 
+    @property
+    def psi(self) -> np.ndarray:
+        return self._rows[:, :self.grid.n]
+
+    @property
+    def last(self) -> np.ndarray:
+        return self._last[:, :self.grid.n]
+
     def start(self, psi0: np.ndarray) -> "_ImexRows":
-        self.psi = np.array(psi0, dtype=float, ndmin=2)
-        self.last = self.psi
+        self._rows = _padded(psi0, self.flux.width)
+        self._last = self._rows
+        self._explicit_half = self.explicit @ self._rows
         self.scale0 = np.max(np.abs(self.psi), axis=-1)
-        self.defect = np.zeros(len(self.psi))
+        self.defect = np.zeros(len(self._rows))
         self.k = 0
         self._n_prev = None   # flux term of the state one step back
         return self
 
     def _checked_solve(self, rhs):
-        x, defect = self._solve(rhs)
+        x, product, defect = self._solve(rhs)
         np.maximum(self.defect, defect, out=self.defect)
-        return x
+        return x, product
 
     def step(self) -> dict:
-        psi, dt = self.psi, self.dt
-        n_cur = _nl_rhs(psi, self.flux)
+        rows, dt = self._rows, self.dt
+        n_cur = _nl_rhs(rows, self.flux)
         if self.k == 0:
             # predictor-corrector first step keeps the start O(dt^2)
-            pred = self._checked_solve(self.explicit @ psi + dt * n_cur)
+            pred, _ = self._checked_solve(self._explicit_half + dt * n_cur)
             term = 0.5 * (n_cur + _nl_rhs(pred, self.flux))
         else:
             term = 1.5 * n_cur - 0.5 * self._n_prev
-        new = self._checked_solve(self.explicit @ psi + dt * term)
+        self._rows, self._explicit_half = self._checked_solve(
+            self._explicit_half + dt * term)
         self.k += 1
-        self.last, self.psi, self._n_prev = psi, new, n_cur
+        self._last, self._n_prev = rows, n_cur
         tau = self.dt * self.k
+        new = self.psi
         scale = np.max(np.abs(new), axis=-1)
         low = np.min(new, axis=-1)
         negative = low < -_NEGATIVITY_TOL * np.maximum(scale, self.scale0)
@@ -358,7 +443,8 @@ class _ImexRows:
         return failures
 
     def keep(self, mask: np.ndarray) -> None:
-        self.psi, self._n_prev = self.psi[mask], self._n_prev[mask]
+        self._rows, self._n_prev = self._rows[mask], self._n_prev[mask]
+        self._explicit_half = self._explicit_half[mask]
         self.scale0, self.defect = self.scale0[mask], self.defect[mask]
 
 

@@ -326,6 +326,11 @@ def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return partners
 
 
+def _same_eigenvalue(mu, lam) -> bool:
+    """Whether two computed eigenvalues are one, to _SAME_EIGENVALUE."""
+    return abs(mu - lam) <= _SAME_EIGENVALUE * max(1.0, abs(lam))
+
+
 def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
     """The m = ``cands.size`` eigenvalues of ``a`` nearest each candidate.
 
@@ -356,7 +361,7 @@ def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
         found.extend(mus)
     merged = []
     for mu in found:
-        if all(abs(mu - k) > _SAME_EIGENVALUE * max(1.0, abs(k)) for k in merged):
+        if not any(_same_eigenvalue(mu, k) for k in merged):
             merged.append(mu)
     return np.array(merged), worst
 
@@ -459,13 +464,22 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
 @dataclass
 class ProjectionPair:
     """Right/left eigenvectors of one eigenvalue, paired in L^2(r^2 dr): the
-    discrete Riesz projection onto that mode."""
+    discrete Riesz projection onto that mode.
+
+    ``floor`` is the k = 1 deflated floor of the operator with the mode
+    deflated and ``path`` how the mode was shown to be the one nearest its
+    target: ``"deflation"`` (that floor certifies it) or ``"dense"`` (the
+    full eigensolve confirms it).  ``condition`` is the eigenvalue condition
+    number ||x|| ||y|| / |y^H x| of the right and left eigenvectors."""
     lam: complex
     right: np.ndarray   # unit in L^2(r^2 dr)
     left: np.ndarray    # sum(conj(left) w right) = 1
     weights: np.ndarray
     grid: RadialGrid
     biorthogonality_defect: float
+    floor: RangeFloor
+    path: str
+    condition: float
 
     def coefficient(self, values):
         return (self.left.conj() * self.weights) @ np.asarray(values)
@@ -477,7 +491,7 @@ class ProjectionPair:
         return np.asarray(values) - self.project_unstable(values)
 
 
-def build_projection(a: OperatorMatrix, target: complex) -> ProjectionPair:
+def build_projection(a: OperatorMatrix, target: float) -> ProjectionPair:
     """Riesz projection onto the eigenvalue of ``a`` nearest ``target``.
 
     The left eigenvector y (y^H A = lam y^H) gives the coefficient
@@ -485,33 +499,75 @@ def build_projection(a: OperatorMatrix, target: complex) -> ProjectionPair:
     pairing the left mode is y / (w conj(y^H v)).  A near-defective pairing
     raises.
     """
-    lam, right, left = mode_report(a, target)
+    mode = mode_report(a, target)
     w = r2_mass_weights(a.grid)
-    right = right / np.sqrt(np.sum(w * np.abs(right) ** 2))
-    pairing = np.vdot(left, right)
+    right = mode.right / np.sqrt(np.sum(w * np.abs(mode.right) ** 2))
+    pairing = np.vdot(mode.left, right)
     if abs(pairing) < 1e-8:
         raise RuntimeError("near-defective left/right pairing")
-    left = left / (w * np.conj(pairing))
+    condition = float(np.linalg.norm(right) * np.linalg.norm(mode.left)
+                      / abs(pairing))
+    left = mode.left / (w * np.conj(pairing))
     defect = float(abs(np.sum(left.conj() * w * right) - 1.0))
     if defect > 1e-8:
         raise RuntimeError(f"bi-orthogonality defect {defect:.2e} > 1e-8")
-    return ProjectionPair(lam=lam, right=right, left=left, weights=w,
-                          grid=a.grid, biorthogonality_defect=defect)
+    return ProjectionPair(lam=mode.lam, right=right, left=left, weights=w,
+                          grid=a.grid, biorthogonality_defect=defect,
+                          floor=mode.floor, path=mode.path, condition=condition)
 
 
-def mode_report(a: OperatorMatrix, target: complex):
-    """The eigenvalue of ``a`` nearest ``target`` with its right and left
-    eigenvectors, ``(lam, v, y)`` with A v = lam v and y^H A = lam y^H.
+@dataclass(frozen=True)
+class Mode:
+    """One eigenvalue with its right and left eigenvectors, and the evidence
+    that it is the one nearest its target (see ``ProjectionPair``).
+    Unpacks as ``(lam, right, left)``."""
+    lam: complex
+    right: np.ndarray
+    left: np.ndarray
+    floor: RangeFloor
+    path: str
 
-    Both sides come from one two-sided eigensolve, and every pair of both
-    passes the residual guard of ``eig_dense``.
+    def __iter__(self):
+        return iter((self.lam, self.right, self.left))
+
+
+def mode_report(a: OperatorMatrix, target: float) -> Mode:
+    """The eigenvalue of ``a`` nearest the real shift ``target`` with its
+    right and left eigenvectors, A v = lam v and y^H A = lam y^H; v is a
+    unit vector whose entry of largest modulus is real and positive.
+
+    Two shift-invert Arnoldi solves from the scan's start vector find them,
+    one on A at ``target`` (inside ``_deflate``) and one on A^H, and both
+    pairs pass the residual guard of ``eig_dense``.  The k = 1 deflated
+    floor then shows that every other eigenvalue has real part above
+    max(0, target + |lam - target|), so lam is isolated, nearest the target
+    and the only eigenvalue of the unstable half-plane.  Only when the floor
+    falls short does the full eigensolve confirm that its eigenvalue
+    nearest the target is lam.
     """
     mat = a.entries
-    lams, lefts, rights = scipy.linalg.eig(mat, left=True, right=True)
-    _guard_residuals(mat, lams, rights)
-    _guard_residuals(mat.conj().T, lams.conj(), lefts)
-    k = int(np.argmin(np.abs(lams - target)))
-    return complex(lams[k]), rights[:, k], lefts[:, k]
+    floor, lams, rights = _deflate(a, _m_frame(a), target, 1)
+    lam = complex(lams[0])
+    adjoint = mat.conj().T
+    mus, lefts = scipy.sparse.linalg.eigs(adjoint, k=1, sigma=target,
+                                          v0=np.ones(mat.shape[0]))
+    _guard_residuals(adjoint, mus, lefts)
+    if not _same_eigenvalue(np.conj(mus[0]), lam):
+        raise RuntimeError(f"the left solve found {np.conj(mus[0])!r}, "
+                           f"the right solve {lam!r}")
+    path = "deflation"
+    if not floor.certifies(max(0.0, target + abs(lam - target))):
+        dense = eig_dense(a)[0]
+        nearest = dense[np.argmin(np.abs(dense - target))]
+        if not _same_eigenvalue(nearest, lam):
+            raise RuntimeError(f"the eigenvalue nearest {target!r} is "
+                               f"{nearest!r}, not {lam!r}")
+        path = "dense"
+    # the sign (phase) of the right vector fixes the sign of every
+    # projection coefficient: make its entry of largest modulus positive
+    right = rights[:, 0]
+    peak = right[np.argmax(np.abs(right))]
+    return Mode(lam, right * (abs(peak) / peak), lefts[:, 0], floor, path)
 
 
 def cosine_similarity(values_a, values_b, weights) -> float:

@@ -303,6 +303,32 @@ def test_evolution_summary_records_largest_solve_defect(tmp_path, command):
     assert 0.0 < defect <= 1e-10
 
 
+PROJECTION_FIELDS = {"eigenvalue", "isolation_floor", "isolation_margin",
+                     "invariance_residual", "projection_path", "condition"}
+
+
+def test_projection_evidence_reaches_the_reports(tmp_path, monkeypatch):
+    assert run_cli(["evolve-linear", "--n", "200", "--horizon", "1.0"],
+                   tmp_path) == 0
+    linear = load_summary(tmp_path, "evolve-linear")["details"]["projections"]
+    assert set(linear) == {"0", "1"}
+    for l, target in (("0", -1.0), ("1", -0.5)):
+        entry = linear[l]
+        assert set(entry) == PROJECTION_FIELDS
+        assert entry["projection_path"] == "deflation"
+        assert entry["isolation_floor"] > entry["isolation_margin"] > 0.0
+        assert abs(entry["eigenvalue"][0] - target) < 0.05
+        assert entry["eigenvalue"][1] == 0.0 and entry["condition"] >= 1.0
+    # the shooting report records the flow linearization's projection
+    monkeypatch.setattr(evolution, "shoot_stable_manifold",
+                        lambda *args, **kwargs: [evolution.ShootingResult(
+                            0.0, 1e-9, True, -1, 1, [], 0.0)])
+    assert run_cli(["shoot", "--n", "100"], tmp_path) == 0
+    entry = load_summary(tmp_path, "shoot")["details"]["projection"]
+    assert set(entry) == PROJECTION_FIELDS
+    assert entry["projection_path"] == "deflation"
+
+
 def test_ggmt_invalid_alpha_exits_2(tmp_path):
     assert run_cli(["ggmt", "--alpha", "3.0"], tmp_path) == 2
 

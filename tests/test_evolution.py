@@ -191,7 +191,7 @@ class TestBandedStepper:
         if complex_data:
             y = y + 1j * rng.standard_normal(grid.n)
         explicit, solve = evolution._crank_nicolson(a, dt)
-        step, _ = solve(explicit @ y)
+        step, _, _ = solve(explicit @ y)
         eye = np.eye(grid.n)
         dense = np.linalg.solve(eye + 0.5 * dt * a, (eye - 0.5 * dt * a) @ y)
         assert step.dtype == dense.dtype
@@ -302,6 +302,73 @@ class TestRowBatch:
         with pytest.raises(evolution.EvolutionError,
                            match="solve defect .* in row 1"):
             batch.step()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_nonfinite_row_leaves_every_other_row_alone(self, grid, bad, row):
+        # no entry of a row is computed from another row, not even through
+        # a zero weight, so a row of infs or NaNs cannot reach its neighbours
+        qv = profile.q(grid.nodes)
+        rows = np.array([qv, 0.5 * qv, qv + 0.05 * np.exp(-grid.nodes)])
+        alone = {i: evolution._ImexRows(grid, 0.02).start(rows[i])
+                 for i in range(3) if i != row}
+        rows[row] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = evolution._ImexRows(grid, 0.02).start(rows)
+        for _ in range(10):
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert row in batch.step()
+            for i, run in alone.items():
+                assert not run.step()
+                assert batch.psi[i].tobytes() == run.psi[0].tobytes()
+                assert batch.defect[i] == run.defect[0]
+
+
+class TestOneProductPerStep:
+    """A Crank-Nicolson solve hands back the explicit half of the next step,
+    so each step applies the operator once."""
+
+    @pytest.mark.parametrize("banded", [True, False], ids=["banded", "dense"])
+    def test_solve_returns_the_product_of_its_solution(self, grid, op0, banded):
+        a = (operators.assemble_Ll(0, grid, zero_profile=True) if banded
+             else op0).entries
+        explicit, solve = evolution._crank_nicolson(a, 0.01)
+        qv = profile.q(grid.nodes)
+        for rhs in (qv, np.array([qv, 0.5 * qv])) if banded else (qv,):
+            x, product, _ = solve(explicit @ rhs)
+            assert np.array_equal(product, explicit @ x)
+
+    def test_banded_step_makes_one_product(self, grid, monkeypatch):
+        qv = profile.q(grid.nodes)
+        run = evolution._ImexRows(grid, 0.01).start(np.array([qv, 0.5 * qv]))
+        run.step()   # the first step also solves for its predictor
+        calls = []
+        product = evolution._BandMatrix.__matmul__
+
+        def counted(self, y):
+            calls.append(y.shape)
+            return product(self, y)
+
+        monkeypatch.setattr(evolution._BandMatrix, "__matmul__", counted)
+        for _ in range(4):
+            run.step()
+        assert calls == [(2, run.flux.width)] * 4
+
+    def test_dense_step_makes_one_product(self, grid, op0):
+        class Counted(np.ndarray):
+            calls = 0
+
+            def __matmul__(self, other):
+                Counted.calls += 1
+                return np.asarray(self) @ other
+
+        op = operators.OperatorMatrix(grid=grid, l=0, tag="Ll",
+                                      entries=op0.entries.view(Counted))
+        psi = RadialFunction(grid, profile.q(grid.nodes))
+        for steps in (5, 6):
+            Counted.calls = 0
+            evolution.linear_evolve(op, psi, 0.01, 0.01 * steps)
+            assert Counted.calls == steps + 1   # one more starts the run
 
 
 def _flux_term(values, grid):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from ksmode import acceptance, operators, profile, spectra
+from ksmode import acceptance, evolution, operators, profile, spectra
 from ksmode.radial import make_grid
 
 
@@ -477,17 +477,10 @@ class TestProjection:
         assert np.ndim(pair.coefficient(pair.right)) == 0
         assert abs(pair.coefficient(pair.right) - 1.0) <= 1e-8
 
-    def test_one_two_sided_eigensolve(self, proj, monkeypatch):
-        calls = []
-        eig = scipy.linalg.eig
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return eig(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eig", counted)
-        spectra.build_projection(proj[1], -1.0)
-        assert calls == [{"left": True, "right": True}]
+    def test_no_dense_eigensolve(self, proj, monkeypatch):
+        calls = _count_dense_eig(monkeypatch)
+        pair = spectra.build_projection(proj[1], -1.0)
+        assert (pair.path, calls) == ("deflation", [])
 
     def test_left_vector_is_a_left_eigenvector(self, proj):
         # y^H A = lam y^H to the residual guard's tolerance
@@ -501,17 +494,149 @@ class TestProjection:
         assert abs(lam + 1.0) < 5e-3
 
     def test_perturbed_left_vector_trips_the_left_guard(self, proj, monkeypatch):
-        eig = scipy.linalg.eig
+        eigs = scipy.sparse.linalg.eigs
+        mat = proj[1].entries
 
-        def perturbed(*args, **kwargs):
-            lams, lefts, rights = eig(*args, **kwargs)
-            lefts = lefts.copy()
-            lefts[:, np.argmin(np.abs(lams + 1.0))] += 1e-3
-            return lams, lefts, rights
+        def perturbed(a, *args, **kwargs):
+            lams, vecs = eigs(a, *args, **kwargs)
+            # the right solve runs on the operator itself, the left on A^H
+            return lams, vecs if a is mat else vecs + 1e-3
 
-        monkeypatch.setattr(scipy.linalg, "eig", perturbed)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", perturbed)
         with pytest.raises(RuntimeError, match="eigen residual .* exceeds"):
             spectra.build_projection(proj[1], -1.0)
+
+    def test_records_its_isolation_and_condition(self, proj):
+        pair, a = proj
+        floor = spectra._deflate(a, spectra._m_frame(a), -1.0, 1)[0]
+        assert pair.floor == floor and floor.certifies(0.0)
+        assert pair.path == "deflation"
+        _, right, left = _dense_mode(a, -1.0)
+        kappa = np.linalg.norm(right) * np.linalg.norm(left) \
+            / abs(np.vdot(left, right))
+        assert abs(pair.condition - kappa) <= 1e-10 * kappa
+
+
+def _count_dense_eig(monkeypatch) -> list:
+    """The arguments of every scipy.linalg.eig call from now on."""
+    calls = []
+    eig = scipy.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted)
+    return calls
+
+
+def _dense_mode(a, target):
+    """Oracle: the eigenvalue nearest ``target`` with its right and left
+    eigenvectors, from one dense two-sided eigensolve."""
+    lams, lefts, rights = scipy.linalg.eig(a.entries, left=True, right=True)
+    k = int(np.argmin(np.abs(lams - target)))
+    return lams[k], rights[:, k], lefts[:, k]
+
+
+def _cosine(u, v) -> float:
+    return abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+_MODE_OPERATORS = {}
+
+
+def mode_operator(n, which):
+    """(operator, target) of L_0, L_1 or the flow linearization about the
+    discrete steady profile on the uniform (n, 40) grid, built once."""
+    key = (n, which)
+    if key not in _MODE_OPERATORS:
+        grid = make_grid(n, 40.0, "uniform")
+        if which == "flow":
+            a = evolution.flow_linearization(
+                grid, evolution.discrete_steady_profile(grid))
+            target = -1.0
+        else:
+            l = int(which[1])
+            a = operators.assemble_Ll(l, grid)
+            target = acceptance.SYMMETRY_MODES[l].eigenvalue
+        _MODE_OPERATORS[key] = a, target
+    return _MODE_OPERATORS[key]
+
+
+class TestModeReportOracle:
+    """Two Arnoldi solves and the deflated floor against the dense
+    two-sided eigensolve they replace."""
+
+    @staticmethod
+    def assert_matches_oracle(a, target):
+        mode = spectra.mode_report(a, target)
+        lam, right, left = _dense_mode(a, target)
+        assert abs(mode.lam - lam) <= 1e-11 * abs(lam)
+        assert _cosine(mode.right, right) >= 1.0 - 1e-12
+        assert _cosine(mode.left, left) >= 1.0 - 1e-12
+        peak = mode.right[np.argmax(np.abs(mode.right))]
+        assert peak.real > 0.0 and peak.imag == 0.0
+        # the stable part of exp(-r^2) under the oracle's own projection
+        w = operators.r2_mass_weights(a.grid)
+        f = np.exp(-a.grid.nodes ** 2)
+        right = right / np.sqrt(np.sum(w * np.abs(right) ** 2))
+        left = left / (w * np.conj(np.vdot(left, right)))
+        oracle = f - right * np.sum(left.conj() * w * f)
+        stable = spectra.build_projection(a, target).project_stable(f)
+        assert np.max(np.abs(stable - oracle)) <= 1e-11 * np.max(np.abs(oracle))
+        return mode
+
+    @pytest.mark.parametrize("n", [400, 200])
+    @pytest.mark.parametrize("which", ["L0", "L1", "flow"])
+    def test_deflation_path_matches_the_dense_solve(self, n, which):
+        mode = self.assert_matches_oracle(*mode_operator(n, which))
+        assert mode.path == "deflation"
+        assert mode.floor.count == 1 and mode.floor.certifies(0.0)
+
+    def test_failed_floor_takes_the_dense_path(self, monkeypatch):
+        # on (100, 40) the L_0 floor with the mode deflated is -0.063
+        a, target = mode_operator(100, "L0")
+        mode = self.assert_matches_oracle(a, target)
+        assert mode.path == "dense" and not mode.floor.certifies(0.0)
+        assert -0.07 < mode.floor.nu < -0.06
+        calls = _count_dense_eig(monkeypatch)
+        spectra.mode_report(a, target)
+        assert calls == [{}]   # the one-sided solve of eig_dense
+
+    def test_left_solve_must_find_the_same_eigenvalue(self, monkeypatch):
+        a, target = mode_operator(200, "L0")
+        eigs = scipy.sparse.linalg.eigs
+
+        def elsewhere(mat, *args, sigma, **kwargs):
+            # the left solve (on A^H) finds a genuine pair near 0.5 instead
+            return eigs(mat, *args, sigma=sigma if mat is a.entries else 0.5,
+                        **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", elsewhere)
+        with pytest.raises(RuntimeError, match="the left solve found"):
+            spectra.mode_report(a, target)
+
+    def test_dense_path_refuses_a_different_eigenvalue(self, monkeypatch):
+        a, target = mode_operator(100, "L0")
+        eig_dense = spectra.eig_dense
+
+        def shifted(mat):
+            lams, vecs = eig_dense(mat)
+            return lams + 1e-3, vecs
+
+        monkeypatch.setattr(spectra, "eig_dense", shifted)
+        with pytest.raises(RuntimeError, match="nearest -1.0 is"):
+            spectra.mode_report(a, target)
+
+
+def test_shooting_setup_and_proj0_make_no_dense_eigensolve(monkeypatch):
+    grid = make_grid(400, 40.0, "uniform")
+    op0 = operators.assemble_Ll(0, grid)
+    calls = _count_dense_eig(monkeypatch)
+    _, projf, _ = acceptance.shooting_setup(grid, operators.r2_mass_weights(grid))
+    proj0 = spectra.build_projection(op0, acceptance.SYMMETRY_MODES[0].eigenvalue)
+    assert calls == []
+    assert (projf.path, proj0.path) == ("deflation", "deflation")
 
 
 def test_schrodinger_check_requires_symmetric_tag():
