@@ -103,11 +103,12 @@ def profile_bounds_check(grid) -> Check:
 
 
 def waveop_identity_checks() -> list[Check]:
-    """The intertwined operator's coefficient identities and weight sign."""
+    """The coefficient identities of the intertwined and the conjugated
+    l = 1 operator, and the sign of the weight."""
     ids = waveop.coefficient_identity_residuals(np.linspace(0.05, 50.0, 2000))
     nv = waveop.nonvanishing_check(lambda r: profile.q_deriv(r, 1))
     return [_at_most(f"{key} coefficient identity", f"waveop.coef_{key}",
-                     ids[key], 1e-8) for key in ("drift", "potential")] + [
+                     ids[key], 1e-8) for key in ids] + [
         Check("weight non-vanishing on the half line", "waveop.nonvanishing",
               nv.origin_margin, 0.0, nv.passed)]
 

@@ -103,12 +103,9 @@ class RunConfig:
         # and the [scan] section exactly when its ladder builds
         self.ladder()
         gg = self.values["ggmt"]
-        if not (-gg["l"] <= gg["alpha"] < gg["l"] + 0.5):
-            raise ConfigError("ggmt.alpha outside [-l, l + 1/2)")
-        if gg["p"] <= 1.0 or not (0.0 <= gg["theta"] <= 1.0):
-            raise ConfigError("ggmt needs p > 1 and theta in [0, 1]")
         try:
-            self.weight().check_mu(gg["l"], gg["alpha"])
+            ggmt.check_pipeline(gg["l"], gg["alpha"], gg["p"], gg["theta"],
+                                self.weight())
         except ValueError as err:
             raise ConfigError(f"ggmt: {err}") from None
         e = self.values["evolve"]

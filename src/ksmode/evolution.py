@@ -535,7 +535,7 @@ def flow_linearization(grid: RadialGrid, base: np.ndarray) -> OperatorMatrix:
     to O(h^2).
     """
     lin = assemble_Ll(0, grid, zero_profile=True).entries
-    return OperatorMatrix(grid=grid, l=0, tag="Ll",
+    return OperatorMatrix(grid=grid, l=0,
                           entries=lin - _flux_jacobian(base, FluxGeometry(grid)))
 
 

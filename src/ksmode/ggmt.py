@@ -30,7 +30,8 @@ from .radial import RadialFunction, weighted_inner, fd_deriv, \
 __all__ = [
     "alpha_beta", "w1_potential", "WeightSpec", "paper_weight",
     "mu_functional", "ggmt_prefactor", "ggmt_count",
-    "l2_pipeline", "GgmtReport", "coercivity_form", "interpolation_check",
+    "check_pipeline", "l2_pipeline", "GgmtReport", "coercivity_form",
+    "interpolation_check",
     "l3_rational_constants", "L3Constants", "pointwise_q_bounds",
 ]
 
@@ -272,10 +273,15 @@ class GgmtReport:
         return d
 
 
+def _angular_constant(l: int, alpha: float) -> float:
+    """L = (l+1)(l+2) - (a-1)^2, the angular constant of the potential."""
+    return -(alpha - 1.0) ** 2 + (l + 1) * (l + 2)
+
+
 def schrodinger_potential(l: int, alpha: float, theta: float, mu: float,
                           W: WeightSpec):
     """U(r) = theta L/r^2 + (1-2a)/4 + (1/2)D_{2a-4}D_2^{-1}Q - Q - l mu W."""
-    big_l = -(alpha - 1.0) ** 2 + (l + 1) * (l + 2)
+    big_l = _angular_constant(l, alpha)
 
     def U(r):
         r = np.asarray(r, dtype=float)
@@ -285,22 +291,38 @@ def schrodinger_potential(l: int, alpha: float, theta: float, mu: float,
     return U, big_l
 
 
+def check_pipeline(l: int, alpha: float, p: float, theta: float,
+                   W: WeightSpec) -> None:
+    """Raise ValueError unless p > 1, theta in [0, 1], (1-theta) L > 3/4,
+    alpha < 1/2 and ``W.check_mu`` hold: ``l2_pipeline`` fails without
+    them whatever mu is (its limit (1-2a)/4 - l mu W_inf needs a < 1/2)."""
+    if p <= 1.0:
+        raise ValueError("p must exceed 1")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    if (1.0 - theta) * _angular_constant(l, alpha) <= 0.75:
+        raise ValueError("(1-theta) L <= 3/4: effective index not self-adjoint")
+    if alpha >= 0.5:
+        raise ValueError("alpha >= 1/2: the potential limit at infinity is "
+                         "not positive")
+    W.check_mu(l, alpha)
+
+
 def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
                 theta: float = 0.5, W: WeightSpec | None = None) -> GgmtReport:
     """Full l = 2 certification pipeline.
 
-    Computes mu, splits the angular momentum with theta into an effective
-    index l_eff = sqrt(1/4 + (1-theta) L)^ {1/2} - 1/2, assembles the
-    comparison potential U and evaluates N_{p, l_eff}(U).  Asserts the
-    self-adjointness margin (1-theta) L > 3/4 and a positive potential
-    limit at infinity.
+    Checks the settings (``check_pipeline``), computes mu, splits the
+    angular momentum with theta into an effective index
+    l_eff = sqrt(1/4 + (1-theta) L) - 1/2, assembles the comparison
+    potential U and evaluates N_{p, l_eff}(U).  Asserts a positive
+    potential limit at infinity.
     """
     if W is None:
         W = paper_weight()
+    check_pipeline(l, alpha, p, theta, W)
     mu = mu_functional(l, alpha, W)
     U, big_l = schrodinger_potential(l, alpha, theta, mu, W)
-    if (1.0 - theta) * big_l <= 0.75:
-        raise RuntimeError("(1-theta) L <= 3/4: effective index not self-adjoint")
     l_eff = math.sqrt(0.25 + (1.0 - theta) * big_l) - 0.5
     u_inf = (1.0 - 2.0 * alpha) / 4.0 - l * mu * W.w_inf
     if u_inf <= 0.0:

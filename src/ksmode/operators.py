@@ -2,8 +2,9 @@
 
 Local terms use second-order finite differences with ghost-node elimination:
 the origin ghost sits at r = 0 and carries the class-l indicial model
-f ~ A r^l (an even quadratic fit for l = 0, zero for l >= 1); the outer
-ghost one spacing past rmax is homogeneous Dirichlet.
+f ~ A r^l (for l = 0 the even quartic a + b r^2 + c r^4, quadratic in r^2,
+through the first three nodes; zero for l >= 1, as for Dirichlet); the
+outer ghost one spacing past rmax is homogeneous Dirichlet.
 
 Nonlocal terms never differentiate the kernel:
 
@@ -27,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ggmt, profile
+from . import profile
 from .radial import (RadialGrid, power_moment, power_prefix_integral,
                      suffix_power_integral, deriv_deltal_inverse,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
-    "OperatorMatrix", "assemble_Ll", "assemble_tilde_Ll_alpha",
-    "assemble_tilde_L1_prime", "assemble_H_l_alpha_W",
-    "apply_Ll", "kernel_deltal_inv_matrix", "factorized_deltal_inv_matrix",
+    "OperatorMatrix", "assemble_Ll", "assemble_tilde_L1_prime", "apply_Ll",
+    "kernel_deltal_inv_matrix", "factorized_deltal_inv_matrix",
     "deriv_deltal_inv_matrix", "kernel_deriv_deltal_inv_matrix",
     "dk_inv_matrix", "deriv1_matrix", "deriv2_matrix", "r2_mass_weights",
 ]
@@ -46,7 +46,6 @@ class OperatorMatrix:
     """Dense discretization of a radial operator for one spherical class."""
     grid: RadialGrid
     l: int
-    tag: str
     entries: np.ndarray
 
 
@@ -54,44 +53,39 @@ class OperatorMatrix:
 # finite-difference matrices with ghost elimination
 # ---------------------------------------------------------------------------
 
-def _origin_ghost_coeffs(grid: RadialGrid, closure) -> np.ndarray:
+def _origin_ghost_coeffs(grid: RadialGrid, l: int) -> np.ndarray:
     """Coefficients c with ghost value f(0) = sum_i c_i f_{i+1}.
 
     Class-0 data is even in r: extrapolate with a + b r^2 + c r^4 through
     the first three nodes (Lagrange in x = r^2).  Class l >= 1 vanishes at
     the origin like r^l, so the ghost value is 0, as for Dirichlet.
     """
-    if closure == "dirichlet":
+    if l > 0:
         return np.zeros(1)
-    if isinstance(closure, tuple) and closure[0] == "class":
-        l = closure[1]
-        if l == 0:
-            x = grid.nodes[:3] ** 2
-            return np.array([x[1] * x[2] / ((x[1] - x[0]) * (x[2] - x[0])),
-                             x[0] * x[2] / ((x[0] - x[1]) * (x[2] - x[1])),
-                             x[0] * x[1] / ((x[0] - x[2]) * (x[1] - x[2]))])
-        return np.zeros(1)
-    raise ValueError(f"unknown origin closure {closure!r}")
+    x = grid.nodes[:3] ** 2
+    return np.array([x[1] * x[2] / ((x[1] - x[0]) * (x[2] - x[0])),
+                     x[0] * x[2] / ((x[0] - x[1]) * (x[2] - x[1])),
+                     x[0] * x[1] / ((x[0] - x[2]) * (x[1] - x[2]))])
 
 
-def _fd_matrix(grid: RadialGrid, order: int, origin_closure) -> np.ndarray:
-    """Derivative matrix of given order with ghost elimination at both ends."""
+def _fd_matrix(grid: RadialGrid, order: int, l: int) -> np.ndarray:
+    """Derivative matrix of given order on class-l data, ghosts eliminated."""
     h = grid.cell_spacings()
     # three-point weights of every row, ghost rows included; the outer ghost
     # value is 0 (Dirichlet), the origin ghost's weight goes to its model
     wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
     a = np.diag(wl[1:], -1) + np.diag(wc) + np.diag(wr[:-1], 1)
-    ghost = _origin_ghost_coeffs(grid, origin_closure)
+    ghost = _origin_ghost_coeffs(grid, l)
     a[0, :ghost.size] += wl[0] * ghost
     return a
 
 
-def deriv1_matrix(grid: RadialGrid, origin_closure="dirichlet") -> np.ndarray:
-    return _fd_matrix(grid, 1, origin_closure)
+def deriv1_matrix(grid: RadialGrid, l: int) -> np.ndarray:
+    return _fd_matrix(grid, 1, l)
 
 
-def deriv2_matrix(grid: RadialGrid, origin_closure="dirichlet") -> np.ndarray:
-    return _fd_matrix(grid, 2, origin_closure)
+def deriv2_matrix(grid: RadialGrid, l: int) -> np.ndarray:
+    return _fd_matrix(grid, 2, l)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +213,15 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
     if l < 0:
         raise ValueError("l must be >= 0")
     r = grid.nodes
-    d1 = deriv1_matrix(grid, ("class", l))
-    d2 = deriv2_matrix(grid, ("class", l))
+    d1 = deriv1_matrix(grid, l)
+    d2 = deriv2_matrix(grid, l)
     lap = d2 + (2.0 / r)[:, None] * d1 - np.diag(l * (l + 1) / (r * r))
     a = -lap + (0.5 * r)[:, None] * d1 + np.eye(grid.n)
     if not zero_profile:
         a -= 2.0 * np.diag(profile.q(r))
         a -= profile.d2inv_q_closed(r)[:, None] * d1
         a -= profile.q_deriv(r, 1)[:, None] * deriv_deltal_inv_matrix(grid, l)
-    return OperatorMatrix(grid=grid, l=l, tag="Ll", entries=a)
+    return OperatorMatrix(grid=grid, l=l, entries=a)
 
 
 def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
@@ -244,31 +238,6 @@ def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
     lap = fd_deriv(f, r, 2) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
     return (-lap + 0.5 * (r * d1 + 2.0 * f) - 2.0 * profile.q(r) * f
             - profile.d2inv_q_closed(r) * d1 - profile.q_deriv(r, 1) * ddli)
-
-
-def assemble_tilde_Ll_alpha(l: int, alpha: float, grid: RadialGrid) -> OperatorMatrix:
-    """Conjugated, partially localized operator r^a D_{l+2}^{-1} L_l D_{l+2} r^{-a}.
-
-    Expanded form: local Schroedinger-with-drift part plus the nonlocal piece
-    l (D_{l+2-a}^{-1} V_1 + D_{l+2-a}^{-1} V_2 D_{-l-a}^{-1}), assembled as
-    products of triangular quadrature matrices.  Requires -l <= a < l + 1/2.
-    """
-    if not (-l <= alpha < l + 0.5):
-        raise ValueError(f"alpha = {alpha} outside [-l, l + 1/2) for l = {l}")
-    r = grid.nodes
-    d1 = deriv1_matrix(grid, "dirichlet")
-    d2 = deriv2_matrix(grid, "dirichlet")
-    a_mat = (-d2 - ((2.0 - 2.0 * alpha) / r)[:, None] * d1
-             + np.diag((alpha - alpha ** 2 + (l + 1) * (l + 2)) / (r * r))
-             + 0.5 * (r[:, None] * d1 + (1.0 - alpha) * np.eye(grid.n))
-             - profile.d2inv_q_closed(r)[:, None] * (d1 + np.diag((2.0 - alpha) / r))
-             - np.diag(profile.q(r)))
-    if l > 0:
-        low = dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
-        up = dk_inv_matrix(grid, -(l + alpha))
-        a_mat = a_mat + l * (low * profile.v1(r)[None, :]
-                             + (low * profile.v2(r)[None, :]) @ up)
-    return OperatorMatrix(grid=grid, l=l, tag="TildeLlAlpha", entries=a_mat)
 
 
 def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarray:
@@ -291,24 +260,5 @@ def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarra
 def assemble_tilde_L1_prime(grid: RadialGrid) -> OperatorMatrix:
     """Symmetric Schroedinger form -d_r^2 + 12/r^2 + r^2/16 - 8/(2+r^2) - 3/4."""
     v = profile.tilde_L1_prime_potential(grid.nodes)
-    return OperatorMatrix(grid=grid, l=1, tag="TildeL1Prime",
-                          entries=_symmetric_schrodinger(grid, v))
-
-
-def assemble_H_l_alpha_W(l: int, alpha: float, W, mu: float,
-                         grid: RadialGrid) -> OperatorMatrix:
-    """Schroedinger comparison operator
-
-        H = -d_r^2 + L_{l,a}/r^2 + (1-2a)/4 + (1/2) D_{2a-4} D_2^{-1}Q - Q
-            - l mu W(r),
-
-    with L_{l,a} = -(a-1)^2 + (l+1)(l+2), the potential of
-    ``ggmt.schrodinger_potential`` at theta = 1.  ``W`` is a weight descriptor
-    providing ``fn``/``w_inf`` and a ``check(l, alpha)`` validity test.
-    """
-    W.check(l, alpha)
-    potential, _ = ggmt.schrodinger_potential(l, alpha, 1.0, mu, W)
-    v = potential(grid.nodes)
-    return OperatorMatrix(grid=grid, l=l, tag="HlAlphaW",
-                          entries=_symmetric_schrodinger(grid, v))
+    return OperatorMatrix(grid=grid, l=1, entries=_symmetric_schrodinger(grid, v))
 

@@ -7,12 +7,12 @@ system is
 
 a positive, strictly decreasing steady state of the renormalized flow.  This
 module evaluates Q, its radial derivatives, the scaling mode Lambda Q, the
-auxiliary potentials V1/V2, the weight G = r^3 D3^{-1} Q' that enters the
+auxiliary potential V2, the weight G = r^3 D3^{-1} Q' that enters the
 l = 1 wave operator, and the coefficient functions of the localized l = 1
-operator.  Everything here is an explicit rational (or rational times
-exponential) expression; the only quadrature in this file lives in the
-`*_quad` oracle functions, which deliberately avoid the closed forms so that
-tests can cross-validate provenance-separated implementations.
+operator.  Everything here is an explicit rational expression; the only
+quadrature in this file lives in the `*_quad` oracle functions, which
+deliberately avoid the closed forms so that tests can cross-validate
+provenance-separated implementations.
 
 All functions accept scalars or numpy arrays and are vectorized.
 """
@@ -24,9 +24,9 @@ from scipy.integrate import quad
 
 __all__ = [
     "q", "q_deriv", "lambda_q", "d2inv_q", "d2inv_q_closed",
-    "v1", "v2", "big_g", "big_g_quad",
+    "v2", "big_g", "big_g_quad",
     "g_over_g", "g_over_g_deriv", "g_over_g_deriv2",
-    "coef_a", "coef_b", "u1", "tilde_L1_prime_potential", "half_d_d2inv_q",
+    "coef_a", "coef_b", "tilde_L1_prime_potential", "half_d_d2inv_q",
     "profile_residual", "identity_residuals",
 ]
 
@@ -78,12 +78,6 @@ def d2inv_q_closed(r):
     """Closed form of D_2^{-1} Q: 4r/(2+r^2) (continuous extension 0 at r=0)."""
     r = np.asarray(r, dtype=float)
     return 4.0 * r / (2.0 + r * r)
-
-
-def v1(r):
-    """Potential V1(r) = -d/dr ( r^{-1} D_2^{-1} Q ) = 8r/(r^2+2)^2."""
-    r = np.asarray(r, dtype=float)
-    return 8.0 * r / (r * r + 2.0) ** 2
 
 
 def v2(r):
@@ -146,12 +140,6 @@ def coef_b(r):
     r2 = r * r
     ddr_r3gg = -(r2 * r2 + 28.0 * r2 + 20.0) / (r2 * (r2 + 2.0) ** 2)
     return 2.0 / r2 + 1.0 - 2.0 * q(r) - 2.0 * ddr_r3gg
-
-
-def u1(r):
-    """Conjugating weight U1(r) = exp(r^2/8) / (r (2+r^2)); satisfies (log U1)' = A/2."""
-    r = np.asarray(r, dtype=float)
-    return np.exp(r * r / 8.0) / (r * (2.0 + r * r))
 
 
 def tilde_L1_prime_potential(r):

@@ -519,16 +519,12 @@ def build_projection(a: OperatorMatrix, target: float) -> ProjectionPair:
 @dataclass(frozen=True)
 class Mode:
     """One eigenvalue with its right and left eigenvectors, and the evidence
-    that it is the one nearest its target (see ``ProjectionPair``).
-    Unpacks as ``(lam, right, left)``."""
+    that it is the one nearest its target (see ``ProjectionPair``)."""
     lam: complex
     right: np.ndarray
     left: np.ndarray
     floor: RangeFloor
     path: str
-
-    def __iter__(self):
-        return iter((self.lam, self.right, self.left))
 
 
 def mode_report(a: OperatorMatrix, target: float) -> Mode:
@@ -538,8 +534,9 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
 
     Two shift-invert Arnoldi solves from the scan's start vector find them,
     one on A at ``target`` (inside ``_deflate``) and one on A^H, and both
-    pairs pass the residual guard of ``eig_dense``.  The k = 1 deflated
-    floor then shows that every other eigenvalue has real part above
+    pairs pass the residual guard of ``eig_dense``; a non-real eigenvalue
+    raises before the second, as its conjugate is just as near.  The k = 1
+    deflated floor then shows that every other eigenvalue has real part above
     max(0, target + |lam - target|), so lam is isolated, nearest the target
     and the only eigenvalue of the unstable half-plane.  Only when the floor
     falls short does the full eigensolve confirm that its eigenvalue
@@ -548,6 +545,10 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
     mat = a.entries
     floor, lams, rights = _deflate(a, _m_frame(a), target, 1)
     lam = complex(lams[0])
+    # the two members of a complex pair lie equally near a real target
+    if not _same_eigenvalue(lam.conjugate(), lam):
+        raise RuntimeError(f"the eigenvalues nearest {target!r} are the "
+                           f"complex pair {lam!r} and {lam.conjugate()!r}")
     adjoint = mat.conj().T
     mus, lefts = scipy.sparse.linalg.eigs(adjoint, k=1, sigma=target,
                                           v0=np.ones(mat.shape[0]))
@@ -581,9 +582,8 @@ def cosine_similarity(values_a, values_b, weights) -> float:
 
 
 def schrodinger_spectrum_check(a: OperatorMatrix) -> float:
-    """Smallest Ritz value of a symmetric comparison operator."""
-    if a.tag not in ("TildeL1Prime", "HlAlphaW"):
-        raise ValueError(f"expected a symmetric comparison operator, got {a.tag}")
+    """Smallest Ritz value of a symmetric comparison operator; a matrix that
+    is not symmetric, such as L_l, raises."""
     sym_defect = np.max(np.abs(a.entries - a.entries.T))
     if sym_defect > 1e-10 * max(1.0, np.max(np.abs(a.entries))):
         raise ValueError(f"matrix is not symmetric (defect {sym_defect:.2e})")

@@ -7,9 +7,10 @@ conjugates the nonlocal class-1 operator into the purely local
 
 which a further conjugation by U_1 = exp(r^2/8)/(r(2+r^2)) turns into the
 symmetric Schroedinger operator with potential 12/r^2 + r^2/16 - 8/(2+r^2)
-- 3/4.  This module applies these maps to nodal data and measures the
-residuals of the intertwining and conjugation identities; the closed-form
-coefficients live in profile.py.
+- 3/4.  This module applies T and tilde L_1 to nodal data, measures the
+residual of the intertwining identity, and checks the coefficient
+identities of both steps pointwise; the closed-form coefficients live in
+profile.py.
 
 Cumulative integrals against s^3 model the first panel with the class-1
 origin behaviour f ~ c r (the s^3 weight would otherwise lose an order of
@@ -28,13 +29,10 @@ from .radial import (RadialGrid, cumulative_power_integral,
                      cumulative_power_integral_cubic, fd_deriv, make_grid)
 
 __all__ = [
-    "apply_T", "apply_T_weight_form", "apply_tilde_L1", "apply_tilde_L1_prime",
-    "commutator_residual", "conjugation_residual",
+    "apply_T", "apply_T_weight_form", "apply_tilde_L1", "commutator_residual",
     "potential_min_tilde_L1_prime", "nonvanishing_check", "NonvanishingResult",
     "coefficient_identity_residuals",
 ]
-
-OVERFLOW_RADIUS = 60.0  # exp(r^2/8) conjugation tests stay inside this radius
 
 
 def apply_T(values, grid: RadialGrid) -> np.ndarray:
@@ -74,12 +72,6 @@ def apply_tilde_L1(values, grid: RadialGrid) -> np.ndarray:
             + profile.coef_b(r) * f)
 
 
-def apply_tilde_L1_prime(values, grid: RadialGrid) -> np.ndarray:
-    r = grid.nodes
-    f = np.asarray(values)
-    return -fd_deriv(f, r, 2) + profile.tilde_L1_prime_potential(r) * f
-
-
 def commutator_residual(values, grid: RadialGrid) -> float:
     """Max-norm of T(L_1 f) - tilde L_1 (T f) over interior nodes with r >= 0.1.
 
@@ -95,31 +87,6 @@ def commutator_residual(values, grid: RadialGrid) -> float:
     res = np.abs(lhs - rhs)[2:-2]
     mask = grid.nodes[2:-2] >= 0.1
     return float(np.max(res[mask]))
-
-
-def conjugation_residual(values, grid: RadialGrid) -> float:
-    """Max-norm of U_1^{-1} tilde L_1 (U_1 g) - tilde L_1' g.
-
-    ``values`` must be supported away from both the origin and rmax; support
-    reaching past r ~ 60 would overflow exp(r^2/8) in double precision and
-    raises with instructions to shrink the support.
-    """
-    r = grid.nodes
-    g = np.asarray(values)
-    scale = np.max(np.abs(g))
-    if scale == 0.0:
-        return 0.0
-    support = np.abs(g) > 1e-13 * scale
-    if r[support].max() > OVERFLOW_RADIUS:
-        raise ValueError(
-            f"support reaches r = {r[support].max():.1f} > {OVERFLOW_RADIUS}; "
-            "exp(r^2/8) overflows there, use data with smaller support")
-    u1 = profile.u1(r)
-    u1g = np.where(support, u1 * g, 0.0)
-    lhs = apply_tilde_L1(u1g, grid) / u1
-    rhs = apply_tilde_L1_prime(g, grid)
-    window = support[2:-2]
-    return float(np.max(np.abs((lhs[2:-2] - rhs[2:-2])[window])))
 
 
 def potential_min_tilde_L1_prime():
@@ -178,11 +145,13 @@ def nonvanishing_check(sampler) -> NonvanishingResult:
 
 
 def coefficient_identity_residuals(r) -> dict:
-    """Pointwise residuals of the drift/potential coefficient identities.
+    """Pointwise residuals of the coefficient identities of T and U_1.
 
     The intertwined operator forces A_0 = A + r^3 Q'/G and
-    B_0 = B + 2 (Q'/G)' r^3 + 3 r^2 Q'/G - A (Q'/G) r^3; both residuals are
-    round-off for the closed forms.
+    B_0 = B + 2 (Q'/G)' r^3 + 3 r^2 Q'/G - A (Q'/G) r^3.  Since
+    (log U_1)' = A/2, U_1^{-1} tilde L_1 U_1 = -d_r^2 + B - A'/2 + A^2/4,
+    so that potential must equal the one of tilde L_1'.  All three
+    residuals are round-off for the closed forms.
     """
     r = np.asarray(r, dtype=float)
     gg = profile.g_over_g(r)
@@ -195,5 +164,9 @@ def coefficient_identity_residuals(r) -> dict:
           + gg * (-r * r - 0.5 * r ** 4 + d2q * r ** 3))
     res_a = r ** 3 * gg + a - a0
     res_b = 2.0 * ggp * r ** 3 + 3.0 * r * r * gg - a * gg * r ** 3 + b - b0
+    # A' = 2/r^2 + 1/2 - (D_2^{-1}Q)', with (4r/(2+r^2))' = 4(2-r^2)/(2+r^2)^2
+    da = 2.0 / (r * r) + 0.5 - 4.0 * (2.0 - r * r) / (2.0 + r * r) ** 2
+    res_c = b - 0.5 * da + 0.25 * a * a - profile.tilde_L1_prime_potential(r)
     return {"drift": float(np.max(np.abs(res_a))),
-            "potential": float(np.max(np.abs(res_b)))}
+            "potential": float(np.max(np.abs(res_b))),
+            "conjugation": float(np.max(np.abs(res_c)))}

@@ -374,11 +374,40 @@ def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys,
     assert ran == []
 
 
-def test_numerical_error_exits_3(tmp_path):
-    # theta = 1 destroys the effective-index self-adjointness margin
-    code = run_cli(["ggmt", "--theta", "1.0"], tmp_path)
+def test_numerical_error_exits_3(tmp_path, capsys):
+    # on (20, 1e5) the eigenvalues of L_0 nearest -1 are a complex pair, so
+    # no single mode is nearest: the projection refuses, after validation
+    code = run_cli(["evolve-linear", "--n", "20", "--rmax", "1e5",
+                    "--horizon", "0.1"], tmp_path)
     assert code == 3
-    assert (tmp_path / "ggmt_diagnostics.txt").exists()
+    assert "complex pair" in capsys.readouterr().err
+    assert (tmp_path / "evolve_linear_diagnostics.txt").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--theta", "1.0"], "effective index not self-adjoint"),
+    (["--theta", "0.95"], "effective index not self-adjoint"),
+    (["--alpha", "0.5"], "limit at infinity is not positive"),
+    (["--l", "1", "--alpha", "1.4"], "limit at infinity is not positive"),
+])
+def test_ggmt_setting_that_cannot_succeed_exits_2(tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+    # these depend on [ggmt] values alone: refused before any quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("mu was computed")
+    monkeypatch.setattr(cli.ggmt, "mu_functional", no_quadrature)
+    assert run_cli(["ggmt"] + argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error: ggmt:" in err and message in err
+    assert not (tmp_path / "ggmt_diagnostics.txt").exists()
+
+
+def test_waveop_check_reports_the_conjugation_identity(tmp_path):
+    assert run_cli(["waveop-check"], tmp_path) == 0
+    checks = {c["tag"]: c for c in load_summary(tmp_path, "waveop-check")["checks"]}
+    conjugation = checks["waveop.coef_conjugation"]
+    assert conjugation["pass"] is True and conjugation["tolerance"] == 1e-8
+    assert 0.0 <= conjugation["value"] <= 1e-8
 
 
 def test_float_serialization_17_digits(tmp_path):

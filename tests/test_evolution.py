@@ -362,7 +362,7 @@ class TestOneProductPerStep:
                 Counted.calls += 1
                 return np.asarray(self) @ other
 
-        op = operators.OperatorMatrix(grid=grid, l=0, tag="Ll",
+        op = operators.OperatorMatrix(grid=grid, l=0,
                                       entries=op0.entries.view(Counted))
         psi = RadialFunction(grid, profile.q(grid.nodes))
         for steps in (5, 6):

@@ -179,6 +179,24 @@ class TestPipeline:
         assert (1.0 - rep.theta) * rep.big_l > 0.75
         assert 0.1 < rep.well[0] < 0.2 and 10.0 < rep.well[1] < 12.0
 
+    def test_check_pipeline_refuses_every_earlier_refusal(self):
+        # the earlier rules: alpha in [-l, l + 1/2), p > 1, theta in [0, 1]
+        # and the preconditions of mu; every setting they refused is refused
+        w = ggmt.paper_weight()
+        for l in range(-1, 7):
+            for alpha in np.linspace(-8.0, 8.0, 65):
+                for p, theta in ((4.0, 0.5), (1.0, 0.5), (4.0, -0.1),
+                                 (4.0, 1.0)):
+                    try:
+                        w.check_mu(l, alpha)
+                        earlier = (-l <= alpha < l + 0.5 and p > 1.0
+                                   and 0.0 <= theta <= 1.0)
+                    except ValueError:
+                        earlier = False
+                    if not earlier:
+                        with pytest.raises(ValueError):
+                            ggmt.check_pipeline(l, alpha, p, theta, w)
+
     def test_report_serialization(self):
         d = ggmt.l2_pipeline().to_dict()
         assert set(d) == {"l", "alpha", "p", "theta", "alphaR", "betaR", "mu",

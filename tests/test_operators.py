@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ksmode import ggmt, operators, profile
-from ksmode.radial import (RadialFunction, deriv_stencil, make_grid,
-                           panel_coefficients)
+from ksmode.radial import (RadialFunction, cumulative_power_integral,
+                           deriv_stencil, make_grid, panel_coefficients)
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -37,8 +37,8 @@ class TestAssembleLl:
         r = grid.nodes
         l = 2
         a = operators.assemble_Ll(l, grid, zero_profile=True)
-        d1 = operators.deriv1_matrix(grid, ("class", l))
-        d2 = operators.deriv2_matrix(grid, ("class", l))
+        d1 = operators.deriv1_matrix(grid, l)
+        d2 = operators.deriv2_matrix(grid, l)
         expected = (-(d2 + np.diag(2.0 / r) @ d1 - np.diag(l * (l + 1) / r ** 2))
                     + 0.5 * np.diag(r) @ d1 + np.eye(grid.n))
         assert np.max(np.abs(a.entries - expected)) < 1e-12
@@ -62,13 +62,13 @@ class TestAssembleLl:
 
 class TestFdMatrices:
     @staticmethod
-    def vandermonde_matrix(grid, order, closure):
+    def vandermonde_matrix(grid, order, l):
         """Row-by-row Vandermonde stencils with explicit ghost nodes."""
         r = grid.nodes
         n = grid.n
         ghost = np.zeros(1)
-        if closure == ("class", 0):
-            # f(0) from the even quadratic a + b r^2 + c r^4 through r_1..r_3
+        if l == 0:
+            # f(0) from the even quartic a + b r^2 + c r^4 through r_1..r_3
             ghost = deriv_stencil(r[:3] ** 2, 0.0, 0)
         expected = np.zeros((n, n))
         for i in range(1, n - 1):
@@ -80,44 +80,58 @@ class TestFdMatrices:
         expected[-1, -2:] = w[:2]  # the outer ghost value is 0
         return expected
 
-    @pytest.mark.parametrize("closure", ["dirichlet", ("class", 0), ("class", 2)])
+    @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("stretch", ["uniform", "geometric"])
-    def test_every_row_matches_vandermonde_stencil(self, stretch, closure):
+    def test_every_row_matches_vandermonde_stencil(self, stretch, l):
         grid = make_grid(120, 40.0) if stretch == "uniform" else \
             geometric_grid(120, 40.0)
         for order, build in ((1, operators.deriv1_matrix),
                              (2, operators.deriv2_matrix)):
-            got = build(grid, closure)
-            expected = self.vandermonde_matrix(grid, order, closure)
+            got = build(grid, l)
+            expected = self.vandermonde_matrix(grid, order, l)
             row_scale = np.max(np.abs(expected), axis=1)
             row_err = np.max(np.abs(got - expected), axis=1)
             assert np.all(row_err <= 1e-13 * row_scale)
 
 
+def v1(r):
+    """Potential V1(r) = -d/dr ( r^{-1} D_2^{-1} Q ) = 8r/(r^2+2)^2."""
+    return 8.0 * r / (r * r + 2.0) ** 2
+
+
 class TestTildeLlAlpha:
-    def test_alpha_range_enforced(self):
-        grid = make_grid(64, 20.0)
-        with pytest.raises(ValueError):
-            operators.assemble_tilde_Ll_alpha(2, 2.5, grid)
-        with pytest.raises(ValueError):
-            operators.assemble_tilde_Ll_alpha(2, -2.5, grid)
+    """The partial localization r^a D_{l+2}^{-1} L_l D_{l+2} r^{-a} of the
+    paper's l = 2 route, assembled here alone: no criterion uses it."""
 
     def test_intertwining_identity_converges(self):
-        # tilde_L (r^a D_{l+2}^{-1} f) = r^a D_{l+2}^{-1} (L_l f)
+        # tilde_L (r^a D_{l+2}^{-1} f) = r^a D_{l+2}^{-1} (L_l f), with the
+        # expanded tilde_L: a local Schroedinger-with-drift part plus the
+        # nonlocal piece
+        # l (D_{l+2-a}^{-1} V_1 + D_{l+2-a}^{-1} V_2 D_{-l-a}^{-1})
         l, alpha = 2, 0.2
         errs = []
         for n in (400, 800):
             grid = make_grid(n, 40.0, "uniform")
             r = grid.nodes
+            d1 = operators.deriv1_matrix(grid, l)
+            d2 = operators.deriv2_matrix(grid, l)
+            tilde = (-d2 - ((2.0 - 2.0 * alpha) / r)[:, None] * d1
+                     + np.diag((alpha - alpha ** 2 + (l + 1) * (l + 2)) / (r * r))
+                     + 0.5 * (r[:, None] * d1 + (1.0 - alpha) * np.eye(grid.n))
+                     - profile.d2inv_q_closed(r)[:, None]
+                     * (d1 + np.diag((2.0 - alpha) / r))
+                     - np.diag(profile.q(r)))
+            low = operators.dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
+            up = operators.dk_inv_matrix(grid, -(l + alpha))
+            tilde += l * (low * v1(r)[None, :]
+                          + (low * profile.v2(r)[None, :]) @ up)
             f = np.exp(-((r - 8.0) / 2.0) ** 2)
-            tilde = operators.assemble_tilde_Ll_alpha(l, alpha, grid)
-            from ksmode.radial import cumulative_power_integral
             lift = r ** alpha * cumulative_power_integral(f, grid, l + 2.0, 4.0) \
                 / r ** (l + 2.0)
             llf = operators.apply_Ll(l, grid, f)
             lift_llf = r ** alpha * cumulative_power_integral(
                 llf, grid, l + 2.0, 4.0) / r ** (l + 2.0)
-            res = tilde.entries @ lift - lift_llf
+            res = tilde @ lift - lift_llf
             mask = (r > 0.5) & (r < 35.0)
             errs.append(np.max(np.abs(res[mask])))
         assert errs[1] < 0.4 * errs[0]
@@ -131,7 +145,7 @@ class TestTildeLlAlpha:
         w = grid.quad_weights
         low = operators.dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
         up = operators.dk_inv_matrix(grid, -(l + alpha))
-        block = low @ np.diag(profile.v1(r)) + \
+        block = low @ np.diag(v1(r)) + \
             low @ np.diag(profile.v2(r)) @ up
         # flat-measure L^2 norm of each kernel row (entries are kernel * w_j)
         rows = np.sqrt(np.sum(block ** 2 / w[None, :], axis=1))
@@ -178,6 +192,16 @@ class TestTildeL1Prime:
         assert schrodinger_spectrum_check(a) >= vmin - 1e-10
 
 
+def h_matrix(mu, grid):
+    """The GGMT comparison operator -d_r^2 + U of the paper's l = 2 route,
+    U the pipeline's potential at (l, alpha, theta) = (2, 0.2, 1) for the
+    reference weight, discretized like the l = 1 form of criterion 5."""
+    u, _ = ggmt.schrodinger_potential(2, 0.2, 1.0, mu, ggmt.paper_weight())
+    return operators.OperatorMatrix(
+        grid=grid, l=2,
+        entries=operators._symmetric_schrodinger(grid, u(grid.nodes)))
+
+
 class TestHlAlphaW:
     def test_angular_constant(self):
         assert np.isclose(-(0.2 - 1.0) ** 2 + 12.0, 11.36)
@@ -186,10 +210,9 @@ class TestHlAlphaW:
         assert np.isclose(profile.half_d_d2inv_q(0.0, 0.2), -2.6)
 
     def test_potential_limit(self):
-        w = ggmt.paper_weight()
         mu = 1.9137
         grid = geometric_grid(200, 400.0, growth=100.0)
-        a = operators.assemble_H_l_alpha_W(2, 0.2, w, mu, grid)
+        a = h_matrix(mu, grid)
         # far-field potential approaches (1-2a)/4 - l mu W(inf) = 0.15 - 2 mu/50
         u_inf = (1.0 - 0.4) / 4.0 - 2.0 * mu * 0.02
         far = np.argmin(np.abs(grid.nodes - 300.0))
@@ -198,16 +221,13 @@ class TestHlAlphaW:
     def test_invalid_weight_rejected(self):
         bad = ggmt.WeightSpec(fn=lambda r: np.asarray(r) ** -3.0, w_inf=0.0,
                               label="too-weak")
-        grid = make_grid(64, 20.0)
-        with pytest.raises(ValueError):
-            operators.assemble_H_l_alpha_W(2, 0.2, bad, 1.9, grid)
+        with pytest.raises(ValueError, match="tail exponent"):
+            bad.check(2, 0.2)
 
     def test_no_negative_ritz_with_reference_parameters(self):
         from ksmode.spectra import schrodinger_spectrum_check
-        w = ggmt.paper_weight()
-        mu = ggmt.mu_functional(2, 0.2, w)
-        a = operators.assemble_H_l_alpha_W(2, 0.2, w, mu,
-                                           geometric_grid(400, 80.0))
+        mu = ggmt.mu_functional(2, 0.2, ggmt.paper_weight())
+        a = h_matrix(mu, geometric_grid(400, 80.0))
         assert schrodinger_spectrum_check(a) >= 0.0
 
 

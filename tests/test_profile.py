@@ -68,7 +68,6 @@ def test_d2inv_q_closed_form_agreement(r):
 
 
 def test_aux_potentials_values():
-    assert np.isclose(profile.v1(1.0), 8.0 / 9.0, atol=1e-15)
     assert np.isclose(profile.v2(1.0), 88.0 / 27.0, atol=1e-15)
     assert np.isclose(profile.big_g(1.0), -8.0 / 9.0, atol=1e-14)
     assert np.isclose(profile.d2inv_q_closed(1.0), 4.0 / 3.0, atol=1e-15)
@@ -127,13 +126,6 @@ def test_g_over_g_derivatives_match_finite_differences():
                   / np.abs(profile.g_over_g_deriv(r))) < 1e-7
     assert np.max(np.abs(d2 - profile.g_over_g_deriv2(r))
                   / np.abs(profile.g_over_g_deriv2(r))) < 1e-7
-
-
-def test_u1_log_derivative_is_half_drift():
-    r = np.linspace(0.5, 10.0, 100)
-    h = 1e-5
-    dlog = (np.log(profile.u1(r + h)) - np.log(profile.u1(r - h))) / (2.0 * h)
-    assert np.max(np.abs(dlog - 0.5 * profile.coef_a(r))) < 1e-8
 
 
 def test_coef_a_value():

@@ -32,16 +32,12 @@ DELIBERATE = {
         "second code path for T (weighted projection), cross-checks apply_T",
     "operators.kernel_deriv_deltal_inv_matrix":
         "differentiated-kernel twin of the factorized deriv_deltal_inv_matrix",
-    "waveop.conjugation_residual":
-        "paper step: the U_1 conjugation of the l = 1 operator, not yet a "
-        "check of criterion 4",
-    "operators.assemble_tilde_Ll_alpha":
-        "paper step: the partial localization for l = 2, not yet a check of "
-        "criterion 1",
-    "operators.assemble_H_l_alpha_W":
-        "paper step: the GGMT comparison operator for l = 2, not yet a check "
-        "of criterion 1",
 }
+
+# The import layers of the package, lowest first: a module imports only
+# modules of lower layers.
+LAYERS = (("profile", "radial"), ("operators", "ggmt"),
+          ("spectra", "evolution", "waveop"), ("acceptance",), ("cli",))
 
 
 def public_names(modname):
@@ -116,3 +112,31 @@ def test_deliberate_names_exist():
     for qual in DELIBERATE:
         modname, name = qual.split(".")
         assert name in public_names(modname), qual
+
+
+def package_imports(path):
+    """The package modules that the file at ``path`` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:   # relative imports occur only inside the package
+                module = f"ksmode.{module}" if module else "ksmode"
+            if module == "ksmode":
+                found.update(a.name for a in node.names)
+            elif module.startswith("ksmode."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("ksmode."))
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    layer = {mod: i for i, mods in enumerate(LAYERS) for mod in mods}
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(layer)
+    upward = sorted((mod, used) for mod in modules
+                    for used in package_imports(PACKAGE / f"{mod}.py")
+                    if layer[used] >= layer[mod])
+    assert upward == []

@@ -485,7 +485,8 @@ class TestProjection:
     def test_left_vector_is_a_left_eigenvector(self, proj):
         # y^H A = lam y^H to the residual guard's tolerance
         _, a = proj
-        lam, right, left = spectra.mode_report(a, -1.0)
+        mode = spectra.mode_report(a, -1.0)
+        lam, right, left = mode.lam, mode.right, mode.left
         mat = a.entries
         tol = 1e-8 * np.linalg.norm(mat.conj().T, np.inf) * np.linalg.norm(left)
         assert np.linalg.norm(left.conj() @ mat - lam * left.conj()) <= tol
@@ -616,6 +617,22 @@ class TestModeReportOracle:
         with pytest.raises(RuntimeError, match="the left solve found"):
             spectra.mode_report(a, target)
 
+    def test_complex_pair_nearest_the_target_is_refused(self, monkeypatch):
+        # on (20, 1e5) the eigenvalues of L_0 nearest -1 are a conjugate
+        # pair, equally near the real target: no left solve runs
+        a = operators.assemble_Ll(0, make_grid(20, 1e5, ("geometric", 1.0)))
+        eigs = scipy.sparse.linalg.eigs
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(kwargs["sigma"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
+        with pytest.raises(RuntimeError, match=r"complex pair \(0\.859"):
+            spectra.mode_report(a, -1.0)
+        assert solves == [-1.0]
+
     def test_dense_path_refuses_a_different_eigenvalue(self, monkeypatch):
         a, target = mode_operator(100, "L0")
         eig_dense = spectra.eig_dense
@@ -642,5 +659,5 @@ def test_shooting_setup_and_proj0_make_no_dense_eigensolve(monkeypatch):
 def test_schrodinger_check_requires_symmetric_tag():
     grid = make_grid(64, 20.0)
     a = operators.assemble_Ll(0, grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         spectra.schrodinger_spectrum_check(a)

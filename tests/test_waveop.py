@@ -105,26 +105,6 @@ class TestCommutator:
         assert waveop.commutator_residual(f, g) < 1e-2
 
 
-class TestConjugation:
-    def test_u1_value(self):
-        assert np.isclose(float(profile.u1(1.0)), np.exp(0.125) / 3.0,
-                          atol=1e-15)
-
-    def test_residual_converges_quadratically(self):
-        res = []
-        for n in (2000, 4000, 8000):
-            g = make_grid(n, 60.0, "uniform")
-            res.append(waveop.conjugation_residual(
-                np.exp(-(g.nodes - 5.0) ** 2), g))
-        orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
-        assert np.all(orders >= 1.8)
-
-    def test_overflow_guard(self):
-        g = make_grid(4000, 90.0, "uniform")
-        with pytest.raises(ValueError, match="support"):
-            waveop.conjugation_residual(np.exp(-(g.nodes - 70.0) ** 2), g)
-
-
 class TestPotentialMin:
     def test_location_and_value(self):
         argmin, vmin = waveop.potential_min_tilde_L1_prime()
@@ -162,3 +142,12 @@ class TestCoefficientIdentities:
         ids = waveop.coefficient_identity_residuals(np.linspace(0.05, 50.0, 3000))
         assert ids["drift"] <= 1e-8
         assert ids["potential"] <= 1e-8
+        assert ids["conjugation"] <= 1e-8
+
+    def test_conjugation_residual_sees_a_wrong_potential(self, monkeypatch):
+        # the residual reads profile's potential, so a wrong one shows
+        real = profile.tilde_L1_prime_potential
+        monkeypatch.setattr(profile, "tilde_L1_prime_potential",
+                            lambda r: real(r) + 1e-6 * r)
+        ids = waveop.coefficient_identity_residuals(np.linspace(0.05, 50.0, 2000))
+        assert ids["conjugation"] > 1e-5 and ids["drift"] <= 1e-8
