@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import profile
-from .radial import (RadialGrid, power_moment, power_prefix_integral,
-                     suffix_power_integral, deriv_deltal_inverse,
+from .radial import (RadialGrid, power_moment, prefix_column_weights,
+                     suffix_column_weights, deriv_deltal_inverse,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
@@ -74,7 +74,11 @@ def _fd_matrix(grid: RadialGrid, order: int, l: int) -> np.ndarray:
     # three-point weights of every row, ghost rows included; the outer ghost
     # value is 0 (Dirichlet), the origin ghost's weight goes to its model
     wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
-    a = np.diag(wl[1:], -1) + np.diag(wc) + np.diag(wr[:-1], 1)
+    n = grid.n
+    a = np.zeros((n, n))
+    a.flat[n::n + 1] = wl[1:]
+    a.flat[::n + 1] = wc
+    a.flat[1::n + 1] = wr[:-1]
     ghost = _origin_ghost_coeffs(grid, l)
     a[0, :ghost.size] += wl[0] * ghost
     return a
@@ -89,31 +93,39 @@ def deriv2_matrix(grid: RadialGrid, l: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cumulative quadrature matrices: row j of radial's integral of np.eye(n)
-# integrates e_j, so its transpose is the matrix of the integral
+# cumulative quadrature matrices: triangular, column j holds radial's
+# closed-form weights of the integral of e_j
 # ---------------------------------------------------------------------------
+
+def _triangular(diag: np.ndarray, off: np.ndarray, lower: bool) -> np.ndarray:
+    """C-ordered matrix with ``diag`` on its diagonal, off_j strictly below
+    (``lower``) or above it in column j, and zeros elsewhere."""
+    n = diag.size
+    mask = np.tri(n, k=-1, dtype=bool) if lower else ~np.tri(n, dtype=bool)
+    mat = np.where(mask, off, 0.0)
+    mat.flat[::n + 1] = diag
+    return mat
+
 
 def _prefix_matrix(grid: RadialGrid, a: float, p: float) -> np.ndarray:
     """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p."""
-    return power_prefix_integral(np.eye(grid.n), grid.nodes, a, p).T
+    return _triangular(*prefix_column_weights(grid.nodes, a, p), lower=True)
 
 
 def _suffix_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
-    return suffix_power_integral(np.eye(grid.n), grid, a, tail=False).T
-
-
-def _row_scaled(scale: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """diag(scale) @ mat, C-ordered: the layout sets later BLAS rounding."""
-    return np.multiply(scale[:, None], mat, order="C")
+    return _triangular(*suffix_column_weights(grid.nodes, a), lower=False)
 
 
 def dk_inv_matrix(grid: RadialGrid, k: float, origin_power: float = 0.0) -> np.ndarray:
     """Matrix of D_k^{-1} on the grid (zero extension beyond rmax for k <= 0)."""
     r = grid.nodes
     if k > 0:
-        return _row_scaled(r ** (-k), _prefix_matrix(grid, k, origin_power))
-    return _row_scaled(-(r ** (-k)), _suffix_matrix(grid, k))
+        mat, scale = _prefix_matrix(grid, k, origin_power), r ** (-k)
+    else:
+        mat, scale = _suffix_matrix(grid, k), -(r ** (-k))
+    mat *= scale[:, None]
+    return mat
 
 
 def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
@@ -121,7 +133,7 @@ def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     r = grid.nodes
     low = _prefix_matrix(grid, l + 2.0, float(l))
     up = _suffix_matrix(grid, 1.0 - l)
-    return -(_row_scaled(r ** (-(l + 1.0)), low) + _row_scaled(r ** float(l), up)) \
+    return -((r ** (-(l + 1.0)))[:, None] * low + (r ** float(l))[:, None] * up) \
         / (2 * l + 1)
 
 
@@ -154,7 +166,7 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     const_fj1 = (u ** lb / la - u ** lb / lb) / dt
     alpha = const_fj * m_out + c1_fj * m1 + c2_fj * m2
     beta = const_fj1 * m_out + c1_fj1 * m1 + c2_fj1 * m2
-    panels = _row_scaled(m_out, low[:-1, :])
+    panels = m_out[:, None] * low[:-1, :]
     idx = np.arange(n - 1)
     panels[idx, idx] += alpha
     panels[idx, idx + 1] += beta
@@ -166,11 +178,19 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
 
 
 def deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
-    """Matrix of d_r Delta_l^{-1} from the first-order factorization."""
-    mat = (l + 1) * dk_inv_matrix(grid, l + 2.0, float(l))
+    """Matrix of d_r Delta_l^{-1} from the first-order factorization.
+
+    Built in place; at l = 0 the factors l + 1 and 2l + 1 are 1 and the
+    matrix is D_2^{-1} itself.
+    """
+    mat = dk_inv_matrix(grid, l + 2.0, float(l))
     if l > 0:
-        mat = mat + l * dk_inv_matrix(grid, -(l - 1.0))
-    return mat / (2 * l + 1)
+        mat *= l + 1
+        up = dk_inv_matrix(grid, -(l - 1.0))
+        up *= l
+        mat += up
+        mat /= 2 * l + 1
+    return mat
 
 
 def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
@@ -185,9 +205,9 @@ def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """
     r = grid.nodes
     low = _prefix_matrix(grid, l + 2.0, float(l))
-    mat = _row_scaled((l + 1) * r ** (-(l + 2.0)), low)
+    mat = ((l + 1) * r ** (-(l + 2.0)))[:, None] * low
     if l > 0:
-        mat = mat - _row_scaled(l * r ** (l - 1.0), _suffix_matrix(grid, 1.0 - l))
+        mat = mat - (l * r ** (l - 1.0))[:, None] * _suffix_matrix(grid, 1.0 - l)
     return mat / (2 * l + 1)
 
 
@@ -202,6 +222,14 @@ def r2_mass_weights(grid: RadialGrid) -> np.ndarray:
 # operator assemblies
 # ---------------------------------------------------------------------------
 
+def _band_positions(n: int):
+    """(rows, cols) of the entries a local operator fills: the tridiagonal
+    band and entry (0, 2), where the class-0 origin ghost reaches."""
+    i = np.arange(n)
+    return (np.concatenate((i[1:], i, i[:-1], [0])),
+            np.concatenate((i[:-1], i, i[1:], [2])))
+
+
 def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> OperatorMatrix:
     """Class-l linearized operator
 
@@ -209,18 +237,32 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
 
     with Lambda f = r f' + 2 f.  Origin closure f ~ r^l, outer Dirichlet.
     With ``zero_profile`` all Q-dependent terms are dropped.
+
+    The nonlocal term fills the matrix; the local part is evaluated on its
+    band only, entry by entry in the order of the dense expression
+    -(d2 + (2/r) d1 - l(l+1)/r^2) + (r/2) d1 + 1 - 2Q - (D_2^{-1}Q) d1, and
+    added there.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
     r = grid.nodes
-    d1 = deriv1_matrix(grid, l)
-    d2 = deriv2_matrix(grid, l)
-    lap = d2 + (2.0 / r)[:, None] * d1 - np.diag(l * (l + 1) / (r * r))
-    a = -lap + (0.5 * r)[:, None] * d1 + np.eye(grid.n)
+    n = grid.n
+    if zero_profile:
+        a = np.zeros((n, n))
+    else:
+        a = deriv_deltal_inv_matrix(grid, l)
+        a *= -profile.q_deriv(r, 1)[:, None]   # all of L_l off the band
+    rows, cols = _band_positions(n)
+    d1 = deriv1_matrix(grid, l)[rows, cols]
+    d2 = deriv2_matrix(grid, l)[rows, cols]
+    on_diag = rows == cols
+    ri = r[rows]
+    lap = d2 + (2.0 / ri) * d1 - np.where(on_diag, l * (l + 1) / (ri * ri), 0.0)
+    local = -lap + (0.5 * ri) * d1 + on_diag
     if not zero_profile:
-        a -= 2.0 * np.diag(profile.q(r))
-        a -= profile.d2inv_q_closed(r)[:, None] * d1
-        a -= profile.q_deriv(r, 1)[:, None] * deriv_deltal_inv_matrix(grid, l)
+        local -= np.where(on_diag, 2.0 * profile.q(r)[rows], 0.0)
+        local -= profile.d2inv_q_closed(r)[rows] * d1
+    a[rows, cols] += local   # local + (-Q' x) is local - Q' x, exactly
     return OperatorMatrix(grid=grid, l=l, entries=a)
 
 
@@ -246,15 +288,19 @@ def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarra
     Piecewise-linear stiffness with lumped mass, symmetrized by the diagonal
     similarity W^{1/2} (.) W^{-1/2}; the eigenvalues are the Ritz values of
     the quadratic form, and the matrix is symmetric to round-off on any
-    (also stretched) grid.
+    (also stretched) grid.  Built from its three diagonals, each off-diagonal
+    pair set to the mean of the two scaled entries.
     """
     h = grid.cell_spacings()
-    stiff = (np.diag(1.0 / h[:-1] + 1.0 / h[1:])
-             - np.diag(1.0 / h[1:-1], 1) - np.diag(1.0 / h[1:-1], -1))
-    w = 0.5 * (h[:-1] + h[1:])
-    sqw = np.sqrt(w)
-    sym = stiff / sqw[:, None] / sqw[None, :] + np.diag(potential)
-    return 0.5 * (sym + sym.T)
+    sqw = np.sqrt(0.5 * (h[:-1] + h[1:]))
+    off = -(1.0 / h[1:-1])
+    mean_off = 0.5 * (off / sqw[:-1] / sqw[1:] + off / sqw[1:] / sqw[:-1])
+    n = grid.n
+    sym = np.zeros((n, n))
+    sym.flat[::n + 1] = (1.0 / h[:-1] + 1.0 / h[1:]) / sqw / sqw + potential
+    sym.flat[1::n + 1] = mean_off
+    sym.flat[n::n + 1] = mean_off
+    return sym
 
 
 def assemble_tilde_L1_prime(grid: RadialGrid) -> OperatorMatrix:

@@ -22,7 +22,9 @@ names the one its data obeys; none is fitted to the data:
   integer exponents a >= 0 only.
 
 The dense matrices of operators.py use the power model at every p: a
-constant class-0 panel.
+constant class-0 panel.  They are triangular, and each column is fixed by
+two closed-form weights (prefix_column_weights, suffix_column_weights):
+the sums the running integrals form for a unit vector, bit for bit.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
@@ -40,8 +42,9 @@ __all__ = [
     "RadialGrid", "RadialFunction", "make_grid", "DivergentTailError",
     "dk_inverse", "delta_l_inverse", "deriv_deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
-    "EvenPrefixIntegral", "power_prefix_integral",
-    "suffix_power_integral", "fit_tail_exponent", "fd_deriv",
+    "EvenPrefixIntegral", "power_prefix_integral", "prefix_column_weights",
+    "suffix_power_integral", "suffix_column_weights", "fit_tail_exponent",
+    "fd_deriv",
 ]
 
 MIN_NODES = 16
@@ -203,6 +206,38 @@ def _prefix_sums(origin, cu, cv, values) -> np.ndarray:
     np.cumsum(sums, axis=-1, out=sums)
     sums += np.expand_dims(origin, -1)
     return out
+
+
+def prefix_column_weights(nodes: np.ndarray, a: float, p: float):
+    """Columns (diag, below) of the matrix of power_prefix_integral.
+
+    The prefix integral of the unit vector e_j is 0 before node j, diag_j at
+    node j and below_j after it: the one nonzero sum _prefix_sums forms,
+    diag_j = cv_{j-1} and below_j = cv_{j-1} + cu_j, with the origin weight
+    r_1^{a+1}/(p+a+1) in place of cv_{-1}.  The matrix is lower triangular
+    with diag on its diagonal and below_j under it in column j (below_{n-1}
+    repeats diag_{n-1}; no row lies below it).
+    """
+    cu, cv = panel_coefficients(a, nodes)
+    origin = nodes[0] ** (a + 1.0) / (p + a + 1.0)
+    diag = np.concatenate(([origin], cv))
+    below = np.concatenate(([cu[0] + origin], cv[:-1] + cu[1:], cv[-1:]))
+    return diag, below
+
+
+def suffix_column_weights(nodes: np.ndarray, a: float):
+    """Columns (diag, above) of the matrix of suffix_power_integral, no tail.
+
+    The suffix integral of e_j is diag_j = cu_j at node j (0 at the last
+    node) and above_j = cu_j + cv_{j-1} before it, the one nonzero sum of
+    the running sum from rmax inwards.  The matrix is upper triangular with
+    diag on its diagonal and above_j over it in column j (above_0 repeats
+    diag_0; no row lies above it).
+    """
+    cu, cv = panel_coefficients(a, nodes)
+    diag = np.append(cu, 0.0)
+    above = np.concatenate((cu[:1], cu[1:] + cv[:-1], cv[-1:]))
+    return diag, above
 
 
 class EvenPrefixIntegral:

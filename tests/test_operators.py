@@ -2,12 +2,17 @@
 cross-representation identities of the nonlocal blocks."""
 
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ksmode import ggmt, operators, profile
+from ksmode import ggmt, operators, profile, spectra
 from ksmode.radial import (RadialFunction, cumulative_power_integral,
-                           deriv_stencil, make_grid, panel_coefficients)
+                           deriv_stencil, make_grid, panel_coefficients,
+                           power_prefix_integral, suffix_power_integral,
+                           three_point)
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -350,3 +355,111 @@ class TestCumulativeBlocks:
             if k <= 0.0:   # D_k^{-1} integrates from rmax inwards
                 up = -(r ** (-k))[:, None] * upper_cum_matrix(grid, k)
                 assert np.array_equal(operators.dk_inv_matrix(grid, k), up)
+
+
+# -- L_l and the Schroedinger matrix as one dense expression each, over dense
+# -- finite-difference matrices and blocks that integrate np.eye(n): the
+# -- oracles of the assemblies from column weights and bands
+
+def dense_fd_matrix(grid, order, l):
+    h = grid.cell_spacings()
+    wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
+    a = np.diag(wl[1:], -1) + np.diag(wc) + np.diag(wr[:-1], 1)
+    ghost = operators._origin_ghost_coeffs(grid, l)
+    a[0, :ghost.size] += wl[0] * ghost
+    return a
+
+
+def eye_dk_inv_matrix(grid, k, origin_power=0.0):
+    r = grid.nodes
+    eye = np.eye(grid.n)
+    if k > 0:
+        block = power_prefix_integral(eye, r, k, origin_power).T
+        return np.multiply((r ** (-k))[:, None], block, order="C")
+    block = suffix_power_integral(eye, grid, k, tail=False).T
+    return np.multiply((-(r ** (-k)))[:, None], block, order="C")
+
+
+def eye_deriv_deltal_inv_matrix(grid, l):
+    mat = (l + 1) * eye_dk_inv_matrix(grid, l + 2.0, float(l))
+    if l > 0:
+        mat = mat + l * eye_dk_inv_matrix(grid, -(l - 1.0))
+    return mat / (2 * l + 1)
+
+
+def dense_assemble_Ll(l, grid, zero_profile):
+    r = grid.nodes
+    d1 = dense_fd_matrix(grid, 1, l)
+    d2 = dense_fd_matrix(grid, 2, l)
+    lap = d2 + (2.0 / r)[:, None] * d1 - np.diag(l * (l + 1) / (r * r))
+    a = -lap + (0.5 * r)[:, None] * d1 + np.eye(grid.n)
+    if not zero_profile:
+        a -= 2.0 * np.diag(profile.q(r))
+        a -= profile.d2inv_q_closed(r)[:, None] * d1
+        a -= profile.q_deriv(r, 1)[:, None] * eye_deriv_deltal_inv_matrix(grid, l)
+    return a
+
+
+def dense_symmetric_schrodinger(grid, potential):
+    h = grid.cell_spacings()
+    stiff = (np.diag(1.0 / h[:-1] + 1.0 / h[1:])
+             - np.diag(1.0 / h[1:-1], 1) - np.diag(1.0 / h[1:-1], -1))
+    sqw = np.sqrt(0.5 * (h[:-1] + h[1:]))
+    sym = stiff / sqw[:, None] / sqw[None, :] + np.diag(potential)
+    return 0.5 * (sym + sym.T)
+
+
+LADDER = spectra.refinement_ladder()
+# the grids criterion 3's scan reads, with the profile, and criterion 8's
+# uniform grid, with and without it
+ASSEMBLY_CASES = [pytest.param(LADDER[key], False, id=f"ladder-{key[0]}-{key[1]:g}")
+                  for key in ((800, 80.0), (400, 80.0), (200, 80.0), (800, 40.0))]
+ASSEMBLY_CASES += [pytest.param(make_grid(400, 40.0, "uniform"), zero,
+                                id=f"uniform-400-40-zero{int(zero)}")
+                   for zero in (False, True)]
+
+
+class TestAssemblyOracle:
+    """Every entry of the assemblies keeps the floating-point operations of
+    the dense expressions, so the matrices are equal, not merely close."""
+
+    @pytest.mark.parametrize("grid,zero", ASSEMBLY_CASES)
+    @pytest.mark.parametrize("l", range(7))
+    def test_assemble_Ll_matches_dense_oracle(self, grid, zero, l):
+        got = operators.assemble_Ll(l, grid, zero_profile=zero).entries
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, dense_assemble_Ll(l, grid, zero))
+        # the nonlocal factor alone: in L_l the larger local diagonal
+        # absorbs a change in the last bits of its diagonal
+        assert np.array_equal(operators.deriv_deltal_inv_matrix(grid, l),
+                              eye_deriv_deltal_inv_matrix(grid, l))
+
+    def test_zero_profile_class0_keeps_its_band(self):
+        # the origin ghost reaches entry (0, 2); the Crank-Nicolson stepper
+        # reads this bandwidth to choose its banded solve
+        a = operators.assemble_Ll(0, make_grid(400, 40.0, "uniform"),
+                                  zero_profile=True).entries
+        assert scipy.linalg.bandwidth(a) == (1, 2)
+
+    @pytest.mark.parametrize("l", range(7))
+    def test_assembly_peak_allocation(self, l):
+        # the dense-expression assembly peaked at 7 to 8 n^2 doubles
+        grid = LADDER[(800, 80.0)]
+        tracemalloc.start()
+        try:
+            operators.assemble_Ll(l, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * grid.n ** 2
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(geometric_grid(800, 40.0), id="criterion-5"),
+        pytest.param(make_grid(200, 20.0, "uniform"), id="uniform")])
+    def test_schrodinger_matrix_matches_dense_oracle(self, grid):
+        r = grid.nodes
+        for potential in (profile.tilde_L1_prime_potential(r),
+                          np.cos(r) / (1.0 + r)):
+            got = operators._symmetric_schrodinger(grid, potential)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, dense_symmetric_schrodinger(grid, potential))

@@ -656,7 +656,7 @@ def test_shooting_setup_and_proj0_make_no_dense_eigensolve(monkeypatch):
     assert (projf.path, proj0.path) == ("deflation", "deflation")
 
 
-def test_schrodinger_check_requires_symmetric_tag():
+def test_schrodinger_check_refuses_a_matrix_that_is_not_symmetric():
     grid = make_grid(64, 20.0)
     a = operators.assemble_Ll(0, grid)
     with pytest.raises(ValueError, match="not symmetric"):
