@@ -504,3 +504,24 @@ def test_readme_config_example_loads(tmp_path, monkeypatch):
     assert cfg["grid", "n"] == 400 and cfg["grid", "ratio"] == 1.0
     assert cfg["evolve", "amplitude"] == 1e-3
     assert (tmp_path / cfg["output", "dir"] / "profile_check_summary.json").exists()
+
+
+def test_ggmt_limit_not_positive_fails_certification(tmp_path, capsys):
+    # w_floor = 0.2 passes validation, but u_inf = 0.15 - 2 mu 0.2 < 0: a
+    # failed certification (exit 1), not a numerical error (exit 3)
+    path = tmp_path / "conf.ini"
+    path.write_text("[ggmt]\nw_floor = 0.2\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--output-dir", str(out),
+                     "ggmt"]) == 1
+    assert not (out / "ggmt_diagnostics.txt").exists()
+
+    def no_constant(name):
+        raise AssertionError(f"summary holds the non-JSON literal {name}")
+    summary = json.loads((out / "ggmt_summary.json").read_text(),
+                         parse_constant=no_constant)
+    (u_inf,) = [c for c in summary["checks"] if c["tag"] == "ggmt.u_inf"]
+    assert u_inf["pass"] is False and -0.13 < u_inf["value"] < -0.11
+    assert summary["details"]["bigN"] is None
+    assert summary["details"]["well"] == []
+    assert "[FAIL] potential limit at infinity positive" in capsys.readouterr().out

@@ -16,6 +16,36 @@ def geometric_grid(n, rmax, growth=30.0):
     return make_grid(n, rmax, ("geometric", growth ** (1.0 / (n - 1))))
 
 
+def adaptive_mu(l, alpha, W):
+    """Oracle for mu in the primary order (outer in s): adaptive ``quad`` on
+    each of the library's 145 log-spaced segments, with I(s) = int_0^s K as
+    whole-segment prefix sums plus one inner ``quad`` per outer node, and
+    the library's analytic tails beyond S."""
+    beta = 2.0 * l + 2.0 * alpha
+    lma = l - alpha
+    k_inner = lambda r: profile.v2(r) ** 2 / ggmt.w1_potential(lma, r) * r ** beta
+    k_outer = lambda s: s ** (-beta) / float(W.fn(s))
+    k_inf = 64.0 / (8.0 * lma + 4.0)
+    S = ggmt._S_CUT
+    breaks = np.concatenate(([0.0], np.logspace(-4, math.log10(S), 145)))
+    whole = [quad(k_inner, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+             for lo, hi in zip(breaks[:-1], breaks[1:])]
+    prefix = np.concatenate(([0.0], np.cumsum(whole)))
+
+    def inner(s):
+        j = min(max(np.searchsorted(breaks, s) - 1, 0), len(breaks) - 2)
+        part, _ = quad(k_inner, breaks[j], s, epsabs=1e-13, epsrel=1e-11)
+        return prefix[j] + part
+
+    total = sum(quad(lambda s: k_outer(s) * inner(s), lo, hi, epsabs=1e-12,
+                     epsrel=1e-9, limit=200)[0]
+                for lo, hi in zip(breaks[:-1], breaks[1:]))
+    tail = (1.0 / W.w_inf) * (
+        prefix[-1] * S ** (1.0 - beta) / (beta - 1.0)
+        + k_inf / (beta - 3.0) * (S ** -2.0 / 2.0 - S ** -2.0 / (beta - 1.0)))
+    return 0.25 * (total + tail)
+
+
 class TestAlphaBeta:
     def test_reference_values(self):
         a4, b4 = ggmt.alpha_beta(4.0)
@@ -40,6 +70,18 @@ class TestAlphaBeta:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             ggmt.alpha_beta(0.0)
+
+    def test_cross_checks_run_once_per_radius(self, monkeypatch):
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+        monkeypatch.setattr(ggmt, "quad", counting_quad)
+        ggmt.alpha_beta.cache_clear()
+        first = ggmt.alpha_beta(4.0)
+        assert ggmt.alpha_beta(4.0) == first
+        assert len(calls) == 2
 
 
 class TestW1Potential:
@@ -67,7 +109,8 @@ class TestMu:
                                   w_inf=2.0 * w.w_inf, label="2*paper")
         mu1 = ggmt.mu_functional(2, 0.2, w)
         mu2 = ggmt.mu_functional(2, 0.2, doubled)
-        assert abs(mu1 - 2.0 * mu2) < 1e-8 * mu1
+        # on fixed nodes doubling W halves every term exactly
+        assert abs(mu1 - 2.0 * mu2) < 1e-14 * mu1
 
     def test_constant_weight_finite(self):
         const = ggmt.WeightSpec(
@@ -86,6 +129,33 @@ class TestMu:
                               w_inf=0.0, label="weak")
         with pytest.raises(ValueError):
             ggmt.mu_functional(2, 0.2, bad)
+
+    @pytest.mark.parametrize("l,alpha,weight", [
+        (3, 0.3, ggmt.paper_weight()),
+        (2, 0.2, ggmt.paper_weight(eps=1e-8)),
+        (2, 0.2, ggmt.paper_weight(eps=100.0)),
+    ], ids=["l3-a0.3", "w_eps-1e-8", "w_eps-100"])
+    def test_matches_adaptive_quadrature_oracle(self, l, alpha, weight):
+        # the mpmath oracle below covers the reference setting
+        mu = ggmt.mu_functional(l, alpha, weight)
+        assert abs(mu - adaptive_mu(l, alpha, weight)) <= 1e-12 * mu
+
+    def test_weight_jump_inside_a_segment_is_caught(self):
+        # a jump at 0.5017 lies inside one log-spaced segment, where no
+        # fixed rule converges; the 21- and 15-node rules then disagree
+        jump = ggmt.WeightSpec(
+            fn=lambda r: np.where(np.asarray(r, dtype=float) > 0.5017,
+                                  1.0, 100.0),
+            w_inf=1.0, label="jump")
+        with pytest.raises(RuntimeError, match="rules disagree"):
+            ggmt.mu_functional(2, 0.2, jump)
+
+    def test_no_scalar_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("mu fell back to scalar quadrature")
+        monkeypatch.setattr(ggmt, "quad", no_quad)
+        assert abs(ggmt.mu_functional(2, 0.2, ggmt.paper_weight())
+                   - 1.9137) < 5e-3
 
     def test_reference_value_matches_mpmath_oracle(self):
         # independent reference for mu(2, 0.2) in order A,
@@ -196,6 +266,16 @@ class TestPipeline:
                     if not earlier:
                         with pytest.raises(ValueError):
                             ggmt.check_pipeline(l, alpha, p, theta, w)
+
+    def test_limit_not_positive_fails_without_a_count(self, monkeypatch):
+        # w_floor = 0.2 passes check_pipeline but gives u_inf = -0.119: the
+        # certification has failed, so no well is bracketed and no N formed
+        def no_count(*args):
+            raise AssertionError("counted a potential with no positive limit")
+        monkeypatch.setattr(ggmt, "negative_part_bracket", no_count)
+        rep = ggmt.l2_pipeline(W=ggmt.paper_weight(floor=0.2))
+        assert rep.u_infinity < -0.1
+        assert rep.bigN is None and rep.well == ()
 
     def test_report_serialization(self):
         d = ggmt.l2_pipeline().to_dict()
