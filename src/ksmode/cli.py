@@ -175,6 +175,8 @@ def _fmt(v):
 def _json_text(obj, indent=0) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     pad = " " * indent
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, dict):
         items = [f'{pad} "{k}": {_json_text(obj[k], indent + 1).lstrip()}'
                  for k in obj]

@@ -12,8 +12,11 @@ Nonlinear runs integrate the radial renormalized equation
 with an IMEX scheme: the stiff linear part is Crank-Nicolson (its matrix is
 banded, so one banded LU, reused every step, makes a step O(n)), the flux
 term second-order Adams-Bashforth after a predictor-corrector first step.
-One stepper advances a stack of independent states, one per row, with
-row-wise arithmetic only, so a row gets the same bits in a batch as alone.
+One stepper advances a stack of independent states, the rows of a plain
+(m, n) array, with row-wise arithmetic only: the band product is scipy's
+DIA product, the flux term's neighbour terms are shifted slices along the
+rows and the banded solve takes the rows as its right-hand sides.  So a
+row gets the same bits in a batch as alone.
 The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import profile
 from .operators import assemble_Ll, r2_mass_weights, OperatorMatrix
@@ -133,65 +137,33 @@ def _check_solve(x, product, rhs, lhs_norm):
     return np.divide(defect, denom, out=np.zeros_like(defect), where=defect > 0)
 
 
-def _padded(values, width: int) -> np.ndarray:
-    """One data set or a stack of them as the rows of a C-contiguous
-    (m, width) array, each row's n values followed by zeros."""
-    values = np.asarray(values)
-    n = values.shape[-1]
-    out = np.zeros((values.size // n, width), dtype=np.result_type(values, float))
-    out[:, :n] = values.reshape(-1, n)
-    return out
-
-
 class _BandMatrix:
     """A matrix with kl subdiagonals and ku superdiagonals, kept as diagonals.
 
     ``@`` applies it in O(n); after ``factor()`` (LAPACK gbtrf), ``solve``
-    runs gbtrs.  Both take one vector or a stack of them as the rows of a
-    C-contiguous array, and act on each row alone.  A padded stack has rows
-    of ``width`` = n + kl + ku entries, the n values followed by zeros; the
-    product works on padded rows (plain data is padded first, and comes
-    back plain), so each diagonal term is one contiguous product and one
-    contiguous shifted sum over the whole stack, and the gap keeps every
-    term inside its row: an entry reads only its own row and the zeros
-    after it.  The gap entries of the product are zero.  The solve is one
-    gbtrs call with m right-hand sides, the columns of the transposed
-    (Fortran-order) view; on padded rows gbtrs solves the first n entries
-    of each column and leaves the zeros.  The diagonals sit in LAPACK band
-    layout: row ku + i - j of ``band`` holds m[i, j].
+    runs gbtrs.  Both take one vector or a stack of them as the rows of an
+    (m, n) array, and act on each row alone.  The product is scipy's DIA
+    product on the columns of the transposed stack, which sums each entry
+    over the diagonals in offset order, the same for a stack as for one
+    row.  The solve is one gbtrs call with m right-hand sides, the columns
+    of the transposed view, which is Fortran-ordered for a C-ordered stack.
+    The diagonals sit in LAPACK band layout: row ku + i - j of ``band``
+    holds m[i, j], and column j of band row ku - k multiplies y_j, as in
+    the DIA layout of offset k.
     """
 
     def __init__(self, m: np.ndarray, kl: int, ku: int):
         n = m.shape[0]
         self.kl, self.ku = kl, ku
-        self.width = n + kl + ku
         self.band = np.zeros((kl + ku + 1, n), dtype=m.dtype)
         for k in range(-kl, ku + 1):
             lo, hi = max(-k, 0), n - max(k, 0)
             self.band[ku - k, lo + k:hi + k] = np.diagonal(m, k)
-        # column j of band row ku - k multiplies y_j into entry j - k; the
-        # padded band rows, repeated over a stack, are built for the
-        # largest stack yet and sliced for smaller ones
-        self._tiled = np.pad(self.band, ((0, 0), (0, kl + ku)))
+        self._dia = scipy.sparse.dia_array(
+            (self.band[::-1].copy(), np.arange(-kl, ku + 1)), shape=(n, n))
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        n = self.band.shape[1]
-        if y.shape[-1] == n:
-            return (self @ _padded(y, self.width))[:, :n].reshape(y.shape)
-        if self._tiled.shape[1] < y.size:
-            self._tiled = np.tile(self._tiled[:, :self.width],
-                                  y.size // self.width)
-        columns = self._tiled[:, :y.size]
-        flat = y.reshape(-1)
-        out = columns[self.ku] * flat
-        for k in range(-self.kl, self.ku + 1):
-            if k > 0:
-                out[:-k] += columns[self.ku - k, k:] * flat[k:]
-            elif k < 0:
-                out[-k:] += columns[self.ku - k, :k] * flat[:k]
-        out = out.reshape(y.shape)
-        out[:, n:] = 0.0
-        return out
+        return (self._dia @ y.T).T
 
     def factor(self) -> None:
         gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
@@ -306,106 +278,84 @@ class FluxGeometry:
     Cell faces at midpoints, [0, .] for the first cell, Dirichlet ghost past
     rmax for the last.  Build one per grid and pass it to every evaluation:
     the half-panel moments, the cell volumes and the panel coefficients of
-    the mass integral depend only on the nodes.  They are kept as rows of
-    ``width`` (at least n + 1) for padded stacks of that width (see
-    _nl_rhs); entries past the data are zero, or one for the volumes.
+    the mass integral depend only on the nodes.
     """
 
-    def __init__(self, grid: RadialGrid, width: int | None = None):
+    def __init__(self, grid: RadialGrid):
         r = grid.nodes
-        n = grid.n
-        self.n, self.width = n, n + 1 if width is None else width
         self.mass = EvenPrefixIntegral(r, 2.0)   # int_0^r psi s^2 ds
         mids = 0.5 * (r[:-1] + r[1:])
         u, v = r[:-1], r[1:]
         # int_u^mid psi s^2 ds = cu psi_u + cv psi_v on the interpolant
         m0 = (mids ** 3 - u ** 3) / 3.0
         m1 = (mids ** 4 - u ** 4) / 4.0
-        cv = (m1 - u * m0) / (v - u)
-        self.cu = np.zeros(self.width)
-        self.cu[:n - 1] = m0 - cv
-        # cv of the panel left of each node: it multiplies psi at that node
-        self.cv_left = np.zeros(self.width)
-        self.cv_left[1:n] = cv
+        self.cv = (m1 - u * m0) / (v - u)
+        self.cu = m0 - self.cv
         r_out = r[-1] + 0.5 * (r[-1] - r[-2])
-        self.cell_cubes = np.ones(self.width)
-        self.cell_cubes[:n] = np.diff(np.concatenate(([0.0], mids ** 3,
-                                                      [r_out ** 3])))
+        self.cell_cubes = np.diff(np.concatenate(([0.0], mids ** 3,
+                                                  [r_out ** 3])))
 
 
 def _nl_rhs(values, flux: FluxGeometry) -> np.ndarray:
     """The flux term N(psi) at nodal data, in the form FluxGeometry describes.
 
-    ``values`` is one data set or a stack of them as rows, or a padded
-    stack of rows of ``flux.width`` (n values, then zeros), whose layout
-    the result keeps, with zeros past the data.  Plain data is padded
-    first.  Every neighbour term is one contiguous shifted operation over
-    the whole stack, and the zeros after each row keep it inside the row;
-    the prefix sums run along each row.  So each row is evaluated alone,
-    with the operations of the one-row formula.
+    ``values`` is one data set or a stack of them as rows.  Every neighbour
+    term is a shifted slice along the last axis and the prefix sums run
+    along each row, so each row is evaluated alone, with the operations of
+    the one-row formula.
     """
     psi = np.asarray(values)
-    n = flux.n
-    rows = psi if psi.shape[-1] == flux.width else _padded(psi, flux.width)
-    # (cum + cu psi_j) + cv psi_{j+1} and 0.5 (psi_j + psi_{j+1}) at the
-    # midpoints; past the last node they give the outer face's 0.5 psi cum
-    cum_mid = flux.cu * rows
-    cum_mid[:, :n] += flux.mass(rows[:, :n])
-    cum_mid.reshape(-1)[:-1] += (flux.cv_left * rows).reshape(-1)[1:]
-    phi = rows.copy()
-    phi.reshape(-1)[:-1] += rows.reshape(-1)[1:]
+    psi = psi.astype(np.result_type(psi, float), copy=False)
+    # cum + cu psi_j + cv psi_{j+1} and 0.5 (psi_j + psi_{j+1}) at the
+    # midpoints; at the last node they give the outer face's 0.5 psi cum
+    cum_mid = flux.mass(psi)
+    cum_mid[..., :-1] += flux.cu * psi[..., :-1]
+    cum_mid[..., :-1] += flux.cv * psi[..., 1:]
+    phi = psi.copy()
+    phi[..., :-1] += psi[..., 1:]
     phi *= 0.5
     phi *= cum_mid
-    phi[:, n:] = 0.0   # the inner face of every row's first cell
-    out = phi.copy()
-    out.reshape(-1)[1:] -= phi.reshape(-1)[:-1]
+    out = phi.copy()   # the inner face of the first cell is 0
+    out[..., 1:] -= phi[..., :-1]
     out *= 3.0
     out /= flux.cell_cubes
-    out[:, n:] = 0.0
-    return out if rows is psi else out[:, :n].reshape(psi.shape)
+    return out
 
 
 class _ImexRows:
     """IMEX (Crank-Nicolson + AB2) stepper for a stack of independent runs.
 
     Built once per grid and dt; ``start(psi0)`` then (re)starts it on a
-    stack of initial states, reusing the set-up.  ``psi`` is an (m, n) view
-    whose rows are the current states of the m runs; they live in a padded
-    stack (see _BandMatrix), on which the flux term and the band product
-    run as contiguous operations.  The linear part -Delta_0 + (1/2) Lambda
-    is implicit with one banded LU, reused by every row and step; the
-    quadratic flux is explicit (AB2 after a predictor-corrector first
-    step).  Each solve also returns the explicit half of the next step,
-    so a step makes one band product.  All arithmetic is row-wise, so a
-    row gets the same bits in any batch as alone.
-    ``step()`` advances every row and returns
-    ``{row: message}`` for the rows whose new state fails the negativity
-    guard (min below -_NEGATIVITY_TOL ||Psi||_inf) or the blowup guard;
-    ``last`` holds the states before that step, so a failing row keeps its
-    last valid state.  ``keep(mask)`` retires rows between steps, and
-    ``defect`` is each row's largest relative solve defect.
+    stack of initial states (one data set or the rows of an array of any
+    layout), which it copies into fresh float rows, reusing the set-up.
+    ``psi`` is the C-contiguous (m, n) array of the m runs' current states;
+    each solve returns it so, and gbtrs reads its transpose in place.  The
+    linear part -Delta_0 + (1/2) Lambda is implicit with one banded LU,
+    reused by every row and step; the quadratic flux is explicit (AB2
+    after a predictor-corrector first step).  Each solve also returns the
+    explicit half of the next step, so a step makes one band product.  All
+    arithmetic is row-wise, so a row gets the same bits in any batch as
+    alone.  ``step()`` advances every row and returns ``{row: message}``
+    for the rows whose new state fails the negativity guard (min below
+    -_NEGATIVITY_TOL ||Psi||_inf) or the blowup guard; ``last`` holds the
+    states before that step, so a failing row keeps its last valid state.
+    ``keep(mask)`` retires rows between steps, and ``defect`` is each row's
+    largest relative solve defect.
     """
 
     def __init__(self, grid: RadialGrid, dt: float):
         self.explicit, self._solve = _crank_nicolson(
             assemble_Ll(0, grid, zero_profile=True).entries, dt)
-        self.flux = FluxGeometry(grid, self.explicit.width)
+        self.flux = FluxGeometry(grid)
         self.grid, self.dt = grid, dt
 
-    @property
-    def psi(self) -> np.ndarray:
-        return self._rows[:, :self.grid.n]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self._last[:, :self.grid.n]
-
     def start(self, psi0: np.ndarray) -> "_ImexRows":
-        self._rows = _padded(psi0, self.flux.width)
-        self._last = self._rows
-        self._explicit_half = self.explicit @ self._rows
+        rows = np.atleast_2d(psi0)
+        self.psi = np.array(rows, dtype=np.result_type(rows, float), order="C")
+        self.last = self.psi
+        self._explicit_half = self.explicit @ self.psi
         self.scale0 = np.max(np.abs(self.psi), axis=-1)
-        self.defect = np.zeros(len(self._rows))
+        self.defect = np.zeros(len(self.psi))
         self.k = 0
         self._n_prev = None   # flux term of the state one step back
         return self
@@ -416,18 +366,18 @@ class _ImexRows:
         return x, product
 
     def step(self) -> dict:
-        rows, dt = self._rows, self.dt
-        n_cur = _nl_rhs(rows, self.flux)
+        psi, dt = self.psi, self.dt
+        n_cur = _nl_rhs(psi, self.flux)
         if self.k == 0:
             # predictor-corrector first step keeps the start O(dt^2)
             pred, _ = self._checked_solve(self._explicit_half + dt * n_cur)
             term = 0.5 * (n_cur + _nl_rhs(pred, self.flux))
         else:
             term = 1.5 * n_cur - 0.5 * self._n_prev
-        self._rows, self._explicit_half = self._checked_solve(
+        self.psi, self._explicit_half = self._checked_solve(
             self._explicit_half + dt * term)
         self.k += 1
-        self._last, self._n_prev = rows, n_cur
+        self.last, self._n_prev = psi, n_cur
         tau = self.dt * self.k
         new = self.psi
         scale = np.max(np.abs(new), axis=-1)
@@ -443,7 +393,7 @@ class _ImexRows:
         return failures
 
     def keep(self, mask: np.ndarray) -> None:
-        self._rows, self._n_prev = self._rows[mask], self._n_prev[mask]
+        self.psi, self._n_prev = self.psi[mask], self._n_prev[mask]
         self._explicit_half = self._explicit_half[mask]
         self.scale0, self.defect = self.scale0[mask], self.defect[mask]
 

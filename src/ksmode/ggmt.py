@@ -210,22 +210,29 @@ def ggmt_prefactor(p: float, l: float) -> float:
             / (p ** p * math.gamma(p) ** 2) * (2.0 * l + 1.0) ** (-(2.0 * p - 1.0)))
 
 
+@lru_cache(maxsize=1)
 def negative_part_bracket(V):
     """Bracket the support of V_- by a scan of 512 log-spaced radii in
     [1e-3, 1e3] plus bisection.
 
-    Returns a list of (r_down, r_up) intervals on which V < 0.  Raises if V
-    is negative at either end of the scan (non-compact negative part).
+    Returns a tuple of (r_down, r_up) intervals on which V < 0.  Raises if
+    V is negative at either end of the scan (non-compact negative part).
+    The scan makes one call of V on all its radii (a V that returns one
+    number is constant), the bisection scalar calls.  The bracket of the
+    last V is kept, so l2_pipeline's check of its one well and the
+    ggmt_count of that potential share one bracketing; V must be a
+    hashable function of r alone, as every function is.
     """
     r = np.logspace(-3.0, 3.0, 512)
-    v = np.array([float(V(x)) for x in r])
+    v = np.broadcast_to(np.asarray(V(r), dtype=float), r.shape)
     if v[0] < 0.0 or v[-1] < 0.0:
         raise ValueError("negative part of the potential is not compactly "
                          "supported inside the scan window")
     sign_flips = np.where(np.sign(v[:-1]) != np.sign(v[1:]))[0]
     crossings = [brentq(V, r[i], r[i + 1], xtol=1e-13, rtol=1e-14)
                  for i in sign_flips]
-    return [(crossings[i], crossings[i + 1]) for i in range(0, len(crossings), 2)]
+    return tuple((crossings[i], crossings[i + 1])
+                 for i in range(0, len(crossings), 2))
 
 
 def ggmt_count(p: float, l: float, V) -> float:
@@ -330,6 +337,7 @@ def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
         if len(wells) != 1:
             raise RuntimeError(
                 f"expected a single potential well, found {len(wells)}")
+        # ggmt_count finds the bracket of U kept by negative_part_bracket
         big_n, well = ggmt_count(p, l_eff, U), wells[0]
     a4, b4 = alpha_beta(4.0)
     return GgmtReport(l=l, alpha=alpha, p=p, theta=theta, alphaR=a4, betaR=b4,

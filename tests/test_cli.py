@@ -417,6 +417,15 @@ def test_float_serialization_17_digits(tmp_path):
     assert format(load_summary(tmp_path, "ggmt")["details"]["mu"], ".17g") in text
 
 
+def test_empty_containers_serialize_on_one_line():
+    obj = {"a": [], "b": {}, "c": [[], {}, 1], "d": ()}
+    text = cli._json_text(obj)
+    assert json.loads(text) == {"a": [], "b": {}, "c": [[], {}, 1], "d": []}
+    assert text == ('{\n "a": [],\n "b": {},\n "c": [\n  [],\n  {},\n  1\n ],'
+                    '\n "d": []\n}')
+    assert cli._json_text([]) == "[]" and cli._json_text({}) == "{}"
+
+
 @pytest.mark.parametrize("argv", [["shoot", "--dt", "0.01"],
                                   ["verify-all", "--n", "50"],
                                   ["evolve-linear", "--amplitude", "1"]])
@@ -524,4 +533,6 @@ def test_ggmt_limit_not_positive_fails_certification(tmp_path, capsys):
     assert u_inf["pass"] is False and -0.13 < u_inf["value"] < -0.11
     assert summary["details"]["bigN"] is None
     assert summary["details"]["well"] == []
+    # an empty container is written on one line, as json.dumps writes it
+    assert '"well": []' in (out / "ggmt_summary.json").read_text()
     assert "[FAIL] potential limit at infinity positive" in capsys.readouterr().out

@@ -284,6 +284,33 @@ class TestRowBatch:
                 live = [j for j, k in zip(live, keep) if k]
         assert live == [0, 2]   # 2 Q failed the negativity guard
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_start_takes_any_layout_of_the_stack(self, grid, stack, layout):
+        # start copies the stack into fresh C-ordered rows, so its layout
+        # cannot change a bit
+        given = {"C": stack, "F": np.asfortranarray(stack),
+                 "strided": np.repeat(stack, 2, axis=1)[:, ::2]}[layout]
+        assert np.array_equal(given, stack)
+        batch = evolution._ImexRows(grid, 0.01).start(given)
+        alone = [evolution._ImexRows(grid, 0.01).start(row) for row in stack]
+        for _ in range(5):
+            assert not batch.step()
+            for i, run in enumerate(alone):
+                assert not run.step()
+                assert batch.psi[i].tobytes() == run.psi[0].tobytes()
+                assert batch.defect[i] == run.defect[0]
+
+    def test_rows_stay_c_contiguous(self, grid, stack):
+        # gbtrs then reads the transposed stack as Fortran columns in place
+        run = evolution._ImexRows(grid, 0.01).start(np.asfortranarray(stack))
+        assert run.psi.flags.c_contiguous
+        for k in range(6):
+            run.step()
+            assert run.psi.flags.c_contiguous
+            if k == 2:
+                run.keep(np.array([True, False, True, True]))
+        assert run.psi.shape == (3, grid.n)
+
     def test_corrupted_row_trips_its_own_solve_guard(self, grid,
                                                      monkeypatch):
         # row 1 is a million times smaller than the others, so its defect
@@ -352,7 +379,7 @@ class TestOneProductPerStep:
         monkeypatch.setattr(evolution._BandMatrix, "__matmul__", counted)
         for _ in range(4):
             run.step()
-        assert calls == [(2, run.flux.width)] * 4
+        assert calls == [(2, grid.n)] * 4
 
     def test_dense_step_makes_one_product(self, grid, op0):
         class Counted(np.ndarray):

@@ -237,6 +237,34 @@ class TestCount:
         with pytest.raises(ValueError):
             ggmt.ggmt_count(4.0, 1.0, lambda r: -1.0)
 
+    def test_scan_takes_a_constant_potential(self):
+        # the scan evaluates V on all its radii in one call, and a callable
+        # that returns one number for them all is a constant potential
+        assert ggmt.negative_part_bracket(lambda r: 1.0) == ()
+        assert ggmt.ggmt_count(4.0, 1.0, lambda r: 1.0) == 0.0
+
+    def test_pipeline_brackets_the_well_once(self, monkeypatch):
+        # a bracketing is one scan, one call of U on an array of radii;
+        # the pipeline's well check and its count share one
+        scans = []
+        potential = ggmt.schrodinger_potential
+        big_n = ggmt.l2_pipeline().bigN
+
+        def counted(*args):
+            U, big_l = potential(*args)
+
+            def scanned(r):
+                scans.append(np.ndim(r))
+                return U(r)
+            return scanned, big_l
+
+        monkeypatch.setattr(ggmt, "schrodinger_potential", counted)
+        for _ in range(2):
+            scans.clear()
+            rep = ggmt.l2_pipeline()
+            assert scans.count(1) == 1
+            assert rep.bigN == big_n
+
 
 class TestPipeline:
     def test_all_scalars(self):
