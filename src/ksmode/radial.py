@@ -18,13 +18,17 @@ names the one its data obeys; none is fitted to the data:
 * the even quadratic through the first two nodes (EvenPrefixIntegral),
   which cumulative_power_integral uses for p = 0;
 * the cubic through the first four nodes, the origin panel of the
-  piecewise-cubic rule cumulative_power_integral_cubic, which takes
-  integer exponents a >= 0 only.
+  piecewise-cubic rule cumulative_power_integral_cubic.  That rule
+  integrates the cubic through each panel's four nearest nodes against
+  s^a as a sum of closed-form Lagrange weights times the nodal data; it
+  takes integer exponents a >= 0 only, so each panel moment is a finite
+  binomial sum.
 
 The dense matrices of operators.py use the power model at every p: a
 constant class-0 panel.  They are triangular, and each column is fixed by
 two closed-form weights (prefix_column_weights, suffix_column_weights):
-the sums the running integrals form for a unit vector, bit for bit.
+the sums the running integrals form for a unit vector, bit for bit.  Those
+matrices treat the data as zero beyond rmax.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
@@ -226,13 +230,14 @@ def prefix_column_weights(nodes: np.ndarray, a: float, p: float):
 
 
 def suffix_column_weights(nodes: np.ndarray, a: float):
-    """Columns (diag, above) of the matrix of suffix_power_integral, no tail.
+    """Columns (diag, above) of the matrix of the suffix integral to rmax.
 
-    The suffix integral of e_j is diag_j = cu_j at node j (0 at the last
-    node) and above_j = cu_j + cv_{j-1} before it, the one nonzero sum of
-    the running sum from rmax inwards.  The matrix is upper triangular with
-    diag on its diagonal and above_j over it in column j (above_0 repeats
-    diag_0; no row lies above it).
+    The suffix integral of e_j, zero beyond rmax, is diag_j = cu_j at node
+    j (0 at the last node) and above_j = cu_j + cv_{j-1} before it: the one
+    nonzero sum of suffix_power_integral's running sum from rmax inwards,
+    before its fitted tail.  The matrix is upper triangular with diag on its
+    diagonal and above_j over it in column j (above_0 repeats diag_0; no
+    row lies above it).
     """
     cu, cv = panel_coefficients(a, nodes)
     diag = np.append(cu, 0.0)
@@ -274,11 +279,16 @@ def _panel_moments(a: int, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
     I_m = sum_j C(a, j) u^(a-j) delta^(m+j+1) / (m+j+1).  Every term is
     positive, so the sum cannot cancel, whatever the ratio delta/u.
     """
+    u_pow = [np.ones_like(u)]
+    for _ in range(a):
+        u_pow.append(u_pow[-1] * u)
+    d_pow = [delta]            # d_pow[k] = delta^(k+1)
+    for _ in range(a + 3):
+        d_pow.append(d_pow[-1] * delta)
     out = np.zeros((4, u.size))
     for m in range(4):
         for j in range(a + 1):
-            out[m] += (math.comb(a, j) / (m + j + 1)) * u ** (a - j) \
-                * delta ** (m + j + 1)
+            out[m] += (math.comb(a, j) / (m + j + 1)) * u_pow[a - j] * d_pow[m + j]
     return out
 
 
@@ -286,11 +296,15 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndar
     """I_i = int_0^{r_i} f(s) s^a ds, exact on the piecewise-cubic interpolant.
 
     Each panel integrates the cubic through its four nearest nodes against
-    s^a in closed form (panel-local coordinates keep the Vandermonde solves
-    well conditioned).  The origin panel [0, r_1] uses the first four nodes'
-    cubic, whose extrapolation error below r_1 is O(h^4).  The exponent a
-    must be an integer >= 0.  Used where a downstream 1/r^4-type factor
-    would amplify piecewise-linear error, e.g. by the intertwining map.
+    s^a in closed form, as sum_k w_k f_k over those nodes.  In panel-local
+    coordinates t = s - r_j with support nodes x_k, the Lagrange weight is
+    w_k = (I_3 - e_1 I_2 + e_2 I_1 - e_3 I_0) / prod_{i != k} (x_k - x_i),
+    with e_1, e_2, e_3 the elementary symmetric sums of the other three
+    nodes and I_m the panel moments.  The origin panel [0, r_1] uses the
+    first four nodes' cubic, whose extrapolation error below r_1 is O(h^4).
+    The exponent a must be an integer >= 0.  Used where a downstream
+    1/r^4-type factor would amplify piecewise-linear error, e.g. by the
+    intertwining map.
     """
     if not (float(a).is_integer() and a >= 0):
         raise ValueError(f"the cubic rule takes integer a >= 0, got {a}")
@@ -299,11 +313,18 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndar
     r = grid.nodes
     n = grid.n
     s0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)
-    support = s0[:, None] + np.arange(4)[None, :]
-    x = r[support] - r[:-1][:, None]
-    vander = x[..., None] ** np.arange(4)[None, None, :]
-    coeffs = np.linalg.solve(vander, f[support][..., None])[..., 0]
-    panel = np.einsum("jm,mj->j", coeffs, _panel_moments(a, r[:-1], np.diff(r)))
+    support = np.arange(4)[:, None] + s0     # (4, n - 1): node k of panel j
+    x = r[support] - r[:-1]
+    i0, i1, i2, i3 = _panel_moments(a, r[:-1], np.diff(r))
+    panel = np.zeros(n - 1, dtype=np.result_type(f, float))
+    for k in range(4):
+        xa, xb, xc = (x[i] for i in range(4) if i != k)
+        e1 = xa + xb + xc
+        e2 = xa * xb + (xa + xb) * xc
+        e3 = xa * xb * xc
+        weight = (i3 - e1 * i2 + e2 * i1 - e3 * i0) \
+            / ((x[k] - xa) * (x[k] - xb) * (x[k] - xc))
+        panel += weight * f[support[k]]
 
     # origin panel: cubic through the first four nodes in coords t = s - r_1;
     # int_0^{r1} (s-r1)^m s^a ds = r1^{a+m+1} sum_k C(m,k)(-1)^{m-k}/(a+k+1)
@@ -343,32 +364,29 @@ def fit_tail_exponent(values, grid: RadialGrid):
     return float(c), float(q)
 
 
-def suffix_power_integral(values, grid: RadialGrid, a: float,
-                          tail: bool = True) -> np.ndarray:
-    """J_i = int_{r_i}^{rmax or inf} f(s) s^a ds, exact on the interpolant.
+def suffix_power_integral(values, grid: RadialGrid, a: float) -> np.ndarray:
+    """J_i = int_{r_i}^inf f(s) s^a ds for one data set.
 
-    With ``tail=True`` (default) the integral extends to infinity using the
-    fitted power-law tail of one data set; a fitted exponent q with
-    q + a >= -1 - _TAIL_MARGIN raises DivergentTailError.  With ``tail=False``
-    f is zero beyond rmax and may be a stack of data sets (leading axes).
+    Exact on the interpolant up to rmax; beyond it the fitted power-law
+    tail of the data, and a fitted exponent q with q + a >= -1 - _TAIL_MARGIN
+    raises DivergentTailError.
     """
     values = np.asarray(values)
-    if tail and values.ndim != 1:
+    if values.ndim != 1:
         raise ValueError("the fitted tail takes one data set")
     cu, cv = panel_coefficients(a, grid.nodes)
     out = np.empty(values.shape, dtype=np.result_type(values, float))
-    out[..., -1] = 0.0
-    sums = out[..., -2::-1]   # running sums from rmax inwards, in place
-    np.multiply(cu, values[..., :-1], out=out[..., :-1])
-    out[..., :-1] += cv * values[..., 1:]
-    np.cumsum(sums, axis=-1, out=sums)
-    if tail:
-        c, qexp = fit_tail_exponent(values, grid)
-        if c != 0.0:
-            if qexp + a >= -1.0 - _TAIL_MARGIN:
-                raise DivergentTailError(
-                    f"fitted tail exponent {qexp:.3g} too weak for int s^{a} ds")
-            out += c * grid.rmax ** (qexp + a + 1.0) / (-(qexp + a + 1.0))
+    out[-1] = 0.0
+    sums = out[-2::-1]   # running sums from rmax inwards, in place
+    np.multiply(cu, values[:-1], out=out[:-1])
+    out[:-1] += cv * values[1:]
+    np.cumsum(sums, out=sums)
+    c, qexp = fit_tail_exponent(values, grid)
+    if c != 0.0:
+        if qexp + a >= -1.0 - _TAIL_MARGIN:
+            raise DivergentTailError(
+                f"fitted tail exponent {qexp:.3g} too weak for int s^{a} ds")
+        out += c * grid.rmax ** (qexp + a + 1.0) / (-(qexp + a + 1.0))
     return out
 
 

@@ -582,9 +582,19 @@ def cosine_similarity(values_a, values_b, weights) -> float:
 
 
 def schrodinger_spectrum_check(a: OperatorMatrix) -> float:
-    """Smallest Ritz value of a symmetric comparison operator; a matrix that
-    is not symmetric, such as L_l, raises."""
+    """Smallest Ritz value of a symmetric tridiagonal comparison operator.
+
+    The value is the bottom eigenvalue of the matrix's (diag, off) band by
+    scipy.linalg.eigvalsh_tridiagonal.  A matrix that is not symmetric, such
+    as L_l, raises, and so does one with an entry outside the three
+    diagonals, which the band would drop.
+    """
     sym_defect = np.max(np.abs(a.entries - a.entries.T))
     if sym_defect > 1e-10 * max(1.0, np.max(np.abs(a.entries))):
         raise ValueError(f"matrix is not symmetric (defect {sym_defect:.2e})")
-    return float(scipy.linalg.eigvalsh(a.entries)[0])
+    lower, upper = scipy.linalg.bandwidth(a.entries)
+    if max(lower, upper) > 1:
+        raise ValueError(f"matrix is not tridiagonal (bandwidth {lower}, {upper})")
+    return float(scipy.linalg.eigvalsh_tridiagonal(
+        np.diag(a.entries), np.diag(a.entries, 1),
+        select="i", select_range=(0, 0))[0])

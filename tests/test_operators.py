@@ -11,8 +11,7 @@ import scipy.linalg
 from ksmode import ggmt, operators, profile, spectra
 from ksmode.radial import (RadialFunction, cumulative_power_integral,
                            deriv_stencil, make_grid, panel_coefficients,
-                           power_prefix_integral, suffix_power_integral,
-                           three_point)
+                           power_prefix_integral, three_point)
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -358,8 +357,9 @@ class TestCumulativeBlocks:
 
 
 # -- L_l and the Schroedinger matrix as one dense expression each, over dense
-# -- finite-difference matrices and blocks that integrate np.eye(n): the
-# -- oracles of the assemblies from column weights and bands
+# -- finite-difference matrices, prefix blocks that integrate np.eye(n) and
+# -- the explicit cumsum suffix blocks: the oracles of the assemblies from
+# -- column weights and bands
 
 def dense_fd_matrix(grid, order, l):
     h = grid.cell_spacings()
@@ -372,12 +372,11 @@ def dense_fd_matrix(grid, order, l):
 
 def eye_dk_inv_matrix(grid, k, origin_power=0.0):
     r = grid.nodes
-    eye = np.eye(grid.n)
     if k > 0:
-        block = power_prefix_integral(eye, r, k, origin_power).T
+        block = power_prefix_integral(np.eye(grid.n), r, k, origin_power).T
         return np.multiply((r ** (-k))[:, None], block, order="C")
-    block = suffix_power_integral(eye, grid, k, tail=False).T
-    return np.multiply((-(r ** (-k)))[:, None], block, order="C")
+    return np.multiply((-(r ** (-k)))[:, None], upper_cum_matrix(grid, k),
+                       order="C")
 
 
 def eye_deriv_deltal_inv_matrix(grid, l):

@@ -1,5 +1,7 @@
 """Grids, quadrature and the first-order operator calculus."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,8 +12,9 @@ from ksmode.radial import (DivergentTailError, RadialFunction, RadialGrid,
                            cumulative_power_integral_cubic, delta_l_inverse,
                            EvenPrefixIntegral, deriv_deltal_inverse,
                            deriv_stencil, dk_inverse, fd_deriv,
-                           fit_tail_exponent, make_grid, power_prefix_integral,
-                           suffix_power_integral, weighted_inner)
+                           fit_tail_exponent, make_grid, panel_coefficients,
+                           power_prefix_integral, suffix_power_integral,
+                           weighted_inner)
 
 
 def gaussian_bump(r, center=5.0, width=1.5):
@@ -60,6 +63,49 @@ def cubic_deriv_delta1_inverse(f: RadialFunction) -> np.ndarray:
     d3inv = cumulative_power_integral_cubic(f.values, f.grid, 3.0) / r ** 3
     d0inv = -suffix_power_integral(f.values, f.grid, 0.0)
     return (2.0 * d3inv + d0inv) / 3.0
+
+
+def vandermonde_cubic(values, grid, a: int) -> np.ndarray:
+    """The piecewise-cubic prefix integral by one 4x4 Vandermonde solve per
+    panel for the interpolant's coefficients in panel-local coordinates,
+    dotted with the panel moments (float powers)."""
+    f = np.asarray(values)
+    r = grid.nodes
+    n = grid.n
+    s0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)
+    support = s0[:, None] + np.arange(4)[None, :]
+    x = r[support] - r[:-1][:, None]
+    vander = x[..., None] ** np.arange(4)[None, None, :]
+    coeffs = np.linalg.solve(vander, f[support][..., None])[..., 0]
+    u, delta = r[:-1], np.diff(r)
+    moments = np.zeros((4, n - 1))
+    for m in range(4):
+        for j in range(a + 1):
+            moments[m] += (math.comb(a, j) / (m + j + 1)) * u ** (a - j) \
+                * delta ** (m + j + 1)
+    panel = np.einsum("jm,mj->j", coeffs, moments)
+    x0 = r[:4] - r[0]
+    c0 = np.linalg.solve(x0[:, None] ** np.arange(4)[None, :], f[:4])
+    m_origin = np.array([
+        r[0] ** (a + m + 1.0)
+        * sum(math.comb(m, k) * (-1.0) ** (m - k) / (a + k + 1.0) for k in range(m + 1))
+        for m in range(4)])
+    origin = c0 @ m_origin
+    return np.concatenate(([origin], origin + np.cumsum(panel)))
+
+
+def suffix_to_rmax(values, grid, a: float) -> np.ndarray:
+    """int_{r_i}^{rmax} f s^a ds on the interpolant, f = 0 beyond rmax: the
+    running sum of the panel integrals from rmax inwards, for one data set
+    or a stack of them along the leading axes."""
+    values = np.asarray(values)
+    cu, cv = panel_coefficients(a, grid.nodes)
+    out = np.zeros(values.shape, dtype=np.result_type(values, float))
+    sums = out[..., -2::-1]
+    np.multiply(cu, values[..., :-1], out=out[..., :-1])
+    out[..., :-1] += cv * values[..., 1:]
+    np.cumsum(sums, axis=-1, out=sums)
+    return out
 
 
 class TestMakeGrid:
@@ -383,10 +429,40 @@ class TestCumulative:
                              g.nodes[i], epsabs=1e-13)
             assert abs(out[i] - oracle) < 5e-8
 
+    # criterion 4's grids and data: T on Q' and r, and the commutator inputs
+    CRITERION_4 = [pytest.param(20000, 60.0, id="20000-60")] + [
+        pytest.param(n, 40.0, id=f"{n}-40") for n in (2000, 4000, 8000)]
+
+    @pytest.mark.parametrize("n,rmax", CRITERION_4)
+    def test_cubic_matches_vandermonde_rule(self, n, rmax):
+        # the Lagrange weights and the per-panel solves integrate one
+        # interpolant; they differ by round-off only
+        g = make_grid(n, rmax)
+        r = g.nodes
+        for vals in (profile.q_deriv(r, 1), r, r * np.exp(-r * r / 4.0),
+                     r / (1.0 + r * r) ** 3, r * np.exp(-(r - 3.0) ** 2)):
+            for a in (0, 3):
+                want = vandermonde_cubic(vals, g, a)
+                got = cumulative_power_integral_cubic(vals, g, a)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_cubic_solves_only_the_origin_panel(self, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(mat, rhs):
+            calls.append(np.shape(mat))
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        g = make_grid(2000, 40.0)
+        cumulative_power_integral_cubic(profile.q_deriv(g.nodes, 1), g, 3)
+        assert calls == [(4, 4)]
+
     def test_suffix_with_tail_matches_improper_integral(self):
         g = make_grid(4000, 200.0)
         vals = 1.0 / (1.0 + g.nodes ** 2) ** 2
-        out = suffix_power_integral(vals, g, 1.0, tail=True)
+        out = suffix_power_integral(vals, g, 1.0)
         i = np.argmin(np.abs(g.nodes - 5.0))
         oracle, _ = quad(lambda s: s / (1.0 + s * s) ** 2, g.nodes[i], np.inf)
         assert abs(out[i] - oracle) < 2e-4 * oracle
@@ -409,9 +485,8 @@ class TestCumulative:
         assert np.array_equal(
             cumulative_power_integral(ints, g, 2.0, origin_power),
             cumulative_power_integral(floats, g, 2.0, origin_power))
-        for a, tail in ((0.0, False), (-4.0, True)):
-            assert np.array_equal(suffix_power_integral(ints, g, a, tail),
-                                  suffix_power_integral(floats, g, a, tail))
+        assert np.array_equal(suffix_power_integral(ints, g, -4.0),
+                              suffix_power_integral(floats, g, -4.0))
         ones = cumulative_power_integral(np.ones(20, dtype=int), g, 0.0, 0.0)
         assert np.allclose(ones, g.nodes, rtol=1e-12)
 
@@ -457,7 +532,8 @@ class TestClass0OriginModels:
 
 class TestStackedIntegrals:
     """A stack of data sets along the leading axes integrates row by row,
-    bit for bit like one call per row."""
+    bit for bit like one call per row.  The suffix integral takes one data
+    set; the stacked oracle of its running sums agrees with it row by row."""
 
     @staticmethod
     def stack(grid, shape, dtype=float):
@@ -470,13 +546,16 @@ class TestStackedIntegrals:
     @pytest.mark.parametrize("shape", [(4,), (2, 3)])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_suffix_rows(self, shape, dtype):
+        # the stacked running sums of the oracle are, row by row, the bits of
+        # suffix_power_integral on data that vanishes near rmax (no tail)
         g = make_grid(64, 10.0, ("geometric", 1.05))
         data = self.stack(g, shape, dtype)
+        data[..., -8:] = 0.0
         for a in (1.0, -2.2, 0.0):
-            got = suffix_power_integral(data, g, a, tail=False)
+            got = suffix_to_rmax(data, g, a)
             for idx in np.ndindex(shape):
                 assert np.array_equal(
-                    got[idx], suffix_power_integral(data[idx], g, a, tail=False))
+                    got[idx], suffix_power_integral(data[idx], g, a))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3)])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -505,4 +584,4 @@ class TestStackedIntegrals:
     def test_fitted_tail_takes_one_data_set(self):
         g = make_grid(64, 10.0)
         with pytest.raises(ValueError, match="one data set"):
-            suffix_power_integral(np.ones((2, g.n)), g, -4.0, tail=True)
+            suffix_power_integral(np.ones((2, g.n)), g, -4.0)

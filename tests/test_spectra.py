@@ -661,3 +661,25 @@ def test_schrodinger_check_refuses_a_matrix_that_is_not_symmetric():
     a = operators.assemble_Ll(0, grid)
     with pytest.raises(ValueError, match="not symmetric"):
         spectra.schrodinger_spectrum_check(a)
+
+
+def test_schrodinger_check_refuses_an_entry_outside_the_band():
+    # the band solver reads three diagonals: a symmetric entry beyond them
+    # would drop out of the answer unseen
+    a = operators.assemble_tilde_L1_prime(make_grid(64, 20.0))
+    a.entries[0, 2] = a.entries[2, 0] = 1e-3
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        spectra.schrodinger_spectrum_check(a)
+
+
+def test_schrodinger_check_makes_no_dense_eigensolve(monkeypatch):
+    grid = make_grid(800, 40.0, ("geometric", 30.0 ** (1.0 / 799.0)))
+    a = operators.assemble_tilde_L1_prime(grid)
+    dense = scipy.linalg.eigvalsh(a.entries, subset_by_index=[0, 0])[0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense symmetric eigensolve")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name, refused)
+    assert spectra.schrodinger_spectrum_check(a) == pytest.approx(dense, rel=1e-12)
