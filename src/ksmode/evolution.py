@@ -9,14 +9,14 @@ Nonlinear runs integrate the radial renormalized equation
 
     d_tau Psi = Delta_0 Psi - (1/2) Lambda Psi + (1/r^2) d_r(r^2 Psi D_2^{-1} Psi)
 
-with an IMEX scheme: the stiff linear part is Crank-Nicolson (its matrix is
-banded, so one banded LU, reused every step, makes a step O(n)), the flux
-term second-order Adams-Bashforth after a predictor-corrector first step.
-One stepper advances a stack of independent states, the rows of a plain
-(m, n) array, with row-wise arithmetic only: the band product is scipy's
-DIA product, the flux term's neighbour terms are shifted slices along the
-rows and the banded solve takes the rows as its right-hand sides.  So a
-row gets the same bits in a batch as alone.
+with an IMEX scheme: the stiff linear part is Crank-Nicolson on the band
+of the local operator (operators.local_band; one banded LU, reused every
+step, makes a step O(n)), the flux term second-order Adams-Bashforth after
+a predictor-corrector first step.  One stepper advances a stack of
+independent states, the rows of a plain (m, n) array, with row-wise
+arithmetic only: the band product and solve act on each row alone
+(operators.BandMatrix), the flux term's neighbour terms are shifted slices
+along the rows.  So a row gets the same bits in a batch as alone.
 The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import profile
-from .operators import assemble_Ll, r2_mass_weights, OperatorMatrix
+from .operators import (BandMatrix, OperatorMatrix, assemble_Ll,
+                        local_band, r2_mass_weights)
 from .radial import EvenPrefixIntegral, RadialFunction, RadialGrid, \
     cumulative_power_integral, fd_deriv
 
@@ -137,84 +137,27 @@ def _check_solve(x, product, rhs, lhs_norm):
     return np.divide(defect, denom, out=np.zeros_like(defect), where=defect > 0)
 
 
-class _BandMatrix:
-    """A matrix with kl subdiagonals and ku superdiagonals, kept as diagonals.
-
-    ``@`` applies it in O(n); after ``factor()`` (LAPACK gbtrf), ``solve``
-    runs gbtrs.  Both take one vector or a stack of them as the rows of an
-    (m, n) array, and act on each row alone.  The product is scipy's DIA
-    product on the columns of the transposed stack, which sums each entry
-    over the diagonals in offset order, the same for a stack as for one
-    row.  The solve is one gbtrs call with m right-hand sides, the columns
-    of the transposed view, which is Fortran-ordered for a C-ordered stack.
-    The diagonals sit in LAPACK band layout: row ku + i - j of ``band``
-    holds m[i, j], and column j of band row ku - k multiplies y_j, as in
-    the DIA layout of offset k.
-    """
-
-    def __init__(self, m: np.ndarray, kl: int, ku: int):
-        n = m.shape[0]
-        self.kl, self.ku = kl, ku
-        self.band = np.zeros((kl + ku + 1, n), dtype=m.dtype)
-        for k in range(-kl, ku + 1):
-            lo, hi = max(-k, 0), n - max(k, 0)
-            self.band[ku - k, lo + k:hi + k] = np.diagonal(m, k)
-        self._dia = scipy.sparse.dia_array(
-            (self.band[::-1].copy(), np.arange(-kl, ku + 1)), shape=(n, n))
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        return (self._dia @ y.T).T
-
-    def factor(self) -> None:
-        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
-                                                           (self.band,))
-        # gbtrf keeps the fill-in of its row pivoting in kl extra top rows
-        fill = np.zeros((self.kl, self.band.shape[1]), dtype=self.band.dtype)
-        self._lu, self._piv, info = gbtrf(np.vstack((fill, self.band)),
-                                          self.kl, self.ku)
-        if info != 0:
-            raise EvolutionError("banded LU of the implicit matrix failed "
-                                 f"(LAPACK info {info})")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
-            # gbtrs is typed: solve the real and imaginary parts together
-            x = self.solve(np.concatenate((np.atleast_2d(rhs.real),
-                                           np.atleast_2d(rhs.imag))))
-            half = len(x) // 2
-            return (x[:half] + 1j * x[half:]).reshape(rhs.shape)
-        x = self._gbtrs(self._lu, self.kl, self.ku, np.atleast_2d(rhs).T,
-                        self._piv)[0]
-        return x.T.reshape(rhs.shape)
-
-
-def _crank_nicolson(a: np.ndarray, dt: float):
+def _crank_nicolson(a: BandMatrix | np.ndarray, dt: float):
     """Crank-Nicolson for y' = -A y.
 
     Returns ``(explicit, solve)``: ``explicit @ y`` is (I - dt/2 A) y and
     ``solve(rhs)`` returns x = (I + dt/2 A)^{-1} rhs, ``explicit @ x``
     (the next step's explicit half) and the relative defect from
     _check_solve, which checks every solve with that product, so a step
-    makes one product with the operator.  When the band
-    storage of A is smaller than the dense matrix (the local IMEX operator
-    has one subdiagonal and, from the origin ghost, two superdiagonals, so
-    every grid of at least MIN_NODES nodes qualifies) the left side is
-    factored once by LAPACK gbtrf and both sides are applied from their
-    diagonals, so a step is O(n) and both take a stack of rows (see
-    _BandMatrix); a dense A such as L_l gets one dense LU and one vector.
+    makes one product with the operator.  A BandMatrix A (the local IMEX
+    operator) keeps both sides on its band: the left side is factored once
+    by LAPACK gbtrf, so a step is O(n) and takes a stack of rows; a dense A
+    such as L_l gets one dense LU and one vector.
     """
-    n = a.shape[0]
-    eye = np.eye(n)
-    lhs = eye + 0.5 * dt * a
-    explicit = eye - 0.5 * dt * a
-    lhs_norm = np.linalg.norm(lhs, np.inf)
-    kl, ku = scipy.linalg.bandwidth(a)
-    if 2 * kl + ku + 1 < n:   # gbtrf's band storage is (2 kl + ku + 1) x n
-        lhs = _BandMatrix(lhs, kl, ku)
-        explicit = _BandMatrix(explicit, kl, ku)
+    if isinstance(a, BandMatrix):
+        lhs, explicit = a.eye_plus(0.5 * dt), a.eye_plus(-0.5 * dt)
+        lhs_norm = lhs.norm_inf()
         lhs.factor()
         backsolve = lhs.solve
     else:
+        eye = np.eye(a.shape[0])
+        lhs, explicit = eye + 0.5 * dt * a, eye - 0.5 * dt * a
+        lhs_norm = np.linalg.norm(lhs, np.inf)
         lu = scipy.linalg.lu_factor(lhs)
 
         def backsolve(rhs):
@@ -345,7 +288,7 @@ class _ImexRows:
 
     def __init__(self, grid: RadialGrid, dt: float):
         self.explicit, self._solve = _crank_nicolson(
-            assemble_Ll(0, grid, zero_profile=True).entries, dt)
+            local_band(0, grid, zero_profile=True), dt)
         self.flux = FluxGeometry(grid)
         self.grid, self.dt = grid, dt
 

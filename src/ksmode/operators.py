@@ -1,10 +1,12 @@
-"""Dense matrix discretizations of the class-l linearized operators.
+"""Matrix discretizations of the class-l linearized operators.
 
 Local terms use second-order finite differences with ghost-node elimination:
 the origin ghost sits at r = 0 and carries the class-l indicial model
 f ~ A r^l (for l = 0 the even quartic a + b r^2 + c r^4, quadratic in r^2,
 through the first three nodes; zero for l >= 1, as for Dirichlet); the
-outer ghost one spacing past rmax is homogeneous Dirichlet.
+outer ghost one spacing past rmax is homogeneous Dirichlet.  Every local
+operator lives on its band: a BandMatrix, or the (diag, off) pair of the
+symmetric Schroedinger form; the nonlocal term makes L_l dense.
 
 Nonlocal terms never differentiate the kernel:
 
@@ -27,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from . import profile
 from .radial import (RadialGrid, power_moment, prefix_column_weights,
@@ -34,10 +38,11 @@ from .radial import (RadialGrid, power_moment, prefix_column_weights,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
-    "OperatorMatrix", "assemble_Ll", "assemble_tilde_L1_prime", "apply_Ll",
-    "kernel_deltal_inv_matrix", "factorized_deltal_inv_matrix",
-    "deriv_deltal_inv_matrix", "kernel_deriv_deltal_inv_matrix",
-    "dk_inv_matrix", "deriv1_matrix", "deriv2_matrix", "r2_mass_weights",
+    "OperatorMatrix", "BandMatrix", "assemble_Ll", "local_band",
+    "assemble_tilde_L1_prime", "apply_Ll", "kernel_deltal_inv_matrix",
+    "factorized_deltal_inv_matrix", "deriv_deltal_inv_matrix",
+    "kernel_deriv_deltal_inv_matrix", "dk_inv_matrix", "deriv1_matrix",
+    "deriv2_matrix", "r2_mass_weights",
 ]
 
 
@@ -47,6 +52,72 @@ class OperatorMatrix:
     grid: RadialGrid
     l: int
     entries: np.ndarray
+
+
+class BandMatrix:
+    """A square matrix with kl subdiagonals and ku superdiagonals, kept as
+    LAPACK band rows: ``band[ku + i - j, j]`` is entry (i, j), so band row
+    ku - k is diagonal k aligned by column, as in the DIA layout of offset
+    k; entries that fall outside the matrix are never read.  ``@`` (scipy's
+    DIA product, summing each entry over the diagonals in ascending offset
+    order) and ``solve`` after ``factor()`` (LAPACK gbtrf, then one gbtrs
+    call with the columns of the transposed stack, Fortran-ordered for a
+    C-ordered one, as right-hand sides) take one vector or the rows of an
+    (m, n) stack, and act on each row alone, with the same bits.
+    """
+
+    def __init__(self, band: np.ndarray, kl: int, ku: int):
+        self.band, self.kl, self.ku, self.n = band, kl, ku, band.shape[1]
+        self._dia = scipy.sparse.dia_array(
+            (band[::-1].copy(), np.arange(-kl, ku + 1)), shape=(self.n, self.n))
+        self._rows = np.arange(self.n) + np.arange(-ku, kl + 1)[:, None]
+
+    def at_rows(self, v: np.ndarray) -> np.ndarray:
+        """v_i at every band entry (i, j), the nearest row's at the padding."""
+        return v[np.clip(self._rows, 0, self.n - 1)]
+
+    def add_to(self, a: np.ndarray) -> np.ndarray:
+        """a + M in place, one addition per band entry; returns ``a``."""
+        inside = (self._rows >= 0) & (self._rows < self.n)
+        a[self._rows[inside], np.nonzero(inside)[1]] += self.band[inside]
+        return a
+
+    def toarray(self) -> np.ndarray:
+        return self.add_to(np.zeros((self.n, self.n), dtype=self.band.dtype))
+
+    def eye_plus(self, c: float) -> BandMatrix:
+        """I + c M on the same band."""
+        band = c * self.band
+        band[self.ku] += 1.0
+        return BandMatrix(band, self.kl, self.ku)
+
+    def norm_inf(self) -> float:
+        """max_i sum_j |m_ij|, each row summed in ascending offset order."""
+        return float(np.max(abs(self._dia) @ np.ones(self.n)))
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        return (self._dia @ y.T).T
+
+    def factor(self) -> None:
+        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
+                                                           (self.band,))
+        # gbtrf keeps the fill-in of its row pivoting in kl extra top rows
+        fill = np.zeros((self.kl, self.n), dtype=self.band.dtype)
+        self._lu, self._piv, info = gbtrf(np.vstack((fill, self.band)),
+                                          self.kl, self.ku)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded LU failed (LAPACK info {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
+            # gbtrs is typed: solve the real and imaginary parts together
+            x = self.solve(np.concatenate((np.atleast_2d(rhs.real),
+                                           np.atleast_2d(rhs.imag))))
+            half = len(x) // 2
+            return (x[:half] + 1j * x[half:]).reshape(rhs.shape)
+        x = self._gbtrs(self._lu, self.kl, self.ku, np.atleast_2d(rhs).T,
+                        self._piv)[0]
+        return x.T.reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -68,27 +139,29 @@ def _origin_ghost_coeffs(grid: RadialGrid, l: int) -> np.ndarray:
                      x[0] * x[1] / ((x[0] - x[2]) * (x[1] - x[2]))])
 
 
-def _fd_matrix(grid: RadialGrid, order: int, l: int) -> np.ndarray:
-    """Derivative matrix of given order on class-l data, ghosts eliminated."""
+def _fd_matrix(grid: RadialGrid, order: int, l: int) -> BandMatrix:
+    """Derivative matrix of given order on class-l data, ghosts eliminated:
+    kl = 1, and ku = 2 where the class-0 origin ghost reaches entry (0, 2)."""
     h = grid.cell_spacings()
     # three-point weights of every row, ghost rows included; the outer ghost
     # value is 0 (Dirichlet), the origin ghost's weight goes to its model
     wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
-    n = grid.n
-    a = np.zeros((n, n))
-    a.flat[n::n + 1] = wl[1:]
-    a.flat[::n + 1] = wc
-    a.flat[1::n + 1] = wr[:-1]
     ghost = _origin_ghost_coeffs(grid, l)
-    a[0, :ghost.size] += wl[0] * ghost
-    return a
+    ku = max(1, ghost.size - 1)
+    band = np.zeros((ku + 2, grid.n))
+    band[ku - 1, 1:] = wr[:-1]
+    band[ku] = wc
+    band[ku + 1, :-1] = wl[1:]
+    cols = np.arange(ghost.size)
+    band[ku - cols, cols] += wl[0] * ghost   # entries (0, j) of row 0
+    return BandMatrix(band, 1, ku)
 
 
-def deriv1_matrix(grid: RadialGrid, l: int) -> np.ndarray:
+def deriv1_matrix(grid: RadialGrid, l: int) -> BandMatrix:
     return _fd_matrix(grid, 1, l)
 
 
-def deriv2_matrix(grid: RadialGrid, l: int) -> np.ndarray:
+def deriv2_matrix(grid: RadialGrid, l: int) -> BandMatrix:
     return _fd_matrix(grid, 2, l)
 
 
@@ -222,12 +295,27 @@ def r2_mass_weights(grid: RadialGrid) -> np.ndarray:
 # operator assemblies
 # ---------------------------------------------------------------------------
 
-def _band_positions(n: int):
-    """(rows, cols) of the entries a local operator fills: the tridiagonal
-    band and entry (0, 2), where the class-0 origin ghost reaches."""
-    i = np.arange(n)
-    return (np.concatenate((i[1:], i, i[:-1], [0])),
-            np.concatenate((i[:-1], i, i[1:], [2])))
+def local_band(l: int, grid: RadialGrid, zero_profile: bool = False) -> BandMatrix:
+    """The local part of L_l on the band of its derivative matrices,
+
+        -(d2 + (2/r) d1 - l(l+1)/r^2) + (r/2) d1 + 1 - 2Q - (D_2^{-1}Q) d1,
+
+    entry by entry in the order of that dense expression; with
+    ``zero_profile`` the Q-dependent terms are dropped.
+    """
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    r = grid.nodes
+    d1, d2 = deriv1_matrix(grid, l), deriv2_matrix(grid, l)
+    ri = d1.at_rows(r)
+    on_diag = (np.arange(d1.band.shape[0]) == d1.ku)[:, None]
+    lap = d2.band + (2.0 / ri) * d1.band \
+        - np.where(on_diag, l * (l + 1) / (ri * ri), 0.0)
+    local = -lap + (0.5 * ri) * d1.band + on_diag
+    if not zero_profile:
+        local -= np.where(on_diag, 2.0 * d1.at_rows(profile.q(r)), 0.0)
+        local -= d1.at_rows(profile.d2inv_q_closed(r)) * d1.band
+    return BandMatrix(local, d1.kl, d1.ku)
 
 
 def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> OperatorMatrix:
@@ -238,32 +326,15 @@ def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> Operato
     with Lambda f = r f' + 2 f.  Origin closure f ~ r^l, outer Dirichlet.
     With ``zero_profile`` all Q-dependent terms are dropped.
 
-    The nonlocal term fills the matrix; the local part is evaluated on its
-    band only, entry by entry in the order of the dense expression
-    -(d2 + (2/r) d1 - l(l+1)/r^2) + (r/2) d1 + 1 - 2Q - (D_2^{-1}Q) d1, and
-    added there.
+    The nonlocal term fills the matrix; local_band is added on its band
+    (local + (-Q' x) is local - Q' x, exactly).
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    r = grid.nodes
-    n = grid.n
+    local = local_band(l, grid, zero_profile)
     if zero_profile:
-        a = np.zeros((n, n))
-    else:
-        a = deriv_deltal_inv_matrix(grid, l)
-        a *= -profile.q_deriv(r, 1)[:, None]   # all of L_l off the band
-    rows, cols = _band_positions(n)
-    d1 = deriv1_matrix(grid, l)[rows, cols]
-    d2 = deriv2_matrix(grid, l)[rows, cols]
-    on_diag = rows == cols
-    ri = r[rows]
-    lap = d2 + (2.0 / ri) * d1 - np.where(on_diag, l * (l + 1) / (ri * ri), 0.0)
-    local = -lap + (0.5 * ri) * d1 + on_diag
-    if not zero_profile:
-        local -= np.where(on_diag, 2.0 * profile.q(r)[rows], 0.0)
-        local -= profile.d2inv_q_closed(r)[rows] * d1
-    a[rows, cols] += local   # local + (-Q' x) is local - Q' x, exactly
-    return OperatorMatrix(grid=grid, l=l, entries=a)
+        return OperatorMatrix(grid=grid, l=l, entries=local.toarray())
+    a = deriv_deltal_inv_matrix(grid, l)
+    a *= -profile.q_deriv(grid.nodes, 1)[:, None]   # all of L_l off the band
+    return OperatorMatrix(grid=grid, l=l, entries=local.add_to(a))
 
 
 def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
@@ -282,29 +353,24 @@ def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
             - profile.d2inv_q_closed(r) * d1 - profile.q_deriv(r, 1) * ddli)
 
 
-def _symmetric_schrodinger(grid: RadialGrid, potential: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of -d_r^2 + V on L^2(dr) with Dirichlet ends.
+def _symmetric_schrodinger(grid: RadialGrid,
+                           potential: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the symmetric tridiagonal matrix of -d_r^2 + V on
+    L^2(dr) with Dirichlet ends.
 
     Piecewise-linear stiffness with lumped mass, symmetrized by the diagonal
     similarity W^{1/2} (.) W^{-1/2}; the eigenvalues are the Ritz values of
-    the quadratic form, and the matrix is symmetric to round-off on any
-    (also stretched) grid.  Built from its three diagonals, each off-diagonal
-    pair set to the mean of the two scaled entries.
+    the quadratic form.  Each off-diagonal entry is the mean of the two
+    scaled entries, which agree to round-off on any (also stretched) grid.
     """
     h = grid.cell_spacings()
     sqw = np.sqrt(0.5 * (h[:-1] + h[1:]))
     off = -(1.0 / h[1:-1])
     mean_off = 0.5 * (off / sqw[:-1] / sqw[1:] + off / sqw[1:] / sqw[:-1])
-    n = grid.n
-    sym = np.zeros((n, n))
-    sym.flat[::n + 1] = (1.0 / h[:-1] + 1.0 / h[1:]) / sqw / sqw + potential
-    sym.flat[1::n + 1] = mean_off
-    sym.flat[n::n + 1] = mean_off
-    return sym
+    return (1.0 / h[:-1] + 1.0 / h[1:]) / sqw / sqw + potential, mean_off
 
 
-def assemble_tilde_L1_prime(grid: RadialGrid) -> OperatorMatrix:
-    """Symmetric Schroedinger form -d_r^2 + 12/r^2 + r^2/16 - 8/(2+r^2) - 3/4."""
-    v = profile.tilde_L1_prime_potential(grid.nodes)
-    return OperatorMatrix(grid=grid, l=1, entries=_symmetric_schrodinger(grid, v))
-
+def assemble_tilde_L1_prime(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the symmetric Schroedinger form
+    -d_r^2 + 12/r^2 + r^2/16 - 8/(2+r^2) - 3/4."""
+    return _symmetric_schrodinger(grid, profile.tilde_L1_prime_potential(grid.nodes))

@@ -112,7 +112,7 @@ class TestStepRule:
         assert calls == {"banded": 0, "dense": 5, "check": 5}
 
     @pytest.mark.parametrize("flow, owner, name", [
-        ("nonlinear", evolution._BandMatrix, "solve"),
+        ("nonlinear", operators.BandMatrix, "solve"),
         ("linear", scipy.linalg, "lu_solve")], ids=["banded", "dense"])
     def test_corrupted_solve_fails_the_defect_guard(self, grid, op0,
                                                     monkeypatch, flow, owner,
@@ -153,8 +153,8 @@ def _count_solves(monkeypatch) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(evolution._BandMatrix, "solve",
-                        counted("banded", evolution._BandMatrix.solve))
+    monkeypatch.setattr(operators.BandMatrix, "solve",
+                        counted("banded", operators.BandMatrix.solve))
     monkeypatch.setattr(scipy.linalg, "lu_solve",
                         counted("dense", scipy.linalg.lu_solve))
     monkeypatch.setattr(evolution, "_check_solve",
@@ -173,24 +173,27 @@ def _five_steps(flow, grid, op0):
 class TestBandedStepper:
     @pytest.fixture(scope="class")
     def imex(self, grid):
-        return operators.assemble_Ll(0, grid, zero_profile=True)
+        return operators.local_band(0, grid, zero_profile=True)
 
     def test_imex_operator_is_banded_and_l0_is_dense(self, grid, imex, op0):
-        assert scipy.linalg.bandwidth(imex.entries) == (1, 2)
-        assert isinstance(evolution._crank_nicolson(imex.entries, 0.01)[0],
-                          evolution._BandMatrix)
+        # the stepper's band is the matrix discrete_steady_profile solves with
+        assert np.array_equal(imex.toarray(), operators.assemble_Ll(
+            0, grid, zero_profile=True).entries)
+        assert scipy.linalg.bandwidth(imex.toarray()) == (1, 2)
+        assert isinstance(evolution._crank_nicolson(imex, 0.01)[0],
+                          operators.BandMatrix)
         assert isinstance(evolution._crank_nicolson(op0.entries, 0.01)[0],
                           np.ndarray)
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_step_matches_dense_solve(self, grid, imex, complex_data):
         dt = 0.01
-        a = imex.entries
+        a = imex.toarray()
         rng = np.random.default_rng(2)
         y = rng.standard_normal(grid.n)
         if complex_data:
             y = y + 1j * rng.standard_normal(grid.n)
-        explicit, solve = evolution._crank_nicolson(a, dt)
+        explicit, solve = evolution._crank_nicolson(imex, dt)
         step, _, _ = solve(explicit @ y)
         eye = np.eye(grid.n)
         dense = np.linalg.solve(eye + 0.5 * dt * a, (eye - 0.5 * dt * a) @ y)
@@ -198,14 +201,18 @@ class TestBandedStepper:
         assert np.max(np.abs(step - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_linear_flow_takes_complex_data_on_the_band(self, grid, imex):
+        # gbtrs is typed, so complex rows reach it as their real and
+        # imaginary parts; neither may be dropped
+        explicit, solve = evolution._crank_nicolson(imex, 0.01)
         qv = profile.q(grid.nodes)
-        real = evolution.linear_evolve(imex, RadialFunction(grid, qv), 0.01, 0.1,
-                                       keep_states=True)
-        cplx = evolution.linear_evolve(imex, RadialFunction(grid, (1 + 2j) * qv),
-                                       0.01, 0.1, keep_states=True)
-        assert np.iscomplexobj(cplx.states)
-        err = np.max(np.abs(cplx.states - (1 + 2j) * real.states))
-        assert err <= 1e-13 * np.max(np.abs(real.states))
+        factors = np.array([1 + 2j, 3 - 1j])
+        real_half, cplx_half = explicit @ qv, explicit @ (factors[:, None] * qv)
+        for _ in range(10):
+            x_real, real_half, _ = solve(real_half)
+            x, cplx_half, _ = solve(cplx_half)
+            assert np.iscomplexobj(x) and x.shape == (2, grid.n)
+            err = np.max(np.abs(x - factors[:, None] * x_real))
+            assert err <= 1e-13 * np.max(np.abs(x_real))
 
 
 class TestRowBatch:
@@ -217,7 +224,7 @@ class TestRowBatch:
         return profile.q(grid.nodes) * (1.0 + 0.1 * rng.standard_normal((4, grid.n)))
 
     def test_each_kernel_acts_row_by_row(self, grid, stack):
-        a = operators.assemble_Ll(0, grid, zero_profile=True).entries
+        a = operators.local_band(0, grid, zero_profile=True)
         explicit, solve = evolution._crank_nicolson(a, 0.01)
         flux = evolution.FluxGeometry(grid)
         w = operators.r2_mass_weights(grid)
@@ -315,14 +322,14 @@ class TestRowBatch:
                                                      monkeypatch):
         # row 1 is a million times smaller than the others, so its defect
         # would vanish in a norm taken over the whole stack
-        solver = evolution._BandMatrix.solve
+        solver = operators.BandMatrix.solve
 
         def off(self, rhs):
             x = solver(self, rhs)
             x[1] *= 1.0 + 1e-6
             return x
 
-        monkeypatch.setattr(evolution._BandMatrix, "solve", off)
+        monkeypatch.setattr(operators.BandMatrix, "solve", off)
         qv = profile.q(grid.nodes)
         batch = evolution._ImexRows(grid, 0.01).start(
             np.array([qv, 1e-6 * qv, qv]))
@@ -357,8 +364,8 @@ class TestOneProductPerStep:
 
     @pytest.mark.parametrize("banded", [True, False], ids=["banded", "dense"])
     def test_solve_returns_the_product_of_its_solution(self, grid, op0, banded):
-        a = (operators.assemble_Ll(0, grid, zero_profile=True) if banded
-             else op0).entries
+        a = (operators.local_band(0, grid, zero_profile=True) if banded
+             else op0.entries)
         explicit, solve = evolution._crank_nicolson(a, 0.01)
         qv = profile.q(grid.nodes)
         for rhs in (qv, np.array([qv, 0.5 * qv])) if banded else (qv,):
@@ -370,13 +377,13 @@ class TestOneProductPerStep:
         run = evolution._ImexRows(grid, 0.01).start(np.array([qv, 0.5 * qv]))
         run.step()   # the first step also solves for its predictor
         calls = []
-        product = evolution._BandMatrix.__matmul__
+        product = operators.BandMatrix.__matmul__
 
         def counted(self, y):
             calls.append(y.shape)
             return product(self, y)
 
-        monkeypatch.setattr(evolution._BandMatrix, "__matmul__", counted)
+        monkeypatch.setattr(operators.BandMatrix, "__matmul__", counted)
         for _ in range(4):
             run.step()
         assert calls == [(2, grid.n)] * 4

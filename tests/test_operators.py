@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ksmode import ggmt, operators, profile, spectra
+from ksmode import evolution, ggmt, operators, profile, spectra
 from ksmode.radial import (RadialFunction, cumulative_power_integral,
                            deriv_stencil, make_grid, panel_coefficients,
                            power_prefix_integral, three_point)
@@ -41,8 +41,8 @@ class TestAssembleLl:
         r = grid.nodes
         l = 2
         a = operators.assemble_Ll(l, grid, zero_profile=True)
-        d1 = operators.deriv1_matrix(grid, l)
-        d2 = operators.deriv2_matrix(grid, l)
+        d1 = operators.deriv1_matrix(grid, l).toarray()
+        d2 = operators.deriv2_matrix(grid, l).toarray()
         expected = (-(d2 + np.diag(2.0 / r) @ d1 - np.diag(l * (l + 1) / r ** 2))
                     + 0.5 * np.diag(r) @ d1 + np.eye(grid.n))
         assert np.max(np.abs(a.entries - expected)) < 1e-12
@@ -91,7 +91,7 @@ class TestFdMatrices:
             geometric_grid(120, 40.0)
         for order, build in ((1, operators.deriv1_matrix),
                              (2, operators.deriv2_matrix)):
-            got = build(grid, l)
+            got = build(grid, l).toarray()
             expected = self.vandermonde_matrix(grid, order, l)
             row_scale = np.max(np.abs(expected), axis=1)
             row_err = np.max(np.abs(got - expected), axis=1)
@@ -117,8 +117,8 @@ class TestTildeLlAlpha:
         for n in (400, 800):
             grid = make_grid(n, 40.0, "uniform")
             r = grid.nodes
-            d1 = operators.deriv1_matrix(grid, l)
-            d2 = operators.deriv2_matrix(grid, l)
+            d1 = operators.deriv1_matrix(grid, l).toarray()
+            d2 = operators.deriv2_matrix(grid, l).toarray()
             tilde = (-d2 - ((2.0 - 2.0 * alpha) / r)[:, None] * d1
                      + np.diag((alpha - alpha ** 2 + (l + 1) * (l + 2)) / (r * r))
                      + 0.5 * (r[:, None] * d1 + (1.0 - alpha) * np.eye(grid.n))
@@ -177,10 +177,18 @@ class TestTildeL1Prime:
 
     @pytest.mark.parametrize("stretch", ["uniform", "geometric"])
     def test_symmetry(self, stretch):
+        # the similarity W^{1/2} (.) W^{-1/2} symmetrizes the stiffness: the
+        # two scaled entries averaged into each off-diagonal pair agree to
+        # round-off
         grid = make_grid(200, 40.0) if stretch == "uniform" else \
             geometric_grid(200, 40.0)
-        a = operators.assemble_tilde_L1_prime(grid)
-        assert np.max(np.abs(a.entries - a.entries.T)) <= 1e-12
+        h = grid.cell_spacings()
+        sqw = np.sqrt(0.5 * (h[:-1] + h[1:]))
+        upper = -(1.0 / h[1:-1]) / sqw[:-1] / sqw[1:]
+        lower = -(1.0 / h[1:-1]) / sqw[1:] / sqw[:-1]
+        _, off = operators.assemble_tilde_L1_prime(grid)
+        assert np.all(np.abs(upper - lower) <= 1e-14 * np.abs(off))
+        assert np.all(np.abs(off - upper) <= 1e-14 * np.abs(off))
 
     def test_ritz_floor(self):
         from ksmode.spectra import schrodinger_spectrum_check
@@ -201,9 +209,7 @@ def h_matrix(mu, grid):
     U the pipeline's potential at (l, alpha, theta) = (2, 0.2, 1) for the
     reference weight, discretized like the l = 1 form of criterion 5."""
     u, _ = ggmt.schrodinger_potential(2, 0.2, 1.0, mu, ggmt.paper_weight())
-    return operators.OperatorMatrix(
-        grid=grid, l=2,
-        entries=operators._symmetric_schrodinger(grid, u(grid.nodes)))
+    return operators._symmetric_schrodinger(grid, u(grid.nodes))
 
 
 class TestHlAlphaW:
@@ -235,12 +241,12 @@ class TestHlAlphaW:
         assert schrodinger_spectrum_check(a) >= 0.0
 
 
-def _diag_potential(opmat, grid):
+def _diag_potential(band, grid):
     """Recover the diagonal potential by subtracting the stiffness diagonal."""
     h = grid.cell_spacings()
     w = 0.5 * (h[:-1] + h[1:])
     stiff_diag = (1.0 / h[:-1] + 1.0 / h[1:]) / w
-    return np.diag(opmat.entries) - stiff_diag
+    return band[0] - stiff_diag
 
 
 class TestCrossRepresentation:
@@ -386,7 +392,7 @@ def eye_deriv_deltal_inv_matrix(grid, l):
     return mat / (2 * l + 1)
 
 
-def dense_assemble_Ll(l, grid, zero_profile):
+def dense_local_Ll(l, grid, zero_profile):
     r = grid.nodes
     d1 = dense_fd_matrix(grid, 1, l)
     d2 = dense_fd_matrix(grid, 2, l)
@@ -395,8 +401,19 @@ def dense_assemble_Ll(l, grid, zero_profile):
     if not zero_profile:
         a -= 2.0 * np.diag(profile.q(r))
         a -= profile.d2inv_q_closed(r)[:, None] * d1
-        a -= profile.q_deriv(r, 1)[:, None] * eye_deriv_deltal_inv_matrix(grid, l)
     return a
+
+
+def dense_assemble_Ll(l, grid, zero_profile):
+    a = dense_local_Ll(l, grid, zero_profile)
+    if not zero_profile:
+        a -= profile.q_deriv(grid.nodes, 1)[:, None] \
+            * eye_deriv_deltal_inv_matrix(grid, l)
+    return a
+
+
+def tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def dense_symmetric_schrodinger(grid, potential):
@@ -433,12 +450,24 @@ class TestAssemblyOracle:
         assert np.array_equal(operators.deriv_deltal_inv_matrix(grid, l),
                               eye_deriv_deltal_inv_matrix(grid, l))
 
+    @pytest.mark.parametrize("grid,zero", ASSEMBLY_CASES)
+    @pytest.mark.parametrize("l", range(7))
+    def test_local_band_matches_dense_oracle(self, grid, zero, l):
+        for order, build in ((1, operators.deriv1_matrix),
+                             (2, operators.deriv2_matrix)):
+            assert np.array_equal(build(grid, l).toarray(),
+                                  dense_fd_matrix(grid, order, l))
+        assert np.array_equal(operators.local_band(l, grid, zero).toarray(),
+                              dense_local_Ll(l, grid, zero))
+
     def test_zero_profile_class0_keeps_its_band(self):
-        # the origin ghost reaches entry (0, 2); the Crank-Nicolson stepper
-        # reads this bandwidth to choose its banded solve
-        a = operators.assemble_Ll(0, make_grid(400, 40.0, "uniform"),
-                                  zero_profile=True).entries
-        assert scipy.linalg.bandwidth(a) == (1, 2)
+        # the class-0 origin ghost reaches entry (0, 2), so the class-0
+        # band, which the IMEX stepper factors, has two superdiagonals
+        grid = make_grid(400, 40.0, "uniform")
+        for l, ku in ((0, 2), (1, 1), (4, 1)):
+            band = operators.local_band(l, grid, zero_profile=True)
+            assert (band.kl, band.ku) == (1, ku)
+            assert scipy.linalg.bandwidth(band.toarray()) == (1, ku)
 
     @pytest.mark.parametrize("l", range(7))
     def test_assembly_peak_allocation(self, l):
@@ -459,6 +488,31 @@ class TestAssemblyOracle:
         r = grid.nodes
         for potential in (profile.tilde_L1_prime_potential(r),
                           np.cos(r) / (1.0 + r)):
-            got = operators._symmetric_schrodinger(grid, potential)
-            assert got.flags.c_contiguous
+            got = tridiagonal(*operators._symmetric_schrodinger(grid, potential))
             assert np.array_equal(got, dense_symmetric_schrodinger(grid, potential))
+
+
+# criterion 5's grid, and the ladder and evolution grids at the same n
+GRID_800 = {"ladder": LADDER[(800, 80.0)],
+            "uniform": make_grid(800, 40.0, "uniform"),
+            "criterion-5": geometric_grid(800, 40.0)}
+LOCAL_BUILDS = {
+    "deriv1_matrix": lambda: operators.deriv1_matrix(GRID_800["ladder"], 0),
+    "imex-setup": lambda: evolution._ImexRows(GRID_800["uniform"], 0.01),
+    "criterion-5": lambda: spectra.schrodinger_spectrum_check(
+        operators.assemble_tilde_L1_prime(GRID_800["criterion-5"])),
+}
+
+
+@pytest.mark.parametrize("build", LOCAL_BUILDS.values(), ids=LOCAL_BUILDS.keys())
+def test_local_operator_build_allocates_no_dense_matrix(build):
+    # a dense n x n matrix is 8 n^2 bytes; built by way of dense matrices,
+    # these peaked at 1, 5 and 3 of them, on their bands below a tenth
+    build()   # first-call imports and caches
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * 800 ** 2
