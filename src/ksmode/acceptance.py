@@ -25,7 +25,8 @@ from .radial import RadialFunction, make_grid, weighted_inner
 __all__ = ["Check", "CRITERIA", "SYMMETRY_MODES", "SymmetryMode", "ggmt_checks",
            "u_inf_check", "spectrum_checks", "profile_bounds_check",
            "waveop_identity_checks", "growth_rate_check", "steady_drift_check",
-           "partial_mass_check", "shooting_setup", "shooting_checks"]
+           "partial_mass_check", "SHOOTING_RUN", "shooting_setup",
+           "shooting_checks"]
 
 
 @dataclass
@@ -162,16 +163,16 @@ def growth_rate_check(l: int, rate: float) -> Check:
                    rate, -mode.eigenvalue, 0.02)
 
 
-def steady_drift_check(grid, w, dt: float, horizon: float):
+def steady_drift_check(grid, dt: float, horizon: float):
     """Evolve Q by the nonlinear flow; returns (drift check, trace).
 
     The drift is the largest L^2(r^2 dr) distance to Q relative to ||Q||,
     bounded by the scheme order 10 (h^2 + dt^2) with h the largest spacing.
-    ``w`` are the grid's r^2 mass weights, which the callers already hold.
     """
+    w = operators.r2_mass_weights(grid)
     qv = profile.q(grid.nodes)
     tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt,
-                                           horizon, keep_states=True)
+                                           horizon)
     qn = np.sqrt(np.sum(w * qv ** 2))
     drift = max(np.sqrt(np.sum(w * (s - qv) ** 2)) for s in tr.states) / qn
     h = float(np.max(np.diff(grid.nodes)))
@@ -191,17 +192,21 @@ def partial_mass_check(grid) -> Check:
                     defect, bound)
 
 
-def shooting_setup(grid, w):
+# (dt, horizon) of every shooting run, criterion 8's and ``ksmode shoot``'s
+SHOOTING_RUN = (0.02, 8.0)
+
+
+def shooting_setup(grid):
     """Base point, projection and unit stable bump of the shooting runs.
 
     The base point is the stepper's discrete steady profile and the
     projection comes from the stepper's own linearization about it, so the
     bump exp(-(r - 4)^2), projected onto the stable part, is stable for the
-    discrete dynamics that actually run.  ``w`` are the grid's r^2 mass
-    weights.  Returns (base, projection, bump).
+    discrete dynamics that actually run.  Returns (base, projection, bump),
+    the bump normalized in L^2(r^2 dr).
     """
-    qh = evolution.discrete_steady_profile(grid)
-    opf = evolution.flow_linearization(grid, qh)
+    w = operators.r2_mass_weights(grid)
+    qh, opf = evolution.discrete_steady_profile(grid)
     projf = spectra.build_projection(opf, SYMMETRY_MODES[0].eigenvalue)
     bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
     return qh, projf, bump / np.sqrt(np.sum(w * bump ** 2))
@@ -406,14 +411,13 @@ def criterion_evolution() -> list[Check]:
     checks.append(Check("stable-projected data decays", "evolution.stable_decay",
                         -rate, 0.0, rate < 0.0))
 
-    w = operators.r2_mass_weights(grid)
-    checks.append(steady_drift_check(grid, w, dt, 5.0)[0])
+    checks.append(steady_drift_check(grid, dt, 5.0)[0])
 
-    qh, projf, bump = shooting_setup(grid, w)
+    qh, projf, bump = shooting_setup(grid)
     amps = (1e-3, 2e-3)
     results = evolution.shoot_stable_manifold(
         [RadialFunction(grid, amp * bump) for amp in amps], (-4e-3, 4e-3),
-        projf, qh, dt=0.02, horizon=8.0)
+        projf, qh, *SHOOTING_RUN)
     a_stars = dict(zip(amps, results))
     for amp, res in a_stars.items():
         checks.append(Check(f"shooting converged (amplitude {amp})",

@@ -315,8 +315,7 @@ def _projection_detail(proj) -> dict:
 def cmd_evolve_nonlinear(cfg, args):
     grid = cfg.grid()
     drift, tr = acceptance.steady_drift_check(
-        grid, operators.r2_mass_weights(grid), cfg["evolve", "dt"],
-        cfg["evolve", "horizon"])
+        grid, cfg["evolve", "dt"], cfg["evolve", "horizon"])
     checks = [drift, acceptance.partial_mass_check(grid)]
     rows = [{"tau": t, "norm": n} for t, n in zip(tr.times, tr.norms)]
     out = _out_dir(cfg) / "evolve_nonlinear_trace.csv"
@@ -328,14 +327,13 @@ def cmd_evolve_nonlinear(cfg, args):
 def cmd_shoot(cfg, args):
     grid = cfg.grid()
     amp = cfg["evolve", "amplitude"]
-    qh, projf, bump = acceptance.shooting_setup(
-        grid, operators.r2_mass_weights(grid))
+    qh, projf, bump = acceptance.shooting_setup(grid)
     # the bracket and the bound scale with the size of the amplitude, not its sign
     size = abs(amp)
     half = 4.0 * max(size, 1e-3)
     (res,) = evolution.shoot_stable_manifold(
-        [RadialFunction(grid, amp * bump)], (-half, half), projf, qh, dt=0.02,
-        horizon=8.0)
+        [RadialFunction(grid, amp * bump)], (-half, half), projf, qh,
+        *acceptance.SHOOTING_RUN)
     checks = acceptance.shooting_checks(res, size)
     detail = {"a_star": res.a_star, "bracket_width": res.bracket_width,
               "converged": res.converged,

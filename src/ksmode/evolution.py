@@ -172,8 +172,7 @@ def _crank_nicolson(a: BandMatrix | np.ndarray, dt: float):
 
 
 def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
-                  horizon: float, projection=None,
-                  keep_states: bool = False) -> EvolutionTrace:
+                  horizon: float, projection=None) -> EvolutionTrace:
     """Crank-Nicolson integration of d_tau eps = -A eps for the operator ``op``.
 
     Records the L^2(r^2 dr) norm each step and, when a ProjectionPair is
@@ -187,14 +186,11 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     coeffs = [] if projection is not None else None
-    states = [] if keep_states else None
 
     def record(k, vec):
         norms[k] = np.sqrt(np.real(np.sum(w * np.abs(vec) ** 2)))
         if coeffs is not None:
             coeffs.append(projection.coefficient(vec))
-        if states is not None:
-            states.append(vec.copy())
 
     record(0, eps)
     worst = 0.0
@@ -205,7 +201,6 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
         record(k, eps)
     return EvolutionTrace(times=times, norms=norms,
                           mode_coeffs=np.array(coeffs) if coeffs else None,
-                          states=np.array(states) if states else None,
                           max_solve_defect=worst)
 
 
@@ -341,23 +336,23 @@ class _ImexRows:
         self.scale0, self.defect = self.scale0[mask], self.defect[mask]
 
 
-def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
-                            keep_states: bool = False) -> EvolutionTrace:
+def nonlinear_radial_evolve(psi0: RadialFunction, dt: float,
+                            horizon: float) -> EvolutionTrace:
     """IMEX (Crank-Nicolson + AB2) integration of the radial renormalized flow.
 
-    The one-row case of _ImexRows.  A step driving min(Psi) below
-    -_NEGATIVITY_TOL ||Psi||_inf or blowing up the norm raises
-    EvolutionError with the last valid state; the trace flags any run whose
-    boundary value exceeds 1e-6 ||Psi||_inf.
+    The one-row case of _ImexRows; the trace keeps the state of every step.
+    A step driving min(Psi) below -_NEGATIVITY_TOL ||Psi||_inf or blowing
+    up the norm raises EvolutionError with the last valid state; the trace
+    flags any run whose boundary value exceeds 1e-6 ||Psi||_inf.
     """
     n_steps = step_count(dt, horizon)
     grid = psi0.grid
     run = _ImexRows(grid, dt).start(psi0.values)
     w = r2_mass_weights(grid)
-    psi = run.psi[0]
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
-    states = [psi.copy()] if keep_states else None
+    states = np.empty((n_steps + 1, grid.n))
+    states[0] = psi = run.psi[0]
     boundary_flag = False
     norms[0] = np.sqrt(np.sum(w * psi ** 2))
     for k in range(1, n_steps + 1):
@@ -365,15 +360,12 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float, horizon: float,
         if failures:
             raise EvolutionError(failures[0], tau=times[k - 1],
                                  state=run.last[0])
-        psi = run.psi[0]
+        states[k] = psi = run.psi[0]
         norms[k] = np.sqrt(np.sum(w * psi ** 2))
         if abs(psi[-1]) > 1e-6 * np.max(np.abs(psi)):
             boundary_flag = True
-        if states is not None:
-            states.append(psi.copy())
     return EvolutionTrace(times=times, norms=norms, mode_coeffs=None,
-                          states=np.array(states) if states is not None else None,
-                          boundary_flag=boundary_flag,
+                          states=states, boundary_flag=boundary_flag,
                           max_solve_defect=float(run.defect[0]))
 
 
@@ -394,7 +386,7 @@ def _flux_jacobian(base: np.ndarray, flux: FluxGeometry) -> np.ndarray:
     return jac
 
 
-def discrete_steady_profile(grid: RadialGrid) -> np.ndarray:
+def discrete_steady_profile(grid: RadialGrid) -> tuple[np.ndarray, OperatorMatrix]:
     """Newton solve for the stepper's own steady state near the profile.
 
     The IMEX scheme's fixed points are exactly the solutions of
@@ -402,6 +394,13 @@ def discrete_steady_profile(grid: RadialGrid) -> np.ndarray:
     differs from the continuum profile by the O(h^2) truncation of the
     grid.  Shooting experiments use it as base point so that the reference
     flow sits still instead of drifting along the scaling instability.
+
+    Returns the state and the Newton matrix at it, the stepper's own
+    discrete linearization L = (-Delta_0 + Lambda/2) - N'(state), built
+    from the implicit matrix and finite-volume flux the stepper uses.  The
+    flux is exactly quadratic, so symmetric differencing with unit
+    increments gives its Jacobian without truncation error.  L agrees with
+    the assembled class-0 operator to O(h^2).
     """
     lin = assemble_Ll(0, grid, zero_profile=True).entries
     flux = FluxGeometry(grid)
@@ -409,27 +408,14 @@ def discrete_steady_profile(grid: RadialGrid) -> np.ndarray:
     scale = np.max(np.abs(psi))
     for _ in range(_NEWTON_MAX_ITER):
         res = -lin @ psi + _nl_rhs(psi, flux)
+        # lin - N'(psi) in the Jacobian's buffer: no third n x n array
+        jac = _flux_jacobian(psi, flux)
+        np.subtract(lin, jac, out=jac)
         if np.max(np.abs(res)) < _NEWTON_TOL * scale:
-            return psi
-        delta = scipy.linalg.solve(lin - _flux_jacobian(psi, flux), res)
-        psi = psi + delta
+            return psi, OperatorMatrix(grid=grid, l=0, entries=jac)
+        psi = psi + scipy.linalg.solve(jac, res)
     raise EvolutionError("Newton iteration for the discrete steady state "
                          f"stalled at residual {np.max(np.abs(res)):.2e}")
-
-
-def flow_linearization(grid: RadialGrid, base: np.ndarray) -> OperatorMatrix:
-    """The nonlinear stepper's own discrete linearization about ``base``.
-
-    Returns the matrix of L = (-Delta_0 + Lambda/2) - N'(base) built from
-    the same implicit matrix and finite-volume flux the stepper uses; the
-    flux is exactly quadratic, so symmetric differencing with unit
-    increments gives its Jacobian without truncation error.  About the
-    discrete steady profile it agrees with the assembled class-0 operator
-    to O(h^2).
-    """
-    lin = assemble_Ll(0, grid, zero_profile=True).entries
-    return OperatorMatrix(grid=grid, l=0,
-                          entries=lin - _flux_jacobian(base, FluxGeometry(grid)))
 
 
 def partial_mass(psi: RadialFunction) -> np.ndarray:
@@ -458,7 +444,7 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     d2m = fd_deriv(dm, r, 1)
     rhs = d2m - (2.0 / r + 0.5 * r) * dm + 0.5 * mbar + mbar * dm / (r * r)
     mbar_step = mbar + dt * rhs
-    trace = nonlinear_radial_evolve(psi, dt, dt, keep_states=True)
+    trace = nonlinear_radial_evolve(psi, dt, dt)
     psi1 = RadialFunction(grid, trace.states[-1])
     mbar_psi = mass(psi1.values)
     return float(4.0 * np.pi * np.max(np.abs(mbar_step - mbar_psi)))
@@ -477,10 +463,11 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
     None unless it leaves the tube on the last step), or when its step
     fails the negativity or blowup guard; that counts as a departure at
     the time of its last valid state, which it is classified from.  The
-    deviation is measured against the simultaneously evolved unperturbed
-    trajectory, so the O(h^2) steady-state residual (which seeds the
-    scaling instability identically in both runs) cancels and the
-    functional isolates the perturbation's own unstable content.
+    deviation is measured against the unperturbed trajectory, run to the
+    horizon beforehand and read here from its stored states, so the O(h^2)
+    steady-state residual (which seeds the scaling instability identically
+    in both runs) cancels and the functional isolates the perturbation's
+    own unstable content.
     """
     w = r2_mass_weights(run.grid)
     dt = run.dt
@@ -579,8 +566,8 @@ class _Bisection:
 
 
 def shoot_stable_manifold(stable_perturbations, bracket, projection,
-                          base_profile: np.ndarray, dt: float = 0.01,
-                          horizon: float = 8.0) -> list[ShootingResult]:
+                          base_profile: np.ndarray, dt: float,
+                          horizon: float) -> list[ShootingResult]:
     """Bisection over the unstable amplitude a in Psi_0 = Q + eps_s0 + a LQ/||LQ||.
 
     Runs one bisection per stable perturbation eps_s0 (RadialFunctions on
@@ -591,11 +578,12 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     leaves the tube of radius ``_TUBE_FACTOR`` times the initial deviation
     size.  The base point is normally the discrete steady profile, about
     which the reference flow is stationary; ``projection`` should then come
-    from ``flow_linearization`` about it so that the prepared data is stable
-    for the discrete dynamics that actually run.  The bracket must produce
-    opposite departure signs; bisection stops when its width falls below
-    ``_WIDTH_TOL`` times the initial width, and the result is converged when
-    the matched amplitude stays in the tube for the whole horizon.
+    from the linearization ``discrete_steady_profile`` returns with it, so
+    that the prepared data is stable for the discrete dynamics that
+    actually run.  The bracket must produce opposite departure signs;
+    bisection stops when its width falls below ``_WIDTH_TOL`` times the
+    initial width, and the result is converged when the matched amplitude
+    stays in the tube for the whole horizon.
 
     The bisections run in lockstep against one reference trajectory: each
     round integrates, as one batch, the next ``_LOOKAHEAD`` levels of every
@@ -609,7 +597,7 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     lam_q = profile.lambda_q(grid.nodes)
     lam_q = lam_q / np.sqrt(np.sum(w * lam_q ** 2))
     ref = nonlinear_radial_evolve(RadialFunction(grid, base_profile), dt,
-                                  horizon, keep_states=True)
+                                  horizon)
     run = _ImexRows(grid, dt)
     searches = []
     for eps_s0 in stable_perturbations:

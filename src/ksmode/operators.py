@@ -63,7 +63,8 @@ class BandMatrix:
     order) and ``solve`` after ``factor()`` (LAPACK gbtrf, then one gbtrs
     call with the columns of the transposed stack, Fortran-ordered for a
     C-ordered one, as right-hand sides) take one vector or the rows of an
-    (m, n) stack, and act on each row alone, with the same bits.
+    (m, n) stack, and act on each row alone, with the same bits.  ``solve``
+    refuses complex rows on a real band with TypeError.
     """
 
     def __init__(self, band: np.ndarray, kl: int, ku: int):
@@ -110,11 +111,8 @@ class BandMatrix:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
-            # gbtrs is typed: solve the real and imaginary parts together
-            x = self.solve(np.concatenate((np.atleast_2d(rhs.real),
-                                           np.atleast_2d(rhs.imag))))
-            half = len(x) // 2
-            return (x[:half] + 1j * x[half:]).reshape(rhs.shape)
+            # gbtrs is typed: a real factor would drop the imaginary part
+            raise TypeError("complex right-hand side for a real banded LU")
         x = self._gbtrs(self._lu, self.kl, self.ku, np.atleast_2d(rhs).T,
                         self._piv)[0]
         return x.T.reshape(rhs.shape)

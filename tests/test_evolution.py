@@ -185,14 +185,10 @@ class TestBandedStepper:
         assert isinstance(evolution._crank_nicolson(op0.entries, 0.01)[0],
                           np.ndarray)
 
-    @pytest.mark.parametrize("complex_data", [False, True])
-    def test_step_matches_dense_solve(self, grid, imex, complex_data):
+    def test_step_matches_dense_solve(self, grid, imex):
         dt = 0.01
         a = imex.toarray()
-        rng = np.random.default_rng(2)
-        y = rng.standard_normal(grid.n)
-        if complex_data:
-            y = y + 1j * rng.standard_normal(grid.n)
+        y = np.random.default_rng(2).standard_normal(grid.n)
         explicit, solve = evolution._crank_nicolson(imex, dt)
         step, _, _ = solve(explicit @ y)
         eye = np.eye(grid.n)
@@ -200,19 +196,12 @@ class TestBandedStepper:
         assert step.dtype == dense.dtype
         assert np.max(np.abs(step - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    def test_linear_flow_takes_complex_data_on_the_band(self, grid, imex):
-        # gbtrs is typed, so complex rows reach it as their real and
-        # imaginary parts; neither may be dropped
+    def test_complex_data_on_the_real_band_is_refused(self, grid, imex):
+        # gbtrs is typed: on a real factor it would drop the imaginary part
         explicit, solve = evolution._crank_nicolson(imex, 0.01)
-        qv = profile.q(grid.nodes)
-        factors = np.array([1 + 2j, 3 - 1j])
-        real_half, cplx_half = explicit @ qv, explicit @ (factors[:, None] * qv)
-        for _ in range(10):
-            x_real, real_half, _ = solve(real_half)
-            x, cplx_half, _ = solve(cplx_half)
-            assert np.iscomplexobj(x) and x.shape == (2, grid.n)
-            err = np.max(np.abs(x - factors[:, None] * x_real))
-            assert err <= 1e-13 * np.max(np.abs(x_real))
+        rhs = explicit @ profile.q(grid.nodes) * (1 + 2j)
+        with pytest.raises(TypeError, match="complex"):
+            solve(rhs)
 
 
 class TestRowBatch:
@@ -244,9 +233,8 @@ class TestRowBatch:
         # row 0 sits at the steady state to the horizon, row 1 (2 Q) fails
         # the negativity guard mid-run, rows 2 and 3 leave their tubes early
         # on opposite sides of the scaling direction
-        qh = evolution.discrete_steady_profile(grid)
-        projf = spectra.build_projection(
-            evolution.flow_linearization(grid, qh), -1.0)
+        qh, opf = evolution.discrete_steady_profile(grid)
+        projf = spectra.build_projection(opf, -1.0)
         w = operators.r2_mass_weights(grid)
         lam_q = profile.lambda_q(grid.nodes)
         lam_q /= np.sqrt(np.sum(w * lam_q ** 2))
@@ -255,7 +243,7 @@ class TestRowBatch:
         tubes = np.array([1e-3, 1e3, 2e-3, 2e-3])
         dt = 0.02
         ref = evolution.nonlinear_radial_evolve(
-            RadialFunction(grid, qh), dt, 1.0, keep_states=True).states
+            RadialFunction(grid, qh), dt, 1.0).states
         run = evolution._ImexRows(grid, dt)
         batch = evolution._departures(run, rows, tubes, ref, projf)
         for i in range(4):
@@ -505,7 +493,7 @@ class TestNonlinearFlow:
         qv = profile.q(r)
         dt = 0.01
         tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt,
-                                               5.0, keep_states=True)
+                                               5.0)
         w = operators.r2_mass_weights(grid)
         qn = np.sqrt(np.sum(w * qv ** 2))
         drift = max(np.sqrt(np.sum(w * (s - qv) ** 2)) for s in tr.states) / qn
@@ -514,23 +502,29 @@ class TestNonlinearFlow:
         assert tr.boundary_flag  # profile tails shed through the boundary
 
     def test_discrete_steady_profile_is_fixed_point(self, grid):
-        qh = evolution.discrete_steady_profile(grid)
+        qh, _ = evolution.discrete_steady_profile(grid)
         assert np.max(np.abs(qh - profile.q(grid.nodes))) < 0.2
         tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qh), 0.01,
-                                               1.0, keep_states=True)
+                                               1.0)
         drift = np.max(np.abs(tr.states[-1] - qh))
         assert drift < 1e-12
+
+    def test_newton_matrix_is_the_stepper_linearization(self, grid):
+        # the matrix at the converged iterate, lin - N'(state), bit for bit
+        qh, opf = evolution.discrete_steady_profile(grid)
+        lin = operators.assemble_Ll(0, grid, zero_profile=True).entries
+        jac = evolution._flux_jacobian(qh, evolution.FluxGeometry(grid))
+        assert (opf.grid, opf.l) == (grid, 0)
+        assert np.array_equal(opf.entries, lin - jac)
 
     def test_scheme_order_against_reference(self, grid):
         # one fixed state, horizon 0.5: halving dt cuts the error ~4x
         r = grid.nodes
         psi0 = RadialFunction(grid, profile.q(r) + 0.05 * np.exp(-(r - 4.0) ** 2))
-        ref = evolution.nonlinear_radial_evolve(psi0, 0.00125, 0.5,
-                                                keep_states=True).states[-1]
+        ref = evolution.nonlinear_radial_evolve(psi0, 0.00125, 0.5).states[-1]
         errs = []
         for dt in (0.02, 0.01, 0.005):
-            out = evolution.nonlinear_radial_evolve(psi0, dt, 0.5,
-                                                    keep_states=True).states[-1]
+            out = evolution.nonlinear_radial_evolve(psi0, dt, 0.5).states[-1]
             errs.append(np.max(np.abs(out - ref)))
         ratios = np.array(errs[:-1]) / np.array(errs[1:])
         assert np.all(ratios > 3.0)
@@ -539,13 +533,12 @@ class TestNonlinearFlow:
         # deviation measured from the discrete steady state, whose flow is
         # stationary, so the coefficient isolates the scaling instability;
         # the fitted rate cross-checks the linearized prediction
-        qh = evolution.discrete_steady_profile(grid)
-        opf = evolution.flow_linearization(grid, qh)
+        qh, opf = evolution.discrete_steady_profile(grid)
         projf = spectra.build_projection(opf, -1.0)
         amp = 1e-3
         mode = np.real(projf.right)
         psi0 = RadialFunction(grid, qh + amp * mode)
-        tr = evolution.nonlinear_radial_evolve(psi0, 0.01, 2.0, keep_states=True)
+        tr = evolution.nonlinear_radial_evolve(psi0, 0.01, 2.0)
         coeffs = np.array([np.real(projf.coefficient(s - qh))
                            for s in tr.states])
         rate = np.polyfit(tr.times, np.log(np.abs(coeffs)), 1)[0]
@@ -585,8 +578,7 @@ class TestPartialMass:
 
 @pytest.fixture(scope="module")
 def shooting_setup(grid):
-    qh = evolution.discrete_steady_profile(grid)
-    opf = evolution.flow_linearization(grid, qh)
+    qh, opf = evolution.discrete_steady_profile(grid)
     projf = spectra.build_projection(opf, -1.0)
     return qh, projf
 
@@ -621,8 +613,7 @@ class TestShooting:
         lam_q = profile.lambda_q(grid.nodes)
         lam_q = lam_q / np.sqrt(np.sum(w * lam_q ** 2))
         tr = evolution.nonlinear_radial_evolve(
-            RadialFunction(grid, qh + bump + res.a_star * lam_q), 0.02, 6.0,
-            keep_states=True)
+            RadialFunction(grid, qh + bump + res.a_star * lam_q), 0.02, 6.0)
         devs = np.array([np.sqrt(np.sum(w * (s - qh) ** 2))
                          for s in tr.states])
         window = (tr.times >= 1.0) & (tr.times <= 6.0)

@@ -122,7 +122,7 @@ class TestMu:
     def test_nan_weight_rejected(self):
         # (-1 + r^2)^{-1.2} is NaN for r < 1
         with pytest.raises(ValueError, match="strictly positive"):
-            ggmt.paper_weight(eps=-1.0).check(2, 0.2)
+            ggmt.paper_weight(eps=-1.0).check_mu(2, 0.2)
 
     def test_weak_tail_rejected(self):
         bad = ggmt.WeightSpec(fn=lambda r: np.asarray(r, dtype=float) ** -3.0,

@@ -231,8 +231,8 @@ class TestHlAlphaW:
     def test_invalid_weight_rejected(self):
         bad = ggmt.WeightSpec(fn=lambda r: np.asarray(r) ** -3.0, w_inf=0.0,
                               label="too-weak")
-        with pytest.raises(ValueError, match="tail exponent"):
-            bad.check(2, 0.2)
+        with pytest.raises(ValueError, match="positive limit"):
+            bad.check_mu(2, 0.2)
 
     def test_no_negative_ritz_with_reference_parameters(self):
         from ksmode.spectra import schrodinger_spectrum_check

@@ -6,6 +6,10 @@ than its own definition (an ``__all__`` entry is a string, not a
 reference).  A name that only tests reach is dead weight that every change
 must still read and keep, so it is deleted or moved into the tests.  The
 only exceptions are the DELIBERATE names below, each with its reason.
+
+Likewise a defaulted parameter of a public library function that every
+program call sets to the same value is a knob with one setting: it becomes
+a constant, except for the DELIBERATE_KNOBS below.
 """
 
 import ast
@@ -33,6 +37,14 @@ DELIBERATE = {
     "operators.kernel_deriv_deltal_inv_matrix":
         "differentiated-kernel twin of the factorized deriv_deltal_inv_matrix",
 }
+
+# Defaulted parameters that every program call sets to one value, kept as
+# parameters on purpose, each with its reason.
+DELIBERATE_KNOBS = dict.fromkeys(
+    ["spectra.refinement_ladder.levels", "spectra.refinement_ladder.rmax_factors",
+     "evolution.partial_mass_crosscheck.dt", "ggmt.interpolation_check.R"],
+    "the benchmark's workloads (ksbench/workloads.py) pass it, and they "
+    "change only together with the benchmark's pins")
 
 # The import layers of the package, lowest first: a module imports only
 # modules of lower layers.
@@ -69,6 +81,16 @@ def _bindings(path, tree):
     return bound
 
 
+def _target(node, bound):
+    """The "module.name" that a name or module attribute refers to, or None."""
+    if isinstance(node, ast.Name) and "." in bound.get(node.id, ""):
+        return bound[node.id]
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and bound.get(node.value.id) in MODULES):
+        return f"{bound[node.value.id]}.{node.attr}"
+    return None
+
+
 def references():
     """{"module.name": {(file, enclosing top-level definition)}}."""
     refs = {}
@@ -78,16 +100,66 @@ def references():
         for top in tree.body:
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and "." in bound.get(node.id, ""):
-                    target = bound[node.id]
-                elif (isinstance(node, ast.Attribute)
-                      and isinstance(node.value, ast.Name)
-                      and bound.get(node.value.id) in MODULES):
-                    target = f"{bound[node.value.id]}.{node.attr}"
-                else:
-                    continue
-                refs.setdefault(target, set()).add((path, owner))
+                target = _target(node, bound)
+                if target is not None:
+                    refs.setdefault(target, set()).add((path, owner))
     return refs
+
+
+def _passed(call, index, param):
+    """The literal that ``call`` gives ``param`` (its default when the call
+    omits it) as a repr, or None when the call passes a non-literal."""
+    keywords = {k.arg: k.value for k in call.keywords}
+    positional = param.kind is not param.KEYWORD_ONLY
+    if param.name in keywords:
+        arg = keywords[param.name]
+    elif positional and any(isinstance(a, ast.Starred)
+                            for a in call.args[:index + 1]):
+        return None
+    elif positional and index < len(call.args):
+        arg = call.args[index]
+    elif None in keywords:   # a ** mapping may set it
+        return None
+    else:
+        return repr(param.default)
+    try:
+        return repr(ast.literal_eval(arg))
+    except ValueError:
+        return None
+
+
+def passed_values():
+    """{"module.function.parameter": reprs of the values program calls pass,
+    or None once a call passes a non-literal} over every defaulted
+    parameter of a public library function that the program calls."""
+    signatures = {}
+    for mod in MODULES:
+        module = importlib.import_module(f"ksmode.{mod}")
+        signatures.update({f"{mod}.{name}": inspect.signature(obj)
+                           for name in public_names(mod)
+                           if inspect.isfunction(obj := getattr(module, name))})
+    seen = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        bound = _bindings(path, tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            qual = _target(call.func, bound)
+            if qual not in signatures:
+                continue
+            for index, param in enumerate(
+                    signatures[qual].parameters.values()):
+                if param.default is param.empty:
+                    continue
+                key = f"{qual}.{param.name}"
+                value = _passed(call, index, param)
+                values = seen.setdefault(key, set())
+                if value is None or values is None:
+                    seen[key] = None
+                else:
+                    values.add(value)
+    return seen
 
 
 @pytest.mark.parametrize("modname", MODULES)
@@ -112,6 +184,15 @@ def test_deliberate_names_exist():
     for qual in DELIBERATE:
         modname, name = qual.split(".")
         assert name in public_names(modname), qual
+
+
+def test_no_single_valued_parameter():
+    seen = passed_values()
+    assert set(DELIBERATE_KNOBS) <= set(seen)
+    single = sorted(key for key, values in seen.items()
+                    if values is not None and len(values) == 1
+                    and key not in DELIBERATE_KNOBS)
+    assert single == []
 
 
 def package_imports(path):

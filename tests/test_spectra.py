@@ -554,8 +554,7 @@ def mode_operator(n, which):
     if key not in _MODE_OPERATORS:
         grid = make_grid(n, 40.0, "uniform")
         if which == "flow":
-            a = evolution.flow_linearization(
-                grid, evolution.discrete_steady_profile(grid))
+            _, a = evolution.discrete_steady_profile(grid)
             target = -1.0
         else:
             l = int(which[1])
@@ -651,10 +650,25 @@ def test_shooting_setup_and_proj0_make_no_dense_eigensolve(monkeypatch):
     grid = make_grid(400, 40.0, "uniform")
     op0 = operators.assemble_Ll(0, grid)
     calls = _count_dense_eig(monkeypatch)
-    _, projf, _ = acceptance.shooting_setup(grid, operators.r2_mass_weights(grid))
+    _, projf, _ = acceptance.shooting_setup(grid)
     proj0 = spectra.build_projection(op0, acceptance.SYMMETRY_MODES[0].eigenvalue)
     assert calls == []
     assert (projf.path, proj0.path) == ("deflation", "deflation")
+
+
+def test_shooting_setup_builds_the_local_band_once(monkeypatch):
+    # Newton's last matrix is the flow linearization: no second assembly
+    calls = []
+    band = operators.local_band
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return band(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "local_band", counted)
+    monkeypatch.setattr(evolution, "local_band", counted)
+    acceptance.shooting_setup(make_grid(200, 40.0, "uniform"))
+    assert len(calls) == 1
 
 
 def test_schrodinger_check_makes_no_dense_eigensolve(monkeypatch):
