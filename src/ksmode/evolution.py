@@ -37,7 +37,7 @@ import scipy.linalg
 from . import profile
 from .operators import (BandMatrix, OperatorMatrix, assemble_Ll,
                         local_band, r2_mass_weights)
-from .radial import EvenPrefixIntegral, RadialFunction, RadialGrid, \
+from .radial import PrefixIntegral, RadialFunction, RadialGrid, \
     cumulative_power_integral, fd_deriv
 
 __all__ = [
@@ -215,13 +215,13 @@ class FluxGeometry:
     volumes make the scheme exact for constant psi and uniformly O(h^2).
     Cell faces at midpoints, [0, .] for the first cell, Dirichlet ghost past
     rmax for the last.  Build one per grid and pass it to every evaluation:
-    the half-panel moments, the cell volumes and the panel coefficients of
-    the mass integral depend only on the nodes.
+    the half-panel moments, the cell volumes and the panel and origin
+    weights of the mass integral depend only on the nodes.
     """
 
     def __init__(self, grid: RadialGrid):
         r = grid.nodes
-        self.mass = EvenPrefixIntegral(r, 2.0)   # int_0^r psi s^2 ds
+        self.mass = PrefixIntegral(r, 2.0)   # int_0^r psi s^2 ds
         mids = 0.5 * (r[:-1] + r[1:])
         u, v = r[:-1], r[1:]
         # int_u^mid psi s^2 ds = cu psi_u + cv psi_v on the interpolant
@@ -438,7 +438,7 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     """
     grid = psi.grid
     r = grid.nodes
-    mass = EvenPrefixIntegral(r, 2.0)
+    mass = PrefixIntegral(r, 2.0)
     mbar = mass(psi.values)
     dm = fd_deriv(mbar, r, 1)
     d2m = fd_deriv(dm, r, 1)

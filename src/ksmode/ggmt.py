@@ -283,21 +283,34 @@ def schrodinger_potential(l: int, alpha: float, theta: float, mu: float,
     return U, big_l
 
 
+def _effective_index(theta: float, big_l: float) -> float:
+    """l_eff = sqrt(1/4 + (1-theta) L) - 1/2."""
+    return math.sqrt(0.25 + (1.0 - theta) * big_l) - 0.5
+
+
 def check_pipeline(l: int, alpha: float, p: float, theta: float,
                    W: WeightSpec) -> None:
     """Raise ValueError unless p > 1, theta in [0, 1], (1-theta) L > 3/4,
-    alpha < 1/2 and ``W.check_mu`` hold: ``l2_pipeline`` fails without
-    them whatever mu is (its limit (1-2a)/4 - l mu W_inf needs a < 1/2)."""
+    alpha < 1/2 and ``W.check_mu`` hold and the count prefactor at the
+    effective index is a finite float: ``l2_pipeline`` fails without them
+    whatever mu is (its limit (1-2a)/4 - l mu W_inf needs a < 1/2).  A
+    setting that overflows a float raises ValueError too."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if (1.0 - theta) * _angular_constant(l, alpha) <= 0.75:
-        raise ValueError("(1-theta) L <= 3/4: effective index not self-adjoint")
-    if alpha >= 0.5:
-        raise ValueError("alpha >= 1/2: the potential limit at infinity is "
-                         "not positive")
-    W.check_mu(l, alpha)
+    try:
+        big_l = _angular_constant(l, alpha)
+        if (1.0 - theta) * big_l <= 0.75:
+            raise ValueError("(1-theta) L <= 3/4: effective index not self-adjoint")
+        if alpha >= 0.5:
+            raise ValueError("alpha >= 1/2: the potential limit at infinity is "
+                             "not positive")
+        W.check_mu(l, alpha)
+        if not math.isfinite(ggmt_prefactor(p, _effective_index(theta, big_l))):
+            raise ValueError(f"the count prefactor at p = {p} is not a finite float")
+    except OverflowError:
+        raise ValueError("the setting overflows a float") from None
 
 
 def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
@@ -316,7 +329,7 @@ def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
     check_pipeline(l, alpha, p, theta, W)
     mu = mu_functional(l, alpha, W)
     U, big_l = schrodinger_potential(l, alpha, theta, mu, W)
-    l_eff = math.sqrt(0.25 + (1.0 - theta) * big_l) - 0.5
+    l_eff = _effective_index(theta, big_l)
     u_inf = (1.0 - 2.0 * alpha) / 4.0 - l * mu * W.w_inf
     big_n, well = None, ()
     if u_inf > 0.0:

@@ -33,8 +33,8 @@ import scipy.linalg
 import scipy.sparse
 
 from . import profile
-from .radial import (RadialGrid, power_moment, prefix_column_weights,
-                     suffix_column_weights, deriv_deltal_inverse,
+from .radial import (PrefixIntegral, RadialGrid, power_moment,
+                     panel_coefficients, deriv_deltal_inverse,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
@@ -164,28 +164,39 @@ def deriv2_matrix(grid: RadialGrid, l: int) -> BandMatrix:
 
 
 # ---------------------------------------------------------------------------
-# cumulative quadrature matrices: triangular, column j holds radial's
-# closed-form weights of the integral of e_j
+# cumulative quadrature matrices: triangular, the running sums of the
+# panels cu_j f_j + cv_j f_{j+1} (radial.panel_coefficients) for unit data;
+# the prefix matrix adds the origin weights of radial.PrefixIntegral
 # ---------------------------------------------------------------------------
 
-def _triangular(diag: np.ndarray, off: np.ndarray, lower: bool) -> np.ndarray:
-    """C-ordered matrix with ``diag`` on its diagonal, off_j strictly below
-    (``lower``) or above it in column j, and zeros elsewhere."""
-    n = diag.size
+def _triangular(cu: np.ndarray, cv: np.ndarray, lower: bool) -> np.ndarray:
+    """C-ordered matrix of the running panel sums from the origin
+    (``lower``) or from rmax inwards, zero beyond rmax.
+
+    Column j is the integral of e_j: its half-hat weight on the diagonal
+    (cv_{j-1} from the origin, cu_j from rmax; 0 where that panel is
+    missing), its whole-hat weight cu_j + cv_{j-1} past it, zeros before.
+    """
+    n = cu.size + 1
+    whole = np.concatenate((cu[:1], cu[1:] + cv[:-1], cv[-1:]))
     mask = np.tri(n, k=-1, dtype=bool) if lower else ~np.tri(n, dtype=bool)
-    mat = np.where(mask, off, 0.0)
-    mat.flat[::n + 1] = diag
+    mat = np.where(mask, whole, 0.0)
+    mat.flat[::n + 1] = np.concatenate(([0.0], cv)) if lower else np.append(cu, 0.0)
     return mat
 
 
 def _prefix_matrix(grid: RadialGrid, a: float, p: float) -> np.ndarray:
-    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p."""
-    return _triangular(*prefix_column_weights(grid.nodes, a, p), lower=True)
+    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p:
+    the running sums plus the origin weight in column 0."""
+    prefix = PrefixIntegral(grid.nodes, a, p)
+    mat = _triangular(prefix.cu, prefix.cv, lower=True)
+    mat[:, 0] += prefix.origin[0]
+    return mat
 
 
 def _suffix_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
-    return _triangular(*suffix_column_weights(grid.nodes, a), lower=False)
+    return _triangular(*panel_coefficients(a, grid.nodes), lower=False)
 
 
 def dk_inv_matrix(grid: RadialGrid, k: float, origin_power: float = 0.0) -> np.ndarray:

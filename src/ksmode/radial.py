@@ -11,24 +11,24 @@ closed form.  This keeps the kernel form and the factorized form of the
 class-l inverse Laplacian consistent to round-off (see operators.py) and
 makes T[r]-type identities exact for data that is genuinely piecewise
 linear.  The first panel [0, r_1] has three origin models, and the caller
-names the one its data obeys; none is fitted to the data:
+names the one its data obeys; none is fitted to the data.  Each is linear
+in the first nodal values, so it is a weight vector fixed by the nodes:
 
-* the power model f ~ f_1 (s/r_1)^p (power_prefix_integral; p = l for
+* the power model f ~ f_1 (s/r_1)^p (PrefixIntegral with p; p = l for
   class-l data), which cumulative_power_integral uses for p != 0;
-* the even quadratic through the first two nodes (EvenPrefixIntegral),
-  which cumulative_power_integral uses for p = 0;
-* the cubic through the first four nodes, the origin panel of the
+* the even quadratic through the first two nodes (PrefixIntegral without
+  p), which cumulative_power_integral uses for p = 0;
+* the cubic through the first four nodes, the first panel of the
   piecewise-cubic rule cumulative_power_integral_cubic.  That rule
   integrates the cubic through each panel's four nearest nodes against
   s^a as a sum of closed-form Lagrange weights times the nodal data; it
   takes integer exponents a >= 0 only, so each panel moment is a finite
   binomial sum.
 
-The dense matrices of operators.py use the power model at every p: a
-constant class-0 panel.  They are triangular, and each column is fixed by
-two closed-form weights (prefix_column_weights, suffix_column_weights):
-the sums the running integrals form for a unit vector, bit for bit.  Those
-matrices treat the data as zero beyond rmax.
+This module holds the vector integrals.  The dense matrices of
+operators.py are built from the same panel coefficients and power-model
+origin weight at every p (a constant class-0 panel), and treat the data
+as zero beyond rmax.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
@@ -46,9 +46,7 @@ __all__ = [
     "RadialGrid", "RadialFunction", "make_grid", "DivergentTailError",
     "dk_inverse", "delta_l_inverse", "deriv_deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
-    "EvenPrefixIntegral", "power_prefix_integral", "prefix_column_weights",
-    "suffix_power_integral", "suffix_column_weights", "fit_tail_exponent",
-    "fd_deriv",
+    "PrefixIntegral", "suffix_power_integral", "fit_tail_exponent", "fd_deriv",
 ]
 
 MIN_NODES = 16
@@ -171,105 +169,62 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
     """I_i = int_0^{r_i} f(s) s^a ds for nodal data f, exact on the interpolant.
 
     The origin panel [0, r_1] uses the power model f = f_1 (s/r_1)^p with
-    p = ``origin_power``, except for p = 0 where an even-quadratic fit
-    a + b s^2 through the first two nodes is used (smooth radial data is
+    p = ``origin_power``, except for p = 0 where the even quadratic
+    c0 + c2 s^2 through the first two nodes is used (smooth radial data is
     even in r, and the constant model would leave an O(h^2) origin error
-    with a large profile-curvature constant).  p + a + 1 must be positive
-    for the model to integrate.  Takes one data set or a stack of them
-    along the leading axes.
+    with a large profile-curvature constant).  Takes one data set or a
+    stack of them along the leading axes.
     """
     p = float(origin_power)
-    if p + a + 1.0 <= 0.0:
-        raise DivergentTailError(
-            f"origin model exponent p={p:.3g} makes int_0 s^{a} divergent")
-    if p == 0.0:
-        return EvenPrefixIntegral(grid.nodes, a)(values)
-    return power_prefix_integral(values, grid.nodes, a, p)
+    return PrefixIntegral(grid.nodes, a, None if p == 0.0 else p)(values)
 
 
-def power_prefix_integral(values, nodes: np.ndarray, a: float,
-                          p: float) -> np.ndarray:
-    """I_i = int_0^{r_i} f(s) s^a ds, origin model f_1 (s/r_1)^p, p + a + 1 > 0;
-    one data set or a stack of them along the leading axes."""
-    values = np.asarray(values)
-    origin = values[..., 0] * nodes[0] ** (a + 1.0) / (p + a + 1.0)
-    return _prefix_sums(origin, *panel_coefficients(a, nodes), values)
+class PrefixIntegral:
+    """I_i = int_0^{r_i} f(s) s^a ds, one origin model and its panel weights.
 
+    Every origin model is linear in the first nodal values, so the origin
+    panel [0, r_1] is a weight vector fixed by the nodes, ``origin``:
 
-def _prefix_sums(origin, cu, cv, values) -> np.ndarray:
-    """Origin-panel integral followed by the running sum of the panels.
+    * ``p`` given: the power model f_1 (s/r_1)^p, one weight
+      r_1^{a+1}/(p+a+1);
+    * ``p`` None: the even quadratic c0 + c2 s^2 through the first two
+      nodes, two weights.
 
-    ``values`` may be a stack of data sets along the leading axes (one
-    ``origin`` each); the sums run along the last axis, in the output array.
-    """
-    out = np.empty(values.shape, dtype=np.result_type(values, float))
-    out[..., 0] = origin
-    sums = out[..., 1:]
-    np.multiply(cu, values[..., :-1], out=sums)
-    sums += cv * values[..., 1:]
-    np.cumsum(sums, axis=-1, out=sums)
-    sums += np.expand_dims(origin, -1)
-    return out
-
-
-def prefix_column_weights(nodes: np.ndarray, a: float, p: float):
-    """Columns (diag, below) of the matrix of power_prefix_integral.
-
-    The prefix integral of the unit vector e_j is 0 before node j, diag_j at
-    node j and below_j after it: the one nonzero sum _prefix_sums forms,
-    diag_j = cv_{j-1} and below_j = cv_{j-1} + cu_j, with the origin weight
-    r_1^{a+1}/(p+a+1) in place of cv_{-1}.  The matrix is lower triangular
-    with diag on its diagonal and below_j under it in column j (below_{n-1}
-    repeats diag_{n-1}; no row lies below it).
-    """
-    cu, cv = panel_coefficients(a, nodes)
-    origin = nodes[0] ** (a + 1.0) / (p + a + 1.0)
-    diag = np.concatenate(([origin], cv))
-    below = np.concatenate(([cu[0] + origin], cv[:-1] + cu[1:], cv[-1:]))
-    return diag, below
-
-
-def suffix_column_weights(nodes: np.ndarray, a: float):
-    """Columns (diag, above) of the matrix of the suffix integral to rmax.
-
-    The suffix integral of e_j, zero beyond rmax, is diag_j = cu_j at node
-    j (0 at the last node) and above_j = cu_j + cv_{j-1} before it: the one
-    nonzero sum of suffix_power_integral's running sum from rmax inwards,
-    before its fitted tail.  The matrix is upper triangular with diag on its
-    diagonal and above_j over it in column j (above_0 repeats diag_0; no
-    row lies above it).
-    """
-    cu, cv = panel_coefficients(a, nodes)
-    diag = np.append(cu, 0.0)
-    above = np.concatenate((cu[:1], cu[1:] + cv[:-1], cv[-1:]))
-    return diag, above
-
-
-class EvenPrefixIntegral:
-    """I_i = int_0^{r_i} f(s) s^a ds with the even-quadratic origin model.
-
-    The ``origin_power = 0`` case of cumulative_power_integral, which calls
-    it: the origin panel integrates the fit c0 + c2 s^2 through the first
-    two nodes.  Everything that depends only on the nodes (the panel
-    coefficients and the origin powers) is computed once, so a caller that
-    integrates many data sets on one grid builds one instance.  A call
-    takes one data set or a stack of them along the leading axes.
+    p + a + 1 (a + 1 for the even model) must be positive.  The panels
+    after it integrate the interpolant, cu_j f_j + cv_j f_{j+1}.  A call
+    takes one data set or a stack of them along the leading axes, applies
+    the origin weights elementwise and adds the running sum of the panels,
+    so each row has the bits of its own call.
     """
 
-    def __init__(self, nodes: np.ndarray, a: float):
-        self.a = a
-        self.r1, r2 = nodes[0], nodes[1]
-        self.span = r2 * r2 - self.r1 * self.r1
-        self.pow1 = self.r1 ** (a + 1.0)
-        self.pow3 = self.r1 ** (a + 3.0)
+    def __init__(self, nodes: np.ndarray, a: float, p: float | None = None):
+        power = 0.0 if p is None else p
+        if power + a + 1.0 <= 0.0:
+            raise DivergentTailError(
+                f"origin model exponent p={power:.3g} makes int_0 s^{a} divergent")
+        r1, r2 = nodes[0], nodes[1]
+        if p is None:
+            # c2 = (f_2 - f_1)/(r_2^2 - r_1^2) and c0 = f_1 - c2 r_1^2
+            w2 = -2.0 * r1 ** (a + 3.0) \
+                / ((a + 1.0) * (a + 3.0) * (r2 * r2 - r1 * r1))
+            self.origin = np.array([r1 ** (a + 1.0) / (a + 1.0) - w2, w2])
+        else:
+            self.origin = np.array([r1 ** (a + 1.0) / (p + a + 1.0)])
         self.cu, self.cv = panel_coefficients(a, nodes)
 
     def __call__(self, values) -> np.ndarray:
         values = np.asarray(values)
-        b = (values[..., 1] - values[..., 0]) / self.span
-        c0 = values[..., 0] - b * self.r1 * self.r1
-        origin = c0 * self.pow1 / (self.a + 1.0) + b * self.pow3 / (self.a + 3.0)
-        return _prefix_sums(origin, self.cu, self.cv, values)
+        origin = self.origin[0] * values[..., 0]
+        if self.origin.size == 2:
+            origin = origin + self.origin[1] * values[..., 1]
+        out = np.empty(values.shape, dtype=np.result_type(values, float))
+        out[..., 0] = origin
+        sums = out[..., 1:]
+        np.multiply(self.cu, values[..., :-1], out=sums)
+        sums += self.cv * values[..., 1:]
+        np.cumsum(sums, axis=-1, out=sums)
+        sums += np.expand_dims(origin, -1)
+        return out
 
 
 def _panel_moments(a: int, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -300,8 +255,9 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndar
     coordinates t = s - r_j with support nodes x_k, the Lagrange weight is
     w_k = (I_3 - e_1 I_2 + e_2 I_1 - e_3 I_0) / prod_{i != k} (x_k - x_i),
     with e_1, e_2, e_3 the elementary symmetric sums of the other three
-    nodes and I_m the panel moments.  The origin panel [0, r_1] uses the
-    first four nodes' cubic, whose extrapolation error below r_1 is O(h^4).
+    nodes and I_m the panel moments.  The origin panel [0, r_1] is the
+    first panel, with left end 0 and the first four nodes as support; its
+    extrapolation error below r_1 is O(h^4).
     The exponent a must be an integer >= 0.  Used where a downstream
     1/r^4-type factor would amplify piecewise-linear error, e.g. by the
     intertwining map.
@@ -312,11 +268,12 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndar
     f = np.asarray(values)
     r = grid.nodes
     n = grid.n
-    s0 = np.clip(np.arange(n - 1) - 1, 0, n - 4)
-    support = np.arange(4)[:, None] + s0     # (4, n - 1): node k of panel j
-    x = r[support] - r[:-1]
-    i0, i1, i2, i3 = _panel_moments(a, r[:-1], np.diff(r))
-    panel = np.zeros(n - 1, dtype=np.result_type(f, float))
+    left = np.concatenate(([0.0], r[:-1]))   # panel j is [left_j, r_j]
+    s0 = np.clip(np.arange(n) - 2, 0, n - 4)
+    support = np.arange(4)[:, None] + s0     # (4, n): node k of panel j
+    x = r[support] - left
+    i0, i1, i2, i3 = _panel_moments(a, left, r - left)
+    panel = np.zeros(n, dtype=np.result_type(f, float))
     for k in range(4):
         xa, xb, xc = (x[i] for i in range(4) if i != k)
         e1 = xa + xb + xc
@@ -325,17 +282,7 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndar
         weight = (i3 - e1 * i2 + e2 * i1 - e3 * i0) \
             / ((x[k] - xa) * (x[k] - xb) * (x[k] - xc))
         panel += weight * f[support[k]]
-
-    # origin panel: cubic through the first four nodes in coords t = s - r_1;
-    # int_0^{r1} (s-r1)^m s^a ds = r1^{a+m+1} sum_k C(m,k)(-1)^{m-k}/(a+k+1)
-    x0 = r[:4] - r[0]
-    c0 = np.linalg.solve(x0[:, None] ** np.arange(4)[None, :], f[:4])
-    m_origin = np.array([
-        r[0] ** (a + m + 1.0)
-        * sum(math.comb(m, k) * (-1.0) ** (m - k) / (a + k + 1.0) for k in range(m + 1))
-        for m in range(4)])
-    origin = c0 @ m_origin
-    return np.concatenate(([origin], origin + np.cumsum(panel)))
+    return np.concatenate(([panel[0]], panel[0] + np.cumsum(panel[1:])))
 
 
 def fit_tail_exponent(values, grid: RadialGrid):

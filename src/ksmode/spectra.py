@@ -305,10 +305,15 @@ def check_scan_grids(l: int, ladder: dict) -> list:
     if missing:
         raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
     log_max = math.log(np.finfo(float).max)
+
+    def exceeds(k: int, x: float) -> bool:
+        # k x > log_max, comparing the integer k itself (no float of k)
+        return x > 0.0 and k > log_max / x
+
     for key in keys:
         grid = ladder[key]
-        if (l + 2) * -math.log(grid.nodes[0]) > log_max \
-                or (l + 3) * math.log(grid.rmax) > log_max:
+        if exceeds(l + 2, -math.log(grid.nodes[0])) \
+                or exceeds(l + 3, math.log(grid.rmax)):
             raise ValueError(f"class {l} overflows a float on the ladder "
                              f"grid (n, rmax) {key}")
     return keys

@@ -402,6 +402,19 @@ def test_ggmt_setting_that_cannot_succeed_exits_2(tmp_path, capsys,
     assert not (tmp_path / "ggmt_diagnostics.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ggmt", "--p", "90"], id="ggmt-p-gamma-overflows"),
+    pytest.param(["ggmt", "--p", "70"], id="ggmt-p-prefactor-nan"),
+    pytest.param(["ggmt", "--alpha", "-1e155"], id="ggmt-alpha"),
+    pytest.param(["ggmt", "--l", "9" * 400], id="ggmt-l"),
+    pytest.param(["spectrum", "--l", "9" * 400], id="spectrum-l"),
+])
+def test_setting_that_overflows_a_float_exits_2(tmp_path, capsys, argv):
+    assert run_cli(argv, tmp_path) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
 def test_waveop_check_reports_the_conjugation_identity(tmp_path):
     assert run_cli(["waveop-check"], tmp_path) == 0
     checks = {c["tag"]: c for c in load_summary(tmp_path, "waveop-check")["checks"]}

@@ -400,9 +400,10 @@ def _flux_term(values, grid):
 def _mass_oracle(psi, grid):
     """int_0^r psi s^2 ds with every grid quantity recomputed per call."""
     r1, r2 = grid.nodes[0], grid.nodes[1]
-    b = (psi[1] - psi[0]) / (r2 * r2 - r1 * r1)
-    a0 = psi[0] - b * r1 * r1
-    origin = a0 * r1 ** 3.0 / 3.0 + b * r1 ** 5.0 / 5.0
+    # the even-quadratic origin panel as weights on psi_1 and psi_2
+    w1 = -2.0 * r1 ** 5.0 / (3.0 * 5.0 * (r2 * r2 - r1 * r1))
+    w0 = r1 ** 3.0 / 3.0 - w1
+    origin = w0 * psi[0] + w1 * psi[1]
     cu, cv = panel_coefficients(2.0, grid.nodes)
     out = np.empty(grid.n)
     out[0] = origin

@@ -11,7 +11,7 @@ import scipy.linalg
 from ksmode import evolution, ggmt, operators, profile, spectra
 from ksmode.radial import (RadialFunction, cumulative_power_integral,
                            deriv_stencil, make_grid, panel_coefficients,
-                           power_prefix_integral, three_point)
+                           PrefixIntegral, three_point)
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -379,7 +379,7 @@ def dense_fd_matrix(grid, order, l):
 def eye_dk_inv_matrix(grid, k, origin_power=0.0):
     r = grid.nodes
     if k > 0:
-        block = power_prefix_integral(np.eye(grid.n), r, k, origin_power).T
+        block = PrefixIntegral(r, k, origin_power)(np.eye(grid.n)).T
         return np.multiply((r ** (-k))[:, None], block, order="C")
     return np.multiply((-(r ** (-k)))[:, None], upper_cum_matrix(grid, k),
                        order="C")

@@ -7,13 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from ksmode import profile
-from ksmode.radial import (DivergentTailError, RadialFunction, RadialGrid,
-                           cumulative_power_integral,
+from ksmode.radial import (DivergentTailError, PrefixIntegral, RadialFunction,
+                           RadialGrid, cumulative_power_integral,
                            cumulative_power_integral_cubic, delta_l_inverse,
-                           EvenPrefixIntegral, deriv_deltal_inverse,
-                           deriv_stencil, dk_inverse, fd_deriv,
-                           fit_tail_exponent, make_grid, panel_coefficients,
-                           power_prefix_integral, suffix_power_integral,
+                           deriv_deltal_inverse, deriv_stencil, dk_inverse,
+                           fd_deriv, fit_tail_exponent, make_grid,
+                           panel_coefficients, suffix_power_integral,
                            weighted_inner)
 
 
@@ -446,18 +445,14 @@ class TestCumulative:
                 got = cumulative_power_integral_cubic(vals, g, a)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-    def test_cubic_solves_only_the_origin_panel(self, monkeypatch):
-        solve = np.linalg.solve
-        calls = []
+    def test_cubic_makes_no_linear_solve(self, monkeypatch):
+        # the origin panel is the first Lagrange panel, not a Vandermonde solve
+        def refused(*args):
+            raise AssertionError("np.linalg.solve was called")
 
-        def counted(mat, rhs):
-            calls.append(np.shape(mat))
-            return solve(mat, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "solve", refused)
         g = make_grid(2000, 40.0)
         cumulative_power_integral_cubic(profile.q_deriv(g.nodes, 1), g, 3)
-        assert calls == [(4, 4)]
 
     def test_suffix_with_tail_matches_improper_integral(self):
         g = make_grid(4000, 200.0)
@@ -512,8 +507,8 @@ class TestClass0OriginModels:
         r = grid.nodes
         f = profile.lambda_q(r)
         exact = r ** 3 * (profile.q(r) - 4.0 / (2.0 + r * r))
-        power = power_prefix_integral(f, r, 2.0, 0.0)
-        even = EvenPrefixIntegral(r, 2.0)(f)
+        power = PrefixIntegral(r, 2.0, 0.0)(f)
+        even = PrefixIntegral(r, 2.0)(f)
         first = [abs(m[0] - exact[0]) / abs(exact[0]) for m in (power, even)]
         whole = [np.max(np.abs(m - exact)) for m in (power, even)]
         return first, whole
@@ -528,6 +523,60 @@ class TestClass0OriginModels:
         assert np.all(np.log2(even[:-1] / even[1:]) > 3.7)
         for w_power, w_even in whole:
             assert w_even == pytest.approx(w_power, rel=0.02)
+
+
+def two_node_fit_origin(values, nodes, a):
+    """The even-quadratic origin panel by its two-node fit, per call: the
+    formula PrefixIntegral's weights were derived from."""
+    r1, r2 = nodes[0], nodes[1]
+    b = (values[1] - values[0]) / (r2 * r2 - r1 * r1)
+    c0 = values[0] - b * r1 * r1
+    return c0 * r1 ** (a + 1.0) / (a + 1.0) + b * r1 ** (a + 3.0) / (a + 3.0)
+
+
+class TestOriginWeights:
+    """Each origin model is a weight vector on the first nodal values, exact
+    on data of its own model."""
+
+    GRIDS = [pytest.param(make_grid(64, 10.0), id="uniform"),
+             pytest.param(make_grid(64, 10.0, ("geometric", 1.05)), id="geometric")]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("a", [2.0, 4.0])
+    def test_even_weights_exact_on_even_quadratics(self, grid, a):
+        r1 = grid.nodes[0]
+        prefix = PrefixIntegral(grid.nodes, a)
+        assert prefix.origin.shape == (2,)
+        for c0, c2 in ((1.0, 0.0), (0.0, 1.0), (3.0, -2.5)):
+            f = c0 + c2 * grid.nodes[:2] ** 2
+            exact = c0 * r1 ** (a + 1) / (a + 1) + c2 * r1 ** (a + 3) / (a + 3)
+            got = prefix.origin[0] * f[0] + prefix.origin[1] * f[1]
+            assert got == pytest.approx(exact, rel=1e-13, abs=1e-15 * r1 ** (a + 1))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("a", [2.0, 4.0])
+    def test_power_weight_exact_on_its_power(self, grid, a):
+        r1 = grid.nodes[0]
+        for p in (0.0, 1.0, 2.5):
+            (weight,) = PrefixIntegral(grid.nodes, a, p).origin
+            assert weight * r1 ** p == pytest.approx(
+                r1 ** (a + p + 1) / (a + p + 1), rel=1e-14)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_even_weights_match_the_two_node_fit(self, grid):
+        # the fit of the unit data e_1, e_2 of the first two nodes
+        for a in (0.0, 2.0, 4.0, 2.8):
+            weights = PrefixIntegral(grid.nodes, a).origin
+            for k, unit in enumerate(np.eye(2)):
+                want = two_node_fit_origin(unit, grid.nodes, a)
+                assert abs(weights[k] - want) <= 1e-15 * abs(want)
+
+    def test_divergent_origin_model_refused(self):
+        g = make_grid(64, 10.0)
+        with pytest.raises(DivergentTailError, match="divergent"):
+            PrefixIntegral(g.nodes, -1.0)
+        with pytest.raises(DivergentTailError, match="divergent"):
+            PrefixIntegral(g.nodes, 2.0, -3.0)
 
 
 class TestStackedIntegrals:
@@ -560,22 +609,24 @@ class TestStackedIntegrals:
     @pytest.mark.parametrize("shape", [(4,), (2, 3)])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_power_prefix_rows(self, shape, dtype):
+        # both origin models: the power model and the even quadratic (p None)
         g = make_grid(64, 10.0)
         data = self.stack(g, shape, dtype)
-        for a, p in ((2.0, 0.0), (4.0, 2.0), (2.8, 1.0)):
-            got = power_prefix_integral(data, g.nodes, a, p)
+        for a, p in ((2.0, 0.0), (4.0, 2.0), (2.8, 1.0), (2.0, None)):
+            prefix = PrefixIntegral(g.nodes, a, p)
+            got = prefix(data)
             for idx in np.ndindex(shape):
-                assert np.array_equal(
-                    got[idx], power_prefix_integral(data[idx], g.nodes, a, p))
-            if p != 0.0:   # the explicit-power branch is this model
-                assert np.array_equal(got, cumulative_power_integral(data, g, a, p))
+                assert np.array_equal(got[idx], prefix(data[idx]))
+            if p != 0.0:   # cumulative_power_integral's model at this p
+                power = 0.0 if p is None else p
+                assert np.array_equal(got, cumulative_power_integral(data, g, a, power))
 
     def test_power_model_integrates_its_origin_power(self):
         # data s^p on the grid: the origin panel is exact, every other panel
         # integrates the interpolant
         g = make_grid(400, 4.0)
         for a, p in ((2.0, 1.0), (4.0, 2.0)):
-            got = power_prefix_integral(g.nodes ** p, g.nodes, a, p)
+            got = PrefixIntegral(g.nodes, a, p)(g.nodes ** p)
             assert got[0] == pytest.approx(g.nodes[0] ** (a + p + 1) / (a + p + 1),
                                            rel=1e-14)
             exact = g.nodes ** (a + p + 1) / (a + p + 1)
