@@ -5,4 +5,9 @@ coercivity constants, eigenvalue-count bounds, wave-operator commutator
 identities, and renormalized evolution experiments.
 """
 
+import time
+
+# when the package began to load: the CLI reports the start-up it paid
+_IMPORT_START = time.perf_counter()
+
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ and reference value everywhere.  Configuration comes from an INI-style file
 precedence; every report embeds a hash of the effective configuration and
 a stable machine tag per check.  Reports are deterministic at a fixed BLAS
 thread count: rerunning a command produces byte-identical JSON apart from
-the timestamp and wall-time fields.
+the timestamp, wall-time and import-time fields.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration, 3 numerical failure (a diagnostics file is written).
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, evolution, ggmt, operators, spectra
+from . import _IMPORT_START, acceptance, evolution, ggmt, operators, spectra
 from .radial import RadialFunction, make_grid
 
 DEFAULTS = {
@@ -95,11 +95,16 @@ class RunConfig:
             for key, val in kv.items():
                 if isinstance(val, float) and not np.isfinite(val):
                     raise ConfigError(f"{sec}.{key} must be finite, got {val}")
-        # n, rmax and ratio are valid exactly when the grid builds
+        # n, rmax and ratio are valid exactly when the grid builds and the
+        # grid commands' operators hold in floats: they assemble L_0 and
+        # L_1, whose rmax^4 is the highest power of r they form
         try:
-            self.grid()
+            grid = self.grid()
         except ValueError as err:
             raise ConfigError(f"grid: {err}") from None
+        if spectra.class_overflows(1, grid):
+            raise ConfigError("grid: the class-1 operator overflows a float "
+                              f"on the {grid.n}-node grid to rmax = {grid.rmax:g}")
         # and the [scan] section exactly when its ladder builds
         self.ladder()
         gg = self.values["ggmt"]
@@ -110,7 +115,8 @@ class RunConfig:
             raise ConfigError(f"ggmt: {err}") from None
         e = self.values["evolve"]
         try:
-            evolution.step_count(e["dt"], e["horizon"])
+            # evolve-nonlinear stores every state of its grid
+            evolution.step_count(e["dt"], e["horizon"], grid.n)
         except ValueError as err:
             raise ConfigError(f"evolve: {err}") from None
         # the shooting bracket and bound scale with |amplitude|
@@ -204,6 +210,8 @@ def _write_summary(cfg, command, checks, extra, t0) -> Path:
         "config_hash": cfg.hash(),
         "checks": [c.as_dict() for c in checks],
         "wall_time": time.perf_counter() - t0,
+        # start-up: the package import, argument parsing and validation
+        "import_time": t0 - _IMPORT_START,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         # the last digits of the eigenvalues depend on the BLAS thread count
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

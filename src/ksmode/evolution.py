@@ -54,6 +54,9 @@ _NEWTON_TOL = 1e-12     # steady-state Newton residual, relative to max |Q|
 _NEWTON_MAX_ITER = 12
 _LOOKAHEAD = 2          # bisection levels each shooting round integrates
 _JACOBIAN_ROWS = 32     # flux-Jacobian columns per row-batched flux call
+# Value limit of a stored trace.  The nonlinear flow keeps every state,
+# 8 (steps + 1) n bytes, 256 MiB at this limit.
+_MAX_TRACE_VALUES = 2 ** 25
 
 
 class EvolutionError(RuntimeError):
@@ -97,8 +100,9 @@ def fit_rate(trace: EvolutionTrace, window=(0.0, None)) -> float:
     return float(np.polyfit(trace.times[mask], np.log(trace.norms[mask]), 1)[0])
 
 
-def step_count(dt: float, horizon: float) -> int:
-    """Number of steps of size dt to ``horizon``; ValueError on a bad pair."""
+def step_count(dt: float, horizon: float, width: int = 1) -> int:
+    """Number of steps of size dt to ``horizon``; ValueError on a bad pair,
+    or when a trace of ``width`` values per step passes _MAX_TRACE_VALUES."""
     if not 0.0 < dt <= 0.05:
         raise ValueError(f"dt = {dt} outside (0, 0.05]")
     steps = horizon / dt
@@ -107,6 +111,9 @@ def step_count(dt: float, horizon: float) -> int:
         raise ValueError(f"horizon = {horizon} is shorter than one step dt = {dt}")
     if abs(steps - n_steps) > 1e-9 * steps:
         raise ValueError(f"horizon = {horizon} is not a whole multiple of dt = {dt}")
+    if (n_steps + 1) * width > _MAX_TRACE_VALUES:
+        raise ValueError(f"a trace of {n_steps + 1} steps of {width} values "
+                         f"passes the limit of {_MAX_TRACE_VALUES} values")
     return n_steps
 
 
@@ -345,8 +352,8 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float,
     up the norm raises EvolutionError with the last valid state; the trace
     flags any run whose boundary value exceeds 1e-6 ||Psi||_inf.
     """
-    n_steps = step_count(dt, horizon)
     grid = psi0.grid
+    n_steps = step_count(dt, horizon, grid.n)
     run = _ImexRows(grid, dt).start(psi0.values)
     w = r2_mass_weights(grid)
     times = dt * np.arange(n_steps + 1)

@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import profile
 from .radial import RadialFunction, weighted_inner, fd_deriv, \
@@ -56,6 +54,8 @@ def alpha_beta(R: float):
     cross-validated internally against adaptive quadrature to 1e-10.
     Cached: criterion 6 asks for the same R once per test function.
     """
+    from scipy.integrate import quad
+
     if R <= 0.0:
         raise ValueError("R must be positive")
     R2 = R * R
@@ -210,6 +210,8 @@ def negative_part_bracket(V):
     ggmt_count of that potential share one bracketing; V must be a
     hashable function of r alone, as every function is.
     """
+    from scipy.optimize import brentq
+
     r = np.logspace(-3.0, 3.0, 512)
     v = np.broadcast_to(np.asarray(V(r), dtype=float), r.shape)
     if v[0] < 0.0 or v[-1] < 0.0:
@@ -229,6 +231,8 @@ def ggmt_count(p: float, l: float, V) -> float:
     supported (bracketed before integrating).  N < 1 certifies the absence
     of non-positive eigenvalues of -d_r^2 + l(l+1)/r^2 + V.
     """
+    from scipy.integrate import quad
+
     pref = ggmt_prefactor(p, l)
     wells = negative_part_bracket(V)
     total = 0.0

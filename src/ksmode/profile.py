@@ -20,7 +20,6 @@ All functions accept scalars or numpy arrays and are vectorized.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "q", "q_deriv", "lambda_q", "d2inv_q", "d2inv_q_closed",
@@ -67,6 +66,8 @@ def d2inv_q(r):
     Scalar-only, adaptive quadrature; never calls the closed form.  Use
     :func:`d2inv_q_closed` in assembled operators.
     """
+    from scipy.integrate import quad
+
     r = float(r)
     if r <= 0.0:
         return 0.0
@@ -95,6 +96,8 @@ def big_g(r):
 
 def big_g_quad(r):
     """Quadrature oracle for G(r) = \\int_0^r Q'(s) s^3 ds (scalar only)."""
+    from scipy.integrate import quad
+
     r = float(r)
     if r <= 0.0:
         return 0.0

@@ -53,7 +53,7 @@ from .radial import RadialGrid, make_grid
 
 __all__ = [
     "EigenReport", "ProjectionPair", "RangeFloor", "Scan",
-    "check_scan_grids", "eig_dense",
+    "check_scan_grids", "class_overflows", "eig_dense",
     "exponent_fits", "refinement_ladder",
     "unstable_scan_detailed", "build_projection",
     "schrodinger_spectrum_check",
@@ -292,8 +292,7 @@ def check_scan_grids(l: int, ladder: dict) -> list:
     the finest level at the largest radius, then its partners, the two
     coarser levels there and the finest level at the smallest radius.
     Raises ValueError when the ladder lacks one, or when L_l overflows on
-    one: it forms r_1^{-(l+2)} and rmax^{l+3} apart, so neither
-    (l+2) ln(1/r_1) nor (l+3) ln(rmax) may exceed ln(float max).
+    one (``class_overflows``).
     """
     ns = sorted({k[0] for k in ladder})
     rmaxs = sorted({k[1] for k in ladder})
@@ -304,19 +303,26 @@ def check_scan_grids(l: int, ladder: dict) -> list:
     missing = [key for key in keys if key not in ladder]
     if missing:
         raise ValueError(f"ladder lacks the scanned grids (n, rmax) {missing}")
-    log_max = math.log(np.finfo(float).max)
-
-    def exceeds(k: int, x: float) -> bool:
-        # k x > log_max, comparing the integer k itself (no float of k)
-        return x > 0.0 and k > log_max / x
-
     for key in keys:
-        grid = ladder[key]
-        if exceeds(l + 2, -math.log(grid.nodes[0])) \
-                or exceeds(l + 3, math.log(grid.rmax)):
+        if class_overflows(l, ladder[key]):
             raise ValueError(f"class {l} overflows a float on the ladder "
                              f"grid (n, rmax) {key}")
     return keys
+
+
+def class_overflows(l: int, grid: RadialGrid) -> bool:
+    """Whether L_l overflows a float on ``grid``.  It forms r_1^{-(l+2)}
+    and rmax^{l+3} apart, so neither (l+2) ln(1/r_1) nor (l+3) ln(rmax)
+    may exceed ln(float max).  The integer exponent is compared as it is,
+    never converted to a float, so a class of any size is tested."""
+    log_max = math.log(np.finfo(float).max)
+
+    def exceeds(k: int, x: float) -> bool:
+        # k x > log_max
+        return x > 0.0 and k > log_max / x
+
+    return exceeds(l + 2, -math.log(grid.nodes[0])) \
+        or exceeds(l + 3, math.log(grid.rmax))
 
 
 def _match_nearest(cands: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import operators, profile
 from .radial import (RadialGrid, cumulative_power_integral,
@@ -96,6 +95,8 @@ def potential_min_tilde_L1_prime():
     Returns (argmin, min value); the minimum sits near r = 3.18 at ~0.408,
     slightly above the 2/5 bound carried by the spectrum.
     """
+    from scipy.optimize import minimize_scalar
+
     r = np.linspace(0.1, 50.0, 512)
     v = profile.tilde_L1_prime_potential(r)
     falls = np.diff(v) < 0

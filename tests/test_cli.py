@@ -45,13 +45,16 @@ def test_summary_schema_and_determinism(tmp_path):
     assert run_cli(["ggmt"], tmp_path / "b") == 0
     first = load_summary(tmp_path / "a", "ggmt")
     assert set(first) == {"command", "config_hash", "checks", "wall_time",
-                          "timestamp", "blas_threads", "details"}
+                          "import_time", "timestamp", "blas_threads",
+                          "details"}
+    assert first["import_time"] > 0.0
 
     def stable_lines(path):
         return [line for line in path.read_text().splitlines()
-                if '"wall_time"' not in line and '"timestamp"' not in line]
+                if not any(f'"{key}"' in line for key in
+                           ("wall_time", "import_time", "timestamp"))]
 
-    # byte-identical apart from the two volatile fields, and the hash does
+    # byte-identical apart from the three volatile fields, and the hash does
     # not depend on where the report lands
     assert stable_lines(tmp_path / "a" / "ggmt_summary.json") \
         == stable_lines(tmp_path / "b" / "ggmt_summary.json")
@@ -349,6 +352,32 @@ def test_horizon_not_a_multiple_of_dt_exits_2(tmp_path, capsys):
     assert run_cli(["evolve-linear", "--dt", "0.01", "--horizon", "0.015"],
                    tmp_path) == 2
     assert "whole multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve-nonlinear", "--dt", "0.05", "--horizon", "1e12"],
+    ["evolve-linear", "--dt", "0.05", "--horizon", "1e9"],
+], ids=["evolve-nonlinear", "evolve-linear"])
+def test_horizon_too_long_to_store_exits_2(tmp_path, capsys, argv):
+    # the trace of every step would not fit in memory
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error: evolve:" in err and "limit" in err
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve-linear", "--rmax", "1e100"],
+    ["evolve-nonlinear", "--rmax", "1e200"],
+    ["shoot", "--rmax", "1e200"],
+    ["profile-check", "--rmax", "1e200"],
+], ids=lambda argv: argv[0])
+def test_grid_rmax_that_overflows_a_float_exits_2(tmp_path, capsys, argv):
+    # rmax^4 of the class-1 operator overflows a float
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error: grid:" in err and "overflows a float" in err
+    assert not list(tmp_path.glob("*_summary.json"))
 
 
 def test_value_error_in_command_exits_3(tmp_path, monkeypatch):

@@ -92,6 +92,19 @@ class TestStepRule:
         with pytest.raises(ValueError):
             evolution.step_count(dt, horizon)
 
+    def test_trace_too_long_to_store_rejected(self, grid):
+        limit = evolution._MAX_TRACE_VALUES
+        assert evolution.step_count(1.0 / 64, (limit - 1) / 64) == limit - 1
+        with pytest.raises(ValueError, match="limit"):
+            evolution.step_count(1.0 / 64, limit / 64)
+        with pytest.raises(ValueError, match="limit"):
+            evolution.step_count(0.05, 1e12)
+        # the nonlinear flow stores every state: grid.n values a step
+        psi = RadialFunction(grid, profile.q(grid.nodes))
+        with pytest.raises(ValueError, match="limit"):
+            evolution.nonlinear_radial_evolve(psi, 1.0 / 64,
+                                              limit // grid.n / 64)
+
     @pytest.mark.parametrize("dt, horizon", [(0.01, 0.015), (0.1, 1.0)])
     def test_both_flows_apply_the_step_rule(self, grid, op0, dt, horizon):
         psi = RadialFunction(grid, profile.q(grid.nodes))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from ksmode import ggmt, profile
@@ -77,7 +78,7 @@ class TestAlphaBeta:
         def counting_quad(*args, **kwargs):
             calls.append(args[1:3])
             return quad(*args, **kwargs)
-        monkeypatch.setattr(ggmt, "quad", counting_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
         ggmt.alpha_beta.cache_clear()
         first = ggmt.alpha_beta(4.0)
         assert ggmt.alpha_beta(4.0) == first
@@ -153,7 +154,7 @@ class TestMu:
     def test_no_scalar_quadrature(self, monkeypatch):
         def no_quad(*args, **kwargs):
             raise AssertionError("mu fell back to scalar quadrature")
-        monkeypatch.setattr(ggmt, "quad", no_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
         assert abs(ggmt.mu_functional(2, 0.2, ggmt.paper_weight())
                    - 1.9137) < 5e-3
 

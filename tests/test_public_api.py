@@ -203,8 +203,9 @@ def package_imports(path):
             module = node.module or ""
             if node.level:   # relative imports occur only inside the package
                 module = f"ksmode.{module}" if module else "ksmode"
-            if module == "ksmode":
-                found.update(a.name for a in node.names)
+            if module == "ksmode":   # modules, not package attributes
+                found.update(a.name for a in node.names
+                             if (PACKAGE / f"{a.name}.py").exists())
             elif module.startswith("ksmode."):
                 found.add(module.split(".")[1])
         elif isinstance(node, ast.Import):
