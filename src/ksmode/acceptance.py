@@ -134,8 +134,8 @@ def spectrum_checks(l: int, scan) -> list[Check]:
                     len(accepted) == 1)]
     if len(accepted) == 1:
         rep = accepted[0]
-        w = operators.r2_mass_weights(rep.grid)
-        cos = spectra.cosine_similarity(rep.vector, mode.shape(rep.grid.nodes), w)
+        cos = spectra.cosine_similarity(rep.vector, mode.shape(rep.grid.nodes),
+                                        rep.grid)
         checks += [
             _within(f"class {l}: eigenvalue", f"spectra.l{l}_eig",
                     rep.lam.real, mode.eigenvalue, 5e-3),
@@ -169,12 +169,10 @@ def steady_drift_check(grid, dt: float, horizon: float):
     The drift is the largest L^2(r^2 dr) distance to Q relative to ||Q||,
     bounded by the scheme order 10 (h^2 + dt^2) with h the largest spacing.
     """
-    w = operators.r2_mass_weights(grid)
     qv = profile.q(grid.nodes)
     tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt,
                                            horizon)
-    qn = np.sqrt(np.sum(w * qv ** 2))
-    drift = max(np.sqrt(np.sum(w * (s - qv) ** 2)) for s in tr.states) / qn
+    drift = max(grid.norm(s - qv) for s in tr.states) / grid.norm(qv)
     h = float(np.max(np.diff(grid.nodes)))
     return _at_most(f"steady-state drift over tau <= {horizon:g}",
                     "evolution.steady_drift", drift,
@@ -205,11 +203,10 @@ def shooting_setup(grid):
     discrete dynamics that actually run.  Returns (base, projection, bump),
     the bump normalized in L^2(r^2 dr).
     """
-    w = operators.r2_mass_weights(grid)
     qh, opf = evolution.discrete_steady_profile(grid)
     projf = spectra.build_projection(opf, SYMMETRY_MODES[0].eigenvalue)
     bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
-    return qh, projf, bump / np.sqrt(np.sum(w * bump ** 2))
+    return qh, projf, bump / grid.norm(bump)
 
 
 def shooting_checks(res, size: float) -> list[Check]:
@@ -277,10 +274,8 @@ def criterion_spectra() -> list[Check]:
 def criterion_waveop() -> list[Check]:
     grid = make_grid(20000, 60.0, "uniform")
     r = grid.nodes
-    w = grid.quad_weights * r * r
     dq = profile.q_deriv(r, 1)
-    tdq = waveop.apply_T(dq, grid)
-    ratio = float(np.sqrt(np.sum(w * tdq ** 2) / np.sum(w * dq ** 2)))
+    ratio = float(grid.norm(waveop.apply_T(dq, grid)) / grid.norm(dq))
     t_r = waveop.apply_T(r, grid)
     # closed form +4r^3/(5(r^2+2)); the printed sign in the source analysis
     # contradicts its own displayed intermediate step (see decisions ledger)
@@ -379,10 +374,9 @@ def criterion_profile() -> list[Check]:
         res = []
         for n in ns:
             g = make_grid(n, 40.0, "uniform")
-            w = operators.r2_mass_weights(g)
             v = mode.shape(g.nodes)
             dev = operators.apply_Ll(l, g, v) - mode.eigenvalue * v
-            res.append(np.sqrt(np.sum(w * dev ** 2) / np.sum(w * v ** 2)))
+            res.append(g.norm(dev) / g.norm(v))
         order = float(np.polyfit(np.log(ns), -np.log(res), 1)[0])
         checks.append(_at_least(f"class {l} eigen-relation grid-halving order",
                                 f"profile.eigen_l{l}_order", order, 1.8))

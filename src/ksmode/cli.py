@@ -96,12 +96,16 @@ class RunConfig:
                 if isinstance(val, float) and not np.isfinite(val):
                     raise ConfigError(f"{sec}.{key} must be finite, got {val}")
         # n, rmax and ratio are valid exactly when the grid builds and the
-        # grid commands' operators hold in floats: they assemble L_0 and
-        # L_1, whose rmax^4 is the highest power of r they form
+        # grid commands' profile data and operators hold in floats:
+        # profile-check forms (2 + r^2)^4 (Q'' of the pointwise bounds),
+        # assemble_Ll (2 + r^2)^3 (Q') and the powers of class_overflows
         try:
             grid = self.grid()
         except ValueError as err:
             raise ConfigError(f"grid: {err}") from None
+        if 4.0 * np.log(2.0 + grid.rmax * grid.rmax) > np.log(np.finfo(float).max):
+            raise ConfigError("grid: (2 + rmax^2)^4 of the profile overflows a "
+                              f"float at rmax = {grid.rmax:g}")
         if spectra.class_overflows(1, grid):
             raise ConfigError("grid: the class-1 operator overflows a float "
                               f"on the {grid.n}-node grid to rmax = {grid.rmax:g}")

@@ -35,8 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from . import profile
-from .operators import (BandMatrix, OperatorMatrix, assemble_Ll,
-                        local_band, r2_mass_weights)
+from .operators import BandMatrix, OperatorMatrix, assemble_Ll, local_band
 from .radial import PrefixIntegral, RadialFunction, RadialGrid, \
     cumulative_power_integral, fd_deriv
 
@@ -93,10 +92,15 @@ class ShootingResult:
 
 
 def fit_rate(trace: EvolutionTrace, window=(0.0, None)) -> float:
-    """Least-squares exponential rate of the norm history over a tau window."""
+    """Least-squares exponential rate of the norm history over a tau window;
+    EvolutionError when the window holds fewer than two positive norms."""
     t0, t1 = window
     t1 = trace.times[-1] if t1 is None else t1
     mask = (trace.times >= t0) & (trace.times <= t1) & (trace.norms > 0.0)
+    count = np.count_nonzero(mask)
+    if count < 2:
+        raise EvolutionError(f"no rate: {count} positive norms in the window "
+                             f"tau in [{t0:g}, {t1:g}]")
     return float(np.polyfit(trace.times[mask], np.log(trace.norms[mask]), 1)[0])
 
 
@@ -188,14 +192,13 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
     explicit, solve = _crank_nicolson(op.entries, dt)
-    w = r2_mass_weights(grid)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     coeffs = [] if projection is not None else None
 
     def record(k, vec):
-        norms[k] = np.sqrt(np.real(np.sum(w * np.abs(vec) ** 2)))
+        norms[k] = grid.norm(vec)
         if coeffs is not None:
             coeffs.append(projection.coefficient(vec))
 
@@ -355,20 +358,19 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float,
     grid = psi0.grid
     n_steps = step_count(dt, horizon, grid.n)
     run = _ImexRows(grid, dt).start(psi0.values)
-    w = r2_mass_weights(grid)
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, grid.n))
     states[0] = psi = run.psi[0]
     boundary_flag = False
-    norms[0] = np.sqrt(np.sum(w * psi ** 2))
+    norms[0] = grid.norm(psi)
     for k in range(1, n_steps + 1):
         failures = run.step()
         if failures:
             raise EvolutionError(failures[0], tau=times[k - 1],
                                  state=run.last[0])
         states[k] = psi = run.psi[0]
-        norms[k] = np.sqrt(np.sum(w * psi ** 2))
+        norms[k] = grid.norm(psi)
         if abs(psi[-1]) > 1e-6 * np.max(np.abs(psi)):
             boundary_flag = True
     return EvolutionTrace(times=times, norms=norms, mode_coeffs=None,
@@ -476,7 +478,6 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
     in both runs) cancels and the functional isolates the perturbation's
     own unstable content.
     """
-    w = r2_mass_weights(run.grid)
     dt = run.dt
     run.start(rows)
     live = np.arange(len(rows))   # input index of each row still running
@@ -497,7 +498,7 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
             stay[list(failed)] = False
             run.keep(stay)
             live = live[stay]
-        dist = np.sqrt(np.sum(w * (run.psi - ref_states[k]) ** 2, axis=-1))
+        dist = run.grid.norm(run.psi - ref_states[k])
         outside = dist > tubes[live]
         done = outside | (k == n_steps)
         if np.any(done):
@@ -600,15 +601,14 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     that of its own one-perturbation shooting.
     """
     grid = stable_perturbations[0].grid
-    w = r2_mass_weights(grid)
     lam_q = profile.lambda_q(grid.nodes)
-    lam_q = lam_q / np.sqrt(np.sum(w * lam_q ** 2))
+    lam_q = lam_q / grid.norm(lam_q)
     ref = nonlinear_radial_evolve(RadialFunction(grid, base_profile), dt,
                                   horizon)
     run = _ImexRows(grid, dt)
     searches = []
     for eps_s0 in stable_perturbations:
-        size0 = np.sqrt(np.sum(w * eps_s0.values ** 2))
+        size0 = grid.norm(eps_s0.values)
         if size0 == 0.0:
             size0 = _WIDTH_TOL * (float(bracket[1]) - float(bracket[0]))
         searches.append(_Bisection(eps_s0.values, _TUBE_FACTOR * size0,

@@ -25,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import profile
-from .radial import RadialFunction, weighted_inner, fd_deriv, \
-    delta_l_inverse, deriv_deltal_inverse
+from .radial import RadialFunction, deltal_inverse, fd_deriv, weighted_inner
 
 __all__ = [
     "alpha_beta", "w1_potential", "WeightSpec", "paper_weight",
@@ -197,7 +196,6 @@ def ggmt_prefactor(p: float, l: float) -> float:
             / (p ** p * math.gamma(p) ** 2) * (2.0 * l + 1.0) ** (-(2.0 * p - 1.0)))
 
 
-@lru_cache(maxsize=1)
 def negative_part_bracket(V):
     """Bracket the support of V_- by a scan of 512 log-spaced radii in
     [1e-3, 1e3] plus bisection.
@@ -205,10 +203,7 @@ def negative_part_bracket(V):
     Returns a tuple of (r_down, r_up) intervals on which V < 0.  Raises if
     V is negative at either end of the scan (non-compact negative part).
     The scan makes one call of V on all its radii (a V that returns one
-    number is constant), the bisection scalar calls.  The bracket of the
-    last V is kept, so l2_pipeline's check of its one well and the
-    ggmt_count of that potential share one bracketing; V must be a
-    hashable function of r alone, as every function is.
+    number is constant), the bisection scalar calls.
     """
     from scipy.optimize import brentq
 
@@ -224,17 +219,17 @@ def negative_part_bracket(V):
                  for i in range(0, len(crossings), 2))
 
 
-def ggmt_count(p: float, l: float, V) -> float:
+def ggmt_count(p: float, l: float, V, wells) -> float:
     """Eigenvalue-count bound N_{p,l}(V) = prefactor * int_0^inf r^{2p-1}|V_-|^p dr.
 
-    ``V`` is a callable potential; its negative part must be compactly
-    supported (bracketed before integrating).  N < 1 certifies the absence
-    of non-positive eigenvalues of -d_r^2 + l(l+1)/r^2 + V.
+    ``V`` is a callable potential and ``wells`` the support of its
+    negative part, as negative_part_bracket(V) returns it (so the negative
+    part must be compactly supported).  N < 1 certifies the absence of
+    non-positive eigenvalues of -d_r^2 + l(l+1)/r^2 + V.
     """
     from scipy.integrate import quad
 
     pref = ggmt_prefactor(p, l)
-    wells = negative_part_bracket(V)
     total = 0.0
     for (a, b) in wells:
         val, _ = quad(lambda r: r ** (2.0 * p - 1.0) * abs(min(float(V(r)), 0.0)) ** p,
@@ -341,8 +336,7 @@ def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
         if len(wells) != 1:
             raise RuntimeError(
                 f"expected a single potential well, found {len(wells)}")
-        # ggmt_count finds the bracket of U kept by negative_part_bracket
-        big_n, well = ggmt_count(p, l_eff, U), wells[0]
+        big_n, well = ggmt_count(p, l_eff, U, wells), wells[0]
     a4, b4 = alpha_beta(4.0)
     return GgmtReport(l=l, alpha=alpha, p=p, theta=theta, alphaR=a4, betaR=b4,
                       mu=mu, prefactor=ggmt_prefactor(p, l_eff), bigN=big_n,
@@ -363,8 +357,7 @@ def coercivity_form(f: RadialFunction, l: int) -> float:
     grid = f.grid
     r = grid.nodes
     df = RadialFunction(grid, fd_deriv(f.values, r, 1))
-    w = delta_l_inverse(l, f)
-    dw = deriv_deltal_inverse(l, f)
+    w, dw = deltal_inverse(l, f)
 
     def convexity_r2(rr):
         return (profile.q_deriv(rr, 2) - 2.0 / rr * profile.q_deriv(rr, 1)) * rr * rr
@@ -393,7 +386,7 @@ def interpolation_check(f: RadialFunction, l: int, R: float = 4.0):
     if l < 2:
         raise ValueError("interpolation inequality requires l >= 2")
     aR, bR = alpha_beta(R)
-    w = delta_l_inverse(l, f)
+    w = deltal_inverse(l, f)[0]
     lhs = float(np.real(weighted_inner(
         w, w, lambda rr: 1.0 / (2.0 + rr * rr) ** 2)))
     rhs = float(np.real(

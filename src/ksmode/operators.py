@@ -34,7 +34,7 @@ import scipy.sparse
 
 from . import profile
 from .radial import (PrefixIntegral, RadialGrid, power_moment,
-                     panel_coefficients, deriv_deltal_inverse,
+                     panel_coefficients, deltal_inverse,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "assemble_tilde_L1_prime", "apply_Ll", "kernel_deltal_inv_matrix",
     "factorized_deltal_inv_matrix", "deriv_deltal_inv_matrix",
     "kernel_deriv_deltal_inv_matrix", "dk_inv_matrix", "deriv1_matrix",
-    "deriv2_matrix", "r2_mass_weights",
+    "deriv2_matrix",
 ]
 
 
@@ -293,13 +293,6 @@ def kernel_deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     return mat / (2 * l + 1)
 
 
-def r2_mass_weights(grid: RadialGrid) -> np.ndarray:
-    """Lumped L^2(r^2 dr) quadrature weights, origin panel included."""
-    w = grid.quad_weights * grid.nodes ** 2
-    w[0] += 0.5 * grid.nodes[0] ** 3  # trapezoid on [0, r_1] with zero limit
-    return w
-
-
 # ---------------------------------------------------------------------------
 # operator assemblies
 # ---------------------------------------------------------------------------
@@ -355,7 +348,7 @@ def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
     """
     r = grid.nodes
     f = np.asarray(values)
-    ddli = deriv_deltal_inverse(l, RadialFunction(grid, f)).values
+    ddli = deltal_inverse(l, RadialFunction(grid, f))[1].values
     d1 = fd_deriv(f, r, 1)
     lap = fd_deriv(f, r, 2) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
     return (-lap + 0.5 * (r * d1 + 2.0 * f) - 2.0 * profile.q(r) * f

@@ -38,16 +38,14 @@ def q(r):
 
 
 def q_deriv(r, order=1):
-    """Closed-form radial derivative of Q of the given order (1, 2 or 3)."""
+    """Closed-form radial derivative of Q of the given order (1 or 2)."""
     r = np.asarray(r, dtype=float)
     r2 = r * r
     if order == 1:
         return -8.0 * r * (r2 + 10.0) / (2.0 + r2) ** 3
     if order == 2:
         return 8.0 * (3.0 * r2 * r2 + 44.0 * r2 - 20.0) / (2.0 + r2) ** 4
-    if order == 3:
-        return -96.0 * r * (r2 * r2 + 20.0 * r2 - 28.0) / (2.0 + r2) ** 5
-    raise ValueError(f"unsupported derivative order {order!r} (expected 1, 2 or 3)")
+    raise ValueError(f"unsupported derivative order {order!r} (expected 1 or 2)")
 
 
 def lambda_q(r):

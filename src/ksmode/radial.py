@@ -1,7 +1,10 @@
-"""Radial grids, quadrature and the inverse first-order operators D_k^{-1}.
+"""Radial grids, quadrature and the class-l inverse Laplacian.
 
 The package discretizes the half line (0, rmax] with n nodes (uniform or
-geometrically stretched).  Cumulative integrals of the form
+geometrically stretched).  The grid owns its quadrature: trapezoid weights,
+and the L^2(r^2 dr) weights r2_weights and norm that every mode and
+evolution norm, cosine and projection pairing reads.  Cumulative integrals
+of the form
 
     int_0^r f(s) s^a ds      and      int_r^rmax f(s) s^a ds
 
@@ -32,19 +35,21 @@ as zero beyond rmax.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
-the tail integral divergent.
+the tail integral divergent.  deltal_inverse gives Delta_l^{-1} f and
+d_r Delta_l^{-1} f together from one prefix and one suffix integral.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "RadialGrid", "RadialFunction", "make_grid", "DivergentTailError",
-    "dk_inverse", "delta_l_inverse", "deriv_deltal_inverse", "weighted_inner",
+    "deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
     "PrefixIntegral", "suffix_power_integral", "fit_tail_exponent", "fd_deriv",
 ]
@@ -60,10 +65,15 @@ class DivergentTailError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes in (0, rmax] with trapezoid weights on [r_1, rmax]."""
+    """Strictly increasing nodes in (0, rmax] with their radial quadrature.
+
+    ``quad_weights`` is the trapezoid rule on [r_1, rmax]; ``r2_weights``
+    and ``norm`` give L^2(r^2 dr), the space of every mode and evolution
+    norm.  Both weight vectors are read-only.
+    """
     nodes: np.ndarray
-    quad_weights: np.ndarray
     rmax: float
+    quad_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -73,12 +83,32 @@ class RadialGrid:
             raise ValueError("nodes and rmax must be finite")
         if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing and positive")
+        w = np.zeros_like(nodes)
+        d = np.diff(nodes)
+        w[:-1] += 0.5 * d
+        w[1:] += 0.5 * d
+        w.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "quad_weights", np.asarray(self.quad_weights, dtype=float))
+        object.__setattr__(self, "quad_weights", w)
 
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def r2_weights(self) -> np.ndarray:
+        """Lumped L^2(r^2 dr) weights, origin panel included; built on first
+        use, so a grid whose r^2 overflows still builds (and is refused)."""
+        w = self.quad_weights * self.nodes ** 2
+        w[0] += 0.5 * self.nodes[0] ** 3  # trapezoid on [0, r_1] with zero limit
+        w.flags.writeable = False
+        return w
+
+    def norm(self, values):
+        """L^2(r^2 dr) norm along the last axis: one per row of a stack."""
+        v = np.asarray(values)
+        sq = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
+        return np.sqrt(np.sum(self.r2_weights * sq, axis=-1))
 
     def cell_spacings(self) -> np.ndarray:
         """The n + 1 spacings from the origin to the outer ghost node."""
@@ -99,14 +129,6 @@ class RadialFunction:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite (no NaN/Inf)")
         self.values = values
-
-
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
 
 
 def make_grid(n: int, rmax: float, stretch="uniform") -> RadialGrid:
@@ -137,8 +159,7 @@ def make_grid(n: int, rmax: float, stretch="uniform") -> RadialGrid:
             raise ValueError(f"geometric ratio {ratio} overflows at n = {n}") from None
         nodes = h0 * (ratio ** np.arange(1, n + 1) - 1.0) / (ratio - 1.0)
         nodes[-1] = rmax
-    return RadialGrid(nodes=nodes, quad_weights=_trapezoid_weights(nodes),
-                      rmax=float(rmax))
+    return RadialGrid(nodes, float(rmax))
 
 
 # ---------------------------------------------------------------------------
@@ -386,71 +407,49 @@ def fd_deriv(values, nodes, order: int) -> np.ndarray:
 # the spec operators
 # ---------------------------------------------------------------------------
 
-def dk_inverse(k: int, f: RadialFunction, origin_power=None) -> RadialFunction:
-    """D_k^{-1} f: r^{-k} int_0^r f s^k ds for k > 0, else -r^{-k} int_r^inf f s^k ds.
+def deltal_inverse(l: int, f: RadialFunction):
+    """(Delta_l^{-1} f, d_r Delta_l^{-1} f) from one prefix and one suffix
+    integral, I = int_0^r s^{l+2} f ds (origin model f ~ r^l) and
+    J = int_r^inf s^{1-l} f ds (with its fitted tail):
 
-    For k > 0 the caller names the origin model f ~ r^origin_power of its
-    data (see cumulative_power_integral); k <= 0 takes none.
-    """
-    r = f.grid.nodes
-    if k > 0:
-        if origin_power is None:
-            raise ValueError(f"D_{k}^{{-1}} needs the origin power of its data")
-        vals = cumulative_power_integral(f.values, f.grid, float(k), origin_power)
-        return RadialFunction(f.grid, r ** (-float(k)) * vals)
-    vals = suffix_power_integral(f.values, f.grid, float(k))
-    return RadialFunction(f.grid, -r ** (-float(k)) * vals)
+        Delta_l^{-1} f = -(r^{-(l+1)} I + r^l J) / (2l+1),
+        d_r Delta_l^{-1} f = ((l+1) r^{-(l+2)} I - l r^{l-1} J) / (2l+1).
 
-
-def delta_l_inverse(l: int, f: RadialFunction) -> RadialFunction:
-    """Kernel form of the class-l inverse Laplacian.
-
-    Delta_l^{-1} f (r) = -(2l+1)^{-1} [ r^{-(l+1)} int_0^r s^{l+2} f ds
-                                        + r^l int_r^inf s^{1-l} f ds ].
+    The derivative is the first-order factorization (2l+1) d_r Delta_l^{-1}
+    = (l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1}; the kernel is never
+    differentiated numerically, and at l = 0 it is D_2^{-1} alone.  J needs
+    a tail that makes Delta_l^{-1} f converge, also at l = 0.
     """
     r = f.grid.nodes
     inner = cumulative_power_integral(f.values, f.grid, l + 2.0, l)
     outer = suffix_power_integral(f.values, f.grid, 1.0 - l)
     vals = -(r ** (-(l + 1.0)) * inner + r ** float(l) * outer) / (2 * l + 1)
-    return RadialFunction(f.grid, vals)
-
-
-def deriv_deltal_inverse(l: int, f: RadialFunction) -> RadialFunction:
-    """d/dr of Delta_l^{-1} f via the first-order factorization.
-
-    Uses (2l+1) d_r Delta_l^{-1} = (l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1};
-    the kernel is never differentiated numerically.  The l = 0 case reduces
-    to D_2^{-1} alone.
-    """
-    first = dk_inverse(l + 2, f, origin_power=l)
-    vals = (l + 1) * first.values
+    deriv = (l + 1) * (r ** (-(l + 2.0)) * inner)
     if l > 0:
-        second = dk_inverse(-(l - 1), f)
-        vals = vals + l * second.values
-    return RadialFunction(f.grid, vals / (2 * l + 1))
-
-
-_WEIGHTS = {
-    "flat": lambda r: np.ones_like(r),
-    "r2": lambda r: r * r,
-}
+        deriv = deriv + l * (-r ** (l - 1.0) * outer)
+    return (RadialFunction(f.grid, vals),
+            RadialFunction(f.grid, deriv / (2 * l + 1)))
 
 
 def weighted_inner(f: RadialFunction, g: RadialFunction, weight="r2"):
     """Quadrature of int f conj(g) w dr with w in {"flat", "r2"} or a callable.
 
-    The trapezoid rule covers [r_1, rmax]; for w = r^2 (and callables
-    vanishing at the origin) the first panel [0, r_1] is closed with the
-    zero limit of the integrand at r = 0.
+    w = r^2 pairs in the grid's ``r2_weights``.  Otherwise the trapezoid
+    rule covers [r_1, rmax], and for a callable (vanishing at the origin)
+    the first panel [0, r_1] is closed with the zero limit of the integrand
+    at r = 0.
     """
     if f.grid is not g.grid and not np.array_equal(f.grid.nodes, g.grid.nodes):
         raise ValueError("mismatched grids in weighted_inner")
     r = f.grid.nodes
-    wfun = _WEIGHTS.get(weight, weight if callable(weight) else None)
-    if wfun is None:
+    product = f.values * np.conj(g.values)
+    if weight == "r2":
+        total = np.sum(f.grid.r2_weights * product)
+    elif weight == "flat":
+        total = np.sum(f.grid.quad_weights * product)
+    elif callable(weight):
+        integrand = product * weight(r)
+        total = np.sum(f.grid.quad_weights * integrand) + 0.5 * r[0] * integrand[0]
+    else:
         raise ValueError(f"unknown weight {weight!r}")
-    integrand = f.values * np.conj(g.values) * wfun(r)
-    total = np.sum(f.grid.quad_weights * integrand)
-    if weight != "flat":
-        total = total + 0.5 * r[0] * integrand[0]
-    return total if np.iscomplexobj(integrand) else float(total)
+    return total if np.iscomplexobj(total) else float(total)

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .operators import OperatorMatrix, assemble_Ll, r2_mass_weights
+from .operators import OperatorMatrix, assemble_Ll
 from .radial import RadialGrid, make_grid
 
 __all__ = [
@@ -153,13 +153,13 @@ class RangeFloor:
 
 def _m_frame(a: OperatorMatrix):
     """The diagonal of M^{1/2}, B = M^{1/2} A M^{-1/2} and its Hermitian part
-    S = (B + B^T)/2, with M = diag(r2_mass_weights) of the operator's grid.
+    S = (B + B^T)/2, with M = diag(grid.r2_weights) of the operator's grid.
 
     Every eigenpair A v = lam v has Re lam = x^H S x / x^H x with
     x = M^{1/2} v, so the bottom eigenvalue of S, the floor of the numerical
     range of A in L^2(r^2 dr), bounds every eigenvalue from the left.
     """
-    root = np.sqrt(r2_mass_weights(a.grid))
+    root = np.sqrt(a.grid.r2_weights)
     b = root[:, None] * a.entries / root[None, :]
     return root, b, 0.5 * (b + b.T)
 
@@ -484,8 +484,7 @@ class ProjectionPair:
     number ||x|| ||y|| / |y^H x| of the right and left eigenvectors."""
     lam: complex
     right: np.ndarray   # unit in L^2(r^2 dr)
-    left: np.ndarray    # sum(conj(left) w right) = 1
-    weights: np.ndarray
+    left: np.ndarray    # sum(conj(left) grid.r2_weights right) = 1
     grid: RadialGrid
     biorthogonality_defect: float
     floor: RangeFloor
@@ -493,7 +492,7 @@ class ProjectionPair:
     condition: float
 
     def coefficient(self, values):
-        return (self.left.conj() * self.weights) @ np.asarray(values)
+        return (self.left.conj() * self.grid.r2_weights) @ np.asarray(values)
 
     def project_unstable(self, values) -> np.ndarray:
         return self.right * self.coefficient(values)
@@ -511,8 +510,8 @@ def build_projection(a: OperatorMatrix, target: float) -> ProjectionPair:
     raises.
     """
     mode = mode_report(a, target)
-    w = r2_mass_weights(a.grid)
-    right = mode.right / np.sqrt(np.sum(w * np.abs(mode.right) ** 2))
+    w = a.grid.r2_weights
+    right = mode.right / a.grid.norm(mode.right)
     pairing = np.vdot(mode.left, right)
     if abs(pairing) < 1e-8:
         raise RuntimeError("near-defective left/right pairing")
@@ -522,9 +521,9 @@ def build_projection(a: OperatorMatrix, target: float) -> ProjectionPair:
     defect = float(abs(np.sum(left.conj() * w * right) - 1.0))
     if defect > 1e-8:
         raise RuntimeError(f"bi-orthogonality defect {defect:.2e} > 1e-8")
-    return ProjectionPair(lam=mode.lam, right=right, left=left, weights=w,
-                          grid=a.grid, biorthogonality_defect=defect,
-                          floor=mode.floor, path=mode.path, condition=condition)
+    return ProjectionPair(lam=mode.lam, right=right, left=left, grid=a.grid,
+                          biorthogonality_defect=defect, floor=mode.floor,
+                          path=mode.path, condition=condition)
 
 
 @dataclass(frozen=True)
@@ -582,14 +581,12 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
     return Mode(lam, right * (abs(peak) / peak), lefts[:, 0], floor, path)
 
 
-def cosine_similarity(values_a, values_b, weights) -> float:
-    """|<a, b>| / (||a|| ||b||) in the supplied quadrature weights."""
+def cosine_similarity(values_a, values_b, grid: RadialGrid) -> float:
+    """|<a, b>| / (||a|| ||b||) in L^2(r^2 dr) of the grid."""
     a = np.asarray(values_a)
     b = np.asarray(values_b)
-    inner = np.abs(np.sum(weights * a * np.conj(b)))
-    na = np.sqrt(np.sum(weights * np.abs(a) ** 2))
-    nb = np.sqrt(np.sum(weights * np.abs(b) ** 2))
-    return float(inner / (na * nb))
+    inner = np.abs(np.sum(grid.r2_weights * a * np.conj(b)))
+    return float(inner / (grid.norm(a) * grid.norm(b)))
 
 
 def schrodinger_spectrum_check(band: tuple[np.ndarray, np.ndarray]) -> float:

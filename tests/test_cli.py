@@ -371,13 +371,26 @@ def test_horizon_too_long_to_store_exits_2(tmp_path, capsys, argv):
     ["evolve-nonlinear", "--rmax", "1e200"],
     ["shoot", "--rmax", "1e200"],
     ["profile-check", "--rmax", "1e200"],
-], ids=lambda argv: argv[0])
+    ["profile-check", "--rmax", "1e40"],
+    ["profile-check", "--rmax", "1e50"],
+    ["profile-check", "--rmax", "1e60"],
+], ids=["evolve-linear", "evolve-nonlinear", "shoot", "profile-check",
+        "profile-check-1e40", "profile-check-1e50", "profile-check-1e60"])
 def test_grid_rmax_that_overflows_a_float_exits_2(tmp_path, capsys, argv):
-    # rmax^4 of the class-1 operator overflows a float
+    # (2 + rmax^2)^4 of profile-check's Q'' overflows a float above about
+    # 3.4e38, rmax^4 of the class-1 operator above about 1.2e77
     assert run_cli(argv, tmp_path) == 2
     err = capsys.readouterr().err
     assert "config error: grid:" in err and "overflows a float" in err
     assert not list(tmp_path.glob("*_summary.json"))
+
+
+def test_tiny_domain_exits_3_without_a_traceback(tmp_path, capsys):
+    # every class-1 norm underflows to 0, so there is no growth rate to fit
+    assert run_cli(["evolve-linear", "--rmax", "1e-70"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "Traceback" not in err
+    assert "positive norms" in (tmp_path / "evolve_linear_diagnostics.txt").read_text()
 
 
 def test_value_error_in_command_exits_3(tmp_path, monkeypatch):

@@ -41,6 +41,17 @@ class TestLinear:
                                      projection=proj0)
         assert evolution.fit_rate(tr, (1.0, 6.0)) < 0.0
 
+    def test_rate_of_a_vanished_trace_rejected(self):
+        # every norm underflowed to 0 (a tiny domain): no window to fit
+        times = np.linspace(0.0, 1.0, 11)
+        tr = evolution.EvolutionTrace(times=times, norms=np.zeros(11),
+                                      mode_coeffs=None)
+        with pytest.raises(evolution.EvolutionError, match="0 positive norms"):
+            evolution.fit_rate(tr)
+        tr.norms[3] = 1.0
+        with pytest.raises(evolution.EvolutionError, match="1 positive norms"):
+            evolution.fit_rate(tr)
+
     def test_step_amplification_matches_eigenvalue(self, grid, op0, proj0):
         # Crank-Nicolson amplifies each discrete eigenpair coefficient by
         # (1 - dt lam/2)/(1 + dt lam/2) per step
@@ -229,16 +240,15 @@ class TestRowBatch:
         a = operators.local_band(0, grid, zero_profile=True)
         explicit, solve = evolution._crank_nicolson(a, 0.01)
         flux = evolution.FluxGeometry(grid)
-        w = operators.r2_mass_weights(grid)
         batched = {"solve": solve(stack)[0], "matvec": explicit @ stack,
                    "flux": evolution._nl_rhs(stack, flux),
                    "mass": flux.mass(stack),
-                   "norm": np.sqrt(np.sum(w * stack ** 2, axis=-1))}
+                   "norm": grid.norm(stack)}
         for i, row in enumerate(stack):
             alone = {"solve": solve(row)[0], "matvec": explicit @ row,
                      "flux": evolution._nl_rhs(row, flux),
                      "mass": flux.mass(row),
-                     "norm": np.sqrt(np.sum(w * row ** 2))}
+                     "norm": grid.norm(row)}
             for key, value in alone.items():
                 assert np.array_equal(batched[key][i], value), key
 
@@ -248,9 +258,8 @@ class TestRowBatch:
         # on opposite sides of the scaling direction
         qh, opf = evolution.discrete_steady_profile(grid)
         projf = spectra.build_projection(opf, -1.0)
-        w = operators.r2_mass_weights(grid)
         lam_q = profile.lambda_q(grid.nodes)
-        lam_q /= np.sqrt(np.sum(w * lam_q ** 2))
+        lam_q /= grid.norm(lam_q)
         rows = np.array([qh, 2.0 * profile.q(grid.nodes), qh + 1e-3 * lam_q,
                          qh - 1e-3 * lam_q])
         tubes = np.array([1e-3, 1e3, 2e-3, 2e-3])
@@ -508,9 +517,7 @@ class TestNonlinearFlow:
         dt = 0.01
         tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt,
                                                5.0)
-        w = operators.r2_mass_weights(grid)
-        qn = np.sqrt(np.sum(w * qv ** 2))
-        drift = max(np.sqrt(np.sum(w * (s - qv) ** 2)) for s in tr.states) / qn
+        drift = max(grid.norm(s - qv) for s in tr.states) / grid.norm(qv)
         h = r[1] - r[0]
         assert drift <= 10.0 * (h * h + dt * dt)
         assert tr.boundary_flag  # profile tails shed through the boundary
@@ -616,20 +623,18 @@ class TestShooting:
     def test_matched_run_relaxes_to_profile(self, grid, shooting_setup):
         # at the matched amplitude the stably perturbed flow decays back
         qh, projf = shooting_setup
-        w = operators.r2_mass_weights(grid)
         bump = np.real(projf.project_stable(
             np.exp(-(grid.nodes - 4.0) ** 2)))
-        bump *= 1e-3 / np.sqrt(np.sum(w * bump ** 2))
+        bump *= 1e-3 / grid.norm(bump)
         (res,) = evolution.shoot_stable_manifold(
             [RadialFunction(grid, bump)], (-4e-3, 4e-3), projf, dt=0.02,
             horizon=6.0, base_profile=qh)
         assert res.converged
         lam_q = profile.lambda_q(grid.nodes)
-        lam_q = lam_q / np.sqrt(np.sum(w * lam_q ** 2))
+        lam_q = lam_q / grid.norm(lam_q)
         tr = evolution.nonlinear_radial_evolve(
             RadialFunction(grid, qh + bump + res.a_star * lam_q), 0.02, 6.0)
-        devs = np.array([np.sqrt(np.sum(w * (s - qh) ** 2))
-                         for s in tr.states])
+        devs = grid.norm(tr.states - qh)
         window = (tr.times >= 1.0) & (tr.times <= 6.0)
         assert devs[window][-1] < devs[window][0]
         assert np.polyfit(tr.times[window], np.log(devs[window]), 1)[0] < 0.0

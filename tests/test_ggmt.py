@@ -194,12 +194,17 @@ class TestMu:
         assert abs(oracle - mu) <= 1e-10 * mu
 
 
+def count(V, l=1.0):
+    """N_{4,l}(V) over the wells that bracketing V finds."""
+    return ggmt.ggmt_count(4.0, l, V, ggmt.negative_part_bracket(V))
+
+
 class TestCount:
     def test_prefactor(self):
         assert ggmt.ggmt_prefactor(4.0, 0.0) == pytest.approx(14.765625, abs=1e-12)
 
     def test_nonnegative_potential_counts_zero(self):
-        assert ggmt.ggmt_count(4.0, 1.0, lambda r: 1.0 / (1.0 + r * r)) == 0.0
+        assert count(lambda r: 1.0 / (1.0 + r * r)) == 0.0
 
     def test_reference_pipeline_value(self):
         rep = ggmt.l2_pipeline()
@@ -210,7 +215,7 @@ class TestCount:
         rep = ggmt.l2_pipeline()
         u, _ = ggmt.schrodinger_potential(2, 0.2, 0.5, rep.mu,
                                           ggmt.paper_weight())
-        values = [ggmt.ggmt_count(4.0, l, u)
+        values = [count(u, l)
                   for l in (rep.l_eff - 0.5, rep.l_eff, rep.l_eff + 0.5)]
         assert values[0] > values[1] > values[2]
 
@@ -236,13 +241,13 @@ class TestCount:
 
     def test_non_compact_negative_part_rejected(self):
         with pytest.raises(ValueError):
-            ggmt.ggmt_count(4.0, 1.0, lambda r: -1.0)
+            count(lambda r: -1.0)
 
     def test_scan_takes_a_constant_potential(self):
         # the scan evaluates V on all its radii in one call, and a callable
         # that returns one number for them all is a constant potential
         assert ggmt.negative_part_bracket(lambda r: 1.0) == ()
-        assert ggmt.ggmt_count(4.0, 1.0, lambda r: 1.0) == 0.0
+        assert count(lambda r: 1.0) == 0.0
 
     def test_pipeline_brackets_the_well_once(self, monkeypatch):
         # a bracketing is one scan, one call of U on an array of radii;

@@ -21,10 +21,10 @@ def test_q_deriv_values():
     assert profile.q_deriv(0.0, 1) == 0.0
     assert np.isclose(profile.q_deriv(0.0, 2), -10.0, atol=1e-14)
     with pytest.raises(ValueError):
-        profile.q_deriv(1.0, 4)
+        profile.q_deriv(1.0, 3)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2])
 def test_q_deriv_matches_finite_differences(order):
     r = np.linspace(0.3, 20.0, 50)
     h = 1e-4

@@ -28,8 +28,6 @@ DERIVED = {
                  -8 * r * (r**2 + 10) / (2 + r**2) ** 3),
     "q_deriv2": (lambda x: profile.q_deriv(x, 2), sp.diff(Q, r, 2),
                  8 * (3 * r**4 + 44 * r**2 - 20) / (2 + r**2) ** 4),
-    "q_deriv3": (lambda x: profile.q_deriv(x, 3), sp.diff(Q, r, 3),
-                 -96 * r * (r**4 + 20 * r**2 - 28) / (2 + r**2) ** 5),
     "lambda_q": (profile.lambda_q, r * sp.diff(Q, r) + 2 * Q,
                  16 * (6 - r**2) / (2 + r**2) ** 3),
     "d2inv_q_closed": (profile.d2inv_q_closed, D2INV_Q, 4 * r / (2 + r**2)),
@@ -39,7 +37,7 @@ DERIVED = {
                + 2 * (r**4 + 28 * r**2 + 20) / (r**2 * (r**2 + 2) ** 2)),
 }
 
-# clear of the roots of Q'', Q''' and Lambda Q, where a relative bar means
+# clear of the roots of Q'' and Lambda Q, where a relative bar means
 # nothing, and of the far field, where r Q' + 2 Q loses about r^2/2 ulps
 POINTS = np.array([0.05, 0.3, 1.6, 3.7, 6.0])
 

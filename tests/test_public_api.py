@@ -222,3 +222,11 @@ def test_modules_import_only_lower_layers():
                     for used in package_imports(PACKAGE / f"{mod}.py")
                     if layer[used] >= layer[mod])
     assert upward == []
+
+
+def test_only_radial_reads_the_trapezoid_weights():
+    # every L^2(r^2 dr) weight and norm goes through the grid's r2_weights
+    # and norm; the raw trapezoid rule stays inside radial
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if "quad_weights" in path.read_text()]
+    assert readers == ["radial.py"]

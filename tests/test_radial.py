@@ -9,19 +9,30 @@ from scipy.integrate import quad
 from ksmode import profile
 from ksmode.radial import (DivergentTailError, PrefixIntegral, RadialFunction,
                            RadialGrid, cumulative_power_integral,
-                           cumulative_power_integral_cubic, delta_l_inverse,
-                           deriv_deltal_inverse, deriv_stencil, dk_inverse,
-                           fd_deriv, fit_tail_exponent, make_grid,
-                           panel_coefficients, suffix_power_integral,
-                           weighted_inner)
+                           cumulative_power_integral_cubic, deltal_inverse,
+                           deriv_stencil, fd_deriv, fit_tail_exponent,
+                           make_grid, panel_coefficients,
+                           suffix_power_integral, weighted_inner)
 
 
 def gaussian_bump(r, center=5.0, width=1.5):
     return np.exp(-((r - center) / width) ** 2)
 
 
-# -- oracles: finite-difference D_k and Delta_l, a refined trapezoid rule and
-# -- the piecewise-cubic d_r Delta_1^{-1}
+# -- oracles: D_k^{-1} from the prefix and suffix integrals, finite-difference
+# -- D_k and Delta_l, a refined trapezoid rule and the piecewise-cubic
+# -- d_r Delta_1^{-1}
+
+def dk_inverse(k: int, f: RadialFunction, origin_power: float = 0.0) -> RadialFunction:
+    """D_k^{-1} f: r^{-k} int_0^r f s^k ds (origin model f ~ r^origin_power)
+    for k > 0, else -r^{-k} int_r^inf f s^k ds."""
+    r = f.grid.nodes
+    if k > 0:
+        vals = cumulative_power_integral(f.values, f.grid, float(k), origin_power)
+        return RadialFunction(f.grid, r ** (-float(k)) * vals)
+    vals = suffix_power_integral(f.values, f.grid, float(k))
+    return RadialFunction(f.grid, -r ** (-float(k)) * vals)
+
 
 def dk_apply(k: int, f: RadialFunction) -> RadialFunction:
     """D_k f = f' + (k/r) f by O(h^2) finite differences."""
@@ -146,9 +157,9 @@ class TestMakeGrid:
         nodes = good.nodes.copy()
         nodes[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            RadialGrid(nodes, good.quad_weights, 10.0)
+            RadialGrid(nodes, 10.0)
         with pytest.raises(ValueError, match="finite"):
-            RadialGrid(good.nodes, good.quad_weights, np.nan)
+            RadialGrid(good.nodes, np.nan)
 
     def test_weights_integrate_one_exactly(self):
         for stretch in ("uniform", ("geometric", 1.01)):
@@ -171,6 +182,40 @@ class TestMakeGrid:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             RadialFunction(g, vals)
+
+
+class TestGridWeights:
+    """The L^2(r^2 dr) weights and norm the grid owns."""
+
+    def test_norm_has_the_bits_of_the_written_out_sums(self):
+        g = make_grid(300, 40.0, ("geometric", 1.01))
+        w = g.quad_weights * g.nodes ** 2
+        w[0] += 0.5 * g.nodes[0] ** 3
+        assert np.array_equal(g.r2_weights, w)
+        rng = np.random.default_rng(5)
+        real = rng.standard_normal(g.n)
+        cplx = real + 1j * rng.standard_normal(g.n)
+        assert g.norm(real) == np.sqrt(np.sum(w * real ** 2))
+        assert g.norm(cplx) == np.sqrt(np.sum(w * np.abs(cplx) ** 2))
+        # every row of a stack has the bits of its own norm
+        stack = rng.standard_normal((4, g.n))
+        rows = g.norm(stack)
+        for i, row in enumerate(stack):
+            assert rows[i] == np.sqrt(np.sum(w * row ** 2))
+
+    def test_far_grid_builds_without_warnings(self):
+        # r^2 overflows at 1e300: the r^2 weights wait for their first use,
+        # so the grid builds and a configuration check can refuse it
+        g = make_grid(64, 1e300)
+        assert np.all(np.isfinite(g.quad_weights))
+
+    def test_weights_are_read_only(self):
+        g = make_grid(32, 10.0)
+        with pytest.raises(ValueError, match="read-only"):
+            g.r2_weights[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.quad_weights[0] = 1.0
+        assert g.r2_weights is g.r2_weights   # built once
 
 
 class TestDkApply:
@@ -257,14 +302,6 @@ class TestDkInverse:
             rhs = -weighted_inner(f, dk_inverse(-k, h), "flat")
             assert abs(lhs - rhs) < 1e-6 * max(abs(lhs), 1e-3)
 
-    def test_positive_k_needs_an_origin_power(self):
-        g = make_grid(200, 50.0)
-        f = RadialFunction(g, gaussian_bump(g.nodes))
-        with pytest.raises(ValueError, match="origin power"):
-            dk_inverse(2, f)
-        assert np.array_equal(dk_inverse(-1, f).values,
-                              dk_inverse(-1, f, origin_power=3.0).values)
-
     def test_divergent_tail_rejected(self):
         g = make_grid(200, 50.0)
         f = RadialFunction(g, 1.0 / np.sqrt(g.nodes))
@@ -289,7 +326,7 @@ class TestDeltaL:
         for n in (800, 1600):
             g = make_grid(n, 30.0)
             f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
-            back = delta_l_apply(l, delta_l_inverse(l, f))
+            back = delta_l_apply(l, deltal_inverse(l, f)[0])
             mask = (g.nodes > 1.0) & (g.nodes < 25.0)
             errs.append(np.max(np.abs(back.values - f.values)[mask]))
         assert errs[1] < max(0.35 * errs[0], 1e-11)
@@ -301,7 +338,7 @@ class TestDeltaL:
         # matrices agree to round-off, see test_operators)
         g = make_grid(4000, 200.0)
         f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
-        direct = delta_l_inverse(l, f)
+        direct = deltal_inverse(l, f)[0]
         composed = dk_inverse(-l, dk_inverse(l + 2, f, origin_power=l))
         err = np.max(np.abs(direct.values - composed.values))
         assert err < 1e-4 * np.max(np.abs(direct.values))
@@ -310,7 +347,7 @@ class TestDeltaL:
     def test_inverse_kernel_decay_exponent(self, l):
         g = make_grid(2000, 200.0)
         f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
-        w = delta_l_inverse(l, f)
+        w = deltal_inverse(l, f)[0]
         r = g.nodes
         mask = (r > 40.0) & (r < 150.0)
         slope = np.polyfit(np.log(r[mask]), np.log(np.abs(w.values[mask])), 1)[0]
@@ -332,7 +369,7 @@ class TestDeltaL:
         i = np.argmin(np.abs(g.nodes - 1.0))
         assert abs(out[i] - 4.0 / 9.0) < 1e-6
         # independent oracle: difference the kernel-form inverse directly
-        w = delta_l_inverse(1, f)
+        w = deltal_inverse(1, f)[0]
         h = g.nodes[1] - g.nodes[0]
         fd = (w.values[i + 1] - w.values[i - 1]) / (2.0 * h)
         assert abs(fd - 4.0 / 9.0) < 1e-5
@@ -340,16 +377,25 @@ class TestDeltaL:
     def test_deriv_inverse_consistent_with_differencing(self):
         g = make_grid(4000, 40.0)
         f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
-        direct = deriv_deltal_inverse(2, f)
-        w = delta_l_inverse(2, f)
+        w, direct = deltal_inverse(2, f)
         fd = np.gradient(w.values, g.nodes)
         mask = (g.nodes > 1.0) & (g.nodes < 35.0)
         assert np.max(np.abs(direct.values - fd)[mask]) < 1e-4
 
+    @pytest.mark.parametrize("l", [0, 1, 2, 5])
+    def test_deriv_inverse_has_the_bits_of_the_factorization(self, l):
+        # (l+1) D_{l+2}^{-1} f, then + l D_{1-l}^{-1} f, then / (2l+1)
+        g = make_grid(300, 30.0, ("geometric", 1.01))
+        f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
+        want = (l + 1) * dk_inverse(l + 2, f, origin_power=l).values
+        if l > 0:
+            want = want + l * dk_inverse(1 - l, f).values
+        assert np.array_equal(deltal_inverse(l, f)[1].values, want / (2 * l + 1))
+
     def test_deriv_inverse_l0_is_pure_prefix_integral(self):
         g = make_grid(500, 30.0)
         f = RadialFunction(g, gaussian_bump(g.nodes, 8.0, 2.0))
-        out = deriv_deltal_inverse(0, f)
+        out = deltal_inverse(0, f)[1]
         expected = cumulative_power_integral(f.values, g, 2.0, 0.0) / g.nodes ** 2
         assert np.max(np.abs(out.values - expected)) < 1e-14
 

@@ -114,9 +114,8 @@ class TestScan:
         assert len(scan.accepted) == 1
         rep = scan.accepted[0]
         assert abs(rep.lam - (-1.0)) < 5e-3
-        w = operators.r2_mass_weights(rep.grid)
         cos = spectra.cosine_similarity(rep.vector,
-                                        profile.lambda_q(rep.grid.nodes), w)
+                                        profile.lambda_q(rep.grid.nodes), rep.grid)
         assert cos >= 0.999
 
     def test_l2_empty(self, solves):
@@ -270,7 +269,7 @@ class TestRangeFloor:
         # criterion 6's 200 seeded bumps, in its draw order: the discrete
         # Rayleigh quotient of each lies above its class floor
         grid = make_grid(400, 40.0, ("geometric", 30.0 ** (1.0 / 399.0)))
-        w = operators.r2_mass_weights(grid)
+        w = grid.r2_weights
         rng = np.random.default_rng(20250809)
         for l in (3, 4, 5, 6):
             a = operators.assemble_Ll(l, grid)
@@ -367,7 +366,6 @@ class TestDeflation:
             frame = spectra._m_frame(a)
             nu = spectra._range_floor(frame[2]).nu
             full, full_vecs = spectra.eig_dense(a)
-            w = operators.r2_mass_weights(grid)
             for k in spectra._DEFLATION_SIZES:
                 deflated, lams, vecs = spectra._deflate(a, frame, nu, k)
                 if not deflated.certifies(threshold):
@@ -385,7 +383,7 @@ class TestDeflation:
                 assert got.size == want.size
                 for i, j in zip(got, want):
                     assert abs(lams[i] - full[j]) <= 1e-9 * abs(full[j])
-                    cos = spectra.cosine_similarity(vecs[:, i], full_vecs[:, j], w)
+                    cos = spectra.cosine_similarity(vecs[:, i], full_vecs[:, j], grid)
                     assert cos >= 1.0 - 1e-9
         # the symmetry classes are certified on every grid of the ladder
         if threshold == 0.05:
@@ -578,7 +576,7 @@ class TestModeReportOracle:
         peak = mode.right[np.argmax(np.abs(mode.right))]
         assert peak.real > 0.0 and peak.imag == 0.0
         # the stable part of exp(-r^2) under the oracle's own projection
-        w = operators.r2_mass_weights(a.grid)
+        w = a.grid.r2_weights
         f = np.exp(-a.grid.nodes ** 2)
         right = right / np.sqrt(np.sum(w * np.abs(right) ** 2))
         left = left / (w * np.conj(np.vdot(left, right)))
