@@ -98,7 +98,8 @@ class RunConfig:
         # n, rmax and ratio are valid exactly when the grid builds and the
         # grid commands' profile data and operators hold in floats:
         # profile-check forms (2 + r^2)^4 (Q'' of the pointwise bounds),
-        # assemble_Ll (2 + r^2)^3 (Q') and the powers of class_overflows
+        # assemble_Ll (2 + r^2)^3 (Q') and the powers of class_overflows,
+        # and the class-0 origin ghost products of r^2 at the first nodes
         try:
             grid = self.grid()
         except ValueError as err:
@@ -109,6 +110,9 @@ class RunConfig:
         if spectra.class_overflows(1, grid):
             raise ConfigError("grid: the class-1 operator overflows a float "
                               f"on the {grid.n}-node grid to rmax = {grid.rmax:g}")
+        if operators.origin_ghost_underflows(grid):
+            raise ConfigError("grid: the class-0 origin ghost underflows a "
+                              f"float at r_1 = {grid.nodes[0]:g}")
         # and the [scan] section exactly when its ladder builds
         self.ladder()
         gg = self.values["ggmt"]

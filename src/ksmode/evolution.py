@@ -20,8 +20,14 @@ along the rows.  So a row gets the same bits in a batch as alone.
 The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
-Its bisections run in lockstep, each round integrating the next bisection
-levels of every bracket as one batch.
+Its searches run in lockstep, each round integrating the runs every search
+needs next as one batch.  A search bisects while its runs leave the tube;
+once both bracket ends stay in the tube to the horizon it finds the root
+of the scaling-mode coefficient by secant steps and replays the remaining
+bisection levels from that root, confirming the final bracket with real
+runs.  The replay is exact only if the coefficient changes sign once
+across the in-tube bracket, which the confirmation checks at the final
+bracket only; a failed confirmation resumes the plain bisection.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -52,6 +58,8 @@ _WIDTH_TOL = 1e-8       # shooting bisection stops at this fraction of the brack
 _NEWTON_TOL = 1e-12     # steady-state Newton residual, relative to max |Q|
 _NEWTON_MAX_ITER = 12
 _LOOKAHEAD = 2          # bisection levels each shooting round integrates
+_SECANT_RUNS = 6        # most secant runs of a shooting search before its replay
+_SECANT_TOL = 1e-3      # secant stops at a step below this fraction of the final width
 _JACOBIAN_ROWS = 32     # flux-Jacobian columns per row-batched flux call
 # Value limit of a stored trace.  The nonlinear flow keeps every state,
 # 8 (steps + 1) n bytes, 256 MiB at this limit.
@@ -85,8 +93,10 @@ class ShootingResult:
     converged: bool
     departure_sign_low: int
     departure_sign_high: int
-    # (a, departure sign, exit tau or None) of every run the bisection used,
-    # in order: the bracket ends, each midpoint, and a_star last
+    # (a, departure sign, exit tau or None) of every run the search used, in
+    # order: the bracket ends and each bisection level walked while runs left
+    # the tube, then the secant iterates and the final lo, hi and a_star (or,
+    # after a failed confirmation, the remaining levels and a_star)
     trail: list
     max_solve_defect: float   # largest relative implicit-solve defect
 
@@ -461,22 +471,23 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
 
 def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
                 ref_states: np.ndarray, projection) -> list:
-    """Evolve a stack of initial states; per row (sign, exit tau, defect).
+    """Evolve a stack of initial states; per row (sign, coefficient, exit
+    tau, defect).
 
     ``run`` is restarted on ``rows``, and ``ref_states`` holds the reference
-    trajectory at each of its steps.  The sign is that of the scaling-mode
+    trajectory at each of its steps.  The coefficient is the scaling-mode
     coefficient of a row's deviation from the reference when the row
-    retires, and the defect is its largest relative solve defect.  A row
-    retires when its deviation leaves its tube (radius ``tubes[i]``; the
-    exit tau is that step's time), when it reaches the horizon (exit tau
-    None unless it leaves the tube on the last step), or when its step
-    fails the negativity or blowup guard; that counts as a departure at
-    the time of its last valid state, which it is classified from.  The
-    deviation is measured against the unperturbed trajectory, run to the
-    horizon beforehand and read here from its stored states, so the O(h^2)
-    steady-state residual (which seeds the scaling instability identically
-    in both runs) cancels and the functional isolates the perturbation's
-    own unstable content.
+    retires, the sign is its sign (+1 at 0), and the defect is the row's
+    largest relative solve defect.  A row retires when its deviation
+    leaves its tube (radius ``tubes[i]``; the exit tau is that step's
+    time), when it reaches the horizon (exit tau None unless it leaves the
+    tube on the last step), or when its step fails the negativity or
+    blowup guard; that counts as a departure at the time of its last valid
+    state, which it is classified from.  The deviation is measured against
+    the unperturbed trajectory, run to the horizon beforehand and read
+    here from its stored states, so the O(h^2) steady-state residual
+    (which seeds the scaling instability identically in both runs) cancels
+    and the functional isolates the perturbation's own unstable content.
     """
     dt = run.dt
     run.start(rows)
@@ -485,8 +496,8 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
 
     def retire(i, state, k, exited):
         coef = float(np.real(projection.coefficient(state - ref_states[k])))
-        out[live[i]] = ((1 if coef >= 0.0 else -1), dt * k if exited else None,
-                        float(run.defect[i]))
+        out[live[i]] = ((1 if coef >= 0.0 else -1), coef,
+                        dt * k if exited else None, float(run.defect[i]))
 
     n_steps = len(ref_states) - 1
     for k in range(1, n_steps + 1):
@@ -519,68 +530,143 @@ def _lookahead(lo: float, hi: float, depth: int) -> list:
     return [mid] + _lookahead(lo, mid, depth - 1) + _lookahead(mid, hi, depth - 1)
 
 
-class _Bisection:
-    """One shooting bisection, advanced a round of _LOOKAHEAD levels at a time.
+def _replay(lo: float, hi: float, root: float, stop: float) -> tuple:
+    """The bisection walk of [lo, hi] down to a width of at most ``stop``,
+    each midpoint's sign taken from its side of ``root``: the final (lo, hi)."""
+    while hi - lo > stop:
+        mid = 0.5 * (lo + hi)
+        if mid < root:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
-    ``wanted()`` lists the amplitudes the next round must integrate (the
-    bracket ends in the first round, then the look-ahead midpoints);
-    ``walk(runs)`` takes the departures of those runs, keyed by amplitude,
-    and bisects through them exactly as a one-run-at-a-time bisection
-    would, setting ``result`` once the width falls below ``_WIDTH_TOL``
-    times the initial width and a_star has been run.
+
+class _Bisection:
+    """One shooting search, advanced a round at a time.
+
+    ``wanted()`` lists the amplitudes the next round must integrate, and
+    ``walk(runs)`` takes their departures, keyed by amplitude; ``result``
+    is set once the search ends.  The search itself is the generator
+    ``_rounds``, which yields each round's amplitudes.
+
+    While runs leave the tube, a round bisects _LOOKAHEAD levels (the first
+    round runs the bracket ends too), exactly as a one-run-at-a-time
+    bisection would.  Once both ends of the bracket stay in the tube to the
+    horizon, the search solves c(a) = 0 for the scaling-mode coefficient c
+    at the horizon by secant steps, one run a round, each step kept inside
+    the sign bracket of c (Brent's safeguard: a step outside it bisects).
+    It then replays the remaining levels from that root, each midpoint's
+    sign taken from its side of the root, and integrates the final lo, hi
+    and midpoint a_star in one round.  The replay walks the bisection's own
+    levels only if c changes sign once across the in-tube bracket, and the
+    confirmation checks that at the final bracket only: lo must have the
+    low end's sign, hi the high end's, and a_star must stay in the tube.
+    When it fails, or a secant run leaves the tube, the search resumes the
+    plain bisection from the bracket it switched at.
     """
 
     def __init__(self, eps: np.ndarray, tube: float, bracket, ref_defect: float):
         self.eps, self.tube = eps, tube
-        self.lo, self.hi = float(bracket[0]), float(bracket[1])
-        self.width0 = self.hi - self.lo
         self.sign_lo = self.sign_hi = None   # set by the first walk
         self.trail = []
         self.defect = ref_defect
         self.result = None
+        self._seen = {}   # (sign, coefficient, exit tau, defect) by amplitude
+        self._search = self._rounds(float(bracket[0]), float(bracket[1]))
+        self._wanted = next(self._search)
 
     def wanted(self) -> list:
-        ends = [] if self.trail else [self.lo, self.hi]
-        return ends + _lookahead(self.lo, self.hi, _LOOKAHEAD)
+        return self._wanted
 
     def walk(self, runs: dict) -> None:
-        self.defect = max(self.defect, *(run[2] for run in runs.values()))
+        self.defect = max(self.defect, *(run[3] for run in runs.values()))
+        self._seen.update(runs)
+        try:
+            self._wanted = next(self._search)
+        except StopIteration as end:
+            self.result = end.value
 
-        def use(a):
-            sign, tau, _ = runs[a]
-            self.trail.append((a, sign, tau))
-            return sign, tau
+    def _use(self, a: float) -> tuple:
+        """Add the run of ``a`` to the trail; its (sign, coefficient, exit tau)."""
+        sign, coef, tau, _ = self._seen[a]
+        self.trail.append((a, sign, tau))
+        return sign, coef, tau
 
-        if not self.trail:
-            self.sign_lo, _ = use(self.lo)
-            self.sign_hi, _ = use(self.hi)
-            if self.sign_lo == self.sign_hi:
-                raise ValueError(f"departure sign {self.sign_lo} identical "
-                                 "at both bracket ends")
-        for _ in range(_LOOKAHEAD):
-            mid = 0.5 * (self.lo + self.hi)
-            sign, tau = use(mid)
-            if self.hi - self.lo <= _WIDTH_TOL * self.width0:
-                self.result = ShootingResult(
-                    a_star=mid, bracket_width=self.hi - self.lo,
-                    converged=tau is None, departure_sign_low=self.sign_lo,
-                    departure_sign_high=self.sign_hi, trail=self.trail,
-                    max_solve_defect=self.defect)
-                return
+    def _result(self, a_star: float, width: float, tau) -> ShootingResult:
+        return ShootingResult(
+            a_star=a_star, bracket_width=width, converged=tau is None,
+            departure_sign_low=self.sign_lo, departure_sign_high=self.sign_hi,
+            trail=self.trail, max_solve_defect=self.defect)
+
+    def _rounds(self, lo: float, hi: float):
+        stop = _WIDTH_TOL * (hi - lo)
+        yield [lo, hi] + _lookahead(lo, hi, _LOOKAHEAD)
+        self.sign_lo, _, _ = self._use(lo)
+        self.sign_hi, _, _ = self._use(hi)
+        if self.sign_lo == self.sign_hi:
+            raise ValueError(f"departure sign {self.sign_lo} identical "
+                             "at both bracket ends")
+        secant = True
+        while True:
+            for _ in range(_LOOKAHEAD):
+                mid = 0.5 * (lo + hi)
+                sign, _, tau = self._use(mid)
+                if hi - lo <= stop:
+                    return self._result(mid, hi - lo, tau)
+                if sign == self.sign_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            if secant and self._seen[lo][2] is None and self._seen[hi][2] is None:
+                secant = False
+                result = yield from self._secant(lo, hi, stop)
+                if result is not None:
+                    return result
+            yield _lookahead(lo, hi, _LOOKAHEAD)
+
+    def _secant(self, lo: float, hi: float, stop: float):
+        """Secant steps on c from the in-tube bracket [lo, hi], the walk
+        replayed from their root and its final bracket confirmed: the
+        ShootingResult, or None when a run leaves the tube or the
+        confirmation fails."""
+        low, high = lo, hi   # sign bracket of the root
+        a0, a1 = lo, hi
+        for _ in range(_SECANT_RUNS):
+            c0, c1 = self._seen[a0][1], self._seen[a1][1]
+            root = a1 - c1 * (a1 - a0) / (c1 - c0) if c1 != c0 else np.nan
+            if not low <= root <= high:
+                root = 0.5 * (low + high)
+            if abs(root - a1) <= _SECANT_TOL * stop:
+                break
+            yield [root]
+            sign, _, tau = self._use(root)
+            if tau is not None:
+                return None
             if sign == self.sign_lo:
-                self.lo = mid
+                low = root
             else:
-                self.hi = mid
+                high = root
+            a0, a1 = a1, root
+        lo, hi = _replay(lo, hi, root, stop)
+        a_star = 0.5 * (lo + hi)
+        yield [lo, hi, a_star]
+        sign_lo, _, _ = self._use(lo)
+        sign_hi, _, _ = self._use(hi)
+        _, _, tau = self._use(a_star)
+        if sign_lo == self.sign_lo and sign_hi == self.sign_hi and tau is None:
+            return self._result(a_star, hi - lo, tau)
+        return None
 
 
 def shoot_stable_manifold(stable_perturbations, bracket, projection,
                           base_profile: np.ndarray, dt: float,
                           horizon: float) -> list[ShootingResult]:
-    """Bisection over the unstable amplitude a in Psi_0 = Q + eps_s0 + a LQ/||LQ||.
+    """Shooting over the unstable amplitude a in Psi_0 = Q + eps_s0 + a LQ/||LQ||.
 
-    Runs one bisection per stable perturbation eps_s0 (RadialFunctions on
-    one grid) over the same bracket and returns one ShootingResult for each,
-    in order.  The departure functional is the sign of the scaling-mode
+    Runs one search per stable perturbation eps_s0 (RadialFunctions on one
+    grid) over the same bracket and returns one ShootingResult for each, in
+    order.  The departure functional is the sign of the scaling-mode
     coefficient at the exit time, the first tau at which the deviation
     from the reference flow (started at the unperturbed base profile)
     leaves the tube of radius ``_TUBE_FACTOR`` times the initial deviation
@@ -588,17 +674,25 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     which the reference flow is stationary; ``projection`` should then come
     from the linearization ``discrete_steady_profile`` returns with it, so
     that the prepared data is stable for the discrete dynamics that
-    actually run.  The bracket must produce opposite departure signs;
-    bisection stops when its width falls below ``_WIDTH_TOL`` times the
-    initial width, and the result is converged when the matched amplitude
-    stays in the tube for the whole horizon.
+    actually run.  The bracket must produce opposite departure signs; the
+    result is the bisection's: a_star is the midpoint of the first bracket
+    no wider than ``_WIDTH_TOL`` times the initial width, and it is
+    converged when that amplitude stays in the tube for the whole horizon.
 
-    The bisections run in lockstep against one reference trajectory: each
-    round integrates, as one batch, the next ``_LOOKAHEAD`` levels of every
-    unfinished bisection (the bracket ends too in the first round).  Every
-    row of a batch is computed as it would be alone, and the bisection
-    walks the same midpoints as one run at a time, so each result equals
-    that of its own one-perturbation shooting.
+    The bisection runs as one run at a time would while runs leave the
+    tube.  Once both ends of a bracket stay in the tube to the horizon, the
+    search takes secant steps on the coefficient c(a) at the horizon,
+    replays the remaining levels from their root and confirms the final
+    lo, hi and a_star with one batch of runs (see _Bisection).  The replay
+    gives the bisection's a_star only if c changes sign once across the
+    in-tube bracket; the confirmation checks the signs at the final bracket
+    only, and when it fails the plain bisection resumes from the bracket
+    the secant started at.
+
+    The searches run in lockstep against one reference trajectory: each
+    round integrates, as one batch, the runs every unfinished search needs
+    next.  Every row of a batch is computed as it would be alone, so each
+    result equals that of its own one-perturbation shooting.
     """
     grid = stable_perturbations[0].grid
     lam_q = profile.lambda_q(grid.nodes)

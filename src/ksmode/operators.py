@@ -42,7 +42,7 @@ __all__ = [
     "assemble_tilde_L1_prime", "apply_Ll", "kernel_deltal_inv_matrix",
     "factorized_deltal_inv_matrix", "deriv_deltal_inv_matrix",
     "kernel_deriv_deltal_inv_matrix", "dk_inv_matrix", "deriv1_matrix",
-    "deriv2_matrix",
+    "deriv2_matrix", "origin_ghost_underflows",
 ]
 
 
@@ -131,10 +131,26 @@ def _origin_ghost_coeffs(grid: RadialGrid, l: int) -> np.ndarray:
     """
     if l > 0:
         return np.zeros(1)
+    numerators, denominators = _origin_ghost_products(grid)
+    return numerators / denominators
+
+
+def _origin_ghost_products(grid: RadialGrid) -> tuple:
+    """Numerators and denominators of the class-0 ghost coefficients:
+    products of r^2 at the first three nodes and of their differences."""
     x = grid.nodes[:3] ** 2
-    return np.array([x[1] * x[2] / ((x[1] - x[0]) * (x[2] - x[0])),
-                     x[0] * x[2] / ((x[0] - x[1]) * (x[2] - x[1])),
-                     x[0] * x[1] / ((x[0] - x[2]) * (x[1] - x[2]))])
+    return (np.array([x[1] * x[2], x[0] * x[2], x[0] * x[1]]),
+            np.array([(x[1] - x[0]) * (x[2] - x[0]),
+                      (x[0] - x[1]) * (x[2] - x[1]),
+                      (x[0] - x[2]) * (x[1] - x[2])]))
+
+
+def origin_ghost_underflows(grid: RadialGrid) -> bool:
+    """Whether a product of the class-0 ghost coefficients falls below the
+    normal floats (about 2.2e-308), as it does once r_1 is below about
+    1e-77: the coefficients would lose their precision or turn to NaN."""
+    products = np.concatenate(_origin_ghost_products(grid))
+    return bool(np.min(np.abs(products)) < np.finfo(float).tiny)
 
 
 def _fd_matrix(grid: RadialGrid, order: int, l: int) -> BandMatrix:

@@ -385,6 +385,19 @@ def test_grid_rmax_that_overflows_a_float_exits_2(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*_summary.json"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve-linear", "--rmax", "1e-100"],
+    ["shoot", "--rmax", "1e-76"],
+], ids=["evolve-linear", "shoot"])
+def test_grid_whose_origin_ghost_underflows_exits_2(tmp_path, capsys, argv):
+    # the class-0 origin ghost multiplies r^2 of the first three nodes, which
+    # falls below the normal floats once r_1 is below about 1e-77
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error: grid:" in err and "underflows a float" in err
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
 def test_tiny_domain_exits_3_without_a_traceback(tmp_path, capsys):
     # every class-1 norm underflows to 0, so there is no growth rate to fit
     assert run_cli(["evolve-linear", "--rmax", "1e-70"], tmp_path) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ksmode import evolution, operators, profile, spectra
+from ksmode import acceptance, evolution, operators, profile, spectra
 from ksmode.radial import RadialFunction, make_grid, panel_coefficients
 
 
@@ -272,9 +272,11 @@ class TestRowBatch:
             assert batch[i] == evolution._departures(run, rows[i:i + 1],
                                                      tubes[i:i + 1], ref,
                                                      projf)[0]
-        (_, tau_stay, _), (_, tau_neg, _), (sign_up, tau_exit, _), \
-            (sign_down, _, _) = batch
+        (_, _, tau_stay, _), (_, _, tau_neg, _), \
+            (sign_up, coef_up, tau_exit, _), (sign_down, coef_down, _, _) = batch
         assert tau_stay is None
+        # the sign is the coefficient's
+        assert sign_up == np.sign(coef_up) and sign_down == np.sign(coef_down)
         with pytest.raises(evolution.EvolutionError) as err:
             evolution.nonlinear_radial_evolve(RadialFunction(grid, rows[1]),
                                               dt, 1.0)
@@ -604,6 +606,37 @@ def shooting_setup(grid):
     return qh, projf
 
 
+@pytest.fixture(scope="module")
+def shoot_bump(grid, shooting_setup):
+    """One shooting of a 1e-3 stable bump over (-2e-3, 2e-3) to tau = 2; its
+    bracket ends stay in the tube from the second level on, so the secant
+    path engages."""
+    qh, projf = shooting_setup
+    bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
+    bump *= 1e-3 / grid.norm(bump)
+
+    def shoot():
+        return evolution.shoot_stable_manifold(
+            [RadialFunction(grid, bump)], (-2e-3, 2e-3), projf, dt=0.02,
+            horizon=2.0, base_profile=qh)[0]
+    return shoot
+
+
+def _fields(res):
+    """Every ShootingResult field the bisection's walk fixes."""
+    return (res.a_star, res.bracket_width, res.converged,
+            res.departure_sign_low, res.departure_sign_high)
+
+
+def _plain_bisection(monkeypatch, shoot):
+    """``shoot()`` with the secant path failing at once: the plain bisection."""
+    def fail_at_once(self, lo, hi, stop):
+        yield from ()
+    with monkeypatch.context() as m:
+        m.setattr(evolution._Bisection, "_secant", fail_at_once)
+        return shoot()
+
+
 class TestShooting:
     def test_zero_perturbation_matches_zero_amplitude(self, grid, shooting_setup):
         qh, projf = shooting_setup
@@ -654,24 +687,81 @@ class TestShooting:
         assert together == [shoot([b])[0] for b in bumps]
         assert together[0] != together[1]
 
-    def test_trail_walks_the_bisection(self, grid, shooting_setup):
-        qh, projf = shooting_setup
+    def test_trail_walks_the_bisection(self, shoot_bump, monkeypatch):
+        # the runs made, in order: the bisection levels walked while runs
+        # leave the tube, the secant iterates, then the final lo, hi and a*
         lo, hi = -2e-3, 2e-3
-        (res,) = evolution.shoot_stable_manifold(
-            [RadialFunction(grid, np.zeros(grid.n))], (lo, hi), projf,
-            dt=0.02, horizon=2.0, base_profile=qh)
-        ends, mids, last = res.trail[:2], res.trail[2:-1], res.trail[-1]
-        assert ends == [(lo, res.departure_sign_low, ends[0][2]),
-                        (hi, res.departure_sign_high, ends[1][2])]
-        # each midpoint halves the bracket, keeping the end of its own sign
-        for a, sign, _ in mids:
-            assert a == 0.5 * (lo + hi)
+        res, plain = shoot_bump(), _plain_bisection(monkeypatch, shoot_bump)
+        assert _fields(res) == _fields(plain)
+        assert res.trail[:2] == plain.trail[:2] == [
+            (lo, res.departure_sign_low, res.trail[0][2]),
+            (hi, res.departure_sign_high, res.trail[1][2])]
+        # each level halves the bracket, keeping the end of its own sign,
+        # until both ends stay in the tube to the horizon
+        walked = 2
+        while res.trail[walked][0] == 0.5 * (lo + hi):
+            a, sign, _ = res.trail[walked]
             if sign == res.departure_sign_low:
                 lo = a
             else:
                 hi = a
-        assert hi - lo == res.bracket_width
-        assert last[0] == res.a_star == 0.5 * (lo + hi)
+            walked += 1
+        exits = {a: tau for a, _, tau in res.trail}
+        assert exits[lo] is None and exits[hi] is None
+        *secant, final_lo, final_hi, last = res.trail[walked:]
+        assert secant and all(lo <= a <= hi and tau is None
+                              for a, _, tau in secant)
+        assert final_lo[1] == res.departure_sign_low
+        assert final_hi[1] == res.departure_sign_high
+        assert final_hi[0] - final_lo[0] == res.bracket_width
+        assert last[0] == res.a_star == 0.5 * (final_lo[0] + final_hi[0])
         assert (last[2] is None) == res.converged
-        assert len(mids) == 27   # 2^-27 of the width is below 1e-8
-        assert 0.0 < res.max_solve_defect <= evolution._SOLVE_TOL
+        # the plain bisection lists every level: 2^-27 of the width is below 1e-8
+        assert len(plain.trail) == 2 + 28
+        assert len(res.trail) < len(plain.trail)
+        assert 0.0 < res.max_solve_defect <= plain.max_solve_defect \
+            <= evolution._SOLVE_TOL
+
+    def test_failed_confirmation_falls_back_to_the_bisection(
+            self, shoot_bump, monkeypatch):
+        plain = _plain_bisection(monkeypatch, shoot_bump)
+        replay = evolution._replay
+        # a root at the top of the in-tube bracket puts the final bracket
+        # above the true root, so its low end has the high end's sign
+        monkeypatch.setattr(evolution, "_replay",
+                            lambda lo, hi, root, stop: replay(lo, hi, hi, stop))
+        res = shoot_bump()
+        assert _fields(res) == _fields(plain)
+        # the fallback resumes the plain bisection where the secant started:
+        # the secant iterates and the three confirmation runs come between
+        first = next(i for i, (a, b) in enumerate(zip(res.trail, plain.trail))
+                     if a != b)
+        extra = len(res.trail) - len(plain.trail)
+        assert extra >= 1 + 3
+        assert res.trail[:first] == plain.trail[:first]
+        assert res.trail[first + extra:] == plain.trail[first:]
+        final_lo, final_hi = res.trail[first + extra - 3:first + extra - 1]
+        assert final_lo[1] == res.departure_sign_high
+        assert final_hi[1] == res.departure_sign_high
+
+    def test_criterion_8_shooting_rounds_and_bits(self, monkeypatch):
+        # criterion 8's call: the secant path engages (at most 10 batched
+        # rounds against the bisection's 14) and keeps the bisection's a* bits
+        grid = make_grid(400, 40.0, "uniform")
+        qh, projf, bump = acceptance.shooting_setup(grid)
+
+        def shoot():
+            return evolution.shoot_stable_manifold(
+                [RadialFunction(grid, amp * bump) for amp in (1e-3, 2e-3)],
+                (-4e-3, 4e-3), projf, qh, *acceptance.SHOOTING_RUN)
+
+        rounds = []
+        departures = evolution._departures
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_departures",
+                      lambda *args: rounds.append(1) or departures(*args))
+            results = shoot()
+        assert len(rounds) <= 10
+        plain = _plain_bisection(monkeypatch, shoot)
+        assert [_fields(r) for r in results] == [_fields(r) for r in plain]
+        assert all(r.converged for r in results)
