@@ -21,13 +21,8 @@ The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
 Its searches run in lockstep, each round integrating the runs every search
-needs next as one batch.  A search bisects while its runs leave the tube;
-once both bracket ends stay in the tube to the horizon it finds the root
-of the scaling-mode coefficient by secant steps and replays the remaining
-bisection levels from that root, confirming the final bracket with real
-runs.  The replay is exact only if the coefficient changes sign once
-across the in-tube bracket, which the confirmation checks at the final
-bracket only; a failed confirmation resumes the plain bisection.
+needs next as one batch; each search is one generator (_search, which
+describes it) that the driver sends its departures.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -197,7 +192,9 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
     """Crank-Nicolson integration of d_tau eps = -A eps for the operator ``op``.
 
     Records the L^2(r^2 dr) norm each step and, when a ProjectionPair is
-    supplied, the coefficient against its left mode.
+    supplied, the coefficient against its left mode.  A norm that overflows
+    raises EvolutionError with that state and its time: the norm squares
+    the state, so it overflows while the state itself is still finite.
     """
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
@@ -208,7 +205,11 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
     coeffs = [] if projection is not None else None
 
     def record(k, vec):
-        norms[k] = grid.norm(vec)
+        with np.errstate(over="ignore"):   # caught on the next line
+            norms[k] = grid.norm(vec)
+        if not np.isfinite(norms[k]):
+            raise EvolutionError(f"L^2 norm overflow at tau = {times[k]:.3f}",
+                                 tau=times[k], state=vec)
         if coeffs is not None:
             coeffs.append(projection.coefficient(vec))
 
@@ -431,6 +432,14 @@ def discrete_steady_profile(grid: RadialGrid) -> tuple[np.ndarray, OperatorMatri
         jac = _flux_jacobian(psi, flux)
         np.subtract(lin, jac, out=jac)
         if np.max(np.abs(res)) < _NEWTON_TOL * scale:
+            # the residual test is relative to the profile's size, so an
+            # iterate that collapsed onto the trivial steady state passes it
+            size = np.max(np.abs(psi))
+            if size < _NEWTON_TOL * scale:
+                raise EvolutionError(
+                    "Newton iteration collapsed onto the trivial steady state "
+                    f"psi = 0 (max |psi| = {size:.2e} against max |Q| = "
+                    f"{scale:.2e}): the grid is too coarse for the profile")
             return psi, OperatorMatrix(grid=grid, l=0, entries=jac)
         psi = psi + scipy.linalg.solve(jac, res)
     raise EvolutionError("Newton iteration for the discrete steady state "
@@ -530,102 +539,64 @@ def _lookahead(lo: float, hi: float, depth: int) -> list:
     return [mid] + _lookahead(lo, mid, depth - 1) + _lookahead(mid, hi, depth - 1)
 
 
-def _replay(lo: float, hi: float, root: float, stop: float) -> tuple:
-    """The bisection walk of [lo, hi] down to a width of at most ``stop``,
-    each midpoint's sign taken from its side of ``root``: the final (lo, hi)."""
-    while hi - lo > stop:
+def _walk(lo: float, hi: float, stop: float, below, levels=None) -> tuple:
+    """Bisection levels of [lo, hi], at most ``levels`` of them, until the
+    bracket is no wider than ``stop``: each midpoint replaces lo when
+    ``below(mid)`` is true and hi otherwise.  The final (lo, hi)."""
+    walked = 0
+    while hi - lo > stop and walked != levels:
         mid = 0.5 * (lo + hi)
-        if mid < root:
+        if below(mid):
             lo = mid
         else:
             hi = mid
+        walked += 1
     return lo, hi
 
 
-class _Bisection:
-    """One shooting search, advanced a round at a time.
+def _search(lo: float, hi: float, ref_defect: float):
+    """One shooting search over the bracket [lo, hi], as a generator.
 
-    ``wanted()`` lists the amplitudes the next round must integrate, and
-    ``walk(runs)`` takes their departures, keyed by amplitude; ``result``
-    is set once the search ends.  The search itself is the generator
-    ``_rounds``, which yields each round's amplitudes.
+    It yields the amplitudes each round must integrate, is sent that
+    round's departures, ``{a: (sign, coefficient, exit tau, defect)}``, and
+    returns its ShootingResult; ``ref_defect`` is the reference run's
+    largest solve defect.  a_star is the midpoint of the first bisection
+    bracket no wider than _WIDTH_TOL times the initial width.
 
-    While runs leave the tube, a round bisects _LOOKAHEAD levels (the first
-    round runs the bracket ends too), exactly as a one-run-at-a-time
-    bisection would.  Once both ends of the bracket stay in the tube to the
-    horizon, the search solves c(a) = 0 for the scaling-mode coefficient c
-    at the horizon by secant steps, one run a round, each step kept inside
-    the sign bracket of c (Brent's safeguard: a step outside it bisects).
-    It then replays the remaining levels from that root, each midpoint's
-    sign taken from its side of the root, and integrates the final lo, hi
-    and midpoint a_star in one round.  The replay walks the bisection's own
-    levels only if c changes sign once across the in-tube bracket, and the
-    confirmation checks that at the final bracket only: lo must have the
-    low end's sign, hi the high end's, and a_star must stay in the tube.
-    When it fails, or a secant run leaves the tube, the search resumes the
-    plain bisection from the bracket it switched at.
+    The search is one bisection walk (_walk) whose signs come from two
+    places.  While runs leave the tube, each midpoint takes its own run's
+    departure sign, and a round integrates the midpoints of the next
+    _LOOKAHEAD levels (the first round the bracket ends too), so the walk
+    is the one a one-run-at-a-time bisection makes.  Once both ends of the
+    bracket stay in the tube to the horizon, the search solves c(a) = 0 for
+    the scaling-mode coefficient c at the horizon by secant steps, one run
+    a round, each kept inside the sign bracket of c (Brent's safeguard: a
+    step outside it bisects).  It then replays the remaining levels with
+    each midpoint's sign taken from its side of that root, and integrates
+    the final lo, hi and a_star in one round.  The replay walks the
+    bisection's own levels only if c changes sign once across the in-tube
+    bracket, and this confirmation checks that at the final bracket only:
+    lo must have the low end's sign, hi the high end's, and a_star must
+    stay in the tube.  When it fails, or a secant run leaves the tube, the
+    walk resumes on run signs from the bracket the secant started at.
     """
+    stop = _WIDTH_TOL * (hi - lo)
+    runs = {}   # (sign, coefficient, exit tau, defect) by amplitude
+    trail = []
 
-    def __init__(self, eps: np.ndarray, tube: float, bracket, ref_defect: float):
-        self.eps, self.tube = eps, tube
-        self.sign_lo = self.sign_hi = None   # set by the first walk
-        self.trail = []
-        self.defect = ref_defect
-        self.result = None
-        self._seen = {}   # (sign, coefficient, exit tau, defect) by amplitude
-        self._search = self._rounds(float(bracket[0]), float(bracket[1]))
-        self._wanted = next(self._search)
+    def use(a):
+        """Add the run of ``a`` to the trail; its (sign, exit tau)."""
+        sign, _, tau, _ = runs[a]
+        trail.append((a, sign, tau))
+        return sign, tau
 
-    def wanted(self) -> list:
-        return self._wanted
-
-    def walk(self, runs: dict) -> None:
-        self.defect = max(self.defect, *(run[3] for run in runs.values()))
-        self._seen.update(runs)
-        try:
-            self._wanted = next(self._search)
-        except StopIteration as end:
-            self.result = end.value
-
-    def _use(self, a: float) -> tuple:
-        """Add the run of ``a`` to the trail; its (sign, coefficient, exit tau)."""
-        sign, coef, tau, _ = self._seen[a]
-        self.trail.append((a, sign, tau))
-        return sign, coef, tau
-
-    def _result(self, a_star: float, width: float, tau) -> ShootingResult:
+    def result(a_star, width, tau):
         return ShootingResult(
             a_star=a_star, bracket_width=width, converged=tau is None,
-            departure_sign_low=self.sign_lo, departure_sign_high=self.sign_hi,
-            trail=self.trail, max_solve_defect=self.defect)
+            departure_sign_low=sign_lo, departure_sign_high=sign_hi, trail=trail,
+            max_solve_defect=max(ref_defect, *(run[3] for run in runs.values())))
 
-    def _rounds(self, lo: float, hi: float):
-        stop = _WIDTH_TOL * (hi - lo)
-        yield [lo, hi] + _lookahead(lo, hi, _LOOKAHEAD)
-        self.sign_lo, _, _ = self._use(lo)
-        self.sign_hi, _, _ = self._use(hi)
-        if self.sign_lo == self.sign_hi:
-            raise ValueError(f"departure sign {self.sign_lo} identical "
-                             "at both bracket ends")
-        secant = True
-        while True:
-            for _ in range(_LOOKAHEAD):
-                mid = 0.5 * (lo + hi)
-                sign, _, tau = self._use(mid)
-                if hi - lo <= stop:
-                    return self._result(mid, hi - lo, tau)
-                if sign == self.sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            if secant and self._seen[lo][2] is None and self._seen[hi][2] is None:
-                secant = False
-                result = yield from self._secant(lo, hi, stop)
-                if result is not None:
-                    return result
-            yield _lookahead(lo, hi, _LOOKAHEAD)
-
-    def _secant(self, lo: float, hi: float, stop: float):
+    def secant(lo, hi):
         """Secant steps on c from the in-tube bracket [lo, hi], the walk
         replayed from their root and its final bracket confirmed: the
         ShootingResult, or None when a run leaves the tube or the
@@ -633,30 +604,52 @@ class _Bisection:
         low, high = lo, hi   # sign bracket of the root
         a0, a1 = lo, hi
         for _ in range(_SECANT_RUNS):
-            c0, c1 = self._seen[a0][1], self._seen[a1][1]
+            c0, c1 = runs[a0][1], runs[a1][1]
             root = a1 - c1 * (a1 - a0) / (c1 - c0) if c1 != c0 else np.nan
             if not low <= root <= high:
                 root = 0.5 * (low + high)
             if abs(root - a1) <= _SECANT_TOL * stop:
                 break
-            yield [root]
-            sign, _, tau = self._use(root)
+            runs.update((yield [root]))
+            sign, tau = use(root)
             if tau is not None:
                 return None
-            if sign == self.sign_lo:
+            if sign == sign_lo:
                 low = root
             else:
                 high = root
             a0, a1 = a1, root
-        lo, hi = _replay(lo, hi, root, stop)
+        lo, hi = _walk(lo, hi, stop, lambda mid: mid < root)
         a_star = 0.5 * (lo + hi)
-        yield [lo, hi, a_star]
-        sign_lo, _, _ = self._use(lo)
-        sign_hi, _, _ = self._use(hi)
-        _, _, tau = self._use(a_star)
-        if sign_lo == self.sign_lo and sign_hi == self.sign_hi and tau is None:
-            return self._result(a_star, hi - lo, tau)
+        runs.update((yield [lo, hi, a_star]))
+        signs = use(lo)[0], use(hi)[0]
+        tau = use(a_star)[1]
+        if signs == (sign_lo, sign_hi) and tau is None:
+            return result(a_star, hi - lo, tau)
         return None
+
+    wanted = [lo, hi] + _lookahead(lo, hi, _LOOKAHEAD)
+    runs.update((yield wanted))
+    sign_lo, sign_hi = use(lo)[0], use(hi)[0]
+    if sign_lo == sign_hi:
+        raise ValueError(f"departure sign {sign_lo} identical "
+                         "at both bracket ends")
+    secant_tried = False   # a search takes the secant path at most once
+    while True:
+        lo, hi = _walk(lo, hi, stop, lambda mid: use(mid)[0] == sign_lo,
+                       _LOOKAHEAD)
+        a_star = 0.5 * (lo + hi)
+        # the walk stopped short of _LOOKAHEAD levels at the final bracket,
+        # whose midpoint this round integrated
+        if a_star in wanted:
+            return result(a_star, hi - lo, use(a_star)[1])
+        if not secant_tried and runs[lo][2] is None and runs[hi][2] is None:
+            secant_tried = True
+            found = yield from secant(lo, hi)
+            if found is not None:
+                return found
+        wanted = _lookahead(lo, hi, _LOOKAHEAD)
+        runs.update((yield wanted))
 
 
 def shoot_stable_manifold(stable_perturbations, bracket, projection,
@@ -679,15 +672,10 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     no wider than ``_WIDTH_TOL`` times the initial width, and it is
     converged when that amplitude stays in the tube for the whole horizon.
 
-    The bisection runs as one run at a time would while runs leave the
-    tube.  Once both ends of a bracket stay in the tube to the horizon, the
-    search takes secant steps on the coefficient c(a) at the horizon,
-    replays the remaining levels from their root and confirms the final
-    lo, hi and a_star with one batch of runs (see _Bisection).  The replay
-    gives the bisection's a_star only if c changes sign once across the
-    in-tube bracket; the confirmation checks the signs at the final bracket
-    only, and when it fails the plain bisection resumes from the bracket
-    the secant started at.
+    Each search is the generator _search, whose docstring describes it: a
+    bisection whose signs come from the runs while they leave the tube and
+    from a secant root once both bracket ends stay in it, confirmed by real
+    runs at the final bracket.
 
     The searches run in lockstep against one reference trajectory: each
     round integrates, as one batch, the runs every unfinished search needs
@@ -700,21 +688,26 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     ref = nonlinear_radial_evolve(RadialFunction(grid, base_profile), dt,
                                   horizon)
     run = _ImexRows(grid, dt)
-    searches = []
-    for eps_s0 in stable_perturbations:
-        size0 = grid.norm(eps_s0.values)
-        if size0 == 0.0:
-            size0 = _WIDTH_TOL * (float(bracket[1]) - float(bracket[0]))
-        searches.append(_Bisection(eps_s0.values, _TUBE_FACTOR * size0,
-                                   bracket, ref.max_solve_defect))
-    pending = searches
-    while pending:
-        batch = [(s, a) for s in pending for a in s.wanted()]
+    lo, hi = float(bracket[0]), float(bracket[1])
+    eps = [eps_s0.values for eps_s0 in stable_perturbations]
+    # a zero perturbation sizes its tube by the final bracket width instead
+    tubes = [_TUBE_FACTOR * (grid.norm(e) or _WIDTH_TOL * (hi - lo))
+             for e in eps]
+    searches = [_search(lo, hi, ref.max_solve_defect) for _ in eps]
+    results = [None] * len(searches)
+    # the amplitudes each unfinished search needs next, by search
+    wanted = {i: next(search) for i, search in enumerate(searches)}
+    while wanted:
+        batch = [(i, a) for i, amplitudes in wanted.items() for a in amplitudes]
         found = _departures(
-            run, np.array([base_profile + s.eps + a * lam_q for s, a in batch]),
-            np.array([s.tube for s, _ in batch]), ref.states, projection)
-        for s in pending:
-            s.walk({a: departure for (owner, a), departure in zip(batch, found)
-                    if owner is s})
-        pending = [s for s in pending if s.result is None]
-    return [s.result for s in searches]
+            run, np.array([base_profile + eps[i] + a * lam_q for i, a in batch]),
+            np.array([tubes[i] for i, _ in batch]), ref.states, projection)
+        for i in list(wanted):
+            try:
+                wanted[i] = searches[i].send(
+                    {a: departure for (owner, a), departure in zip(batch, found)
+                     if owner == i})
+            except StopIteration as end:
+                results[i] = end.value
+                del wanted[i]
+    return results

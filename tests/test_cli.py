@@ -406,6 +406,16 @@ def test_tiny_domain_exits_3_without_a_traceback(tmp_path, capsys):
     assert "positive norms" in (tmp_path / "evolve_linear_diagnostics.txt").read_text()
 
 
+def test_grid_too_coarse_for_the_steady_state_exits_3(tmp_path, capsys):
+    # on 16 nodes Newton collapses onto psi = 0; the error names the
+    # collapse, not the density negativity the shooting would meet next
+    assert run_cli(["shoot", "--n", "16"], tmp_path) == 3
+    assert "trivial steady state psi = 0" in capsys.readouterr().err
+    diagnostics = (tmp_path / "shoot_diagnostics.txt").read_text()
+    assert "collapsed onto the trivial steady state" in diagnostics
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
 def test_value_error_in_command_exits_3(tmp_path, monkeypatch):
     def broken(cfg, args):
         raise ValueError("no bracket")

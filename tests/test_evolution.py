@@ -1,5 +1,7 @@
 """Linear and nonlinear renormalized-flow integration."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -74,6 +76,18 @@ class TestLinear:
         coeffs = np.real(tr.mode_coeffs)
         target = coeffs[0] * np.exp(-lam * tr.times)
         assert np.max(np.abs(coeffs - target) / target) < 1e-4
+
+    def test_norm_overflow_stops_the_flow(self, grid, op0, proj0):
+        # the norm squares the state, so it overflows near |eps| ~ 1.3e154
+        # while the state is still finite: the flow stops there and says so
+        mode = np.real(proj0.right)
+        mode *= 1e153 / np.max(np.abs(mode))
+        with pytest.raises(evolution.EvolutionError,
+                           match="norm overflow at tau") as err:
+            evolution.linear_evolve(op0, RadialFunction(grid, mode), 0.01, 4.0,
+                                    projection=proj0)
+        assert 0.0 < err.value.tau < 4.0
+        assert np.all(np.isfinite(err.value.state))
 
     def test_large_step_rejected(self, grid, op0):
         with pytest.raises(ValueError):
@@ -532,6 +546,18 @@ class TestNonlinearFlow:
         drift = np.max(np.abs(tr.states[-1] - qh))
         assert drift < 1e-12
 
+    @pytest.mark.parametrize("n,rmax", [(16, 40.0), (16, 1.0)])
+    def test_newton_collapse_onto_zero_is_refused(self, n, rmax):
+        # the residual test is relative to max |Q|, so an iterate that
+        # collapses onto the trivial steady state would pass it
+        with pytest.raises(evolution.EvolutionError,
+                           match="collapsed onto the trivial steady state"):
+            evolution.discrete_steady_profile(make_grid(n, rmax, "uniform"))
+
+    def test_coarse_grid_that_holds_the_profile_solves(self):
+        qh, _ = evolution.discrete_steady_profile(make_grid(32, 40.0, "uniform"))
+        assert 2.0 < np.max(qh) < 2.1
+
     def test_newton_matrix_is_the_stepper_linearization(self, grid):
         # the matrix at the converged iterate, lin - N'(state), bit for bit
         qh, opf = evolution.discrete_steady_profile(grid)
@@ -628,13 +654,80 @@ def _fields(res):
             res.departure_sign_low, res.departure_sign_high)
 
 
-def _plain_bisection(monkeypatch, shoot):
-    """``shoot()`` with the secant path failing at once: the plain bisection."""
-    def fail_at_once(self, lo, hi, stop):
-        yield from ()
-    with monkeypatch.context() as m:
-        m.setattr(evolution._Bisection, "_secant", fail_at_once)
-        return shoot()
+def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
+    """The plain bisection of each shooting search, with no secant: the
+    ShootingResults the searches must match.
+
+    The searches walk side by side.  Each round integrates, in one
+    _departures call, the midpoints of every unfinished search's next
+    _LOOKAHEAD levels (the first round the bracket ends too), and every
+    midpoint takes its own run's departure sign.
+    """
+    grid = perturbations[0].grid
+    lam_q = profile.lambda_q(grid.nodes)
+    lam_q = lam_q / grid.norm(lam_q)
+    ref = evolution.nonlinear_radial_evolve(RadialFunction(grid, base), dt,
+                                            horizon)
+    run = evolution._ImexRows(grid, dt)
+    stop = evolution._WIDTH_TOL * (bracket[1] - bracket[0])
+    searches = [SimpleNamespace(
+        eps=eps.values, lo=bracket[0], hi=bracket[1], runs={}, trail=[],
+        tube=evolution._TUBE_FACTOR * (grid.norm(eps.values) or stop),
+        defect=ref.max_solve_defect, result=None) for eps in perturbations]
+
+    def integrate(batch):
+        found = evolution._departures(
+            run, np.array([base + s.eps + a * lam_q for s, a in batch]),
+            np.array([s.tube for s, _ in batch]), ref.states, projection)
+        for (s, a), departure in zip(batch, found):
+            s.runs[a] = departure
+            s.defect = max(s.defect, departure[3])
+
+    def levels(pending):
+        return [(s, a) for s in pending
+                for a in evolution._lookahead(s.lo, s.hi, evolution._LOOKAHEAD)]
+
+    def use(s, a):
+        sign, _, tau, _ = s.runs[a]
+        s.trail.append((a, sign, tau))
+        return sign, tau
+
+    integrate([(s, a) for s in searches for a in (s.lo, s.hi)]
+              + levels(searches))
+    for s in searches:
+        (s.sign_lo, _), (s.sign_hi, _) = use(s, s.lo), use(s, s.hi)
+    pending = searches
+    while pending:
+        for s in pending:
+            for _ in range(evolution._LOOKAHEAD):
+                mid = 0.5 * (s.lo + s.hi)
+                sign, tau = use(s, mid)
+                if s.hi - s.lo <= stop:
+                    s.result = evolution.ShootingResult(
+                        a_star=mid, bracket_width=s.hi - s.lo,
+                        converged=tau is None, departure_sign_low=s.sign_lo,
+                        departure_sign_high=s.sign_hi, trail=s.trail,
+                        max_solve_defect=s.defect)
+                    break
+                if sign == s.sign_lo:
+                    s.lo = mid
+                else:
+                    s.hi = mid
+        pending = [s for s in pending if s.result is None]
+        if pending:
+            integrate(levels(pending))
+    return [s.result for s in searches]
+
+
+@pytest.fixture(scope="module")
+def plain_bump(grid, shooting_setup):
+    """The plain bisection of shoot_bump's search."""
+    qh, projf = shooting_setup
+    bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
+    bump *= 1e-3 / grid.norm(bump)
+    (plain,) = _plain_bisection([RadialFunction(grid, bump)], (-2e-3, 2e-3),
+                                projf, qh, 0.02, 2.0)
+    return plain
 
 
 class TestShooting:
@@ -687,11 +780,11 @@ class TestShooting:
         assert together == [shoot([b])[0] for b in bumps]
         assert together[0] != together[1]
 
-    def test_trail_walks_the_bisection(self, shoot_bump, monkeypatch):
+    def test_trail_walks_the_bisection(self, shoot_bump, plain_bump):
         # the runs made, in order: the bisection levels walked while runs
         # leave the tube, the secant iterates, then the final lo, hi and a*
         lo, hi = -2e-3, 2e-3
-        res, plain = shoot_bump(), _plain_bisection(monkeypatch, shoot_bump)
+        res, plain = shoot_bump(), plain_bump
         assert _fields(res) == _fields(plain)
         assert res.trail[:2] == plain.trail[:2] == [
             (lo, res.departure_sign_low, res.trail[0][2]),
@@ -706,6 +799,7 @@ class TestShooting:
             else:
                 hi = a
             walked += 1
+        assert res.trail[:walked] == plain.trail[:walked]
         exits = {a: tau for a, _, tau in res.trail}
         assert exits[lo] is None and exits[hi] is None
         *secant, final_lo, final_hi, last = res.trail[walked:]
@@ -723,13 +817,18 @@ class TestShooting:
             <= evolution._SOLVE_TOL
 
     def test_failed_confirmation_falls_back_to_the_bisection(
-            self, shoot_bump, monkeypatch):
-        plain = _plain_bisection(monkeypatch, shoot_bump)
-        replay = evolution._replay
-        # a root at the top of the in-tube bracket puts the final bracket
-        # above the true root, so its low end has the high end's sign
-        monkeypatch.setattr(evolution, "_replay",
-                            lambda lo, hi, root, stop: replay(lo, hi, hi, stop))
+            self, shoot_bump, plain_bump, monkeypatch):
+        plain = plain_bump
+        walk = evolution._walk
+
+        def replay_from_the_top(lo, hi, stop, below, levels=None):
+            # the replay, the one walk with no level limit, from a root at
+            # the top of the in-tube bracket puts the final bracket above
+            # the true root, so its low end has the high end's sign
+            if levels is None:
+                return walk(lo, hi, stop, lambda mid: mid < hi)
+            return walk(lo, hi, stop, below, levels)
+        monkeypatch.setattr(evolution, "_walk", replay_from_the_top)
         res = shoot_bump()
         assert _fields(res) == _fields(plain)
         # the fallback resumes the plain bisection where the secant started:
@@ -745,23 +844,23 @@ class TestShooting:
         assert final_hi[1] == res.departure_sign_high
 
     def test_criterion_8_shooting_rounds_and_bits(self, monkeypatch):
-        # criterion 8's call: the secant path engages (at most 10 batched
-        # rounds against the bisection's 14) and keeps the bisection's a* bits
+        # criterion 8's call: the secant path engages and keeps the plain
+        # bisection's a* bits in 9 batched rounds against its 14
         grid = make_grid(400, 40.0, "uniform")
         qh, projf, bump = acceptance.shooting_setup(grid)
-
-        def shoot():
-            return evolution.shoot_stable_manifold(
-                [RadialFunction(grid, amp * bump) for amp in (1e-3, 2e-3)],
-                (-4e-3, 4e-3), projf, qh, *acceptance.SHOOTING_RUN)
-
-        rounds = []
+        perturbations = [RadialFunction(grid, amp * bump) for amp in (1e-3, 2e-3)]
+        rows = []
         departures = evolution._departures
         with monkeypatch.context() as m:
-            m.setattr(evolution, "_departures",
-                      lambda *args: rounds.append(1) or departures(*args))
-            results = shoot()
-        assert len(rounds) <= 10
-        plain = _plain_bisection(monkeypatch, shoot)
+            m.setattr(evolution, "_departures", lambda run, batch, *args:
+                      rows.append(len(batch)) or departures(run, batch, *args))
+            results = evolution.shoot_stable_manifold(
+                perturbations, (-4e-3, 4e-3), projf, qh, *acceptance.SHOOTING_RUN)
+        # per search: 6 exit-regime rounds (the bracket ends and 3 midpoints,
+        # then 3 midpoints), 2 secant rounds of one run, and the final lo, hi
+        # and a* in one round
+        assert rows == [10, 6, 6, 6, 6, 6, 2, 2, 6]
+        plain = _plain_bisection(perturbations, (-4e-3, 4e-3), projf, qh,
+                                 *acceptance.SHOOTING_RUN)
         assert [_fields(r) for r in results] == [_fields(r) for r in plain]
         assert all(r.converged for r in results)

@@ -6,6 +6,9 @@ than its own definition (an ``__all__`` entry is a string, not a
 reference).  A name that only tests reach is dead weight that every change
 must still read and keep, so it is deleted or moved into the tests.  The
 only exceptions are the DELIBERATE names below, each with its reason.
+Every private module-level function or class must be referenced by other
+code of ``src/ksmode`` in the same way, with no exceptions, so no private
+helper lives on as a seam that only tests reach.
 
 Likewise a defaulted parameter of a public library function that every
 program call sets to the same value is a knob with one setting: it becomes
@@ -52,12 +55,16 @@ LAYERS = (("profile", "radial"), ("operators", "ggmt"),
           ("spectra", "evolution", "waveop"), ("acceptance",), ("cli",))
 
 
-def public_names(modname):
+def defined_names(modname):
+    """Every module-level function or class that a library module defines."""
     mod = importlib.import_module(f"ksmode.{modname}")
     return sorted(name for name, obj in vars(mod).items()
-                  if not name.startswith("_")
-                  and (inspect.isfunction(obj) or inspect.isclass(obj))
+                  if (inspect.isfunction(obj) or inspect.isclass(obj))
                   and obj.__module__ == mod.__name__)
+
+
+def public_names(modname):
+    return [name for name in defined_names(modname) if not name.startswith("_")]
 
 
 def _bindings(path, tree):
@@ -171,6 +178,19 @@ def test_every_public_name_is_reached(modname):
         own_def = (PACKAGE / f"{modname}.py", name)
         if qual not in DELIBERATE and not refs.get(qual, set()) - {own_def}:
             unreached.append(qual)
+    assert unreached == []
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_every_private_name_is_reached(modname):
+    refs = references()
+    own = PACKAGE / f"{modname}.py"
+    unreached = []
+    for name in defined_names(modname):
+        users = {(path, owner) for path, owner in
+                 refs.get(f"{modname}.{name}", set()) if path.parent == PACKAGE}
+        if name.startswith("_") and not users - {(own, name)}:
+            unreached.append(f"{modname}.{name}")
     assert unreached == []
 
 
