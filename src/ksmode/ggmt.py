@@ -189,11 +189,16 @@ def mu_functional(l: float, alpha: float, W: WeightSpec) -> float:
 
 
 def ggmt_prefactor(p: float, l: float) -> float:
-    """(p-1)^{p-1} Gamma(2p) / (p^p Gamma(p)^2) * (2l+1)^{-(2p-1)}."""
+    """(p-1)^{p-1} Gamma(2p) / (p^p Gamma(p)^2) * (2l+1)^{-(2p-1)}.
+
+    Formed as one exp of its logarithm: the factors overflow a float from
+    about p = 62 on, although their ratio is small.
+    """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return ((p - 1.0) ** (p - 1.0) * math.gamma(2.0 * p)
-            / (p ** p * math.gamma(p) ** 2) * (2.0 * l + 1.0) ** (-(2.0 * p - 1.0)))
+    return math.exp((p - 1.0) * math.log(p - 1.0) + math.lgamma(2.0 * p)
+                    - p * math.log(p) - 2.0 * math.lgamma(p)
+                    - (2.0 * p - 1.0) * math.log(2.0 * l + 1.0))
 
 
 def negative_part_bracket(V):
@@ -231,10 +236,14 @@ def ggmt_count(p: float, l: float, V, wells) -> float:
 
     pref = ggmt_prefactor(p, l)
     total = 0.0
-    for (a, b) in wells:
-        val, _ = quad(lambda r: r ** (2.0 * p - 1.0) * abs(min(float(V(r)), 0.0)) ** p,
-                      a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
-        total += val
+    try:
+        for (a, b) in wells:
+            val, _ = quad(lambda r: r ** (2.0 * p - 1.0) * abs(min(float(V(r)), 0.0)) ** p,
+                          a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
+            total += val
+    except OverflowError:
+        raise RuntimeError(f"the count integrand r^(2p-1) |V_-|^p overflows a "
+                           f"float at p = {p}") from None
     return pref * total
 
 
@@ -255,13 +264,6 @@ class GgmtReport:
     u_infinity: float
     big_l: float
     well: tuple
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("l", "alpha", "p", "theta", "alphaR", "betaR", "mu",
-              "prefactor", "bigN", "l_eff", "u_infinity", "big_l")}
-        d["well"] = list(self.well)
-        return d
 
 
 def _angular_constant(l: int, alpha: float) -> float:
@@ -291,7 +293,7 @@ def check_pipeline(l: int, alpha: float, p: float, theta: float,
                    W: WeightSpec) -> None:
     """Raise ValueError unless p > 1, theta in [0, 1], (1-theta) L > 3/4,
     alpha < 1/2 and ``W.check_mu`` hold and the count prefactor at the
-    effective index is a finite float: ``l2_pipeline`` fails without them
+    effective index is a normal float: ``l2_pipeline`` fails without them
     whatever mu is (its limit (1-2a)/4 - l mu W_inf needs a < 1/2).  A
     setting that overflows a float raises ValueError too."""
     if p <= 1.0:
@@ -306,8 +308,8 @@ def check_pipeline(l: int, alpha: float, p: float, theta: float,
             raise ValueError("alpha >= 1/2: the potential limit at infinity is "
                              "not positive")
         W.check_mu(l, alpha)
-        if not math.isfinite(ggmt_prefactor(p, _effective_index(theta, big_l))):
-            raise ValueError(f"the count prefactor at p = {p} is not a finite float")
+        if ggmt_prefactor(p, _effective_index(theta, big_l)) < np.finfo(float).tiny:
+            raise ValueError(f"the count prefactor at p = {p} underflows a float")
     except OverflowError:
         raise ValueError("the setting overflows a float") from None
 

@@ -6,7 +6,9 @@ f ~ A r^l (for l = 0 the even quartic a + b r^2 + c r^4, quadratic in r^2,
 through the first three nodes; zero for l >= 1, as for Dirichlet); the
 outer ghost one spacing past rmax is homogeneous Dirichlet.  Every local
 operator lives on its band: a BandMatrix, or the (diag, off) pair of the
-symmetric Schroedinger form; the nonlocal term makes L_l dense.
+symmetric Schroedinger form.  ``local_band`` is the one constructor of the
+local part of L_l, with or without the profile terms; ``assemble_Ll`` adds
+the nonlocal term, which makes L_l dense.
 
 Nonlocal terms never differentiate the kernel:
 
@@ -41,7 +43,7 @@ __all__ = [
     "OperatorMatrix", "BandMatrix", "assemble_Ll", "local_band",
     "assemble_tilde_L1_prime", "apply_Ll", "kernel_deltal_inv_matrix",
     "factorized_deltal_inv_matrix", "deriv_deltal_inv_matrix",
-    "kernel_deriv_deltal_inv_matrix", "dk_inv_matrix", "deriv1_matrix",
+    "kernel_deriv_deltal_inv_matrix", "deriv1_matrix",
     "deriv2_matrix", "origin_ghost_underflows",
 ]
 
@@ -215,17 +217,6 @@ def _suffix_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     return _triangular(*panel_coefficients(a, grid.nodes), lower=False)
 
 
-def dk_inv_matrix(grid: RadialGrid, k: float, origin_power: float = 0.0) -> np.ndarray:
-    """Matrix of D_k^{-1} on the grid (zero extension beyond rmax for k <= 0)."""
-    r = grid.nodes
-    if k > 0:
-        mat, scale = _prefix_matrix(grid, k, origin_power), r ** (-k)
-    else:
-        mat, scale = _suffix_matrix(grid, k), -(r ** (-k))
-    mat *= scale[:, None]
-    return mat
-
-
 def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     """Explicit-kernel form of Delta_l^{-1} (zero extension beyond rmax)."""
     r = grid.nodes
@@ -276,15 +267,21 @@ def factorized_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
 
 
 def deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
-    """Matrix of d_r Delta_l^{-1} from the first-order factorization.
+    """Matrix of d_r Delta_l^{-1} from the first-order factorization
+    (2l+1) d_r Delta_l^{-1} = (l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1}, with
+    D_k^{-1} f = r^{-k} int_0^r s^k f ds for k > 0 and
+    -r^{-k} int_r^rmax s^k f ds for k <= 0 (zero extension beyond rmax).
 
     Built in place; at l = 0 the factors l + 1 and 2l + 1 are 1 and the
     matrix is D_2^{-1} itself.
     """
-    mat = dk_inv_matrix(grid, l + 2.0, float(l))
+    r = grid.nodes
+    mat = _prefix_matrix(grid, l + 2.0, float(l))
+    mat *= (r ** (-(l + 2.0)))[:, None]
     if l > 0:
         mat *= l + 1
-        up = dk_inv_matrix(grid, -(l - 1.0))
+        up = _suffix_matrix(grid, 1.0 - l)
+        up *= (-(r ** (l - 1.0)))[:, None]
         up *= l
         mat += up
         mat /= 2 * l + 1
@@ -336,20 +333,17 @@ def local_band(l: int, grid: RadialGrid, zero_profile: bool = False) -> BandMatr
     return BandMatrix(local, d1.kl, d1.ku)
 
 
-def assemble_Ll(l: int, grid: RadialGrid, zero_profile: bool = False) -> OperatorMatrix:
+def assemble_Ll(l: int, grid: RadialGrid) -> OperatorMatrix:
     """Class-l linearized operator
 
         L_l = -Delta_l + (1/2) Lambda - 2Q - (D_2^{-1}Q) d_r - Q' d_r Delta_l^{-1},
 
     with Lambda f = r f' + 2 f.  Origin closure f ~ r^l, outer Dirichlet.
-    With ``zero_profile`` all Q-dependent terms are dropped.
 
     The nonlocal term fills the matrix; local_band is added on its band
     (local + (-Q' x) is local - Q' x, exactly).
     """
-    local = local_band(l, grid, zero_profile)
-    if zero_profile:
-        return OperatorMatrix(grid=grid, l=l, entries=local.toarray())
+    local = local_band(l, grid)
     a = deriv_deltal_inv_matrix(grid, l)
     a *= -profile.q_deriv(grid.nodes, 1)[:, None]   # all of L_l off the band
     return OperatorMatrix(grid=grid, l=l, entries=local.add_to(a))

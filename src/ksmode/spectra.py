@@ -70,7 +70,8 @@ _RESIDUAL_TOL = 1e-8   # eigen residual relative to ||A||_inf
 # the pinned ladder, and the filters resolve gaps of _ABS_TOL.
 _SAME_EIGENVALUE = 1e-8
 # Subspace sizes the scan tries to deflate, one Arnoldi solve each, before it
-# falls back to the full eigensolve.
+# falls back to the full eigensolve; every grid has at least 16 nodes
+# (radial.MIN_NODES), so each size meets ARPACK's k < n - 1.
 _DEFLATION_SIZES = (1, 2, 4)
 # Node limit of a ladder grid.  One n x n float matrix takes 8 n^2 bytes,
 # 328 MB at n = 6400, and the scan of the finest grid holds four at once:
@@ -415,8 +416,6 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
         return Scan([], [], floor, floor, "floor")
     certificate, path = floor, "dense"
     for k in _DEFLATION_SIZES:
-        if k >= fine_grid.n - 1:   # ARPACK needs k < n - 1
-            break
         certificate, lams, vecs = _deflate(op, frame, floor.nu, k)
         if certificate.certifies(threshold):
             path = "deflation"

@@ -90,13 +90,13 @@ def test_workload_setup_and_probes_read_the_library(monkeypatch):
         # so the scan probe must read the candidates, not the accepted set
         scan = spectra.unstable_scan_detailed(2, threshold=0.5, ladder=ladder)
         keys = set(rec.assemble_keys)
-        operators.assemble_Ll(0, grid, zero_profile=True)
+        operators.assemble_Ll(0, grid)
         n3, vectors = rec.eig_n3, rec.eig_vectors
         scipy.linalg.eig(np.diag([1.0, 2.0, 3.0]))
     assert bindings() == before
     assert rec.scan_candidates == len(scan.candidates) == 1
     assert scan.accepted == []
     assert rec.assemble_keys - keys == {
-        (0, True, 50, 10.0, hash(grid.nodes.tobytes()))}
+        (0, False, 50, 10.0, hash(grid.nodes.tobytes()))}
     assert (rec.eig_n3 - n3, rec.eig_vectors - vectors) == (27, 3)
     assert any(span[0] == "spectra.unstable_scan_detailed" for span in rec.spans)

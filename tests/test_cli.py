@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import re
 from pathlib import Path
 
@@ -468,8 +469,8 @@ def test_ggmt_setting_that_cannot_succeed_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["ggmt", "--p", "90"], id="ggmt-p-gamma-overflows"),
-    pytest.param(["ggmt", "--p", "70"], id="ggmt-p-prefactor-nan"),
+    pytest.param(["ggmt", "--p", "1e307"], id="ggmt-p-gamma-overflows"),
+    pytest.param(["ggmt", "--p", "1000"], id="ggmt-p-prefactor-underflows"),
     pytest.param(["ggmt", "--alpha", "-1e155"], id="ggmt-alpha"),
     pytest.param(["ggmt", "--l", "9" * 400], id="ggmt-l"),
     pytest.param(["spectrum", "--l", "9" * 400], id="spectrum-l"),
@@ -478,6 +479,24 @@ def test_setting_that_overflows_a_float_exits_2(tmp_path, capsys, argv):
     assert run_cli(argv, tmp_path) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_summary.json"))
+
+
+@pytest.mark.parametrize("p", ["62", "64", "100"])
+def test_large_p_has_a_finite_count(tmp_path, p):
+    # (p-1)^{p-1} Gamma(2p) alone overflows a float from p = 62 on; the
+    # prefactor, formed from its logarithm, does not
+    assert run_cli(["ggmt", "--p", p], tmp_path) in (0, 1)
+    details = load_summary(tmp_path, "ggmt")["details"]
+    assert 0.0 < details["prefactor"] < 1e-28
+    assert math.isfinite(details["bigN"])
+
+
+def test_count_integrand_that_overflows_exits_3(tmp_path, capsys):
+    # r^{2p-1} overflows on the well before the prefactor underflows
+    assert run_cli(["ggmt", "--p", "300"], tmp_path) == 3
+    assert "overflows a float at p = 300" in capsys.readouterr().err
+    assert (tmp_path / "ggmt_diagnostics.txt").exists()
+    assert not (tmp_path / "ggmt_summary.json").exists()
 
 
 def test_waveop_check_reports_the_conjugation_identity(tmp_path):

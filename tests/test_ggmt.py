@@ -1,6 +1,7 @@
 """Scalar estimates: interpolation constants, the nonlocality functional,
 the eigenvalue-count bound, coercivity and the exact rationals."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -312,7 +313,7 @@ class TestPipeline:
         assert rep.bigN is None and rep.well == ()
 
     def test_report_serialization(self):
-        d = ggmt.l2_pipeline().to_dict()
+        d = dataclasses.asdict(ggmt.l2_pipeline())
         assert set(d) == {"l", "alpha", "p", "theta", "alphaR", "betaR", "mu",
                           "prefactor", "bigN", "l_eff", "u_infinity", "big_l",
                           "well"}

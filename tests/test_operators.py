@@ -39,12 +39,12 @@ class TestAssembleLl:
         grid = geometric_grid(64, 20.0)
         r = grid.nodes
         l = 2
-        a = operators.assemble_Ll(l, grid, zero_profile=True)
+        a = operators.local_band(l, grid, zero_profile=True).toarray()
         d1 = operators.deriv1_matrix(grid, l).toarray()
         d2 = operators.deriv2_matrix(grid, l).toarray()
         expected = (-(d2 + np.diag(2.0 / r) @ d1 - np.diag(l * (l + 1) / r ** 2))
                     + 0.5 * np.diag(r) @ d1 + np.eye(grid.n))
-        assert np.max(np.abs(a.entries - expected)) < 1e-12
+        assert np.max(np.abs(a - expected)) < 1e-12
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValueError):
@@ -124,8 +124,8 @@ class TestTildeLlAlpha:
                      - profile.d2inv_q_closed(r)[:, None]
                      * (d1 + np.diag((2.0 - alpha) / r))
                      - np.diag(profile.q(r)))
-            low = operators.dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
-            up = operators.dk_inv_matrix(grid, -(l + alpha))
+            low = eye_dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
+            up = eye_dk_inv_matrix(grid, -(l + alpha))
             tilde += l * (low * v1(r)[None, :]
                           + (low * profile.v2(r)[None, :]) @ up)
             f = np.exp(-((r - 8.0) / 2.0) ** 2)
@@ -146,8 +146,8 @@ class TestTildeLlAlpha:
         grid = make_grid(800, 80.0, ("geometric", 30.0 ** (1.0 / 799.0)))
         r = grid.nodes
         w = grid.quad_weights
-        low = operators.dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
-        up = operators.dk_inv_matrix(grid, -(l + alpha))
+        low = eye_dk_inv_matrix(grid, l + 2.0 - alpha, 1.0)
+        up = eye_dk_inv_matrix(grid, -(l + alpha))
         block = low @ np.diag(v1(r)) + \
             low @ np.diag(profile.v2(r)) @ up
         # flat-measure L^2 norm of each kernel row (entries are kernel * w_j)
@@ -341,8 +341,7 @@ class TestCumulativeBlocks:
     def test_assembled_matrices_are_c_ordered(self, l):
         # a transposed layout would change the rounding of BLAS products
         grid = ORACLE_GRIDS["uniform"]
-        for mat in (operators.dk_inv_matrix(grid, l + 2.0, float(l)),
-                    operators.dk_inv_matrix(grid, -(l + 0.2)),
+        for mat in (operators.deriv_deltal_inv_matrix(grid, l),
                     operators.kernel_deltal_inv_matrix(grid, l),
                     operators.factorized_deltal_inv_matrix(grid, l),
                     operators.kernel_deriv_deltal_inv_matrix(grid, l)):
@@ -350,15 +349,16 @@ class TestCumulativeBlocks:
 
     @pytest.mark.parametrize("l", range(7))
     def test_factors_match_oracle_assembly(self, l):
+        # (2l+1) d_r Delta_l^{-1} = (l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1},
+        # each factor a scaled oracle block: D_{l+2}^{-1} from the origin,
+        # D_{1-l}^{-1} from rmax inwards
         grid = ORACLE_GRIDS["uniform"]
         r = grid.nodes
-        low = (r ** (-(l + 2.0)))[:, None] * lower_cum_matrix(grid, l + 2.0, l)
-        assert np.array_equal(operators.dk_inv_matrix(grid, l + 2.0, float(l)),
-                              low)
-        for k in (1.0 - l, -(l + 0.2)):
-            if k <= 0.0:   # D_k^{-1} integrates from rmax inwards
-                up = -(r ** (-k))[:, None] * upper_cum_matrix(grid, k)
-                assert np.array_equal(operators.dk_inv_matrix(grid, k), up)
+        want = (r ** (-(l + 2.0)))[:, None] * lower_cum_matrix(grid, l + 2.0, l)
+        if l > 0:
+            up = -(r ** (l - 1.0))[:, None] * upper_cum_matrix(grid, 1.0 - l)
+            want = ((l + 1) * want + l * up) / (2 * l + 1)
+        assert np.array_equal(operators.deriv_deltal_inv_matrix(grid, l), want)
 
 
 # -- L_l and the Schroedinger matrix as one dense expression each, over dense
@@ -441,7 +441,10 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("grid,zero", ASSEMBLY_CASES)
     @pytest.mark.parametrize("l", range(7))
     def test_assemble_Ll_matches_dense_oracle(self, grid, zero, l):
-        got = operators.assemble_Ll(l, grid, zero_profile=zero).entries
+        # without the profile the operator is local: its one constructor
+        # is local_band
+        got = (operators.local_band(l, grid, zero_profile=True).toarray()
+               if zero else operators.assemble_Ll(l, grid).entries)
         assert got.flags.c_contiguous
         assert np.array_equal(got, dense_assemble_Ll(l, grid, zero))
         # the nonlocal factor alone: in L_l the larger local diagonal
