@@ -342,14 +342,7 @@ def cmd_shoot(cfg, args):
         [RadialFunction(grid, amp * bump)], (-half, half), projf, qh,
         *acceptance.SHOOTING_RUN)
     checks = acceptance.shooting_checks(res, size)
-    detail = {"a_star": res.a_star, "bracket_width": res.bracket_width,
-              "converged": res.converged,
-              "departure_sign_low": res.departure_sign_low,
-              "departure_sign_high": res.departure_sign_high,
-              "trail": [list(entry) for entry in res.trail],
-              "max_solve_defect": res.max_solve_defect,
-              "projection": _projection_detail(projf)}
-    return checks, detail
+    return checks, {**asdict(res), "projection": _projection_detail(projf)}
 
 
 def cmd_verify_all(cfg, args):

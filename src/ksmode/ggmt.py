@@ -194,11 +194,16 @@ def ggmt_prefactor(p: float, l: float) -> float:
     Formed as one exp of its logarithm: the factors overflow a float from
     about p = 62 on, although their ratio is small.
     """
+    return math.exp(_log_prefactor(p, l))
+
+
+def _log_prefactor(p: float, l: float) -> float:
+    """Logarithm of ``ggmt_prefactor``, from log-gamma values."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return math.exp((p - 1.0) * math.log(p - 1.0) + math.lgamma(2.0 * p)
-                    - p * math.log(p) - 2.0 * math.lgamma(p)
-                    - (2.0 * p - 1.0) * math.log(2.0 * l + 1.0))
+    return ((p - 1.0) * math.log(p - 1.0) + math.lgamma(2.0 * p)
+            - p * math.log(p) - 2.0 * math.lgamma(p)
+            - (2.0 * p - 1.0) * math.log(2.0 * l + 1.0))
 
 
 def negative_part_bracket(V):
@@ -231,20 +236,26 @@ def ggmt_count(p: float, l: float, V, wells) -> float:
     negative part, as negative_part_bracket(V) returns it (so the negative
     part must be compactly supported).  N < 1 certifies the absence of
     non-positive eigenvalues of -d_r^2 + l(l+1)/r^2 + V.
+
+    The integrand is one exp of ln prefactor + (2p-1) ln r + p ln|V_-|:
+    r^{2p-1} and |V_-|^p alone overflow a float from about p = 150 on,
+    long before N does; an N that overflows raises RuntimeError.
     """
     from scipy.integrate import quad
 
-    pref = ggmt_prefactor(p, l)
-    total = 0.0
+    log_pref = _log_prefactor(p, l)
+
+    def integrand(r):
+        v = float(V(r))
+        return 0.0 if v >= 0.0 else math.exp(
+            log_pref + (2.0 * p - 1.0) * math.log(r) + p * math.log(-v))
+
     try:
-        for (a, b) in wells:
-            val, _ = quad(lambda r: r ** (2.0 * p - 1.0) * abs(min(float(V(r)), 0.0)) ** p,
-                          a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
-            total += val
+        return sum((quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)[0]
+                    for (a, b) in wells), 0.0)
     except OverflowError:
-        raise RuntimeError(f"the count integrand r^(2p-1) |V_-|^p overflows a "
-                           f"float at p = {p}") from None
-    return pref * total
+        raise RuntimeError(f"the count integrand overflows a float at "
+                           f"p = {p}") from None
 
 
 @dataclass(frozen=True)
@@ -417,8 +428,6 @@ def l3_rational_constants() -> L3Constants:
     """Recompute the l >= 3 rational constants in exact integer arithmetic."""
     frac1 = 1 - Fraction(13, 24) - Fraction(68 * 4 * 2, 3 * 3 * 7 ** 2 * 3)
     frac2 = Fraction(1, 4) - Fraction(68 * 12 * 4, 3 * 7 ** 2 * 5 * 36)
-    assert frac1 == Fraction(499, 10584)
-    assert frac2 == Fraction(1, 8) + Fraction(29, 17640)
     return L3Constants(frac1=frac1, frac2=frac2,
                        frac1_with_angular_factor=12 * frac1)
 

@@ -74,8 +74,8 @@ _SAME_EIGENVALUE = 1e-8
 # (radial.MIN_NODES), so each size meets ARPACK's k < n - 1.
 _DEFLATION_SIZES = (1, 2, 4)
 # Node limit of a ladder grid.  One n x n float matrix takes 8 n^2 bytes,
-# 328 MB at n = 6400, and the scan of the finest grid holds four at once:
-# the operator, B, S and the LU factorization of a shift-invert solve.
+# 328 MB at n = 6400, and the scan of the finest grid holds three at once:
+# the operator, S and the LU factorization of a shift-invert solve.
 _MAX_LADDER_NODES = 6400
 
 
@@ -84,7 +84,7 @@ class EigenReport:
     """One candidate eigenvalue with its filter diagnostics."""
     l: int
     lam: complex
-    residual: float
+    residual: float     # ||A v - lam v|| / ||v|| from the residual guard
     converged: bool
     decay_exponent: float
     origin_exponent: float
@@ -93,8 +93,8 @@ class EigenReport:
     rmax_defect: float
     vector: np.ndarray = field(repr=False)
     grid: RadialGrid = field(repr=False)
-    # first filter the candidate fails, in the order residual, richardson,
-    # rmax, unreliable, decay, origin, consistency; "" if accepted
+    # first filter the candidate fails, in the order richardson, rmax,
+    # unreliable, decay, origin, consistency; "" if accepted
     rejected_by: str = ""
     # partner grids solved by shift-invert at this eigenvalue, and the largest
     # relative residual ||A v - mu v|| / (||v|| ||A||_inf) of those pairs
@@ -102,20 +102,20 @@ class EigenReport:
     partner_residual: float = 0.0
 
 
-def eig_dense(a) -> tuple[np.ndarray, np.ndarray]:
+def eig_dense(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full eigendecomposition of a dense matrix with a residual guarantee.
 
-    Returns (eigenvalues, eigenvectors) sorted by real part; every pair has
-    relative residual ||A v - lam v|| / ||v|| below 1e-8 ||A|| or the solve
-    is reported as non-converged.
+    Returns (eigenvalues, eigenvectors, residuals) sorted by real part; the
+    residual ||A v - lam v|| / ||v|| of every pair is below 1e-8 ||A||, or
+    the solve raises (``_guard_residuals``).
     """
     mat = a.entries if isinstance(a, OperatorMatrix) else np.asarray(a)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     lams, vecs = scipy.linalg.eig(mat)
-    _guard_residuals(mat, lams, vecs)
+    res = _guard_residuals(mat, lams, vecs)
     order = np.argsort(lams.real)
-    return lams[order], vecs[:, order]
+    return lams[order], vecs[:, order], res[order]
 
 
 def _guard_residuals(mat, lams, vecs) -> np.ndarray:
@@ -152,17 +152,21 @@ class RangeFloor:
         return self.residual <= _RESIDUAL_TOL and self.nu - self.margin > threshold
 
 
-def _m_frame(a: OperatorMatrix):
-    """The diagonal of M^{1/2}, B = M^{1/2} A M^{-1/2} and its Hermitian part
-    S = (B + B^T)/2, with M = diag(grid.r2_weights) of the operator's grid.
+def _m_frame(a: OperatorMatrix) -> np.ndarray:
+    """The M-Hermitian part S = (B + B^T)/2 of B = M^{1/2} A M^{-1/2}, with
+    M = diag(grid.r2_weights) of the operator's grid; B is scaled in place
+    into S, and only S and one temporary exist at once.
 
     Every eigenpair A v = lam v has Re lam = x^H S x / x^H x with
     x = M^{1/2} v, so the bottom eigenvalue of S, the floor of the numerical
     range of A in L^2(r^2 dr), bounds every eigenvalue from the left.
     """
     root = np.sqrt(a.grid.r2_weights)
-    b = root[:, None] * a.entries / root[None, :]
-    return root, b, 0.5 * (b + b.T)
+    s = root[:, None] * a.entries
+    s /= root[None, :]
+    s += s.T
+    s *= 0.5
+    return s
 
 
 def _range_floor(s) -> RangeFloor:
@@ -173,11 +177,11 @@ def _range_floor(s) -> RangeFloor:
     return RangeFloor(float(nu), float(margin))
 
 
-def _deflate(a: OperatorMatrix, frame, sigma: float, k: int):
+def _deflate(a: OperatorMatrix, s, sigma: float, k: int):
     """Deflate the k eigenvectors of ``a`` nearest ``sigma`` and bound the
-    rest of its spectrum; returns (RangeFloor, lams, vectors).
+    rest of its spectrum; returns (RangeFloor, lams, vectors, residuals).
 
-    ``frame`` is ``_m_frame(a)``.  One shift-invert Arnoldi solve finds the
+    ``s`` is ``_m_frame(a)``.  One shift-invert Arnoldi solve finds the
     vectors V; the Householder QR of X = M^{1/2} V gives an orthonormal
     basis X0 of their span and X1 of its complement.  With
     Lambda = X0^H B X0 and R = B X0 - X0 Lambda, the matrix B - R X0^H
@@ -188,23 +192,25 @@ def _deflate(a: OperatorMatrix, frame, sigma: float, k: int):
     Lambda below it are therefore all eigenpairs of A below it up to a
     backward error ||R||_2, the guarantee a dense eigensolve gives
     (Stewart and Sun, Matrix Perturbation Theory, 1990, ch. V).  A missed
-    eigenvalue stays in X1^H B X1 and pulls nu below it.  The k reflectors
-    are applied to S from both sides, O(n^2 k), without forming Q.
-    ``lams`` are the eigenvalues of Lambda and ``vectors`` the unit
-    eigenvectors M^{-1/2} X0 W of A, sorted by real part; every pair passes
-    the residual guard of ``eig_dense``.
+    eigenvalue stays in X1^H B X1 and pulls nu below it.  B is applied,
+    never formed: B X0 = M^{1/2} (A (M^{-1/2} X0)), one product of A with
+    the n x k block.  The k reflectors are applied to a copy of S from both
+    sides, O(n^2 k), without forming Q.  ``lams`` are the eigenvalues of
+    Lambda and ``vectors`` the unit eigenvectors M^{-1/2} X0 W of A, sorted
+    by real part, with the ``residuals`` of the guard of ``eig_dense``,
+    which every pair passes.
     """
-    root, b, s = frame
     mat = a.entries
     n = mat.shape[0]
-    _, vecs = scipy.sparse.linalg.eigs(mat, k=k, sigma=sigma, v0=np.ones(n))
+    root = np.sqrt(a.grid.r2_weights)[:, None]
+    _, vecs = _shift_invert(mat, k, sigma)
     # a real eigenvector keeps the whole deflation in real arithmetic
-    x = root[:, None] * (vecs if np.any(vecs.imag) else vecs.real)
+    x = root * (vecs if np.any(vecs.imag) else vecs.real)
     (h, tau), _ = scipy.linalg.qr(x, mode="raw")
     ormqr, = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
     lwork = 64 * n   # n times LAPACK's largest block size, for either side
     x0 = ormqr("L", "N", h, tau, np.eye(n, k, dtype=h.dtype), lwork)[0]
-    bx0 = b @ x0
+    bx0 = root * (mat @ (x0 / root))
     lam = x0.conj().T @ bx0
     residual = np.linalg.norm(bx0 - x0 @ lam, 2) / np.linalg.norm(mat, np.inf)
     adjoint = "C" if np.iscomplexobj(h) else "T"
@@ -213,12 +219,23 @@ def _deflate(a: OperatorMatrix, frame, sigma: float, k: int):
     rest = _range_floor(d)
     # a 1 x 1 block is its own eigendecomposition
     lams, w = (np.diag(lam), np.eye(1)) if k == 1 else scipy.linalg.eig(lam)
-    vectors = (x0 @ w) / root[:, None]
+    vectors = (x0 @ w) / root
     vectors /= np.linalg.norm(vectors, axis=0)
-    _guard_residuals(mat, lams, vectors)
+    res = _guard_residuals(mat, lams, vectors)
     order = np.argsort(lams.real)
     return (replace(rest, count=k, residual=float(residual)),
-            lams[order].astype(complex), vectors[:, order])
+            lams[order].astype(complex), vectors[:, order], res[order])
+
+
+def _shift_invert(mat, k: int, sigma):
+    """The k eigenpairs of ``mat`` nearest ``sigma`` by one shift-invert
+    Arnoldi solve (one LU of mat - sigma I) from the fixed start vector
+    ones(n); a real shift keeps a real matrix real, a complex shift needs
+    complex arithmetic."""
+    mat, sigma = (mat, np.real(sigma)) if np.imag(sigma) == 0.0 \
+        else (mat.astype(complex), sigma)
+    return scipy.sparse.linalg.eigs(mat, k=k, sigma=sigma,
+                                    v0=np.ones(mat.shape[0], mat.dtype))
 
 
 def exponent_fits(values, lam, grid: RadialGrid):
@@ -363,11 +380,7 @@ def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
         return eig_dense(a)[0], None
     found, worst = [], np.empty(m)
     for i, lam in enumerate(cands):
-        # a real shift keeps A real; a complex shift needs complex arithmetic
-        shifted = mat if lam.imag == 0.0 else mat.astype(complex)
-        sigma = lam.real if lam.imag == 0.0 else lam
-        mus, vecs = scipy.sparse.linalg.eigs(shifted, k=m, sigma=sigma,
-                                             v0=np.ones(n, shifted.dtype))
+        mus, vecs = _shift_invert(mat, m, lam)
         worst[i] = _guard_residuals(mat, mus, vecs).max() \
             / np.linalg.norm(mat, np.inf)
         found.extend(mus)
@@ -410,30 +423,26 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
     fine_key, *partner_keys = check_scan_grids(l, ladder)
     fine_grid = ladder[fine_key]
     op = assemble_Ll(l, fine_grid)
-    frame = _m_frame(op)
-    floor = _range_floor(frame[2])
+    s = _m_frame(op)
+    floor = _range_floor(s)
     if floor.certifies(threshold):
         return Scan([], [], floor, floor, "floor")
     certificate, path = floor, "dense"
     for k in _DEFLATION_SIZES:
-        certificate, lams, vecs = _deflate(op, frame, floor.nu, k)
+        certificate, lams, vecs, residuals = _deflate(op, s, floor.nu, k)
         if certificate.certifies(threshold):
             path = "deflation"
             break
-    del frame   # before the full eigensolve, which would set the peak memory
+    del s   # before the full eigensolve, which would set the peak memory
     if path == "dense":
-        lams, vecs = eig_dense(op)
+        lams, vecs, residuals = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
     if cand_idx.size == 0:
         return Scan([], [], floor, certificate, path)
-    # free the full eigenvector matrix and the operator before the partner
+    # free the operator and the full eigenvector matrix before the partner
     # solves, which would otherwise set the peak memory
-    lams, vecs = lams[cand_idx], vecs[:, cand_idx]
-    mat = op.entries
-    scale = np.linalg.norm(mat, np.inf)
-    residuals = [float(np.linalg.norm(mat @ v - lam * v) / np.linalg.norm(v))
-                 for lam, v in zip(lams, vecs.T)]
-    del op, mat
+    del op
+    lams, vecs, residuals = lams[cand_idx], vecs[:, cand_idx], residuals[cand_idx]
     partners = []
     solves, worst = np.zeros(lams.size, dtype=int), np.zeros(lams.size)
     for key in partner_keys:
@@ -451,13 +460,12 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
         rmax_defect = abs(lam - lam_other)
         rmax_ok = rmax_defect <= _ABS_TOL
         decay, origin, consistent, reliable = exponent_fits(v, lam, fine_grid)
-        filters = {"residual": residual <= _RESIDUAL_TOL * scale,
-                   "richardson": richardson_ok, "rmax": rmax_ok,
+        filters = {"richardson": richardson_ok, "rmax": rmax_ok,
                    "unreliable": reliable, "decay": decay <= _DECAY_CAP,
                    "origin": abs(origin - l) <= _ORIGIN_SLACK,
                    "consistency": consistent}
         rejected_by = next((name for name, ok in filters.items() if not ok), "")
-        report = EigenReport(l=l, lam=complex(lam), residual=residual,
+        report = EigenReport(l=l, lam=complex(lam), residual=float(residual),
                              converged=bool(richardson_ok and rmax_ok),
                              decay_exponent=decay, origin_exponent=origin,
                              accepted=not rejected_by, h_defect=float(h_defect),
@@ -552,15 +560,14 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
     nearest the target is lam.
     """
     mat = a.entries
-    floor, lams, rights = _deflate(a, _m_frame(a), target, 1)
+    floor, lams, rights, _ = _deflate(a, _m_frame(a), target, 1)
     lam = complex(lams[0])
     # the two members of a complex pair lie equally near a real target
     if not _same_eigenvalue(lam.conjugate(), lam):
         raise RuntimeError(f"the eigenvalues nearest {target!r} are the "
                            f"complex pair {lam!r} and {lam.conjugate()!r}")
     adjoint = mat.conj().T
-    mus, lefts = scipy.sparse.linalg.eigs(adjoint, k=1, sigma=target,
-                                          v0=np.ones(mat.shape[0]))
+    mus, lefts = _shift_invert(adjoint, 1, target)
     _guard_residuals(adjoint, mus, lefts)
     if not _same_eigenvalue(np.conj(mus[0]), lam):
         raise RuntimeError(f"the left solve found {np.conj(mus[0])!r}, "

@@ -207,6 +207,24 @@ class TestCount:
     def test_nonnegative_potential_counts_zero(self):
         assert count(lambda r: 1.0 / (1.0 + r * r)) == 0.0
 
+    def test_log_space_integrand_matches_the_power_form(self):
+        from scipy.integrate import quad
+
+        def well(r):
+            return (r - 1.0) * (r - 3.0)
+
+        power = quad(lambda r: r ** 7.0 * abs(well(r)) ** 4.0, 1.0, 3.0,
+                     epsabs=0.0, epsrel=1e-13)[0]
+        got = ggmt.ggmt_count(4.0, 0.0, well, ((1.0, 3.0),))
+        assert got == pytest.approx(ggmt.ggmt_prefactor(4.0, 0.0) * power,
+                                    rel=1e-12)
+
+    def test_count_that_overflows_raises(self):
+        # N itself, not only its factors, exceeds a float here
+        with pytest.raises(RuntimeError, match="overflows a float at p = 300"):
+            ggmt.ggmt_count(300.0, 0.0, lambda r: (r - 1.0) * (r - 3.0),
+                            ((1.0, 3.0),))
+
     def test_reference_pipeline_value(self):
         rep = ggmt.l2_pipeline()
         assert abs(rep.bigN - 0.8687) < 5e-3

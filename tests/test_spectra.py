@@ -1,5 +1,7 @@
 """Eigensolving, the spurious-mode filters and the discrete projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from ksmode.radial import make_grid
 
 def range_floor(a):
     """Numerical-range floor of a class operator in L^2(r^2 dr)."""
-    return spectra._range_floor(spectra._m_frame(a)[2])
+    return spectra._range_floor(spectra._m_frame(a))
 
 
 def small_ladder(n0=100, rmax0=20.0):
@@ -21,19 +23,19 @@ def small_ladder(n0=100, rmax0=20.0):
 
 class TestEigDense:
     def test_rotation_matrix(self):
-        lams, _ = spectra.eig_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        lams, _, _ = spectra.eig_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert np.allclose(sorted(lams.imag), [-1.0, 1.0], atol=1e-14)
         assert np.allclose(lams.real, 0.0, atol=1e-14)
 
     def test_diagonal_matrix(self):
         d = np.diag([3.0, -2.0, 0.5])
-        lams, _ = spectra.eig_dense(d)
+        lams, _, _ = spectra.eig_dense(d)
         assert np.allclose(sorted(lams.real), [-2.0, 0.5, 3.0], atol=1e-14)
 
     def test_symmetric_matrix_real_spectrum(self):
         diag, off = operators.assemble_tilde_L1_prime(make_grid(200, 30.0))
         a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        lams, _ = spectra.eig_dense(a)
+        lams, _, _ = spectra.eig_dense(a)
         assert np.max(np.abs(lams.imag)) < 1e-10
 
     def test_nonfinite_rejected(self):
@@ -223,11 +225,11 @@ class TestTargetedPartners:
         # conjugate shifts find overlapping sets; every eigenvalue stays once
         ladder = small_ladder()
         fine = operators.assemble_Ll(2, ladder[(400, 40.0)])
-        lams, _ = spectra.eig_dense(fine)
+        lams, _, _ = spectra.eig_dense(fine)
         cands = lams[lams.real < 2.0]
         partner = operators.assemble_Ll(2, ladder[(200, 40.0)])
         found, res = spectra._nearest_eigenvalues(partner, cands)
-        full, _ = spectra.eig_dense(partner)
+        full, _, _ = spectra.eig_dense(partner)
         nearest = {int(j) for lam in cands
                    for j in np.argsort(np.abs(full - lam))[:cands.size]}
         assert found.size == len(nearest)
@@ -249,7 +251,7 @@ class TestTargetedPartners:
     def test_too_many_candidates_for_arnoldi_solve_densely(self, solves):
         # k = n - 1 does not fit ARPACK: the whole spectrum is computed
         a = operators.assemble_Ll(0, make_grid(20, 10.0))
-        lams, _ = spectra.eig_dense(a)
+        lams, _, _ = spectra.eig_dense(a)
         found, res = spectra._nearest_eigenvalues(a, lams[:19])
         assert res is None and np.array_equal(found, lams)
         assert solves["eig"] == 2 and solves["targeted"] == 0
@@ -261,7 +263,7 @@ class TestRangeFloor:
         grid = small_ladder()[(400, 40.0)]
         a = operators.assemble_Ll(l, grid)
         floor = range_floor(a)
-        lams, _ = spectra.eig_dense(a)
+        lams, _, _ = spectra.eig_dense(a)
         assert lams.real.min() >= floor.nu - floor.margin
         assert floor.margin < 6e-8
 
@@ -363,11 +365,11 @@ class TestDeflation:
         certified = 0
         for grid in ladder.values():
             a = operators.assemble_Ll(l, grid)
-            frame = spectra._m_frame(a)
-            nu = spectra._range_floor(frame[2]).nu
-            full, full_vecs = spectra.eig_dense(a)
+            s = spectra._m_frame(a)
+            nu = spectra._range_floor(s).nu
+            full, full_vecs, _ = spectra.eig_dense(a)
             for k in spectra._DEFLATION_SIZES:
-                deflated, lams, vecs = spectra._deflate(a, frame, nu, k)
+                deflated, lams, vecs, _ = spectra._deflate(a, s, nu, k)
                 if not deflated.certifies(threshold):
                     continue
                 certified += 1
@@ -394,9 +396,9 @@ class TestDeflation:
         # member of the pair: the deflation runs in complex arithmetic, and
         # the conjugate left behind keeps the floor below it
         a = operators.assemble_Ll(2, small_ladder()[(400, 40.0)])
-        frame = spectra._m_frame(a)
-        deflated, lams, vecs = spectra._deflate(a, frame, 1.508, 1)
-        full, _ = spectra.eig_dense(a)
+        s = spectra._m_frame(a)
+        deflated, lams, vecs, _ = spectra._deflate(a, s, 1.508, 1)
+        full, _, _ = spectra.eig_dense(a)
         assert abs(lams[0].imag) > 0.6 and np.iscomplexobj(vecs)
         assert np.min(np.abs(full - lams[0])) <= 1e-9
         assert deflated.residual <= 1e-8
@@ -418,6 +420,60 @@ class TestDeflation:
         assert np.array_equal(got[0].vector, want[0].vector)
         assert (got[0].residual, got[0].rejected_by) == \
             (want[0].residual, want[0].rejected_by)
+
+    def test_report_carries_the_guarded_residual(self):
+        # the scan reports the residual the guard of _deflate computed
+        rep = spectra.unstable_scan_detailed(0, ladder=small_ladder()).accepted[0]
+        a = operators.assemble_Ll(0, rep.grid)
+        s = spectra._m_frame(a)
+        _, _, vecs, res = spectra._deflate(a, s, spectra._range_floor(s).nu, 1)
+        assert np.array_equal(rep.vector, vecs[:, 0])
+        assert rep.residual == res[0]
+
+
+class TestFrameMemory:
+    """B = M^{1/2} A M^{-1/2} is applied, never formed: the n x n arrays
+    (8 n^2 bytes each) of the frame and of a deflation on the finest grid of
+    the pinned ladder."""
+
+    @pytest.fixture(scope="class")
+    def op(self):
+        return operators.assemble_Ll(0, spectra.refinement_ladder()[(800, 80.0)])
+
+    def test_frame_is_s_alone(self, op):
+        n = op.grid.n
+        spectra._m_frame(op)   # first-call caches
+        tracemalloc.start()
+        try:
+            s = spectra._m_frame(op)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        root = np.sqrt(op.grid.r2_weights)
+        b = root[:, None] * op.entries / root[None, :]
+        assert np.array_equal(s, 0.5 * (b + b.T))
+        # S is kept; S and one temporary are its only n x n arrays, beside
+        # n-vectors and the ufunc buffer
+        assert kept <= 8 * n ** 2 + 2 ** 17
+        assert peak <= 2 * 8 * n ** 2 + 2 ** 17
+
+    def test_deflation_copies_only_s(self, op):
+        n = op.grid.n
+        s = spectra._m_frame(op)
+        nu = spectra._range_floor(s).nu
+        spectra._deflate(op, s, nu, 1)   # first-call caches
+        tracemalloc.start()
+        try:
+            _, _, vecs, _ = spectra._deflate(op, s, nu, 1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vecs.shape == (n, 1) and kept < 8 * n ** 2
+        # two n x n arrays at a time: the shift-invert LU (a copy of
+        # A - sigma I and its factors), then the copy of S that the
+        # reflectors compress and eigh's copy of its trailing block; a B
+        # kept beside them would be a third
+        assert peak < 2.5 * 8 * n ** 2
 
 
 class TestMatchNearest:
@@ -636,8 +692,8 @@ class TestModeReportOracle:
         eig_dense = spectra.eig_dense
 
         def shifted(mat):
-            lams, vecs = eig_dense(mat)
-            return lams + 1e-3, vecs
+            lams, vecs, res = eig_dense(mat)
+            return lams + 1e-3, vecs, res
 
         monkeypatch.setattr(spectra, "eig_dense", shifted)
         with pytest.raises(RuntimeError, match="nearest -1.0 is"):
