@@ -172,7 +172,7 @@ def steady_drift_check(grid, dt: float, horizon: float):
     qv = profile.q(grid.nodes)
     tr = evolution.nonlinear_radial_evolve(RadialFunction(grid, qv), dt,
                                            horizon)
-    drift = max(grid.norm(s - qv) for s in tr.states) / grid.norm(qv)
+    drift = float(np.max(grid.norm(tr.states - qv))) / grid.norm(qv)
     h = float(np.max(np.diff(grid.nodes)))
     return _at_most(f"steady-state drift over tau <= {horizon:g}",
                     "evolution.steady_drift", drift,

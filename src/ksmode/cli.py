@@ -240,8 +240,11 @@ def cmd_profile_check(cfg, args):
 
 def cmd_ggmt(cfg, args):
     gc = cfg.values["ggmt"]
-    rep = ggmt.l2_pipeline(l=gc["l"], alpha=gc["alpha"], p=gc["p"],
-                           theta=gc["theta"], W=cfg.weight())
+    try:
+        rep = ggmt.l2_pipeline(l=gc["l"], alpha=gc["alpha"], p=gc["p"],
+                               theta=gc["theta"], W=cfg.weight())
+    except ggmt.CountOverflowError as err:
+        raise ConfigError(f"ggmt: {err}") from None
     # the default configuration is the reference one the pinned values hold for
     checks = acceptance.ggmt_checks(rep, gc == DEFAULTS["ggmt"])
     return checks + [acceptance.u_inf_check(rep)], asdict(rep)
@@ -450,10 +453,15 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    # past validation every error is numerical: RuntimeError covers
-    # DivergentTailError and EvolutionError, ValueError covers LinAlgError
+    # past validation every error but a count that overflows a float (a
+    # ConfigError) is numerical: RuntimeError covers DivergentTailError and
+    # EvolutionError, ValueError covers LinAlgError
     try:
         checks, detail = COMMANDS[args.command](cfg, args)
+    except ConfigError as err:
+        # a setting whose numbers overflow a float once computed
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     except (RuntimeError, ValueError) as err:
         diag = _out_dir(cfg) / f"{args.command.replace('-', '_')}_diagnostics.txt"
         diag.write_text(f"{err}\n\n{traceback.format_exc()}")

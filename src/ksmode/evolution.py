@@ -1,9 +1,11 @@
 """Time integration of the renormalized flow, linear and nonlinear.
 
 Linear runs integrate d_tau eps = -L_l eps with Crank-Nicolson (one dense
-LU factorization, reused every step) and record L^2(r^2 dr) norms plus the
-coefficients against supplied left modes; the fitted growth rates reproduce
-the eigenvalues +1 and +1/2 of the scaling and translation modes.
+LU factorization, reused every step; a step is one solve on it, and one
+product checks the solves of a block of steps) and record L^2(r^2 dr)
+norms plus the coefficients against supplied left modes; the fitted growth
+rates reproduce the eigenvalues +1 and +1/2 of the scaling and translation
+modes.
 
 Nonlinear runs integrate the radial renormalized equation
 
@@ -22,7 +24,9 @@ amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
 Its searches run in lockstep, each round integrating the runs every search
 needs next as one batch; each search is one generator (_search, which
-describes it) that the driver sends its departures.
+describes it) that the driver sends its departures.  A search solves for
+its root by Newton and secant steps from its first run that stays in the
+tube, so criterion 8's two searches take 4 rounds, not a bisection's 14.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -58,6 +62,7 @@ _LOOKAHEAD = 2          # bisection levels each shooting round integrates
 _SECANT_RUNS = 6        # most secant runs of a shooting search before its replay
 _SECANT_TOL = 1e-3      # secant stops at a step below this fraction of the final width
 _JACOBIAN_ROWS = 32     # flux-Jacobian columns per row-batched flux call
+_CHECK_BLOCK = 64       # linear steps whose solve defects one product checks
 # Value limit of a stored trace.  The nonlinear flow keeps every state,
 # 8 (steps + 1) n bytes, 256 MiB at this limit.
 _MAX_TRACE_VALUES = 2 ** 25
@@ -96,6 +101,7 @@ class ShootingResult:
     # after a failed confirmation, the remaining levels and a_star)
     trail: list
     max_solve_defect: float   # largest relative implicit-solve defect
+    rounds: int               # batched rounds of integration the search took
 
 
 def fit_rate(trace: EvolutionTrace, window=(0.0, None)) -> float:
@@ -155,34 +161,23 @@ def _check_solve(x, product, rhs, lhs_norm):
     return np.divide(defect, denom, out=np.zeros_like(defect), where=defect > 0)
 
 
-def _crank_nicolson(a: BandMatrix | np.ndarray, dt: float):
-    """Crank-Nicolson for y' = -A y.
+def _crank_nicolson(a: BandMatrix, dt: float):
+    """Crank-Nicolson for y' = -A y on the band of A.
 
     Returns ``(explicit, solve)``: ``explicit @ y`` is (I - dt/2 A) y and
     ``solve(rhs)`` returns x = (I + dt/2 A)^{-1} rhs, ``explicit @ x``
     (the next step's explicit half) and the relative defect from
     _check_solve, which checks every solve with that product, so a step
-    makes one product with the operator.  A BandMatrix A (the local IMEX
-    operator) keeps both sides on its band: the left side is factored once
-    by LAPACK gbtrf, so a step is O(n) and takes a stack of rows; a dense A
-    such as L_l gets one dense LU and one vector.
+    makes one product with the operator.  Both sides stay on the band:
+    the left side is factored once by LAPACK gbtrf, so a step is O(n) and
+    takes a stack of rows.
     """
-    if isinstance(a, BandMatrix):
-        lhs, explicit = a.eye_plus(0.5 * dt), a.eye_plus(-0.5 * dt)
-        lhs_norm = lhs.norm_inf()
-        lhs.factor()
-        backsolve = lhs.solve
-    else:
-        eye = np.eye(a.shape[0])
-        lhs, explicit = eye + 0.5 * dt * a, eye - 0.5 * dt * a
-        lhs_norm = np.linalg.norm(lhs, np.inf)
-        lu = scipy.linalg.lu_factor(lhs)
-
-        def backsolve(rhs):
-            return scipy.linalg.lu_solve(lu, rhs)
+    lhs, explicit = a.eye_plus(0.5 * dt), a.eye_plus(-0.5 * dt)
+    lhs_norm = lhs.norm_inf()
+    lhs.factor()
 
     def solve(rhs):
-        x = backsolve(rhs)
+        x = lhs.solve(rhs)
         product = explicit @ x
         return x, product, _check_solve(x, product, rhs, lhs_norm)
 
@@ -193,18 +188,44 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
                   horizon: float, projection=None) -> EvolutionTrace:
     """Crank-Nicolson integration of d_tau eps = -A eps for the operator ``op``.
 
-    Records the L^2(r^2 dr) norm each step and, when a ProjectionPair is
-    supplied, the coefficient against its left mode.  A norm that overflows
-    raises EvolutionError with that state and its time: the norm squares
+    (I + dt/2 A)^{-1} (I - dt/2 A) = 2 (I + dt/2 A)^{-1} - I, so a step is
+    eps_{k+1} = 2 y_k - eps_k with y_k = (I + dt/2 A)^{-1} eps_k: one solve
+    on the one dense LU and no product with the operator, which keeps the
+    LU alone in cache.  The solves are checked in blocks of _CHECK_BLOCK
+    steps: one product (I - dt/2 A) Y of the block's solutions gives
+    _check_solve a defect row for every step, and the first failing step
+    raises.  Records the L^2(r^2 dr) norm each step and, when a
+    ProjectionPair is supplied, the coefficient against its left mode.  A
+    norm that overflows raises EvolutionError with that state and its
+    time, once the solves up to that step are checked: the norm squares
     the state, so it overflows while the state itself is still finite.
     """
     n_steps = step_count(dt, horizon)
     grid = eps0.grid
-    explicit, solve = _crank_nicolson(op.entries, dt)
+    eye = np.eye(grid.n)
+    lhs, explicit = eye + 0.5 * dt * op.entries, eye - 0.5 * dt * op.entries
+    lhs_norm = np.linalg.norm(lhs, np.inf)
+    lu = scipy.linalg.lu_factor(lhs)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
     coeffs = [] if projection is not None else None
+    # right sides and solutions of the block's steps, one row a step
+    rhs = np.empty((_CHECK_BLOCK, grid.n), dtype=eps.dtype)
+    sol = np.empty_like(rhs)
+    worst = 0.0
+
+    def check(first, count):
+        """Check the solves of the ``count`` steps from step ``first``."""
+        nonlocal worst
+        x = sol[:count]
+        try:
+            defect = _check_solve(x, x @ explicit.T, rhs[:count], lhs_norm)
+        except EvolutionError as err:   # its row counts steps from ``first``
+            raise EvolutionError(f"{err} of the steps from tau = "
+                                 f"{times[first]:.3f}", tau=times[first - 1],
+                                 state=rhs[0].copy()) from None
+        worst = max(worst, float(np.max(defect)))
 
     def record(k, vec):
         with np.errstate(over="ignore"):   # caught on the next line
@@ -216,12 +237,18 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
             coeffs.append(projection.coefficient(vec))
 
     record(0, eps)
-    worst = 0.0
-    product = explicit @ eps
-    for k in range(1, n_steps + 1):
-        eps, product, defect = solve(product)
-        worst = max(worst, float(defect))
-        record(k, eps)
+    for first in range(1, n_steps + 1, _CHECK_BLOCK):
+        block = range(min(_CHECK_BLOCK, n_steps + 1 - first))
+        try:
+            for j in block:
+                rhs[j] = eps
+                sol[j] = scipy.linalg.lu_solve(lu, eps)
+                eps = 2.0 * sol[j] - eps
+                record(first + j, eps)
+        except EvolutionError:
+            check(first, j + 1)   # a failed solve before the overflow raises first
+            raise
+        check(first, len(block))
     return EvolutionTrace(times=times, norms=norms,
                           mode_coeffs=np.array(coeffs) if coeffs else None,
                           max_solve_defect=worst)
@@ -557,35 +584,47 @@ def _walk(lo: float, hi: float, stop: float, below, levels=None) -> tuple:
     return lo, hi
 
 
-def _search(lo: float, hi: float, ref_defect: float):
+def _search(lo: float, hi: float, ref_defect: float, slope: float):
     """One shooting search over the bracket [lo, hi], as a generator.
 
     It yields the amplitudes each round must integrate, is sent that
     round's departures, ``{a: (sign, coefficient, exit tau, defect)}``, and
     returns its ShootingResult; ``ref_defect`` is the reference run's
-    largest solve defect.  a_star is the midpoint of the first bisection
-    bracket no wider than _WIDTH_TOL times the initial width.
+    largest solve defect and ``slope`` the linear dc/da of the
+    scaling-mode coefficient c at the horizon.  a_star is the midpoint of
+    the first bisection bracket no wider than _WIDTH_TOL times the initial
+    width.
 
     The search is one bisection walk (_walk) whose signs come from two
     places.  While runs leave the tube, each midpoint takes its own run's
     departure sign, and a round integrates the midpoints of the next
     _LOOKAHEAD levels (the first round the bracket ends too), so the walk
-    is the one a one-run-at-a-time bisection makes.  Once both ends of the
-    bracket stay in the tube to the horizon, the search solves c(a) = 0 for
-    the scaling-mode coefficient c at the horizon by secant steps, one run
-    a round, each kept inside the sign bracket of c (Brent's safeguard: a
-    step outside it bisects).  It then replays the remaining levels with
-    each midpoint's sign taken from its side of that root, and integrates
-    the final lo, hi and a_star in one round.  The replay walks the
-    bisection's own levels only if c changes sign once across the in-tube
-    bracket, and this confirmation checks that at the final bracket only:
-    lo must have the low end's sign, hi the high end's, and a_star must
-    stay in the tube.  When it fails, or a secant run leaves the tube, the
-    walk resumes on run signs from the bracket the secant started at.
+    is the one a one-run-at-a-time bisection makes.  Once either end of
+    the walked bracket stays in the tube to the horizon, the search solves
+    c(a) = 0 at the horizon, one run a round, each step kept inside the
+    sign bracket of c (Brent's safeguard: a step outside it bisects).  With
+    both ends in the tube the first step is a secant step through them;
+    with one, a Newton step of ``slope`` from that end (the other end's
+    coefficient is taken at its exit, not at the horizon).  Secant steps
+    follow.  The search then replays the remaining levels with each
+    midpoint's sign taken from its side of that root, and integrates the
+    final lo, hi and a_star in one round.  The replay walks the bisection's own levels only if the
+    departure sign changes once across the bracket the secant starts from,
+    and this confirmation checks that at the final bracket only: lo must
+    have the low end's sign, hi the high end's, and a_star must stay in
+    the tube.  When it fails, or a secant run leaves the tube, the walk
+    resumes on run signs from the bracket the secant started at.
     """
     stop = _WIDTH_TOL * (hi - lo)
     runs = {}   # (sign, coefficient, exit tau, defect) by amplitude
     trail = []
+    rounds = 0
+
+    def integrate(amplitudes):
+        """One round: yield ``amplitudes`` and keep the runs sent back."""
+        nonlocal rounds
+        rounds += 1
+        runs.update((yield amplitudes))
 
     def use(a):
         """Add the run of ``a`` to the trail; its (sign, exit tau)."""
@@ -597,23 +636,31 @@ def _search(lo: float, hi: float, ref_defect: float):
         return ShootingResult(
             a_star=a_star, bracket_width=width, converged=tau is None,
             departure_sign_low=sign_lo, departure_sign_high=sign_hi, trail=trail,
-            max_solve_defect=max(ref_defect, *(run[3] for run in runs.values())))
+            max_solve_defect=max(ref_defect, *(run[3] for run in runs.values())),
+            rounds=rounds)
 
     def secant(lo, hi):
-        """Secant steps on c from the in-tube bracket [lo, hi], the walk
-        replayed from their root and its final bracket confirmed: the
-        ShootingResult, or None when a run leaves the tube or the
-        confirmation fails."""
+        """Steps on c from the bracket [lo, hi], one end or both in the
+        tube, the walk replayed from their root and its final bracket
+        confirmed: the ShootingResult, or None when a run leaves the tube
+        or the confirmation fails."""
         low, high = lo, hi   # sign bracket of the root
-        a0, a1 = lo, hi
+        in_tube = [a for a in (lo, hi) if runs[a][2] is None]
+        # the previous and the last iterate: no previous one before a
+        # Newton step from a lone in-tube end
+        a0, a1 = in_tube if len(in_tube) == 2 else (None, in_tube[0])
         for _ in range(_SECANT_RUNS):
-            c0, c1 = runs[a0][1], runs[a1][1]
-            root = a1 - c1 * (a1 - a0) / (c1 - c0) if c1 != c0 else np.nan
+            c1 = runs[a1][1]
+            if a0 is None:
+                root = a1 - c1 / slope if slope else np.nan
+            else:
+                c0 = runs[a0][1]
+                root = a1 - c1 * (a1 - a0) / (c1 - c0) if c1 != c0 else np.nan
             if not low <= root <= high:
                 root = 0.5 * (low + high)
             if abs(root - a1) <= _SECANT_TOL * stop:
                 break
-            runs.update((yield [root]))
+            yield from integrate([root])
             sign, tau = use(root)
             if tau is not None:
                 return None
@@ -624,7 +671,7 @@ def _search(lo: float, hi: float, ref_defect: float):
             a0, a1 = a1, root
         lo, hi = _walk(lo, hi, stop, lambda mid: mid < root)
         a_star = 0.5 * (lo + hi)
-        runs.update((yield [lo, hi, a_star]))
+        yield from integrate([lo, hi, a_star])
         signs = use(lo)[0], use(hi)[0]
         tau = use(a_star)[1]
         if signs == (sign_lo, sign_hi) and tau is None:
@@ -632,7 +679,7 @@ def _search(lo: float, hi: float, ref_defect: float):
         return None
 
     wanted = [lo, hi] + _lookahead(lo, hi, _LOOKAHEAD)
-    runs.update((yield wanted))
+    yield from integrate(wanted)
     sign_lo, sign_hi = use(lo)[0], use(hi)[0]
     if sign_lo == sign_hi:
         raise ValueError(f"departure sign {sign_lo} identical "
@@ -646,13 +693,13 @@ def _search(lo: float, hi: float, ref_defect: float):
         # whose midpoint this round integrated
         if a_star in wanted:
             return result(a_star, hi - lo, use(a_star)[1])
-        if not secant_tried and runs[lo][2] is None and runs[hi][2] is None:
+        if not secant_tried and (runs[lo][2] is None or runs[hi][2] is None):
             secant_tried = True
             found = yield from secant(lo, hi)
             if found is not None:
                 return found
         wanted = _lookahead(lo, hi, _LOOKAHEAD)
-        runs.update((yield wanted))
+        yield from integrate(wanted)
 
 
 def shoot_stable_manifold(stable_perturbations, bracket, projection,
@@ -677,8 +724,11 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
 
     Each search is the generator _search, whose docstring describes it: a
     bisection whose signs come from the runs while they leave the tube and
-    from a secant root once both bracket ends stay in it, confirmed by real
-    runs at the final bracket.
+    from a Newton-secant root once either bracket end stays in it,
+    confirmed by real runs at the final bracket.  The Newton step's slope
+    is the linear one, dc/da = kappa e^{-lam horizon}: kappa is the
+    ``projection`` coefficient of the unit scaling direction and lam its
+    eigenvalue.  Each result counts the batched rounds its search took.
 
     The searches run in lockstep against one reference trajectory: each
     round integrates, as one batch, the runs every unfinished search needs
@@ -696,7 +746,10 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     # a zero perturbation sizes its tube by the final bracket width instead
     tubes = [_TUBE_FACTOR * (grid.norm(e) or _WIDTH_TOL * (hi - lo))
              for e in eps]
-    searches = [_search(lo, hi, ref.max_solve_defect) for _ in eps]
+    # the Newton slope dc/da = kappa e^{-lam horizon}
+    slope = float(np.real(projection.coefficient(lam_q)
+                          * np.exp(-projection.lam * horizon)))
+    searches = [_search(lo, hi, ref.max_solve_defect, slope) for _ in eps]
     results = [None] * len(searches)
     # the amplitudes each unfinished search needs next, by search
     wanted = {i: next(search) for i, search in enumerate(searches)}

@@ -29,7 +29,7 @@ from .radial import RadialFunction, deltal_inverse, fd_deriv, weighted_inner
 
 __all__ = [
     "alpha_beta", "w1_potential", "WeightSpec", "paper_weight",
-    "mu_functional", "ggmt_prefactor", "ggmt_count",
+    "mu_functional", "ggmt_prefactor", "ggmt_count", "CountOverflowError",
     "check_pipeline", "l2_pipeline", "GgmtReport", "coercivity_form",
     "interpolation_check",
     "l3_rational_constants", "L3Constants", "pointwise_q_bounds",
@@ -229,6 +229,10 @@ def negative_part_bracket(V):
                  for i in range(0, len(crossings), 2))
 
 
+class CountOverflowError(RuntimeError):
+    """The count N_{p,l}(V) overflows a float: a setting no count certifies."""
+
+
 def ggmt_count(p: float, l: float, V, wells) -> float:
     """Eigenvalue-count bound N_{p,l}(V) = prefactor * int_0^inf r^{2p-1}|V_-|^p dr.
 
@@ -239,7 +243,8 @@ def ggmt_count(p: float, l: float, V, wells) -> float:
 
     The integrand is one exp of ln prefactor + (2p-1) ln r + p ln|V_-|:
     r^{2p-1} and |V_-|^p alone overflow a float from about p = 150 on,
-    long before N does; an N that overflows raises RuntimeError.
+    long before N does; an integrand that overflows raises
+    CountOverflowError.
     """
     from scipy.integrate import quad
 
@@ -254,8 +259,8 @@ def ggmt_count(p: float, l: float, V, wells) -> float:
         return sum((quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)[0]
                     for (a, b) in wells), 0.0)
     except OverflowError:
-        raise RuntimeError(f"the count integrand overflows a float at "
-                           f"p = {p}") from None
+        raise CountOverflowError(f"the count integrand overflows a float at "
+                                 f"p = {p}") from None
 
 
 @dataclass(frozen=True)
@@ -303,10 +308,11 @@ def _effective_index(theta: float, big_l: float) -> float:
 def check_pipeline(l: int, alpha: float, p: float, theta: float,
                    W: WeightSpec) -> None:
     """Raise ValueError unless p > 1, theta in [0, 1], (1-theta) L > 3/4,
-    alpha < 1/2 and ``W.check_mu`` hold and the count prefactor at the
-    effective index is a normal float: ``l2_pipeline`` fails without them
+    alpha < 1/2 and ``W.check_mu`` hold: ``l2_pipeline`` fails without them
     whatever mu is (its limit (1-2a)/4 - l mu W_inf needs a < 1/2).  A
-    setting that overflows a float raises ValueError too."""
+    setting that overflows a float raises ValueError too.  A count that
+    overflows a float is known only once counted: ``ggmt_count`` raises
+    CountOverflowError for it."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     if not 0.0 <= theta <= 1.0:
@@ -319,8 +325,8 @@ def check_pipeline(l: int, alpha: float, p: float, theta: float,
             raise ValueError("alpha >= 1/2: the potential limit at infinity is "
                              "not positive")
         W.check_mu(l, alpha)
-        if ggmt_prefactor(p, _effective_index(theta, big_l)) < np.finfo(float).tiny:
-            raise ValueError(f"the count prefactor at p = {p} underflows a float")
+        # the count's log-gamma prefactor, which overflows for a huge p
+        _log_prefactor(p, _effective_index(theta, big_l))
     except OverflowError:
         raise ValueError("the setting overflows a float") from None
 

@@ -326,7 +326,7 @@ def test_projection_evidence_reaches_the_reports(tmp_path, monkeypatch):
     # the shooting report records the flow linearization's projection
     monkeypatch.setattr(evolution, "shoot_stable_manifold",
                         lambda *args, **kwargs: [evolution.ShootingResult(
-                            0.0, 1e-9, True, -1, 1, [], 0.0)])
+                            0.0, 1e-9, True, -1, 1, [], 0.0, 1)])
     assert run_cli(["shoot", "--n", "100"], tmp_path) == 0
     entry = load_summary(tmp_path, "shoot")["details"]["projection"]
     assert set(entry) == PROJECTION_FIELDS
@@ -470,7 +470,7 @@ def test_ggmt_setting_that_cannot_succeed_exits_2(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["ggmt", "--p", "1e307"], id="ggmt-p-gamma-overflows"),
-    pytest.param(["ggmt", "--p", "1000"], id="ggmt-p-prefactor-underflows"),
+    pytest.param(["ggmt", "--p", "1e4"], id="ggmt-p-count-overflows"),
     pytest.param(["ggmt", "--alpha", "-1e155"], id="ggmt-alpha"),
     pytest.param(["ggmt", "--l", "9" * 400], id="ggmt-l"),
     pytest.param(["spectrum", "--l", "9" * 400], id="spectrum-l"),
@@ -491,11 +491,12 @@ def test_large_p_has_a_finite_count(tmp_path, p):
     assert math.isfinite(details["bigN"])
 
 
-@pytest.mark.parametrize("p", ["150", "300"])
+@pytest.mark.parametrize("p", ["150", "300", "400", "1000"])
 def test_count_past_the_power_overflow_is_finite(tmp_path, p):
     # r^{2p-1} and |V_-|^p alone overflow a float on the well from about
     # p = 150 on; the integrand formed from its logarithm does not, and N,
-    # far above 1, fails the certification
+    # far above 1, fails the certification.  From p = 400 on the prefactor
+    # alone is below the normal floats, yet N is finite
     assert run_cli(["ggmt", "--p", p], tmp_path) == 1
     details = load_summary(tmp_path, "ggmt")["details"]
     assert 1.0 < details["bigN"] and math.isfinite(details["bigN"])
@@ -582,7 +583,7 @@ def test_shoot_bracket_and_bound_scale_with_the_amplitude_size(
                                          bracket_width=1e-9, converged=True,
                                          departure_sign_low=-1,
                                          departure_sign_high=1, trail=trail,
-                                         max_solve_defect=1e-17)]
+                                         max_solve_defect=1e-17, rounds=2)]
 
     monkeypatch.setattr(evolution, "shoot_stable_manifold", fake_shoot)
     assert run_cli(["shoot", "--n", "100", "--amplitude", str(amp)],
@@ -599,6 +600,7 @@ def test_shoot_bracket_and_bound_scale_with_the_amplitude_size(
         [-4.0 * size, -1, 0.5], [4.0 * size, 1, 0.75],
         [0.05 * abs(amp), 1, None]]
     assert summary["details"]["max_solve_defect"] == 1e-17
+    assert summary["details"]["rounds"] == 2
 
 
 def test_readme_config_example_loads(tmp_path, monkeypatch):

@@ -89,6 +89,25 @@ class TestLinear:
         assert 0.0 < err.value.tau < 4.0
         assert np.all(np.isfinite(err.value.state))
 
+    def test_block_steps_match_the_per_step_solve(self, grid, op0, proj0):
+        # eps_{k+1} = 2 (I + dt/2 A)^{-1} eps_k - eps_k is the Crank-Nicolson
+        # step (I + dt/2 A)^{-1} (I - dt/2 A) eps_k up to round-off
+        dt, steps = 0.01, 2 * evolution._CHECK_BLOCK + 10
+        eps = np.real(proj0.project_stable(np.exp(-grid.nodes ** 2)))
+        eps += 0.1 * np.real(proj0.right)
+        tr = evolution.linear_evolve(op0, RadialFunction(grid, eps), dt,
+                                     dt * steps, projection=proj0)
+        eye = np.eye(grid.n)
+        lu = scipy.linalg.lu_factor(eye + 0.5 * dt * op0.entries)
+        explicit = eye - 0.5 * dt * op0.entries
+        norms, coeffs = [grid.norm(eps)], [proj0.coefficient(eps)]
+        for _ in range(steps):
+            eps = scipy.linalg.lu_solve(lu, explicit @ eps)
+            norms.append(grid.norm(eps))
+            coeffs.append(proj0.coefficient(eps))
+        assert np.max(np.abs(tr.norms / norms - 1.0)) <= 1e-13
+        assert np.max(np.abs(tr.mode_coeffs / coeffs - 1.0)) <= 1e-13
+
     def test_large_step_rejected(self, grid, op0):
         with pytest.raises(ValueError):
             evolution.linear_evolve(
@@ -145,6 +164,7 @@ class TestStepRule:
         assert calls == {"banded": 6, "dense": 0, "check": 6}
 
     def test_every_dense_solve_is_checked(self, grid, op0, monkeypatch):
+        # one LU solve a step, and a defect row checked for every step
         calls = _count_solves(monkeypatch)
         _five_steps("linear", grid, op0)
         assert calls == {"banded": 0, "dense": 5, "check": 5}
@@ -164,6 +184,40 @@ class TestStepRule:
         with pytest.raises(evolution.EvolutionError, match="solve defect"):
             _five_steps(flow, grid, op0)
 
+    def test_first_failing_dense_step_raises(self, grid, op0, proj0,
+                                             monkeypatch):
+        # the solves are checked a block at a time; the first bad step in
+        # step order raises, also ahead of a norm overflow later in its block
+        solver = scipy.linalg.lu_solve
+        calls, bad = [], set()
+
+        def off(*args, **kwargs):
+            calls.append(None)
+            return (1.0 + 1e-6 * (len(calls) in bad)) * solver(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", off)
+        psi = RadialFunction(grid, profile.q(grid.nodes))
+        bad.update((100, 120))
+        with pytest.raises(evolution.EvolutionError,
+                           match="in row 35 of the steps from tau = 0.650$") as err:
+            evolution.linear_evolve(op0, psi, 0.01, 2.0)
+        assert err.value.tau == 0.64
+        # the norm overflows at step 53; the bad solve of step 40, in the
+        # same block, raises instead
+        mode = np.real(proj0.right)
+        mode *= 1e153 / np.max(np.abs(mode))
+        huge = RadialFunction(grid, mode)
+        calls.clear()
+        bad.clear()
+        with pytest.raises(evolution.EvolutionError, match="norm overflow") as err:
+            evolution.linear_evolve(op0, huge, 0.05, 4.0)
+        assert err.value.tau == 0.05 * 53
+        calls.clear()
+        bad.add(40)
+        with pytest.raises(evolution.EvolutionError,
+                           match="in row 39 of the steps from tau = 0.050$"):
+            evolution.linear_evolve(op0, huge, 0.05, 4.0)
+
     @pytest.mark.parametrize("flow", ["nonlinear", "linear"])
     def test_trace_records_the_largest_solve_defect(self, grid, op0,
                                                     monkeypatch, flow):
@@ -182,12 +236,13 @@ class TestStepRule:
 
 
 def _count_solves(monkeypatch) -> dict:
-    """Count banded solves, dense LU solves and solve checks from now on."""
+    """Count banded solves, dense LU solves and checked solve rows (one per
+    solved state) from now on."""
     calls = {"banded": 0, "dense": 0, "check": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[key] += len(np.atleast_2d(args[0])) if key == "check" else 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -213,12 +268,18 @@ class TestBandedStepper:
     def imex(self, grid):
         return operators.local_band(0, grid, zero_profile=True)
 
-    def test_imex_operator_is_banded_and_l0_is_dense(self, grid, imex, op0):
+    def test_imex_operator_is_banded_and_l0_is_dense(self, grid, imex, op0,
+                                                     monkeypatch):
         assert scipy.linalg.bandwidth(imex.toarray()) == (1, 2)
         assert isinstance(evolution._crank_nicolson(imex, 0.01)[0],
                           operators.BandMatrix)
-        assert isinstance(evolution._crank_nicolson(op0.entries, 0.01)[0],
-                          np.ndarray)
+        # the linear flow of L_0 factors one dense n x n matrix
+        shapes = []
+        factor = scipy.linalg.lu_factor
+        monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, *args, **kw:
+                            shapes.append(np.shape(a)) or factor(a, *args, **kw))
+        _five_steps("linear", grid, op0)
+        assert shapes == [(grid.n, grid.n)]
 
     def test_step_matches_dense_solve(self, grid, imex):
         dt = 0.01
@@ -385,13 +446,11 @@ class TestOneProductPerStep:
     """A Crank-Nicolson solve hands back the explicit half of the next step,
     so each step applies the operator once."""
 
-    @pytest.mark.parametrize("banded", [True, False], ids=["banded", "dense"])
-    def test_solve_returns_the_product_of_its_solution(self, grid, op0, banded):
-        a = (operators.local_band(0, grid, zero_profile=True) if banded
-             else op0.entries)
+    def test_banded_solve_returns_the_product_of_its_solution(self, grid):
+        a = operators.local_band(0, grid, zero_profile=True)
         explicit, solve = evolution._crank_nicolson(a, 0.01)
         qv = profile.q(grid.nodes)
-        for rhs in (qv, np.array([qv, 0.5 * qv])) if banded else (qv,):
+        for rhs in (qv, np.array([qv, 0.5 * qv])):
             x, product, _ = solve(explicit @ rhs)
             assert np.array_equal(product, explicit @ x)
 
@@ -411,21 +470,28 @@ class TestOneProductPerStep:
             run.step()
         assert calls == [(2, grid.n)] * 4
 
-    def test_dense_step_makes_one_product(self, grid, op0):
-        class Counted(np.ndarray):
-            calls = 0
+    def test_dense_steps_make_one_product_per_block(self, grid, op0,
+                                                    monkeypatch):
+        # a dense step is one LU solve; (I - dt/2 A) is applied once per
+        # block of steps, to the block's solutions, for their defect rows
+        dt = 0.01
+        explicit = np.eye(grid.n) - 0.5 * dt * op0.entries
+        checks = []
+        check = evolution._check_solve
 
-            def __matmul__(self, other):
-                Counted.calls += 1
-                return np.asarray(self) @ other
+        def recorded(x, product, rhs, lhs_norm):
+            checks.append(len(x))
+            assert np.array_equal(product, x @ explicit.T)
+            return check(x, product, rhs, lhs_norm)
 
-        op = operators.OperatorMatrix(grid=grid, l=0,
-                                      entries=op0.entries.view(Counted))
+        monkeypatch.setattr(evolution, "_check_solve", recorded)
         psi = RadialFunction(grid, profile.q(grid.nodes))
-        for steps in (5, 6):
-            Counted.calls = 0
-            evolution.linear_evolve(op, psi, 0.01, 0.01 * steps)
-            assert Counted.calls == steps + 1   # one more starts the run
+        block = evolution._CHECK_BLOCK
+        for steps, rows in ((5, [5]), (6, [6]),
+                            (2 * block + 2, [block, block, 2])):
+            checks.clear()
+            evolution.linear_evolve(op0, psi, dt, dt * steps)
+            assert checks == rows
 
 
 def _flux_term(values, grid):
@@ -670,7 +736,8 @@ def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
     searches = [SimpleNamespace(
         eps=eps.values, lo=bracket[0], hi=bracket[1], runs={}, trail=[],
         tube=evolution._TUBE_FACTOR * (grid.norm(eps.values) or stop),
-        defect=ref.max_solve_defect, result=None) for eps in perturbations]
+        defect=ref.max_solve_defect, rounds=0, result=None)
+        for eps in perturbations]
 
     def integrate(batch):
         found = evolution._departures(
@@ -679,6 +746,8 @@ def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
         for (s, a), departure in zip(batch, found):
             s.runs[a] = departure
             s.defect = max(s.defect, departure[3])
+        for s in {id(s): s for s, _ in batch}.values():
+            s.rounds += 1
 
     def levels(pending):
         return [(s, a) for s in pending
@@ -704,7 +773,7 @@ def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
                         a_star=mid, bracket_width=s.hi - s.lo,
                         converged=tau is None, departure_sign_low=s.sign_lo,
                         departure_sign_high=s.sign_hi, trail=s.trail,
-                        max_solve_defect=s.defect)
+                        max_solve_defect=s.defect, rounds=s.rounds)
                     break
                 if sign == s.sign_lo:
                     s.lo = mid
@@ -840,9 +909,45 @@ class TestShooting:
         assert final_lo[1] == res.departure_sign_high
         assert final_hi[1] == res.departure_sign_high
 
+    @pytest.mark.parametrize("bracket, wrong_slope", [
+        ((-4e-3 - 1e-6, 4e-3 - 1e-6), False), ((-4e-3, 4e-3), True)],
+        ids=["low-end-in-tube", "wrong-signed-slope"])
+    def test_newton_start_keeps_the_bisection_bits(self, grid, shooting_setup,
+                                                   monkeypatch, bracket,
+                                                   wrong_slope):
+        # one walked end stays in the tube after the first round, and the
+        # secant path starts there with a Newton step
+        qh, projf = shooting_setup
+        bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
+        bump *= 1e-3 / grid.norm(bump)
+        perturbations = [RadialFunction(grid, bump)]
+        if wrong_slope:
+            search = evolution._search
+            monkeypatch.setattr(evolution, "_search", lambda lo, hi, defect,
+                                slope: search(lo, hi, defect, -slope))
+        (res,) = evolution.shoot_stable_manifold(
+            perturbations, bracket, projf, dt=0.02, horizon=2.0,
+            base_profile=qh)
+        (plain,) = _plain_bisection(perturbations, bracket, projf, qh, 0.02,
+                                    2.0)
+        assert _fields(res) == _fields(plain)
+        assert res.rounds < plain.rounds
+        # the first round's two walked levels: the in-tube end and the end
+        # whose run leaves the tube
+        (a_in, sign_in, tau_in), (a_out, _, tau_out) = res.trail[2:4]
+        assert tau_in is None and tau_out is not None
+        if wrong_slope:
+            # the Newton step leaves the sign bracket, so the first secant
+            # run bisects it
+            assert sign_in == res.departure_sign_high
+            assert res.trail[4][0] == 0.5 * (a_in + a_out)
+        else:
+            assert sign_in == res.departure_sign_low and a_in < a_out
+
     def test_criterion_8_shooting_rounds_and_bits(self, monkeypatch):
-        # criterion 8's call: the secant path engages and keeps the plain
-        # bisection's a* bits in 9 batched rounds against its 14
+        # criterion 8's call: the secant path engages at the first in-tube
+        # run and keeps the plain bisection's a* bits in 4 batched rounds
+        # against its 14
         grid = make_grid(400, 40.0, "uniform")
         qh, projf, bump = acceptance.shooting_setup(grid)
         perturbations = [RadialFunction(grid, amp * bump) for amp in (1e-3, 2e-3)]
@@ -853,11 +958,13 @@ class TestShooting:
                       rows.append(len(batch)) or departures(run, batch, *args))
             results = evolution.shoot_stable_manifold(
                 perturbations, (-4e-3, 4e-3), projf, qh, *acceptance.SHOOTING_RUN)
-        # per search: 6 exit-regime rounds (the bracket ends and 3 midpoints,
-        # then 3 midpoints), 2 secant rounds of one run, and the final lo, hi
-        # and a* in one round
-        assert rows == [10, 6, 6, 6, 6, 6, 2, 2, 6]
+        # per search: one exit-regime round (the bracket ends and 3
+        # midpoints; the midpoint a = 0 stays in the tube), a Newton and a
+        # secant round of one run, and the final lo, hi and a* in one round
+        assert rows == [10, 2, 2, 6]
         plain = _plain_bisection(perturbations, (-4e-3, 4e-3), projf, qh,
                                  *acceptance.SHOOTING_RUN)
         assert [_fields(r) for r in results] == [_fields(r) for r in plain]
         assert all(r.converged for r in results)
+        assert [r.rounds for r in results] == [4, 4]
+        assert [r.rounds for r in plain] == [14, 14]
