@@ -23,10 +23,12 @@ The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
 Its searches run in lockstep, each round integrating the runs every search
-needs next as one batch; each search is one generator (_search, which
-describes it) that the driver sends its departures.  A search solves for
-its root by Newton and secant steps from its first run that stays in the
-tube, so criterion 8's two searches take 4 rounds, not a bisection's 14.
+needs next as one batch, and the unperturbed reference run rides as row 0
+of the first; each search is one generator (_search, which describes it)
+that the driver sends its departures.  A search solves for its root by
+Newton and secant steps from its first run that stays in the tube, and
+each secant round also integrates the final bracket its root replays to,
+so criterion 8's two searches take 3 rounds, not a bisection's 14.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -34,7 +36,7 @@ node clustering near the origin would only tighten its CFL restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -64,7 +66,8 @@ _SECANT_TOL = 1e-3      # secant stops at a step below this fraction of the fina
 _JACOBIAN_ROWS = 32     # flux-Jacobian columns per row-batched flux call
 _CHECK_BLOCK = 64       # linear steps whose solve defects one product checks
 # Value limit of a stored trace.  The nonlinear flow keeps every state,
-# 8 (steps + 1) n bytes, 256 MiB at this limit.
+# 8 (steps + 1) n bytes, 256 MiB at this limit; its norms, taken from the
+# stored states after the run, need two temporaries of that size.
 _MAX_TRACE_VALUES = 2 ** 25
 
 
@@ -141,6 +144,9 @@ def _check_solve(x, product, rhs, lhs_norm):
     The two sides sum to 2I, so (I + dt/2 A) x is 2x - product: exact off
     the diagonal and one rounding on it.  Raises EvolutionError when the
     defect of any row passes _SOLVE_TOL relative to that row's own scale.
+    The plain sums of squares overflow for states above about 1e153: a row
+    whose sum is not finite gets its three norms again from its data
+    scaled by the row's largest magnitude.
     """
     # the residual, x and rhs side by side, so one reduction gives the
     # norms of all three, row by row
@@ -149,8 +155,17 @@ def _check_solve(x, product, rhs, lhs_norm):
     rows[0] -= product
     rows[0] -= rhs
     rows[1], rows[2] = x, rhs
-    defect, x_norm, rhs_norm = np.sqrt(
-        np.einsum("k...i,k...i->k...", rows, rows.conj()).real)
+    norms = np.sqrt(np.einsum("k...i,k...i->k...", rows, rows.conj()).real)
+    over = ~np.isfinite(norms).all(axis=0)
+    if over.any():
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scale = np.max(np.abs(rows), axis=(0, -1))
+            scaled = rows / scale[..., None]
+            rescaled = scale * np.sqrt(
+                np.einsum("k...i,k...i->k...", scaled, scaled.conj()).real)
+        # a row with a non-finite entry keeps its plain norms
+        norms = np.where(over & np.isfinite(scale), rescaled, norms)
+    defect, x_norm, rhs_norm = norms
     denom = lhs_norm * x_norm + rhs_norm
     bad = defect > _SOLVE_TOL * denom
     if bad.any():
@@ -297,14 +312,20 @@ def _nl_rhs(values, flux: FluxGeometry) -> np.ndarray:
     # cum + cu psi_j + cv psi_{j+1} and 0.5 (psi_j + psi_{j+1}) at the
     # midpoints; at the last node they give the outer face's 0.5 psi cum
     cum_mid = flux.mass(psi)
-    cum_mid[..., :-1] += flux.cu * psi[..., :-1]
-    cum_mid[..., :-1] += flux.cv * psi[..., 1:]
-    phi = psi.copy()
-    phi[..., :-1] += psi[..., 1:]
+    inner = cum_mid[..., :-1]
+    part = flux.cu * psi[..., :-1]
+    inner += part
+    inner += np.multiply(flux.cv, psi[..., 1:], out=part)
+    phi = np.empty_like(psi)
+    np.add(psi[..., :-1], psi[..., 1:], out=phi[..., :-1])
+    phi[..., -1] = psi[..., -1]
     phi *= 0.5
     phi *= cum_mid
-    out = phi.copy()   # the inner face of the first cell is 0
-    out[..., 1:] -= phi[..., :-1]
+    # the inner face of the first cell is 0; cum_mid's buffer takes the
+    # face differences
+    out = cum_mid
+    out[..., 0] = phi[..., 0]
+    np.subtract(phi[..., 1:], phi[..., :-1], out=out[..., 1:])
     out *= 3.0
     out /= flux.cell_cubes
     return out
@@ -343,10 +364,16 @@ class _ImexRows:
         self.last = self.psi
         self._explicit_half = self.explicit @ self.psi
         self.scale0 = np.max(np.abs(self.psi), axis=-1)
+        self._set_bound()
         self.defect = np.zeros(len(self.psi))
         self.k = 0
         self._n_prev = None   # flux term of the state one step back
         return self
+
+    def _set_bound(self):
+        # the smallest blowup bound of the rows, at most the largest float
+        self._bound = np.min(1e6 * np.maximum(self.scale0, 1.0),
+                             initial=np.finfo(float).max)
 
     def _checked_solve(self, rhs):
         x, product, defect = self._solve(rhs)
@@ -366,8 +393,11 @@ class _ImexRows:
             self._explicit_half + dt * term)
         self.k += 1
         self.last, self._n_prev = psi, n_cur
-        tau = self.dt * self.k
         new = self.psi
+        # every entry in [0, the smallest blowup bound]: both guards pass
+        if len(new) and new.min() >= 0.0 and new.max() <= self._bound:
+            return {}
+        tau = self.dt * self.k
         scale = np.max(np.abs(new), axis=-1)
         low = np.min(new, axis=-1)
         negative = low < -_NEGATIVITY_TOL * np.maximum(scale, self.scale0)
@@ -384,37 +414,38 @@ class _ImexRows:
         self.psi, self._n_prev = self.psi[mask], self._n_prev[mask]
         self._explicit_half = self._explicit_half[mask]
         self.scale0, self.defect = self.scale0[mask], self.defect[mask]
+        self._set_bound()
 
 
 def nonlinear_radial_evolve(psi0: RadialFunction, dt: float,
                             horizon: float) -> EvolutionTrace:
     """IMEX (Crank-Nicolson + AB2) integration of the radial renormalized flow.
 
-    The one-row case of _ImexRows; the trace keeps the state of every step.
-    A step driving min(Psi) below -_NEGATIVITY_TOL ||Psi||_inf or blowing
-    up the norm raises EvolutionError with the last valid state; the trace
-    flags any run whose boundary value exceeds 1e-6 ||Psi||_inf.
+    The one-row case of _ImexRows; the trace keeps the state of every step,
+    and the norms and the boundary flag are taken from the stored states
+    in one stacked pass after the run.  A step driving min(Psi) below
+    -_NEGATIVITY_TOL ||Psi||_inf or blowing up the norm raises
+    EvolutionError with the last valid state; the trace flags any run
+    whose boundary value exceeds 1e-6 ||Psi||_inf after a step.
     """
     grid = psi0.grid
     n_steps = step_count(dt, horizon, grid.n)
     run = _ImexRows(grid, dt).start(psi0.values)
     times = dt * np.arange(n_steps + 1)
-    norms = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, grid.n))
-    states[0] = psi = run.psi[0]
-    boundary_flag = False
-    norms[0] = grid.norm(psi)
+    states[0] = run.psi[0]
     for k in range(1, n_steps + 1):
         failures = run.step()
         if failures:
             raise EvolutionError(failures[0], tau=times[k - 1],
                                  state=run.last[0])
-        states[k] = psi = run.psi[0]
-        norms[k] = grid.norm(psi)
-        if abs(psi[-1]) > 1e-6 * np.max(np.abs(psi)):
-            boundary_flag = True
-    return EvolutionTrace(times=times, norms=norms, mode_coeffs=None,
-                          states=states, boundary_flag=boundary_flag,
+        states[k] = run.psi[0]
+    stepped = states[1:]
+    size = np.maximum(stepped.max(axis=-1), -stepped.min(axis=-1))
+    return EvolutionTrace(times=times, norms=grid.norm(states),
+                          mode_coeffs=None, states=states,
+                          boundary_flag=bool(np.any(
+                              np.abs(stepped[:, -1]) > 1e-6 * size)),
                           max_solve_defect=float(run.defect[0]))
 
 
@@ -509,7 +540,8 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
 
 
 def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
-                ref_states: np.ndarray, projection) -> list:
+                ref_states: np.ndarray, projection,
+                reference: bool = False) -> list:
     """Evolve a stack of initial states; per row (sign, coefficient, exit
     tau, defect).
 
@@ -523,13 +555,20 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
     tube on the last step), or when its step fails the negativity or
     blowup guard; that counts as a departure at the time of its last valid
     state, which it is classified from.  The deviation is measured against
-    the unperturbed trajectory, run to the horizon beforehand and read
-    here from its stored states, so the O(h^2) steady-state residual
-    (which seeds the scaling instability identically in both runs) cancels
-    and the functional isolates the perturbation's own unstable content.
+    the unperturbed trajectory, so the O(h^2) steady-state residual (which
+    seeds the scaling instability identically in both runs) cancels and
+    the functional isolates the perturbation's own unstable content.
+
+    With ``reference``, row 0 is that unperturbed run itself, with an
+    infinite tube: its state is written into ``ref_states`` at every step
+    before the distances are taken, and a guard failure of it raises the
+    EvolutionError nonlinear_radial_evolve raises.  Otherwise
+    ``ref_states`` holds the whole trajectory already.
     """
     dt = run.dt
     run.start(rows)
+    if reference:
+        ref_states[0] = run.psi[0]
     live = np.arange(len(rows))   # input index of each row still running
     out = [None] * len(rows)
 
@@ -542,16 +581,21 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
     for k in range(1, n_steps + 1):
         failed = run.step()
         if failed:
+            # the reference never retires early, so it stays row 0
+            if reference and 0 in failed:
+                raise EvolutionError(failed[0], tau=dt * (k - 1),
+                                     state=run.last[0])
             for i in failed:
                 retire(i, run.last[i], k - 1, True)
             stay = np.ones(len(live), dtype=bool)
             stay[list(failed)] = False
             run.keep(stay)
             live = live[stay]
-        dist = run.grid.norm(run.psi - ref_states[k])
-        outside = dist > tubes[live]
-        done = outside | (k == n_steps)
-        if np.any(done):
+        if reference:
+            ref_states[k] = run.psi[0]
+        outside = run.grid.norm(run.psi - ref_states[k]) > tubes[live]
+        if k == n_steps or outside.any():
+            done = outside | (k == n_steps)
             for i in np.flatnonzero(done):
                 retire(i, run.psi[i], k, bool(outside[i]))
             run.keep(~done)
@@ -584,16 +628,17 @@ def _walk(lo: float, hi: float, stop: float, below, levels=None) -> tuple:
     return lo, hi
 
 
-def _search(lo: float, hi: float, ref_defect: float, slope: float):
+def _search(lo: float, hi: float, slope: float):
     """One shooting search over the bracket [lo, hi], as a generator.
 
     It yields the amplitudes each round must integrate, is sent that
     round's departures, ``{a: (sign, coefficient, exit tau, defect)}``, and
-    returns its ShootingResult; ``ref_defect`` is the reference run's
-    largest solve defect and ``slope`` the linear dc/da of the
+    returns its ShootingResult; ``slope`` is the linear dc/da of the
     scaling-mode coefficient c at the horizon.  a_star is the midpoint of
     the first bisection bracket no wider than _WIDTH_TOL times the initial
-    width.
+    width.  The result's max_solve_defect covers the runs the search used
+    and the midpoints it integrated ahead; the driver adds the reference
+    run's.
 
     The search is one bisection walk (_walk) whose signs come from two
     places.  While runs leave the tube, each midpoint takes its own run's
@@ -607,24 +652,32 @@ def _search(lo: float, hi: float, ref_defect: float, slope: float):
     with one, a Newton step of ``slope`` from that end (the other end's
     coefficient is taken at its exit, not at the horizon).  Secant steps
     follow.  The search then replays the remaining levels with each
-    midpoint's sign taken from its side of that root, and integrates the
-    final lo, hi and a_star in one round.  The replay walks the bisection's own levels only if the
+    midpoint's sign taken from its side of that root, and confirms the
+    final bracket with real runs: lo must have the low end's sign, hi the
+    high end's, and a_star must stay in the tube.  Each secant round also
+    integrates the final lo, hi and a_star its own root replays to; when
+    the root the secant stops at replays to the same bracket, those runs
+    confirm it, and otherwise one more round integrates them.  (A Newton
+    root lies outside the final bracket, so its round integrates it
+    alone.)  The replay walks the bisection's own levels only if the
     departure sign changes once across the bracket the secant starts from,
-    and this confirmation checks that at the final bracket only: lo must
-    have the low end's sign, hi the high end's, and a_star must stay in
-    the tube.  When it fails, or a secant run leaves the tube, the walk
-    resumes on run signs from the bracket the secant started at.
+    and the confirmation checks that at the final bracket only.  When it
+    fails, or a secant run leaves the tube, the walk resumes on run signs
+    from the bracket the secant started at.
     """
     stop = _WIDTH_TOL * (hi - lo)
     runs = {}   # (sign, coefficient, exit tau, defect) by amplitude
     trail = []
     rounds = 0
 
-    def integrate(amplitudes):
-        """One round: yield ``amplitudes`` and keep the runs sent back."""
+    def integrate(amplitudes, spare=()):
+        """One round: yield ``amplitudes`` and ``spare``, keep the runs of
+        ``amplitudes`` and return those of ``spare``."""
         nonlocal rounds
         rounds += 1
-        runs.update((yield amplitudes))
+        sent = yield [*amplitudes, *spare]
+        runs.update((a, sent[a]) for a in amplitudes)
+        return {a: sent[a] for a in spare}
 
     def use(a):
         """Add the run of ``a`` to the trail; its (sign, exit tau)."""
@@ -636,7 +689,7 @@ def _search(lo: float, hi: float, ref_defect: float, slope: float):
         return ShootingResult(
             a_star=a_star, bracket_width=width, converged=tau is None,
             departure_sign_low=sign_lo, departure_sign_high=sign_hi, trail=trail,
-            max_solve_defect=max(ref_defect, *(run[3] for run in runs.values())),
+            max_solve_defect=max(run[3] for run in runs.values()),
             rounds=rounds)
 
     def secant(lo, hi):
@@ -644,11 +697,18 @@ def _search(lo: float, hi: float, ref_defect: float, slope: float):
         tube, the walk replayed from their root and its final bracket
         confirmed: the ShootingResult, or None when a run leaves the tube
         or the confirmation fails."""
+
+        def final(root):
+            """The final lo, hi and a_star the replay from ``root`` gives."""
+            end_lo, end_hi = _walk(lo, hi, stop, lambda mid: mid < root)
+            return end_lo, end_hi, 0.5 * (end_lo + end_hi)
+
         low, high = lo, hi   # sign bracket of the root
         in_tube = [a for a in (lo, hi) if runs[a][2] is None]
         # the previous and the last iterate: no previous one before a
         # Newton step from a lone in-tube end
         a0, a1 = in_tube if len(in_tube) == 2 else (None, in_tube[0])
+        ahead, spare = None, {}   # the last secant round's final bracket
         for _ in range(_SECANT_RUNS):
             c1 = runs[a1][1]
             if a0 is None:
@@ -660,7 +720,8 @@ def _search(lo: float, hi: float, ref_defect: float, slope: float):
                 root = 0.5 * (low + high)
             if abs(root - a1) <= _SECANT_TOL * stop:
                 break
-            yield from integrate([root])
+            ahead = final(root) if a0 is not None else None
+            spare = yield from integrate([root], ahead or ())
             sign, tau = use(root)
             if tau is not None:
                 return None
@@ -669,13 +730,15 @@ def _search(lo: float, hi: float, ref_defect: float, slope: float):
             else:
                 high = root
             a0, a1 = a1, root
-        lo, hi = _walk(lo, hi, stop, lambda mid: mid < root)
-        a_star = 0.5 * (lo + hi)
-        yield from integrate([lo, hi, a_star])
-        signs = use(lo)[0], use(hi)[0]
-        tau = use(a_star)[1]
+        end = final(root)
+        if end == ahead:
+            runs.update(spare)
+        else:
+            yield from integrate(end)
+        signs = use(end[0])[0], use(end[1])[0]
+        tau = use(end[2])[1]
         if signs == (sign_lo, sign_hi) and tau is None:
-            return result(a_star, hi - lo, tau)
+            return result(end[2], end[1] - end[0], tau)
         return None
 
     wanted = [lo, hi] + _lookahead(lo, hi, _LOOKAHEAD)
@@ -725,21 +788,26 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     Each search is the generator _search, whose docstring describes it: a
     bisection whose signs come from the runs while they leave the tube and
     from a Newton-secant root once either bracket end stays in it,
-    confirmed by real runs at the final bracket.  The Newton step's slope
-    is the linear one, dc/da = kappa e^{-lam horizon}: kappa is the
-    ``projection`` coefficient of the unit scaling direction and lam its
-    eigenvalue.  Each result counts the batched rounds its search took.
+    confirmed by real runs at the final bracket, which ride with the
+    secant steps.  The Newton step's slope is the linear one,
+    dc/da = kappa e^{-lam horizon}: kappa is the ``projection`` coefficient
+    of the unit scaling direction and lam its eigenvalue.  Each result
+    counts the batched rounds its search took, and its max_solve_defect
+    includes the reference run's.
 
     The searches run in lockstep against one reference trajectory: each
     round integrates, as one batch, the runs every unfinished search needs
-    next.  Every row of a batch is computed as it would be alone, so each
-    result equals that of its own one-perturbation shooting.
+    next.  The reference run is row 0 of the first round, with an infinite
+    tube; it writes the trajectory the later rounds read, and a guard
+    failure of it raises the EvolutionError of nonlinear_radial_evolve.
+    dt and the horizon are checked (step_count) before anything is
+    integrated.  Every row of a batch is computed as it would be alone, so
+    each result equals that of its own one-perturbation shooting.
     """
     grid = stable_perturbations[0].grid
+    n_steps = step_count(dt, horizon, grid.n)
     lam_q = profile.lambda_q(grid.nodes)
     lam_q = lam_q / grid.norm(lam_q)
-    ref = nonlinear_radial_evolve(RadialFunction(grid, base_profile), dt,
-                                  horizon)
     run = _ImexRows(grid, dt)
     lo, hi = float(bracket[0]), float(bracket[1])
     eps = [eps_s0.values for eps_s0 in stable_perturbations]
@@ -749,21 +817,31 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     # the Newton slope dc/da = kappa e^{-lam horizon}
     slope = float(np.real(projection.coefficient(lam_q)
                           * np.exp(-projection.lam * horizon)))
-    searches = [_search(lo, hi, ref.max_solve_defect, slope) for _ in eps]
+    searches = [_search(lo, hi, slope) for _ in eps]
     results = [None] * len(searches)
+    # the reference trajectory, written by row 0 of the first round
+    ref_states = np.empty((n_steps + 1, grid.n))
+    ref_defect = None
     # the amplitudes each unfinished search needs next, by search
     wanted = {i: next(search) for i, search in enumerate(searches)}
     while wanted:
         batch = [(i, a) for i, amplitudes in wanted.items() for a in amplitudes]
-        found = _departures(
-            run, np.array([base_profile + eps[i] + a * lam_q for i, a in batch]),
-            np.array([tubes[i] for i, _ in batch]), ref.states, projection)
+        rows = [base_profile + eps[i] + a * lam_q for i, a in batch]
+        radii = [tubes[i] for i, _ in batch]
+        first = ref_defect is None
+        if first:
+            rows, radii = [base_profile, *rows], [np.inf, *radii]
+        found = _departures(run, np.array(rows), np.array(radii), ref_states,
+                            projection, first)
+        if first:
+            ref_defect = found.pop(0)[3]
         for i in list(wanted):
             try:
                 wanted[i] = searches[i].send(
                     {a: departure for (owner, a), departure in zip(batch, found)
                      if owner == i})
             except StopIteration as end:
-                results[i] = end.value
+                results[i] = replace(end.value, max_solve_defect=max(
+                    ref_defect, end.value.max_solve_defect))
                 del wanted[i]
     return results

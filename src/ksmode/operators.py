@@ -115,9 +115,9 @@ class BandMatrix:
         if np.iscomplexobj(rhs) and not np.iscomplexobj(self._lu):
             # gbtrs is typed: a real factor would drop the imaginary part
             raise TypeError("complex right-hand side for a real banded LU")
-        x = self._gbtrs(self._lu, self.kl, self.ku, np.atleast_2d(rhs).T,
-                        self._piv)[0]
-        return x.T.reshape(rhs.shape)
+        stack = rhs if rhs.ndim == 2 else rhs[None]
+        x = self._gbtrs(self._lu, self.kl, self.ku, stack.T, self._piv)[0].T
+        return x if rhs.ndim == 2 else x[0]
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ class PrefixIntegral:
         np.multiply(self.cu, values[..., :-1], out=sums)
         sums += self.cv * values[..., 1:]
         np.cumsum(sums, axis=-1, out=sums)
-        sums += np.expand_dims(origin, -1)
+        sums += origin[..., None]
         return out
 
 

@@ -217,6 +217,17 @@ class TestStepRule:
         with pytest.raises(evolution.EvolutionError,
                            match="in row 39 of the steps from tau = 0.050$"):
             evolution.linear_evolve(op0, huge, 0.05, 4.0)
+        # from step 41 the plain sums of squares of the check overflow; the
+        # rows are measured again scaled, so a bad solve still raises, up to
+        # the solve of step 53, which is checked before its norm overflow
+        for step in range(41, 54):
+            calls.clear()
+            bad.clear()
+            bad.add(step)
+            with pytest.raises(evolution.EvolutionError,
+                               match=f"solve defect .* in row {step - 1} of "
+                                     "the steps from tau = 0.050$"):
+                evolution.linear_evolve(op0, huge, 0.05, 4.0)
 
     @pytest.mark.parametrize("flow", ["nonlinear", "linear"])
     def test_trace_records_the_largest_solve_defect(self, grid, op0,
@@ -440,6 +451,44 @@ class TestRowBatch:
                 assert not run.step()
                 assert batch.psi[i].tobytes() == run.psi[0].tobytes()
                 assert batch.defect[i] == run.defect[0]
+
+    def test_guard_fast_path_returns_the_full_guards_failures(self, grid):
+        # a step whose entries all lie in [0, the smallest blowup bound]
+        # skips the guards; any other step runs them in full, so a mixed
+        # stack returns exactly their failures
+        def guards(new, scale0, tau):
+            scale = np.max(np.abs(new), axis=-1)
+            low = np.min(new, axis=-1)
+            negative = low < -evolution._NEGATIVITY_TOL * np.maximum(scale,
+                                                                     scale0)
+            blowup = ~np.isfinite(scale) | (scale > 1e6 * np.maximum(scale0,
+                                                                      1.0))
+            failures = {int(i): f"norm blowup at tau = {tau:.3f}"
+                        for i in np.flatnonzero(blowup)}
+            failures.update({int(i): f"density negativity {low[i]:.2e} at "
+                             f"tau = {tau:.3f}" for i in np.flatnonzero(negative)})
+            return failures
+
+        # a nonnegative row, one driven negative and one non-finite, and
+        # the stacks of the first row with each other one
+        qv = profile.q(grid.nodes)
+        rows = np.array([qv, qv - 0.1 * np.exp(-(grid.nodes - 10.0) ** 2), qv])
+        rows[2, 5] = np.inf
+        for keep in ([0, 1, 2], [0, 1], [0, 2], [0]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                batch = evolution._ImexRows(grid, 0.01).start(rows[keep])
+                for k in range(1, 4):
+                    failed = batch.step()
+                    assert failed == guards(batch.psi, batch.scale0, 0.01 * k)
+                    assert set(failed) == set(range(1, len(keep)))
+
+    def test_emptied_stack_still_steps(self, grid, stack):
+        run = evolution._ImexRows(grid, 0.01).start(stack)
+        run.step()
+        run.keep(np.zeros(len(stack), dtype=bool))
+        for _ in range(2):
+            assert run.step() == {}
+        assert run.psi.shape == (0, grid.n) and run.defect.shape == (0,)
 
 
 class TestOneProductPerStep:
@@ -923,8 +972,8 @@ class TestShooting:
         perturbations = [RadialFunction(grid, bump)]
         if wrong_slope:
             search = evolution._search
-            monkeypatch.setattr(evolution, "_search", lambda lo, hi, defect,
-                                slope: search(lo, hi, defect, -slope))
+            monkeypatch.setattr(evolution, "_search",
+                                lambda lo, hi, slope: search(lo, hi, -slope))
         (res,) = evolution.shoot_stable_manifold(
             perturbations, bracket, projf, dt=0.02, horizon=2.0,
             base_profile=qh)
@@ -944,9 +993,102 @@ class TestShooting:
         else:
             assert sign_in == res.departure_sign_low and a_in < a_out
 
+    def test_missed_final_bracket_takes_the_final_round(
+            self, shoot_bump, plain_bump, monkeypatch):
+        # each secant round integrates the final lo, hi and a* its root
+        # replays to; when the root the secant stops at replays elsewhere,
+        # a round of its own integrates them, and nothing else changes
+        hit = shoot_bump()
+        walk = evolution._walk
+        replays = []
+
+        def counted(lo, hi, stop, below, levels=None):
+            if levels is None:
+                replays.append(None)
+            return walk(lo, hi, stop, below, levels)
+        monkeypatch.setattr(evolution, "_walk", counted)
+        shoot_bump()
+        last = len(replays)   # the secant rounds' replays, then the final one
+        assert last >= 2
+        replays.clear()
+
+        def ahead_from_the_top(lo, hi, stop, below, levels=None):
+            if levels is None:
+                replays.append(None)
+                if len(replays) < last:
+                    return walk(lo, hi, stop, lambda mid: mid < hi)
+            return walk(lo, hi, stop, below, levels)
+        monkeypatch.setattr(evolution, "_walk", ahead_from_the_top)
+        rows = []
+        departures = evolution._departures
+        monkeypatch.setattr(evolution, "_departures", lambda run, batch, *args:
+                            rows.append(len(batch)) or departures(run, batch,
+                                                                  *args))
+        res = shoot_bump()
+        assert _fields(res) == _fields(plain_bump)
+        assert res.trail == hit.trail
+        # the missed runs count in no defect
+        assert res.max_solve_defect == hit.max_solve_defect
+        assert res.rounds == hit.rounds + 1
+        assert rows[-1] == 3
+
+    def test_reference_row_is_the_reference_run(self, grid, shooting_setup):
+        # row 0 writes the reference trajectory with the bits of its own
+        # run, and the other rows read it as they would the stored one
+        qh, projf = shooting_setup
+        lam_q = profile.lambda_q(grid.nodes)
+        lam_q /= grid.norm(lam_q)
+        rows = np.array([qh, qh + 1e-3 * lam_q, qh - 1e-3 * lam_q, qh])
+        tubes = np.array([np.inf, 2e-3, 2e-3, 1e-3])
+        dt, horizon = 0.02, 1.0
+        ref = evolution.nonlinear_radial_evolve(RadialFunction(grid, qh), dt,
+                                                horizon)
+        run = evolution._ImexRows(grid, dt)
+        states = np.full_like(ref.states, np.nan)
+        found = evolution._departures(run, rows, tubes, states, projf, True)
+        assert states.tobytes() == ref.states.tobytes()
+        assert found[0][3] == ref.max_solve_defect
+        assert found[1:] == evolution._departures(run, rows[1:], tubes[1:],
+                                                  ref.states, projf)
+
+    def test_failing_reference_raises_its_own_error(self, grid,
+                                                    shooting_setup):
+        # 2 Q fails the negativity guard mid-run, alone and as the reference
+        # row of the first round alike
+        _, projf = shooting_setup
+        base = 2.0 * profile.q(grid.nodes)
+        with pytest.raises(evolution.EvolutionError) as alone:
+            evolution.nonlinear_radial_evolve(RadialFunction(grid, base),
+                                              0.02, 2.0)
+        with pytest.raises(evolution.EvolutionError) as err:
+            evolution.shoot_stable_manifold(
+                [RadialFunction(grid, np.zeros(grid.n))], (-2e-3, 2e-3),
+                projf, dt=0.02, horizon=2.0, base_profile=base)
+        assert "negativity" in str(alone.value)
+        assert str(err.value) == str(alone.value)
+        assert err.value.tau == alone.value.tau > 0.0
+        assert np.array_equal(err.value.state, alone.value.state)
+
+    @pytest.mark.parametrize("dt, horizon", [(0.1, 2.0), (0.02, 2.01)])
+    def test_bad_step_raises_before_integrating(self, grid, shooting_setup,
+                                                monkeypatch, dt, horizon):
+        qh, projf = shooting_setup
+        with pytest.raises(ValueError) as alone:
+            evolution.nonlinear_radial_evolve(RadialFunction(grid, qh), dt,
+                                              horizon)
+        steps = []
+        monkeypatch.setattr(evolution._ImexRows, "step",
+                            lambda self: steps.append(None))
+        with pytest.raises(ValueError) as err:
+            evolution.shoot_stable_manifold(
+                [RadialFunction(grid, np.zeros(grid.n))], (-2e-3, 2e-3),
+                projf, dt=dt, horizon=horizon, base_profile=qh)
+        assert str(err.value) == str(alone.value)
+        assert not steps
+
     def test_criterion_8_shooting_rounds_and_bits(self, monkeypatch):
         # criterion 8's call: the secant path engages at the first in-tube
-        # run and keeps the plain bisection's a* bits in 4 batched rounds
+        # run and keeps the plain bisection's a* bits in 3 batched rounds
         # against its 14
         grid = make_grid(400, 40.0, "uniform")
         qh, projf, bump = acceptance.shooting_setup(grid)
@@ -958,13 +1100,15 @@ class TestShooting:
                       rows.append(len(batch)) or departures(run, batch, *args))
             results = evolution.shoot_stable_manifold(
                 perturbations, (-4e-3, 4e-3), projf, qh, *acceptance.SHOOTING_RUN)
-        # per search: one exit-regime round (the bracket ends and 3
-        # midpoints; the midpoint a = 0 stays in the tube), a Newton and a
-        # secant round of one run, and the final lo, hi and a* in one round
-        assert rows == [10, 2, 2, 6]
+        # the reference run as row 0 of the first round; per search: one
+        # exit-regime round (the bracket ends and 3 midpoints; the midpoint
+        # a = 0 stays in the tube), a Newton round of one run, and a secant
+        # round of its root and the final lo, hi and a* that root replays
+        # to, which the next root confirms
+        assert rows == [11, 2, 8]
         plain = _plain_bisection(perturbations, (-4e-3, 4e-3), projf, qh,
                                  *acceptance.SHOOTING_RUN)
         assert [_fields(r) for r in results] == [_fields(r) for r in plain]
         assert all(r.converged for r in results)
-        assert [r.rounds for r in results] == [4, 4]
+        assert [r.rounds for r in results] == [3, 3]
         assert [r.rounds for r in plain] == [14, 14]
