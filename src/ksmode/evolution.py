@@ -45,7 +45,7 @@ from . import profile
 # assemble_Ll is unused here, but ksbench's traced run checks that it
 # rebinds the name in this module too
 from .operators import BandMatrix, OperatorMatrix, assemble_Ll, local_band
-from .radial import PrefixIntegral, RadialFunction, RadialGrid, \
+from .radial import RadialFunction, RadialGrid, \
     cumulative_power_integral, fd_deriv
 
 __all__ = [
@@ -280,13 +280,13 @@ class FluxGeometry:
     volumes make the scheme exact for constant psi and uniformly O(h^2).
     Cell faces at midpoints, [0, .] for the first cell, Dirichlet ghost past
     rmax for the last.  Build one per grid and pass it to every evaluation:
-    the half-panel moments, the cell volumes and the panel and origin
-    weights of the mass integral depend only on the nodes.
+    the half-panel moments and the cell volumes depend only on the nodes,
+    and the mass integral is the grid's own.
     """
 
     def __init__(self, grid: RadialGrid):
         r = grid.nodes
-        self.mass = PrefixIntegral(r, 2.0)   # int_0^r psi s^2 ds
+        self.mass = grid.prefix_integral(2.0)   # int_0^r psi s^2 ds
         mids = 0.5 * (r[:-1] + r[1:])
         u, v = r[:-1], r[1:]
         # int_u^mid psi s^2 ds = cu psi_u + cv psi_v on the interpolant
@@ -527,10 +527,10 @@ def partial_mass_crosscheck(psi: RadialFunction, dt: float = 1e-3) -> float:
     """
     grid = psi.grid
     r = grid.nodes
-    mass = PrefixIntegral(r, 2.0)
+    mass = grid.prefix_integral(2.0)
     mbar = mass(psi.values)
-    dm = fd_deriv(mbar, r, 1)
-    d2m = fd_deriv(dm, r, 1)
+    dm = fd_deriv(mbar, grid, 1)
+    d2m = fd_deriv(dm, grid, 1)
     rhs = d2m - (2.0 / r + 0.5 * r) * dm + 0.5 * mbar + mbar * dm / (r * r)
     mbar_step = mbar + dt * rhs
     trace = nonlinear_radial_evolve(psi, dt, dt)

@@ -366,28 +366,38 @@ def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
 # quadratic forms and inequalities
 # ---------------------------------------------------------------------------
 
+def _q_r2(r):
+    return profile.q(r) * r * r
+
+
+def _convexity_r2(r):
+    return (profile.q_deriv(r, 2) - 2.0 / r * profile.q_deriv(r, 1)) * r * r
+
+
+def _interpolation_weight(r):
+    return 1.0 / (2.0 + r * r) ** 2
+
+
 def coercivity_form(f: RadialFunction, l: int) -> float:
     """Six-term quadrature form equal to Re (L f, f) in L^2(r^2 dr).
 
     Terms: gradient, angular momentum, quarter mass, -(3/2) Q mass, and the
     two nonlocal terms in w = Delta_l^{-1} f weighted by the profile
-    convexity (d_r - 2/r) Q' and by Q''.
+    convexity (d_r - 2/r) Q' and by Q''.  The profile weights are the
+    grid's, evaluated at its nodes once per grid.
     """
     grid = f.grid
-    r = grid.nodes
-    df = RadialFunction(grid, fd_deriv(f.values, r, 1))
+    df = RadialFunction(grid, fd_deriv(f.values, grid, 1))
     w, dw = deltal_inverse(l, f)
-
-    def convexity_r2(rr):
-        return (profile.q_deriv(rr, 2) - 2.0 / rr * profile.q_deriv(rr, 1)) * rr * rr
 
     term_grad = weighted_inner(df, df, "r2")
     term_ang = l * (l + 1) * weighted_inner(f, f, "flat")
     term_mass = 0.25 * weighted_inner(f, f, "r2")
-    term_q = -1.5 * weighted_inner(f, f, lambda rr: profile.q(rr) * rr * rr)
-    term_conv = 0.5 * weighted_inner(dw, dw, convexity_r2)
+    term_q = -1.5 * weighted_inner(f, f, grid.build_once("ggmt.q_r2", _q_r2))
+    term_conv = 0.5 * weighted_inner(
+        dw, dw, grid.build_once("ggmt.convexity_r2", _convexity_r2))
     term_curv = -0.5 * l * (l + 1) * weighted_inner(
-        w, w, lambda rr: profile.q_deriv(rr, 2))
+        w, w, grid.build_once("ggmt.q_dd", lambda r: profile.q_deriv(r, 2)))
     total = term_grad + term_ang + term_mass + term_q + term_conv + term_curv
     return float(np.real(total))
 
@@ -407,7 +417,7 @@ def interpolation_check(f: RadialFunction, l: int, R: float = 4.0):
     aR, bR = alpha_beta(R)
     w = deltal_inverse(l, f)[0]
     lhs = float(np.real(weighted_inner(
-        w, w, lambda rr: 1.0 / (2.0 + rr * rr) ** 2)))
+        w, w, f.grid.build_once("ggmt.interpolation", _interpolation_weight))))
     rhs = float(np.real(
         4.0 * aR / ((2 * l + 1) ** 2 * (2 * l - 3)) * weighted_inner(f, f, "flat")
         + 4.0 * bR / ((2 * l + 1) ** 2 * (2 * l - 1)) * weighted_inner(f, f, "r2")))

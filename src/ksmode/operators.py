@@ -35,8 +35,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import profile
-from .radial import (PrefixIntegral, RadialGrid, power_moment,
-                     panel_coefficients, deltal_inverse,
+from .radial import (RadialGrid, power_moment, deltal_inverse,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
@@ -183,8 +182,8 @@ def deriv2_matrix(grid: RadialGrid, l: int) -> BandMatrix:
 
 # ---------------------------------------------------------------------------
 # cumulative quadrature matrices: triangular, the running sums of the
-# panels cu_j f_j + cv_j f_{j+1} (radial.panel_coefficients) for unit data;
-# the prefix matrix adds the origin weights of radial.PrefixIntegral
+# panels cu_j f_j + cv_j f_{j+1} (the grid's panels) for unit data; the
+# prefix matrix adds the origin weights of the grid's prefix_integral
 # ---------------------------------------------------------------------------
 
 def _triangular(cu: np.ndarray, cv: np.ndarray, lower: bool) -> np.ndarray:
@@ -206,7 +205,7 @@ def _triangular(cu: np.ndarray, cv: np.ndarray, lower: bool) -> np.ndarray:
 def _prefix_matrix(grid: RadialGrid, a: float, p: float) -> np.ndarray:
     """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p:
     the running sums plus the origin weight in column 0."""
-    prefix = PrefixIntegral(grid.nodes, a, p)
+    prefix = grid.prefix_integral(a, p)
     mat = _triangular(prefix.cu, prefix.cv, lower=True)
     mat[:, 0] += prefix.origin[0]
     return mat
@@ -214,7 +213,7 @@ def _prefix_matrix(grid: RadialGrid, a: float, p: float) -> np.ndarray:
 
 def _suffix_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
-    return _triangular(*panel_coefficients(a, grid.nodes), lower=False)
+    return _triangular(*grid.panels(a), lower=False)
 
 
 def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
@@ -359,8 +358,8 @@ def apply_Ll(l: int, grid: RadialGrid, values) -> np.ndarray:
     r = grid.nodes
     f = np.asarray(values)
     ddli = deltal_inverse(l, RadialFunction(grid, f))[1].values
-    d1 = fd_deriv(f, r, 1)
-    lap = fd_deriv(f, r, 2) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
+    d1 = fd_deriv(f, grid, 1)
+    lap = fd_deriv(f, grid, 2) + 2.0 / r * d1 - l * (l + 1) / (r * r) * f
     return (-lap + 0.5 * (r * d1 + 2.0 * f) - 2.0 * profile.q(r) * f
             - profile.d2inv_q_closed(r) * d1 - profile.q_deriv(r, 1) * ddli)
 

@@ -3,8 +3,12 @@
 The package discretizes the half line (0, rmax] with n nodes (uniform or
 geometrically stretched).  The grid owns its quadrature: trapezoid weights,
 and the L^2(r^2 dr) weights r2_weights and norm that every mode and
-evolution norm, cosine and projection pairing reads.  Cumulative integrals
-of the form
+evolution norm, cosine and projection pairing reads.  It also owns every
+other weight that depends on its nodes alone, and builds each one once, on
+first use: the prefix integrals with their origin weights, the panel
+coefficients of the suffix integrals, the end stencils of fd_deriv, the
+Lagrange weights of the cubic rule, and the nodal profile weights its
+callers name.  Cumulative integrals of the form
 
     int_0^r f(s) s^a ds      and      int_r^rmax f(s) s^a ds
 
@@ -29,9 +33,9 @@ in the first nodal values, so it is a weight vector fixed by the nodes:
   binomial sum.
 
 This module holds the vector integrals.  The dense matrices of
-operators.py are built from the same panel coefficients and power-model
-origin weight at every p (a constant class-0 panel), and treat the data
-as zero beyond rmax.
+operators.py are built from the same grid-owned panel coefficients and
+power-model origin weight at every p (a constant class-0 panel), and treat
+the data as zero beyond rmax.
 
 Integrals reaching past rmax model the tail as a power law fitted on the
 last decade of the grid and refuse to proceed when the fitted exponent makes
@@ -49,12 +53,14 @@ import numpy as np
 
 __all__ = [
     "RadialGrid", "RadialFunction", "make_grid", "DivergentTailError",
+    "row_blocks",
     "deltal_inverse", "weighted_inner",
     "cumulative_power_integral", "cumulative_power_integral_cubic",
     "PrefixIntegral", "suffix_power_integral", "fit_tail_exponent", "fd_deriv",
 ]
 
 MIN_NODES = 16
+_NORM_BLOCK = 1 << 16  # values per block of RadialGrid.norm on a long stack
 _TAIL_DECADE = 10.0  # tail fits use the nodes r >= rmax / _TAIL_DECADE
 _TAIL_MARGIN = 0.1   # a tail integral needs q + a < -1 - _TAIL_MARGIN
 
@@ -70,6 +76,14 @@ class RadialGrid:
     ``quad_weights`` is the trapezoid rule on [r_1, rmax]; ``r2_weights``
     and ``norm`` give L^2(r^2 dr), the space of every mode and evolution
     norm.  Both weight vectors are read-only.
+
+    Every other weight that depends on the nodes alone is built once per
+    grid and key, on first use, by ``build_once``, and kept in a private
+    memo that lives and dies with the grid: ``prefix_integral``, ``panels``,
+    the end stencils of ``fd_deriv``, the Lagrange weights of the cubic rule
+    and the nodal profile weights a caller names.  Each is built by the
+    same operations as the primitive it caches, so it has the same bits,
+    and its arrays are read-only.
     """
     nodes: np.ndarray
     rmax: float
@@ -105,15 +119,73 @@ class RadialGrid:
         return w
 
     def norm(self, values):
-        """L^2(r^2 dr) norm along the last axis: one per row of a stack."""
+        """L^2(r^2 dr) norm along the last axis: one per row of a stack.
+
+        A long stack is taken over blocks of rows, so its temporaries stay
+        near ``_NORM_BLOCK`` values; each row's norm has the same bits.
+        """
+        def norms(v):
+            sq = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
+            return np.sqrt(np.sum(self.r2_weights * sq, axis=-1))
+
         v = np.asarray(values)
-        sq = np.abs(v) ** 2 if np.iscomplexobj(v) else v ** 2
-        return np.sqrt(np.sum(self.r2_weights * sq, axis=-1))
+        if v.ndim < 2 or v.size <= _NORM_BLOCK:
+            return norms(v)
+        return np.concatenate([norms(b) for b in row_blocks(v)]
+                              ).reshape(v.shape[:-1])
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def build_once(self, key, build):
+        """``build(nodes)`` the first time ``key`` is asked for on this grid,
+        the same object on every later call.
+
+        The result is an array, a tuple of arrays or an object with array
+        attributes; its arrays are made read-only.  Keys are plain values
+        (strings, numbers, tuples of them), never objects whose identity
+        could change.
+        """
+        memo = self._memo
+        if key not in memo:
+            value = build(self.nodes)
+            if isinstance(value, np.ndarray):
+                arrays = (value,)
+            elif isinstance(value, tuple):
+                arrays = value
+            else:
+                arrays = vars(value).values()
+            for array in arrays:
+                array.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    def prefix_integral(self, a: float, p: float | None = None) -> PrefixIntegral:
+        """``PrefixIntegral(nodes, a, p)``, built once per (a, p)."""
+        a, p = float(a), None if p is None else float(p)
+        return self.build_once(("prefix", a, p),
+                               lambda r: PrefixIntegral(r, a, p))
+
+    def panels(self, a: float) -> tuple:
+        """``panel_coefficients(a, nodes)``, built once per a."""
+        a = float(a)
+        return self.build_once(("panels", a),
+                               lambda r: panel_coefficients(a, r))
 
     def cell_spacings(self) -> np.ndarray:
         """The n + 1 spacings from the origin to the outer ghost node."""
         r = self.nodes
         return np.concatenate(([r[0]], np.diff(r), [r[-1] - r[-2]]))
+
+
+def row_blocks(stack: np.ndarray):
+    """The rows of a stack (the grid along its last axis) in consecutive
+    blocks of near ``_NORM_BLOCK`` values, so a loop over the blocks holds
+    no temporary the size of the stack."""
+    rows = stack.reshape(-1, stack.shape[-1])
+    step = max(1, _NORM_BLOCK // stack.shape[-1])
+    return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
 @dataclass
@@ -197,7 +269,7 @@ def cumulative_power_integral(values, grid: RadialGrid, a: float,
     stack of them along the leading axes.
     """
     p = float(origin_power)
-    return PrefixIntegral(grid.nodes, a, None if p == 0.0 else p)(values)
+    return grid.prefix_integral(a, None if p == 0.0 else p)(values)
 
 
 class PrefixIntegral:
@@ -287,23 +359,32 @@ def cumulative_power_integral_cubic(values, grid: RadialGrid, a: int) -> np.ndar
         raise ValueError(f"the cubic rule takes integer a >= 0, got {a}")
     a = int(a)
     f = np.asarray(values)
-    r = grid.nodes
-    n = grid.n
+    weights, support = grid.build_once(("cubic", a),
+                                       lambda r: _cubic_weights(r, a))
+    panel = np.zeros(grid.n, dtype=np.result_type(f, float))
+    for weight, nodes in zip(weights, support):
+        panel += weight * f[nodes]
+    return np.concatenate(([panel[0]], panel[0] + np.cumsum(panel[1:])))
+
+
+def _cubic_weights(r: np.ndarray, a: int) -> tuple:
+    """(weights, support) of the cubic rule on nodes r: weights[k, j] is the
+    Lagrange weight of node support[k, j] in panel j."""
+    n = r.size
     left = np.concatenate(([0.0], r[:-1]))   # panel j is [left_j, r_j]
     s0 = np.clip(np.arange(n) - 2, 0, n - 4)
     support = np.arange(4)[:, None] + s0     # (4, n): node k of panel j
     x = r[support] - left
     i0, i1, i2, i3 = _panel_moments(a, left, r - left)
-    panel = np.zeros(n, dtype=np.result_type(f, float))
+    weights = np.empty((4, n))
     for k in range(4):
         xa, xb, xc = (x[i] for i in range(4) if i != k)
         e1 = xa + xb + xc
         e2 = xa * xb + (xa + xb) * xc
         e3 = xa * xb * xc
-        weight = (i3 - e1 * i2 + e2 * i1 - e3 * i0) \
+        weights[k] = (i3 - e1 * i2 + e2 * i1 - e3 * i0) \
             / ((x[k] - xa) * (x[k] - xb) * (x[k] - xc))
-        panel += weight * f[support[k]]
-    return np.concatenate(([panel[0]], panel[0] + np.cumsum(panel[1:])))
+    return weights, support
 
 
 def fit_tail_exponent(values, grid: RadialGrid):
@@ -342,7 +423,7 @@ def suffix_power_integral(values, grid: RadialGrid, a: float) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("the fitted tail takes one data set")
-    cu, cv = panel_coefficients(a, grid.nodes)
+    cu, cv = grid.panels(a)
     out = np.empty(values.shape, dtype=np.result_type(values, float))
     out[-1] = 0.0
     sums = out[-2::-1]   # running sums from rmax inwards, in place
@@ -386,20 +467,23 @@ def deriv_stencil(positions, x0: float, order: int) -> np.ndarray:
     return np.linalg.solve(vander, rhs)
 
 
-def fd_deriv(values, nodes, order: int) -> np.ndarray:
+def fd_deriv(values, grid: RadialGrid, order: int) -> np.ndarray:
     """O(h^2) derivative of order 1 or 2 on a (possibly nonuniform) grid.
 
     Interior nodes use three_point; each end uses deriv_stencil on its
-    order + 2 nearest nodes (one-sided).
+    order + 2 nearest nodes (one-sided), built once per grid and order.
     """
     f = np.asarray(values)
-    r = np.asarray(nodes, dtype=float)
+    r = grid.nodes
     out = np.empty_like(f, dtype=np.result_type(f, float))
     out[1:-1] = three_point(order, f[:-2], f[1:-1], f[2:],
                             r[1:-1] - r[:-2], r[2:] - r[1:-1])
     m = order + 2
-    out[0] = deriv_stencil(r[:m], r[0], order) @ f[:m]
-    out[-1] = deriv_stencil(r[-m:], r[-1], order) @ f[-m:]
+    first, last = grid.build_once(
+        ("stencils", order), lambda r: (deriv_stencil(r[:m], r[0], order),
+                                        deriv_stencil(r[-m:], r[-1], order)))
+    out[0] = first @ f[:m]
+    out[-1] = last @ f[-m:]
     return out
 
 
@@ -432,10 +516,11 @@ def deltal_inverse(l: int, f: RadialFunction):
 
 
 def weighted_inner(f: RadialFunction, g: RadialFunction, weight="r2"):
-    """Quadrature of int f conj(g) w dr with w in {"flat", "r2"} or a callable.
+    """Quadrature of int f conj(g) w dr with w "flat", "r2" or its values
+    at the nodes (an array).
 
     w = r^2 pairs in the grid's ``r2_weights``.  Otherwise the trapezoid
-    rule covers [r_1, rmax], and for a callable (vanishing at the origin)
+    rule covers [r_1, rmax], and for nodal values (vanishing at the origin)
     the first panel [0, r_1] is closed with the zero limit of the integrand
     at r = 0.
     """
@@ -443,13 +528,13 @@ def weighted_inner(f: RadialFunction, g: RadialFunction, weight="r2"):
         raise ValueError("mismatched grids in weighted_inner")
     r = f.grid.nodes
     product = f.values * np.conj(g.values)
-    if weight == "r2":
+    if isinstance(weight, np.ndarray):
+        integrand = product * weight
+        total = np.sum(f.grid.quad_weights * integrand) + 0.5 * r[0] * integrand[0]
+    elif weight == "r2":
         total = np.sum(f.grid.r2_weights * product)
     elif weight == "flat":
         total = np.sum(f.grid.quad_weights * product)
-    elif callable(weight):
-        integrand = product * weight(r)
-        total = np.sum(f.grid.quad_weights * integrand) + 0.5 * r[0] * integrand[0]
     else:
         raise ValueError(f"unknown weight {weight!r}")
     return total if np.iscomplexobj(total) else float(total)

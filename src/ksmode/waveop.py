@@ -67,7 +67,7 @@ def apply_tilde_L1(values, grid: RadialGrid) -> np.ndarray:
     """Pointwise application of tilde L_1 = -d_r^2 + A d_r + B."""
     r = grid.nodes
     f = np.asarray(values)
-    return (-fd_deriv(f, r, 2) + profile.coef_a(r) * fd_deriv(f, r, 1)
+    return (-fd_deriv(f, grid, 2) + profile.coef_a(r) * fd_deriv(f, grid, 1)
             + profile.coef_b(r) * f)
 
 

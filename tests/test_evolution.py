@@ -1,5 +1,6 @@
 """Linear and nonlinear renormalized-flow integration."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -649,6 +650,26 @@ class TestNonlinearFlow:
         h = r[1] - r[0]
         assert drift <= 10.0 * (h * h + dt * dt)
         assert tr.boundary_flag  # profile tails shed through the boundary
+
+    def test_steady_drift_holds_no_trace_sized_temporary(self):
+        # 2,001 states at n = 400: the drift and the trace's norms are taken
+        # over blocks of rows, so the peak stays near the stored trace
+        grid = make_grid(400, 40.0, "uniform")
+        acceptance.steady_drift_check(grid, 0.01, 0.1)   # first-call caches
+        tracemalloc.start()
+        try:
+            check, tr = acceptance.steady_drift_check(grid, 0.01, 20.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.states.shape == (2001, 400)
+        assert peak < 1.5 * tr.states.nbytes
+        # with the bits of the norms written out over the whole trace
+        w = grid.r2_weights
+        qv = profile.q(grid.nodes)
+        assert np.array_equal(tr.norms, np.sqrt(np.sum(w * tr.states ** 2, axis=-1)))
+        drift = np.sqrt(np.sum(w * (tr.states - qv) ** 2, axis=-1))
+        assert check.value == float(np.max(drift)) / grid.norm(qv)
 
     def test_discrete_steady_profile_is_fixed_point(self, grid):
         qh, _ = evolution.discrete_steady_profile(grid)

@@ -363,6 +363,32 @@ class TestCoercivityForm:
             assert form >= norm2 / 8.0
 
 
+    @pytest.mark.parametrize("l", [3, 6])
+    def test_grid_weights_give_the_bits_of_the_profile_callables(self, l):
+        # the six terms and the interpolation lhs written out with the
+        # profile weights evaluated afresh at the nodes
+        from ksmode.acceptance import random_class_function
+        from ksmode.radial import deltal_inverse, fd_deriv
+        grid = geometric_grid(400, 40.0)
+        r = grid.nodes
+        f = random_class_function(np.random.default_rng(l), grid, l)
+        df = RadialFunction(grid, fd_deriv(f.values, grid, 1))
+        w, dw = deltal_inverse(l, f)
+        convexity = (profile.q_deriv(r, 2)
+                     - 2.0 / r * profile.q_deriv(r, 1)) * r * r
+        form = (weighted_inner(df, df, "r2")
+                + l * (l + 1) * weighted_inner(f, f, "flat")
+                + 0.25 * weighted_inner(f, f, "r2")
+                - 1.5 * weighted_inner(f, f, profile.q(r) * r * r)
+                + 0.5 * weighted_inner(dw, dw, convexity)
+                - 0.5 * l * (l + 1) * weighted_inner(
+                    w, w, profile.q_deriv(r, 2)))
+        lhs = weighted_inner(w, w, 1.0 / (2.0 + r * r) ** 2)
+        for _ in range(2):   # cold, then from the grid's memo
+            assert ggmt.coercivity_form(f, l) == form
+            assert ggmt.interpolation_check(f, l, 4.0)[0] == lhs
+
+
 class TestInterpolation:
     def test_l2_reference_function(self):
         grid = geometric_grid(600, 60.0)

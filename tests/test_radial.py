@@ -1,12 +1,14 @@
 """Grids, quadrature and the first-order operator calculus."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ksmode import profile
+from ksmode import evolution, ggmt, operators, profile, radial, waveop
 from ksmode.radial import (DivergentTailError, PrefixIntegral, RadialFunction,
                            RadialGrid, cumulative_power_integral,
                            cumulative_power_integral_cubic, deltal_inverse,
@@ -37,13 +39,13 @@ def dk_inverse(k: int, f: RadialFunction, origin_power: float = 0.0) -> RadialFu
 def dk_apply(k: int, f: RadialFunction) -> RadialFunction:
     """D_k f = f' + (k/r) f by O(h^2) finite differences."""
     r = f.grid.nodes
-    return RadialFunction(f.grid, fd_deriv(f.values, r, 1) + k / r * f.values)
+    return RadialFunction(f.grid, fd_deriv(f.values, f.grid, 1) + k / r * f.values)
 
 
 def delta_l_apply(l: int, f: RadialFunction) -> RadialFunction:
     """Class-l Laplacian: f'' + (2/r) f' - l(l+1) f / r^2."""
     r = f.grid.nodes
-    vals = (fd_deriv(f.values, r, 2) + 2.0 / r * fd_deriv(f.values, r, 1)
+    vals = (fd_deriv(f.values, f.grid, 2) + 2.0 / r * fd_deriv(f.values, f.grid, 1)
             - l * (l + 1) / (r * r) * f.values)
     return RadialFunction(f.grid, vals)
 
@@ -197,11 +199,14 @@ class TestGridWeights:
         cplx = real + 1j * rng.standard_normal(g.n)
         assert g.norm(real) == np.sqrt(np.sum(w * real ** 2))
         assert g.norm(cplx) == np.sqrt(np.sum(w * np.abs(cplx) ** 2))
-        # every row of a stack has the bits of its own norm
-        stack = rng.standard_normal((4, g.n))
-        rows = g.norm(stack)
-        for i, row in enumerate(stack):
-            assert rows[i] == np.sqrt(np.sum(w * row ** 2))
+        # every row of a stack has the bits of its own norm, also of a
+        # stack long enough to be taken over blocks of rows
+        for shape in ((4, g.n), (500, g.n), (3, 110, g.n)):
+            stack = rng.standard_normal(shape)
+            rows = g.norm(stack)
+            assert rows.shape == shape[:-1]
+            for i, row in np.ndenumerate(rows):
+                assert row == np.sqrt(np.sum(w * stack[i] ** 2))
 
     def test_far_grid_builds_without_warnings(self):
         # r^2 overflows at 1e300: the r^2 weights wait for their first use,
@@ -216,6 +221,129 @@ class TestGridWeights:
         with pytest.raises(ValueError, match="read-only"):
             g.quad_weights[0] = 1.0
         assert g.r2_weights is g.r2_weights   # built once
+
+
+def class3_bump(grid):
+    r = grid.nodes
+    return (r / (1.0 + r)) ** 3 * (np.exp(-((r - 6.0) / 2.0) ** 2)
+                                   - 0.5 * np.exp(-((r - 3.0) / 0.8) ** 2))
+
+
+def _bits(result) -> bytes:
+    """The bytes of every float in a result: a number, an array or a tuple."""
+    if isinstance(result, (tuple, list)):
+        return b"".join(_bits(part) for part in result)
+    if isinstance(result, RadialFunction):
+        return _bits(result.values)
+    return np.asarray(result, dtype=float).tobytes()
+
+
+WARM_CALLS = {
+    "coercivity_form": lambda g, v: ggmt.coercivity_form(RadialFunction(g, v), 3),
+    "interpolation_check":
+        lambda g, v: ggmt.interpolation_check(RadialFunction(g, v), 3),
+    "deltal_inverse": lambda g, v: deltal_inverse(3, RadialFunction(g, v)),
+    "apply_T": lambda g, v: waveop.apply_T(v, g),
+    "fd_deriv": lambda g, v: (fd_deriv(v, g, 1), fd_deriv(v, g, 2)),
+}
+
+
+class TestGridMemo:
+    """The weights a grid builds once, on first use, and keeps."""
+
+    @pytest.fixture
+    def grid(self):
+        return make_grid(60, 20.0, ("geometric", 1.04))
+
+    def test_memoized_weights_equal_the_primitives(self, grid):
+        r = grid.nodes
+        for a, p in ((4.0, 2.0), (2.0, None), (2.0, 0.0), (-0.5, 1.0)):
+            cached, plain = grid.prefix_integral(a, p), PrefixIntegral(r, a, p)
+            for name in ("origin", "cu", "cv"):
+                assert np.array_equal(getattr(cached, name), getattr(plain, name))
+        for a in (-3.0, 1.0, 2.5):
+            for got, want in zip(grid.panels(a), panel_coefficients(a, r)):
+                assert np.array_equal(got, want)
+        for order in (1, 2):
+            m = order + 2
+            fd_deriv(r, grid, order)
+            first, last = grid._memo[("stencils", order)]
+            assert np.array_equal(first, deriv_stencil(r[:m], r[0], order))
+            assert np.array_equal(last, deriv_stencil(r[-m:], r[-1], order))
+        for a in (0, 3):
+            cumulative_power_integral_cubic(r, grid, a)
+            for got, want in zip(grid._memo[("cubic", a)],
+                                 radial._cubic_weights(r, a)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(grid.build_once("ggmt.q_r2", ggmt._q_r2),
+                              profile.q(r) * r * r)
+
+    def test_keys_normalize(self, grid):
+        assert grid.prefix_integral(3, 1) is grid.prefix_integral(3.0, 1.0)
+        assert grid.panels(3) is grid.panels(3.0)
+        cubic = cumulative_power_integral_cubic(grid.nodes, grid, 3)
+        assert np.array_equal(
+            cumulative_power_integral_cubic(grid.nodes, grid, 3.0), cubic)
+        assert len(grid._memo) == 3
+        # origin power 0 is the even model: the flux, the partial mass and
+        # the vector integral share one entry
+        values = gaussian_bump(grid.nodes)
+        cumulative_power_integral(values, grid, 2.0, 0)
+        cumulative_power_integral(values, grid, 2, 0.0)
+        evolution.partial_mass(RadialFunction(grid, values))
+        mass = evolution.FluxGeometry(grid).mass
+        assert mass is grid.prefix_integral(2.0) is grid.prefix_integral(2, None)
+        assert len(grid._memo) == 4
+        # the dense matrices' constant class-0 panel is the power model p = 0
+        operators._prefix_matrix(grid, 2.0, 0.0)
+        assert grid.prefix_integral(2.0, 0.0) is not mass
+        assert len(grid._memo) == 5
+
+    def test_cached_arrays_are_read_only(self, grid):
+        fd_deriv(grid.nodes, grid, 2)
+        cumulative_power_integral_cubic(grid.nodes, grid, 3)
+        prefix = grid.prefix_integral(2.0)
+        arrays = [prefix.origin, prefix.cu, prefix.cv, *grid.panels(1.0),
+                  *grid._memo[("stencils", 2)], *grid._memo[("cubic", 3)],
+                  grid.build_once("doubled", lambda r: 2.0 * r)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_equal_nodes_in_a_new_grid_get_the_same_bits(self, grid):
+        values = class3_bump(grid)
+        for _ in range(2):   # the second round reads a full memo
+            warm = [_bits(call(grid, values)) for call in WARM_CALLS.values()]
+        twin = make_grid(60, 20.0, ("geometric", 1.04))
+        assert twin is not grid and np.array_equal(twin.nodes, grid.nodes)
+        assert [_bits(call(twin, values)) for call in WARM_CALLS.values()] == warm
+        assert twin.panels(-2.0)[0] is not grid.panels(-2.0)[0]
+
+    def test_no_cache_keeps_a_grid_alive(self):
+        grid = make_grid(60, 20.0, ("geometric", 1.04))
+        f = RadialFunction(grid, class3_bump(grid))
+        ggmt.coercivity_form(f, 3)
+        ggmt.interpolation_check(f, 3)
+        waveop.apply_T(f.values, grid)
+        operators.assemble_Ll(0, grid)
+        evolution.FluxGeometry(grid)
+        assert len(grid._memo) > 5
+        ref = weakref.ref(grid)
+        del grid, f
+        gc.collect()
+        assert ref() is None
+
+
+@pytest.mark.parametrize("name", list(WARM_CALLS))
+def test_tenth_call_has_the_bits_of_the_first(name):
+    # a memo entry that a caller could change in place would show here
+    grid = make_grid(80, 20.0, ("geometric", 1.03))
+    values = class3_bump(grid)
+    call = WARM_CALLS[name]
+    first = _bits(call(grid, values))
+    for _ in range(9):
+        last = _bits(call(grid, values))
+    assert last == first
 
 
 class TestDkApply:
@@ -247,7 +375,7 @@ class TestFdDeriv:
         g = make_grid(40, 10.0, ("geometric", 1.08))
         r = g.nodes
         m = order + 2
-        rows = np.array([fd_deriv(e, r, order) for e in np.eye(g.n)]).T
+        rows = np.array([fd_deriv(e, g, order) for e in np.eye(g.n)]).T
         assert np.array_equal(rows[0, :m], deriv_stencil(r[:m], r[0], order))
         assert np.array_equal(rows[-1, -m:], deriv_stencil(r[-m:], r[-1], order))
         assert not rows[0, m:].any() and not rows[-1, :-m].any()
@@ -260,7 +388,7 @@ class TestFdDeriv:
         r = g.nodes
         f = 3.0 * r * r - 2.0 * r + 1.0
         want = 6.0 * r - 2.0 if order == 1 else np.full(g.n, 6.0)
-        assert np.max(np.abs(fd_deriv(f, r, order) - want)) < 1e-9
+        assert np.max(np.abs(fd_deriv(f, g, order) - want)) < 1e-9
 
 
 class TestDkInverse:

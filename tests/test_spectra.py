@@ -21,6 +21,13 @@ def small_ladder(n0=100, rmax0=20.0):
                                      rmax_factors=(1, 2))
 
 
+@pytest.fixture(scope="module")
+def l0_scan():
+    """The class-0 scan of ``small_ladder()``, shared by the tests that only
+    read it and patch nothing."""
+    return spectra.unstable_scan_detailed(0, ladder=small_ladder())
+
+
 class TestEigDense:
     def test_rotation_matrix(self):
         lams, _, _ = spectra.eig_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -162,9 +169,9 @@ class TestScan:
                           "grids": [(400, 60.0), (200, 60.0), (100, 60.0),
                                     (400, 20.0)]}
 
-    def test_off_ladder_reproducibility(self):
+    def test_off_ladder_reproducibility(self, l0_scan):
         # node count +7 off the ladder reproduces the eigenvalue
-        base = spectra.unstable_scan_detailed(0, ladder=small_ladder())[0][0]
+        base = l0_scan[0][0]
         shifted = spectra.unstable_scan_detailed(
             0, ladder=small_ladder(n0=107))[0][0]
         assert abs(base.lam - shifted.lam) < 2.0 * 5e-3
@@ -182,10 +189,10 @@ class TestScan:
             spectra.unstable_scan_detailed(0, ladder=ladder)
         assert solves == {"eig": 0, "targeted": 0, "grids": []}
 
-    def test_kernel_form_residual_cross_check(self):
+    def test_kernel_form_residual_cross_check(self, l0_scan):
         # recompute the accepted residual with the differentiated-kernel
         # nonlocal block: representations agree far below the filter scale
-        rep = spectra.unstable_scan_detailed(0, ladder=small_ladder()).accepted[0]
+        rep = l0_scan.accepted[0]
         grid = rep.grid
         a = operators.assemble_Ll(0, grid).entries
         swap = operators.kernel_deriv_deltal_inv_matrix(grid, 0) \
@@ -421,9 +428,9 @@ class TestDeflation:
         assert (got[0].residual, got[0].rejected_by) == \
             (want[0].residual, want[0].rejected_by)
 
-    def test_report_carries_the_guarded_residual(self):
+    def test_report_carries_the_guarded_residual(self, l0_scan):
         # the scan reports the residual the guard of _deflate computed
-        rep = spectra.unstable_scan_detailed(0, ladder=small_ladder()).accepted[0]
+        rep = l0_scan.accepted[0]
         a = operators.assemble_Ll(0, rep.grid)
         s = spectra._m_frame(a)
         _, _, vecs, res = spectra._deflate(a, s, spectra._range_floor(s).nu, 1)
