@@ -330,8 +330,7 @@ def cmd_evolve_nonlinear(cfg, args):
     rows = [{"tau": t, "norm": n} for t, n in zip(tr.times, tr.norms)]
     out = _out_dir(cfg) / "evolve_nonlinear_trace.csv"
     _write_csv(out, rows, ["tau", "norm"])
-    return checks, {"boundary_flag": bool(tr.boundary_flag), "csv": out.name,
-                    "max_solve_defect": tr.max_solve_defect}
+    return checks, {"csv": out.name, "max_solve_defect": tr.max_solve_defect}
 
 
 def cmd_shoot(cfg, args):

@@ -18,7 +18,8 @@ a predictor-corrector first step.  One stepper advances a stack of
 independent states, the rows of a plain (m, n) array, with row-wise
 arithmetic only: the band product and solve act on each row alone
 (operators.BandMatrix), the flux term's neighbour terms are shifted slices
-along the rows.  So a row gets the same bits in a batch as alone.
+along the rows.  So a row gets the same bits in a batch as alone.  One
+loop steps it (_departures): the plain flow is its reference row alone.
 The blowup profile is the steady state; a shooting experiment tunes the
 amplitude of the unstable direction so that stably-perturbed data relaxes
 back to the profile, the desk-scale analog of the stable-manifold matching.
@@ -46,7 +47,7 @@ from . import profile
 # rebinds the name in this module too
 from .operators import BandMatrix, OperatorMatrix, assemble_Ll, local_band
 from .radial import RadialFunction, RadialGrid, \
-    cumulative_power_integral, fd_deriv
+    cumulative_power_integral, fd_deriv, panel_coefficients
 
 __all__ = [
     "EvolutionTrace", "ShootingResult", "EvolutionError", "linear_evolve",
@@ -87,7 +88,6 @@ class EvolutionTrace:
     norms: np.ndarray
     mode_coeffs: np.ndarray | None   # projection coefficient per step
     states: np.ndarray | None = field(default=None, repr=False)
-    boundary_flag: bool = False
     max_solve_defect: float = 0.0   # largest relative defect of an implicit solve
 
 
@@ -288,12 +288,8 @@ class FluxGeometry:
         r = grid.nodes
         self.mass = grid.prefix_integral(2.0)   # int_0^r psi s^2 ds
         mids = 0.5 * (r[:-1] + r[1:])
-        u, v = r[:-1], r[1:]
         # int_u^mid psi s^2 ds = cu psi_u + cv psi_v on the interpolant
-        m0 = (mids ** 3 - u ** 3) / 3.0
-        m1 = (mids ** 4 - u ** 4) / 4.0
-        self.cv = (m1 - u * m0) / (v - u)
-        self.cu = m0 - self.cv
+        self.cu, self.cv = panel_coefficients(2.0, r, mids)
         r_out = r[-1] + 0.5 * (r[-1] - r[-2])
         self.cell_cubes = np.diff(np.concatenate(([0.0], mids ** 3,
                                                   [r_out ** 3])))
@@ -421,32 +417,20 @@ def nonlinear_radial_evolve(psi0: RadialFunction, dt: float,
                             horizon: float) -> EvolutionTrace:
     """IMEX (Crank-Nicolson + AB2) integration of the radial renormalized flow.
 
-    The one-row case of _ImexRows; the trace keeps the state of every step,
-    and the norms and the boundary flag are taken from the stored states
-    in one stacked pass after the run.  A step driving min(Psi) below
-    -_NEGATIVITY_TOL ||Psi||_inf or blowing up the norm raises
-    EvolutionError with the last valid state; the trace flags any run
-    whose boundary value exceeds 1e-6 ||Psi||_inf after a step.
+    The plain flow is the reference row of _departures alone, stepped by
+    its one stepping loop; the trace keeps the state of every step, and
+    the norms are taken from the stored states in one stacked pass after
+    the run.  A step driving min(Psi) below -_NEGATIVITY_TOL ||Psi||_inf
+    or blowing up the norm raises EvolutionError with the last valid state.
     """
     grid = psi0.grid
     n_steps = step_count(dt, horizon, grid.n)
-    run = _ImexRows(grid, dt).start(psi0.values)
-    times = dt * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, grid.n))
-    states[0] = run.psi[0]
-    for k in range(1, n_steps + 1):
-        failures = run.step()
-        if failures:
-            raise EvolutionError(failures[0], tau=times[k - 1],
-                                 state=run.last[0])
-        states[k] = run.psi[0]
-    stepped = states[1:]
-    size = np.maximum(stepped.max(axis=-1), -stepped.min(axis=-1))
-    return EvolutionTrace(times=times, norms=grid.norm(states),
-                          mode_coeffs=None, states=states,
-                          boundary_flag=bool(np.any(
-                              np.abs(stepped[:, -1]) > 1e-6 * size)),
-                          max_solve_defect=float(run.defect[0]))
+    (_, _, _, defect), = _departures(_ImexRows(grid, dt), psi0.values[None],
+                                     np.array([np.inf]), states, None, True)
+    return EvolutionTrace(times=dt * np.arange(n_steps + 1),
+                          norms=grid.norm(states), mode_coeffs=None,
+                          states=states, max_solve_defect=defect)
 
 
 def _flux_jacobian(base: np.ndarray, flux: FluxGeometry) -> np.ndarray:
@@ -561,19 +545,23 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
 
     With ``reference``, row 0 is that unperturbed run itself, with an
     infinite tube: its state is written into ``ref_states`` at every step
-    before the distances are taken, and a guard failure of it raises the
-    EvolutionError nonlinear_radial_evolve raises.  Otherwise
-    ``ref_states`` holds the whole trajectory already.
+    before the distances are taken, its coefficient is 0 with no projection
+    or distance taken, and a guard failure of it raises EvolutionError with
+    its last valid state.  Alone it is the plain flow (nonlinear_radial_evolve
+    passes no ``projection``): this is the one IMEX stepping loop.
+    Otherwise ``ref_states`` holds the whole trajectory already.
     """
     dt = run.dt
     run.start(rows)
     if reference:
         ref_states[0] = run.psi[0]
+    tracked = int(reference)   # rows from here on take distances
     live = np.arange(len(rows))   # input index of each row still running
     out = [None] * len(rows)
 
     def retire(i, state, k, exited):
-        coef = float(np.real(projection.coefficient(state - ref_states[k])))
+        coef = 0.0 if live[i] < tracked else float(
+            np.real(projection.coefficient(state - ref_states[k])))
         out[live[i]] = ((1 if coef >= 0.0 else -1), coef,
                         dt * k if exited else None, float(run.defect[i]))
 
@@ -593,7 +581,10 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
             live = live[stay]
         if reference:
             ref_states[k] = run.psi[0]
-        outside = run.grid.norm(run.psi - ref_states[k]) > tubes[live]
+        outside = np.zeros(len(live), dtype=bool)
+        if len(live) > tracked:
+            outside[tracked:] = run.grid.norm(
+                run.psi[tracked:] - ref_states[k]) > tubes[live[tracked:]]
         if k == n_steps or outside.any():
             done = outside | (k == n_steps)
             for i in np.flatnonzero(done):

@@ -247,11 +247,13 @@ def power_moment(a: float, lo, hi):
     return (hi ** (a + 1.0) - lo ** (a + 1.0)) / (a + 1.0)
 
 
-def panel_coefficients(a: float, nodes: np.ndarray):
-    """Coefficients (cu, cv) with int_panel f_pl s^a ds = cu f_j + cv f_{j+1}."""
+def panel_coefficients(a: float, nodes: np.ndarray, upper=None):
+    """Coefficients (cu, cv) with int_u^upper f_pl s^a ds = cu f_j + cv f_{j+1}
+    on each panel [u, v] = [r_j, r_{j+1}]; ``upper`` defaults to v."""
     u, v = nodes[:-1], nodes[1:]
-    m0 = power_moment(a, u, v)
-    m1 = power_moment(a + 1.0, u, v)
+    upper = v if upper is None else upper
+    m0 = power_moment(a, u, upper)
+    m1 = power_moment(a + 1.0, u, upper)
     cv = (m1 - u * m0) / (v - u)
     cu = m0 - cv
     return cu, cv

@@ -300,11 +300,17 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, ini, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["evolve-linear", "evolve-nonlinear"])
+# the whole of each evolution command's details
+EVOLUTION_DETAILS = {"evolve-linear": {"csv", "max_solve_defect", "projections"},
+                     "evolve-nonlinear": {"csv", "max_solve_defect"}}
+
+
+@pytest.mark.parametrize("command", list(EVOLUTION_DETAILS))
 def test_evolution_summary_records_largest_solve_defect(tmp_path, command):
     assert run_cli([command, "--n", "200", "--horizon", "3.0"], tmp_path) == 0
-    defect = load_summary(tmp_path, command)["details"]["max_solve_defect"]
-    assert 0.0 < defect <= 1e-10
+    details = load_summary(tmp_path, command)["details"]
+    assert set(details) == EVOLUTION_DETAILS[command]
+    assert 0.0 < details["max_solve_defect"] <= 1e-10
 
 
 PROJECTION_FIELDS = {"eigenvalue", "isolation_floor", "isolation_margin",

@@ -261,9 +261,24 @@ class TestGridMemo:
             cached, plain = grid.prefix_integral(a, p), PrefixIntegral(r, a, p)
             for name in ("origin", "cu", "cv"):
                 assert np.array_equal(getattr(cached, name), getattr(plain, name))
+        u, v = r[:-1], r[1:]
+        mids = 0.5 * (u + v)
+        # Gauss-Legendre on [u, mid], exact to rounding for these integrands
+        x, w = np.polynomial.legendre.leggauss(12)
+        s = u[:, None] + 0.5 * (mids - u)[:, None] * (x + 1.0)
+        f = lambda t: 1.5 + 0.25 * t
         for a in (-3.0, 1.0, 2.5):
             for got, want in zip(grid.panels(a), panel_coefficients(a, r)):
                 assert np.array_equal(got, want)
+            for got, want in zip(panel_coefficients(a, r, v),
+                                 panel_coefficients(a, r)):
+                assert np.array_equal(got, want)
+            # the half panel [u, mid] of the linear interpolant, exact on
+            # linear data
+            cu, cv = panel_coefficients(a, r, mids)
+            exact = 0.5 * (mids - u) * ((f(s) * s ** a) @ w)
+            assert np.allclose(cu * f(u) + cv * f(v), exact, rtol=1e-12,
+                               atol=0.0)
         for order in (1, 2):
             m = order + 2
             fd_deriv(r, grid, order)
