@@ -45,7 +45,8 @@ import scipy.linalg
 from . import profile
 # assemble_Ll is unused here, but ksbench's traced run checks that it
 # rebinds the name in this module too
-from .operators import BandMatrix, OperatorMatrix, assemble_Ll, local_band
+from .operators import BandMatrix, DenseLU, OperatorMatrix, assemble_Ll, \
+    local_band
 from .radial import RadialFunction, RadialGrid, \
     cumulative_power_integral, fd_deriv, panel_coefficients
 
@@ -220,7 +221,7 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
     eye = np.eye(grid.n)
     lhs, explicit = eye + 0.5 * dt * op.entries, eye - 0.5 * dt * op.entries
     lhs_norm = np.linalg.norm(lhs, np.inf)
-    lu = scipy.linalg.lu_factor(lhs)
+    lu = DenseLU(lhs)
     eps = eps0.values.astype(complex if np.iscomplexobj(eps0.values) else float)
     times = dt * np.arange(n_steps + 1)
     norms = np.empty(n_steps + 1)
@@ -257,7 +258,7 @@ def linear_evolve(op: OperatorMatrix, eps0: RadialFunction, dt: float,
         try:
             for j in block:
                 rhs[j] = eps
-                sol[j] = scipy.linalg.lu_solve(lu, eps)
+                sol[j] = lu.solve(eps)
                 eps = 2.0 * sol[j] - eps
                 record(first + j, eps)
         except EvolutionError:

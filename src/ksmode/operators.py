@@ -39,7 +39,7 @@ from .radial import (RadialGrid, power_moment, deltal_inverse,
                      RadialFunction, fd_deriv, three_point)
 
 __all__ = [
-    "OperatorMatrix", "BandMatrix", "assemble_Ll", "local_band",
+    "OperatorMatrix", "BandMatrix", "DenseLU", "assemble_Ll", "local_band",
     "assemble_tilde_L1_prime", "apply_Ll", "kernel_deltal_inv_matrix",
     "factorized_deltal_inv_matrix", "deriv_deltal_inv_matrix",
     "kernel_deriv_deltal_inv_matrix", "deriv1_matrix",
@@ -119,6 +119,49 @@ class BandMatrix:
         return x if rhs.ndim == 2 else x[0]
 
 
+class DenseLU:
+    """The LU factorization of A - shift I for a dense square A, made once.
+
+    A Fortran-ordered copy of A - shift I (in complex arithmetic for a
+    complex shift) is factored in place by LAPACK getrf, its one n x n
+    array, and ``solve`` runs getrs on it: the bits of scipy.linalg's
+    lu_factor and lu_solve on the same matrix, without their copies and
+    batch wrapper.  A complex right-hand side on a real factor is solved on
+    a complex copy of the factor, made once, as lu_solve casts it.
+    ``shape``, ``dtype`` and ``matvec`` (the solve) make it the ``OPinv``
+    of scipy's shift-invert ``eigs``.  Non-finite entries raise ValueError,
+    an exactly singular factor LinAlgError.
+    """
+
+    def __init__(self, a: np.ndarray, shift=0.0):
+        # checked before the copy, so the check's mask is gone by then
+        if not (np.isfinite(a).all() and np.isfinite(shift)):
+            raise ValueError("matrix has non-finite entries")
+        lu = np.array(a, dtype=np.result_type(a, shift), order="F")
+        if shift != 0.0:
+            lu.flat[::lu.shape[1] + 1] -= shift
+        getrf, self._getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"),
+                                                           (lu,))
+        self._lu, self._piv, info = getrf(lu, overwrite_a=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dense LU failed (LAPACK info {info})")
+        self.shape, self.dtype = lu.shape, lu.dtype
+        self._complex = None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        lu, getrs = self._lu, self._getrs
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(lu):
+            if self._complex is None:
+                lu = lu.astype(complex)
+                self._complex = lu, scipy.linalg.get_lapack_funcs(("getrs",),
+                                                                  (lu,))[0]
+            lu, getrs = self._complex
+        return getrs(lu, self._piv, rhs)[0]
+
+    def matvec(self, rhs: np.ndarray) -> np.ndarray:
+        return self.solve(rhs)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference matrices with ghost elimination
 # ---------------------------------------------------------------------------
@@ -157,10 +200,10 @@ def origin_ghost_underflows(grid: RadialGrid) -> bool:
 def _fd_matrix(grid: RadialGrid, order: int, l: int) -> BandMatrix:
     """Derivative matrix of given order on class-l data, ghosts eliminated:
     kl = 1, and ku = 2 where the class-0 origin ghost reaches entry (0, 2)."""
-    h = grid.cell_spacings()
+    spacing = grid.three_point_spacings()
     # three-point weights of every row, ghost rows included; the outer ghost
     # value is 0 (Dirichlet), the origin ghost's weight goes to its model
-    wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
+    wl, wc, wr = (three_point(order, *unit, spacing) for unit in np.eye(3))
     ghost = _origin_ghost_coeffs(grid, l)
     ku = max(1, ghost.size - 1)
     band = np.zeros((ku + 2, grid.n))

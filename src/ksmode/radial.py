@@ -6,9 +6,10 @@ and the L^2(r^2 dr) weights r2_weights and norm that every mode and
 evolution norm, cosine and projection pairing reads.  It also owns every
 other weight that depends on its nodes alone, and builds each one once, on
 first use: the prefix integrals with their origin weights, the panel
-coefficients of the suffix integrals, the end stencils of fd_deriv, the
-Lagrange weights of the cubic rule, and the nodal profile weights its
-callers name.  Cumulative integrals of the form
+coefficients of the suffix integrals, the spacing factors of the
+three-point stencil, the end stencils of fd_deriv, the Lagrange weights of
+the cubic rule, and the nodal profile weights its callers name.
+Cumulative integrals of the form
 
     int_0^r f(s) s^a ds      and      int_r^rmax f(s) s^a ds
 
@@ -80,8 +81,9 @@ class RadialGrid:
     Every other weight that depends on the nodes alone is built once per
     grid and key, on first use, by ``build_once``, and kept in a private
     memo that lives and dies with the grid: ``prefix_integral``, ``panels``,
-    the end stencils of ``fd_deriv``, the Lagrange weights of the cubic rule
-    and the nodal profile weights a caller names.  Each is built by the
+    ``three_point_spacings``, the end stencils of ``fd_deriv``, the
+    Lagrange weights of the cubic rule and the nodal profile weights a
+    caller names.  Each is built by the
     same operations as the primitive it caches, so it has the same bits,
     and its arrays are read-only.
     """
@@ -178,13 +180,22 @@ class RadialGrid:
         r = self.nodes
         return np.concatenate(([r[0]], np.diff(r), [r[-1] - r[-2]]))
 
+    def three_point_spacings(self) -> ThreePoint:
+        """The ``ThreePoint`` factors of every node, the origin and the
+        outer ghost node its end neighbours; built once."""
+        def build(r):
+            h = self.cell_spacings()
+            return ThreePoint(h[:-1], h[1:])
+        return self.build_once(("three-point",), build)
+
 
 def row_blocks(stack: np.ndarray):
     """The rows of a stack (the grid along its last axis) in consecutive
-    blocks of near ``_NORM_BLOCK`` values, so a loop over the blocks holds
-    no temporary the size of the stack."""
+    blocks of near ``_NORM_BLOCK`` float values (a complex value counts
+    twice), so a loop over the blocks holds no temporary the size of the
+    stack."""
     rows = stack.reshape(-1, stack.shape[-1])
-    step = max(1, _NORM_BLOCK // stack.shape[-1])
+    step = max(1, _NORM_BLOCK * 8 // (stack.shape[-1] * stack.itemsize))
     return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
@@ -445,14 +456,35 @@ def suffix_power_integral(values, grid: RadialGrid, a: float) -> np.ndarray:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def three_point(order: int, f_left, f_mid, f_right, hm, hp):
-    """Three-point derivative (order 1 or 2) at the middle node; hm, hp are
-    the spacings to its neighbours.  On unit data it returns the weights."""
+class ThreePoint:
+    """The spacing factors of the three-point stencil at a set of nodes,
+    from the spacings hm and hp to their left and right neighbours: every
+    product ``three_point`` reads, which depend on the grid alone."""
+
+    def __init__(self, hm, hp):
+        self.hm, self.hp = hm, hp
+        self.hm2, self.hp2 = hm * hm, hp * hp
+        self.hp2_hm2 = self.hp2 - self.hm2
+        self.hsum = hm + hp
+        self.denom = hm * hp * self.hsum
+
+    def interior(self) -> ThreePoint:
+        """The factors of every node but the first and the last, as views."""
+        inner = object.__new__(ThreePoint)
+        vars(inner).update({name: value[1:-1]
+                            for name, value in vars(self).items()})
+        return inner
+
+
+def three_point(order: int, f_left, f_mid, f_right, spacing: ThreePoint):
+    """Three-point derivative (order 1 or 2) at the middle node, from the
+    ``spacing`` factors of its neighbours.  On unit data it returns the
+    weights."""
     if order == 1:
-        return (hm * hm * f_right + (hp * hp - hm * hm) * f_mid
-                - hp * hp * f_left) / (hm * hp * (hm + hp))
-    return 2.0 * (hm * f_right - (hm + hp) * f_mid + hp * f_left) \
-        / (hm * hp * (hm + hp))
+        return (spacing.hm2 * f_right + spacing.hp2_hm2 * f_mid
+                - spacing.hp2 * f_left) / spacing.denom
+    return 2.0 * (spacing.hm * f_right - spacing.hsum * f_mid
+                  + spacing.hp * f_left) / spacing.denom
 
 
 def deriv_stencil(positions, x0: float, order: int) -> np.ndarray:
@@ -472,14 +504,15 @@ def deriv_stencil(positions, x0: float, order: int) -> np.ndarray:
 def fd_deriv(values, grid: RadialGrid, order: int) -> np.ndarray:
     """O(h^2) derivative of order 1 or 2 on a (possibly nonuniform) grid.
 
-    Interior nodes use three_point; each end uses deriv_stencil on its
-    order + 2 nearest nodes (one-sided), built once per grid and order.
+    Interior nodes use three_point on the grid's spacing factors; each end
+    uses deriv_stencil on its order + 2 nearest nodes (one-sided).  Both
+    are built once per grid.
     """
     f = np.asarray(values)
-    r = grid.nodes
     out = np.empty_like(f, dtype=np.result_type(f, float))
-    out[1:-1] = three_point(order, f[:-2], f[1:-1], f[2:],
-                            r[1:-1] - r[:-2], r[2:] - r[1:-1])
+    inner = grid.build_once(("three-point", "interior"),
+                            lambda r: grid.three_point_spacings().interior())
+    out[1:-1] = three_point(order, f[:-2], f[1:-1], f[2:], inner)
     m = order + 2
     first, last = grid.build_once(
         ("stencils", order), lambda r: (deriv_stencil(r[:m], r[0], order),

@@ -36,20 +36,29 @@ The filters compare each candidate with the nearest eigenvalue of the
 coarser and smaller grids, and those grids are solved by shift-invert
 Arnoldi at the candidates (Lehoucq, Sorensen and Yang, ARPACK Users'
 Guide, 1998), each pair under the same residual guard as the full solve.
+
+Memory, not arithmetic, limits the grids: every n x n array the scan makes
+is the one work array of its step, beside the operator.  A shift-invert
+solve factors one copy of A - sigma I (operators.DenseLU); the frame S is
+built only after that factor is gone, compressed and packed in place, and
+consumed by the floor's eigensolve; the norms and the residual guard work
+over blocks of rows or columns.  The dense fallback holds its
+eigenvectors alone beside the operator once scipy's eig returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .operators import OperatorMatrix, assemble_Ll
-from .radial import RadialGrid, make_grid
+from .operators import DenseLU, OperatorMatrix, assemble_Ll
+from .radial import RadialGrid, make_grid, row_blocks
 
 __all__ = [
     "EigenReport", "ProjectionPair", "RangeFloor", "Scan",
@@ -74,8 +83,10 @@ _SAME_EIGENVALUE = 1e-8
 # (radial.MIN_NODES), so each size meets ARPACK's k < n - 1.
 _DEFLATION_SIZES = (1, 2, 4)
 # Node limit of a ladder grid.  One n x n float matrix takes 8 n^2 bytes,
-# 328 MB at n = 6400, and the scan of the finest grid holds three at once:
-# the operator, S and the LU factorization of a shift-invert solve.
+# 328 MB at n = 6400, and the scan of the finest grid holds two at once: the
+# operator and one work array, the LU of a shift-invert solve or S, which
+# the floor consumes in place.  Only the dense fallback holds three beside
+# the operator: scipy's eigenvectors, real and then complex.
 _MAX_LADDER_NODES = 6400
 
 
@@ -113,17 +124,49 @@ def eig_dense(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     lams, vecs = scipy.linalg.eig(mat)
-    res = _guard_residuals(mat, lams, vecs)
+    res = _guard_residuals(mat, lams, vecs, _norm(mat, np.inf))
     order = np.argsort(lams.real)
-    return lams[order], vecs[:, order], res[order]
+    # sort the columns in place, a block of rows at a time
+    for rows in row_blocks(vecs):
+        rows[:] = rows[:, order]
+    return lams[order], vecs, res[order]
 
 
-def _guard_residuals(mat, lams, vecs) -> np.ndarray:
+def _guard_residuals(mat, lams, vecs, scale) -> np.ndarray:
     """Residuals ||A v - lam v|| / ||v|| of the eigenpairs (columns of
-    ``vecs``); raises when one exceeds _RESIDUAL_TOL ||A||_inf."""
-    scale = np.linalg.norm(mat, np.inf)
-    res = np.linalg.norm(mat @ vecs - vecs * lams[None, :], axis=0) \
-        / np.linalg.norm(vecs, axis=0)
+    ``vecs``); raises when one exceeds _RESIDUAL_TOL ``scale``, which is
+    ||A||_inf.
+
+    The pairs are taken in the blocks of ``radial.row_blocks`` of
+    ``vecs.T``, so no temporary is larger than a block.  A real A
+    multiplies complex vectors as one real product with their real and
+    imaginary parts side by side, never cast to complex; real vectors keep
+    the plain expression, block by block.
+    """
+    def norms(x):
+        # column norms of a C-ordered complex block from its real view, with
+        # one temporary of its size (np.linalg.norm makes two)
+        sums = (x.view(float) ** 2).sum(axis=0)
+        return np.sqrt(sums[0::2] + sums[1::2])
+
+    def residuals(v, lam):
+        if not np.iscomplexobj(v) or np.iscomplexobj(mat):
+            return np.linalg.norm(mat @ v - v * lam[None, :], axis=0) \
+                / np.linalg.norm(v, axis=0)
+        v = np.array(v, order="C")
+        v_norm = norms(v)
+        av = (mat @ v.view(float)).view(complex)
+        v *= lam
+        av -= v
+        del v
+        return norms(av) / v_norm
+
+    res = np.empty(lams.size)
+    start = 0
+    for rows in row_blocks(vecs.T):
+        stop = start + len(rows)
+        res[start:stop] = residuals(rows.T, lams[start:stop])
+        start = stop
     if np.any(res > _RESIDUAL_TOL * scale):
         bad = int(np.argmax(res))
         raise RuntimeError(
@@ -152,10 +195,37 @@ class RangeFloor:
         return self.residual <= _RESIDUAL_TOL and self.nu - self.margin > threshold
 
 
+def _norm(mat, ord) -> float:
+    """np.linalg.norm(mat, ord) for ord 1 or inf, bit for bit, holding no
+    temporary larger than a block of ``radial.row_blocks``.
+
+    numpy sums |m_ij| along the axis of the norm: pairwise within a line
+    that is contiguous in memory, line after line in order across lines
+    that are not.  Both orders are kept on the rows of the C-ordered base
+    of ``mat`` (``mat`` itself, or ``mat.T`` of a Fortran-ordered one):
+    each row is summed alone, or the rows are added one by one, each
+    block of them after the running sums of the blocks before.
+    """
+    base = mat if mat.flags.c_contiguous else mat.T
+    if (ord == np.inf) == (base is mat):
+        sums = np.concatenate([np.abs(rows).sum(axis=1)
+                               for rows in row_blocks(base)])
+    else:
+        sums = np.zeros(base.shape[1])
+        for rows in row_blocks(base):
+            work = np.empty((len(rows) + 1, base.shape[1]))
+            work[0] = sums
+            np.abs(rows, out=work[1:])
+            np.add.reduce(work, axis=0, out=sums)
+    return np.max(sums)
+
+
 def _m_frame(a: OperatorMatrix) -> np.ndarray:
     """The M-Hermitian part S = (B + B^T)/2 of B = M^{1/2} A M^{-1/2}, with
     M = diag(grid.r2_weights) of the operator's grid; B is scaled in place
-    into S, and only S and one temporary exist at once.
+    into S, and symmetrized a block of rows at a time, so S is the one
+    n x n array.  S is exactly symmetric: entries (i, j) and (j, i) are
+    both (b_ij + b_ji) / 2.
 
     Every eigenpair A v = lam v has Re lam = x^H S x / x^H x with
     x = M^{1/2} v, so the bottom eigenvalue of S, the floor of the numerical
@@ -164,26 +234,41 @@ def _m_frame(a: OperatorMatrix) -> np.ndarray:
     root = np.sqrt(a.grid.r2_weights)
     s = root[:, None] * a.entries
     s /= root[None, :]
-    s += s.T
-    s *= 0.5
+    start = 0
+    for rows in row_blocks(s):
+        # the block's rows right of its first column, with the columns
+        # below them: both untouched by the blocks before
+        stop = start + len(rows)
+        upper = rows[:, start:]
+        upper += s[start:, start:stop].T
+        upper *= 0.5
+        s[start:, start:stop] = upper.T
+        start = stop
     return s
 
 
 def _range_floor(s) -> RangeFloor:
     """Bottom eigenvalue of the Hermitian matrix ``s``, computed alone, with
-    the margin n eps ||s||_1 that covers the rounding of the solve."""
-    nu = scipy.linalg.eigh(s, subset_by_index=[0, 0], eigvals_only=True)[0]
-    margin = s.shape[0] * np.finfo(float).eps * np.linalg.norm(s, 1)
+    the margin n eps ||s||_1 that covers the rounding of the solve.
+
+    The solve runs in place and consumes ``s``: a Fortran-ordered ``s``
+    itself, a C-ordered one (real symmetric, as ``_m_frame`` makes it)
+    through its transpose, which is ``s`` again.
+    """
+    margin = s.shape[0] * np.finfo(float).eps * _norm(s, 1)
+    frame = s if s.flags.f_contiguous else s.T
+    nu = scipy.linalg.eigh(frame, subset_by_index=[0, 0], eigvals_only=True,
+                           overwrite_a=True)[0]
     return RangeFloor(float(nu), float(margin))
 
 
-def _deflate(a: OperatorMatrix, s, sigma: float, k: int):
+def _deflate(a: OperatorMatrix, sigma: float, k: int):
     """Deflate the k eigenvectors of ``a`` nearest ``sigma`` and bound the
     rest of its spectrum; returns (RangeFloor, lams, vectors, residuals).
 
-    ``s`` is ``_m_frame(a)``.  One shift-invert Arnoldi solve finds the
-    vectors V; the Householder QR of X = M^{1/2} V gives an orthonormal
-    basis X0 of their span and X1 of its complement.  With
+    One shift-invert Arnoldi solve finds the vectors V; the Householder QR
+    of X = M^{1/2} V gives an orthonormal basis X0 of their span and X1 of
+    its complement.  With
     Lambda = X0^H B X0 and R = B X0 - X0 Lambda, the matrix B - R X0^H
     leaves span X0 invariant and is block upper triangular in [X0, X1], so
     its spectrum is that of Lambda together with that of X1^H B X1, whose
@@ -194,14 +279,20 @@ def _deflate(a: OperatorMatrix, s, sigma: float, k: int):
     (Stewart and Sun, Matrix Perturbation Theory, 1990, ch. V).  A missed
     eigenvalue stays in X1^H B X1 and pulls nu below it.  B is applied,
     never formed: B X0 = M^{1/2} (A (M^{-1/2} X0)), one product of A with
-    the n x k block.  The k reflectors are applied to a copy of S from both
-    sides, O(n^2 k), without forming Q.  ``lams`` are the eigenvalues of
-    Lambda and ``vectors`` the unit eigenvectors M^{-1/2} X0 W of A, sorted
-    by real part, with the ``residuals`` of the guard of ``eig_dense``,
-    which every pair passes.
+    the n x k block.  S = ``_m_frame(a)`` is built only once the LU of the
+    shift-invert solve is gone, and the k reflectors compress it in place
+    from both sides, O(n^2 k), without forming Q: on S itself (its
+    Fortran-ordered transpose, which is S again) in real arithmetic, on
+    one complex copy in complex arithmetic.  The trailing block is packed
+    in place to the front of that array, where ``_range_floor`` consumes
+    it, so a deflation holds one n x n array beside the operator.
+    ``lams`` are the eigenvalues of Lambda and ``vectors`` the unit
+    eigenvectors M^{-1/2} X0 W of A, sorted by real part, with the
+    ``residuals`` of the guard of ``eig_dense``, which every pair passes.
     """
     mat = a.entries
     n = mat.shape[0]
+    scale = _norm(mat, np.inf)
     root = np.sqrt(a.grid.r2_weights)[:, None]
     _, vecs = _shift_invert(mat, k, sigma)
     # a real eigenvector keeps the whole deflation in real arithmetic
@@ -212,16 +303,26 @@ def _deflate(a: OperatorMatrix, s, sigma: float, k: int):
     x0 = ormqr("L", "N", h, tau, np.eye(n, k, dtype=h.dtype), lwork)[0]
     bx0 = root * (mat @ (x0 / root))
     lam = x0.conj().T @ bx0
-    residual = np.linalg.norm(bx0 - x0 @ lam, 2) / np.linalg.norm(mat, np.inf)
+    residual = np.linalg.norm(bx0 - x0 @ lam, 2) / scale
+    s = _m_frame(a)
+    d = s.T if s.dtype == h.dtype else np.array(s, dtype=h.dtype, order="F")
+    del s
     adjoint = "C" if np.iscomplexobj(h) else "T"
-    d = ormqr("L", adjoint, h, tau, s.astype(h.dtype), lwork)[0]
-    d = ormqr("R", "N", h, tau, d, lwork)[0][k:, k:]
-    rest = _range_floor(d)
+    d = ormqr("L", adjoint, h, tau, d, lwork, overwrite_c=True)[0]
+    d = ormqr("R", "N", h, tau, d, lwork, overwrite_c=True)[0]
+    # pack the trailing block to the front of its buffer, column by column:
+    # column j lies past where its packed copy goes
+    m = n - k
+    flat = d.ravel(order="F")
+    for j in range(m):
+        flat[j * m:(j + 1) * m] = d[k:, k + j]
+    rest = _range_floor(flat[:m * m].reshape((m, m), order="F"))
+    del d, flat
     # a 1 x 1 block is its own eigendecomposition
     lams, w = (np.diag(lam), np.eye(1)) if k == 1 else scipy.linalg.eig(lam)
     vectors = (x0 @ w) / root
     vectors /= np.linalg.norm(vectors, axis=0)
-    res = _guard_residuals(mat, lams, vectors)
+    res = _guard_residuals(mat, lams, vectors, scale)
     order = np.argsort(lams.real)
     return (replace(rest, count=k, residual=float(residual)),
             lams[order].astype(complex), vectors[:, order], res[order])
@@ -229,13 +330,20 @@ def _deflate(a: OperatorMatrix, s, sigma: float, k: int):
 
 def _shift_invert(mat, k: int, sigma):
     """The k eigenpairs of ``mat`` nearest ``sigma`` by one shift-invert
-    Arnoldi solve (one LU of mat - sigma I) from the fixed start vector
-    ones(n); a real shift keeps a real matrix real, a complex shift needs
-    complex arithmetic."""
-    mat, sigma = (mat, np.real(sigma)) if np.imag(sigma) == 0.0 \
-        else (mat.astype(complex), sigma)
-    return scipy.sparse.linalg.eigs(mat, k=k, sigma=sigma,
-                                    v0=np.ones(mat.shape[0], mat.dtype))
+    Arnoldi solve from the fixed start vector ones(n), its solves on one
+    ``DenseLU`` of mat - sigma I, the one n x n array it makes.  A real
+    shift keeps a real matrix real; a complex shift needs complex
+    arithmetic, and ARPACK's complex shift-invert mode never multiplies by
+    the matrix, so a real one enters it as a complex linear operator and
+    is not copied."""
+    if np.imag(sigma) == 0.0:
+        sigma, op = np.real(sigma), mat
+    else:
+        op = scipy.sparse.linalg.LinearOperator(mat.shape, matvec=mat.__matmul__,
+                                                dtype=complex)
+    return scipy.sparse.linalg.eigs(op, k=k, sigma=sigma,
+                                    v0=np.ones(mat.shape[0], op.dtype),
+                                    OPinv=DenseLU(mat, sigma))
 
 
 def exponent_fits(values, lam, grid: RadialGrid):
@@ -378,11 +486,11 @@ def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
     n, m = mat.shape[0], cands.size
     if m >= n - 1:
         return eig_dense(a)[0], None
+    scale = _norm(mat, np.inf)
     found, worst = [], np.empty(m)
     for i, lam in enumerate(cands):
         mus, vecs = _shift_invert(mat, m, lam)
-        worst[i] = _guard_residuals(mat, mus, vecs).max() \
-            / np.linalg.norm(mat, np.inf)
+        worst[i] = _guard_residuals(mat, mus, vecs, scale).max() / scale
         found.extend(mus)
     merged = []
     for mu in found:
@@ -423,17 +531,15 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
     fine_key, *partner_keys = check_scan_grids(l, ladder)
     fine_grid = ladder[fine_key]
     op = assemble_Ll(l, fine_grid)
-    s = _m_frame(op)
-    floor = _range_floor(s)
+    floor = _range_floor(_m_frame(op))
     if floor.certifies(threshold):
         return Scan([], [], floor, floor, "floor")
     certificate, path = floor, "dense"
     for k in _DEFLATION_SIZES:
-        certificate, lams, vecs, residuals = _deflate(op, s, floor.nu, k)
+        certificate, lams, vecs, residuals = _deflate(op, floor.nu, k)
         if certificate.certifies(threshold):
             path = "deflation"
             break
-    del s   # before the full eigensolve, which would set the peak memory
     if path == "dense":
         lams, vecs, residuals = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
@@ -498,8 +604,12 @@ class ProjectionPair:
     path: str
     condition: float
 
+    @cached_property
+    def _weighted_left(self) -> np.ndarray:
+        return self.left.conj() * self.grid.r2_weights
+
     def coefficient(self, values):
-        return (self.left.conj() * self.grid.r2_weights) @ np.asarray(values)
+        return self._weighted_left @ np.asarray(values)
 
     def project_unstable(self, values) -> np.ndarray:
         return self.right * self.coefficient(values)
@@ -560,7 +670,7 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
     nearest the target is lam.
     """
     mat = a.entries
-    floor, lams, rights, _ = _deflate(a, _m_frame(a), target, 1)
+    floor, lams, rights, _ = _deflate(a, target, 1)
     lam = complex(lams[0])
     # the two members of a complex pair lie equally near a real target
     if not _same_eigenvalue(lam.conjugate(), lam):
@@ -568,7 +678,7 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
                            f"complex pair {lam!r} and {lam.conjugate()!r}")
     adjoint = mat.conj().T
     mus, lefts = _shift_invert(adjoint, 1, target)
-    _guard_residuals(adjoint, mus, lefts)
+    _guard_residuals(adjoint, mus, lefts, _norm(adjoint, np.inf))
     if not _same_eigenvalue(np.conj(mus[0]), lam):
         raise RuntimeError(f"the left solve found {np.conj(mus[0])!r}, "
                            f"the right solve {lam!r}")

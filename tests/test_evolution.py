@@ -1,6 +1,5 @@
 """Linear and nonlinear renormalized-flow integration."""
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,7 +171,7 @@ class TestStepRule:
 
     @pytest.mark.parametrize("flow, owner, name", [
         ("nonlinear", operators.BandMatrix, "solve"),
-        ("linear", scipy.linalg, "lu_solve")], ids=["banded", "dense"])
+        ("linear", operators.DenseLU, "solve")], ids=["banded", "dense"])
     def test_corrupted_solve_fails_the_defect_guard(self, grid, op0,
                                                     monkeypatch, flow, owner,
                                                     name):
@@ -189,14 +188,14 @@ class TestStepRule:
                                              monkeypatch):
         # the solves are checked a block at a time; the first bad step in
         # step order raises, also ahead of a norm overflow later in its block
-        solver = scipy.linalg.lu_solve
+        solver = operators.DenseLU.solve
         calls, bad = [], set()
 
         def off(*args, **kwargs):
             calls.append(None)
             return (1.0 + 1e-6 * (len(calls) in bad)) * solver(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_solve", off)
+        monkeypatch.setattr(operators.DenseLU, "solve", off)
         psi = RadialFunction(grid, profile.q(grid.nodes))
         bad.update((100, 120))
         with pytest.raises(evolution.EvolutionError,
@@ -260,8 +259,8 @@ def _count_solves(monkeypatch) -> dict:
 
     monkeypatch.setattr(operators.BandMatrix, "solve",
                         counted("banded", operators.BandMatrix.solve))
-    monkeypatch.setattr(scipy.linalg, "lu_solve",
-                        counted("dense", scipy.linalg.lu_solve))
+    monkeypatch.setattr(operators.DenseLU, "solve",
+                        counted("dense", operators.DenseLU.solve))
     monkeypatch.setattr(evolution, "_check_solve",
                         counted("check", evolution._check_solve))
     return calls
@@ -287,9 +286,9 @@ class TestBandedStepper:
                           operators.BandMatrix)
         # the linear flow of L_0 factors one dense n x n matrix
         shapes = []
-        factor = scipy.linalg.lu_factor
-        monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, *args, **kw:
-                            shapes.append(np.shape(a)) or factor(a, *args, **kw))
+        factor = operators.DenseLU.__init__
+        monkeypatch.setattr(operators.DenseLU, "__init__", lambda self, a, *args:
+                            shapes.append(np.shape(a)) or factor(self, a, *args))
         _five_steps("linear", grid, op0)
         assert shapes == [(grid.n, grid.n)]
 
@@ -650,19 +649,15 @@ class TestNonlinearFlow:
         h = r[1] - r[0]
         assert drift <= 10.0 * (h * h + dt * dt)
 
-    def test_steady_drift_holds_no_trace_sized_temporary(self):
+    def test_steady_drift_holds_no_trace_sized_temporary(self, traced_peak):
         # 2,001 states at n = 400: the drift and the trace's norms are taken
         # over blocks of rows, so the peak stays near the stored trace
         grid = make_grid(400, 40.0, "uniform")
-        acceptance.steady_drift_check(grid, 0.01, 0.1)   # first-call caches
-        tracemalloc.start()
-        try:
-            check, tr = acceptance.steady_drift_check(grid, 0.01, 20.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (check, tr), _, peak = traced_peak(
+            lambda: acceptance.steady_drift_check(grid, 0.01, 20.0), grid.n,
+            warmup=lambda: acceptance.steady_drift_check(grid, 0.01, 0.1))
         assert tr.states.shape == (2001, 400)
-        assert peak < 1.5 * tr.states.nbytes
+        assert peak * 8 * grid.n ** 2 < 1.5 * tr.states.nbytes
         # with the bits of the norms written out over the whole trace
         w = grid.r2_weights
         qv = profile.q(grid.nodes)

@@ -11,7 +11,7 @@ import scipy.linalg
 from ksmode import evolution, ggmt, operators, profile, spectra
 from ksmode.radial import (RadialFunction, cumulative_power_integral,
                            deriv_stencil, make_grid, panel_coefficients,
-                           PrefixIntegral, three_point)
+                           PrefixIntegral, ThreePoint, three_point)
 
 
 def geometric_grid(n, rmax, growth=30.0):
@@ -100,6 +100,40 @@ class TestFdMatrices:
 def v1(r):
     """Potential V1(r) = -d/dr ( r^{-1} D_2^{-1} Q ) = 8r/(r^2+2)^2."""
     return 8.0 * r / (r * r + 2.0) ** 2
+
+
+class TestDenseLU:
+    """The factor-once dense solve against scipy's lu_factor and lu_solve of
+    the same matrix, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def a(self):
+        return operators.assemble_Ll(1, make_grid(200, 40.0, "uniform")).entries
+
+    @pytest.mark.parametrize("shift", [0.0, -0.5, -0.5 + 0.25j])
+    def test_solve_is_lu_solve(self, a, shift):
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal(a.shape[0])
+        shifted = a - shift * np.eye(a.shape[0])
+        lu = operators.DenseLU(a, shift)
+        assert lu.dtype == shifted.dtype and lu.shape == a.shape
+        factor = scipy.linalg.lu_factor(shifted)
+        for b in (rhs, rhs + 1j * rng.standard_normal(a.shape[0])):
+            assert np.array_equal(lu.solve(b), scipy.linalg.lu_solve(factor, b))
+            assert np.array_equal(lu.matvec(b), lu.solve(b))
+
+    def test_a_transposed_view_is_factored_as_its_values(self, a):
+        rhs = np.ones(a.shape[0])
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a.T.copy()), rhs)
+        assert np.array_equal(operators.DenseLU(a.T).solve(rhs), want)
+
+    def test_bad_matrices_are_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            operators.DenseLU(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+            operators.DenseLU(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            operators.DenseLU(np.eye(3), 1.0)
 
 
 class TestTildeLlAlpha:
@@ -368,7 +402,8 @@ class TestCumulativeBlocks:
 
 def dense_fd_matrix(grid, order, l):
     h = grid.cell_spacings()
-    wl, wc, wr = (three_point(order, *unit, h[:-1], h[1:]) for unit in np.eye(3))
+    spacing = ThreePoint(h[:-1], h[1:])
+    wl, wc, wr = (three_point(order, *unit, spacing) for unit in np.eye(3))
     a = np.diag(wl[1:], -1) + np.diag(wc) + np.diag(wr[:-1], 1)
     ghost = operators._origin_ghost_coeffs(grid, l)
     a[0, :ghost.size] += wl[0] * ghost

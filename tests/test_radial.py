@@ -293,6 +293,28 @@ class TestGridMemo:
         assert np.array_equal(grid.build_once("ggmt.q_r2", ggmt._q_r2),
                               profile.q(r) * r * r)
 
+    def test_three_point_spacings_are_the_stencil_products(self, grid):
+        # fd_deriv and the derivative matrices read the grid's spacing
+        # factors, with the bits of the stencil on the raw spacings
+        h = grid.cell_spacings()
+        hm, hp = h[:-1], h[1:]
+        spacing = grid.three_point_spacings()
+        assert spacing is grid.three_point_spacings()
+        want = {"hm": hm, "hp": hp, "hm2": hm * hm, "hp2_hm2": hp * hp - hm * hm,
+                "hp2": hp * hp, "hsum": hm + hp, "denom": hm * hp * (hm + hp)}
+        assert vars(spacing).keys() == want.keys()
+        for name, value in want.items():
+            assert np.array_equal(getattr(spacing, name), value)
+            assert np.array_equal(getattr(spacing.interior(), name), value[1:-1])
+        r, f = grid.nodes, class3_bump(grid)
+        hm, hp = r[1:-1] - r[:-2], r[2:] - r[1:-1]
+        d1 = (hm * hm * f[2:] + (hp * hp - hm * hm) * f[1:-1]
+              - hp * hp * f[:-2]) / (hm * hp * (hm + hp))
+        d2 = 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) \
+            / (hm * hp * (hm + hp))
+        assert np.array_equal(fd_deriv(f, grid, 1)[1:-1], d1)
+        assert np.array_equal(fd_deriv(f, grid, 2)[1:-1], d2)
+
     def test_keys_normalize(self, grid):
         assert grid.prefix_integral(3, 1) is grid.prefix_integral(3.0, 1.0)
         assert grid.panels(3) is grid.panels(3.0)

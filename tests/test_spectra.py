@@ -1,13 +1,11 @@
 """Eigensolving, the spurious-mode filters and the discrete projections."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from ksmode import acceptance, evolution, operators, profile, spectra
+from ksmode import acceptance, evolution, operators, profile, radial, spectra
 from ksmode.radial import make_grid
 
 
@@ -372,11 +370,10 @@ class TestDeflation:
         certified = 0
         for grid in ladder.values():
             a = operators.assemble_Ll(l, grid)
-            s = spectra._m_frame(a)
-            nu = spectra._range_floor(s).nu
+            nu = range_floor(a).nu
             full, full_vecs, _ = spectra.eig_dense(a)
             for k in spectra._DEFLATION_SIZES:
-                deflated, lams, vecs, _ = spectra._deflate(a, s, nu, k)
+                deflated, lams, vecs, _ = spectra._deflate(a, nu, k)
                 if not deflated.certifies(threshold):
                     continue
                 certified += 1
@@ -403,8 +400,7 @@ class TestDeflation:
         # member of the pair: the deflation runs in complex arithmetic, and
         # the conjugate left behind keeps the floor below it
         a = operators.assemble_Ll(2, small_ladder()[(400, 40.0)])
-        s = spectra._m_frame(a)
-        deflated, lams, vecs, _ = spectra._deflate(a, s, 1.508, 1)
+        deflated, lams, vecs, _ = spectra._deflate(a, 1.508, 1)
         full, _, _ = spectra.eig_dense(a)
         assert abs(lams[0].imag) > 0.6 and np.iscomplexobj(vecs)
         assert np.min(np.abs(full - lams[0])) <= 1e-9
@@ -432,55 +428,81 @@ class TestDeflation:
         # the scan reports the residual the guard of _deflate computed
         rep = l0_scan.accepted[0]
         a = operators.assemble_Ll(0, rep.grid)
-        s = spectra._m_frame(a)
-        _, _, vecs, res = spectra._deflate(a, s, spectra._range_floor(s).nu, 1)
+        _, _, vecs, res = spectra._deflate(a, range_floor(a).nu, 1)
         assert np.array_equal(rep.vector, vecs[:, 0])
         assert rep.residual == res[0]
 
 
+@pytest.mark.parametrize("sigma", [-0.9, 1.508 + 0.65j])
+def test_shift_invert_is_plain_eigs(sigma):
+    # the factor-once solve hands ARPACK the bits of eigs' own LU of
+    # A - sigma I; a complex shift ran on a complex copy of A
+    a = operators.assemble_Ll(2, small_ladder()[(200, 40.0)]).entries
+    mat = a if np.imag(sigma) == 0.0 else a.astype(complex)
+    want = scipy.sparse.linalg.eigs(mat, k=2, sigma=sigma,
+                                    v0=np.ones(a.shape[0], mat.dtype))
+    for got, ref in zip(spectra._shift_invert(a, 2, sigma), want):
+        assert np.array_equal(got, ref)
+
+
 class TestFrameMemory:
-    """B = M^{1/2} A M^{-1/2} is applied, never formed: the n x n arrays
-    (8 n^2 bytes each) of the frame and of a deflation on the finest grid of
-    the pinned ladder."""
+    """B = M^{1/2} A M^{-1/2} is applied, never formed, and each n x n array
+    the scan makes is the one work array it consumes: peaks in units of one
+    n x n float matrix (8 n^2 bytes) beyond the operator, on the finest
+    grid of the pinned ladder."""
 
     @pytest.fixture(scope="class")
     def op(self):
         return operators.assemble_Ll(0, spectra.refinement_ladder()[(800, 80.0)])
 
-    def test_frame_is_s_alone(self, op):
+    def test_frame_is_s_alone(self, op, traced_peak):
         n = op.grid.n
-        spectra._m_frame(op)   # first-call caches
-        tracemalloc.start()
-        try:
-            s = spectra._m_frame(op)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        s, kept, peak = traced_peak(lambda: spectra._m_frame(op), n)
         root = np.sqrt(op.grid.r2_weights)
         b = root[:, None] * op.entries / root[None, :]
         assert np.array_equal(s, 0.5 * (b + b.T))
-        # S is kept; S and one temporary are its only n x n arrays, beside
-        # n-vectors and the ufunc buffer
-        assert kept <= 8 * n ** 2 + 2 ** 17
-        assert peak <= 2 * 8 * n ** 2 + 2 ** 17
+        # S is kept and is its only n x n array: beside it n-vectors, the
+        # ufunc buffer and one block of rows of the symmetrization
+        buffer, block = 2 ** 17 / (8 * n ** 2), radial._NORM_BLOCK / n ** 2
+        assert kept <= 1 + buffer
+        assert peak <= 1 + block + buffer
 
-    def test_deflation_copies_only_s(self, op):
+    def test_deflation_copies_only_s(self, op, traced_peak):
         n = op.grid.n
-        s = spectra._m_frame(op)
-        nu = spectra._range_floor(s).nu
-        spectra._deflate(op, s, nu, 1)   # first-call caches
-        tracemalloc.start()
-        try:
-            _, _, vecs, _ = spectra._deflate(op, s, nu, 1)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert vecs.shape == (n, 1) and kept < 8 * n ** 2
-        # two n x n arrays at a time: the shift-invert LU (a copy of
-        # A - sigma I and its factors), then the copy of S that the
-        # reflectors compress and eigh's copy of its trailing block; a B
-        # kept beside them would be a third
-        assert peak < 2.5 * 8 * n ** 2
+        nu = range_floor(op).nu
+        (_, _, vecs, _), kept, peak = traced_peak(
+            lambda: spectra._deflate(op, nu, 1), n)
+        assert vecs.shape == (n, 1) and kept < 1
+        # one n x n array at a time: the LU of the shift-invert solve, then
+        # S, which the reflectors compress and the floor consumes in place
+        assert peak <= 1.25
+
+    def test_mode_report_holds_one_work_array(self, op, traced_peak):
+        # the deflation, then the LU of the left solve on A^H
+        mode, _, peak = traced_peak(lambda: spectra.mode_report(op, -1.0),
+                                    op.grid.n)
+        assert mode.path == "deflation"
+        assert peak <= 1.25
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_scan_holds_the_operator_and_one_work_array(self, l, traced_peak):
+        # the scan assembles its operator, so the operator counts here; l = 0
+        # deflates and solves its partner grids, l = 2 stops at the floor,
+        # and the assembly of L_2 holds two n x n arrays itself
+        ladder = spectra.refinement_ladder()
+        scan, _, peak = traced_peak(
+            lambda: spectra.unstable_scan_detailed(l, ladder=ladder), 800)
+        assert scan.path == ("deflation" if l == 0 else "floor")
+        assert peak <= 2.25
+
+    def test_dense_eigensolve_holds_its_vectors_and_eigs_copies(
+            self, traced_peak):
+        # the complex eigenvectors are two n x n arrays; scipy's eig holds a
+        # third beside them, the guard and the sort only blocks of rows
+        a = operators.assemble_Ll(0, spectra.refinement_ladder()[(400, 80.0)])
+        (_, vecs, _), _, peak = traced_peak(lambda: spectra.eig_dense(a), 400)
+        assert np.iscomplexobj(vecs)
+        assert peak <= 3.25
 
 
 class TestMatchNearest:
@@ -571,7 +593,7 @@ class TestProjection:
 
     def test_records_its_isolation_and_condition(self, proj):
         pair, a = proj
-        floor = spectra._deflate(a, spectra._m_frame(a), -1.0, 1)[0]
+        floor = spectra._deflate(a, -1.0, 1)[0]
         assert pair.floor == floor and floor.certifies(0.0)
         assert pair.path == "deflation"
         _, right, left = _dense_mode(a, -1.0)
@@ -667,14 +689,13 @@ class TestModeReportOracle:
 
     def test_left_solve_must_find_the_same_eigenvalue(self, monkeypatch):
         a, target = mode_operator(200, "L0")
-        eigs = scipy.sparse.linalg.eigs
+        shift_invert = spectra._shift_invert
 
-        def elsewhere(mat, *args, sigma, **kwargs):
+        def elsewhere(mat, k, sigma):
             # the left solve (on A^H) finds a genuine pair near 0.5 instead
-            return eigs(mat, *args, sigma=sigma if mat is a.entries else 0.5,
-                        **kwargs)
+            return shift_invert(mat, k, sigma if mat is a.entries else 0.5)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", elsewhere)
+        monkeypatch.setattr(spectra, "_shift_invert", elsewhere)
         with pytest.raises(RuntimeError, match="the left solve found"):
             spectra.mode_report(a, target)
 
