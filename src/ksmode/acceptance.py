@@ -215,7 +215,7 @@ def shooting_setup(grid):
 def shooting_checks(res, size: float) -> list[Check]:
     """A shooting run from data of size ``size`` converged to a small a_star."""
     return [
-        Check("shooting bisection converged", "evolution.shoot_conv",
+        Check("shooting converged", "evolution.shoot_conv",
               res.a_star, 0.0, res.converged),
         _at_most("matched amplitude", "evolution.shoot_astar",
                  abs(res.a_star), 0.1 * max(size, 1e-12)),

@@ -26,10 +26,9 @@ back to the profile, the desk-scale analog of the stable-manifold matching.
 Its searches run in lockstep, each round integrating the runs every search
 needs next as one batch, and the unperturbed reference run rides as row 0
 of the first; each search is one generator (_search, which describes it)
-that the driver sends its departures.  A search solves for its root by
-Newton and secant steps from its first run that stays in the tube, and
-each secant round also integrates the final bracket its root replays to,
-so criterion 8's two searches take 3 rounds, not a bisection's 14.
+that the driver sends its departures.  A search solves for the root of
+the scaling-mode coefficient at the horizon by secant steps kept inside
+its sign bracket, so criterion 8's two searches take 2 rounds.
 
 Evolution grids default to uniform spacing: the flux term is explicit, so
 node clustering near the origin would only tighten its CFL restriction.
@@ -59,12 +58,9 @@ __all__ = [
 _SOLVE_TOL = 1e-10
 _NEGATIVITY_TOL = 1e-8  # relative undershoot below zero that fails a step
 _TUBE_FACTOR = 10.0     # shooting tube radius in units of the initial deviation
-_WIDTH_TOL = 1e-8       # shooting bisection stops at this fraction of the bracket
+_WIDTH_TOL = 1e-8       # shooting stops at a step below this fraction of the bracket
 _NEWTON_TOL = 1e-12     # steady-state Newton residual, relative to max |Q|
 _NEWTON_MAX_ITER = 12
-_LOOKAHEAD = 2          # bisection levels each shooting round integrates
-_SECANT_RUNS = 6        # most secant runs of a shooting search before its replay
-_SECANT_TOL = 1e-3      # secant stops at a step below this fraction of the final width
 _JACOBIAN_ROWS = 32     # flux-Jacobian columns per row-batched flux call
 _CHECK_BLOCK = 64       # linear steps whose solve defects one product checks
 # Value limit of a stored trace.  The nonlinear flow keeps every state,
@@ -95,14 +91,13 @@ class EvolutionTrace:
 @dataclass
 class ShootingResult:
     a_star: float
-    bracket_width: float
+    step: float               # size of the step the search stopped at
     converged: bool
     departure_sign_low: int
     departure_sign_high: int
-    # (a, departure sign, exit tau or None) of every run the search used, in
-    # order: the bracket ends and each bisection level walked while runs left
-    # the tube, then the secant iterates and the final lo, hi and a_star (or,
-    # after a failed confirmation, the remaining levels and a_star)
+    # (a, departure sign, exit tau or None) of every run, in the order the
+    # search integrated them: the bracket ends, its midpoint m and m + delta,
+    # then one run a round; a_star is the last
     trail: list
     max_solve_defect: float   # largest relative implicit-solve defect
     rounds: int               # batched rounds of integration the search took
@@ -597,164 +592,80 @@ def _departures(run: _ImexRows, rows: np.ndarray, tubes: np.ndarray,
     return out
 
 
-def _lookahead(lo: float, hi: float, depth: int) -> list:
-    """Every midpoint the next ``depth`` bisection levels of [lo, hi] can use."""
-    if depth == 0:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid] + _lookahead(lo, mid, depth - 1) + _lookahead(mid, hi, depth - 1)
-
-
-def _walk(lo: float, hi: float, stop: float, below, levels=None) -> tuple:
-    """Bisection levels of [lo, hi], at most ``levels`` of them, until the
-    bracket is no wider than ``stop``: each midpoint replaces lo when
-    ``below(mid)`` is true and hi otherwise.  The final (lo, hi)."""
-    walked = 0
-    while hi - lo > stop and walked != levels:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        walked += 1
-    return lo, hi
-
-
-def _search(lo: float, hi: float, slope: float):
+def _search(lo: float, hi: float, slope: float, tube: float):
     """One shooting search over the bracket [lo, hi], as a generator.
 
     It yields the amplitudes each round must integrate, is sent that
     round's departures, ``{a: (sign, coefficient, exit tau, defect)}``, and
-    returns its ShootingResult; ``slope`` is the linear dc/da of the
-    scaling-mode coefficient c at the horizon.  a_star is the midpoint of
-    the first bisection bracket no wider than _WIDTH_TOL times the initial
-    width.  The result's max_solve_defect covers the runs the search used
-    and the midpoints it integrated ahead; the driver adds the reference
-    run's.
+    returns its ShootingResult.  The search solves c(a) = 0 for the
+    scaling-mode coefficient c at the horizon; ``slope`` is the linear
+    dc/da and ``tube`` the runs' tube radius.
 
-    The search is one bisection walk (_walk) whose signs come from two
-    places.  While runs leave the tube, each midpoint takes its own run's
-    departure sign, and a round integrates the midpoints of the next
-    _LOOKAHEAD levels (the first round the bracket ends too), so the walk
-    is the one a one-run-at-a-time bisection makes.  Once either end of
-    the walked bracket stays in the tube to the horizon, the search solves
-    c(a) = 0 at the horizon, one run a round, each step kept inside the
-    sign bracket of c (Brent's safeguard: a step outside it bisects).  With
-    both ends in the tube the first step is a secant step through them;
-    with one, a Newton step of ``slope`` from that end (the other end's
-    coefficient is taken at its exit, not at the horizon).  Secant steps
-    follow.  The search then replays the remaining levels with each
-    midpoint's sign taken from its side of that root, and confirms the
-    final bracket with real runs: lo must have the low end's sign, hi the
-    high end's, and a_star must stay in the tube.  Each secant round also
-    integrates the final lo, hi and a_star its own root replays to; when
-    the root the secant stops at replays to the same bracket, those runs
-    confirm it, and otherwise one more round integrates them.  (A Newton
-    root lies outside the final bracket, so its round integrates it
-    alone.)  The replay walks the bisection's own levels only if the
-    departure sign changes once across the bracket the secant starts from,
-    and the confirmation checks that at the final bracket only.  When it
-    fails, or a secant run leaves the tube, the walk resumes on run signs
-    from the bracket the secant started at.
+    The first round integrates the bracket ends, which must be ordered and
+    give opposite departure signs (ValueError otherwise), its midpoint m
+    and m + delta, delta = 0.01 tube / |slope| (at most a quarter of the
+    bracket): c moves by a hundredth of the tube across the pair, so near
+    the root both stay in the tube.  Each later round integrates one
+    amplitude: the secant root of the last two runs that stayed in the
+    tube, or, with one such run, a Newton step of ``slope`` from it.  The
+    departure signs keep a sign bracket of the root, closed at its ends
+    (Brent's safeguard): the search bisects it when no in-tube run gives a
+    step, when the step leaves it, or when the bracket has not halved over
+    the last two rounds, so every search ends.  It stops once the next
+    step is no larger than _WIDTH_TOL times the width of [lo, hi]; a_star
+    is then the last run, converged when that run stayed in the tube.
+    The result's max_solve_defect covers the search's runs; the driver
+    adds the reference run's.
     """
+    if not lo < hi:
+        raise ValueError(f"shooting bracket ({lo}, {hi}) is empty")
     stop = _WIDTH_TOL * (hi - lo)
-    runs = {}   # (sign, coefficient, exit tau, defect) by amplitude
+    mid, quarter = 0.5 * (lo + hi), 0.25 * (hi - lo)
+    delta = min(0.01 * tube / abs(slope), quarter) if slope else quarter
+    amplitudes = [lo, hi, mid, mid + delta]
     trail = []
+    in_tube = []   # (a, c) of the runs that stayed in the tube, in order
+    low, high = lo, hi   # sign bracket of the root
+    widths = [np.inf, hi - lo]   # of the sign bracket, round by round
+    worst = 0.0
     rounds = 0
-
-    def integrate(amplitudes, spare=()):
-        """One round: yield ``amplitudes`` and ``spare``, keep the runs of
-        ``amplitudes`` and return those of ``spare``."""
-        nonlocal rounds
-        rounds += 1
-        sent = yield [*amplitudes, *spare]
-        runs.update((a, sent[a]) for a in amplitudes)
-        return {a: sent[a] for a in spare}
-
-    def use(a):
-        """Add the run of ``a`` to the trail; its (sign, exit tau)."""
-        sign, _, tau, _ = runs[a]
-        trail.append((a, sign, tau))
-        return sign, tau
-
-    def result(a_star, width, tau):
-        return ShootingResult(
-            a_star=a_star, bracket_width=width, converged=tau is None,
-            departure_sign_low=sign_lo, departure_sign_high=sign_hi, trail=trail,
-            max_solve_defect=max(run[3] for run in runs.values()),
-            rounds=rounds)
-
-    def secant(lo, hi):
-        """Steps on c from the bracket [lo, hi], one end or both in the
-        tube, the walk replayed from their root and its final bracket
-        confirmed: the ShootingResult, or None when a run leaves the tube
-        or the confirmation fails."""
-
-        def final(root):
-            """The final lo, hi and a_star the replay from ``root`` gives."""
-            end_lo, end_hi = _walk(lo, hi, stop, lambda mid: mid < root)
-            return end_lo, end_hi, 0.5 * (end_lo + end_hi)
-
-        low, high = lo, hi   # sign bracket of the root
-        in_tube = [a for a in (lo, hi) if runs[a][2] is None]
-        # the previous and the last iterate: no previous one before a
-        # Newton step from a lone in-tube end
-        a0, a1 = in_tube if len(in_tube) == 2 else (None, in_tube[0])
-        ahead, spare = None, {}   # the last secant round's final bracket
-        for _ in range(_SECANT_RUNS):
-            c1 = runs[a1][1]
-            if a0 is None:
-                root = a1 - c1 / slope if slope else np.nan
-            else:
-                c0 = runs[a0][1]
-                root = a1 - c1 * (a1 - a0) / (c1 - c0) if c1 != c0 else np.nan
-            if not low <= root <= high:
-                root = 0.5 * (low + high)
-            if abs(root - a1) <= _SECANT_TOL * stop:
-                break
-            ahead = final(root) if a0 is not None else None
-            spare = yield from integrate([root], ahead or ())
-            sign, tau = use(root)
-            if tau is not None:
-                return None
-            if sign == sign_lo:
-                low = root
-            else:
-                high = root
-            a0, a1 = a1, root
-        end = final(root)
-        if end == ahead:
-            runs.update(spare)
-        else:
-            yield from integrate(end)
-        signs = use(end[0])[0], use(end[1])[0]
-        tau = use(end[2])[1]
-        if signs == (sign_lo, sign_hi) and tau is None:
-            return result(end[2], end[1] - end[0], tau)
-        return None
-
-    wanted = [lo, hi] + _lookahead(lo, hi, _LOOKAHEAD)
-    yield from integrate(wanted)
-    sign_lo, sign_hi = use(lo)[0], use(hi)[0]
-    if sign_lo == sign_hi:
-        raise ValueError(f"departure sign {sign_lo} identical "
-                         "at both bracket ends")
-    secant_tried = False   # a search takes the secant path at most once
     while True:
-        lo, hi = _walk(lo, hi, stop, lambda mid: use(mid)[0] == sign_lo,
-                       _LOOKAHEAD)
-        a_star = 0.5 * (lo + hi)
-        # the walk stopped short of _LOOKAHEAD levels at the final bracket,
-        # whose midpoint this round integrated
-        if a_star in wanted:
-            return result(a_star, hi - lo, use(a_star)[1])
-        if not secant_tried and (runs[lo][2] is None or runs[hi][2] is None):
-            secant_tried = True
-            found = yield from secant(lo, hi)
-            if found is not None:
-                return found
-        wanted = _lookahead(lo, hi, _LOOKAHEAD)
-        yield from integrate(wanted)
+        runs = yield amplitudes
+        rounds += 1
+        if rounds == 1:
+            sign_lo, sign_hi = runs[lo][0], runs[hi][0]
+            if sign_lo == sign_hi:
+                raise ValueError(f"departure sign {sign_lo} identical "
+                                 "at both bracket ends")
+        for a in amplitudes:
+            sign, coef, tau, defect = runs[a]
+            trail.append((a, sign, tau))
+            worst = max(worst, defect)
+            if tau is None:
+                in_tube.append((a, coef))
+            if low < a < high:
+                if sign == sign_lo:
+                    low = a
+                else:
+                    high = a
+        widths.append(high - low)
+        root = np.nan
+        if len(in_tube) > 1:
+            (a0, c0), (a1, c1) = in_tube[-2:]
+            if c1 != c0:   # in this form a root on a run is that run exactly
+                root = a1 - (a1 - a0) * (c1 / (c1 - c0))
+        elif in_tube and slope:
+            (a1, c1), = in_tube
+            root = a1 - c1 / slope
+        if not low <= root <= high or widths[-1] > 0.5 * widths[-3]:
+            root = 0.5 * (low + high)
+        last, _, tau = trail[-1]
+        if abs(root - last) <= stop:
+            return ShootingResult(
+                a_star=last, step=abs(root - last), converged=tau is None,
+                departure_sign_low=sign_lo, departure_sign_high=sign_hi,
+                trail=trail, max_solve_defect=worst, rounds=rounds)
+        amplitudes = [root]
 
 
 def shoot_stable_manifold(stable_perturbations, bracket, projection,
@@ -772,20 +683,18 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     which the reference flow is stationary; ``projection`` should then come
     from the linearization ``discrete_steady_profile`` returns with it, so
     that the prepared data is stable for the discrete dynamics that
-    actually run.  The bracket must produce opposite departure signs; the
-    result is the bisection's: a_star is the midpoint of the first bracket
-    no wider than ``_WIDTH_TOL`` times the initial width, and it is
+    actually run.  The bracket must produce opposite departure signs.
+    a_star is the root of the scaling-mode coefficient at the horizon to
+    within a step of ``_WIDTH_TOL`` times the bracket width, and it is
     converged when that amplitude stays in the tube for the whole horizon.
 
-    Each search is the generator _search, whose docstring describes it: a
-    bisection whose signs come from the runs while they leave the tube and
-    from a Newton-secant root once either bracket end stays in it,
-    confirmed by real runs at the final bracket, which ride with the
-    secant steps.  The Newton step's slope is the linear one,
-    dc/da = kappa e^{-lam horizon}: kappa is the ``projection`` coefficient
-    of the unit scaling direction and lam its eigenvalue.  Each result
-    counts the batched rounds its search took, and its max_solve_defect
-    includes the reference run's.
+    Each search is the generator _search, whose docstring describes it:
+    secant steps on that coefficient, kept inside the sign bracket of the
+    departures.  The Newton step's slope, which also spaces the first
+    secant pair, is the linear one, dc/da = kappa e^{-lam horizon}: kappa
+    is the ``projection`` coefficient of the unit scaling direction and
+    lam its eigenvalue.  Each result counts the batched rounds its search
+    took, and its max_solve_defect includes the reference run's.
 
     The searches run in lockstep against one reference trajectory: each
     round integrates, as one batch, the runs every unfinished search needs
@@ -803,13 +712,13 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     run = _ImexRows(grid, dt)
     lo, hi = float(bracket[0]), float(bracket[1])
     eps = [eps_s0.values for eps_s0 in stable_perturbations]
-    # a zero perturbation sizes its tube by the final bracket width instead
-    tubes = [_TUBE_FACTOR * (grid.norm(e) or _WIDTH_TOL * (hi - lo))
+    # a zero perturbation sizes its tube by the search's stopping step instead
+    tubes = [_TUBE_FACTOR * float(grid.norm(e) or _WIDTH_TOL * (hi - lo))
              for e in eps]
     # the Newton slope dc/da = kappa e^{-lam horizon}
     slope = float(np.real(projection.coefficient(lam_q)
                           * np.exp(-projection.lam * horizon)))
-    searches = [_search(lo, hi, slope) for _ in eps]
+    searches = [_search(lo, hi, slope, tube) for tube in tubes]
     results = [None] * len(searches)
     # the reference trajectory, written by row 0 of the first round
     ref_states = np.empty((n_steps + 1, grid.n))

@@ -41,9 +41,10 @@ Memory, not arithmetic, limits the grids: every n x n array the scan makes
 is the one work array of its step, beside the operator.  A shift-invert
 solve factors one copy of A - sigma I (operators.DenseLU); the frame S is
 built only after that factor is gone, compressed and packed in place, and
-consumed by the floor's eigensolve; the norms and the residual guard work
-over blocks of rows or columns.  The dense fallback holds its
-eigenvectors alone beside the operator once scipy's eig returns.
+consumed by the floor's eigensolve; the norms are LAPACK's lange, with no
+temporary, and the residual guard works over blocks of rows or columns.
+The dense fallback holds its eigenvectors alone beside the operator once
+scipy's eig returns.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def eig_dense(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     lams, vecs = scipy.linalg.eig(mat)
-    res = _guard_residuals(mat, lams, vecs, _norm(mat, np.inf))
+    res = _guard_residuals(mat, lams, vecs, scipy.linalg.norm(
+        mat, np.inf, check_finite=False))
     order = np.argsort(lams.real)
     # sort the columns in place, a block of rows at a time
     for rows in row_blocks(vecs):
@@ -195,31 +197,6 @@ class RangeFloor:
         return self.residual <= _RESIDUAL_TOL and self.nu - self.margin > threshold
 
 
-def _norm(mat, ord) -> float:
-    """np.linalg.norm(mat, ord) for ord 1 or inf, bit for bit, holding no
-    temporary larger than a block of ``radial.row_blocks``.
-
-    numpy sums |m_ij| along the axis of the norm: pairwise within a line
-    that is contiguous in memory, line after line in order across lines
-    that are not.  Both orders are kept on the rows of the C-ordered base
-    of ``mat`` (``mat`` itself, or ``mat.T`` of a Fortran-ordered one):
-    each row is summed alone, or the rows are added one by one, each
-    block of them after the running sums of the blocks before.
-    """
-    base = mat if mat.flags.c_contiguous else mat.T
-    if (ord == np.inf) == (base is mat):
-        sums = np.concatenate([np.abs(rows).sum(axis=1)
-                               for rows in row_blocks(base)])
-    else:
-        sums = np.zeros(base.shape[1])
-        for rows in row_blocks(base):
-            work = np.empty((len(rows) + 1, base.shape[1]))
-            work[0] = sums
-            np.abs(rows, out=work[1:])
-            np.add.reduce(work, axis=0, out=sums)
-    return np.max(sums)
-
-
 def _m_frame(a: OperatorMatrix) -> np.ndarray:
     """The M-Hermitian part S = (B + B^T)/2 of B = M^{1/2} A M^{-1/2}, with
     M = diag(grid.r2_weights) of the operator's grid; B is scaled in place
@@ -255,7 +232,8 @@ def _range_floor(s) -> RangeFloor:
     itself, a C-ordered one (real symmetric, as ``_m_frame`` makes it)
     through its transpose, which is ``s`` again.
     """
-    margin = s.shape[0] * np.finfo(float).eps * _norm(s, 1)
+    margin = s.shape[0] * np.finfo(float).eps * scipy.linalg.norm(
+        s, 1, check_finite=False)
     frame = s if s.flags.f_contiguous else s.T
     nu = scipy.linalg.eigh(frame, subset_by_index=[0, 0], eigvals_only=True,
                            overwrite_a=True)[0]
@@ -292,7 +270,7 @@ def _deflate(a: OperatorMatrix, sigma: float, k: int):
     """
     mat = a.entries
     n = mat.shape[0]
-    scale = _norm(mat, np.inf)
+    scale = scipy.linalg.norm(mat, np.inf, check_finite=False)
     root = np.sqrt(a.grid.r2_weights)[:, None]
     _, vecs = _shift_invert(mat, k, sigma)
     # a real eigenvector keeps the whole deflation in real arithmetic
@@ -486,7 +464,7 @@ def _nearest_eigenvalues(a: OperatorMatrix, cands: np.ndarray):
     n, m = mat.shape[0], cands.size
     if m >= n - 1:
         return eig_dense(a)[0], None
-    scale = _norm(mat, np.inf)
+    scale = scipy.linalg.norm(mat, np.inf, check_finite=False)
     found, worst = [], np.empty(m)
     for i, lam in enumerate(cands):
         mus, vecs = _shift_invert(mat, m, lam)
@@ -678,7 +656,8 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
                            f"complex pair {lam!r} and {lam.conjugate()!r}")
     adjoint = mat.conj().T
     mus, lefts = _shift_invert(adjoint, 1, target)
-    _guard_residuals(adjoint, mus, lefts, _norm(adjoint, np.inf))
+    _guard_residuals(adjoint, mus, lefts, scipy.linalg.norm(
+        adjoint, np.inf, check_finite=False))
     if not _same_eigenvalue(np.conj(mus[0]), lam):
         raise RuntimeError(f"the left solve found {np.conj(mus[0])!r}, "
                            f"the right solve {lam!r}")

@@ -586,7 +586,7 @@ def test_shoot_bracket_and_bound_scale_with_the_amplitude_size(
         trail = [(bracket[0], -1, 0.5), (bracket[1], 1, 0.75),
                  (0.05 * abs(amp), 1, None)]
         return [evolution.ShootingResult(a_star=0.05 * abs(amp),
-                                         bracket_width=1e-9, converged=True,
+                                         step=1e-9, converged=True,
                                          departure_sign_low=-1,
                                          departure_sign_high=1, trail=trail,
                                          max_solve_defect=1e-17, rounds=2)]
@@ -601,11 +601,12 @@ def test_shoot_bracket_and_bound_scale_with_the_amplitude_size(
     (bound,) = [c for c in summary["checks"]
                 if c["tag"] == "evolution.shoot_astar"]
     assert bound["tolerance"] == 0.1 * abs(amp)
-    # the bisection trail and the solve guard reach the report
+    # the search's trail and the solve guard reach the report
     assert summary["details"]["trail"] == [
         [-4.0 * size, -1, 0.5], [4.0 * size, 1, 0.75],
         [0.05 * abs(amp), 1, None]]
     assert summary["details"]["max_solve_defect"] == 1e-17
+    assert summary["details"]["step"] == 1e-9
     assert summary["details"]["rounds"] == 2
 
 

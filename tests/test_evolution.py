@@ -760,35 +760,44 @@ def shooting_setup(grid):
 
 
 @pytest.fixture(scope="module")
-def shoot_bump(grid, shooting_setup):
-    """One shooting of a 1e-3 stable bump over (-2e-3, 2e-3) to tau = 2; its
-    bracket ends stay in the tube from the second level on, so the secant
-    path engages."""
-    qh, projf = shooting_setup
+def unit_bump(grid, shooting_setup):
+    """The stable bump exp(-(r - 4)^2), of size 1e-3."""
+    _, projf = shooting_setup
     bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
-    bump *= 1e-3 / grid.norm(bump)
+    return bump * (1e-3 / grid.norm(bump))
+
+
+@pytest.fixture(scope="module")
+def shoot_bump(grid, shooting_setup, unit_bump):
+    """One shooting of a 1e-3 stable bump over (-2e-3, 2e-3) to tau = 2."""
+    qh, projf = shooting_setup
 
     def shoot():
         return evolution.shoot_stable_manifold(
-            [RadialFunction(grid, bump)], (-2e-3, 2e-3), projf, dt=0.02,
+            [RadialFunction(grid, unit_bump)], (-2e-3, 2e-3), projf, dt=0.02,
             horizon=2.0, base_profile=qh)[0]
     return shoot
 
 
-def _fields(res):
-    """Every ShootingResult field the bisection's walk fixes."""
-    return (res.a_star, res.bracket_width, res.converged,
-            res.departure_sign_low, res.departure_sign_high)
+def _assert_near_the_bisection(res, plain):
+    """a* within one final bisection width of the plain bisection's, with
+    its convergence and its departure signs."""
+    assert abs(res.a_star - plain.a_star) <= plain.step
+    assert res.converged == plain.converged
+    assert (res.departure_sign_low, res.departure_sign_high) == \
+        (plain.departure_sign_low, plain.departure_sign_high)
 
 
 def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
-    """The plain bisection of each shooting search, with no secant: the
-    ShootingResults the searches must match.
+    """The plain bisection of each shooting search: the independent oracle
+    of the root the searches find.
 
     The searches walk side by side.  Each round integrates, in one
-    _departures call, the midpoints of every unfinished search's next
-    _LOOKAHEAD levels (the first round the bracket ends too), and every
-    midpoint takes its own run's departure sign.
+    _departures call, the midpoints of every unfinished search's next two
+    levels (the first round the bracket ends too), and every midpoint
+    takes its own run's departure sign.  a_star is the midpoint of the
+    first bracket no wider than _WIDTH_TOL times the initial width, and
+    the result's step is that final width.
     """
     grid = perturbations[0].grid
     lam_q = profile.lambda_q(grid.nodes)
@@ -814,8 +823,11 @@ def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
             s.rounds += 1
 
     def levels(pending):
-        return [(s, a) for s in pending
-                for a in evolution._lookahead(s.lo, s.hi, evolution._LOOKAHEAD)]
+        batch = []
+        for s in pending:
+            mid = 0.5 * (s.lo + s.hi)
+            batch += [(s, mid), (s, 0.5 * (s.lo + mid)), (s, 0.5 * (mid + s.hi))]
+        return batch
 
     def use(s, a):
         sign, _, tau, _ = s.runs[a]
@@ -829,12 +841,12 @@ def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
     pending = searches
     while pending:
         for s in pending:
-            for _ in range(evolution._LOOKAHEAD):
+            for _ in range(2):
                 mid = 0.5 * (s.lo + s.hi)
                 sign, tau = use(s, mid)
                 if s.hi - s.lo <= stop:
                     s.result = evolution.ShootingResult(
-                        a_star=mid, bracket_width=s.hi - s.lo,
+                        a_star=mid, step=s.hi - s.lo,
                         converged=tau is None, departure_sign_low=s.sign_lo,
                         departure_sign_high=s.sign_hi, trail=s.trail,
                         max_solve_defect=s.defect, rounds=s.rounds)
@@ -849,15 +861,105 @@ def _plain_bisection(perturbations, bracket, projection, base, dt, horizon):
     return [s.result for s in searches]
 
 
-@pytest.fixture(scope="module")
-def plain_bump(grid, shooting_setup):
-    """The plain bisection of shoot_bump's search."""
-    qh, projf = shooting_setup
-    bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
-    bump *= 1e-3 / grid.norm(bump)
-    (plain,) = _plain_bisection([RadialFunction(grid, bump)], (-2e-3, 2e-3),
-                                projf, qh, 0.02, 2.0)
-    return plain
+def _sign_bracket(trail, sign_lo, lo, hi):
+    """The sign bracket of the root that the runs of a search's ``trail``
+    leave inside [lo, hi]; ``sign_lo`` is the departure sign at lo."""
+    for a, sign, _ in trail:
+        if lo < a < hi:
+            if sign == sign_lo:
+                lo = a
+            else:
+                hi = a
+    return lo, hi
+
+
+def _drive(c, bracket, slope=1.0, tube=1.0, exits=lambda a: None):
+    """_search on the synthetic departures of a coefficient function c(a):
+    every run in the tube unless ``exits(a)`` gives its exit tau."""
+    search = evolution._search(*bracket, slope, tube)
+    try:
+        wanted = next(search)
+        while True:
+            wanted = search.send({a: (1 if c(a) >= 0.0 else -1, c(a),
+                                      exits(a), 0.0) for a in wanted})
+    except StopIteration as end:
+        return end.value
+
+
+class TestSearch:
+    """The root search alone, sent synthetic departures: no integration."""
+
+    def test_linear_coefficient_takes_two_rounds(self):
+        # the secant root of m and m + delta is the root, and the next
+        # step, from that run, is below the stopping size
+        res = _drive(lambda a: 3.0 * (a - 0.1234), (-1.0, 1.0))
+        assert res.rounds == 2
+        assert [a for a, _, _ in res.trail[:4]] == [-1.0, 1.0, 0.0, 0.01]
+        assert len(res.trail) == 5 and res.trail[-1][0] == res.a_star
+        assert abs(res.a_star - 0.1234) <= 1e-15
+        assert res.step <= evolution._WIDTH_TOL * 2.0
+        assert res.converged
+
+    def test_stagnating_secant_is_safeguarded(self):
+        # on a triple root the secant alone converges slowly from one side;
+        # the sign bracket's bisections bound the rounds
+        bound = 2.0 * np.log2(1.0 / evolution._WIDTH_TOL) + 2.0
+        for root in (0.1234, -0.77, 1.0 / 3.0, 0.999):
+            res = _drive(lambda a: (a - root) ** 3, (-1.0, 1.0))
+            low, high = _sign_bracket(res.trail, res.departure_sign_low,
+                                      -1.0, 1.0)
+            assert res.rounds <= bound
+            assert low <= root <= high
+            assert abs(res.a_star - root) <= high - low
+            assert res.step <= evolution._WIDTH_TOL * 2.0
+
+    def test_exact_root_at_the_start_point_takes_two_rounds(self):
+        # c(m) = 0 exactly, as for a zero perturbation: the root lies on
+        # the closed sign bracket and the secant lands on it exactly
+        res = _drive(lambda a: 2.5 * a, (-1.0, 1.0))
+        assert res.rounds == 2
+        assert res.a_star == 0.0 and res.step == 0.0
+        assert [a for a, _, _ in res.trail] == [-1.0, 1.0, 0.0, 0.01, 0.0]
+
+    def test_slope_too_small_for_the_tube_spaces_the_pair_by_a_quarter(self):
+        # delta = 0.01 tube / |slope| is capped at a quarter of the bracket,
+        # and a zero slope takes that quarter too
+        for slope in (1e-3, 0.0):
+            res = _drive(lambda a: a - 0.3, (-1.0, 1.0), slope=slope)
+            assert [a for a, _, _ in res.trail[:4]] == [-1.0, 1.0, 0.0, 0.5]
+            assert res.rounds == 2 and abs(res.a_star - 0.3) <= 1e-15
+
+    def test_equal_signs_at_both_ends_raise(self):
+        with pytest.raises(ValueError, match="identical at both bracket ends"):
+            _drive(lambda a: a * a + 1.0, (-1.0, 1.0))
+
+    def test_empty_bracket_raises_before_any_run(self):
+        def c(a):
+            pytest.fail(f"ran a = {a}")
+        with pytest.raises(ValueError, match="empty"):
+            _drive(c, (1.0, -1.0))
+
+    def test_one_in_tube_run_starts_with_a_newton_step(self):
+        # only the low end stays in the tube: the first step is Newton's
+        # from it, and a wrong-signed slope sends it out of the bracket,
+        # which then bisects
+        slope = 2.0
+
+        def c(a):
+            return slope * (a - 0.01)
+
+        def exits(a):
+            return None if abs(a - 0.01) < 0.5 else 1.0
+        res = _drive(c, (-0.4, 2.0), slope=slope, exits=exits)
+        assert [tau is None for _, _, tau in res.trail[:4]] == \
+            [True, False, False, False]
+        assert res.trail[4][0] == -0.4 - c(-0.4) / slope
+        wrong = _drive(c, (-0.4, 2.0), slope=-slope, exits=exits)
+        low, high = _sign_bracket(wrong.trail[:4], wrong.departure_sign_low,
+                                  -0.4, 2.0)
+        assert wrong.trail[4][0] == 0.5 * (low + high)
+        for r in (res, wrong):
+            assert abs(r.a_star - 0.01) <= 1e-12 and r.converged
 
 
 class TestShooting:
@@ -876,20 +978,23 @@ class TestShooting:
                 [RadialFunction(grid, np.zeros(grid.n))], (1e-3, 2e-3), projf,
                 dt=0.02, horizon=4.0, base_profile=qh)
 
-    def test_matched_run_relaxes_to_profile(self, grid, shooting_setup):
+    def test_matched_run_relaxes_to_profile(self, grid, shooting_setup,
+                                            unit_bump):
         # at the matched amplitude the stably perturbed flow decays back
         qh, projf = shooting_setup
-        bump = np.real(projf.project_stable(
-            np.exp(-(grid.nodes - 4.0) ** 2)))
-        bump *= 1e-3 / grid.norm(bump)
+        perturbations = [RadialFunction(grid, unit_bump)]
         (res,) = evolution.shoot_stable_manifold(
-            [RadialFunction(grid, bump)], (-4e-3, 4e-3), projf, dt=0.02,
-            horizon=6.0, base_profile=qh)
+            perturbations, (-4e-3, 4e-3), projf, dt=0.02, horizon=6.0,
+            base_profile=qh)
         assert res.converged
+        (plain,) = _plain_bisection(perturbations, (-4e-3, 4e-3), projf, qh,
+                                    0.02, 6.0)
+        _assert_near_the_bisection(res, plain)
         lam_q = profile.lambda_q(grid.nodes)
         lam_q = lam_q / grid.norm(lam_q)
         tr = evolution.nonlinear_radial_evolve(
-            RadialFunction(grid, qh + bump + res.a_star * lam_q), 0.02, 6.0)
+            RadialFunction(grid, qh + unit_bump + res.a_star * lam_q), 0.02,
+            6.0)
         devs = grid.norm(tr.states - qh)
         window = (tr.times >= 1.0) & (tr.times <= 6.0)
         assert devs[window][-1] < devs[window][0]
@@ -909,143 +1014,59 @@ class TestShooting:
         together = shoot(bumps)
         assert together == [shoot([b])[0] for b in bumps]
         assert together[0] != together[1]
+        plain = _plain_bisection(bumps, (-4e-3, 4e-3), projf, qh, 0.02, 2.0)
+        for res, oracle in zip(together, plain):
+            _assert_near_the_bisection(res, oracle)
 
-    def test_trail_walks_the_bisection(self, shoot_bump, plain_bump):
-        # the runs made, in order: the bisection levels walked while runs
-        # leave the tube, the secant iterates, then the final lo, hi and a*
-        lo, hi = -2e-3, 2e-3
-        res, plain = shoot_bump(), plain_bump
-        assert _fields(res) == _fields(plain)
-        assert res.trail[:2] == plain.trail[:2] == [
-            (lo, res.departure_sign_low, res.trail[0][2]),
-            (hi, res.departure_sign_high, res.trail[1][2])]
-        # each level halves the bracket, keeping the end of its own sign,
-        # until both ends stay in the tube to the horizon
-        walked = 2
-        while res.trail[walked][0] == 0.5 * (lo + hi):
-            a, sign, _ = res.trail[walked]
-            if sign == res.departure_sign_low:
-                lo = a
-            else:
-                hi = a
-            walked += 1
-        assert res.trail[:walked] == plain.trail[:walked]
-        exits = {a: tau for a, _, tau in res.trail}
-        assert exits[lo] is None and exits[hi] is None
-        *secant, final_lo, final_hi, last = res.trail[walked:]
-        assert secant and all(lo <= a <= hi and tau is None
-                              for a, _, tau in secant)
-        assert final_lo[1] == res.departure_sign_low
-        assert final_hi[1] == res.departure_sign_high
-        assert final_hi[0] - final_lo[0] == res.bracket_width
-        assert last[0] == res.a_star == 0.5 * (final_lo[0] + final_hi[0])
-        assert (last[2] is None) == res.converged
-        # the plain bisection lists every level: 2^-27 of the width is below 1e-8
-        assert len(plain.trail) == 2 + 28
-        assert len(res.trail) < len(plain.trail)
-        assert 0.0 < res.max_solve_defect <= plain.max_solve_defect \
-            <= evolution._SOLVE_TOL
-
-    def test_failed_confirmation_falls_back_to_the_bisection(
-            self, shoot_bump, plain_bump, monkeypatch):
-        plain = plain_bump
-        walk = evolution._walk
-
-        def replay_from_the_top(lo, hi, stop, below, levels=None):
-            # the replay, the one walk with no level limit, from a root at
-            # the top of the in-tube bracket puts the final bracket above
-            # the true root, so its low end has the high end's sign
-            if levels is None:
-                return walk(lo, hi, stop, lambda mid: mid < hi)
-            return walk(lo, hi, stop, below, levels)
-        monkeypatch.setattr(evolution, "_walk", replay_from_the_top)
-        res = shoot_bump()
-        assert _fields(res) == _fields(plain)
-        # the fallback resumes the plain bisection where the secant started:
-        # the secant iterates and the three confirmation runs come between
-        first = next(i for i, (a, b) in enumerate(zip(res.trail, plain.trail))
-                     if a != b)
-        extra = len(res.trail) - len(plain.trail)
-        assert extra >= 1 + 3
-        assert res.trail[:first] == plain.trail[:first]
-        assert res.trail[first + extra:] == plain.trail[first:]
-        final_lo, final_hi = res.trail[first + extra - 3:first + extra - 1]
-        assert final_lo[1] == res.departure_sign_high
-        assert final_hi[1] == res.departure_sign_high
-
-    @pytest.mark.parametrize("bracket, wrong_slope", [
-        ((-4e-3 - 1e-6, 4e-3 - 1e-6), False), ((-4e-3, 4e-3), True)],
-        ids=["low-end-in-tube", "wrong-signed-slope"])
-    def test_newton_start_keeps_the_bisection_bits(self, grid, shooting_setup,
-                                                   monkeypatch, bracket,
-                                                   wrong_slope):
-        # one walked end stays in the tube after the first round, and the
-        # secant path starts there with a Newton step
+    def test_search_finds_the_bisection_root(self, shoot_bump, grid,
+                                             shooting_setup, unit_bump):
         qh, projf = shooting_setup
-        bump = np.real(projf.project_stable(np.exp(-(grid.nodes - 4.0) ** 2)))
-        bump *= 1e-3 / grid.norm(bump)
-        perturbations = [RadialFunction(grid, bump)]
+        (plain,) = _plain_bisection([RadialFunction(grid, unit_bump)],
+                                    (-2e-3, 2e-3), projf, qh, 0.02, 2.0)
+        res = shoot_bump()
+        _assert_near_the_bisection(res, plain)
+        # each run once, in order: the bracket ends, m and m + delta, then
+        # one run a round, the last of them a*
+        assert [a for a, _, _ in res.trail[:3]] == [-2e-3, 2e-3, 0.0]
+        assert len(res.trail) == 4 + res.rounds - 1
+        assert res.trail[-1][0] == res.a_star and res.trail[-1][2] is None
+        assert res.step <= evolution._WIDTH_TOL * 4e-3
+        assert res.rounds < plain.rounds
+        assert 0.0 < res.max_solve_defect <= evolution._SOLVE_TOL
+
+    @pytest.mark.parametrize("wrong_slope", [False, True],
+                             ids=["low-end-in-tube", "wrong-signed-slope"])
+    def test_newton_start_from_the_one_in_tube_run(self, grid, shooting_setup,
+                                                   unit_bump, monkeypatch,
+                                                   wrong_slope):
+        # over (-1e-3, 7e-3) to tau = 2 only the low end of the start runs
+        # stays in the tube, so the search starts with a Newton step from it
+        qh, projf = shooting_setup
+        bracket = (-1e-3, 7e-3)
+        perturbations = [RadialFunction(grid, unit_bump)]
         if wrong_slope:
             search = evolution._search
-            monkeypatch.setattr(evolution, "_search",
-                                lambda lo, hi, slope: search(lo, hi, -slope))
+            monkeypatch.setattr(evolution, "_search", lambda lo, hi, slope,
+                                tube: search(lo, hi, -slope, tube))
         (res,) = evolution.shoot_stable_manifold(
             perturbations, bracket, projf, dt=0.02, horizon=2.0,
             base_profile=qh)
         (plain,) = _plain_bisection(perturbations, bracket, projf, qh, 0.02,
                                     2.0)
-        assert _fields(res) == _fields(plain)
+        _assert_near_the_bisection(res, plain)
         assert res.rounds < plain.rounds
-        # the first round's two walked levels: the in-tube end and the end
-        # whose run leaves the tube
-        (a_in, sign_in, tau_in), (a_out, _, tau_out) = res.trail[2:4]
-        assert tau_in is None and tau_out is not None
+        assert [tau is None for _, _, tau in res.trail[:4]] == \
+            [True, False, False, False]
+        newton = res.trail[4][0]
+        low, high = _sign_bracket(res.trail[:4], res.departure_sign_low,
+                                  *bracket)
         if wrong_slope:
-            # the Newton step leaves the sign bracket, so the first secant
-            # run bisects it
-            assert sign_in == res.departure_sign_high
-            assert res.trail[4][0] == 0.5 * (a_in + a_out)
+            # the Newton step leaves the sign bracket, which bisects
+            assert newton == 0.5 * (low + high)
         else:
-            assert sign_in == res.departure_sign_low and a_in < a_out
-
-    def test_missed_final_bracket_takes_the_final_round(
-            self, shoot_bump, plain_bump, monkeypatch):
-        # each secant round integrates the final lo, hi and a* its root
-        # replays to; when the root the secant stops at replays elsewhere,
-        # a round of its own integrates them, and nothing else changes
-        hit = shoot_bump()
-        walk = evolution._walk
-        replays = []
-
-        def counted(lo, hi, stop, below, levels=None):
-            if levels is None:
-                replays.append(None)
-            return walk(lo, hi, stop, below, levels)
-        monkeypatch.setattr(evolution, "_walk", counted)
-        shoot_bump()
-        last = len(replays)   # the secant rounds' replays, then the final one
-        assert last >= 2
-        replays.clear()
-
-        def ahead_from_the_top(lo, hi, stop, below, levels=None):
-            if levels is None:
-                replays.append(None)
-                if len(replays) < last:
-                    return walk(lo, hi, stop, lambda mid: mid < hi)
-            return walk(lo, hi, stop, below, levels)
-        monkeypatch.setattr(evolution, "_walk", ahead_from_the_top)
-        rows = []
-        departures = evolution._departures
-        monkeypatch.setattr(evolution, "_departures", lambda run, batch, *args:
-                            rows.append(len(batch)) or departures(run, batch,
-                                                                  *args))
-        res = shoot_bump()
-        assert _fields(res) == _fields(plain_bump)
-        assert res.trail == hit.trail
-        # the missed runs count in no defect
-        assert res.max_solve_defect == hit.max_solve_defect
-        assert res.rounds == hit.rounds + 1
-        assert rows[-1] == 3
+            # the linear slope takes the step most of the way to the root
+            assert low < newton < high
+            assert abs(newton - res.a_star) < 0.01 * abs(bracket[0] - res.a_star)
 
     def test_reference_row_is_the_reference_run(self, grid, shooting_setup):
         # row 0 writes the reference trajectory with the bits of its own
@@ -1102,9 +1123,8 @@ class TestShooting:
         assert not steps
 
     def test_criterion_8_shooting_rounds_and_bits(self, monkeypatch):
-        # criterion 8's call: the secant path engages at the first in-tube
-        # run and keeps the plain bisection's a* bits in 3 batched rounds
-        # against its 14
+        # criterion 8's call: both searches find the plain bisection's root
+        # in 2 batched rounds against its 14
         grid = make_grid(400, 40.0, "uniform")
         qh, projf, bump = acceptance.shooting_setup(grid)
         perturbations = [RadialFunction(grid, amp * bump) for amp in (1e-3, 2e-3)]
@@ -1115,15 +1135,14 @@ class TestShooting:
                       rows.append(len(batch)) or departures(run, batch, *args))
             results = evolution.shoot_stable_manifold(
                 perturbations, (-4e-3, 4e-3), projf, qh, *acceptance.SHOOTING_RUN)
-        # the reference run as row 0 of the first round; per search: one
-        # exit-regime round (the bracket ends and 3 midpoints; the midpoint
-        # a = 0 stays in the tube), a Newton round of one run, and a secant
-        # round of its root and the final lo, hi and a* that root replays
-        # to, which the next root confirms
-        assert rows == [11, 2, 8]
+        # the reference run as row 0 of the first round, then per search:
+        # the bracket ends, m = 0 and m + delta (both in the tube), and the
+        # secant root of that pair, whose next step is below the stopping size
+        assert rows == [9, 2]
         plain = _plain_bisection(perturbations, (-4e-3, 4e-3), projf, qh,
                                  *acceptance.SHOOTING_RUN)
-        assert [_fields(r) for r in results] == [_fields(r) for r in plain]
+        for res, oracle in zip(results, plain):
+            _assert_near_the_bisection(res, oracle)
         assert all(r.converged for r in results)
-        assert [r.rounds for r in results] == [3, 3]
+        assert [r.rounds for r in results] == [2, 2]
         assert [r.rounds for r in plain] == [14, 14]
