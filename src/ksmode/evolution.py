@@ -610,10 +610,16 @@ def _search(lo: float, hi: float, slope: float, tube: float):
     tube, or, with one such run, a Newton step of ``slope`` from it.  The
     departure signs keep a sign bracket of the root, closed at its ends
     (Brent's safeguard): the search bisects it when no in-tube run gives a
-    step, when the step leaves it, or when the bracket has not halved over
-    the last two rounds, so every search ends.  It stops once the next
-    step is no larger than _WIDTH_TOL times the width of [lo, hi]; a_star
-    is then the last run, converged when that run stayed in the tube.
+    step, when the step leaves it, when the last run after the first round
+    left the tube, or when the bracket has not halved over the last two
+    rounds, so every search ends.  It stops once the next step is no
+    larger than _WIDTH_TOL times the width of [lo, hi]; a_star is then the
+    last run, converged when that run stayed in the tube.  Near a simple
+    root that step estimates the error of a_star, since the secant steps
+    shrink faster than linearly; it bounds nothing.  On a flat root the
+    steps shrink slowly and a_star can lie many steps from the root, and a
+    secant through a far run can stop far from it: only the sign
+    bracket, which the trail gives, holds the root.
     The result's max_solve_defect covers the search's runs; the driver
     adds the reference run's.
     """
@@ -657,9 +663,12 @@ def _search(lo: float, hi: float, slope: float, tube: float):
         elif in_tube and slope:
             (a1, c1), = in_tube
             root = a1 - c1 / slope
-        if not low <= root <= high or widths[-1] > 0.5 * widths[-3]:
-            root = 0.5 * (low + high)
         last, _, tau = trail[-1]
+        # a later run that left the tube adds no point, so the step would
+        # repeat it
+        if (not low <= root <= high or widths[-1] > 0.5 * widths[-3]
+                or rounds > 1 and tau is not None):
+            root = 0.5 * (low + high)
         if abs(root - last) <= stop:
             return ShootingResult(
                 a_star=last, step=abs(root - last), converged=tau is None,
@@ -684,9 +693,11 @@ def shoot_stable_manifold(stable_perturbations, bracket, projection,
     from the linearization ``discrete_steady_profile`` returns with it, so
     that the prepared data is stable for the discrete dynamics that
     actually run.  The bracket must produce opposite departure signs.
-    a_star is the root of the scaling-mode coefficient at the horizon to
-    within a step of ``_WIDTH_TOL`` times the bracket width, and it is
-    converged when that amplitude stays in the tube for the whole horizon.
+    a_star is the run at which the next step toward the root of the
+    scaling-mode coefficient at the horizon is no larger than
+    ``_WIDTH_TOL`` times the bracket width, an error estimate near a
+    simple root but not a bound (see _search), and it is converged when
+    that amplitude stays in the tube for the whole horizon.
 
     Each search is the generator _search, whose docstring describes it:
     secant steps on that coefficient, kept inside the sign bracket of the

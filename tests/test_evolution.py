@@ -902,16 +902,34 @@ class TestSearch:
 
     def test_stagnating_secant_is_safeguarded(self):
         # on a triple root the secant alone converges slowly from one side;
-        # the sign bracket's bisections bound the rounds
+        # the sign bracket's bisections bound the rounds.  The stopping
+        # step is no error bound there: a* ends 5 to 20 stopping steps
+        # from the root, and 783 for the root by the bracket's end
+        stop = evolution._WIDTH_TOL * 2.0
         bound = 2.0 * np.log2(1.0 / evolution._WIDTH_TOL) + 2.0
-        for root in (0.1234, -0.77, 1.0 / 3.0, 0.999):
+        for root, steps in ((0.1234, 8), (-0.77, 8), (1.0 / 3.0, 25),
+                            (0.999, 1000)):
             res = _drive(lambda a: (a - root) ** 3, (-1.0, 1.0))
             low, high = _sign_bracket(res.trail, res.departure_sign_low,
                                       -1.0, 1.0)
             assert res.rounds <= bound
             assert low <= root <= high
-            assert abs(res.a_star - root) <= high - low
-            assert res.step <= evolution._WIDTH_TOL * 2.0
+            assert abs(res.a_star - root) <= steps * stop
+            assert res.step <= stop
+
+    def test_secant_through_a_far_run_can_stop_far_from_the_root(self):
+        # a slope 1000 times too small caps delta at a quarter of the
+        # bracket, so the second round runs the secant root of m = 0 and
+        # m + delta = 0.5 on (a - 1e-3)^3, about 4e-9.  The next step, also
+        # through the far run, is below the stopping size: the search stops
+        # 1e-3 from the root, which only the sign bracket holds
+        stop = evolution._WIDTH_TOL * 2.0
+        res = _drive(lambda a: (a - 1e-3) ** 3, (-1.0, 1.0), slope=1e-3)
+        low, high = _sign_bracket(res.trail, res.departure_sign_low, -1.0,
+                                  1.0)
+        assert res.rounds == 2 and res.converged and res.step <= stop
+        assert abs(res.a_star - 1e-3) > 1e4 * stop
+        assert low <= 1e-3 <= high and high - low > 0.49
 
     def test_exact_root_at_the_start_point_takes_two_rounds(self):
         # c(m) = 0 exactly, as for a zero perturbation: the root lies on
@@ -960,6 +978,41 @@ class TestSearch:
         assert wrong.trail[4][0] == 0.5 * (low + high)
         for r in (res, wrong):
             assert abs(r.a_star - 0.01) <= 1e-12 and r.converged
+
+
+    def test_later_run_that_leaves_the_tube_bisects(self):
+        # such a run adds no point to the secant or to Newton's step, which
+        # would repeat it: the sign bracket bisects instead, and the search
+        # goes on to the root
+        def c(a):
+            return (a - 0.3) + (a - 0.3) ** 3
+        secant = _drive(c, (-1.0, 1.0),
+                        exits=lambda a: 1.0 if 0.25 < a < 0.27 else None)
+
+        def exits(a):
+            return None if -0.4 <= a < 0.3 else 1.0
+        newton = _drive(lambda a: 2.0 * (a - 0.01), (-0.4, 2.0),
+                        exits=exits)
+        for res, root, ends in ((secant, 0.3, (-1.0, 1.0)),
+                                (newton, 0.01, (-0.4, 2.0))):
+            assert res.trail[4][2] is not None
+            low, high = _sign_bracket(res.trail[:5], res.departure_sign_low,
+                                      *ends)
+            assert res.trail[5][0] == 0.5 * (low + high)
+            assert res.converged
+            assert abs(res.a_star - root) <= evolution._WIDTH_TOL * 2.0
+
+    def test_root_where_runs_leave_the_tube_ends_unconverged(self):
+        # every run near the root leaves the tube: the search bisects down
+        # to the root and stops there, not converged
+        stop = evolution._WIDTH_TOL * 2.0
+        res = _drive(lambda a: a - 0.3, (-1.0, 1.0),
+                     exits=lambda a: 1.0 if 0.25 < a < 0.35 else None)
+        low, high = _sign_bracket(res.trail, res.departure_sign_low, -1.0,
+                                  1.0)
+        assert not res.converged and res.trail[-1][2] is not None
+        assert high - low <= 2.0 * stop
+        assert abs(res.a_star - 0.3) <= stop
 
 
 class TestShooting:
