@@ -268,9 +268,11 @@ def cmd_spectrum(cfg, args):
     detail = {"accepted": [[r.lam.real, r.lam.imag] for r in scan.accepted],
               "csv": out.name, "numerical_range_floor": scan.floor.nu,
               "numerical_range_margin": scan.floor.margin,
+              "numerical_range_solver": scan.floor.solver,
               "scan_path": scan.path,
               "deflated_floor": deflated and deflated.nu,
               "deflated_margin": deflated and deflated.margin,
+              "deflated_solver": deflated and deflated.solver,
               "deflated_count": deflated and deflated.count,
               "invariance_residual": deflated and deflated.residual,
               "partner_solves": sum(c.partner_solves for c in scan.candidates),
@@ -318,6 +320,7 @@ def _projection_detail(proj) -> dict:
     return {"eigenvalue": [proj.lam.real, proj.lam.imag],
             "isolation_floor": proj.floor.nu,
             "isolation_margin": proj.floor.margin,
+            "isolation_solver": proj.floor.solver,
             "invariance_residual": proj.floor.residual,
             "projection_path": proj.path, "condition": proj.condition}
 

@@ -36,7 +36,7 @@ import scipy.sparse
 
 from . import profile
 from .radial import (RadialGrid, power_moment, deltal_inverse,
-                     RadialFunction, fd_deriv, three_point)
+                     RadialFunction, fd_deriv, row_blocks, three_point)
 
 __all__ = [
     "OperatorMatrix", "BandMatrix", "DenseLU", "assemble_Ll", "local_band",
@@ -229,34 +229,58 @@ def deriv2_matrix(grid: RadialGrid, l: int) -> BandMatrix:
 # prefix matrix adds the origin weights of the grid's prefix_integral
 # ---------------------------------------------------------------------------
 
-def _triangular(cu: np.ndarray, cv: np.ndarray, lower: bool) -> np.ndarray:
-    """C-ordered matrix of the running panel sums from the origin
-    (``lower``) or from rmax inwards, zero beyond rmax.
+def _panel_weights(cu: np.ndarray, cv: np.ndarray, lower: bool) -> tuple:
+    """(whole, half): the weights of column j of the running panel sums
+    from the origin (``lower``) or from rmax inwards.
 
-    Column j is the integral of e_j: its half-hat weight on the diagonal
-    (cv_{j-1} from the origin, cu_j from rmax; 0 where that panel is
-    missing), its whole-hat weight cu_j + cv_{j-1} past it, zeros before.
+    Column j is the integral of e_j: its half-hat weight half_j on the
+    diagonal (cv_{j-1} from the origin, cu_j from rmax; 0 where that panel
+    is missing), its whole-hat weight whole_j = cu_j + cv_{j-1} past it,
+    zeros before.
     """
-    n = cu.size + 1
     whole = np.concatenate((cu[:1], cu[1:] + cv[:-1], cv[-1:]))
-    mask = np.tri(n, k=-1, dtype=bool) if lower else ~np.tri(n, dtype=bool)
-    mat = np.where(mask, whole, 0.0)
-    mat.flat[::n + 1] = np.concatenate(([0.0], cv)) if lower else np.append(cu, 0.0)
+    half = np.concatenate(([0.0], cv)) if lower else np.append(cu, 0.0)
+    return whole, half
+
+
+def _prefix_weights(grid: RadialGrid, a: float, p: float) -> tuple:
+    """``_panel_weights`` of f -> int_0^{r_i} f(s) s^a ds with origin model
+    f ~ (s/r_1)^p: the running sums plus the origin weight in column 0."""
+    prefix = grid.prefix_integral(a, p)
+    whole, half = _panel_weights(prefix.cu, prefix.cv, lower=True)
+    whole[0] += prefix.origin[0]
+    half[0] += prefix.origin[0]
+    return whole, half
+
+
+def _triangular_rows(out: np.ndarray, whole: np.ndarray, half: np.ndarray,
+                     lower: bool) -> None:
+    """Rows of the triangular matrix of the weights (whole, half) of
+    ``_panel_weights`` into ``out``, only the columns where they can be
+    nonzero: ``out`` ends (``lower``) or starts with the square block of
+    those rows on the diagonal, and ``whole`` is cut to its columns."""
+    b = out.shape[0]
+    out[:] = whole
+    block = out[:, -b:] if lower else out[:, :b]
+    block[~np.tri(b, dtype=bool) if lower else np.tri(b, k=-1, dtype=bool)] = 0.0
+    np.fill_diagonal(block, half)
+
+
+def _triangular(whole: np.ndarray, half: np.ndarray, lower: bool) -> np.ndarray:
+    """C-ordered matrix of the weights (whole, half), zero beyond rmax."""
+    mat = np.empty((whole.size, whole.size))
+    _triangular_rows(mat, whole, half, lower)
     return mat
 
 
 def _prefix_matrix(grid: RadialGrid, a: float, p: float) -> np.ndarray:
-    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p:
-    the running sums plus the origin weight in column 0."""
-    prefix = grid.prefix_integral(a, p)
-    mat = _triangular(prefix.cu, prefix.cv, lower=True)
-    mat[:, 0] += prefix.origin[0]
-    return mat
+    """Matrix of f -> int_0^{r_i} f(s) s^a ds with origin model f ~ (s/r_1)^p."""
+    return _triangular(*_prefix_weights(grid, a, p), lower=True)
 
 
 def _suffix_matrix(grid: RadialGrid, a: float) -> np.ndarray:
     """Matrix of f -> int_{r_i}^{rmax} f(s) s^a ds (f treated as 0 beyond rmax)."""
-    return _triangular(*grid.panels(a), lower=False)
+    return _triangular(*_panel_weights(*grid.panels(a), lower=False), lower=False)
 
 
 def kernel_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
@@ -314,19 +338,35 @@ def deriv_deltal_inv_matrix(grid: RadialGrid, l: int) -> np.ndarray:
     D_k^{-1} f = r^{-k} int_0^r s^k f ds for k > 0 and
     -r^{-k} int_r^rmax s^k f ds for k <= 0 (zero extension beyond rmax).
 
-    Built in place; at l = 0 the factors l + 1 and 2l + 1 are 1 and the
-    matrix is D_2^{-1} itself.
+    Built in one array, a block of rows at a time: each factor only on its
+    own triangle and the diagonal block, which both share, every entry by
+    the operations of ((l+1) D_{l+2}^{-1} + l D_{-(l-1)}^{-1}) / (2l+1)
+    over the two full matrices.  At l = 0 the factors l + 1 and 2l + 1 are
+    1 and the matrix is D_2^{-1} itself.
     """
     r = grid.nodes
-    mat = _prefix_matrix(grid, l + 2.0, float(l))
-    mat *= (r ** (-(l + 2.0)))[:, None]
+    n = grid.n
+    low, low_half = _prefix_weights(grid, l + 2.0, float(l))
+    low_rows = r ** (-(l + 2.0))
     if l > 0:
-        mat *= l + 1
-        up = _suffix_matrix(grid, 1.0 - l)
-        up *= (-(r ** (l - 1.0)))[:, None]
-        up *= l
-        mat += up
-        mat /= 2 * l + 1
+        up, up_half = _panel_weights(*grid.panels(1.0 - l), lower=False)
+        up_rows = -(r ** (l - 1.0))
+    mat = np.zeros((n, n))
+    start = 0
+    for rows in row_blocks(mat):
+        stop = start + len(rows)
+        below = rows[:, :stop]
+        _triangular_rows(below, low[:stop], low_half[start:stop], lower=True)
+        below *= low_rows[start:stop, None]
+        if l > 0:
+            below *= l + 1
+            above = np.empty((stop - start, n - start))
+            _triangular_rows(above, up[start:], up_half[start:stop], lower=False)
+            above *= up_rows[start:stop, None]
+            above *= l
+            rows[:, start:] += above
+            rows /= 2 * l + 1
+        start = stop
     return mat
 
 

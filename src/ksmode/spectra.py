@@ -41,7 +41,9 @@ Memory, not arithmetic, limits the grids: every n x n array the scan makes
 is the one work array of its step, beside the operator.  A shift-invert
 solve factors one copy of A - sigma I (operators.DenseLU); the frame S is
 built only after that factor is gone, compressed and packed in place, and
-consumed by the floor's eigensolve; the norms are LAPACK's lange, with no
+consumed by the floor's solve, a Cholesky factor in place (or, when S is
+not positive definite, a one-eigenvalue eigh) that leaves n-vectors and
+ARPACK's n x ncv basis beside it; the norms are LAPACK's lange, with no
 temporary, and the residual guard works over blocks of rows or columns.
 The dense fallback holds its eigenvectors alone beside the operator once
 scipy's eig returns.
@@ -184,11 +186,15 @@ class RangeFloor:
     deflated eigenvectors (0: on the whole space).  ``residual`` is
     ||B X0 - X0 (X0^H B X0)||_2 / ||A||_inf of the orthonormal basis X0 of
     their span in the M-scaled frame of ``_m_frame``, 0 with nothing
-    deflated."""
+    deflated.  ``solver`` names what computed ``nu`` (see
+    ``_range_floor``): ``"cholesky"``, Lanczos on the inverse of a frame
+    its Cholesky factorization showed positive definite, or ``"eigh"``,
+    the one-eigenvalue dense solve of any other frame."""
     nu: float
     margin: float
     count: int = 0
     residual: float = 0.0
+    solver: str = "eigh"
 
     def certifies(self, threshold: float) -> bool:
         """Whether the deflated eigenvalues are, up to a backward error of
@@ -225,16 +231,35 @@ def _m_frame(a: OperatorMatrix) -> np.ndarray:
 
 
 def _range_floor(s) -> RangeFloor:
-    """Bottom eigenvalue of the Hermitian matrix ``s``, computed alone, with
-    the margin n eps ||s||_1 that covers the rounding of the solve.
+    """Bottom eigenvalue nu of the Hermitian matrix ``s``, computed alone,
+    with the margin n eps ||s||_1 that covers the rounding of the solve.
 
     The solve runs in place and consumes ``s``: a Fortran-ordered ``s``
     itself, a C-ordered one (real symmetric, as ``_m_frame`` makes it)
-    through its transpose, which is ``s`` again.
+    through its transpose, which is ``s`` again.  LAPACK's Cholesky
+    factorization (potrf, 1/3 n^3 flops) of its upper triangle either
+    succeeds, and s is positive definite: then nu = 1 / theta for the
+    largest eigenvalue theta of s^{-1}, found by Lanczos (ARPACK) on solves
+    with the factor from the start vector ones(n) (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, ch. 13).  Or it fails; its diagonal is then
+    written back and one-eigenvalue eigh reads the lower triangle, which
+    potrf never touches, and tridiagonalizes all of s (4/3 n^3 flops).
+    Besides s the solve holds n-vectors and ARPACK's n x ncv basis.
     """
-    margin = s.shape[0] * np.finfo(float).eps * scipy.linalg.norm(
+    n = s.shape[0]
+    margin = n * np.finfo(float).eps * scipy.linalg.norm(
         s, 1, check_finite=False)
     frame = s if s.flags.f_contiguous else s.T
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (frame,))
+    diagonal = frame.diagonal().copy()
+    if potrf(frame, clean=False, overwrite_a=True)[1] == 0:
+        inverse = scipy.sparse.linalg.LinearOperator(
+            frame.shape, matvec=lambda x: potrs(frame, x)[0], dtype=frame.dtype)
+        theta = scipy.sparse.linalg.eigsh(inverse, k=1, which="LA",
+                                          v0=np.ones(n, frame.dtype),
+                                          return_eigenvectors=False)[0]
+        return RangeFloor(float(1.0 / theta), float(margin), solver="cholesky")
+    np.fill_diagonal(frame, diagonal)
     nu = scipy.linalg.eigh(frame, subset_by_index=[0, 0], eigvals_only=True,
                            overwrite_a=True)[0]
     return RangeFloor(float(nu), float(margin))
@@ -263,7 +288,8 @@ def _deflate(a: OperatorMatrix, sigma: float, k: int):
     Fortran-ordered transpose, which is S again) in real arithmetic, on
     one complex copy in complex arithmetic.  The trailing block is packed
     in place to the front of that array, where ``_range_floor`` consumes
-    it, so a deflation holds one n x n array beside the operator.
+    it (by its Cholesky factor in place when X1^H S X1 is positive
+    definite), so a deflation holds one n x n array beside the operator.
     ``lams`` are the eigenvalues of Lambda and ``vectors`` the unit
     eigenvectors M^{-1/2} X0 W of A, sorted by real part, with the
     ``residuals`` of the guard of ``eig_dense``, which every pair passes.

@@ -84,10 +84,12 @@ def test_spectrum_subcommand_small_ladder(tmp_path):
     # the floor certifies the class, so no eigensolve ran
     assert details["numerical_range_floor"] > 0.05
     assert 0.0 < details["numerical_range_margin"] < 6e-8
+    # a positive definite frame: its floor came from the Cholesky factor
+    assert details["numerical_range_solver"] == "cholesky"
     assert details["scan_path"] == "floor"
     assert [details[key] for key in ("deflated_floor", "deflated_margin",
-                                     "deflated_count",
-                                     "invariance_residual")] == [None] * 4
+                                     "deflated_solver", "deflated_count",
+                                     "invariance_residual")] == [None] * 5
     assert details["partner_solves"] == 0
     assert details["max_partner_residual"] == 0.0
     assert (tmp_path / "spectrum_l4.csv").read_text().strip() == \
@@ -105,9 +107,11 @@ def test_spectrum_l1_finds_translation_mode(tmp_path):
     assert abs(lam - (-0.5)) < 5e-3
     details = summary["details"]
     assert details["numerical_range_floor"] < -0.5
+    assert details["numerical_range_solver"] == "eigh"
     # deflating the translation mode certifies the rest of the fine grid
     assert details["scan_path"] == "deflation"
     assert details["deflated_count"] == 1
+    assert details["deflated_solver"] == "cholesky"
     assert details["deflated_floor"] - details["deflated_margin"] > 0.05
     assert 0.0 < details["invariance_residual"] <= 1e-8
     # one candidate: one shift-invert solve on each of the three partner grids
@@ -145,6 +149,9 @@ def test_spectrum_reports_the_dense_fallback(tmp_path):
     summary = load_summary(tmp_path, "spectrum")
     details = summary["details"]
     assert details["scan_path"] == "dense"
+    # neither floor is positive definite, so eigh computed both
+    assert details["numerical_range_solver"] == "eigh"
+    assert details["deflated_solver"] == "eigh"
     assert details["deflated_count"] == 4 and details["deflated_floor"] < -2.0
     assert 0.0 < details["invariance_residual"] <= 1e-8
     failed = [c["tag"] for c in summary["checks"] if not c["pass"]]
@@ -314,7 +321,8 @@ def test_evolution_summary_records_largest_solve_defect(tmp_path, command):
 
 
 PROJECTION_FIELDS = {"eigenvalue", "isolation_floor", "isolation_margin",
-                     "invariance_residual", "projection_path", "condition"}
+                     "isolation_solver", "invariance_residual",
+                     "projection_path", "condition"}
 
 
 def test_projection_evidence_reaches_the_reports(tmp_path, monkeypatch):
@@ -327,6 +335,7 @@ def test_projection_evidence_reaches_the_reports(tmp_path, monkeypatch):
         assert set(entry) == PROJECTION_FIELDS
         assert entry["projection_path"] == "deflation"
         assert entry["isolation_floor"] > entry["isolation_margin"] > 0.0
+        assert entry["isolation_solver"] == "cholesky"
         assert abs(entry["eigenvalue"][0] - target) < 0.05
         assert entry["eigenvalue"][1] == 0.0 and entry["condition"] >= 1.0
     # the shooting report records the flow linearization's projection

@@ -394,6 +394,16 @@ class TestCumulativeBlocks:
             want = ((l + 1) * want + l * up) / (2 * l + 1)
         assert np.array_equal(operators.deriv_deltal_inv_matrix(grid, l), want)
 
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_factors_share_one_array(self, l, traced_peak):
+        # the two triangular factors are built in the matrix itself, a block
+        # of rows at a time: beside it one block and its masks
+        grid = ORACLE_GRIDS["ladder"]
+        mat, kept, peak = traced_peak(
+            lambda: operators.deriv_deltal_inv_matrix(grid, l), grid.n)
+        assert mat.shape == (grid.n, grid.n)
+        assert kept <= 1.01 and peak <= 1.25
+
 
 # -- L_l and the Schroedinger matrix as one dense expression each, over dense
 # -- finite-difference matrices, prefix blocks that integrate np.eye(n) and

@@ -287,6 +287,91 @@ class TestRangeFloor:
                 quotients.append(x @ (w * (a.entries @ x)) / (x @ (w * x)))
             assert min(quotients) >= floor.nu
 
+    @pytest.mark.parametrize("case", [
+        "l2", "l3", "l4", "l5", "l6", "l0-deflated", "l1-deflated",
+        "proj-l0", "proj-flow"])
+    def test_cholesky_floor_matches_eigh(self, case):
+        # every positive definite frame criteria 3 and 8 read: the plain
+        # frames of l = 2..6 and the k = 1 deflated frames of l = 0, 1 on
+        # the pinned ladder's finest grid, and the deflated frames of
+        # criterion 8's two projections on the uniform (400, 40) grid
+        if case.startswith("proj"):
+            a, target = mode_operator(400, case[5:])
+            frame = deflated_frame(a, target)
+        else:
+            a = operators.assemble_Ll(int(case[1]),
+                                      spectra.refinement_ladder()[(800, 80.0)])
+            frame = spectra._m_frame(a)
+            if case.endswith("deflated"):
+                frame = deflated_frame(a, spectra._range_floor(frame).nu)
+        want = scipy.linalg.eigh(frame, subset_by_index=[0, 0],
+                                 eigvals_only=True)[0]
+        floor = spectra._range_floor(frame)
+        assert floor.solver == "cholesky"
+        assert abs(floor.nu - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_indefinite_frame_takes_eigh_bit_for_bit(self, dtype, order):
+        # the failed Cholesky factorization gives back the triangle eigh
+        # reads: the floor has the bits of eigh on an untouched copy
+        rng = np.random.default_rng(11)
+        for n in (5, 40):
+            x = rng.standard_normal((n, n)).astype(dtype)
+            if dtype is complex:
+                x += 1j * rng.standard_normal((n, n))
+            s = np.array((x + x.conj().T) / 2, order=order)
+            want = scipy.linalg.eigh(s.copy(order="K"), subset_by_index=[0, 0],
+                                     eigvals_only=True)[0]
+            assert want < 0.0
+            floor = spectra._range_floor(s)
+            assert floor.solver == "eigh"
+            assert floor.nu == want
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_positive_definite_frame_takes_cholesky(self, dtype, order):
+        rng = np.random.default_rng(12)
+        n = 40
+        x = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal((n, n))
+        s = np.array(x @ x.conj().T + np.eye(n), order=order)
+        want = scipy.linalg.eigh(s, subset_by_index=[0, 0], eigvals_only=True)[0]
+        floor = spectra._range_floor(s)
+        assert floor.solver == "cholesky"
+        assert abs(floor.nu - want) <= 1e-12 * abs(want)
+
+
+def deflated_frame(a, sigma):
+    """A copy of the frame X1^H S X1 that ``_deflate(a, sigma, 1)`` hands
+    to ``_range_floor``."""
+    frames = []
+    floor = spectra._range_floor
+
+    def kept(s):
+        frames.append(s.copy(order="K"))
+        return floor(s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_range_floor", kept)
+        spectra._deflate(a, sigma, 1)
+    return frames[0]
+
+
+def test_criterion_3_solves_two_floors_by_eigh(monkeypatch):
+    # only the plain floors of l = 0 and 1 are not positive definite
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    acceptance.criterion_spectra()
+    assert calls == [(800, 800)] * 2
+
 
 class TestLadder:
     """A ladder is valid exactly when it builds."""
@@ -477,6 +562,34 @@ class TestFrameMemory:
         # S, which the reflectors compress and the floor consumes in place
         assert peak <= 1.25
 
+    @pytest.mark.parametrize("l, solver", [(0, "eigh"), (2, "cholesky")])
+    def test_floor_holds_n_vectors_beside_its_frame(self, l, solver,
+                                                    traced_peak):
+        # beside the frame it consumes, the floor holds what its solver
+        # holds alone, eigh's workspace or ARPACK's n x ncv basis, and at
+        # most two n-vectors more: the saved diagonal and one solve
+        op = operators.assemble_Ll(l, spectra.refinement_ladder()[(800, 80.0)])
+        n = op.grid.n
+        frames = [spectra._m_frame(op) for _ in range(4 if l == 0 else 2)]
+        floor, _, peak = traced_peak(lambda: spectra._range_floor(frames.pop()), n)
+        assert floor.solver == solver
+        if solver == "eigh":
+            def alone():
+                return scipy.linalg.eigh(frames.pop().T, subset_by_index=[0, 0],
+                                         eigvals_only=True, overwrite_a=True)
+        else:
+            scale = np.arange(1.0, n + 1.0)
+            inverse = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=lambda x: x / scale, dtype=float)
+
+            def alone():
+                return scipy.sparse.linalg.eigsh(inverse, k=1, which="LA",
+                                                 v0=np.ones(n),
+                                                 return_eigenvectors=False)
+        _, _, alone_peak = traced_peak(alone, n)
+        assert peak <= alone_peak + 2 / n
+        assert peak < 0.2
+
     def test_mode_report_holds_one_work_array(self, op, traced_peak):
         # the deflation, then the LU of the left solve on A^H
         mode, _, peak = traced_peak(lambda: spectra.mode_report(op, -1.0),
@@ -488,7 +601,7 @@ class TestFrameMemory:
     def test_scan_holds_the_operator_and_one_work_array(self, l, traced_peak):
         # the scan assembles its operator, so the operator counts here; l = 0
         # deflates and solves its partner grids, l = 2 stops at the floor,
-        # and the assembly of L_2 holds two n x n arrays itself
+        # and the assembly of L_2 holds the operator alone
         ladder = spectra.refinement_ladder()
         scan, _, peak = traced_peak(
             lambda: spectra.unstable_scan_detailed(l, ladder=ladder), 800)
