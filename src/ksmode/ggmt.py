@@ -266,7 +266,11 @@ def ggmt_count(p: float, l: float, V, wells) -> float:
 @dataclass(frozen=True)
 class GgmtReport:
     """All scalars of the l = 2 pipeline.  ``bigN`` is None and ``well``
-    empty when ``u_infinity`` is not positive (no count was made)."""
+    empty when ``u_infinity`` is not positive (no count was made).  A
+    potential with no negative part has ``bigN`` 0.0 and ``well`` empty:
+    it binds no state in any class, so the count is 0 (whether the l = 2
+    reduction behind the potential holds for l >= 3 is a separate
+    question)."""
     l: int
     alpha: float
     p: float
@@ -340,7 +344,9 @@ def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
     l_eff = sqrt(1/4 + (1-theta) L) - 1/2, assembles the comparison
     potential U and evaluates N_{p, l_eff}(U).  When the potential's limit
     at infinity is not positive the certification has failed already: the
-    report then has no well and ``bigN`` None.
+    report then has no well and ``bigN`` None.  A potential with no
+    negative part counts 0.0 with no well, and one with two or more wells
+    raises RuntimeError.
     """
     if W is None:
         W = paper_weight()
@@ -352,10 +358,10 @@ def l2_pipeline(l: int = 2, alpha: float = 0.2, p: float = 4.0,
     big_n, well = None, ()
     if u_inf > 0.0:
         wells = negative_part_bracket(U)
-        if len(wells) != 1:
+        if len(wells) > 1:
             raise RuntimeError(
-                f"expected a single potential well, found {len(wells)}")
-        big_n, well = ggmt_count(p, l_eff, U, wells), wells[0]
+                f"expected at most one potential well, found {len(wells)}")
+        big_n, well = ggmt_count(p, l_eff, U, wells), wells[0] if wells else ()
     a4, b4 = alpha_beta(4.0)
     return GgmtReport(l=l, alpha=alpha, p=p, theta=theta, alphaR=a4, betaR=b4,
                       mu=mu, prefactor=ggmt_prefactor(p, l_eff), bigN=big_n,

@@ -22,15 +22,19 @@ has real part at least the bottom eigenvalue of its M-Hermitian part
 A class whose floor lies above the threshold has no candidate, and no
 eigensolve runs.
 
-Otherwise the scan deflates the eigenvectors nearest the floor, found by
-one shift-invert Arnoldi solve, and bounds the rest of the spectrum by the
-floor of the Hermitian part compressed onto the complement of their span
+Otherwise the scan deflates the one eigenvector nearest the floor, found
+by one shift-invert Arnoldi solve, and bounds the rest of the spectrum by
+the floor of the Hermitian part compressed onto the complement of its span
 (Schur deflation; Stewart and Sun, Matrix Perturbation Theory, 1990,
-ch. V).  When that floor certifies the threshold, the deflated eigenpairs
-below it are all the candidates, with the backward-error guarantee of a
-dense eigensolve; one vector certifies l = 0 and l = 1 on the pinned
-ladder.  Only when no deflation certifies is the finest grid solved in
-full.
+ch. V), as the paper removes the one symmetry mode of a class.  When that
+floor certifies the threshold, the deflated eigenpair is the candidate if
+it lies below it, with the backward-error guarantee of a dense eigensolve;
+this certifies l = 0 and l = 1 on the pinned ladder.  Otherwise the finest
+grid is solved in full.  Deflating more vectors would not help: the
+far-field numerical range of the operator (about 1/4) holds the floors with
+1, 2 or 4 vectors deflated below 0.3 on the pinned ladder for l <= 3, and
+no deflation lifts the floor that the Dirichlet row at rmax pulls down on
+a grid with a coarse outer spacing.
 
 The filters compare each candidate with the nearest eigenvalue of the
 coarser and smaller grids, and those grids are solved by shift-invert
@@ -53,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,10 +84,6 @@ _RESIDUAL_TOL = 1e-8   # eigen residual relative to ||A||_inf
 # shifts are one eigenvalue: two solves of one eigenvalue agree to 3e-11 on
 # the pinned ladder, and the filters resolve gaps of _ABS_TOL.
 _SAME_EIGENVALUE = 1e-8
-# Subspace sizes the scan tries to deflate, one Arnoldi solve each, before it
-# falls back to the full eigensolve; every grid has at least 16 nodes
-# (radial.MIN_NODES), so each size meets ARPACK's k < n - 1.
-_DEFLATION_SIZES = (1, 2, 4)
 # Node limit of a ladder grid.  One n x n float matrix takes 8 n^2 bytes,
 # 328 MB at n = 6400, and the scan of the finest grid holds two at once: the
 # operator and one work array, the LU of a shift-invert solve or S, which
@@ -182,11 +181,11 @@ def _guard_residuals(mat, lams, vecs, scale) -> np.ndarray:
 @dataclass(frozen=True)
 class RangeFloor:
     """Bottom ``nu`` of the numerical range of L_l in L^2(r^2 dr), with the
-    rounding ``margin`` of its computation, on the complement of ``count``
-    deflated eigenvectors (0: on the whole space).  ``residual`` is
-    ||B X0 - X0 (X0^H B X0)||_2 / ||A||_inf of the orthonormal basis X0 of
-    their span in the M-scaled frame of ``_m_frame``, 0 with nothing
-    deflated.  ``solver`` names what computed ``nu`` (see
+    rounding ``margin`` of its computation, on the whole space (``count``
+    0) or on the complement of one deflated eigenvector (``count`` 1).
+    ``residual`` is ||B x0 - x0 (x0^H B x0)||_2 / ||A||_inf of the unit
+    vector x0 of its span in the M-scaled frame of ``_m_frame``, 0 with
+    nothing deflated.  ``solver`` names what computed ``nu`` (see
     ``_range_floor``): ``"cholesky"``, Lanczos on the inverse of a frame
     its Cholesky factorization showed positive definite, or ``"eigh"``,
     the one-eigenvalue dense solve of any other frame."""
@@ -197,9 +196,9 @@ class RangeFloor:
     solver: str = "eigh"
 
     def certifies(self, threshold: float) -> bool:
-        """Whether the deflated eigenvalues are, up to a backward error of
-        ``residual`` ||A||_inf, all eigenvalues with real part below
-        ``threshold``; with nothing deflated, whether there is none."""
+        """Whether, up to a backward error of ``residual`` ||A||_inf, every
+        eigenvalue but the deflated one has real part above ``threshold``;
+        with nothing deflated, whether every eigenvalue has."""
         return self.residual <= _RESIDUAL_TOL and self.nu - self.margin > threshold
 
 
@@ -265,46 +264,45 @@ def _range_floor(s) -> RangeFloor:
     return RangeFloor(float(nu), float(margin))
 
 
-def _deflate(a: OperatorMatrix, sigma: float, k: int):
-    """Deflate the k eigenvectors of ``a`` nearest ``sigma`` and bound the
+def _deflate(a: OperatorMatrix, sigma: float):
+    """Deflate the eigenvector of ``a`` nearest ``sigma`` and bound the
     rest of its spectrum; returns (RangeFloor, lams, vectors, residuals).
 
-    One shift-invert Arnoldi solve finds the vectors V; the Householder QR
-    of X = M^{1/2} V gives an orthonormal basis X0 of their span and X1 of
-    its complement.  With
-    Lambda = X0^H B X0 and R = B X0 - X0 Lambda, the matrix B - R X0^H
-    leaves span X0 invariant and is block upper triangular in [X0, X1], so
-    its spectrum is that of Lambda together with that of X1^H B X1, whose
+    One shift-invert Arnoldi solve finds the vector v; the Householder QR
+    of x = M^{1/2} v gives its unit multiple x0 and an orthonormal basis X1
+    of its complement.  With
+    lam = x0^H B x0 and R = B x0 - x0 lam, the matrix B - R x0^H
+    leaves span x0 invariant and is block upper triangular in [x0, X1], so
+    its spectrum is lam together with that of X1^H B X1, whose
     eigenvalues all have real part at least nu, the bottom eigenvalue of
-    X1^H S X1.  When the floor certifies a threshold, the eigenpairs of
-    Lambda below it are therefore all eigenpairs of A below it up to a
-    backward error ||R||_2, the guarantee a dense eigensolve gives
-    (Stewart and Sun, Matrix Perturbation Theory, 1990, ch. V).  A missed
-    eigenvalue stays in X1^H B X1 and pulls nu below it.  B is applied,
-    never formed: B X0 = M^{1/2} (A (M^{-1/2} X0)), one product of A with
-    the n x k block.  S = ``_m_frame(a)`` is built only once the LU of the
-    shift-invert solve is gone, and the k reflectors compress it in place
-    from both sides, O(n^2 k), without forming Q: on S itself (its
-    Fortran-ordered transpose, which is S again) in real arithmetic, on
-    one complex copy in complex arithmetic.  The trailing block is packed
-    in place to the front of that array, where ``_range_floor`` consumes
-    it (by its Cholesky factor in place when X1^H S X1 is positive
-    definite), so a deflation holds one n x n array beside the operator.
-    ``lams`` are the eigenvalues of Lambda and ``vectors`` the unit
-    eigenvectors M^{-1/2} X0 W of A, sorted by real part, with the
-    ``residuals`` of the guard of ``eig_dense``, which every pair passes.
+    X1^H S X1.  When the floor certifies a threshold, lam, if it lies below
+    it, is therefore the one eigenvalue of A below it up to a backward
+    error ||R||_2, the guarantee a dense eigensolve gives (Stewart and Sun,
+    Matrix Perturbation Theory, 1990, ch. V).  A missed eigenvalue stays in
+    X1^H B X1 and pulls nu below it.  B is applied, never formed:
+    B x0 = M^{1/2} (A (M^{-1/2} x0)), one matrix-vector product with A.
+    S = ``_m_frame(a)`` is built only once the LU of the shift-invert solve
+    is gone, and the reflector compresses it in place from both sides,
+    O(n^2), without forming Q: on S itself (its Fortran-ordered transpose,
+    which is S again) in real arithmetic, on one complex copy in complex
+    arithmetic.  The trailing block is packed in place to the front of
+    that array, where ``_range_floor`` consumes it (by its Cholesky factor
+    in place when X1^H S X1 is positive definite), so a deflation holds one
+    n x n array beside the operator.  ``lams`` holds lam and ``vectors``
+    the unit eigenvector M^{-1/2} x0 of A as its one column, with the
+    ``residuals`` of the guard of ``eig_dense``, which the pair passes.
     """
     mat = a.entries
     n = mat.shape[0]
     scale = scipy.linalg.norm(mat, np.inf, check_finite=False)
     root = np.sqrt(a.grid.r2_weights)[:, None]
-    _, vecs = _shift_invert(mat, k, sigma)
+    _, vecs = _shift_invert(mat, 1, sigma)
     # a real eigenvector keeps the whole deflation in real arithmetic
     x = root * (vecs if np.any(vecs.imag) else vecs.real)
     (h, tau), _ = scipy.linalg.qr(x, mode="raw")
     ormqr, = scipy.linalg.get_lapack_funcs(("ormqr",), (h,))
     lwork = 64 * n   # n times LAPACK's largest block size, for either side
-    x0 = ormqr("L", "N", h, tau, np.eye(n, k, dtype=h.dtype), lwork)[0]
+    x0 = ormqr("L", "N", h, tau, np.eye(n, 1, dtype=h.dtype), lwork)[0]
     bx0 = root * (mat @ (x0 / root))
     lam = x0.conj().T @ bx0
     residual = np.linalg.norm(bx0 - x0 @ lam, 2) / scale
@@ -316,20 +314,18 @@ def _deflate(a: OperatorMatrix, sigma: float, k: int):
     d = ormqr("R", "N", h, tau, d, lwork, overwrite_c=True)[0]
     # pack the trailing block to the front of its buffer, column by column:
     # column j lies past where its packed copy goes
-    m = n - k
+    m = n - 1
     flat = d.ravel(order="F")
     for j in range(m):
-        flat[j * m:(j + 1) * m] = d[k:, k + j]
+        flat[j * m:(j + 1) * m] = d[1:, 1 + j]
     rest = _range_floor(flat[:m * m].reshape((m, m), order="F"))
     del d, flat
-    # a 1 x 1 block is its own eigendecomposition
-    lams, w = (np.diag(lam), np.eye(1)) if k == 1 else scipy.linalg.eig(lam)
-    vectors = (x0 @ w) / root
+    lams = np.diag(lam)
+    vectors = x0 / root
     vectors /= np.linalg.norm(vectors, axis=0)
     res = _guard_residuals(mat, lams, vectors, scale)
-    order = np.argsort(lams.real)
-    return (replace(rest, count=k, residual=float(residual)),
-            lams[order].astype(complex), vectors[:, order], res[order])
+    return (replace(rest, count=1, residual=float(residual)),
+            lams.astype(complex), vectors, res)
 
 
 def _shift_invert(mat, k: int, sigma):
@@ -510,9 +506,10 @@ class Scan(NamedTuple):
     threshold with its filter diagnostics, and ``accepted`` the survivors.
     ``floor`` is the numerical-range floor of the finest grid's operator.
     ``path`` names what found the candidates: ``"floor"`` (it certifies
-    that there is none), ``"deflation"`` (a deflated floor certifies the
-    deflated eigenpairs) or ``"dense"`` (the full eigensolve).
-    ``certificate`` is the floor that decided, or the last one tried.
+    that there is none), ``"deflation"`` (the floor with one eigenvector
+    deflated certifies the deflated eigenpair) or ``"dense"`` (the full
+    eigensolve).  ``certificate`` is the floor that decided, or on the
+    dense path the deflated floor that fell short.
     """
     accepted: list
     candidates: list
@@ -525,8 +522,8 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
     """Run the filtered scan for one class.
 
     When the floor does not certify the threshold, ``_deflate`` deflates
-    1, 2, then 4 eigenvectors nearest it, and only when no deflated floor
-    certifies is the finest grid solved in full.  Only when there is a
+    the eigenvector nearest it, and only when the deflated floor does not
+    certify either is the finest grid solved in full.  Only when there is a
     candidate are the partner grids of ``check_scan_grids`` solved, for
     the eigenvalues nearest the candidates alone; no other grid is built.
     """
@@ -538,12 +535,8 @@ def unstable_scan_detailed(l: int, threshold: float = 0.05, ladder=None) -> Scan
     floor = _range_floor(_m_frame(op))
     if floor.certifies(threshold):
         return Scan([], [], floor, floor, "floor")
-    certificate, path = floor, "dense"
-    for k in _DEFLATION_SIZES:
-        certificate, lams, vecs, residuals = _deflate(op, floor.nu, k)
-        if certificate.certifies(threshold):
-            path = "deflation"
-            break
+    certificate, lams, vecs, residuals = _deflate(op, floor.nu)
+    path = "deflation" if certificate.certifies(threshold) else "dense"
     if path == "dense":
         lams, vecs, residuals = eig_dense(op)
     cand_idx = np.nonzero(lams.real < threshold)[0]
@@ -594,7 +587,7 @@ class ProjectionPair:
     """Right/left eigenvectors of one eigenvalue, paired in L^2(r^2 dr): the
     discrete Riesz projection onto that mode.
 
-    ``floor`` is the k = 1 deflated floor of the operator with the mode
+    ``floor`` is the deflated floor of the operator with the mode
     deflated and ``path`` how the mode was shown to be the one nearest its
     target: ``"deflation"`` (that floor certifies it) or ``"dense"`` (the
     full eigensolve confirms it).  ``condition`` is the eigenvalue condition
@@ -608,12 +601,8 @@ class ProjectionPair:
     path: str
     condition: float
 
-    @cached_property
-    def _weighted_left(self) -> np.ndarray:
-        return self.left.conj() * self.grid.r2_weights
-
     def coefficient(self, values):
-        return self._weighted_left @ np.asarray(values)
+        return (self.left.conj() * self.grid.r2_weights) @ np.asarray(values)
 
     def project_unstable(self, values) -> np.ndarray:
         return self.right * self.coefficient(values)
@@ -666,7 +655,7 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
     Two shift-invert Arnoldi solves from the scan's start vector find them,
     one on A at ``target`` (inside ``_deflate``) and one on A^H, and both
     pairs pass the residual guard of ``eig_dense``; a non-real eigenvalue
-    raises before the second, as its conjugate is just as near.  The k = 1
+    raises before the second, as its conjugate is just as near.  The
     deflated floor then shows that every other eigenvalue has real part above
     max(0, target + |lam - target|), so lam is isolated, nearest the target
     and the only eigenvalue of the unstable half-plane.  Only when the floor
@@ -674,7 +663,7 @@ def mode_report(a: OperatorMatrix, target: float) -> Mode:
     nearest the target is lam.
     """
     mat = a.entries
-    floor, lams, rights, _ = _deflate(a, target, 1)
+    floor, lams, rights, _ = _deflate(a, target)
     lam = complex(lams[0])
     # the two members of a complex pair lie equally near a real target
     if not _same_eigenvalue(lam.conjugate(), lam):

@@ -39,6 +39,15 @@ def test_ggmt_reference_run(tmp_path, capsys):
         assert check["pass"] is True
 
 
+def test_ggmt_class_without_a_well_counts_zero(tmp_path):
+    # the comparison potential of class 4 is positive: no negative part,
+    # so no bound state and the count is 0
+    assert run_cli(["ggmt", "--l", "4"], tmp_path) == 0
+    details = load_summary(tmp_path, "ggmt")["details"]
+    assert details["bigN"] == 0 and details["well"] == []
+    assert details["u_infinity"] > 0.0
+
+
 def test_summary_schema_and_determinism(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -138,7 +147,7 @@ def test_spectrum_csv_names_the_rejecting_filter(tmp_path):
 
 
 def test_spectrum_reports_the_dense_fallback(tmp_path):
-    # on the (400, 80) fine grid the coarse outer spacing keeps every
+    # on the (400, 80) fine grid the coarse outer spacing keeps the
     # deflated floor near -2.5: the scaling mode comes from the full
     # eigensolve, and its deflated-floor check fails
     path = tmp_path / "coarse.ini"
@@ -152,7 +161,7 @@ def test_spectrum_reports_the_dense_fallback(tmp_path):
     # neither floor is positive definite, so eigh computed both
     assert details["numerical_range_solver"] == "eigh"
     assert details["deflated_solver"] == "eigh"
-    assert details["deflated_count"] == 4 and details["deflated_floor"] < -2.0
+    assert details["deflated_count"] == 1 and details["deflated_floor"] < -2.0
     assert 0.0 < details["invariance_residual"] <= 1e-8
     failed = [c["tag"] for c in summary["checks"] if not c["pass"]]
     assert failed == ["spectra.l0_deflated_floor"]

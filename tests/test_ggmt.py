@@ -330,6 +330,19 @@ class TestPipeline:
         assert rep.u_infinity < -0.1
         assert rep.bigN is None and rep.well == ()
 
+    def test_class_without_a_well_counts_zero(self):
+        # U_4 is positive on the whole scan window: no negative part, no
+        # bound state, and the count is 0
+        rep = ggmt.l2_pipeline(l=4)
+        assert rep.u_infinity == pytest.approx(0.1206, abs=1e-4)
+        assert rep.bigN == 0.0 and rep.well == ()
+
+    def test_two_wells_raise(self, monkeypatch):
+        monkeypatch.setattr(ggmt, "negative_part_bracket",
+                            lambda U: ((0.5, 1.0), (2.0, 3.0)))
+        with pytest.raises(RuntimeError, match="at most one potential well"):
+            ggmt.l2_pipeline()
+
     def test_report_serialization(self):
         d = dataclasses.asdict(ggmt.l2_pipeline())
         assert set(d) == {"l", "alpha", "p", "theta", "alphaR", "betaR", "mu",

@@ -141,11 +141,11 @@ class TestScan:
         (cand,) = cands
         assert abs(cand.lam - 0.378) < 1e-3
         assert accepted == [] and cand.rejected_by == "rmax"
-        # deflating 1, 2 and 4 eigenvectors leaves floors below 0.5: three
-        # Arnoldi solves before the full eigensolve
+        # deflating the eigenvector nearest the floor leaves a floor below
+        # 0.5: one Arnoldi solve before the full eigensolve
         assert path == "dense"
-        assert cert.count == 4 and not cert.certifies(0.5)
-        assert solves == {"eig": 1, "targeted": 6,
+        assert cert.count == 1 and not cert.certifies(0.5)
+        assert solves == {"eig": 1, "targeted": 4,
                           "grids": [(400, 40.0), (200, 40.0), (100, 40.0),
                                     (400, 20.0)]}
 
@@ -154,10 +154,10 @@ class TestScan:
         accepted, cands, floor, cert, path = spectra.unstable_scan_detailed(
             2, ladder=small_ladder(rmax0=40.0))
         assert abs(floor.nu + 2.5) < 0.05 and not floor.certifies(0.05)
-        # and that row stays after any deflation
-        assert path == "dense" and cert.count == 4 and cert.nu < -2.0
+        # and that row stays after the deflation
+        assert path == "dense" and cert.count == 1 and cert.nu < -2.0
         assert accepted == [] and cands == []
-        assert solves == {"eig": 1, "targeted": 3, "grids": [(400, 80.0)]}
+        assert solves == {"eig": 1, "targeted": 1, "grids": [(400, 80.0)]}
 
     def test_larger_ladder_solves_only_the_grids_read(self, solves):
         ladder = spectra.refinement_ladder(n0=50, rmax0=20.0, levels=4,
@@ -292,7 +292,7 @@ class TestRangeFloor:
         "proj-l0", "proj-flow"])
     def test_cholesky_floor_matches_eigh(self, case):
         # every positive definite frame criteria 3 and 8 read: the plain
-        # frames of l = 2..6 and the k = 1 deflated frames of l = 0, 1 on
+        # frames of l = 2..6 and the deflated frames of l = 0, 1 on
         # the pinned ladder's finest grid, and the deflated frames of
         # criterion 8's two projections on the uniform (400, 40) grid
         if case.startswith("proj"):
@@ -344,7 +344,7 @@ class TestRangeFloor:
 
 
 def deflated_frame(a, sigma):
-    """A copy of the frame X1^H S X1 that ``_deflate(a, sigma, 1)`` hands
+    """A copy of the frame X1^H S X1 that ``_deflate(a, sigma)`` hands
     to ``_range_floor``."""
     frames = []
     floor = spectra._range_floor
@@ -355,7 +355,7 @@ def deflated_frame(a, sigma):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectra, "_range_floor", kept)
-        spectra._deflate(a, sigma, 1)
+        spectra._deflate(a, sigma)
     return frames[0]
 
 
@@ -457,25 +457,23 @@ class TestDeflation:
             a = operators.assemble_Ll(l, grid)
             nu = range_floor(a).nu
             full, full_vecs, _ = spectra.eig_dense(a)
-            for k in spectra._DEFLATION_SIZES:
-                deflated, lams, vecs, _ = spectra._deflate(a, nu, k)
-                if not deflated.certifies(threshold):
-                    continue
-                certified += 1
-                # every eigenvalue left after removing the deflated ones lies
-                # above the deflated floor
-                rest = np.ones(full.size, dtype=bool)
-                for lam in lams:
-                    rest[np.argmin(np.where(rest, np.abs(full - lam), np.inf))] = False
-                assert full[rest].real.min() >= deflated.nu - deflated.margin
-                # and the candidates are the full solve's, value and vector
-                want = np.nonzero(full.real < threshold)[0]
-                got = np.nonzero(lams.real < threshold)[0]
-                assert got.size == want.size
-                for i, j in zip(got, want):
-                    assert abs(lams[i] - full[j]) <= 1e-9 * abs(full[j])
-                    cos = spectra.cosine_similarity(vecs[:, i], full_vecs[:, j], grid)
-                    assert cos >= 1.0 - 1e-9
+            deflated, lams, vecs, _ = spectra._deflate(a, nu)
+            if not deflated.certifies(threshold):
+                continue
+            certified += 1
+            # every eigenvalue left after removing the deflated one lies
+            # above the deflated floor
+            rest = np.ones(full.size, dtype=bool)
+            rest[np.argmin(np.abs(full - lams[0]))] = False
+            assert full[rest].real.min() >= deflated.nu - deflated.margin
+            # and the candidates are the full solve's, value and vector
+            want = np.nonzero(full.real < threshold)[0]
+            got = np.nonzero(lams.real < threshold)[0]
+            assert got.size == want.size
+            for i, j in zip(got, want):
+                assert abs(lams[i] - full[j]) <= 1e-9 * abs(full[j])
+                cos = spectra.cosine_similarity(vecs[:, i], full_vecs[:, j], grid)
+                assert cos >= 1.0 - 1e-9
         # the symmetry classes are certified on every grid of the ladder
         if threshold == 0.05:
             assert certified >= len(ladder)
@@ -485,35 +483,32 @@ class TestDeflation:
         # member of the pair: the deflation runs in complex arithmetic, and
         # the conjugate left behind keeps the floor below it
         a = operators.assemble_Ll(2, small_ladder()[(400, 40.0)])
-        deflated, lams, vecs, _ = spectra._deflate(a, 1.508, 1)
+        deflated, lams, vecs, _ = spectra._deflate(a, 1.508)
         full, _, _ = spectra.eig_dense(a)
         assert abs(lams[0].imag) > 0.6 and np.iscomplexobj(vecs)
         assert np.min(np.abs(full - lams[0])) <= 1e-9
         assert deflated.residual <= 1e-8
         assert deflated.nu - deflated.margin <= lams[0].real
 
-    def test_failed_certificate_falls_back_to_the_dense_path(self, monkeypatch):
+    def test_failed_certificate_falls_back_to_the_dense_path(self):
         # on (400, 80) the Dirichlet row keeps the deflated floor near -2.5:
         # the scan's candidates are exactly those of the full solve
         ladder = small_ladder(rmax0=40.0)
         scan = spectra.unstable_scan_detailed(0, ladder=ladder)
         assert scan.path == "dense" and not scan.certificate.certifies(0.05)
-        monkeypatch.setattr(spectra, "_DEFLATION_SIZES", ())
-        plain = spectra.unstable_scan_detailed(0, ladder=ladder)
-        # with nothing deflated the certificate is the plain floor
-        assert plain.path == "dense" and plain.certificate is plain.floor
-        got, want = scan.candidates, plain.candidates
-        assert len(got) == len(want) == 1
-        assert got[0].lam == want[0].lam
-        assert np.array_equal(got[0].vector, want[0].vector)
-        assert (got[0].residual, got[0].rejected_by) == \
-            (want[0].residual, want[0].rejected_by)
+        full, full_vecs, full_res = spectra.eig_dense(
+            operators.assemble_Ll(0, ladder[(400, 80.0)]))
+        (want,) = np.nonzero(full.real < 0.05)[0]
+        (got,) = scan.candidates
+        assert got.lam == full[want]
+        assert np.array_equal(got.vector, full_vecs[:, want])
+        assert got.residual == full_res[want]
 
     def test_report_carries_the_guarded_residual(self, l0_scan):
         # the scan reports the residual the guard of _deflate computed
         rep = l0_scan.accepted[0]
         a = operators.assemble_Ll(0, rep.grid)
-        _, _, vecs, res = spectra._deflate(a, range_floor(a).nu, 1)
+        _, _, vecs, res = spectra._deflate(a, range_floor(a).nu)
         assert np.array_equal(rep.vector, vecs[:, 0])
         assert rep.residual == res[0]
 
@@ -556,7 +551,7 @@ class TestFrameMemory:
         n = op.grid.n
         nu = range_floor(op).nu
         (_, _, vecs, _), kept, peak = traced_peak(
-            lambda: spectra._deflate(op, nu, 1), n)
+            lambda: spectra._deflate(op, nu), n)
         assert vecs.shape == (n, 1) and kept < 1
         # one n x n array at a time: the LU of the shift-invert solve, then
         # S, which the reflectors compress and the floor consumes in place
@@ -706,7 +701,7 @@ class TestProjection:
 
     def test_records_its_isolation_and_condition(self, proj):
         pair, a = proj
-        floor = spectra._deflate(a, -1.0, 1)[0]
+        floor = spectra._deflate(a, -1.0)[0]
         assert pair.floor == floor and floor.certifies(0.0)
         assert pair.path == "deflation"
         _, right, left = _dense_mode(a, -1.0)
